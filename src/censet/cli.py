@@ -246,9 +246,9 @@ def _full_dump_matrix(observations) -> np.ndarray:
                 f"position {obs.position_id}: sweep input must be a full dump "
                 f"(K = V), got K={obs.k} < V={obs.vocab_size}"
             )
+        pairs = np.array(obs.revealed)
         logits = np.empty(obs.vocab_size)
-        for token, score in obs.revealed:
-            logits[token] = score
+        logits[pairs[:, 0].astype(np.intp)] = pairs[:, 1]
         rows.append(logits)
     if len({len(r) for r in rows}) > 1:
         raise ValidationError("all positions must share one vocab_size")
@@ -370,15 +370,9 @@ def cmd_simulate(args) -> int:
         with open(args.dump, "w", encoding="utf-8") as handle:
             handle.write(serialize_observations(observations))
     rows = []
-    for row in sim.ksweep(teacher, args.k):
-        sup_kls = []
-        if row.n > 0:
-            for z in teacher:
-                geom = geo.geometry(summarize(sim.censor(z, row.k)))
-                est = mm.symmetric_estimator(geom)
-                sup_kls.append(mm.worst_case_risk(geom, est, t_grid=128)[0])
+    for row, sup_kl_mean in sim.ksweep_with_sup_kl(teacher, args.k, t_grid=128):
         out = _sweep_row_dict(row)
-        out["sup_kl_mean"] = float(np.mean(sup_kls)) if sup_kls else math.nan
+        out["sup_kl_mean"] = sup_kl_mean
         rows.append(out)
     _emit(
         {"command": "simulate", "seed": args.seed, "law": args.law},

@@ -73,9 +73,9 @@ class SetGeometry:
     @cached_property
     def censored_ids(self) -> np.ndarray:
         """Sorted ids of the censored tokens."""
-        return np.setdiff1d(
-            np.arange(self.vocab_size), np.asarray(self.token_ids)
-        )
+        hidden = np.ones(self.vocab_size, dtype=bool)
+        hidden[list(self.token_ids)] = False
+        return np.flatnonzero(hidden)
 
 
 def geometry(summary: LogSummary) -> SetGeometry:

@@ -95,12 +95,7 @@ class TopKObservation:
                 raise ValidationError(
                     "normalized log-probabilities must be <= 0"
                 )
-            head = float(np.exp(logsumexp(scores)))
-            if head > 1.0 + POLICY.head_mass_tol:
-                raise ValidationError(
-                    f"revealed head mass {head!r} exceeds 1 beyond tolerance; "
-                    "refusing to renormalize"
-                )
+            _check_head_mass(float(logsumexp(scores)))
 
     @property
     def k(self) -> int:
@@ -250,10 +245,25 @@ def hidden_tail_mass(obs: TopKObservation) -> float:
             "hidden tail mass is identified only under normalized access "
             f"(mode={obs.mode.value})"
         )
-    raw = -math.expm1(float(logsumexp(obs.scores)))
+    return _tail_mass(float(logsumexp(obs.scores)))
+
+
+def _check_head_mass(log_head: float) -> None:
+    """Reject a normalized head whose mass ``exp(log_head)`` exceeds 1."""
+    head = float(np.exp(log_head))
+    if head > 1.0 + POLICY.head_mass_tol:
+        raise ValidationError(
+            f"revealed head mass {head!r} exceeds 1 beyond tolerance; "
+            "refusing to renormalize"
+        )
+
+
+def _tail_mass(log_head: float) -> float:
+    """``1 - exp(log_head)`` clamped to [0, 1], warning below ``-head_mass_tol``."""
+    raw = -math.expm1(log_head)
     if raw < -POLICY.head_mass_tol:
         warnings.warn(
             f"hidden tail mass {raw!r} below 0 beyond tolerance; clamping",
-            stacklevel=2,
+            stacklevel=3,
         )
     return min(1.0, max(0.0, raw))

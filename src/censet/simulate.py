@@ -26,7 +26,15 @@ from .minimax import (
     symmetric_estimator,
     worst_case_risk,
 )
-from .observation import AccessMode, TopKObservation, hidden_tail_mass, summarize
+from .observation import (
+    AccessMode,
+    LogSummary,
+    TopKObservation,
+    ValidationError,
+    _check_head_mass,
+    _tail_mass,
+    summarize,
+)
 
 
 @dataclass(frozen=True)
@@ -174,26 +182,95 @@ class SweepRow:
     n: int
 
 
-def ksweep(
-    positions: np.ndarray,
-    k_list: Sequence[int],
-    mode: AccessMode = AccessMode.LOGITS,
-) -> list[SweepRow]:
-    """Censor every position at each K and aggregate the per-position stats.
+def _first_nonfinite(scores: np.ndarray) -> int:
+    bad = np.flatnonzero(~np.isfinite(scores))
+    return int(bad[0]) if len(bad) else len(scores)
 
-    Reports mean and population sd of the diameter, the mean lower bound,
-    and the mean hidden tail mass under the normalized reinterpretation of
-    the same positions.  The diameter is invariant to the additive shift
-    between the two score modes, so ``mode`` only selects which scores are
-    materialized along the way.  K values above V produce a skipped row.
+
+def _sweep_position(
+    z: np.ndarray, ks: Sequence[int]
+) -> list[tuple[SetGeometry, float]]:
+    """Geometry and hidden tail mass of one position at every K in ``ks``.
+
+    Bit for bit equal to ``geometry(summarize(censor(z, k)))`` and
+    ``hidden_tail_mass(censor(z, k, mode=AccessMode.LOGPROBS))``, with the
+    same validation, from one stable sort of the row: each K reads a prefix
+    of the same order, so ties still break toward the lower token id.
+    ``ks`` must be sorted ascending and lie in [1, V].
+    """
+    if not ks:
+        return []
+    v = len(z)
+    order = np.argsort(-z, kind="stable")[: ks[-1]]
+    ids = order.tolist()
+    head = z[order]
+    logprobs = np.minimum(head - float(logsumexp(z)), 0.0)
+    bad_logit = _first_nonfinite(head)
+    bad_logprob = _first_nonfinite(logprobs)
+    swept = []
+    for k in ks:
+        for scores, bad in ((head, bad_logit), (logprobs, bad_logprob)):
+            if bad < k:
+                raise ValidationError(
+                    f"non-finite score {float(scores[bad])!r} for token {ids[bad]}"
+                )
+        scores = head[:k]
+        log_za = float(logsumexp(scores))
+        summary = LogSummary(
+            log_ZA=log_za,
+            tau=float(scores[-1]),
+            M=v - k,
+            alpha=np.exp(scores - log_za),
+            token_ids=tuple(ids[:k]),
+            vocab_size=v,
+        )
+        log_head = float(logsumexp(logprobs[:k]))
+        _check_head_mass(log_head)
+        swept.append((geometry(summary), _tail_mass(log_head)))
+    return swept
+
+
+def _sweep(
+    positions: np.ndarray, k_list: Sequence[int], t_grid: int | None
+) -> list[tuple[SweepRow, float]]:
+    """Sweep rows plus, when ``t_grid`` is set, the mean estimator sup per K.
+
+    Each position is sorted once and shared by all Ks (see
+    :func:`_sweep_position`); working memory stays O(V) per position.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    v = positions.shape[1]
-    rows = []
-    for k in sorted(k_list):
-        if k > v:
-            warnings.warn(f"skipping K={k}: exceeds vocab_size {v}")
-            rows.append(
+    n, v = positions.shape
+    ks = sorted(k_list)
+    if ks and ks[0] < 1:
+        raise ValueError(f"K must lie in [1, {v}], got {ks[0]}")
+    swept = [k for k in ks if k <= v]
+    uks, rbins, tails, sups = (np.empty((len(swept), n)) for _ in range(4))
+    for i, z in enumerate(positions):
+        for j, (geom, tail) in enumerate(_sweep_position(z, swept)):
+            uks[j, i] = geom.U_K
+            rbins[j, i] = binary_reserve(geom.U_K).r_bin
+            tails[j, i] = tail
+            if t_grid is not None:
+                est = symmetric_estimator(geom)
+                sups[j, i] = worst_case_risk(geom, est, t_grid=t_grid)[0]
+    rows = [
+        (
+            SweepRow(
+                k=k,
+                uk_mean=float(uks[j].mean()),
+                uk_sd=float(uks[j].std(ddof=0)),
+                rbin_mean=float(rbins[j].mean()),
+                tail_mass_mean=float(tails[j].mean()),
+                n=n,
+            ),
+            float(sups[j].mean()) if t_grid is not None else math.nan,
+        )
+        for j, k in enumerate(swept)
+    ]
+    for k in ks[len(swept):]:
+        warnings.warn(f"skipping K={k}: exceeds vocab_size {v}")
+        rows.append(
+            (
                 SweepRow(
                     k=k,
                     uk_mean=math.nan,
@@ -201,28 +278,34 @@ def ksweep(
                     rbin_mean=math.nan,
                     tail_mass_mean=math.nan,
                     n=0,
-                )
-            )
-            continue
-        uks = np.empty(len(positions))
-        rbins = np.empty(len(positions))
-        tails = np.empty(len(positions))
-        for i, z in enumerate(positions):
-            geom = geometry(summarize(censor(z, k, mode=mode)))
-            uks[i] = geom.U_K
-            rbins[i] = binary_reserve(geom.U_K).r_bin
-            tails[i] = hidden_tail_mass(censor(z, k, mode=AccessMode.LOGPROBS))
-        rows.append(
-            SweepRow(
-                k=k,
-                uk_mean=float(uks.mean()),
-                uk_sd=float(uks.std(ddof=0)),
-                rbin_mean=float(rbins.mean()),
-                tail_mass_mean=float(tails.mean()),
-                n=len(positions),
+                ),
+                math.nan,
             )
         )
     return rows
+
+
+def ksweep(positions: np.ndarray, k_list: Sequence[int]) -> list[SweepRow]:
+    """Censor every position at each K and aggregate the per-position stats.
+
+    Reports mean and population sd of the diameter, the mean lower bound,
+    and the mean hidden tail mass under the normalized reinterpretation of
+    the same positions.  Each position is sorted once; every K reads a
+    prefix of that order.  K values above V produce a skipped row.
+    """
+    return [row for row, _ in _sweep(positions, k_list, t_grid=None)]
+
+
+def ksweep_with_sup_kl(
+    positions: np.ndarray, k_list: Sequence[int], t_grid: int
+) -> list[tuple[SweepRow, float]]:
+    """:func:`ksweep` rows, each with the mean symmetric-estimator sup.
+
+    The sup is ``worst_case_risk`` of the reserve-``U_K/e`` estimator on
+    each position's geometry at that K, from the same single sort per
+    position; skipped rows carry NaN.
+    """
+    return _sweep(positions, k_list, t_grid)
 
 
 SWEEP_CSV_HEADER = "K,uk_mean,uk_sd,rbin_mean,tail_mass_mean,n"

@@ -145,6 +145,14 @@ class TestKsweep:
         assert main(["ksweep", "--input", str(obs_file)]) == 1
         assert "full dump" in capsys.readouterr().err
 
+    def test_rejects_mixed_vocab_sizes(self, tmp_path, capsys):
+        path = tmp_path / "mixed.jsonl"
+        path.write_text(serialize_observations(
+            [censor(np.array([0.5, 1.0]), 2), censor(np.array([0.0, 2.0, 1.0]), 3)]
+        ))
+        assert main(["ksweep", "--input", str(path), "--k", "1"]) == 1
+        assert "one vocab_size" in capsys.readouterr().err
+
     def test_oversized_k_emits_skip_row(self, dump_file, capsys):
         with pytest.warns(UserWarning, match="skipping"):
             assert main(["ksweep", "--input", str(dump_file), "--k", "5,200"]) == 0

@@ -51,6 +51,19 @@ class TestGeometry:
         assert math.isclose(g.one_minus_UK, direct, rel_tol=1e-12)
 
 
+    @pytest.mark.parametrize(
+        "vocab_size, tokens",
+        [(9, [7, 2, 4]), (6, [5, 0, 3, 1, 2]), (4, [3, 1, 0, 2])],
+    )
+    def test_censored_ids_match_setdiff(self, vocab_size, tokens):
+        # unsorted revealed ids, K = V-1 and K = V (no censored tokens)
+        scores = np.linspace(1.0, 0.0, len(tokens))
+        g = make_geometry(vocab_size, scores, tokens=tokens)
+        expected = np.setdiff1d(np.arange(vocab_size), tokens)
+        assert g.censored_ids.dtype == expected.dtype
+        np.testing.assert_array_equal(g.censored_ids, expected)
+
+
 class TestPerTokenCap:
     def test_cap_at_max_tail_mass_is_uniform_weight(self, v4_geometry):
         g = v4_geometry

@@ -1,5 +1,6 @@
 """Synthetic teachers, censoring, K-sweeps, and composition."""
 
+import hashlib
 import math
 import warnings
 
@@ -13,17 +14,21 @@ from censet import (
     PeakedHead,
     SyntheticTeacherConfig,
     SweepRow,
+    ValidationError,
     binary_reserve,
     censor,
     compose_nonadaptive,
     generate_teacher,
     geometry,
     geometry_with_diameter,
+    hidden_tail_mass,
     ksweep,
     summarize,
     symmetric_estimator,
 )
-from censet.simulate import sweep_to_csv
+from censet.cli import main
+from censet.numerics import apply_policy_overrides
+from censet.simulate import _sweep_position, sweep_to_csv
 
 
 class TestGenerateTeacher:
@@ -177,6 +182,141 @@ class TestKsweep:
         a = sweep_to_csv(ksweep(teacher, [1, 5, 10]))
         b = sweep_to_csv(ksweep(teacher, [1, 5, 10]))
         assert a == b
+
+
+def _censor_pipeline(z, k):
+    """The per-(position, K) path the single-sort sweep replaces."""
+    geom = geometry(summarize(censor(z, k)))
+    return geom, hidden_tail_mass(censor(z, k, mode=AccessMode.LOGPROBS))
+
+
+def _pipeline_error(z, ks):
+    """Message of the first ValidationError the censor path raises over ``ks``."""
+    with pytest.raises(ValidationError) as caught:
+        for k in ks:
+            _censor_pipeline(z, k)
+    return str(caught.value)
+
+
+class TestSweepPosition:
+    ROWS = {
+        "gaussian": generate_teacher(
+            SyntheticTeacherConfig(40, GaussianIID(0.0, 3.0), seed=4), 2
+        ),
+        "dirichlet": generate_teacher(
+            SyntheticTeacherConfig(40, DirichletSoftmax(0.2), seed=5), 2
+        ),
+        "peaked": generate_teacher(
+            SyntheticTeacherConfig(40, PeakedHead(head_size=6, gap=4.0), seed=6), 2
+        ),
+        "integer_ties": np.random.default_rng(7).integers(-2, 3, size=(2, 40)) * 1.0,
+    }
+
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_equals_censor_pipeline_exactly(self, name):
+        for z in self.ROWS[name]:
+            ks = list(range(1, len(z) + 1))
+            for k, (geom, tail) in zip(ks, _sweep_position(z, ks)):
+                ref_geom, ref_tail = _censor_pipeline(z, k)
+                assert geom.token_ids == ref_geom.token_ids
+                assert geom.U_K == ref_geom.U_K
+                assert geom.log_odds == ref_geom.log_odds
+                assert np.array_equal(geom.alpha, ref_geom.alpha)
+                assert tail == ref_tail
+
+    @pytest.mark.parametrize(
+        "z",
+        [
+            [2.0, np.nan, 1.0, 0.0],      # NaN poisons every logprob
+            [1.0, np.inf, 0.0],           # non-finite revealed logit
+            [1e308, -1e308, 0.0],         # logprob overflows to -inf at K = 3
+        ],
+    )
+    def test_rejects_non_finite_like_censor(self, z):
+        z = np.array(z)
+        ks = list(range(1, len(z) + 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = _pipeline_error(z, ks)
+            with pytest.raises(ValidationError, match="non-finite") as caught:
+                _sweep_position(z, ks)
+        assert str(caught.value) == expected
+
+    def test_rejects_head_mass_like_censor(self):
+        apply_policy_overrides({"head_mass_tol": -0.5})
+        z = self.ROWS["gaussian"][0]
+        ks = list(range(1, len(z) + 1))
+        expected = _pipeline_error(z, ks)
+        with pytest.raises(ValidationError, match="head mass") as caught:
+            _sweep_position(z, ks)
+        assert str(caught.value) == expected
+
+    def test_k_below_one(self):
+        with pytest.raises(ValueError, match="K must lie"):
+            ksweep(np.zeros((2, 4)), [0, 2])
+
+
+# simulate --format json and ksweep CSV bytes of the per-(position, K) censor
+# path, on three small teachers; K = V = 12 is exact and K = 20 is skipped
+GOLDEN_KS = "1,3,11,12,20"
+GOLDEN = {
+    "gaussian": (
+        ["--law", "gaussian", "--sd", "2", "--seed", "7"],
+        "K,uk_mean,uk_sd,rbin_mean,tail_mass_mean,n\n"
+        "1,0.9166666666666666,1.1102230246251565e-16,0.5488808188767798,"
+        "0.4322033671049306,3\n"
+        "3,0.4560002709015009,0.10027066741912131,0.2020540528128195,"
+        "0.16433980610238344,3\n"
+        "11,0.0016715072214624129,0.0006213821369327169,0.0006152832611864455,"
+        "0.0005321788082251129,3\n"
+        "12,0.0,0.0,0.0,9.251858538542969e-17,3\n"
+        "20,nan,nan,nan,nan,0\n",
+        "c8ff01c1673c9d2bef49839ee965ae8cb5ded4ada908e3df13f5d0a5f89ae245",
+    ),
+    "dirichlet": (
+        ["--law", "dirichlet", "--concentration", "0.5", "--seed", "8"],
+        "K,uk_mean,uk_sd,rbin_mean,tail_mass_mean,n\n"
+        "1,0.9166666666666666,1.1102230246251565e-16,0.5488808188767798,"
+        "0.7018747403444863,3\n"
+        "3,0.6830595931335766,0.024318825415149195,0.33735531563881554,"
+        "0.3650166032865491,3\n"
+        "11,0.005401591536075539,0.0036909429161779664,0.0019921339275189294,"
+        "0.0019436053157970156,3\n"
+        "12,0.0,0.0,0.0,0.0,3\n"
+        "20,nan,nan,nan,nan,0\n",
+        "bac44314e2981fb1150f335c07f2952dcb82d78192a598749c69a4f906658507",
+    ),
+    # three tied heads and nine tied tails: K = 1 and K = 11 cut inside a tie
+    "peaked": (
+        ["--law", "peaked", "--head-size", "3", "--gap", "6", "--seed", "9"],
+        "K,uk_mean,uk_sd,rbin_mean,tail_mass_mean,n\n"
+        "1,0.9166666666666666,1.1102230246251565e-16,0.5488808188767798,"
+        "0.6666728107657681,3\n"
+        "3,0.75,0.0,0.3869415302026467,1.8432297304371357e-05,3\n"
+        "11,2.0480330337931367e-06,0.0,7.534297356691337e-07,"
+        "2.048033034040986e-06,3\n"
+        "12,0.0,0.0,0.0,2.2204460492503128e-16,3\n"
+        "20,nan,nan,nan,nan,0\n",
+        "43570d3dcbf18394426a855c69c962ee5d3b3dd427bd9c0e923c96dcb2ed37cd",
+    ),
+}
+
+
+@pytest.mark.parametrize("law", sorted(GOLDEN))
+def test_golden_report_bytes(law, tmp_path):
+    teacher_args, ksweep_csv, simulate_sha256 = GOLDEN[law]
+    dump, report, sweep = (tmp_path / n for n in ("d.jsonl", "s.json", "k.csv"))
+    with pytest.warns(UserWarning, match="skipping K=20"):
+        assert main(
+            ["simulate", "--vocab", "12", "--positions", "3", *teacher_args,
+             "--k", GOLDEN_KS, "--dump", str(dump), "--format", "json",
+             "--output", str(report)]
+        ) == 0
+        assert main(
+            ["ksweep", "--input", str(dump), "--k", GOLDEN_KS, "--output", str(sweep)]
+        ) == 0
+    assert sweep.read_text() == ksweep_csv
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == simulate_sha256
 
 
 class TestSyntheticDiameter:
