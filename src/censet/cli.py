@@ -370,7 +370,7 @@ def cmd_simulate(args) -> int:
         with open(args.dump, "w", encoding="utf-8") as handle:
             handle.write(serialize_observations(observations))
     rows = []
-    for row, sup_kl_mean in sim.ksweep_with_sup_kl(teacher, args.k, t_grid=128):
+    for row, sup_kl_mean in sim.ksweep_with_sup_kl(teacher, args.k):
         out = _sweep_row_dict(row)
         out["sup_kl_mean"] = sup_kl_mean
         rows.append(out)
@@ -483,6 +483,16 @@ def oracle_battery(seed: int = 0) -> list[dict]:
         ok = ok and (r_bin <= sup_kl + 1e-12) and (sup_kl <= gmax + 1e-6)
         detail.append(f"u={u}: {r_bin:.4f} <= {sup_kl:.4f} <= {gmax:.4f}")
     record("envelope_ordering", ok, "; ".join(detail))
+
+    # exact symmetric-estimator sup against a brute breakpoint + grid scan
+    gap = 0.0
+    for u, m in ((0.05, 7), (0.3, 16), (0.7, 64), (0.95, 64)):
+        geom = sim.geometry_with_diameter(u, m)
+        for s in (u / math.e, mm.binary_reserve(u).s_star, 0.02, 0.5, 0.98):
+            sup_kl, _ = mm.worst_case_risk(geom, mm.symmetric_estimator(geom, s))
+            scan = mm.breakpoint_scan_oracle(geom.M, geom.log_odds, s)
+            gap = max(gap, abs(sup_kl - scan))
+    record("sup_breakpoint_scan", gap <= 1e-10, f"max |sup - scan| = {gap:.2e}")
 
     # reference shrinkage against the box-constrained oracle
     ok = True

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, xlogy
 
 from .identified_set import FeasiblePoint, SetGeometry
 from .numerics import POLICY
@@ -142,6 +142,27 @@ def balancing_oracle(u: float, grid: int = 2000) -> tuple[float, float]:
     return float(s_hat), float(r_hat)
 
 
+def breakpoint_scan_oracle(m: int, log_odds: float, s: float) -> float:
+    """Brute scan of the uniform-tail estimator's risk over tail masses.
+
+    Independent route for :func:`worst_case_risk`: one numpy pass, in
+    absolute tail masses (``floor(t / cap)`` tokens at ``cap = c (1-t)``,
+    the rest on one more), over every breakpoint ``t_n = n c / (1 + n c)``
+    and a 257-point uniform grid of [0, U_K].  O(M) memory: meant for small M.
+    """
+    u = float(expit(log_odds))
+    c = math.exp(log_odds) / m
+    n = np.arange(m + 1)
+    t = np.minimum(np.concatenate([n * c / (1 + n * c), np.linspace(0, u, 257)]), u)
+    cap = c * (1.0 - t)
+    full = np.minimum(np.floor(t / cap), m)
+    rest = np.maximum(t - full * cap, 0.0)
+    risk = t * (math.log(m) - math.log(s)) - (1.0 - t) * math.log1p(-s) + (
+        xlogy(1.0 - t, 1.0 - t) + full * xlogy(cap, cap) + xlogy(rest, rest)
+    )
+    return float(risk.max())
+
+
 def g_envelope(u: float, t: float, s: float) -> float:
     """Upper envelope of the uniform-tail estimator's risk at tail mass t.
 
@@ -224,10 +245,10 @@ def minimax_certificate(u: float) -> MinimaxCertificate:
 def symmetric_estimator(geom: SetGeometry, s: float | None = None) -> EstimatorSpec:
     """Uniform-tail estimator; default reserve is U_K / e.
 
-    With no censored tokens the truth is exactly identified and the reserve
-    collapses to 0.
+    With no censored tokens, or a diameter that underflows to 0, the truth
+    is identified to double precision and the reserve collapses to 0.
     """
-    if geom.M == 0:
+    if geom.M == 0 or geom.U_K == 0.0:
         return EstimatorSpec(s=0.0)
     if s is None:
         s = geom.U_K * _INV_E
@@ -334,34 +355,44 @@ def adversary_best_response(
     return FeasiblePoint(t=t, tail=tail), value
 
 
-def worst_case_risk(
-    geom: SetGeometry, est: EstimatorSpec, t_grid: int = 256
-) -> tuple[float, float]:
-    """Supremum over the compatible set of KL against ``est``.
-
-    Grid over t in [0, U_K] plus golden-section refinement around the best
-    cell; the inner maximization at fixed t is closed form, so the result
-    is exact up to the 1-D search tolerance.  Returns (sup_kl, argmax_t).
-    """
-    if geom.M == 0:
-        if est.s != 0.0:
+def _sup_candidates(geom: SetGeometry, est: EstimatorSpec) -> list[tuple[float, float]]:
+    """(risk, t) at the one or two breakpoints that can hold the sup."""
+    if geom.U_K == 0.0:
+        # only t = 0 is compatible: no censored tokens, or an underflowed tail
+        if geom.M == 0 and est.s != 0.0:
             raise ValueError("estimator reserves tail mass but M = 0")
-        return 0.0, 0.0
-    if t_grid < 8:
-        raise ValueError("t_grid must be at least 8")
-    ts = np.linspace(0.0, geom.U_K, t_grid)
-    values = [risk_at_tail_mass(geom, est, float(t)) for t in ts]
-    i = int(np.argmax(values))
-    best_t, best_v = float(ts[i]), float(values[i])
-    lo = float(ts[max(i - 1, 0)])
-    hi = float(ts[min(i + 1, t_grid - 1)])
-    if hi > lo:
-        t_ref, v_ref = _golden_min(
-            lambda t: -risk_at_tail_mass(geom, est, t), lo, hi, POLICY.golden_tol
-        )
-        if -v_ref > best_v:
-            best_t, best_v = float(t_ref), float(-v_ref)
-    return best_v, best_t
+        return [(-math.log1p(-est.s), 0.0)]
+    m, lo, s = geom.M, geom.log_odds, est.s
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"reserve must lie in (0, 1), got {s!r}")
+    d = math.log1p(-s) + lo - math.log(s)
+    log_n = math.log(d - 1.0) + math.log(m) - lo if d > 1.0 else -math.inf
+    n_dagger = m if log_n >= math.log(m) else math.exp(log_n)
+    out = []
+    for n in sorted({math.floor(n_dagger), min(math.ceil(n_dagger), m)}):
+        t = min(float(expit(lo + math.log(n / m))), geom.U_K) if n else 0.0
+        out.append((risk_at_tail_mass(geom, est, t), t))
+    return out
+
+
+def worst_case_risk(geom: SetGeometry, est: EstimatorSpec) -> tuple[float, float]:
+    """Exact supremum over the compatible set of KL against ``est``.
+
+    With ``c = exp(log_odds) / M`` the cap binds at ``t_n = n c / (1 + n c)``,
+    n = 0..M (``t_M = U_K``).  Between ``t_n`` and ``t_{n+1}`` the adversary
+    caps n tokens and puts ``y = t - n c (1-t)`` on one more; the risk
+
+        -t log s + (1-t) log((1-t)/(1-s)) + t log M + n c (1-t) log(c (1-t)) + y log y
+
+    is a sum of linear and convex terms, so each piece peaks at a breakpoint.
+    There y = 0 and the risk is the concave envelope ``G(t_n)`` of
+    :func:`g_envelope`, stationary at ``1 + n c = d``, ``d = log(1-s) +
+    log_odds - log s``.  So the sup is at floor or ceil of ``n_dagger =
+    (d-1) M exp(-log_odds)`` (0 when d <= 1) clamped to [0, M]: only those
+    breakpoints, ``t_n = sigmoid(log(n/M) + log_odds)`` capped at U_K, go
+    through :func:`risk_at_tail_mass`.  Returns (sup_kl, argmax_t).
+    """
+    return max(_sup_candidates(geom, est))
 
 
 @dataclass(frozen=True)

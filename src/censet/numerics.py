@@ -22,8 +22,6 @@ class NumericPolicy:
     norm_tol: float = 1e-9
     # feasibility slack for normalized access: t* <= M*c + tail_feasibility_tol
     tail_feasibility_tol: float = 1e-9
-    # interval width at which 1-D golden-section refinement stops
-    golden_tol: float = 1e-10
     # |R_bin - delta| band inside which a verdict is flagged THRESHOLD
     verdict_margin: float = 1e-3
 

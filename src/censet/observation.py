@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 from scipy.special import logsumexp
@@ -132,55 +132,15 @@ class LogSummary:
 
 
 _MODE_NAMES = {m.value: m for m in AccessMode}
+# JSON value kinds and the Python types json.loads yields for them
+_JSON_KINDS = {"integer": frozenset({int}), "number": frozenset({int, float})}
 
 
-def _parse_record(record: dict, lineno: int) -> TopKObservation:
-    try:
-        vocab_size = int(record["vocab_size"])
-        mode_name = record["mode"]
-        topk = record["topk"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(lineno, f"missing or malformed field ({exc})") from exc
-    if mode_name not in _MODE_NAMES:
-        raise ParseError(
-            lineno, f"mode must be one of {sorted(_MODE_NAMES)}, got {mode_name!r}"
-        )
-    if not isinstance(topk, list) or not topk:
-        raise ParseError(lineno, "topk must be a non-empty list")
-    revealed = []
-    for entry in topk:
-        try:
-            revealed.append((int(entry["token"]), float(entry["score"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(lineno, f"malformed topk entry {entry!r}") from exc
-    position_id = str(record.get("position_id", f"line{lineno}"))
-    try:
-        return TopKObservation(
-            vocab_size=vocab_size,
-            revealed=tuple(revealed),
-            mode=_MODE_NAMES[mode_name],
-            position_id=position_id,
-        )
-    except ValidationError as exc:
-        raise ParseError(lineno, str(exc)) from exc
-
-
-def parse_observations(source: str | bytes | IO) -> list[TopKObservation]:
-    """Parse line-delimited JSON records into validated observations.
-
-    Each line is one record: ``{"vocab_size": V, "mode": "logits"|"logprobs",
-    "topk": [{"token": id, "score": s}, ...], "position_id": optional}``.
-    Input order is preserved; K is the length of the topk list.  Errors name
-    the offending line.
-    """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-    observations = []
+def _read_jsonl(source: str | bytes | IO) -> Iterator[tuple[int, dict]]:
+    """``(line number, JSON object)`` per non-blank line of text, bytes or a stream."""
+    if not isinstance(source, (str, bytes)):
+        source = source.read()
+    text = source.decode("utf-8") if isinstance(source, bytes) else source
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -190,8 +150,69 @@ def parse_observations(source: str | bytes | IO) -> list[TopKObservation]:
             raise ParseError(lineno, f"invalid JSON ({exc.msg})") from exc
         if not isinstance(record, dict):
             raise ParseError(lineno, "record must be a JSON object")
-        observations.append(_parse_record(record, lineno))
-    return observations
+        yield lineno, record
+
+
+def _check_json_kind(values, kind: str, what: str, lineno: int) -> None:
+    """Reject values that are not all of one JSON kind (bools are not integers)."""
+    if not set(map(type, values)) <= _JSON_KINDS[kind]:
+        bad = next(v for v in values if type(v) not in _JSON_KINDS[kind])
+        raise ParseError(lineno, f"{what} must be a JSON {kind}, got {bad!r}")
+
+
+def _json_floats(values: list, what: str, lineno: int) -> np.ndarray:
+    _check_json_kind(values, "number", what, lineno)
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError as exc:
+        raise ParseError(lineno, f"{what} outside the float range") from exc
+
+
+def _parse_record(record: dict, lineno: int) -> TopKObservation:
+    try:
+        vocab_size = record["vocab_size"]
+        mode_name = record["mode"]
+        topk = record["topk"]
+    except KeyError as exc:
+        raise ParseError(lineno, f"missing field {exc}") from exc
+    _check_json_kind([vocab_size], "integer", "vocab_size", lineno)
+    if not isinstance(mode_name, str) or mode_name not in _MODE_NAMES:
+        raise ParseError(
+            lineno, f"mode must be one of {sorted(_MODE_NAMES)}, got {mode_name!r}"
+        )
+    if not isinstance(topk, list) or not topk:
+        raise ParseError(lineno, "topk must be a non-empty list")
+    try:
+        tokens = [entry["token"] for entry in topk]
+        scores = [entry["score"] for entry in topk]
+    except (KeyError, TypeError) as exc:
+        raise ParseError(lineno, f"malformed topk entry ({exc!r})") from exc
+    _check_json_kind(tokens, "integer", "token", lineno)
+    _check_json_kind(scores, "number", "score", lineno)
+    position_id = str(record.get("position_id", f"line{lineno}"))
+    try:
+        return TopKObservation(
+            vocab_size=vocab_size,
+            revealed=tuple(zip(tokens, scores)),
+            mode=_MODE_NAMES[mode_name],
+            position_id=position_id,
+        )
+    except ValidationError as exc:
+        raise ParseError(lineno, str(exc)) from exc
+    except OverflowError as exc:
+        raise ParseError(lineno, "score outside the float range") from exc
+
+
+def parse_observations(source: str | bytes | IO) -> list[TopKObservation]:
+    """Parse line-delimited JSON records into validated observations.
+
+    Each line is one record: ``{"vocab_size": V, "mode": "logits"|"logprobs",
+    "topk": [{"token": id, "score": s}, ...], "position_id": optional}``.
+    ``vocab_size`` and ``token`` must be JSON integers and ``score`` a JSON
+    number; nothing is coerced.  Input order is preserved; K is the length
+    of the topk list.  Errors name the offending line.
+    """
+    return [_parse_record(record, lineno) for lineno, record in _read_jsonl(source)]
 
 
 def serialize_observations(observations: Iterable[TopKObservation]) -> str:

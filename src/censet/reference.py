@@ -14,7 +14,6 @@ diagnostic without ever adjusting the bound itself.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,7 +25,7 @@ from scipy.special import expit, logsumexp
 from .identified_set import FeasiblePoint, SetGeometry, box_diameter_oracle
 from .minimax import _INV_E, EstimatorSpec, estimator_distribution
 from .numerics import POLICY
-from .observation import ParseError
+from .observation import ParseError, _check_json_kind, _json_floats, _read_jsonl
 
 _MAX_ORACLE_VOCAB = 12
 
@@ -291,44 +290,39 @@ def parse_reference_dump(source: str | bytes | IO) -> dict[str, ReferenceLogits]
     One JSON record per line, either
     ``{"position_id": ..., "dense": [V scores]}`` or
     ``{"position_id": ..., "default": score or "-inf",
-    "entries": [{"token": id, "logit": score}, ...]}``.
+    "entries": [{"token": id, "logit": score}, ...]}``.  Tokens must be JSON
+    integers and scores JSON numbers; a repeated ``position_id`` is an
+    error, never a silent overwrite.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
     out: dict[str, ReferenceLogits] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(lineno, f"invalid JSON ({exc.msg})") from exc
-        if not isinstance(record, dict) or "position_id" not in record:
+    for lineno, record in _read_jsonl(source):
+        if "position_id" not in record:
             raise ParseError(lineno, "record must carry a position_id")
         pid = str(record["position_id"])
+        if pid in out:
+            raise ParseError(lineno, f"duplicate position_id {pid!r}")
         if "dense" in record:
+            dense = record["dense"]
+            if not isinstance(dense, list):
+                raise ParseError(lineno, "dense must be a list of scores")
             ref = ReferenceLogits(
-                position_id=pid, dense=np.asarray(record["dense"], dtype=float)
+                position_id=pid, dense=_json_floats(dense, "dense score", lineno)
             )
         elif "entries" in record:
             default = record.get("default")
             if default == "-inf":
                 default = -math.inf
             elif default is not None:
-                default = float(default)
+                default = float(_json_floats([default], "default", lineno)[0])
             try:
-                entries = {
-                    int(e["token"]): float(e["logit"]) for e in record["entries"]
-                }
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(lineno, f"malformed entries ({exc})") from exc
+                tokens = [e["token"] for e in record["entries"]]
+                logits = [e["logit"] for e in record["entries"]]
+            except (KeyError, TypeError) as exc:
+                raise ParseError(lineno, f"malformed entries ({exc!r})") from exc
+            _check_json_kind(tokens, "integer", "token", lineno)
+            logits = _json_floats(logits, "logit", lineno).tolist()
             ref = ReferenceLogits(
-                position_id=pid, entries=entries, default=default
+                position_id=pid, entries=dict(zip(tokens, logits)), default=default
             )
         else:
             raise ParseError(lineno, "record needs dense or entries")

@@ -21,8 +21,8 @@ from scipy.special import logsumexp
 from .identified_set import SetGeometry, geometry
 from .minimax import (
     EstimatorSpec,
+    _sup_candidates,
     binary_reserve,
-    risk_at_tail_mass,
     symmetric_estimator,
     worst_case_risk,
 )
@@ -231,9 +231,9 @@ def _sweep_position(
 
 
 def _sweep(
-    positions: np.ndarray, k_list: Sequence[int], t_grid: int | None
+    positions: np.ndarray, k_list: Sequence[int], with_sup: bool
 ) -> list[tuple[SweepRow, float]]:
-    """Sweep rows plus, when ``t_grid`` is set, the mean estimator sup per K.
+    """Sweep rows plus, when ``with_sup`` is set, the mean estimator sup per K.
 
     Each position is sorted once and shared by all Ks (see
     :func:`_sweep_position`); working memory stays O(V) per position.
@@ -250,9 +250,8 @@ def _sweep(
             uks[j, i] = geom.U_K
             rbins[j, i] = binary_reserve(geom.U_K).r_bin
             tails[j, i] = tail
-            if t_grid is not None:
-                est = symmetric_estimator(geom)
-                sups[j, i] = worst_case_risk(geom, est, t_grid=t_grid)[0]
+            if with_sup:
+                sups[j, i] = worst_case_risk(geom, symmetric_estimator(geom))[0]
     rows = [
         (
             SweepRow(
@@ -263,7 +262,7 @@ def _sweep(
                 tail_mass_mean=float(tails[j].mean()),
                 n=n,
             ),
-            float(sups[j].mean()) if t_grid is not None else math.nan,
+            float(sups[j].mean()) if with_sup else math.nan,
         )
         for j, k in enumerate(swept)
     ]
@@ -293,11 +292,11 @@ def ksweep(positions: np.ndarray, k_list: Sequence[int]) -> list[SweepRow]:
     the same positions.  Each position is sorted once; every K reads a
     prefix of that order.  K values above V produce a skipped row.
     """
-    return [row for row, _ in _sweep(positions, k_list, t_grid=None)]
+    return [row for row, _ in _sweep(positions, k_list, with_sup=False)]
 
 
 def ksweep_with_sup_kl(
-    positions: np.ndarray, k_list: Sequence[int], t_grid: int
+    positions: np.ndarray, k_list: Sequence[int]
 ) -> list[tuple[SweepRow, float]]:
     """:func:`ksweep` rows, each with the mean symmetric-estimator sup.
 
@@ -305,7 +304,7 @@ def ksweep_with_sup_kl(
     each position's geometry at that K, from the same single sort per
     position; skipped rows carry NaN.
     """
-    return _sweep(positions, k_list, t_grid)
+    return _sweep(positions, k_list, with_sup=True)
 
 
 SWEEP_CSV_HEADER = "K,uk_mean,uk_sd,rbin_mean,tail_mass_mean,n"
@@ -352,17 +351,15 @@ class CompositionResult:
 def compose_nonadaptive(
     geoms: Sequence[SetGeometry],
     estimators: Sequence[EstimatorSpec] | None = None,
-    t_grid: int = 256,
-    joint_grid: int = 21,
     max_joint_cells: int = 2_000_000,
 ) -> CompositionResult:
     """Average worst-case risk across independently queried positions.
 
-    Runs the per-position sup (grid + refinement) and, as an implementation
-    check of separability, evaluates a joint grid adversary over the product
-    of per-position tail-mass grids two ways: literal enumeration of the
-    product (when small enough) and the factored sum of per-grid maxima.
-    The two must coincide.
+    A position's risk profile is its one or two sup breakpoints (see
+    :func:`worst_case_risk`), so its maximum is the position's ``sup_kl``.
+    As a separability check the joint adversary over the product of the
+    profiles is evaluated by literal enumeration (when small enough) and as
+    the factored sum of per-profile maxima; the two must coincide.
     """
     if len(geoms) == 0:
         raise ValueError("need at least one position")
@@ -372,8 +369,11 @@ def compose_nonadaptive(
         raise ValueError("one estimator per position is required")
 
     per_position = []
+    profiles = []
     for geom, est in zip(geoms, estimators):
-        sup_kl, t_at = worst_case_risk(geom, est, t_grid=t_grid)
+        candidates = _sup_candidates(geom, est)
+        sup_kl, t_at = max(candidates)
+        profiles.append(np.array([risk for risk, _ in candidates]))
         per_position.append(
             PositionRisk(
                 u=geom.U_K,
@@ -384,15 +384,6 @@ def compose_nonadaptive(
         )
 
     m = len(geoms)
-    profiles = []
-    for geom, est in zip(geoms, estimators):
-        if geom.M == 0:
-            profiles.append(np.zeros(1))
-            continue
-        ts = np.linspace(0.0, geom.U_K, joint_grid)
-        profiles.append(
-            np.array([risk_at_tail_mass(geom, est, float(t)) for t in ts])
-        )
     factored_sum = reduce(lambda acc, h: acc + float(h.max()), profiles, 0.0) / m
     n_cells = math.prod(len(h) for h in profiles)
     enumerated = n_cells <= max_joint_cells

@@ -259,6 +259,39 @@ class TestSimulate:
         assert lines[-1].startswith("25,0.0,")  # K = V row: exactly identified
 
 
+class TestUnderflowedDiameter:
+    """U_K underflows to 0 with M > 0: the position is exact, not an error."""
+
+    @pytest.fixture
+    def underflow_file(self, tmp_path):
+        path = tmp_path / "under.jsonl"
+        path.write_text(
+            '{"vocab_size":10,"mode":"logits","position_id":"u",'
+            '"topk":[{"token":0,"score":0.0},{"token":1,"score":-800.0}]}\n'
+        )
+        return path
+
+    @pytest.mark.parametrize("command", ["analyze", "compose"])
+    def test_reports_zero_sup(self, command, underflow_file, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(
+            [command, "--input", str(underflow_file), "--format", "json",
+             "--output", str(out)]
+        ) == 0
+        (row,) = json.loads(out.read_text())["rows"]
+        assert (row["U_K"], row["r_bin"], row["sup_kl"]) == (0.0, 0.0, 0.0)
+
+    def test_simulate_with_wide_gap(self, tmp_path):
+        out = tmp_path / "s.json"
+        assert main(
+            ["simulate", "--law", "peaked", "--gap", "400", "--k", "1,5",
+             "--format", "json", "--output", str(out)]
+        ) == 0
+        wide, exact = json.loads(out.read_text())["rows"]
+        assert wide["sup_kl_mean"] >= wide["rbin_mean"] > 0.0
+        assert (exact["uk_mean"], exact["sup_kl_mean"]) == (0.0, 0.0)
+
+
 class TestCompose:
     def test_report(self, obs_file, tmp_path):
         out = tmp_path / "c.json"
@@ -291,6 +324,7 @@ class TestOracle:
             "allocation_oracle",
             "composition_separability",
             "expansion_bounds",
+            "sup_breakpoint_scan",
         } <= names
 
     def test_seed_determines_report_bytes(self, tmp_path):

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from censet import (
@@ -24,12 +26,16 @@ from censet import (
     to_distribution,
     worst_case_risk,
 )
+from censet.identified_set import SetGeometry
 from censet.minimax import (
     SECOND_ORDER_COEFF,
+    EstimatorSpec,
+    breakpoint_scan_oracle,
     endpoint_risk,
     estimator_distribution,
     risk_at_tail_mass,
 )
+from censet.observation import LogSummary
 
 from conftest import make_geometry
 
@@ -310,6 +316,54 @@ class TestWorstCaseRisk:
         sup_kl, _ = worst_case_risk(v4_geometry, est)
         for t in np.linspace(0.0, v4_geometry.U_K, 37):
             assert sup_kl + 1e-12 >= risk_at_tail_mass(v4_geometry, est, float(t))
+
+    def test_regression_high_diameter(self):
+        # the former grid + golden search read 3.5294813 here
+        g = geometry_with_diameter(0.995, 1000)
+        sup_kl, _ = worst_case_risk(g, symmetric_estimator(g))
+        assert abs(sup_kl - 3.5330845177311616) <= 1e-12
+
+    @given(
+        m=st.integers(1, 2000),
+        frac=st.floats(0.0, 1.0),
+        rule=st.sampled_from(["u/e", "s*", "free"]),
+        free_s=st.floats(0.01, 0.99),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_breakpoint_scan(self, m, frac, rule, free_s):
+        lo = -40.0 + frac * (math.log(m) + 40.0)
+        g = _geometry_with_log_odds(m, lo)
+        s = {"u/e": g.U_K / E, "s*": binary_reserve(g.U_K).s_star, "free": free_s}[rule]
+        sup_kl, t_at = worst_case_risk(g, symmetric_estimator(g, s))
+        assert sup_kl >= breakpoint_scan_oracle(g.M, g.log_odds, s) - 1e-10
+        if rule == "u/e":
+            assert sup_kl <= g_max(g.U_K)[0] + 1e-12
+        # the argmax is a cap breakpoint t_n = n c / (1 + n c)
+        n = t_at / (math.exp(g.log_odds) / m * (1.0 - t_at))
+        assert 0 <= round(n) <= m
+        assert abs(n - round(n)) <= 1e-9 * max(1.0, n)
+
+    def test_underflowed_diameter_is_exact(self):
+        # U_K underflows to 0 with M > 0: only t = 0 is compatible
+        g = make_geometry(10, [0.0, -800.0])
+        assert g.U_K == 0.0 and g.M == 8
+        est = symmetric_estimator(g)
+        assert est.s == 0.0
+        assert worst_case_risk(g, est) == (0.0, 0.0)
+        assert worst_case_risk(g, EstimatorSpec(s=0.5)) == (-math.log(0.5), 0.0)
+
+
+def _geometry_with_log_odds(m: int, lo: float) -> SetGeometry:
+    """A geometry with M = m and log-odds ``lo``; only (M, log_odds) matter."""
+    summary = LogSummary(
+        log_ZA=0.0,
+        tau=lo - math.log(m),
+        M=m,
+        alpha=np.ones(1),
+        token_ids=(0,),
+        vocab_size=m + 1,
+    )
+    return geometry(summary)
 
 
 class TestExpansions:

@@ -102,6 +102,38 @@ class TestParse:
         with pytest.raises(ParseError, match="mode"):
             parse_observations(line)
 
+    @pytest.mark.parametrize(
+        "field,record",
+        [
+            ("vocab_size", '"vocab_size":5.9,"topk":[{"token":0,"score":0.0}]'),
+            ("vocab_size", '"vocab_size":true,"topk":[{"token":0,"score":0.0}]'),
+            ("token", '"vocab_size":5,"topk":[{"token":1.7,"score":0.0}]'),
+            ("token", '"vocab_size":5,"topk":[{"token":true,"score":0.0}]'),
+            ("score", '"vocab_size":5,"topk":[{"token":0,"score":"0.5"}]'),
+            ("score", '"vocab_size":5,"topk":[{"token":0,"score":false}]'),
+            ("score", '"vocab_size":5,"topk":[{"token":0,"score":1%s}]' % ("0" * 400)),
+        ],
+    )
+    def test_no_type_coercion(self, field, record):
+        text = '{"vocab_size":5,"mode":"logits","topk":[{"token":0,"score":0.0}]}\n'
+        with pytest.raises(ParseError, match=f"line 2: {field}"):
+            parse_observations(text + '{"mode":"logits",' + record + "}")
+
+    def test_integer_score_accepted(self):
+        (obs,) = parse_observations(
+            '{"vocab_size":3,"mode":"logits","topk":[{"token":1,"score":2}]}'
+        )
+        assert obs.revealed == ((1, 2.0),)
+        assert isinstance(obs.revealed[0][1], float)
+
+    def test_malformed_entry_and_missing_field(self):
+        with pytest.raises(ParseError, match="malformed topk entry"):
+            parse_observations('{"vocab_size":3,"mode":"logits","topk":[{"token":1}]}')
+        with pytest.raises(ParseError, match="missing field 'mode'"):
+            parse_observations('{"vocab_size":3,"topk":[{"token":1,"score":0.0}]}')
+        with pytest.raises(ParseError, match="mode must be"):
+            parse_observations('{"vocab_size":3,"mode":[],"topk":[{"token":1,"score":0}]}')
+
     def test_preserves_order_and_reads_streams(self):
         text = (
             '{"vocab_size":3,"mode":"logits","topk":[{"token":0,"score":1.0}],'

@@ -238,6 +238,33 @@ class TestParseReferenceDump:
         ).values()
         assert ref.default == -7.5
 
+    def test_duplicate_position_id(self):
+        text = (
+            '{"position_id":"a","dense":[0.0,1.0]}\n'
+            '\n'
+            '{"position_id":"a","dense":[2.0,3.0]}\n'
+        )
+        with pytest.raises(ParseError, match="line 3: duplicate position_id 'a'"):
+            parse_reference_dump(text)
+
+    @pytest.mark.parametrize(
+        "record,field",
+        [
+            ('"dense":[0.0,"1.0"]', "dense score"),
+            ('"entries":[{"token":2,"logit":"-3.5"}]', "logit"),
+            ('"entries":[{"token":2.0,"logit":-3.5}]', "token"),
+            ('"entries":[{"token":true,"logit":-3.5}]', "token"),
+            ('"default":"0.5","entries":[]', "default"),
+        ],
+    )
+    def test_no_type_coercion(self, record, field):
+        with pytest.raises(ParseError, match=f"line 1: {field} must be a JSON"):
+            parse_reference_dump('{"position_id":"a",' + record + "}")
+
+    def test_not_an_object(self):
+        with pytest.raises(ParseError, match="line 1: record must be a JSON object"):
+            parse_reference_dump("[1, 2]")
+
     def test_malformed_record(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_reference_dump('{"dense":[0.0]}')

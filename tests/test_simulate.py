@@ -256,8 +256,9 @@ class TestSweepPosition:
             ksweep(np.zeros((2, 4)), [0, 2])
 
 
-# simulate --format json and ksweep CSV bytes of the per-(position, K) censor
-# path, on three small teachers; K = V = 12 is exact and K = 20 is skipped
+# ksweep CSV bytes of the per-(position, K) censor path and the sha256 of
+# simulate --format json, whose sup_kl_mean is the exact breakpoint sup, on
+# three small teachers; K = V = 12 is exact and K = 20 is skipped
 GOLDEN_KS = "1,3,11,12,20"
 GOLDEN = {
     "gaussian": (
@@ -271,7 +272,7 @@ GOLDEN = {
         "0.0005321788082251129,3\n"
         "12,0.0,0.0,0.0,9.251858538542969e-17,3\n"
         "20,nan,nan,nan,nan,0\n",
-        "c8ff01c1673c9d2bef49839ee965ae8cb5ded4ada908e3df13f5d0a5f89ae245",
+        "08a6794987562fd82e6e787d41c345afd26b6efc2bf9f46357ecffc570d1f1d5",
     ),
     "dirichlet": (
         ["--law", "dirichlet", "--concentration", "0.5", "--seed", "8"],
@@ -284,7 +285,7 @@ GOLDEN = {
         "0.0019436053157970156,3\n"
         "12,0.0,0.0,0.0,0.0,3\n"
         "20,nan,nan,nan,nan,0\n",
-        "bac44314e2981fb1150f335c07f2952dcb82d78192a598749c69a4f906658507",
+        "d1f09edaf7ede86f02617040f88777275202080c5c785bcbcaed42eb12de536f",
     ),
     # three tied heads and nine tied tails: K = 1 and K = 11 cut inside a tie
     "peaked": (
@@ -297,7 +298,7 @@ GOLDEN = {
         "2.048033034040986e-06,3\n"
         "12,0.0,0.0,0.0,2.2204460492503128e-16,3\n"
         "20,nan,nan,nan,nan,0\n",
-        "43570d3dcbf18394426a855c69c962ee5d3b3dd427bd9c0e923c96dcb2ed37cd",
+        "92650f7af271366fd2c137a0e52bacbd53b41a267e3fcd576532fddaa57625bc",
     ),
 }
 
@@ -354,6 +355,17 @@ class TestCompose:
         result = compose_nonadaptive(geoms)
         assert result.joint_enumerated
         assert abs(result.joint_sup - result.factored_sum) <= 1e-9
+
+    def test_sup_from_breakpoint_profile(self):
+        from censet import worst_case_risk
+
+        geoms = [geometry_with_diameter(u, 64) for u in (0.05, 0.7, 0.95)]
+        result = compose_nonadaptive(geoms)
+        for geom, p in zip(geoms, result.per_position):
+            est = symmetric_estimator(geom)
+            assert (p.sup_kl, p.t_at_sup) == worst_case_risk(geom, est)
+        assert result.joint_sup == result.factored_sum
+        assert result.factored_sum == pytest.approx(result.avg_upper, rel=1e-15)
 
     def test_mixed_exact_positions(self):
         exact = geometry(summarize(censor(np.array([1.0, 0.0]), 2)))
