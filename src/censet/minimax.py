@@ -177,7 +177,7 @@ def g_envelope(u: float, t: float, s: float) -> float:
         raise ValueError(f"diameter must lie in (0, 1), got {u!r}")
     if not 0.0 < s < 1.0:
         raise ValueError(f"reserve must lie in (0, 1), got {s!r}")
-    if t < -1e-12 or t > u + 1e-12:
+    if t < -POLICY.membership_tol or t > u + POLICY.membership_tol:
         raise ValueError(f"tail mass t={t!r} outside [0, u={u!r}]")
     t = min(max(t, 0.0), u)
     cap_factor = math.log(u) - math.log1p(-u) - math.log(s)

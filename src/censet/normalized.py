@@ -5,8 +5,8 @@ and only the allocation of the known tail mass ``t*`` over censored tokens
 varies, each entry capped by the smallest revealed probability ``c``.
 Two allocations on disjoint supports realize TV = t*, which needs
 ``M >= 2 * ceil(t*/c)`` tokens; with a single censored token the set is one
-point.  Between those regimes no closed form is available and a certified
-bracket is returned instead of a point value.
+point.  In between, the supports must overlap and the diameter has the
+closed form of :func:`allocation_diameter`.
 """
 
 from __future__ import annotations
@@ -28,53 +28,58 @@ _MAX_ORACLE_TOKENS = 12
 class TailCondition(str, Enum):
     DISJOINT_SUPPORTS = "DisjointSupports"
     SINGLE_POINT = "SinglePoint"
-    INDETERMINATE = "Indeterminate"
+    OVERLAPPING_SUPPORTS = "OverlappingSupports"
 
 
 @dataclass(frozen=True)
 class NormalizedGeometry:
-    """Diameter verdict for one normalized observation.
-
-    ``bracket`` is a certified (lower, upper) enclosure of the diameter; the
-    ends coincide except in the indeterminate regime, where ``diameter`` is
-    None.
-    """
+    """Exact diameter verdict for one normalized observation."""
 
     t_star: float
     cap: float
     M: int
     condition: TailCondition
-    bracket: tuple[float, float]
-
-    @property
-    def diameter(self) -> float | None:
-        lo, hi = self.bracket
-        return lo if lo == hi else None
+    diameter: float
 
 
 def _tokens_needed(t_star: float, cap: float) -> int:
     """ceil(t*/c) with a snap for ratios a hair above an integer."""
     ratio = t_star / cap
+    # float dust: t*/c can land just above n when t* is a whole multiple n*c
     return int(math.ceil(ratio - 1e-12))
 
 
-def _split_bound(t_star: float, cap: float, m: int) -> float:
-    """Constructive diameter lower bound from a two-half greedy fill.
+def allocation_diameter(t_star: float, cap: float, m: int) -> float:
+    """Exact max pairwise TV over {0 <= x <= c, sum(x) = t*} on M tokens.
 
-    Fill one half of the censored tokens to the cap and spill the rest, and
-    mirror it; TV is at least the difference of the two halves' masses.
+    With q = t*/c the diameter is
+
+        D = c * [min(q, floor(M/2)) + min(q, ceil(M/2))] - t*.
+
+    Upper bound: for allocations x, y, TV = sum(max(x_u, y_u)) - t*.  Let
+    the k tokens with x_u >= y_u form S; then sum over S of max(x_u, y_u)
+    is sum over S of x_u <= c * min(q, k), and the other M - k tokens carry
+    at most c * min(q, M - k) of y.  The bound c * [min(q, k) +
+    min(q, M - k)] - t* is concave and symmetric in k, so it peaks at
+    k = floor(M/2).
+
+    Attained: x fills a set A of floor(M/2) tokens to the cap first and
+    spills the rest on the other ceil(M/2) tokens; y does the mirror image.
+    TV is at least the mass difference on A, x(A) - y(A) =
+    c * min(q, floor(M/2)) - (t* - c * min(q, ceil(M/2))) = D.
+
+    D = t* once both halves can hold t* (the disjoint-supports regime) and
+    D = 0 for M <= 1.  D >= 0 whenever t* <= M*c; the abs only matters for
+    a tail mass admitted above M*c by the feasibility slack.
     """
-    cap_a = (m // 2) * cap
-    cap_b = (m - m // 2) * cap
-    p_a = min(cap_a, t_star)
-    q_a = t_star - min(cap_b, t_star)
-    return min(abs(p_a - q_a), t_star)
+    half = m // 2
+    filled = min(half * cap, t_star)
+    spilled = t_star - min((m - half) * cap, t_star)
+    return abs(filled - spilled)
 
 
-def normalized_geometry(
-    obs: TopKObservation, oracle_grid: int = 0, seed: int = 0
-) -> NormalizedGeometry:
-    """Exact diameter where determined; a certified bracket otherwise.
+def normalized_geometry(obs: TopKObservation) -> NormalizedGeometry:
+    """Exact diameter of the capped tail-allocation set.
 
     Raises on non-normalized observations and on inconsistent ones whose
     tail mass cannot fit under the per-token cap (t* > M*c).
@@ -90,31 +95,14 @@ def normalized_geometry(
             f"fit under cap {cap!r} on {m} censored tokens"
         )
     if t_star == 0.0 or m <= 1:
-        return NormalizedGeometry(
-            t_star=t_star,
-            cap=cap,
-            M=m,
-            condition=TailCondition.SINGLE_POINT,
-            bracket=(0.0, 0.0),
-        )
-    if m >= 2 * _tokens_needed(t_star, cap):
-        return NormalizedGeometry(
-            t_star=t_star,
-            cap=cap,
-            M=m,
-            condition=TailCondition.DISJOINT_SUPPORTS,
-            bracket=(t_star, t_star),
-        )
-    if m <= _MAX_ORACLE_TOKENS:
-        lower = allocation_diameter_oracle(t_star, cap, m, grid=oracle_grid, seed=seed)
+        condition, diameter = TailCondition.SINGLE_POINT, 0.0
+    elif m >= 2 * _tokens_needed(t_star, cap):
+        condition, diameter = TailCondition.DISJOINT_SUPPORTS, t_star
     else:
-        lower = _split_bound(t_star, cap, m)
+        condition = TailCondition.OVERLAPPING_SUPPORTS
+        diameter = allocation_diameter(t_star, cap, m)
     return NormalizedGeometry(
-        t_star=t_star,
-        cap=cap,
-        M=m,
-        condition=TailCondition.INDETERMINATE,
-        bracket=(min(lower, t_star), t_star),
+        t_star=t_star, cap=cap, M=m, condition=condition, diameter=diameter
     )
 
 

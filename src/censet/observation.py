@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, Iterator
+from typing import IO, Container, Iterable, Iterator
 
 import numpy as np
 from scipy.special import logsumexp
@@ -160,6 +160,14 @@ def _check_json_kind(values, kind: str, what: str, lineno: int) -> None:
         raise ParseError(lineno, f"{what} must be a JSON {kind}, got {bad!r}")
 
 
+def _check_position_id(pid, lineno: int, seen: Container[str]) -> None:
+    """A ``position_id`` must be a JSON string not used by an earlier record."""
+    if type(pid) is not str:
+        raise ParseError(lineno, f"position_id must be a JSON string, got {pid!r}")
+    if pid in seen:
+        raise ParseError(lineno, f"duplicate position_id {pid!r}")
+
+
 def _json_floats(values: list, what: str, lineno: int) -> np.ndarray:
     _check_json_kind(values, "number", what, lineno)
     try:
@@ -168,7 +176,7 @@ def _json_floats(values: list, what: str, lineno: int) -> np.ndarray:
         raise ParseError(lineno, f"{what} outside the float range") from exc
 
 
-def _parse_record(record: dict, lineno: int) -> TopKObservation:
+def _parse_record(record: dict, lineno: int, position_id: str) -> TopKObservation:
     try:
         vocab_size = record["vocab_size"]
         mode_name = record["mode"]
@@ -189,7 +197,6 @@ def _parse_record(record: dict, lineno: int) -> TopKObservation:
         raise ParseError(lineno, f"malformed topk entry ({exc!r})") from exc
     _check_json_kind(tokens, "integer", "token", lineno)
     _check_json_kind(scores, "number", "score", lineno)
-    position_id = str(record.get("position_id", f"line{lineno}"))
     try:
         return TopKObservation(
             vocab_size=vocab_size,
@@ -208,15 +215,25 @@ def parse_observations(source: str | bytes | IO) -> list[TopKObservation]:
 
     Each line is one record: ``{"vocab_size": V, "mode": "logits"|"logprobs",
     "topk": [{"token": id, "score": s}, ...], "position_id": optional}``.
-    ``vocab_size`` and ``token`` must be JSON integers and ``score`` a JSON
-    number; nothing is coerced.  Input order is preserved; K is the length
-    of the topk list.  Errors name the offending line.
+    ``vocab_size`` and ``token`` must be JSON integers, ``score`` a JSON
+    number and ``position_id`` a JSON string (``"line<n>"`` when absent)
+    that no other record uses; nothing is coerced.  Input order is
+    preserved; K is the length of the topk list.  Errors name the offending
+    line.
     """
-    return [_parse_record(record, lineno) for lineno, record in _read_jsonl(source)]
+    out: dict[str, TopKObservation] = {}
+    for lineno, record in _read_jsonl(source):
+        pid = record.get("position_id", f"line{lineno}")
+        _check_position_id(pid, lineno, out)
+        out[pid] = _parse_record(record, lineno, pid)
+    return list(out.values())
 
 
 def serialize_observations(observations: Iterable[TopKObservation]) -> str:
-    """Inverse of :func:`parse_observations`, emitting source token order."""
+    """Inverse of :func:`parse_observations`, emitting source token order.
+
+    An empty (unnamed) ``position_id`` is left out: the parser uses the line.
+    """
     lines = []
     for obs in observations:
         by_token = dict(obs.revealed)
@@ -228,6 +245,8 @@ def serialize_observations(observations: Iterable[TopKObservation]) -> str:
                 {"token": t, "score": by_token[t]} for t in obs.input_order
             ],
         }
+        if not obs.position_id:
+            del record["position_id"]
         lines.append(json.dumps(record))
     return "\n".join(lines) + ("\n" if lines else "")
 

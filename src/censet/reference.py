@@ -25,7 +25,13 @@ from scipy.special import expit, logsumexp
 from .identified_set import FeasiblePoint, SetGeometry, box_diameter_oracle
 from .minimax import _INV_E, EstimatorSpec, estimator_distribution
 from .numerics import POLICY
-from .observation import ParseError, _check_json_kind, _json_floats, _read_jsonl
+from .observation import (
+    ParseError,
+    _check_json_kind,
+    _check_position_id,
+    _json_floats,
+    _read_jsonl,
+)
 
 _MAX_ORACLE_VOCAB = 12
 
@@ -291,16 +297,15 @@ def parse_reference_dump(source: str | bytes | IO) -> dict[str, ReferenceLogits]
     ``{"position_id": ..., "dense": [V scores]}`` or
     ``{"position_id": ..., "default": score or "-inf",
     "entries": [{"token": id, "logit": score}, ...]}``.  Tokens must be JSON
-    integers and scores JSON numbers; a repeated ``position_id`` is an
-    error, never a silent overwrite.
+    integers, scores JSON numbers and ``position_id`` a JSON string; a
+    repeated ``position_id`` is an error, never a silent overwrite.
     """
     out: dict[str, ReferenceLogits] = {}
     for lineno, record in _read_jsonl(source):
         if "position_id" not in record:
             raise ParseError(lineno, "record must carry a position_id")
-        pid = str(record["position_id"])
-        if pid in out:
-            raise ParseError(lineno, f"duplicate position_id {pid!r}")
+        pid = record["position_id"]
+        _check_position_id(pid, lineno, out)
         if "dense" in record:
             dense = record["dense"]
             if not isinstance(dense, list):

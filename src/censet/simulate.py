@@ -20,8 +20,6 @@ from scipy.special import logsumexp
 
 from .identified_set import SetGeometry, geometry
 from .minimax import (
-    EstimatorSpec,
-    _sup_candidates,
     binary_reserve,
     symmetric_estimator,
     worst_case_risk,
@@ -335,9 +333,10 @@ class CompositionResult:
     """Averaged risk bracket over independent positions.
 
     The exact per-position minimax value is bracketed by (r_bin, sup_kl),
-    and averaging preserves both certified sides.  ``joint_sup`` and
-    ``factored_sum`` must agree: the average loss over the product of
-    feasible sets separates across positions.
+    and averaging preserves both certified sides.  The average loss over
+    the product of feasible sets separates across positions, so the joint
+    adversary's sup ``joint_sup`` is the ``factored_sum`` of per-position
+    sups; the oracle battery confirms this by literal enumeration.
     """
 
     avg_lower: float
@@ -345,35 +344,21 @@ class CompositionResult:
     per_position: tuple[PositionRisk, ...]
     joint_sup: float
     factored_sum: float
-    joint_enumerated: bool
 
 
-def compose_nonadaptive(
-    geoms: Sequence[SetGeometry],
-    estimators: Sequence[EstimatorSpec] | None = None,
-    max_joint_cells: int = 2_000_000,
-) -> CompositionResult:
-    """Average worst-case risk across independently queried positions.
+def compose_nonadaptive(geoms: Sequence[SetGeometry]) -> CompositionResult:
+    """Average worst-case risk of the symmetric estimator across positions.
 
-    A position's risk profile is its one or two sup breakpoints (see
-    :func:`worst_case_risk`), so its maximum is the position's ``sup_kl``.
-    As a separability check the joint adversary over the product of the
-    profiles is evaluated by literal enumeration (when small enough) and as
-    the factored sum of per-profile maxima; the two must coincide.
+    ``factored_sum`` adds the per-position sups left to right, so it is
+    bitwise the maximum cell of the left-folded joint sum over the
+    positions' sup-candidate profiles: rounding is monotone.
     """
     if len(geoms) == 0:
         raise ValueError("need at least one position")
-    if estimators is None:
-        estimators = [symmetric_estimator(g) for g in geoms]
-    if len(estimators) != len(geoms):
-        raise ValueError("one estimator per position is required")
 
     per_position = []
-    profiles = []
-    for geom, est in zip(geoms, estimators):
-        candidates = _sup_candidates(geom, est)
-        sup_kl, t_at = max(candidates)
-        profiles.append(np.array([risk for risk, _ in candidates]))
+    for geom in geoms:
+        sup_kl, t_at = worst_case_risk(geom, symmetric_estimator(geom))
         per_position.append(
             PositionRisk(
                 u=geom.U_K,
@@ -383,21 +368,11 @@ def compose_nonadaptive(
             )
         )
 
-    m = len(geoms)
-    factored_sum = reduce(lambda acc, h: acc + float(h.max()), profiles, 0.0) / m
-    n_cells = math.prod(len(h) for h in profiles)
-    enumerated = n_cells <= max_joint_cells
-    if enumerated:
-        joint = reduce(np.add.outer, profiles)
-        joint_sup = float(joint.max()) / m
-    else:
-        joint_sup = factored_sum
-
+    factored_sum = reduce(lambda acc, p: acc + p.sup_kl, per_position, 0.0) / len(geoms)
     return CompositionResult(
         avg_lower=float(np.mean([p.r_bin for p in per_position])),
         avg_upper=float(np.mean([p.sup_kl for p in per_position])),
         per_position=tuple(per_position),
-        joint_sup=joint_sup,
+        joint_sup=factored_sum,
         factored_sum=factored_sum,
-        joint_enumerated=enumerated,
     )

@@ -60,8 +60,9 @@ class TestAnalyze:
             1 - math.exp(-0.5) - math.exp(-1.5), abs=1e-12
         )
         assert b["norm_condition"] in (
-            "DisjointSupports", "SinglePoint", "Indeterminate"
+            "DisjointSupports", "SinglePoint", "OverlappingSupports"
         )
+        assert b["diam_lower"] == b["diam_upper"]
 
     def test_exactly_identified_row(self, tmp_path):
         path = tmp_path / "full.jsonl"

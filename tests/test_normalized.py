@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from censet import (
     AccessMode,
@@ -19,7 +21,7 @@ from censet import (
     normalized_geometry,
     summarize,
 )
-from censet.normalized import allocation_membership
+from censet.normalized import allocation_diameter, allocation_membership
 
 from conftest import make_observation
 
@@ -57,17 +59,16 @@ class TestNormalizedGeometry:
         assert ng.condition is TailCondition.SINGLE_POINT
         assert ng.diameter == 0.0
 
-    def test_indeterminate_regime_brackets(self):
+    def test_overlapping_supports_exact_diameter(self):
         # t* = 0.2, c = 0.15, M = 2 < 2*ceil(0.2/0.15) = 4
         obs = logprob_observation([0.45, 0.2, 0.15], 5)
         ng = normalized_geometry(obs)
-        assert ng.condition is TailCondition.INDETERMINATE
-        assert ng.diameter is None
-        lo, hi = ng.bracket
-        assert hi == pytest.approx(ng.t_star, abs=1e-12)
+        assert ng.condition is TailCondition.OVERLAPPING_SUPPORTS
         # allocations live in [t*-c, c]^2, so TV tops out at 2c - t* = 0.1
-        assert lo == pytest.approx(0.1, abs=1e-6)
-        assert lo < hi
+        assert ng.diameter == pytest.approx(0.1, abs=1e-12)
+        assert ng.diameter == pytest.approx(
+            allocation_diameter_oracle(ng.t_star, ng.cap, ng.M), abs=1e-15
+        )
 
     def test_mode_error(self):
         with pytest.raises(ModeError):
@@ -79,15 +80,56 @@ class TestNormalizedGeometry:
         with pytest.raises(ValueError, match="inconsistent"):
             normalized_geometry(obs)
 
-    def test_large_m_indeterminate_uses_split_bound(self):
-        # M = 20, t* = 0.5, c = 0.03: needs 2*ceil(16.7) = 34 > 20 tokens
+    def test_large_m_overlapping_closed_form(self):
+        # M = 20, t* = 0.5, c = 0.03: needs 2*ceil(16.7) = 34 > 20 tokens,
+        # and each half of 10 tokens holds 0.3, so D = 0.3 + 0.3 - 0.5
         probs = [0.2, 0.15, 0.12, 0.03]
         obs = logprob_observation(probs, 24)
         ng = normalized_geometry(obs)
-        assert ng.condition is TailCondition.INDETERMINATE
-        lo, hi = ng.bracket
-        assert 0.0 < lo <= hi
-        assert lo == pytest.approx(20 * 0.03 - 0.5, abs=1e-9)
+        assert ng.condition is TailCondition.OVERLAPPING_SUPPORTS
+        assert ng.diameter == pytest.approx(20 * 0.03 - 0.5, abs=1e-9)
+
+    def test_regression_twelve_censored_tokens(self):
+        # V = 20, K = 8, t* = 0.325, c = 0.05: reported as the bracket
+        # (0.275, 0.325) when M <= 12 still went through the vertex oracle
+        probs = [0.2, 0.1, 0.1, 0.075, 0.05, 0.05, 0.05, 0.05]
+        obs = logprob_observation(probs, 20)
+        ng = normalized_geometry(obs)
+        assert (ng.M, ng.condition) == (12, TailCondition.OVERLAPPING_SUPPORTS)
+        assert ng.t_star == pytest.approx(0.325, abs=1e-15)
+        assert ng.cap == pytest.approx(0.05, abs=1e-15)
+        assert ng.diameter == pytest.approx(0.275, abs=1e-15)
+        # attained: each allocation fills its own six tokens first
+        censored = sorted(set(range(20)) - set(obs.token_ids))
+        rest = ng.t_star - 6 * ng.cap
+        a = {u: ng.cap for u in censored[:6]} | {censored[6]: rest}
+        b = {u: ng.cap for u in censored[6:]} | {censored[0]: rest}
+        assert allocation_membership(obs, ng, a).ok
+        assert allocation_membership(obs, ng, b).ok
+        tv = 0.5 * sum(abs(a.get(u, 0.0) - b.get(u, 0.0)) for u in censored)
+        assert tv == pytest.approx(ng.diameter, abs=1e-15)
+
+
+class TestClosedFormDiameter:
+    @given(
+        m=st.integers(1, 10),
+        cap=st.floats(0.01, 0.5),
+        frac=st.floats(0.0, 1.0),
+        whole=st.booleans(),
+    )
+    @example(m=1, cap=0.3, frac=1.0, whole=True)
+    @example(m=7, cap=0.1, frac=0.0, whole=False)
+    @example(m=7, cap=0.07, frac=0.9, whole=False)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_vertex_oracle(self, m, cap, frac, whole):
+        q = float(round(frac * m)) if whole else frac * m
+        t_star = q * cap
+        d = allocation_diameter(t_star, cap, m)
+        assert abs(d - allocation_diameter_oracle(t_star, cap, m)) <= 1e-12
+        if m >= 2 * math.ceil(q):
+            assert d == t_star
+        if m <= 1 or t_star == 0.0:
+            assert d == 0.0
 
 
 class TestAllocationOracle:

@@ -119,6 +119,27 @@ class TestParse:
         with pytest.raises(ParseError, match=f"line 2: {field}"):
             parse_observations(text + '{"mode":"logits",' + record + "}")
 
+    @pytest.mark.parametrize("pid", ["null", "[1]", "7"])
+    def test_position_id_must_be_string(self, pid):
+        record = (
+            '{"vocab_size":3,"mode":"logits","topk":[{"token":0,"score":0.0}],'
+            '"position_id":%s}' % pid
+        )
+        with pytest.raises(ParseError, match="line 1: position_id must be a JSON string"):
+            parse_observations(record)
+
+    def test_duplicate_position_id(self):
+        record = (
+            '{"vocab_size":3,"mode":"logits","topk":[{"token":0,"score":0.0}],'
+            '"position_id":"%s"}\n'
+        )
+        with pytest.raises(ParseError, match="line 3: duplicate position_id 'a'"):
+            parse_observations(record % "a" + record % "b" + record % "a")
+        # an absent id reads "line<n>" and must not collide either
+        unnamed = '{"vocab_size":3,"mode":"logits","topk":[{"token":0,"score":0.0}]}\n'
+        with pytest.raises(ParseError, match="line 2: duplicate position_id 'line2'"):
+            parse_observations(record % "line2" + unnamed)
+
     def test_integer_score_accepted(self):
         (obs,) = parse_observations(
             '{"vocab_size":3,"mode":"logits","topk":[{"token":1,"score":2}]}'
@@ -157,6 +178,12 @@ class TestParse:
 
 
 class TestRoundTrip:
+    def test_unnamed_observations_round_trip_with_line_ids(self):
+        unnamed = [make_observation(4, [1.0, 0.0], position_id="")] * 2
+        text = serialize_observations(unnamed)
+        assert "position_id" not in text
+        assert [o.position_id for o in parse_observations(text)] == ["line1", "line2"]
+
     def test_unsorted_input_round_trips_bit_identically(self):
         line = (
             '{"vocab_size":6,"mode":"logits","position_id":"p7",'

@@ -247,6 +247,11 @@ class TestParseReferenceDump:
         with pytest.raises(ParseError, match="line 3: duplicate position_id 'a'"):
             parse_reference_dump(text)
 
+    @pytest.mark.parametrize("pid", ["null", "[1]", "7"])
+    def test_position_id_must_be_string(self, pid):
+        with pytest.raises(ParseError, match="line 1: position_id must be a JSON string"):
+            parse_reference_dump('{"position_id":%s,"dense":[0.0,1.0]}' % pid)
+
     @pytest.mark.parametrize(
         "record,field",
         [

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from censet import (
     symmetric_estimator,
 )
 from censet.cli import main
+from censet.minimax import _sup_candidates
 from censet.numerics import apply_policy_overrides
 from censet.simulate import _sweep_position, sweep_to_csv
 
@@ -336,7 +338,7 @@ class TestCompose:
         from censet import worst_case_risk
 
         est = symmetric_estimator(v4_geometry)
-        result = compose_nonadaptive([v4_geometry], [est])
+        result = compose_nonadaptive([v4_geometry])
         sup_kl, _ = worst_case_risk(v4_geometry, est)
         assert result.avg_upper == pytest.approx(sup_kl, rel=1e-12)
         assert result.avg_lower == pytest.approx(
@@ -353,8 +355,22 @@ class TestCompose:
     def test_joint_grid_equals_factored_sum(self):
         geoms = [geometry_with_diameter(u, 16) for u in (0.2, 0.45, 0.7)]
         result = compose_nonadaptive(geoms)
-        assert result.joint_enumerated
-        assert abs(result.joint_sup - result.factored_sum) <= 1e-9
+        profiles = [
+            [risk for risk, _ in _sup_candidates(g, symmetric_estimator(g))]
+            for g in geoms
+        ]
+        joint = float(reduce(np.add.outer, profiles).max()) / len(geoms)
+        assert joint == result.joint_sup == result.factored_sum
+
+    def test_joint_sup_is_factored_sum_beyond_enumeration(self):
+        # 30 positions with two candidates each: 2**30 joint cells
+        geoms = [geometry_with_diameter(u, 64) for u in np.linspace(0.05, 0.95, 30)]
+        result = compose_nonadaptive(geoms)
+        assert all(
+            len(_sup_candidates(g, symmetric_estimator(g))) == 2 for g in geoms
+        )
+        assert result.joint_sup == result.factored_sum
+        assert result.factored_sum == pytest.approx(result.avg_upper, rel=1e-14)
 
     def test_sup_from_breakpoint_profile(self):
         from censet import worst_case_risk
