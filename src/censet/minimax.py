@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.special import expit, xlogy
+from scipy.special import expit
 
 from .identified_set import FeasiblePoint, SetGeometry
 from .numerics import POLICY
@@ -89,78 +89,6 @@ def binary_reserve(u: float) -> BinaryReserve:
     s_star = float(expit(log_a))
     r_bin = float(np.logaddexp(0.0, log_a))
     return BinaryReserve(s_star, r_bin)
-
-
-def endpoint_risk(u: float, s: float) -> float:
-    """max of the two endpoint divergences faced by reserve ``s``."""
-    kl_zero = -math.log1p(-s)
-    kl_full = (1.0 - u) * (math.log1p(-u) - math.log1p(-s)) + u * (
-        math.log(u) - math.log(s)
-    )
-    return max(kl_zero, kl_full)
-
-
-def _golden_min(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> tuple[float, float]:
-    """Golden-section minimization on [lo, hi]; deterministic."""
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - ratio * (hi - lo)
-    x2 = lo + ratio * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - ratio * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + ratio * (hi - lo)
-            f2 = f(x2)
-    x = 0.5 * (lo + hi)
-    return x, f(x)
-
-
-def balancing_oracle(u: float, grid: int = 2000) -> tuple[float, float]:
-    """Direct minimization over ``s`` of the endpoint maximum.
-
-    Independent verification route for :func:`binary_reserve`: a coarse
-    log-spaced grid brackets the minimum of the (convex) endpoint maximum,
-    then golden-section refinement pins it down.  With ``grid >= 1000`` the
-    result matches the closed form within 1e-6.
-    """
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"diameter must lie in (0, 1), got {u!r}")
-    if grid < 8:
-        raise ValueError("grid must be at least 8")
-    s_grid = np.geomspace(1e-12, 0.98, grid)
-    values = [endpoint_risk(u, s) for s in s_grid]
-    i = int(np.argmin(values))
-    lo = s_grid[max(i - 1, 0)]
-    hi = s_grid[min(i + 1, grid - 1)]
-    s_hat, r_hat = _golden_min(lambda s: endpoint_risk(u, s), lo, hi, 1e-13)
-    return float(s_hat), float(r_hat)
-
-
-def breakpoint_scan_oracle(m: int, log_odds: float, s: float) -> float:
-    """Brute scan of the uniform-tail estimator's risk over tail masses.
-
-    Independent route for :func:`worst_case_risk`: one numpy pass, in
-    absolute tail masses (``floor(t / cap)`` tokens at ``cap = c (1-t)``,
-    the rest on one more), over every breakpoint ``t_n = n c / (1 + n c)``
-    and a 257-point uniform grid of [0, U_K].  O(M) memory: meant for small M.
-    """
-    u = float(expit(log_odds))
-    c = math.exp(log_odds) / m
-    n = np.arange(m + 1)
-    t = np.minimum(np.concatenate([n * c / (1 + n * c), np.linspace(0, u, 257)]), u)
-    cap = c * (1.0 - t)
-    full = np.minimum(np.floor(t / cap), m)
-    rest = np.maximum(t - full * cap, 0.0)
-    risk = t * (math.log(m) - math.log(s)) - (1.0 - t) * math.log1p(-s) + (
-        xlogy(1.0 - t, 1.0 - t) + full * xlogy(cap, cap) + xlogy(rest, rest)
-    )
-    return float(risk.max())
 
 
 def g_envelope(u: float, t: float, s: float) -> float:
@@ -283,22 +211,25 @@ def _bernoulli_kl(t: float, s: float) -> float:
     return out
 
 
-def _concentrated_tail_kl(geom: SetGeometry, t: float) -> tuple[int, float, float]:
+def _concentrated_tail_kl(
+    geom: SetGeometry, t: float, n_full: int | None
+) -> tuple[int, float, float]:
     """Max of KL(r || uniform_M) over tail conditionals obeying the cap.
 
     At tail mass t the cap allows ``r_u <= lam/M`` with
     ``lam = exp(log_odds) (1-t)/t``; the maximizer is an extreme point of
     the capped simplex: ``floor(M/lam)`` tokens at the cap plus one token
-    absorbing the remainder.  Returns (n_full, remainder, kl_value).
+    absorbing the remainder.  ``n_full=None`` takes that floor; at a cap
+    breakpoint ``t_n`` the caller passes n itself, since the float ratio
+    M/lam can land a hair below n there.  Returns (n_full, remainder,
+    kl_value).
     """
     m = geom.M
     lam = math.exp(geom.log_odds) * (1.0 - t) / t
     if lam <= 0.0:
         return m, 0.0, 0.0
-    ratio = m / lam
-    n_full = int(math.floor(ratio))
-    if ratio - n_full >= 1.0 - 1e-9:
-        n_full += 1
+    if n_full is None:
+        n_full = math.floor(m / lam)
     n_full = min(n_full, m)
     rem = max(0.0, 1.0 - n_full * lam / m)
     if n_full >= m:
@@ -323,7 +254,7 @@ def risk_at_tail_mass(geom: SetGeometry, est: EstimatorSpec, t: float) -> float:
     if t == 0.0:
         return -math.log1p(-est.s) if est.s < 1.0 else math.inf
     t = min(t, geom.U_K)
-    _, _, tail_kl = _concentrated_tail_kl(geom, t)
+    _, _, tail_kl = _concentrated_tail_kl(geom, t, None)
     return _bernoulli_kl(t, est.s) + t * tail_kl
 
 
@@ -343,7 +274,7 @@ def adversary_best_response(
     if t <= 0.0 or t > geom.U_K + POLICY.membership_tol:
         raise ValueError(f"tail mass t={t!r} outside (0, U_K={geom.U_K!r}]")
     t = min(t, geom.U_K)
-    n_full, rem, tail_kl = _concentrated_tail_kl(geom, t)
+    n_full, rem, tail_kl = _concentrated_tail_kl(geom, t, None)
     value = _bernoulli_kl(t, est.s) + t * tail_kl
     if n_full == geom.M and rem == 0.0:
         return FeasiblePoint(t=t, uniform=True), value
@@ -363,6 +294,8 @@ def _sup_candidates(geom: SetGeometry, est: EstimatorSpec) -> list[tuple[float, 
             raise ValueError("estimator reserves tail mass but M = 0")
         return [(-math.log1p(-est.s), 0.0)]
     m, lo, s = geom.M, geom.log_odds, est.s
+    if not est.is_uniform:
+        raise ValueError("closed-form best response requires a uniform tail rule")
     if not 0.0 < s < 1.0:
         raise ValueError(f"reserve must lie in (0, 1), got {s!r}")
     d = math.log1p(-s) + lo - math.log(s)
@@ -370,8 +303,12 @@ def _sup_candidates(geom: SetGeometry, est: EstimatorSpec) -> list[tuple[float, 
     n_dagger = m if log_n >= math.log(m) else math.exp(log_n)
     out = []
     for n in sorted({math.floor(n_dagger), min(math.ceil(n_dagger), m)}):
-        t = min(float(expit(lo + math.log(n / m))), geom.U_K) if n else 0.0
-        out.append((risk_at_tail_mass(geom, est, t), t))
+        if n == 0:
+            out.append((-math.log1p(-s), 0.0))
+            continue
+        t = min(float(expit(lo + math.log(n / m))), geom.U_K)
+        _, _, tail_kl = _concentrated_tail_kl(geom, t, n)
+        out.append((_bernoulli_kl(t, s) + t * tail_kl, t))
     return out
 
 
@@ -389,8 +326,9 @@ def worst_case_risk(geom: SetGeometry, est: EstimatorSpec) -> tuple[float, float
     :func:`g_envelope`, stationary at ``1 + n c = d``, ``d = log(1-s) +
     log_odds - log s``.  So the sup is at floor or ceil of ``n_dagger =
     (d-1) M exp(-log_odds)`` (0 when d <= 1) clamped to [0, M]: only those
-    breakpoints, ``t_n = sigmoid(log(n/M) + log_odds)`` capped at U_K, go
-    through :func:`risk_at_tail_mass`.  Returns (sup_kl, argmax_t).
+    breakpoints, ``t_n = sigmoid(log(n/M) + log_odds)`` capped at U_K, are
+    evaluated by the closed form of :func:`risk_at_tail_mass` with exactly
+    n tokens at the cap.  Returns (sup_kl, argmax_t).
     """
     return max(_sup_candidates(geom, est))
 

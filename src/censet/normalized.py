@@ -11,18 +11,13 @@ closed form of :func:`allocation_diameter`.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .identified_set import MembershipReport
 from .numerics import POLICY
 from .observation import AccessMode, ModeError, TopKObservation, hidden_tail_mass
-
-_MAX_ORACLE_TOKENS = 12
 
 
 class TailCondition(str, Enum):
@@ -104,88 +99,6 @@ def normalized_geometry(obs: TopKObservation) -> NormalizedGeometry:
     return NormalizedGeometry(
         t_star=t_star, cap=cap, M=m, condition=condition, diameter=diameter
     )
-
-
-def _extreme_allocations(t_star: float, cap: float, m: int) -> np.ndarray:
-    """Vertices of the capped allocation polytope {0 <= x <= c, sum = t*}.
-
-    Each vertex has floor(t*/c) coordinates at the cap plus at most one
-    fractional coordinate carrying the remainder.
-    """
-    n_full = int(math.floor(t_star / cap + 1e-12))
-    n_full = min(n_full, m)
-    rem = min(max(t_star - n_full * cap, 0.0), cap)
-    if rem < 1e-12 * max(t_star, 1.0) or n_full >= m:
-        rem = 0.0
-    rows = []
-    for full_set in itertools.combinations(range(m), n_full):
-        if rem == 0.0:
-            row = np.zeros(m)
-            row[list(full_set)] = cap
-            rows.append(row)
-        else:
-            for extra in range(m):
-                if extra in full_set:
-                    continue
-                row = np.zeros(m)
-                row[list(full_set)] = cap
-                row[extra] = rem
-                rows.append(row)
-    return np.array(rows) if rows else np.zeros((1, m))
-
-
-def _interior_allocations(
-    t_star: float, cap: float, m: int, n: int, seed: int
-) -> np.ndarray:
-    """Random feasible allocations via iterative clip-and-rescale."""
-    rng = np.random.default_rng(seed)
-    raw = rng.uniform(0.1, 1.0, size=(n, m))
-    x = t_star * raw / raw.sum(axis=1, keepdims=True)
-    for _ in range(50):
-        x = np.minimum(x, cap)
-        deficit = t_star - x.sum(axis=1)
-        if np.all(np.abs(deficit) <= 1e-15):
-            break
-        room = cap - x
-        total_room = room.sum(axis=1)
-        scale = np.where(total_room > 0, deficit / np.maximum(total_room, 1e-300), 0.0)
-        x = x + room * scale[:, None]
-    return x
-
-
-def allocation_diameter_oracle(
-    t_star: float, cap: float, m: int, grid: int = 0, seed: int = 0
-) -> float:
-    """Exact max pairwise TV over capped tail allocations (small M).
-
-    TV is convex in the pair, so the maximum over the polytope is attained
-    at vertex pairs; vertices are enumerated exactly.  ``grid`` optionally
-    adds that many random interior allocations as a safety net (they can
-    never raise the maximum).
-    """
-    if m < 1 or m > _MAX_ORACLE_TOKENS:
-        raise ValueError(f"oracle supports 1 <= M <= {_MAX_ORACLE_TOKENS}, got {m}")
-    if t_star < 0.0 or cap < 0.0:
-        raise ValueError("t_star and cap must be nonnegative")
-    if t_star > m * cap + POLICY.tail_feasibility_tol:
-        raise ValueError(
-            f"infeasible: t_star {t_star!r} exceeds M*cap = {m * cap!r}"
-        )
-    if t_star == 0.0 or m == 1:
-        return 0.0
-    points = _extreme_allocations(t_star, cap, m)
-    if grid > 0:
-        points = np.concatenate(
-            [points, _interior_allocations(t_star, cap, m, grid, seed)], axis=0
-        )
-    best = 0.0
-    n = len(points)
-    block = max(1, 2**22 // max(n * m, 1))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        dp = np.abs(points[lo:hi, None, :] - points[None, :, :]).sum(axis=2)
-        best = max(best, float(0.5 * dp.max()))
-    return best
 
 
 def disjoint_witness_pair(

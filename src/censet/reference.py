@@ -22,9 +22,8 @@ from typing import IO, Sequence
 import numpy as np
 from scipy.special import expit, logsumexp
 
-from .identified_set import FeasiblePoint, SetGeometry, box_diameter_oracle
-from .minimax import _INV_E, EstimatorSpec, estimator_distribution
-from .numerics import POLICY
+from .identified_set import FeasiblePoint, SetGeometry
+from .minimax import _INV_E, EstimatorSpec
 from .observation import (
     ParseError,
     _check_json_kind,
@@ -32,8 +31,6 @@ from .observation import (
     _json_floats,
     _read_jsonl,
 )
-
-_MAX_ORACLE_VOCAB = 12
 
 
 class CoverageError(ValueError):
@@ -168,69 +165,6 @@ def reference_extremal_pair(
         if w > 0.0
     }
     return FeasiblePoint(t=0.0), FeasiblePoint(t=rb.U_R, tail=tail)
-
-
-def reference_diameter_oracle(
-    geom: SetGeometry,
-    rb: ReferenceBound,
-    grid_resolution: int,
-    max_points: int = 2048,
-    seed: int = 0,
-) -> float:
-    """Brute-force diameter under the reference ceilings (small V only)."""
-    if geom.vocab_size > _MAX_ORACLE_VOCAB:
-        raise ValueError(
-            f"vocab_size {geom.vocab_size} too large for brute-force "
-            f"enumeration (limit {_MAX_ORACLE_VOCAB})"
-        )
-    if geom.M == 0:
-        return 0.0
-    return box_diameter_oracle(
-        geom.log_ZA, rb.log_ceilings, grid_resolution,
-        max_points=max_points, seed=seed,
-    )
-
-
-def reference_risk_oracle(
-    geom: SetGeometry,
-    rb: ReferenceBound,
-    est: EstimatorSpec,
-    n_samples: int = 4096,
-    seed: int = 0,
-) -> float:
-    """Max sampled KL of ceiling-constrained truths against an estimator.
-
-    Draws unnormalized tail weights uniformly below the per-token ceilings
-    (every draw is a valid member), always including the two extremal
-    corners, and evaluates KL directly on dense distributions.  A sampled
-    lower bound on the true sup, suitable for envelope checks on small V.
-    """
-    if geom.M == 0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    bounds = np.exp(rb.log_ceilings - geom.log_ZA)
-    ys = rng.uniform(0.0, 1.0, size=(n_samples, geom.M)) * bounds
-    ys = np.concatenate([ys, np.zeros((1, geom.M)), bounds[None, :]], axis=0)
-    denom = 1.0 + ys.sum(axis=1)
-    tails = ys / denom[:, None]
-    ts = tails.sum(axis=1)
-
-    q = estimator_distribution(geom, est)
-    q_tail = q[geom.censored_ids]
-
-    worst = 0.0
-    for tail, t in zip(tails, ts):
-        # estimator head is (1-s) * alpha, so the head KL term collapses
-        value = (1.0 - t) * (math.log1p(-t) - math.log1p(-est.s))
-        mask = tail > 0.0
-        if np.any(mask & (q_tail == 0.0)):
-            return math.inf
-        if np.any(mask):
-            value += float(
-                np.sum(tail[mask] * (np.log(tail[mask]) - np.log(q_tail[mask])))
-            )
-        worst = max(worst, value)
-    return worst
 
 
 @dataclass(frozen=True)

@@ -305,19 +305,6 @@ def ksweep_with_sup_kl(
     return _sweep(positions, k_list, with_sup=True)
 
 
-SWEEP_CSV_HEADER = "K,uk_mean,uk_sd,rbin_mean,tail_mass_mean,n"
-
-
-def sweep_to_csv(rows: Sequence[SweepRow]) -> str:
-    lines = [SWEEP_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.k},{r.uk_mean!r},{r.uk_sd!r},{r.rbin_mean!r},"
-            f"{r.tail_mass_mean!r},{r.n}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class PositionRisk:
     """Per-position bracket: certified floor and achieved estimator sup."""
@@ -335,14 +322,13 @@ class CompositionResult:
     The exact per-position minimax value is bracketed by (r_bin, sup_kl),
     and averaging preserves both certified sides.  The average loss over
     the product of feasible sets separates across positions, so the joint
-    adversary's sup ``joint_sup`` is the ``factored_sum`` of per-position
-    sups; the oracle battery confirms this by literal enumeration.
+    adversary's sup is the ``factored_sum`` of per-position sups; the
+    oracle battery confirms this by literal enumeration.
     """
 
     avg_lower: float
     avg_upper: float
     per_position: tuple[PositionRisk, ...]
-    joint_sup: float
     factored_sum: float
 
 
@@ -373,6 +359,5 @@ def compose_nonadaptive(geoms: Sequence[SetGeometry]) -> CompositionResult:
         avg_lower=float(np.mean([p.r_bin for p in per_position])),
         avg_upper=float(np.mean([p.sup_kl for p in per_position])),
         per_position=tuple(per_position),
-        joint_sup=factored_sum,
         factored_sum=factored_sum,
     )

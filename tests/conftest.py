@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from censet import AccessMode, TopKObservation, geometry, summarize
+from censet.identified_set import geometry
 from censet.numerics import reset_policy
+from censet.observation import AccessMode, TopKObservation, summarize
 
 
 @pytest.fixture(autouse=True)

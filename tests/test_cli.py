@@ -1,14 +1,16 @@
 """Command-line surface: reports, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from censet import AccessMode, censor, serialize_observations
 from censet.cli import ANALYZE_FIELDS, CERTIFY_FIELDS, main
-from censet.numerics import POLICY
+from censet.numerics import POLICY, NumericPolicy, apply_policy_overrides
+from censet.observation import AccessMode, serialize_observations
+from censet.simulate import censor
 
 
 @pytest.fixture
@@ -338,15 +340,44 @@ class TestOracle:
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
 
+    def test_golden_report_bytes(self, tmp_path):
+        # sha256 of `censet oracle --seed 0 --format json`, recorded before
+        # the oracles moved out of the analysis modules
+        out = tmp_path / "o.json"
+        assert main(
+            ["oracle", "--seed", "0", "--format", "json", "--output", str(out)]
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "32eef36aac1cd54cba40ec7ea86f5b3733b04ad4bed6c85713b16c12c1ed3258"
+        )
+
 
 class TestNumericPolicyEnv:
+    @staticmethod
+    def _verdict(obs_file, tmp_path, delta="0.3"):
+        out = tmp_path / "c.json"
+        code = main(["certify", "--input", str(obs_file), "--delta", delta,
+                     "--format", "json", "--output", str(out)])
+        return code, json.loads(out.read_text())["rows"][0]["verdict"]
+
     def test_env_override_applies(self, obs_file, tmp_path, monkeypatch):
+        # r_bin of row a is ~0.146: OPEN at delta 0.3, THRESHOLD within 0.25
         policy_file = tmp_path / "policy.json"
         policy_file.write_text('{"verdict_margin": 0.25}')
         monkeypatch.setenv("CENSET_NUMERIC_POLICY", str(policy_file))
-        assert main(["analyze", "--input", str(obs_file), "--format", "json",
-                     "--output", str(tmp_path / "r.json")]) == 0
-        assert POLICY.verdict_margin == 0.25
+        assert self._verdict(obs_file, tmp_path) == (0, "THRESHOLD")
+        assert POLICY == NumericPolicy()
+        # the override ended with that command
+        monkeypatch.delenv("CENSET_NUMERIC_POLICY")
+        assert self._verdict(obs_file, tmp_path) == (0, "OPEN")
+
+    def test_caller_policy_restored(self, obs_file, tmp_path, monkeypatch):
+        apply_policy_overrides({"verdict_margin": 0.2})
+        policy_file = tmp_path / "policy.json"
+        policy_file.write_text('{"verdict_margin": 0.5, "norm_tol": 1e-6}')
+        monkeypatch.setenv("CENSET_NUMERIC_POLICY", str(policy_file))
+        assert self._verdict(obs_file, tmp_path) == (0, "THRESHOLD")
+        assert (POLICY.verdict_margin, POLICY.norm_tol) == (0.2, 1e-9)
 
     def test_unknown_field_rejected(self, obs_file, tmp_path, monkeypatch, capsys):
         policy_file = tmp_path / "policy.json"
@@ -354,3 +385,26 @@ class TestNumericPolicyEnv:
         monkeypatch.setenv("CENSET_NUMERIC_POLICY", str(policy_file))
         assert main(["analyze", "--input", str(obs_file)]) == 1
         assert "not_a_field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"verdict_margin": 0.25, "bogus": 1}',
+            '{"verdict_margin": "0.5"}',
+            '{"verdict_margin": true}',
+            '{"verdict_margin": NaN}',
+            '{"verdict_margin": 1e999}',
+            "[1]",
+        ],
+    )
+    def test_invalid_file_rejected_whole(self, text, obs_file, tmp_path,
+                                         monkeypatch, capsys):
+        policy_file = tmp_path / "policy.json"
+        policy_file.write_text(text)
+        monkeypatch.setenv("CENSET_NUMERIC_POLICY", str(policy_file))
+        assert main(["analyze", "--input", str(obs_file)]) == 1
+        (error,) = json.loads(capsys.readouterr().err)["errors"]
+        assert "numeric policy" in error["message"]
+        with pytest.raises(ValueError):
+            apply_policy_overrides(json.loads(text))
+        assert POLICY == NumericPolicy()

@@ -6,19 +6,19 @@ import numpy as np
 import pytest
 import sympy
 
-from censet import (
+from censet.identified_set import (
     FeasiblePoint,
-    brute_diameter_oracle,
     extremal_pair,
     geometry,
     kl,
     membership,
     per_token_cap,
-    summarize,
+    tail_map,
     to_distribution,
     tv,
 )
-from censet.identified_set import sample_feasible_points, tail_map
+from censet.observation import summarize
+from censet.oracles import brute_diameter_oracle, sample_feasible_points
 
 from conftest import make_geometry, make_observation
 

@@ -8,34 +8,32 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
+from scipy.special import xlogy
 
-from censet import (
+from censet.identified_set import (
     FeasiblePoint,
-    adversary_best_response,
-    balancing_oracle,
-    binary_reserve,
-    critical_k,
-    g_envelope,
-    g_max,
+    SetGeometry,
     geometry,
-    geometry_with_diameter,
     kl,
-    minimax_certificate,
-    summarize,
-    symmetric_estimator,
     to_distribution,
-    worst_case_risk,
 )
-from censet.identified_set import SetGeometry
 from censet.minimax import (
     SECOND_ORDER_COEFF,
     EstimatorSpec,
-    breakpoint_scan_oracle,
-    endpoint_risk,
+    adversary_best_response,
+    binary_reserve,
+    critical_k,
     estimator_distribution,
+    g_envelope,
+    g_max,
+    minimax_certificate,
     risk_at_tail_mass,
+    symmetric_estimator,
+    worst_case_risk,
 )
-from censet.observation import LogSummary
+from censet.observation import LogSummary, summarize
+from censet.oracles import balancing_oracle, breakpoint_scan_oracle, endpoint_risk
+from censet.simulate import geometry_with_diameter
 
 from conftest import make_geometry
 
@@ -121,7 +119,7 @@ class TestBalancingOracle:
 
     def test_equalization_on_dense_distributions(self, v4_geometry):
         # same balance measured through the generic divergence on full vectors
-        from censet import extremal_pair
+        from censet.identified_set import extremal_pair
 
         g = v4_geometry
         est = symmetric_estimator(g, s=binary_reserve(g.U_K).s_star)
@@ -248,7 +246,7 @@ class TestAdversaryBestResponse:
         assert value == pytest.approx(-math.log1p(-est.s), abs=1e-6)
 
     def test_best_response_is_a_member(self, v4_geometry):
-        from censet import membership
+        from censet.identified_set import membership
 
         g = v4_geometry
         est = symmetric_estimator(g)
@@ -351,6 +349,26 @@ class TestWorstCaseRisk:
         assert est.s == 0.0
         assert worst_case_risk(g, est) == (0.0, 0.0)
         assert worst_case_risk(g, EstimatorSpec(s=0.5)) == (-math.log(0.5), 0.0)
+
+    def test_just_below_a_breakpoint(self):
+        # at ratio t / cap = n - delta only n - 1 tokens fit under the cap; a
+        # snap of the ratio up to n overshot this numpy evaluation by ~1e-10
+        g = geometry_with_diameter(0.7, 64)
+        est = symmetric_estimator(g)
+        m, s = g.M, est.s
+        c = math.exp(g.log_odds) / m
+        for n in range(1, m):
+            for delta in (1e-10, 3e-10, 9e-10):
+                t = (n - delta) * c / (1 + (n - delta) * c)
+                cap = c * (1 - t)
+                full = np.floor(t / cap)
+                assert full == n - 1
+                rest = t - full * cap
+                direct = (
+                    t * (math.log(m) - math.log(s)) - (1 - t) * math.log1p(-s)
+                    + xlogy(1 - t, 1 - t) + full * xlogy(cap, cap) + xlogy(rest, rest)
+                )
+                assert abs(risk_at_tail_mass(g, est, t) - direct) <= 1e-13
 
 
 def _geometry_with_log_odds(m: int, lo: float) -> SetGeometry:

@@ -7,21 +7,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from censet import (
-    AccessMode,
-    GaussianIID,
-    ModeError,
-    SyntheticTeacherConfig,
+from censet.identified_set import geometry
+from censet.normalized import (
     TailCondition,
-    allocation_diameter_oracle,
-    censor,
+    allocation_diameter,
+    allocation_membership,
     disjoint_witness_pair,
-    generate_teacher,
-    geometry,
     normalized_geometry,
-    summarize,
 )
-from censet.normalized import allocation_diameter, allocation_membership
+from censet.observation import AccessMode, ModeError, summarize
+from censet.oracles import allocation_diameter_oracle
+from censet.simulate import (
+    GaussianIID,
+    SyntheticTeacherConfig,
+    censor,
+    generate_teacher,
+)
 
 from conftest import make_observation
 
@@ -148,9 +149,20 @@ class TestAllocationOracle:
         assert allocation_diameter_oracle(0.15, 0.2, 1) == 0.0
 
     def test_interior_samples_never_beat_vertices(self):
-        base = allocation_diameter_oracle(0.3, 0.11, 6)
-        with_interior = allocation_diameter_oracle(0.3, 0.11, 6, grid=500, seed=1)
-        assert with_interior == pytest.approx(base, abs=1e-12)
+        # TV is convex in the pair, so no pair of interior allocations (here
+        # random ones, clipped to the cap and rescaled) beats the vertices
+        t_star, cap, m = 0.3, 0.11, 6
+        base = allocation_diameter_oracle(t_star, cap, m)
+        raw = np.random.default_rng(1).uniform(0.1, 1.0, size=(500, m))
+        x = t_star * raw / raw.sum(axis=1, keepdims=True)
+        for _ in range(50):
+            x = np.minimum(x, cap)
+            room = cap - x
+            x = x + room * ((t_star - x.sum(axis=1)) / room.sum(axis=1))[:, None]
+        assert np.all(x <= cap + 1e-15)
+        assert np.allclose(x.sum(axis=1), t_star, rtol=0.0, atol=1e-15)
+        pairwise = 0.5 * np.abs(x[:, None, :] - x[None, :, :]).sum(axis=2)
+        assert pairwise.max() <= base + 1e-12
 
     def test_infeasible(self):
         with pytest.raises(ValueError, match="infeasible"):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from censet import (
+from censet.observation import (
     AccessMode,
     ModeError,
     ParseError,
@@ -282,7 +282,12 @@ class TestHiddenTailMass:
         assert math.isclose(hidden_tail_mass(obs), 0.2, abs_tol=1e-15)
 
     def test_matches_direct_summation_on_synthetic_teacher(self):
-        from censet import GaussianIID, SyntheticTeacherConfig, censor, generate_teacher
+        from censet.simulate import (
+            GaussianIID,
+            SyntheticTeacherConfig,
+            censor,
+            generate_teacher,
+        )
 
         config = SyntheticTeacherConfig(vocab_size=200, law=GaussianIID(0.0, 3.0), seed=7)
         z = generate_teacher(config, 1)[0]

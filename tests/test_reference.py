@@ -6,30 +6,24 @@ import math
 import numpy as np
 import pytest
 
-from censet import (
-    GaussianIID,
-    ParseError,
+from censet.identified_set import geometry, membership, to_distribution, tv
+from censet.minimax import g_max, symmetric_estimator
+from censet.observation import ParseError, summarize
+from censet.oracles import reference_diameter_oracle, reference_risk_oracle
+from censet.reference import (
+    CoverageError,
     ReferenceLogits,
-    SyntheticTeacherConfig,
     calibrate_rho,
-    censor,
-    g_max,
-    generate_teacher,
-    geometry,
-    membership,
     parse_reference_dump,
     reference_estimator,
     reference_extremal_pair,
     reference_geometry,
-    summarize,
-    symmetric_estimator,
-    to_distribution,
-    tv,
 )
-from censet.reference import (
-    CoverageError,
-    reference_diameter_oracle,
-    reference_risk_oracle,
+from censet.simulate import (
+    GaussianIID,
+    SyntheticTeacherConfig,
+    censor,
+    generate_teacher,
 )
 
 from conftest import make_geometry
