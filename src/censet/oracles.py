@@ -86,45 +86,31 @@ def _box_tail_samples(
 
 
 def box_diameter_oracle(
-    log_ZA: float,
-    log_bounds: np.ndarray,
-    grid_resolution: int,
-    max_points: int = 2048,
-    seed: int = 0,
-) -> float:
-    """Brute-force TV diameter over per-token weight ceilings.
-
-    ``log_bounds[u]`` is the log of the ceiling on censored token u's
-    unnormalized weight.  Weights are rescaled by exp(-log_ZA), making the
-    partition constant 1 regardless of score magnitudes.
-    """
-    scaled = np.exp(np.asarray(log_bounds, dtype=float) - log_ZA)
-    if len(scaled) == 0:
-        return 0.0
-    ys = _box_tail_samples(scaled, grid_resolution, max_points, seed)
-    denom = 1.0 + ys.sum(axis=1)
-    tails = ys / denom[:, None]
-    return _max_pairwise_tv(tails)
-
-
-def _small_box_oracle(
     geom: geo.SetGeometry,
     log_bounds: np.ndarray,
     grid_resolution: int,
     max_points: int,
     seed: int,
 ) -> float:
-    """:func:`box_diameter_oracle` for one geometry, within the vocab limit."""
+    """Brute-force TV diameter over per-token weight ceilings.
+
+    ``log_bounds[u]`` is the log of the ceiling on censored token u's
+    unnormalized weight.  Weights are rescaled by exp(-log_ZA), making the
+    partition constant 1 regardless of score magnitudes.  Refuses
+    vocabularies above the combinatorial limit.
+    """
     if geom.vocab_size > _MAX_ORACLE_VOCAB:
         raise ValueError(
             f"vocab_size {geom.vocab_size} too large for brute-force "
             f"enumeration (limit {_MAX_ORACLE_VOCAB})"
         )
-    if geom.M == 0:
+    scaled = np.exp(np.asarray(log_bounds, dtype=float) - geom.log_ZA)
+    if len(scaled) == 0:
         return 0.0
-    return box_diameter_oracle(
-        geom.log_ZA, log_bounds, grid_resolution, max_points=max_points, seed=seed
-    )
+    ys = _box_tail_samples(scaled, grid_resolution, max_points, seed)
+    denom = 1.0 + ys.sum(axis=1)
+    tails = ys / denom[:, None]
+    return _max_pairwise_tv(tails)
 
 
 def brute_diameter_oracle(
@@ -142,7 +128,7 @@ def brute_diameter_oracle(
     """
     if grid_resolution < 2:
         raise ValueError("grid_resolution must be at least 2")
-    return _small_box_oracle(
+    return box_diameter_oracle(
         geom, np.full(geom.M, geom.tau), grid_resolution, max_points, seed
     )
 
@@ -155,7 +141,9 @@ def reference_diameter_oracle(
     seed: int = 0,
 ) -> float:
     """Brute-force diameter under the reference ceilings (small V only)."""
-    return _small_box_oracle(geom, rb.log_ceilings, grid_resolution, max_points, seed)
+    return box_diameter_oracle(
+        geom, rb.log_ceilings, grid_resolution, max_points, seed
+    )
 
 
 def sample_feasible_points(

@@ -16,7 +16,7 @@ from censet.normalized import (
     normalized_geometry,
 )
 from censet.observation import AccessMode, ModeError, summarize
-from censet.oracles import allocation_diameter_oracle
+from censet.oracles import _extreme_allocations, allocation_diameter_oracle
 from censet.simulate import (
     GaussianIID,
     SyntheticTeacherConfig,
@@ -149,8 +149,9 @@ class TestAllocationOracle:
         assert allocation_diameter_oracle(0.15, 0.2, 1) == 0.0
 
     def test_interior_samples_never_beat_vertices(self):
-        # TV is convex in the pair, so no pair of interior allocations (here
-        # random ones, clipped to the cap and rescaled) beats the vertices
+        # TV is convex in the pair, so joining interior allocations (here
+        # random ones, clipped to the cap and rescaled) to the vertices adds
+        # no pair, interior-interior or vertex-interior, that beats them
         t_star, cap, m = 0.3, 0.11, 6
         base = allocation_diameter_oracle(t_star, cap, m)
         raw = np.random.default_rng(1).uniform(0.1, 1.0, size=(500, m))
@@ -161,8 +162,9 @@ class TestAllocationOracle:
             x = x + room * ((t_star - x.sum(axis=1)) / room.sum(axis=1))[:, None]
         assert np.all(x <= cap + 1e-15)
         assert np.allclose(x.sum(axis=1), t_star, rtol=0.0, atol=1e-15)
-        pairwise = 0.5 * np.abs(x[:, None, :] - x[None, :, :]).sum(axis=2)
-        assert pairwise.max() <= base + 1e-12
+        pts = np.concatenate([_extreme_allocations(t_star, cap, m), x])
+        pairwise = 0.5 * np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+        assert pairwise.max() == pytest.approx(base, abs=1e-12)
 
     def test_infeasible(self):
         with pytest.raises(ValueError, match="infeasible"):
