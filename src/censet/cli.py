@@ -100,9 +100,10 @@ NAT_FIELDS = frozenset(
 _LN2 = math.log(2.0)
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+def _parse_file(parser, path: str):
+    """Run a JSONL parser over the file at ``path``, one line at a time."""
+    with open(path, "r", encoding="utf-8", newline="\n") as handle:
+        return parser(handle)
 
 
 def _fmt_cell(value) -> str:
@@ -232,27 +233,28 @@ def _analyze_row(obs) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    observations = parse_observations(_read_text(args.input))
+    observations = _parse_file(parse_observations, args.input)
     rows = [_analyze_row(obs) for obs in observations]
     _emit({"command": "analyze", "footnote": R_BIN_FOOTNOTE}, rows, args)
     return 0
 
 
 def _full_dump_matrix(observations) -> np.ndarray:
-    rows = []
     for obs in observations:
         if obs.k != obs.vocab_size:
             raise ValidationError(
                 f"position {obs.position_id}: sweep input must be a full dump "
                 f"(K = V), got K={obs.k} < V={obs.vocab_size}"
             )
-        pairs = np.array(obs.revealed)
-        logits = np.empty(obs.vocab_size)
-        logits[pairs[:, 0].astype(np.intp)] = pairs[:, 1]
-        rows.append(logits)
-    if len({len(r) for r in rows}) > 1:
+    vocab_sizes = {obs.vocab_size for obs in observations}
+    if len(vocab_sizes) > 1:
         raise ValidationError("all positions must share one vocab_size")
-    return np.stack(rows)
+    if not vocab_sizes:
+        raise ValidationError("sweep input holds no positions")
+    matrix = np.empty((len(observations), vocab_sizes.pop()))
+    for row, obs in zip(matrix, observations):
+        row[obs.token_ids] = obs.scores
+    return matrix
 
 
 def _sweep_row_dict(row: sim.SweepRow) -> dict:
@@ -261,7 +263,7 @@ def _sweep_row_dict(row: sim.SweepRow) -> dict:
 
 
 def cmd_ksweep(args) -> int:
-    observations = parse_observations(_read_text(args.input))
+    observations = _parse_file(parse_observations, args.input)
     matrix = _full_dump_matrix(observations)
     rows = [_sweep_row_dict(r) for r in sim.ksweep(matrix, args.k)]
     _emit({"command": "ksweep", "n_positions": len(matrix)}, rows, args)
@@ -269,7 +271,7 @@ def cmd_ksweep(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    observations = parse_observations(_read_text(args.input))
+    observations = _parse_file(parse_observations, args.input)
     geoms = [geo.geometry(summarize(obs)) for obs in observations]
     verdicts = mm.critical_k(geoms, args.delta)
     rows = []
@@ -291,8 +293,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_reference(args) -> int:
-    observations = parse_observations(_read_text(args.input))
-    refs = ref.parse_reference_dump(_read_text(args.reference))
+    observations = _parse_file(parse_observations, args.input)
+    refs = _parse_file(ref.parse_reference_dump, args.reference)
     rows = []
     max_perturbations = []
     for obs in observations:
@@ -316,9 +318,7 @@ def cmd_reference(args) -> int:
             "frac_exceeding_rho": None,
         }
         try:
-            revealed_ref = rlogits.gather(
-                np.asarray(obs.token_ids), obs.vocab_size
-            )
+            revealed_ref = rlogits.gather(obs.token_ids, obs.vocab_size)
         except ref.CoverageError:
             revealed_ref = None
         if revealed_ref is not None and obs.k >= 2:
@@ -383,7 +383,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    observations = parse_observations(_read_text(args.input))
+    observations = _parse_file(parse_observations, args.input)
     geoms = [geo.geometry(summarize(obs)) for obs in observations]
     result = sim.compose_nonadaptive(geoms)
     rows = []

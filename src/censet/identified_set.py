@@ -65,14 +65,14 @@ class SetGeometry:
         return self.summary.vocab_size
 
     @property
-    def token_ids(self) -> tuple[int, ...]:
+    def token_ids(self) -> np.ndarray:
         return self.summary.token_ids
 
     @cached_property
     def censored_ids(self) -> np.ndarray:
         """Sorted ids of the censored tokens."""
         hidden = np.ones(self.vocab_size, dtype=bool)
-        hidden[list(self.token_ids)] = False
+        hidden[self.token_ids] = False
         return np.flatnonzero(hidden)
 
 
@@ -145,7 +145,7 @@ def tail_map(geom: SetGeometry, point: FeasiblePoint) -> dict[int, float]:
 def to_distribution(geom: SetGeometry, point: FeasiblePoint) -> np.ndarray:
     """Dense length-V distribution for a feasible point (small-V use)."""
     p = np.zeros(geom.vocab_size)
-    p[list(geom.token_ids)] = (1.0 - point.t) * geom.alpha
+    p[geom.token_ids] = (1.0 - point.t) * geom.alpha
     for u, w in tail_map(geom, point).items():
         p[u] = w
     return p
@@ -167,7 +167,7 @@ def membership(geom: SetGeometry, point: FeasiblePoint) -> MembershipReport:
     Tail entries on revealed token ids are a structural error (raised), not
     a membership failure.  The report lists every violated constraint.
     """
-    revealed = set(geom.token_ids)
+    revealed = set(geom.token_ids.tolist())
     if not point.uniform:
         for u in point.tail:
             if u in revealed:

@@ -188,7 +188,7 @@ def symmetric_estimator(geom: SetGeometry, s: float | None = None) -> EstimatorS
 def estimator_distribution(geom: SetGeometry, est: EstimatorSpec) -> np.ndarray:
     """Dense length-V distribution induced by an estimator (small-V use)."""
     q = np.zeros(geom.vocab_size)
-    q[list(geom.token_ids)] = (1.0 - est.s) * geom.alpha
+    q[geom.token_ids] = (1.0 - est.s) * geom.alpha
     if geom.M > 0 and est.s > 0.0:
         weights = (
             np.full(geom.M, 1.0 / geom.M) if est.is_uniform else est.tail_weights

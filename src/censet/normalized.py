@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .identified_set import MembershipReport
 from .numerics import POLICY
 from .observation import AccessMode, ModeError, TopKObservation, hidden_tail_mass
@@ -112,7 +114,9 @@ def disjoint_witness_pair(
     """
     if ng.condition is not TailCondition.DISJOINT_SUPPORTS:
         raise ValueError(f"no disjoint witnesses in condition {ng.condition.value}")
-    censored = sorted(set(range(obs.vocab_size)) - set(obs.token_ids))
+    hidden = np.ones(obs.vocab_size, dtype=bool)
+    hidden[obs.token_ids] = False
+    censored = np.flatnonzero(hidden).tolist()
     n = _tokens_needed(ng.t_star, ng.cap)
 
     def fill(ids: list[int]) -> dict[int, float]:
@@ -131,7 +135,7 @@ def allocation_membership(
     obs: TopKObservation, ng: NormalizedGeometry, alloc: dict[int, float]
 ) -> MembershipReport:
     """Check an allocation: censored ids only, entries <= cap, sum = t*."""
-    revealed = set(obs.token_ids)
+    revealed = set(obs.token_ids.tolist())
     for u in alloc:
         if u in revealed:
             raise ValueError(f"allocation entry on revealed token id {u}")

@@ -40,8 +40,9 @@ def _assign(source: NumericPolicy) -> None:
 def apply_policy_overrides(overrides) -> None:
     """Update the global policy in place, all fields or none.
 
-    ``overrides`` must map known field names to finite numbers; it is
-    checked in full before any field changes.
+    ``overrides`` must map known field names to finite non-negative
+    numbers (a negative tolerance would switch its check off); it is checked
+    in full before any field changes.
     """
     if not isinstance(overrides, dict):
         raise ValueError("numeric policy overrides must be a JSON object")
@@ -50,15 +51,15 @@ def apply_policy_overrides(overrides) -> None:
     for key, value in overrides.items():
         if key not in valid:
             raise ValueError(f"unknown numeric policy field: {key!r}")
-        # a JSON number: not a bool or string, and finite (NaN fails <=)
+        # a JSON number: not a bool or string, finite and >= 0 (NaN fails <=)
         if (
             isinstance(value, bool)
             or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max
+            or not 0 <= value <= sys.float_info.max
         ):
             raise ValueError(
-                f"numeric policy field {key!r} must be a finite JSON number, "
-                f"got {value!r}"
+                f"numeric policy field {key!r} must be a finite non-negative "
+                f"JSON number, got {value!r}"
             )
         setattr(updated, key, float(value))
     _assign(updated)

@@ -11,10 +11,12 @@ censored-token count ``M = V - K`` and the head conditional ``alpha``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Container, Iterable, Iterator
 
@@ -47,72 +49,136 @@ class AccessMode(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class TopKObservation:
-    """One censored observation.
+    """One censored observation, held as arrays.
 
-    ``revealed`` is stored sorted by score, non-increasing; ``input_order``
-    keeps the token ids in the order the source supplied them so that
-    serialization round-trips byte-identically.
+    Construct it from the K revealed pairs in source order: ``token_ids``
+    (integers) and ``scores`` (finite numbers) of equal length.  Once built,
+    ``token_ids`` (int64) and ``scores`` (float64) are sorted by score,
+    non-increasing, with ties in source order (a stable argsort of
+    ``-scores``); ``input_order`` keeps the token ids in source order so
+    that serialization round-trips byte-identically.  All three arrays are
+    read-only.
+
+    The checks run in a fixed order and the first failure decides the
+    message: ``vocab_size``, K, duplicate ids, then the pairs in source
+    order (within a pair, the token's type, the token's range, the score's
+    finiteness), then for normalized access the sign and the head mass.
     """
 
     vocab_size: int
-    revealed: tuple[tuple[int, float], ...]
+    token_ids: np.ndarray
+    scores: np.ndarray
     mode: AccessMode
     position_id: str = ""
-    input_order: tuple[int, ...] = ()
+    input_order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.vocab_size < 1:
             raise ValidationError(f"vocab_size must be >= 1, got {self.vocab_size}")
-        k = len(self.revealed)
+        k = len(self.token_ids)
         if k < 1:
             raise ValidationError("at least one revealed token is required")
         if k > self.vocab_size:
             raise ValidationError(
                 f"K={k} exceeds vocab_size={self.vocab_size}"
             )
-        ids = [t for t, _ in self.revealed]
-        if len(set(ids)) != k:
-            raise ValidationError(f"duplicate token ids in revealed list: {ids}")
-        for t, s in self.revealed:
-            if not isinstance(t, (int, np.integer)) or isinstance(t, bool):
-                raise ValidationError(f"token id must be an integer, got {t!r}")
-            if t < 0 or t >= self.vocab_size:
-                raise ValidationError(
-                    f"token id {t} outside [0, {self.vocab_size})"
-                )
-            if not math.isfinite(s):
-                raise ValidationError(f"non-finite score {s!r} for token {t}")
-        if not self.input_order:
-            object.__setattr__(self, "input_order", tuple(int(t) for t in ids))
-        # sort non-increasing by score; stable, so ties keep source order
-        ordered = sorted(self.revealed, key=lambda p: -p[1])
-        object.__setattr__(
-            self, "revealed", tuple((int(t), float(s)) for t, s in ordered)
-        )
+        if len(self.scores) != k:
+            raise ValidationError(
+                f"{k} token ids but {len(self.scores)} scores"
+            )
+        ids, values = _checked_pairs(self.token_ids, self.scores, self.vocab_size)
+        order = np.argsort(-values, kind="stable")
+        for name, array in (
+            ("input_order", ids),
+            ("token_ids", ids[order]),
+            ("scores", values[order]),
+        ):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         if self.mode is AccessMode.LOGPROBS:
-            scores = np.array([s for _, s in self.revealed])
-            if np.any(scores > 0.0):
+            if np.any(self.scores > 0.0):
                 raise ValidationError(
                     "normalized log-probabilities must be <= 0"
                 )
-            _check_head_mass(float(logsumexp(scores)))
+            _check_head_mass(float(logsumexp(self.scores)))
 
     @property
     def k(self) -> int:
-        return len(self.revealed)
-
-    @property
-    def token_ids(self) -> tuple[int, ...]:
-        return tuple(t for t, _ in self.revealed)
-
-    @property
-    def scores(self) -> np.ndarray:
-        return np.array([s for _, s in self.revealed], dtype=float)
+        return len(self.token_ids)
 
     @property
     def tau(self) -> float:
         """Censoring threshold: the smallest revealed score."""
-        return self.revealed[-1][1]
+        return float(self.scores[-1])
+
+
+def _int64_array(values) -> np.ndarray | None:
+    """A new int64 array of ``values``, or None unless each is an integer
+    (bools are not) that fits in 64 bits."""
+    if isinstance(values, np.ndarray):
+        integral = values.dtype.kind in "iu"
+    else:
+        integral = all(
+            issubclass(t, (int, np.integer)) and t is not bool
+            for t in set(map(type, values))
+        )
+    if not integral:
+        return None
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return None
+
+
+def _check_pair(token, score, vocab_size: int) -> None:
+    """The checks on one (token, score) pair, in the order they apply."""
+    if not isinstance(token, (int, np.integer)) or isinstance(token, bool):
+        raise ValidationError(f"token id must be an integer, got {token!r}")
+    if token < 0 or token >= vocab_size:
+        raise ValidationError(f"token id {token} outside [0, {vocab_size})")
+    if not math.isfinite(score):
+        raise ValidationError(f"non-finite score {float(score)!r} for token {token}")
+
+
+def _checked_pairs(tokens, scores, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Source-order int64 ids and float64 scores of pairs that pass the checks.
+
+    Duplicates and the per-pair checks are found with array masks; only a
+    record already known to be bad is walked pair by pair, from its first
+    flagged pair, so the error names the first offending pair in source
+    order.  A walk from pair 0 also covers values no array could hold:
+    non-integer tokens, ids beyond 64 bits and integer scores beyond the
+    float range (whose ``math.isfinite`` raises ``OverflowError``).
+    """
+    ids = _int64_array(tokens)
+    try:
+        values = np.array(scores, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        values = None
+    if ids is not None:
+        ordered = np.sort(ids)
+        duplicated = bool((ordered[1:] == ordered[:-1]).any())
+    else:
+        duplicated = len(set(_as_list(tokens))) != len(tokens)
+    if duplicated:
+        raise ValidationError(
+            f"duplicate token ids in revealed list: {_as_list(tokens)}"
+        )
+    first_bad = 0
+    if ids is not None and values is not None:
+        finite = np.isfinite(values)
+        if 0 <= ordered[0] and ordered[-1] < vocab_size and finite.all():
+            return ids, values
+        first_bad = int(((ids < 0) | (ids >= vocab_size) | ~finite).argmax())
+    for token, score in itertools.islice(zip(tokens, scores), first_bad, None):
+        _check_pair(token, score, vocab_size)
+    raise ValidationError(
+        f"token ids beyond 64 bits are not supported (vocab_size={vocab_size})"
+    )
+
+
+def _as_list(values) -> list:
+    return values.tolist() if isinstance(values, np.ndarray) else list(values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +189,7 @@ class LogSummary:
     tau: float
     M: int
     alpha: np.ndarray
-    token_ids: tuple[int, ...]
+    token_ids: np.ndarray
     vocab_size: int
 
     @property
@@ -137,12 +203,20 @@ _JSON_KINDS = {"integer": frozenset({int}), "number": frozenset({int, float})}
 
 
 def _read_jsonl(source: str | bytes | IO) -> Iterator[tuple[int, dict]]:
-    """``(line number, JSON object)`` per non-blank line of text, bytes or a stream."""
-    if not isinstance(source, (str, bytes)):
-        source = source.read()
-    text = source.decode("utf-8") if isinstance(source, bytes) else source
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+    """``(line number, JSON object)`` per non-blank line of text, bytes or a stream.
+
+    Lines end at ``\\n`` only, less one trailing ``\\r``; line numbers count
+    them.  A stream is read one line at a time, never whole; open a text
+    file with ``newline="\\n"`` so that no other character ends a line.
+    """
+    if isinstance(source, bytes):
+        source = source.decode("utf-8")
+    lines = source.split("\n") if isinstance(source, str) else source
+    for lineno, line in enumerate(lines, start=1):
+        if isinstance(line, bytes):
+            line = line.decode("utf-8")
+        line = line.removesuffix("\n").removesuffix("\r")
+        if not line or line.isspace():
             continue
         try:
             record = json.loads(line)
@@ -176,6 +250,10 @@ def _json_floats(values: list, what: str, lineno: int) -> np.ndarray:
         raise ParseError(lineno, f"{what} outside the float range") from exc
 
 
+_TOKEN = operator.itemgetter("token")
+_SCORE = operator.itemgetter("score")
+
+
 def _parse_record(record: dict, lineno: int, position_id: str) -> TopKObservation:
     try:
         vocab_size = record["vocab_size"]
@@ -191,8 +269,8 @@ def _parse_record(record: dict, lineno: int, position_id: str) -> TopKObservatio
     if not isinstance(topk, list) or not topk:
         raise ParseError(lineno, "topk must be a non-empty list")
     try:
-        tokens = [entry["token"] for entry in topk]
-        scores = [entry["score"] for entry in topk]
+        tokens = list(map(_TOKEN, topk))
+        scores = list(map(_SCORE, topk))
     except (KeyError, TypeError) as exc:
         raise ParseError(lineno, f"malformed topk entry ({exc!r})") from exc
     _check_json_kind(tokens, "integer", "token", lineno)
@@ -200,7 +278,8 @@ def _parse_record(record: dict, lineno: int, position_id: str) -> TopKObservatio
     try:
         return TopKObservation(
             vocab_size=vocab_size,
-            revealed=tuple(zip(tokens, scores)),
+            token_ids=tokens,
+            scores=scores,
             mode=_MODE_NAMES[mode_name],
             position_id=position_id,
         )
@@ -220,6 +299,11 @@ def parse_observations(source: str | bytes | IO) -> list[TopKObservation]:
     that no other record uses; nothing is coerced.  Input order is
     preserved; K is the length of the topk list.  Errors name the offending
     line.
+
+    ``source`` is text, bytes or a stream of lines (see :func:`_read_jsonl`
+    for the line rules); a stream is consumed one record at a time, and
+    each record becomes arrays (see :class:`TopKObservation`), so no
+    per-pair Python objects outlive the line they were decoded from.
     """
     out: dict[str, TopKObservation] = {}
     for lineno, record in _read_jsonl(source):
@@ -236,13 +320,16 @@ def serialize_observations(observations: Iterable[TopKObservation]) -> str:
     """
     lines = []
     for obs in observations:
-        by_token = dict(obs.revealed)
+        # the score of each source-order token, found in the score order
+        by_id = np.argsort(obs.token_ids)
+        at = by_id[np.searchsorted(obs.token_ids, obs.input_order, sorter=by_id)]
         record = {
             "vocab_size": obs.vocab_size,
             "mode": obs.mode.value,
             "position_id": obs.position_id,
             "topk": [
-                {"token": t, "score": by_token[t]} for t in obs.input_order
+                {"token": t, "score": s}
+                for t, s in zip(obs.input_order.tolist(), obs.scores[at].tolist())
             ],
         }
         if not obs.position_id:

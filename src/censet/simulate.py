@@ -138,7 +138,8 @@ def censor(
         scores = logits[top]
     return TopKObservation(
         vocab_size=v,
-        revealed=tuple((int(t), float(s)) for t, s in zip(top, scores)),
+        token_ids=top,
+        scores=scores,
         mode=mode,
         position_id=position_id,
     )
@@ -161,7 +162,8 @@ def geometry_with_diameter(u: float, m: int) -> SetGeometry:
     a = g - math.log1p(-math.exp(g))
     obs = TopKObservation(
         vocab_size=m + 2,
-        revealed=((0, 0.0), (1, a)),
+        token_ids=(0, 1),
+        scores=(0.0, a),
         mode=AccessMode.LOGITS,
         position_id=f"synthetic-u{u}",
     )
@@ -200,7 +202,6 @@ def _sweep_position(
         return []
     v = len(z)
     order = np.argsort(-z, kind="stable")[: ks[-1]]
-    ids = order.tolist()
     head = z[order]
     logprobs = np.minimum(head - float(logsumexp(z)), 0.0)
     bad_logit = _first_nonfinite(head)
@@ -210,7 +211,7 @@ def _sweep_position(
         for scores, bad in ((head, bad_logit), (logprobs, bad_logprob)):
             if bad < k:
                 raise ValidationError(
-                    f"non-finite score {float(scores[bad])!r} for token {ids[bad]}"
+                    f"non-finite score {float(scores[bad])!r} for token {order[bad]}"
                 )
         scores = head[:k]
         log_za = float(logsumexp(scores))
@@ -219,7 +220,7 @@ def _sweep_position(
             tau=float(scores[-1]),
             M=v - k,
             alpha=np.exp(scores - log_za),
-            token_ids=tuple(ids[:k]),
+            token_ids=order[:k],
             vocab_size=v,
         )
         log_head = float(logsumexp(logprobs[:k]))

@@ -19,7 +19,8 @@ def make_observation(vocab_size, scores, mode=AccessMode.LOGITS, tokens=None,
         tokens = range(len(scores))
     return TopKObservation(
         vocab_size=vocab_size,
-        revealed=tuple((int(t), float(s)) for t, s in zip(tokens, scores)),
+        token_ids=tokens,
+        scores=scores,
         mode=mode,
         position_id=position_id,
     )

@@ -9,7 +9,11 @@ import pytest
 
 from censet.cli import ANALYZE_FIELDS, CERTIFY_FIELDS, main
 from censet.numerics import POLICY, NumericPolicy, apply_policy_overrides
-from censet.observation import AccessMode, serialize_observations
+from censet.observation import (
+    AccessMode,
+    parse_observations,
+    serialize_observations,
+)
 from censet.simulate import censor
 
 
@@ -35,6 +39,79 @@ def dump_file(tmp_path):
     path = tmp_path / "dump.jsonl"
     path.write_text(serialize_observations(observations))
     return path
+
+
+# canonical records (serialize_observations output): source token order
+# differs from score order, scores tie (-0.0 against 0.0 included)
+MIXED_ORDER_CANONICAL = (
+    '{"vocab_size": 12, "mode": "logprobs", "position_id": "tie", "topk": '
+    '[{"token": 7, "score": -2.5}, {"token": 3, "score": -1.0}, '
+    '{"token": 9, "score": -2.5}, {"token": 0, "score": -1.0}]}\n'
+    '{"vocab_size": 6, "mode": "logprobs", "position_id": "near", "topk": '
+    '[{"token": 5, "score": -0.3}, {"token": 1, "score": -1.75}, '
+    '{"token": 2, "score": -3.0}]}\n'
+    '{"vocab_size": 40, "mode": "logprobs", "position_id": "wide", "topk": '
+    '[{"token": 39, "score": -3.0}, {"token": 2, "score": -0.9}, '
+    '{"token": 17, "score": -3.0}, {"token": 4, "score": -2.2}, '
+    '{"token": 21, "score": -3.0}]}\n'
+    '{"vocab_size": 9, "mode": "logits", "position_id": "signed-zero", "topk": '
+    '[{"token": 8, "score": 0.0}, {"token": 1, "score": 1.5}, '
+    '{"token": 4, "score": -0.0}, {"token": 6, "score": 1.5}]}\n'
+    '{"vocab_size": 30, "mode": "logprobs", "position_id": "single", "topk": '
+    '[{"token": 11, "score": -0.0}]}\n'
+)
+# plus an unnamed record with tied JSON integer scores
+MIXED_ORDER_JSONL = MIXED_ORDER_CANONICAL + (
+    '{"vocab_size":7,"mode":"logits","topk":[{"token":3,"score":2},'
+    '{"token":0,"score":-1},{"token":5,"score":2}]}\n'
+)
+
+
+class TestParsePathGolden:
+    """Report bytes of the JSONL read path, recorded before the observation
+    arrays replaced per-pair tuples."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("golden")
+        (root / "mixed.jsonl").write_text(MIXED_ORDER_JSONL)
+        for name, law in (("gauss", ["--law", "gaussian", "--sd", "2"]),
+                          ("peaked", ["--law", "peaked", "--head-size", "3",
+                                      "--gap", "2"])):
+            assert main(
+                ["simulate", "--vocab", "24", "--positions", "5", "--seed", "5",
+                 "--k", "1", *law, "--dump", str(root / f"{name}.jsonl"),
+                 "--format", "json", "--output", str(root / f"{name}.json")]
+            ) == 0
+        return root
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["analyze", "--input", "mixed.jsonl", "--format", "json"],
+             "59e86bea1891ce0fc33b931c4488187989e3f64cf2120515917be3c7c7012d7d"),
+            (["certify", "--input", "mixed.jsonl", "--delta", "0.1",
+              "--format", "json"],
+             "78859827fb50f89786fee34ed379a0db16c1cf9e639d301d7241ebd7b83d4847"),
+            (["compose", "--input", "mixed.jsonl", "--format", "json"],
+             "0fd1ae383326b163d305fb51a73970d13e80b62e354d6340d462d57ea2c57d85"),
+            (["ksweep", "--input", "gauss.jsonl", "--k", "1,2,5,23,24"],
+             "0bdb39c2879d6e982d9b781338490b0d031820d4e30c250578be3afb72aee566"),
+            (["ksweep", "--input", "peaked.jsonl", "--k", "1,3,4,10"],
+             "974db8a3c6a10a7737d95341f0e8685a5287e7cd60b2b7edab3e5aa77fdd0570"),
+        ],
+        ids=["analyze", "certify", "compose", "ksweep-gauss", "ksweep-peaked"],
+    )
+    def test_report_bytes(self, argv, digest, inputs, tmp_path):
+        out = tmp_path / "report"
+        argv = [str(inputs / a) if a.endswith(".jsonl") else a for a in argv]
+        assert main([*argv, "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_serialize_round_trips_bytes(self, inputs):
+        dump = (inputs / "peaked.jsonl").read_text()
+        for text in (MIXED_ORDER_CANONICAL, dump):
+            assert serialize_observations(parse_observations(text)) == text
 
 
 class TestAnalyze:
@@ -128,6 +205,30 @@ class TestAnalyze:
         err = capsys.readouterr().err
         payload = json.loads(err)
         assert payload["errors"][0]["line"] == 1
+
+    def test_lines_end_at_newline_only(self, tmp_path, capsys):
+        # U+2028, U+0085 and \x0c end a line for str.splitlines but not here;
+        # CRLF endings lose their \r and line numbers count \n
+        record = ('{"vocab_size":3,"mode":"logits","position_id":"%s",'
+                  '"topk":[{"token":0,"score":0.0}]}')
+        path = tmp_path / "seps.jsonl"
+        path.write_bytes(
+            (record % "a\u2028b" + "\r\n" + record % "c\x85d" + "\r\n").encode()
+        )
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--input", str(path), "--format", "json",
+                     "--output", str(out)]) == 0
+        rows = json.loads(out.read_text(encoding="utf-8"))["rows"]
+        assert [r["position_id"] for r in rows] == ["a\u2028b", "c\x85d"]
+        path.write_bytes(
+            (record % "e" + "\r\n\r\n" + record % "f\x0cg" + "\n").encode()
+        )
+        assert main(["analyze", "--input", str(path)]) == 1
+        (error,) = json.loads(capsys.readouterr().err)["errors"]
+        assert error["line"] == 3
+        assert error["message"] == (
+            "line 3: invalid JSON (Invalid control character at)"
+        )
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["analyze", "--input", str(tmp_path / "nope.jsonl")])
@@ -395,6 +496,10 @@ class TestNumericPolicyEnv:
             '{"verdict_margin": NaN}',
             '{"verdict_margin": 1e999}',
             "[1]",
+            '{"verdict_margin": -1}',
+            '{"head_mass_tol": -0.5}',
+            '{"membership_tol": -1e-12, "norm_tol": 1e-6}',
+            '{"tail_feasibility_tol": -1e999}',
         ],
     )
     def test_invalid_file_rejected_whole(self, text, obs_file, tmp_path,

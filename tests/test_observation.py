@@ -35,7 +35,7 @@ class TestParse:
         assert obs.k == 2
         assert obs.vocab_size == 4
         assert obs.tau == 0.0
-        assert obs.token_ids == (2, 0)
+        assert obs.token_ids.tolist() == [2, 0]
         assert obs.mode is AccessMode.LOGITS
 
     def test_k_exceeds_vocab_and_duplicate(self):
@@ -144,8 +144,8 @@ class TestParse:
         (obs,) = parse_observations(
             '{"vocab_size":3,"mode":"logits","topk":[{"token":1,"score":2}]}'
         )
-        assert obs.revealed == ((1, 2.0),)
-        assert isinstance(obs.revealed[0][1], float)
+        assert (obs.token_ids.tolist(), obs.scores.tolist()) == ([1], [2.0])
+        assert (obs.token_ids.dtype, obs.scores.dtype) == (np.int64, np.float64)
 
     def test_malformed_entry_and_missing_field(self):
         with pytest.raises(ParseError, match="malformed topk entry"):
@@ -172,9 +172,9 @@ class TestParse:
             '"topk":[{"token":0,"score":0.0},{"token":2,"score":1.0}]}'
         )
         (obs,) = parse_observations(line)
-        assert obs.token_ids == (2, 0)
+        assert obs.token_ids.tolist() == [2, 0]
         assert obs.tau == 0.0
-        assert obs.input_order == (0, 2)
+        assert obs.input_order.tolist() == [0, 2]
 
 
 class TestRoundTrip:
@@ -193,8 +193,9 @@ class TestRoundTrip:
         first = parse_observations(line)
         second = parse_observations(serialize_observations(first))
         a, b = first[0], second[0]
-        assert a.revealed == b.revealed
-        assert a.input_order == b.input_order
+        assert np.array_equal(a.token_ids, b.token_ids)
+        assert np.array_equal(a.scores, b.scores)
+        assert np.array_equal(a.input_order, b.input_order)
         assert (a.vocab_size, a.mode, a.position_id) == (
             b.vocab_size,
             b.mode,
@@ -215,8 +216,9 @@ class TestRoundTrip:
         )
         obs = make_observation(v, scores, tokens=tokens)
         (back,) = parse_observations(serialize_observations([obs]))
-        assert back.revealed == obs.revealed
-        assert back.input_order == obs.input_order
+        assert np.array_equal(back.token_ids, obs.token_ids)
+        assert np.array_equal(back.scores, obs.scores)
+        assert np.array_equal(back.input_order, obs.input_order)
 
 
 class TestSummarize:
@@ -304,16 +306,90 @@ class TestHiddenTailMass:
 class TestValidationDirect:
     def test_duplicate_ids(self):
         with pytest.raises(ValidationError, match="duplicate"):
-            TopKObservation(3, ((0, 1.0), (0, 0.5)), AccessMode.LOGITS)
+            TopKObservation(3, [0, 0], [1.0, 0.5], AccessMode.LOGITS)
 
     def test_inf_score(self):
         with pytest.raises(ValidationError, match="non-finite"):
-            TopKObservation(3, ((0, math.inf),), AccessMode.LOGITS)
+            TopKObservation(3, [0], [math.inf], AccessMode.LOGITS)
 
     def test_empty_revealed(self):
         with pytest.raises(ValidationError):
-            TopKObservation(3, (), AccessMode.LOGITS)
+            TopKObservation(3, [], [], AccessMode.LOGITS)
 
     def test_vocab_too_small(self):
         with pytest.raises(ValidationError, match="exceeds"):
-            TopKObservation(1, ((0, 0.0), (1, -1.0)), AccessMode.LOGITS)
+            TopKObservation(1, [0, 1], [0.0, -1.0], AccessMode.LOGITS)
+
+
+def _record(vocab_size, pairs, mode="logits"):
+    topk = ",".join('{"token":%s,"score":%s}' % pair for pair in pairs)
+    return '{"vocab_size":%d,"mode":"%s","topk":[%s]}' % (vocab_size, mode, topk)
+
+
+class TestValidationParity:
+    """Exact error texts of the pair checks; the first bad pair in source
+    order decides, and within a pair the token is checked before its score."""
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([(0, "NaN"), (1, "0.0"), (7, "1.0")], "non-finite score nan for token 0"),
+            ([(7, "1.0"), (1, "0.0"), (0, "NaN")], "token id 7 outside [0, 3)"),
+            ([(0, "-Infinity"), (1, "0.0"), (2**70, "1.0")],
+             "non-finite score -inf for token 0"),
+            ([(1, "0.0"), (2**70, "1.0")],
+             f"token id {2**70} outside [0, 3)"),
+            ([(1, "0.0"), (-(2**70), "1.0")],
+             f"token id {-(2**70)} outside [0, 3)"),
+            ([(2**64, "NaN")], f"token id {2**64} outside [0, 3)"),
+            ([(-1, "0.0"), (0, "Infinity")], "token id -1 outside [0, 3)"),
+            ([(0, "1" + "0" * 400), (9, "0.0")], "score outside the float range"),
+            ([(9, "0.0"), (0, "1" + "0" * 400)], "token id 9 outside [0, 3)"),
+            ([(1, "0.0"), (9, "NaN"), (1, "1.0")],
+             "duplicate token ids in revealed list: [1, 9, 1]"),
+            ([(0, "0.0"), (1, "0.0"), (2, "0.0"), (2**70, "0.0")],
+             "K=4 exceeds vocab_size=3"),
+            ([(True, "0.0")], "token must be a JSON integer, got True"),
+            ([(0, "0.0"), (1, "false")], "score must be a JSON number, got False"),
+        ],
+    )
+    def test_first_bad_pair_decides(self, pairs, message):
+        with pytest.raises(ParseError) as caught:
+            parse_observations(_record(3, [(json.dumps(t), s) for t, s in pairs]))
+        assert str(caught.value) == f"line 1: {message}"
+
+    def test_signed_zero_ties_keep_source_order(self):
+        (obs,) = parse_observations(
+            _record(5, [(3, "0.0"), (0, "-0.0"), (4, "1.5"), (1, "0.0")])
+        )
+        assert list(obs.token_ids) == [4, 3, 0, 1]
+        assert [math.copysign(1.0, s) for s in obs.scores] == [1.0, 1.0, -1.0, 1.0]
+        assert list(obs.input_order) == [3, 0, 4, 1]
+
+
+class TestArrays:
+    def test_arrays_are_read_only_copies(self):
+        ids, scores = np.array([2, 0, 1]), np.array([0.5, 1.0, 0.5])
+        obs = TopKObservation(4, ids, scores, AccessMode.LOGITS)
+        assert obs.token_ids.tolist() == [0, 2, 1]
+        assert obs.scores.tolist() == [1.0, 0.5, 0.5]
+        assert obs.input_order.tolist() == [2, 0, 1]
+        for array in (obs.token_ids, obs.scores, obs.input_order):
+            assert not array.flags.writeable
+        ids[0] = 3
+        assert ids.flags.writeable and obs.input_order[0] == 2
+
+    @pytest.mark.parametrize(
+        "tokens, scores, message",
+        [
+            ([0, 1.5], [0.0, 0.0], "token id must be an integer, got 1.5"),
+            (np.array([1.0]), [0.0], "token id must be an integer, got np.float64(1.0)"),
+            ([0, 1], [0.0], "2 token ids but 1 scores"),
+            (np.array([0, 1]), np.array([0.0, np.nan]),
+             "non-finite score nan for token 1"),
+        ],
+    )
+    def test_direct_construction_errors(self, tokens, scores, message):
+        with pytest.raises(ValidationError) as caught:
+            TopKObservation(3, tokens, scores, AccessMode.LOGITS)
+        assert str(caught.value) == message
