@@ -29,6 +29,7 @@ from .observation import (
     AccessMode,
     ParseError,
     ValidationError,
+    _iter_observations,
     parse_observations,
     serialize_observations,
     summarize,
@@ -239,22 +240,27 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _full_dump_matrix(observations) -> np.ndarray:
-    for obs in observations:
+def _full_dump_matrix(source) -> np.ndarray:
+    """The n x V logit matrix of a full-dump JSONL stream.
+
+    Each record is scattered into its row as it is parsed and then dropped,
+    so no observation outlives its line.
+    """
+    rows = []
+    for obs in _iter_observations(source):
         if obs.k != obs.vocab_size:
             raise ValidationError(
                 f"position {obs.position_id}: sweep input must be a full dump "
                 f"(K = V), got K={obs.k} < V={obs.vocab_size}"
             )
-    vocab_sizes = {obs.vocab_size for obs in observations}
-    if len(vocab_sizes) > 1:
-        raise ValidationError("all positions must share one vocab_size")
-    if not vocab_sizes:
-        raise ValidationError("sweep input holds no positions")
-    matrix = np.empty((len(observations), vocab_sizes.pop()))
-    for row, obs in zip(matrix, observations):
+        if rows and obs.vocab_size != len(rows[0]):
+            raise ValidationError("all positions must share one vocab_size")
+        row = np.empty(obs.vocab_size)
         row[obs.token_ids] = obs.scores
-    return matrix
+        rows.append(row)
+    if not rows:
+        raise ValidationError("sweep input holds no positions")
+    return np.stack(rows)
 
 
 def _sweep_row_dict(row: sim.SweepRow) -> dict:
@@ -263,8 +269,7 @@ def _sweep_row_dict(row: sim.SweepRow) -> dict:
 
 
 def cmd_ksweep(args) -> int:
-    observations = _parse_file(parse_observations, args.input)
-    matrix = _full_dump_matrix(observations)
+    matrix = _parse_file(_full_dump_matrix, args.input)
     rows = [_sweep_row_dict(r) for r in sim.ksweep(matrix, args.k)]
     _emit({"command": "ksweep", "n_positions": len(matrix)}, rows, args)
     return 0

@@ -21,9 +21,8 @@ from functools import cached_property
 from typing import Mapping
 
 import numpy as np
-from scipy.special import expit
 
-from .numerics import POLICY
+from .numerics import POLICY, expit
 from .observation import LogSummary
 
 
@@ -42,7 +41,7 @@ class SetGeometry:
 
     @property
     def one_minus_UK(self) -> float:
-        return float(expit(-self.log_odds))
+        return expit(-self.log_odds)
 
     @property
     def M(self) -> int:
@@ -81,7 +80,7 @@ def geometry(summary: LogSummary) -> SetGeometry:
     if summary.M == 0:
         return SetGeometry(summary=summary, U_K=0.0, log_odds=-math.inf)
     log_odds = math.log(summary.M) + summary.tau - summary.log_ZA
-    return SetGeometry(summary=summary, U_K=float(expit(log_odds)), log_odds=log_odds)
+    return SetGeometry(summary=summary, U_K=expit(log_odds), log_odds=log_odds)
 
 
 def per_token_cap(geom: SetGeometry, t: float) -> float:

@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .identified_set import FeasiblePoint, SetGeometry
-from .numerics import POLICY
+from .numerics import POLICY, expit
 
 _INV_E = 1.0 / math.e
 SECOND_ORDER_COEFF = 0.5 / math.e - 0.5 / math.e**2
@@ -86,7 +85,7 @@ def binary_reserve(u: float) -> BinaryReserve:
     if u == 1.0:
         return BinaryReserve(0.5, math.log(2.0), limit=True)
     log_a = math.log(u) + (1.0 - u) / u * math.log1p(-u)
-    s_star = float(expit(log_a))
+    s_star = expit(log_a)
     r_bin = float(np.logaddexp(0.0, log_a))
     return BinaryReserve(s_star, r_bin)
 
@@ -306,7 +305,7 @@ def _sup_candidates(geom: SetGeometry, est: EstimatorSpec) -> list[tuple[float, 
         if n == 0:
             out.append((-math.log1p(-s), 0.0))
             continue
-        t = min(float(expit(lo + math.log(n / m))), geom.U_K)
+        t = min(expit(lo + math.log(n / m)), geom.U_K)
         _, _, tail_kl = _concentrated_tail_kl(geom, t, n)
         out.append((_bernoulli_kl(t, s) + t * tail_kl, t))
     return out

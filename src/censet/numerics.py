@@ -1,18 +1,25 @@
-"""Global numeric policy: the tolerances every module shares.
+"""Global numeric policy and the two scalar kernels every module shares.
 
 All tolerance knobs live in one mutable record rather than per-call flags,
 so a batch run is governed by a single, reportable configuration.  The CLI
 may override fields from a JSON file (env var ``CENSET_NUMERIC_POLICY``) for
 the duration of one command; the previous values return when it ends.
+
+:func:`logsumexp` and :func:`expit` reproduce SciPy's ``special``
+functions of those names bit for bit at a fraction of the per-call cost,
+so the analysis commands need numpy alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass
@@ -83,3 +90,57 @@ def restored_policy():
 def reset_policy() -> None:
     """Restore all tolerances to their defaults (used by tests)."""
     _assign(NumericPolicy())
+
+
+def logsumexp(a) -> float:
+    """``log(sum(exp(a)))`` over a 1-D array, equal to SciPy's ``logsumexp``.
+
+    The real-input algorithm of SciPy 1.17, the max-separated form of
+    Blanchard, Higham & Higham, "Accurately computing the log-sum-exp and
+    softmax functions" (IMA J. Numer. Anal. 41(4), 2021): with ``m``
+    entries equal to the maximum ``a_max`` and ``s`` the sum of the other
+    entries' ``exp(a - a_max)``, divided by ``m`` when nonzero, the result
+    is ``log1p(s) + log(m) + a_max``.  Each step is the numpy ufunc SciPy
+    applies, to an array of the same length and order (the maxima stay in
+    the sum as zeros, so pairwise summation groups the terms alike), which
+    makes the two equal to the bit.  A result that is not finite is
+    ``log(sum(exp(a)))``, as in SciPy: nan if any entry is nan, else inf
+    if one is +inf, and -inf for an empty or all ``-inf`` array.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.size == 0:
+        return -math.inf
+    a_max = float(a[a.argmax()])
+    # only a nan, an infinity or a spread beyond the float range can warn
+    if math.isfinite(a_max - float(a[a.argmin()])):
+        return _shifted_logsumexp(a, a_max)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = _shifted_logsumexp(a, a_max)
+        if math.isfinite(out):
+            return out
+        return float(np.log(np.add.reduce(np.exp(a), keepdims=True))[0])
+
+
+def _shifted_logsumexp(a: np.ndarray, a_max: float) -> float:
+    top = a == a_max
+    m = np.count_nonzero(top)
+    terms = np.exp(a - a_max)
+    terms[top] = 0.0
+    s = np.add.reduce(terms, keepdims=True)
+    if m == 1:
+        # log(1) = 0 and s / 1 = s, exactly
+        return float((np.log1p(s) + a_max)[0])
+    if s[0] != 0.0:
+        s /= m
+    return float((np.log1p(s) + np.log(np.full(1, float(m))) + a_max)[0])
+
+
+def expit(x: float) -> float:
+    """The logistic sigmoid ``1 / (1 + exp(-x))``, equal to SciPy's ``expit``.
+
+    An ``exp(-x)`` beyond the float range gives 0.0, as SciPy's does.
+    """
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0

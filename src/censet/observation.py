@@ -18,12 +18,12 @@ import operator
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import IO, Container, Iterable, Iterator
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .numerics import POLICY
+from .numerics import POLICY, logsumexp
 
 
 class ValidationError(ValueError):
@@ -100,7 +100,7 @@ class TopKObservation:
                 raise ValidationError(
                     "normalized log-probabilities must be <= 0"
                 )
-            _check_head_mass(float(logsumexp(self.scores)))
+            _check_head_mass(self.log_ZA)
 
     @property
     def k(self) -> int:
@@ -110,6 +110,16 @@ class TopKObservation:
     def tau(self) -> float:
         """Censoring threshold: the smallest revealed score."""
         return float(self.scores[-1])
+
+    @cached_property
+    def log_ZA(self) -> float:
+        """Log-sum-exp of the scores, computed once per observation.
+
+        The log of the revealed head mass: exact under normalized access
+        (where construction checks it), up to the unknown shift under raw
+        logits.
+        """
+        return logsumexp(self.scores)
 
 
 def _int64_array(values) -> np.ndarray | None:
@@ -305,12 +315,21 @@ def parse_observations(source: str | bytes | IO) -> list[TopKObservation]:
     each record becomes arrays (see :class:`TopKObservation`), so no
     per-pair Python objects outlive the line they were decoded from.
     """
-    out: dict[str, TopKObservation] = {}
+    return list(_iter_observations(source))
+
+
+def _iter_observations(source: str | bytes | IO) -> Iterator[TopKObservation]:
+    """:func:`parse_observations`, one observation at a time.
+
+    Each record is checked and yielded before the next line is read, so an
+    error is raised only once the stream reaches its line.
+    """
+    seen: set[str] = set()
     for lineno, record in _read_jsonl(source):
         pid = record.get("position_id", f"line{lineno}")
-        _check_position_id(pid, lineno, out)
-        out[pid] = _parse_record(record, lineno, pid)
-    return list(out.values())
+        _check_position_id(pid, lineno, seen)
+        seen.add(pid)
+        yield _parse_record(record, lineno, pid)
 
 
 def serialize_observations(observations: Iterable[TopKObservation]) -> str:
@@ -341,16 +360,15 @@ def serialize_observations(observations: Iterable[TopKObservation]) -> str:
 def summarize(obs: TopKObservation) -> LogSummary:
     """Compute the log-domain summary of a valid observation.
 
-    ``log_ZA`` uses a shifted log-sum-exp (no overflow for scores of any
-    magnitude) and ``alpha`` is exponentiated out of the log domain, so the
-    head conditional sums to 1 to machine precision even under large score
-    spreads.
+    ``log_ZA`` is the observation's own, computed once at construction by
+    :func:`censet.numerics.logsumexp` (max-shifted, so no overflow for
+    scores of any magnitude), and ``alpha`` is exponentiated out of the log
+    domain, so the head conditional sums to 1 to machine precision even
+    under large score spreads.
     """
-    scores = obs.scores
-    log_za = float(logsumexp(scores))
-    alpha = np.exp(scores - log_za)
+    alpha = np.exp(obs.scores - obs.log_ZA)
     return LogSummary(
-        log_ZA=log_za,
+        log_ZA=obs.log_ZA,
         tau=obs.tau,
         M=obs.vocab_size - obs.k,
         alpha=alpha,
@@ -372,7 +390,7 @@ def hidden_tail_mass(obs: TopKObservation) -> float:
             "hidden tail mass is identified only under normalized access "
             f"(mode={obs.mode.value})"
         )
-    return _tail_mass(float(logsumexp(obs.scores)))
+    return _tail_mass(obs.log_ZA)
 
 
 def _check_head_mass(log_head: float) -> None:

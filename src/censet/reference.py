@@ -20,10 +20,10 @@ from functools import cached_property
 from typing import IO, Sequence
 
 import numpy as np
-from scipy.special import expit, logsumexp
 
 from .identified_set import FeasiblePoint, SetGeometry
 from .minimax import _INV_E, EstimatorSpec
+from .numerics import expit, logsumexp
 from .observation import (
     ParseError,
     _check_json_kind,
@@ -124,8 +124,8 @@ def reference_geometry(
     ceilings = np.where(
         np.isneginf(z_ref), -math.inf, np.minimum(geom.tau, z_ref + rho)
     )
-    log_cr = float(logsumexp(ceilings))
-    u_r = float(expit(log_cr - geom.log_ZA)) if math.isfinite(log_cr) else 0.0
+    log_cr = logsumexp(ceilings)
+    u_r = expit(log_cr - geom.log_ZA) if math.isfinite(log_cr) else 0.0
     return ReferenceBound(
         rho=rho,
         censored_ids=ids,

@@ -16,7 +16,6 @@ from functools import reduce
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .identified_set import SetGeometry, geometry
 from .minimax import (
@@ -24,6 +23,7 @@ from .minimax import (
     symmetric_estimator,
     worst_case_risk,
 )
+from .numerics import logsumexp
 from .observation import (
     AccessMode,
     LogSummary,
@@ -133,7 +133,7 @@ def censor(
     order = np.argsort(-logits, kind="stable")
     top = order[:k]
     if mode is AccessMode.LOGPROBS:
-        scores = np.minimum(logits[top] - float(logsumexp(logits)), 0.0)
+        scores = np.minimum(logits[top] - logsumexp(logits), 0.0)
     else:
         scores = logits[top]
     return TopKObservation(
@@ -203,7 +203,7 @@ def _sweep_position(
     v = len(z)
     order = np.argsort(-z, kind="stable")[: ks[-1]]
     head = z[order]
-    logprobs = np.minimum(head - float(logsumexp(z)), 0.0)
+    logprobs = np.minimum(head - logsumexp(z), 0.0)
     bad_logit = _first_nonfinite(head)
     bad_logprob = _first_nonfinite(logprobs)
     swept = []
@@ -214,7 +214,7 @@ def _sweep_position(
                     f"non-finite score {float(scores[bad])!r} for token {order[bad]}"
                 )
         scores = head[:k]
-        log_za = float(logsumexp(scores))
+        log_za = logsumexp(scores)
         summary = LogSummary(
             log_ZA=log_za,
             tau=float(scores[-1]),
@@ -223,7 +223,7 @@ def _sweep_position(
             token_ids=order[:k],
             vocab_size=v,
         )
-        log_head = float(logsumexp(logprobs[:k]))
+        log_head = logsumexp(logprobs[:k])
         _check_head_mass(log_head)
         swept.append((geometry(summary), _tail_mass(log_head)))
     return swept

@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,6 +260,30 @@ class TestKsweep:
         ))
         assert main(["ksweep", "--input", str(path), "--k", "1"]) == 1
         assert "one vocab_size" in capsys.readouterr().err
+
+    def test_errors_in_stream_order(self, dump_file, tmp_path, capsys):
+        # the matrix is built as the records stream in, so a bad record is
+        # reported before any later line is read
+        lines = dump_file.read_text().splitlines()
+        partial = json.loads(lines[1])
+        partial["topk"] = partial["topk"][:5]
+        cases = (
+            (json.dumps(partial), "full dump"),
+            (serialize_observations([censor(np.zeros(31), 31)]).strip(),
+             "one vocab_size"),
+        )
+        for bad, message in cases:
+            path = tmp_path / "bad.jsonl"
+            path.write_text("\n".join([lines[0], bad, "{not json"]) + "\n")
+            assert main(["ksweep", "--input", str(path), "--k", "1"]) == 1
+            (error,) = json.loads(capsys.readouterr().err)["errors"]
+            assert message in error["message"] and "line" not in error
+
+    def test_empty_dump(self, tmp_path, capsys):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("\n")
+        assert main(["ksweep", "--input", str(path), "--k", "1"]) == 1
+        assert "no positions" in capsys.readouterr().err
 
     def test_oversized_k_emits_skip_row(self, dump_file, capsys):
         with pytest.warns(UserWarning, match="skipping"):
@@ -513,3 +541,44 @@ class TestNumericPolicyEnv:
         with pytest.raises(ValueError):
             apply_policy_overrides(json.loads(text))
         assert POLICY == NumericPolicy()
+
+
+SCIPY_GUARD = """
+import sys
+from censet.cli import main
+
+obs, dump, refs, out = sys.argv[1:]
+for argv in (
+    ["analyze", "--input", obs],
+    ["certify", "--input", obs, "--delta", "0.1"],
+    ["compose", "--input", obs],
+    ["ksweep", "--input", dump, "--k", "1,5"],
+    ["reference", "--input", obs, "--reference", refs],
+    ["simulate", "--vocab", "16", "--positions", "2", "--k", "1,5"],
+):
+    assert main([*argv, "--output", out]) == 0, argv
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+assert main(["oracle", "--seed", "0", "--output", out]) == 0
+"""
+
+
+def test_only_oracle_loads_scipy(obs_file, dump_file, tmp_path):
+    """Every command but ``oracle`` runs on numpy alone; ``oracle`` still passes."""
+    refs = tmp_path / "refs.jsonl"
+    refs.write_text(
+        '{"position_id":"a","dense":[1.1,0.2,-1.0,-1.0]}\n'
+        '{"position_id":"b","dense":[0.0,-0.4,-2.0,-1.0,-3.0]}\n'
+    )
+    env = dict(os.environ)
+    env.pop("CENSET_NUMERIC_POLICY", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src"),
+         *filter(None, [env.get("PYTHONPATH")])]
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_GUARD, str(obs_file), str(dump_file),
+         str(refs), str(tmp_path / "report")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
