@@ -71,14 +71,34 @@ MIXED_ORDER_JSONL = MIXED_ORDER_CANONICAL + (
 )
 
 
+# two positions for `reference`: a dense and a sparse reference record
+REFERENCE_OBS_JSONL = (
+    '{"vocab_size":6,"mode":"logits","position_id":"dense",'
+    '"topk":[{"token":4,"score":1.25},{"token":0,"score":-0.5},'
+    '{"token":2,"score":0.75}]}\n'
+    '{"vocab_size":8,"mode":"logprobs","position_id":"sparse",'
+    '"topk":[{"token":1,"score":-0.4},{"token":6,"score":-2.0}]}\n'
+)
+REFERENCE_DUMP_JSONL = (
+    '{"position_id":"dense","dense":[-0.25,0.5,1.0,-2.0,1.5,-1.0]}\n'
+    '{"position_id":"sparse","default":-3.5,"entries":[{"token":1,"logit":-0.1},'
+    '{"token":6,"logit":-1.2},{"token":3,"logit":-2.4}]}\n'
+)
+
+
 class TestParsePathGolden:
-    """Report bytes of the JSONL read path, recorded before the observation
-    arrays replaced per-pair tuples."""
+    """Report bytes of the JSONL read path and of every row format.
+
+    The JSON and ksweep pins were recorded before the observation arrays
+    replaced per-pair tuples; the csv, table, ``--bits`` and ``reference``
+    pins before the batch path replaced the per-row analysis."""
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("golden")
         (root / "mixed.jsonl").write_text(MIXED_ORDER_JSONL)
+        (root / "refobs.jsonl").write_text(REFERENCE_OBS_JSONL)
+        (root / "refdump.jsonl").write_text(REFERENCE_DUMP_JSONL)
         for name, law in (("gauss", ["--law", "gaussian", "--sd", "2"]),
                           ("peaked", ["--law", "peaked", "--head-size", "3",
                                       "--gap", "2"])):
@@ -103,8 +123,29 @@ class TestParsePathGolden:
              "0bdb39c2879d6e982d9b781338490b0d031820d4e30c250578be3afb72aee566"),
             (["ksweep", "--input", "peaked.jsonl", "--k", "1,3,4,10"],
              "974db8a3c6a10a7737d95341f0e8685a5287e7cd60b2b7edab3e5aa77fdd0570"),
+            (["analyze", "--input", "mixed.jsonl", "--format", "csv"],
+             "2c70aa1e03a83a5cfa00aad70ace98b40d0a6c0cab867e01b1f930506c300605"),
+            (["analyze", "--input", "mixed.jsonl", "--format", "table"],
+             "9b411728ab158ced5fa2bc00d5843d3d46f43a92a42cceed5ceee96b295af4c9"),
+            (["certify", "--input", "mixed.jsonl", "--delta", "0.1",
+              "--format", "csv"],
+             "d3065a72e2d36db16a923390825466fc3113ea6c5434cf1dbbba6e08f1e5223c"),
+            (["certify", "--input", "mixed.jsonl", "--delta", "0.1",
+              "--format", "table"],
+             "e7a8a0df504436195c9e0cc0d31f66a8ba282b86b8d7af354a09ec38cae18971"),
+            (["compose", "--input", "mixed.jsonl", "--format", "csv"],
+             "8bcec13be61040941be09f0088eb43fe5e67f4b31206318fcc7695379614b9e5"),
+            (["compose", "--input", "mixed.jsonl", "--format", "table"],
+             "8c5b6bfcc7e35e2fb97dcdba272b1a6dc56ffdb2d1f68c745ad237156b809e06"),
+            (["analyze", "--input", "mixed.jsonl", "--bits", "--format", "json"],
+             "774cb5310828b2d6ac6a5607a7d38bd059145d66ef77c072156ae89ba94d0b94"),
+            (["reference", "--input", "refobs.jsonl", "--reference",
+              "refdump.jsonl", "--format", "json"],
+             "b70a2ed65d3cd205a073561e50bdcec2a9366d7fa7ba4eaa31d1183d8b8c1525"),
         ],
-        ids=["analyze", "certify", "compose", "ksweep-gauss", "ksweep-peaked"],
+        ids=["analyze", "certify", "compose", "ksweep-gauss", "ksweep-peaked",
+             "analyze-csv", "analyze-table", "certify-csv", "certify-table",
+             "compose-csv", "compose-table", "analyze-bits", "reference"],
     )
     def test_report_bytes(self, argv, digest, inputs, tmp_path):
         out = tmp_path / "report"
