@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from . import simulate as sim
 from .numerics import load_policy_file, restored_policy
 from .observation import (
     AccessMode,
+    ObservationBatch,
     ParseError,
     ValidationError,
     _iter_observations,
@@ -165,14 +167,36 @@ def _convert_bits(rows: list[dict]) -> list[dict]:
     return out
 
 
+# json.dumps(rows, indent=2) nests a row's fields six spaces deep
+_ROW_SEPARATORS = (",\n      ", ": ")
+_ROW_BREAK = "},\n      {"
+
+
+def _json_report(body: dict) -> str:
+    """``json.dumps(body, indent=2)`` for a body whose last value is a list
+    of flat, non-empty rows, with the rows through CPython's C encoder.
+
+    The C encoder runs only without ``indent``; with the separators above it
+    writes each row's fields as the indented encoder does, one per line.
+    An encoded string never holds a raw newline, so ``_ROW_BREAK`` occurs
+    only between two rows, where the indented form breaks the line before
+    ``}`` and after ``{``.
+    """
+    *_, (key, rows) = body.items()
+    text = json.dumps({**body, key: []}, indent=2)
+    if not rows:
+        return text
+    inner = json.dumps(rows, separators=_ROW_SEPARATORS)[2:-2]
+    inner = inner.replace(_ROW_BREAK, "\n    },\n    {\n      ")
+    # text ends with the empty list: "[]\n}"
+    return text[:-4] + "[\n    {\n      " + inner + "\n    }\n  ]\n}"
+
+
 def _emit(payload: dict, rows: list[dict], args) -> None:
     units = "bits" if getattr(args, "bits", False) else "nats"
     shown = _convert_bits(rows) if units == "bits" else rows
     if args.format == "json":
-        body = dict(payload)
-        body["units"] = units
-        body["rows"] = shown
-        text = json.dumps(body, indent=2) + "\n"
+        text = _json_report({**payload, "units": units, "rows": shown}) + "\n"
     elif args.format == "csv":
         text = _to_csv(shown)
     else:
@@ -189,53 +213,52 @@ def _emit(payload: dict, rows: list[dict], args) -> None:
 
 
 def _emit_errors(errors: list[dict]) -> None:
-    sys.stderr.write(json.dumps({"errors": errors}, indent=2) + "\n")
+    sys.stderr.write(_json_report({"errors": errors}) + "\n")
 
 
-def _analyze_row(obs) -> dict:
-    summary = summarize(obs)
-    geom = geo.geometry(summary)
-    row = dict.fromkeys(ANALYZE_FIELDS)
-    row.update(
-        position_id=obs.position_id,
-        mode=obs.mode.value,
-        vocab_size=obs.vocab_size,
-        K=obs.k,
-        M=geom.M,
-        tau=geom.tau,
-        log_ZA=geom.log_ZA,
-        U_K=geom.U_K,
-        log_odds_UK=geom.log_odds,
-        exactly_identified=geom.M == 0,
-    )
-    cert = mm.minimax_certificate(geom.U_K)
-    sup_kl, _ = mm.worst_case_risk(geom, mm.symmetric_estimator(geom))
-    row.update(
-        s_star=cert.s_star,
-        r_bin=cert.r_bin,
-        sup_kl=sup_kl,
-        g_max=cert.g_max,
-        g_argmax=cert.g_argmax,
-        first_order=cert.first_order,
-    )
-    if geom.M > 0:
-        row["cap_t0"] = geo.per_token_cap(geom, 0.0)
-        row["cap_tmax"] = geo.per_token_cap(geom, geom.U_K)
-    if obs.mode is AccessMode.LOGPROBS:
-        ng = norm.normalized_geometry(obs)
-        row.update(
-            t_star=ng.t_star,
-            norm_cap=ng.cap,
-            norm_condition=ng.condition.value,
-            diam_lower=ng.diameter,
-            diam_upper=ng.diameter,
-        )
-    return row
+class _Position(NamedTuple):
+    """One row of a batch with its diameter, as plain Python numbers."""
+
+    position_id: str
+    mode: AccessMode
+    vocab_size: int
+    k: int
+    m: int
+    tau: float
+    log_za: float
+    u: float
+    log_odds: float
+
+
+def _positions(batch: ObservationBatch) -> Iterator[_Position]:
+    for pid, mode, v, k, tau, log_za in zip(
+        batch.position_ids,
+        batch.modes,
+        batch.vocab_sizes,
+        batch.k.tolist(),
+        batch.tau.tolist(),
+        batch.log_ZA.tolist(),
+    ):
+        m = v - k
+        yield _Position(pid, mode, v, k, m, tau, log_za, *geo.diameter(m, tau, log_za))
 
 
 def cmd_analyze(args) -> int:
-    observations = _parse_file(parse_observations, args.input)
-    rows = [_analyze_row(obs) for obs in observations]
+    batch = _parse_file(parse_observations, args.input)
+    rows = []
+    for pid, mode, v, k, m, tau, log_za, u, log_odds in _positions(batch):
+        caps = (None, None)
+        if m:
+            caps = (geo.token_cap(log_odds, m, 0.0), geo.token_cap(log_odds, m, u))
+        normalized = (None,) * 5
+        if mode is AccessMode.LOGPROBS:
+            t_star, cap, condition, diameter = norm.tail_geometry(log_za, tau, m)
+            normalized = (t_star, cap, condition.value, diameter, diameter)
+        s_star, r_bin, g_max, g_argmax, first_order = mm.certificate(u)
+        sup_kl, _ = mm.symmetric_sup(m, log_odds, u)
+        values = (pid, mode.value, v, k, m, tau, log_za, u, log_odds, *caps, m == 0,
+                  s_star, r_bin, sup_kl, g_max, g_argmax, first_order, *normalized)
+        rows.append(dict(zip(ANALYZE_FIELDS, values)))
     _emit({"command": "analyze", "footnote": R_BIN_FOOTNOTE}, rows, args)
     return 0
 
@@ -276,23 +299,16 @@ def cmd_ksweep(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    observations = _parse_file(parse_observations, args.input)
-    geoms = [geo.geometry(summarize(obs)) for obs in observations]
-    verdicts = mm.critical_k(geoms, args.delta)
-    rows = []
-    for obs, v in zip(observations, verdicts):
-        rows.append(
-            {
-                "position_id": obs.position_id,
-                "K": v.k,
-                "U_K": v.u,
-                "r_bin": v.r_bin,
-                "delta": v.delta,
-                "verdict": v.verdict,
-                "heuristic_u_max": v.heuristic_u_max,
-                "within_first_order": v.within_first_order,
-            }
-        )
+    batch = _parse_file(parse_observations, args.input)
+    positions = list(_positions(batch))
+    verdicts = mm.verdicts([p.u for p in positions], args.delta)
+    # the first-order admissibility ceiling on the diameter
+    u_max = math.e * args.delta
+    rows = [
+        dict(zip(CERTIFY_FIELDS, (p.position_id, p.k, p.u, r_bin, args.delta,
+                                  verdict, u_max, p.u <= u_max)))
+        for p, (r_bin, verdict) in zip(positions, verdicts)
+    ]
     _emit({"command": "certify", "footnote": R_BIN_FOOTNOTE}, rows, args)
     return 0
 
@@ -388,27 +404,22 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    observations = _parse_file(parse_observations, args.input)
-    geoms = [geo.geometry(summarize(obs)) for obs in observations]
-    result = sim.compose_nonadaptive(geoms)
+    batch = _parse_file(parse_observations, args.input)
     rows = []
-    for obs, p in zip(observations, result.per_position):
-        rows.append(
-            {
-                "position_id": obs.position_id,
-                "U_K": p.u,
-                "r_bin": p.r_bin,
-                "sup_kl": p.sup_kl,
-                "t_at_sup": p.t_at_sup,
-            }
-        )
+    for p in _positions(batch):
+        sup_kl, t_at = mm.symmetric_sup(p.m, p.log_odds, p.u)
+        rows.append({"position_id": p.position_id, "U_K": p.u,
+                     "r_bin": mm.reserve(p.u)[1], "sup_kl": sup_kl, "t_at_sup": t_at})
+    avg_lower, avg_upper, factored_sum = sim.average_risk(
+        [r["r_bin"] for r in rows], [r["sup_kl"] for r in rows]
+    )
     payload = {
         "command": "compose",
-        "avg_lower": result.avg_lower,
-        "avg_upper": result.avg_upper,
-        # the joint adversary's sup is the factored sum (see CompositionResult)
-        "joint_sup": result.factored_sum,
-        "factored_sum": result.factored_sum,
+        "avg_lower": avg_lower,
+        "avg_upper": avg_upper,
+        # the joint adversary's sup is the factored sum (see average_risk)
+        "joint_sup": factored_sum,
+        "factored_sum": factored_sum,
         "separability_gap": 0.0,
         "footnote": R_BIN_FOOTNOTE,
     }

@@ -75,12 +75,23 @@ class SetGeometry:
         return np.flatnonzero(hidden)
 
 
+def diameter(m: int, tau: float, log_za: float) -> tuple[float, float]:
+    """``(U_K, log_odds)`` from M, ``tau`` and ``log_ZA``; (0.0, -inf) when M = 0."""
+    if m == 0:
+        return 0.0, -math.inf
+    log_odds = math.log(m) + tau - log_za
+    return expit(log_odds), log_odds
+
+
 def geometry(summary: LogSummary) -> SetGeometry:
     """Ambiguity diameter of the compatible set; exactly 0 when M = 0."""
-    if summary.M == 0:
-        return SetGeometry(summary=summary, U_K=0.0, log_odds=-math.inf)
-    log_odds = math.log(summary.M) + summary.tau - summary.log_ZA
-    return SetGeometry(summary=summary, U_K=expit(log_odds), log_odds=log_odds)
+    u, log_odds = diameter(summary.M, summary.tau, summary.log_ZA)
+    return SetGeometry(summary=summary, U_K=u, log_odds=log_odds)
+
+
+def token_cap(log_odds: float, m: int, t: float) -> float:
+    """:func:`per_token_cap` from ``log_odds`` and M > 0, for t in [0, U_K]."""
+    return math.exp(log_odds) * (1.0 - t) / m
 
 
 def per_token_cap(geom: SetGeometry, t: float) -> float:
@@ -94,8 +105,7 @@ def per_token_cap(geom: SetGeometry, t: float) -> float:
     tol = POLICY.membership_tol
     if t < -tol or t > geom.U_K + tol:
         raise ValueError(f"tail mass t={t!r} outside [0, U_K={geom.U_K!r}]")
-    t = min(max(t, 0.0), geom.U_K)
-    return math.exp(geom.log_odds) * (1.0 - t) / geom.M
+    return token_cap(geom.log_odds, geom.M, min(max(t, 0.0), geom.U_K))
 
 
 @dataclass(frozen=True)

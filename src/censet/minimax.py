@@ -70,6 +70,21 @@ class EstimatorSpec:
         return self.tail_weights is None
 
 
+def _check_diameter(u: float) -> None:
+    if not 0.0 <= u <= 1.0 or math.isnan(u):
+        raise ValueError(f"diameter must lie in [0, 1], got {u!r}")
+
+
+def reserve(u: float) -> tuple[float, float]:
+    """``(s*, R_bin)`` at a diameter u in [0, 1]; see :func:`binary_reserve`."""
+    if u == 0.0:
+        return 0.0, 0.0
+    if u == 1.0:
+        return 0.5, math.log(2.0)
+    log_a = math.log(u) + (1.0 - u) / u * math.log1p(-u)
+    return expit(log_a), float(np.logaddexp(0.0, log_a))
+
+
 def binary_reserve(u: float) -> BinaryReserve:
     """Closed-form balancing reserve and lower bound at diameter ``u``.
 
@@ -78,16 +93,8 @@ def binary_reserve(u: float) -> BinaryReserve:
     u ~ 1e-300 and up through u -> 1 (where A -> 1, s* -> 1/2,
     R_bin -> log 2).
     """
-    if not 0.0 <= u <= 1.0 or math.isnan(u):
-        raise ValueError(f"diameter must lie in [0, 1], got {u!r}")
-    if u == 0.0:
-        return BinaryReserve(0.0, 0.0, limit=True)
-    if u == 1.0:
-        return BinaryReserve(0.5, math.log(2.0), limit=True)
-    log_a = math.log(u) + (1.0 - u) / u * math.log1p(-u)
-    s_star = expit(log_a)
-    r_bin = float(np.logaddexp(0.0, log_a))
-    return BinaryReserve(s_star, r_bin)
+    _check_diameter(u)
+    return BinaryReserve(*reserve(u), limit=u in (0.0, 1.0))
 
 
 def g_envelope(u: float, t: float, s: float) -> float:
@@ -107,8 +114,15 @@ def g_envelope(u: float, t: float, s: float) -> float:
     if t < -POLICY.membership_tol or t > u + POLICY.membership_tol:
         raise ValueError(f"tail mass t={t!r} outside [0, u={u!r}]")
     t = min(max(t, 0.0), u)
-    cap_factor = math.log(u) - math.log1p(-u) - math.log(s)
-    return math.log1p(-t) - (1.0 - t) * math.log1p(-s) + t * cap_factor
+    return _envelope(t, math.log1p(-s), _cap_factor(u, s))
+
+
+def _cap_factor(u: float, s: float) -> float:
+    return math.log(u) - math.log1p(-u) - math.log(s)
+
+
+def _envelope(t: float, log1m_s: float, cap_factor: float) -> float:
+    return math.log1p(-t) - (1.0 - t) * log1m_s + t * cap_factor
 
 
 def g_max(u: float) -> tuple[float, float]:
@@ -116,20 +130,26 @@ def g_max(u: float) -> tuple[float, float]:
 
     The envelope is concave in t with stationary point
     ``1 - t = 1 / (log(1-s) + log(u/((1-u)s)))``; the stationary value is
-    compared against both endpoints and the larger wins.
+    compared against both endpoints and the larger wins (the first of
+    0, u and the stationary point on a tie).
     """
     if not 0.0 < u < 1.0:
         raise ValueError(f"diameter must lie in (0, 1), got {u!r}")
     s = u * _INV_E
+    log1m_s, cap_factor = math.log1p(-s), _cap_factor(u, s)
     # with s = u/e the cap factor collapses to 1 - log(1-u)
-    denom = (1.0 - math.log1p(-u)) + math.log1p(-s)
-    candidates = [0.0, u]
+    denom = (1.0 - math.log1p(-u)) + log1m_s
+    candidates = [u]
     if denom > 0.0:
         t_dagger = 1.0 - 1.0 / denom
         if 0.0 < t_dagger < u:
             candidates.append(t_dagger)
-    best_t = max(candidates, key=lambda t: g_envelope(u, t, s))
-    return g_envelope(u, best_t, s), best_t
+    best, best_t = _envelope(0.0, log1m_s, cap_factor), 0.0
+    for t in candidates:
+        value = _envelope(t, log1m_s, cap_factor)
+        if value > best:
+            best, best_t = value, t
+    return best, best_t
 
 
 @dataclass(frozen=True)
@@ -150,22 +170,32 @@ class MinimaxCertificate:
     limit: bool = False
 
 
-def minimax_certificate(u: float) -> MinimaxCertificate:
-    reserve = binary_reserve(u)
+def certificate(u: float) -> tuple[float, float, float, float, float]:
+    """``(s_star, r_bin, g_max, g_argmax, first_order)`` at u in [0, 1].
+
+    The fields of :func:`minimax_certificate`, without its checks.
+    """
+    s_star, r_bin = reserve(u)
     if u == 0.0:
         gmax, argmax = 0.0, 0.0
     elif u == 1.0:
         gmax, argmax = math.inf, 1.0
     else:
         gmax, argmax = g_max(u)
+    return s_star, r_bin, gmax, argmax, u * _INV_E
+
+
+def minimax_certificate(u: float) -> MinimaxCertificate:
+    _check_diameter(u)
+    s_star, r_bin, gmax, argmax, first_order = certificate(u)
     return MinimaxCertificate(
         u=u,
-        s_star=reserve.s_star,
-        r_bin=reserve.r_bin,
+        s_star=s_star,
+        r_bin=r_bin,
         g_max=gmax,
         g_argmax=argmax,
-        first_order=u * _INV_E,
-        limit=reserve.limit,
+        first_order=first_order,
+        limit=u in (0.0, 1.0),
     )
 
 
@@ -211,7 +241,7 @@ def _bernoulli_kl(t: float, s: float) -> float:
 
 
 def _concentrated_tail_kl(
-    geom: SetGeometry, t: float, n_full: int | None
+    m: int, log_odds: float, t: float, n_full: int | None
 ) -> tuple[int, float, float]:
     """Max of KL(r || uniform_M) over tail conditionals obeying the cap.
 
@@ -223,8 +253,7 @@ def _concentrated_tail_kl(
     M/lam can land a hair below n there.  Returns (n_full, remainder,
     kl_value).
     """
-    m = geom.M
-    lam = math.exp(geom.log_odds) * (1.0 - t) / t
+    lam = math.exp(log_odds) * (1.0 - t) / t
     if lam <= 0.0:
         return m, 0.0, 0.0
     if n_full is None:
@@ -253,7 +282,7 @@ def risk_at_tail_mass(geom: SetGeometry, est: EstimatorSpec, t: float) -> float:
     if t == 0.0:
         return -math.log1p(-est.s) if est.s < 1.0 else math.inf
     t = min(t, geom.U_K)
-    _, _, tail_kl = _concentrated_tail_kl(geom, t, None)
+    _, _, tail_kl = _concentrated_tail_kl(geom.M, geom.log_odds, t, None)
     return _bernoulli_kl(t, est.s) + t * tail_kl
 
 
@@ -273,7 +302,7 @@ def adversary_best_response(
     if t <= 0.0 or t > geom.U_K + POLICY.membership_tol:
         raise ValueError(f"tail mass t={t!r} outside (0, U_K={geom.U_K!r}]")
     t = min(t, geom.U_K)
-    n_full, rem, tail_kl = _concentrated_tail_kl(geom, t, None)
+    n_full, rem, tail_kl = _concentrated_tail_kl(geom.M, geom.log_odds, t, None)
     value = _bernoulli_kl(t, est.s) + t * tail_kl
     if n_full == geom.M and rem == 0.0:
         return FeasiblePoint(t=t, uniform=True), value
@@ -285,16 +314,19 @@ def adversary_best_response(
     return FeasiblePoint(t=t, tail=tail), value
 
 
-def _sup_candidates(geom: SetGeometry, est: EstimatorSpec) -> list[tuple[float, float]]:
-    """(risk, t) at the one or two breakpoints that can hold the sup."""
-    if geom.U_K == 0.0:
+def _sup_candidates(
+    m: int, lo: float, u: float, s: float
+) -> list[tuple[float, float]]:
+    """(risk, t) at the one or two breakpoints that can hold the sup.
+
+    For M censored tokens, log-odds ``lo``, diameter ``u`` and a uniform
+    tail rule with reserve ``s`` (see :func:`worst_case_risk`).
+    """
+    if u == 0.0:
         # only t = 0 is compatible: no censored tokens, or an underflowed tail
-        if geom.M == 0 and est.s != 0.0:
+        if m == 0 and s != 0.0:
             raise ValueError("estimator reserves tail mass but M = 0")
-        return [(-math.log1p(-est.s), 0.0)]
-    m, lo, s = geom.M, geom.log_odds, est.s
-    if not est.is_uniform:
-        raise ValueError("closed-form best response requires a uniform tail rule")
+        return [(-math.log1p(-s), 0.0)]
     if not 0.0 < s < 1.0:
         raise ValueError(f"reserve must lie in (0, 1), got {s!r}")
     d = math.log1p(-s) + lo - math.log(s)
@@ -305,8 +337,8 @@ def _sup_candidates(geom: SetGeometry, est: EstimatorSpec) -> list[tuple[float, 
         if n == 0:
             out.append((-math.log1p(-s), 0.0))
             continue
-        t = min(expit(lo + math.log(n / m)), geom.U_K)
-        _, _, tail_kl = _concentrated_tail_kl(geom, t, n)
+        t = min(expit(lo + math.log(n / m)), u)
+        _, _, tail_kl = _concentrated_tail_kl(m, lo, t, n)
         out.append((_bernoulli_kl(t, s) + t * tail_kl, t))
     return out
 
@@ -329,52 +361,36 @@ def worst_case_risk(geom: SetGeometry, est: EstimatorSpec) -> tuple[float, float
     evaluated by the closed form of :func:`risk_at_tail_mass` with exactly
     n tokens at the cap.  Returns (sup_kl, argmax_t).
     """
-    return max(_sup_candidates(geom, est))
+    if geom.U_K != 0.0 and not est.is_uniform:
+        raise ValueError("closed-form best response requires a uniform tail rule")
+    return max(_sup_candidates(geom.M, geom.log_odds, geom.U_K, est.s))
 
 
-@dataclass(frozen=True)
-class CriticalKVerdict:
-    """Certification outcome for one observation at tolerance delta.
+def symmetric_sup(m: int, log_odds: float, u: float) -> tuple[float, float]:
+    """:func:`worst_case_risk` of :func:`symmetric_estimator` at its default
+    reserve, from M, ``log_odds`` and ``U_K``."""
+    s = 0.0 if m == 0 or u == 0.0 else u * _INV_E
+    return max(_sup_candidates(m, log_odds, u, s))
 
-    IMPOSSIBLE is certified (the lower bound alone exceeds delta); OPEN
-    means the lower bound does not rule recovery out; THRESHOLD flags
-    R_bin within the policy margin of delta.  ``heuristic_u_max = e*delta``
-    is the first-order admissibility ceiling on the diameter.
+
+def verdicts(us: Sequence[float], delta: float) -> list[tuple[float, str]]:
+    """``(R_bin, verdict)`` for each diameter in ``us`` at KL tolerance delta.
+
+    THRESHOLD when R_bin lies within the policy margin of delta, else
+    IMPOSSIBLE when R_bin exceeds delta (recovery within delta is certified
+    impossible), else OPEN (the lower bound does not rule recovery out).
     """
-
-    k: int
-    u: float
-    r_bin: float
-    verdict: str
-    delta: float
-    heuristic_u_max: float
-    within_first_order: bool
-
-
-def critical_k(
-    geoms: Sequence[SetGeometry], delta: float
-) -> list[CriticalKVerdict]:
-    """Per-observation impossibility verdicts for a KL tolerance."""
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta!r}")
-    verdicts = []
-    for geom in geoms:
-        r = binary_reserve(geom.U_K).r_bin
-        if abs(r - delta) <= POLICY.verdict_margin:
-            verdict = THRESHOLD
+    margin = POLICY.verdict_margin
+    out = []
+    for u in us:
+        r = reserve(u)[1]
+        if abs(r - delta) <= margin:
+            out.append((r, THRESHOLD))
         elif r > delta:
-            verdict = IMPOSSIBLE
+            out.append((r, IMPOSSIBLE))
         else:
-            verdict = OPEN
-        verdicts.append(
-            CriticalKVerdict(
-                k=geom.summary.k,
-                u=geom.U_K,
-                r_bin=r,
-                verdict=verdict,
-                delta=delta,
-                heuristic_u_max=math.e * delta,
-                within_first_order=geom.U_K <= math.e * delta,
-            )
-        )
-    return verdicts
+            out.append((r, OPEN))
+    return out
+

@@ -19,7 +19,7 @@ import numpy as np
 
 from .identified_set import MembershipReport
 from .numerics import POLICY
-from .observation import AccessMode, ModeError, TopKObservation, hidden_tail_mass
+from .observation import AccessMode, ModeError, TopKObservation, _tail_mass
 
 
 class TailCondition(str, Enum):
@@ -83,9 +83,23 @@ def normalized_geometry(obs: TopKObservation) -> NormalizedGeometry:
     """
     if obs.mode is not AccessMode.LOGPROBS:
         raise ModeError("normalized geometry requires mode=logprobs")
-    t_star = hidden_tail_mass(obs)
-    cap = math.exp(obs.tau)
     m = obs.vocab_size - obs.k
+    t_star, cap, condition, diameter = tail_geometry(obs.log_ZA, obs.tau, m)
+    return NormalizedGeometry(
+        t_star=t_star, cap=cap, M=m, condition=condition, diameter=diameter
+    )
+
+
+def tail_geometry(
+    log_head: float, tau: float, m: int
+) -> tuple[float, float, TailCondition, float]:
+    """``(t*, c, condition, diameter)`` of a normalized observation.
+
+    From the log head mass ``log_ZA``, the threshold ``tau`` and M; see
+    :func:`normalized_geometry`.
+    """
+    t_star = _tail_mass(log_head)
+    cap = math.exp(tau)
     if t_star > m * cap + POLICY.tail_feasibility_tol:
         raise ValueError(
             f"inconsistent observation: hidden tail mass {t_star!r} cannot "
@@ -98,9 +112,7 @@ def normalized_geometry(obs: TopKObservation) -> NormalizedGeometry:
     else:
         condition = TailCondition.OVERLAPPING_SUPPORTS
         diameter = allocation_diameter(t_star, cap, m)
-    return NormalizedGeometry(
-        t_star=t_star, cap=cap, M=m, condition=condition, diameter=diameter
-    )
+    return t_star, cap, condition, diameter
 
 
 def disjoint_witness_pair(

@@ -135,6 +135,30 @@ def _shifted_logsumexp(a: np.ndarray, a_max: float) -> float:
     return float((np.log1p(s) + np.log(np.full(1, float(m))) + a_max)[0])
 
 
+def logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """:func:`logsumexp` of each row of a 2-D array sorted non-increasing.
+
+    The same steps as :func:`logsumexp`, each one numpy ufunc over the
+    whole matrix: the row's first entry is its maximum and its last the
+    minimum, a sum over axis 1 groups each row's terms as the 1-D sum does,
+    and ``log1p(s / m) + log(m)`` equals the kernel's ``m == 1`` form
+    exactly (``s / 1 = s`` and ``x + 0.0 = x`` for ``x >= 0``).  A row
+    whose spread is not finite takes :func:`logsumexp` itself.
+    """
+    a_max = a[:, 0]
+    # only a row with a nan, an infinity or an overflowing spread can warn
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        spread = a_max - a[:, -1]
+        top = a == a_max[:, None]
+        terms = np.exp(a - a_max[:, None])
+        terms[top] = 0.0
+        m = np.count_nonzero(top, axis=1).astype(np.float64)
+        out = np.log1p(np.add.reduce(terms, axis=1) / m) + np.log(m) + a_max
+    for row in np.flatnonzero(~np.isfinite(spread)).tolist():
+        out[row] = logsumexp(a[row])
+    return out
+
+
 def expit(x: float) -> float:
     """The logistic sigmoid ``1 / (1 + exp(-x))``, equal to SciPy's ``expit``.
 

@@ -11,11 +11,13 @@ censored-token count ``M = V - K`` and the head conditional ``alpha``.
 
 from __future__ import annotations
 
+import array
 import itertools
 import json
 import math
 import operator
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -23,7 +25,7 @@ from typing import IO, Container, Iterable, Iterator
 
 import numpy as np
 
-from .numerics import POLICY, logsumexp
+from .numerics import POLICY, logsumexp, logsumexp_rows
 
 
 class ValidationError(ValueError):
@@ -73,34 +75,24 @@ class TopKObservation:
     input_order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.vocab_size < 1:
-            raise ValidationError(f"vocab_size must be >= 1, got {self.vocab_size}")
-        k = len(self.token_ids)
-        if k < 1:
-            raise ValidationError("at least one revealed token is required")
-        if k > self.vocab_size:
-            raise ValidationError(
-                f"K={k} exceeds vocab_size={self.vocab_size}"
-            )
-        if len(self.scores) != k:
-            raise ValidationError(
-                f"{k} token ids but {len(self.scores)} scores"
-            )
-        ids, values = _checked_pairs(self.token_ids, self.scores, self.vocab_size)
-        order = np.argsort(-values, kind="stable")
-        for name, array in (
-            ("input_order", ids),
-            ("token_ids", ids[order]),
-            ("scores", values[order]),
-        ):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
-        if self.mode is AccessMode.LOGPROBS:
-            if np.any(self.scores > 0.0):
-                raise ValidationError(
-                    "normalized log-probabilities must be <= 0"
-                )
-            _check_head_mass(self.log_ZA)
+        _check_shape(self.vocab_size, len(self.token_ids), len(self.scores))
+        tokens, scores = self.token_ids, self.scores
+        ids, values = _int64_array(tokens), _float64_array(scores)
+        logprobs = self.mode is AccessMode.LOGPROBS
+        vocab_size = self.vocab_size
+        if ids is None or values is None:
+            # raises: the record holds a value no array can
+            _check_flagged(tokens, scores, vocab_size, ids, values, logprobs, None)
+        by_score, sorted_values, bad = _sorted_matrix(
+            ids[None], values[None], np.array([_last_id(vocab_size)])
+        )
+        log_za = None
+        if logprobs:
+            log_zas, heavy = _normalized_checks(values[None], sorted_values, True)
+            log_za, bad = float(log_zas[0]), bad | heavy
+        if bad[0]:
+            _check_flagged(tokens, scores, vocab_size, ids, values, logprobs, log_za)
+        _set_arrays(self, ids, by_score[0], sorted_values[0], log_za)
 
     @property
     def k(self) -> int:
@@ -122,6 +114,40 @@ class TopKObservation:
         return logsumexp(self.scores)
 
 
+def _set_arrays(obs: TopKObservation, input_order, token_ids, scores, log_za) -> None:
+    """Store an observation's arrays read-only, and ``log_ZA`` when known."""
+    for name, array in (
+        ("input_order", input_order),
+        ("token_ids", token_ids),
+        ("scores", scores),
+    ):
+        array.flags.writeable = False
+        object.__setattr__(obs, name, array)
+    if log_za is not None:
+        # fills the cached property
+        object.__setattr__(obs, "log_ZA", log_za)
+
+
+def _check_shape(vocab_size: int, k: int, n_scores: int) -> None:
+    """The checks on a record's vocabulary size and K, before its pairs."""
+    if vocab_size < 1:
+        raise ValidationError(f"vocab_size must be >= 1, got {vocab_size}")
+    if k < 1:
+        raise ValidationError("at least one revealed token is required")
+    if k > vocab_size:
+        raise ValidationError(f"K={k} exceeds vocab_size={vocab_size}")
+    if n_scores != k:
+        raise ValidationError(f"{k} token ids but {n_scores} scores")
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _last_id(vocab_size: int) -> int:
+    """The largest token id of the vocabulary that an int64 can hold."""
+    return min(vocab_size - 1, _INT64_MAX)
+
+
 def _int64_array(values) -> np.ndarray | None:
     """A new int64 array of ``values``, or None unless each is an integer
     (bools are not) that fits in 64 bits."""
@@ -140,31 +166,93 @@ def _int64_array(values) -> np.ndarray | None:
         return None
 
 
-def _check_pair(token, score, vocab_size: int) -> None:
-    """The checks on one (token, score) pair, in the order they apply."""
-    if not isinstance(token, (int, np.integer)) or isinstance(token, bool):
-        raise ValidationError(f"token id must be an integer, got {token!r}")
-    if token < 0 or token >= vocab_size:
-        raise ValidationError(f"token id {token} outside [0, {vocab_size})")
-    if not math.isfinite(score):
-        raise ValidationError(f"non-finite score {float(score)!r} for token {token}")
-
-
-def _checked_pairs(tokens, scores, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Source-order int64 ids and float64 scores of pairs that pass the checks.
-
-    Duplicates and the per-pair checks are found with array masks; only a
-    record already known to be bad is walked pair by pair, from its first
-    flagged pair, so the error names the first offending pair in source
-    order.  A walk from pair 0 also covers values no array could hold:
-    non-integer tokens, ids beyond 64 bits and integer scores beyond the
-    float range (whose ``math.isfinite`` raises ``OverflowError``).
-    """
-    ids = _int64_array(tokens)
+def _float64_array(values) -> np.ndarray | None:
+    """A new float64 array of ``values``, or None if one cannot be held."""
     try:
-        values = np.array(scores, dtype=np.float64)
+        return np.array(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
-        values = None
+        return None
+
+
+def _sorted_rows(ids, values, counts, last_ids, logprobs):
+    """Check and sort the pairs of n records stored end to end.
+
+    ``ids`` (int64) and ``values`` (float64) hold every record's pairs in
+    source order, ``counts`` each record's K, ``last_ids`` its largest valid
+    token id (see :func:`_last_id`) and ``logprobs`` whether it is under
+    normalized access.  Records that share K are checked and sorted as one
+    (n, K) matrix by :func:`_sorted_matrix` and :func:`_normalized_checks`.
+
+    Returns the ids and scores sorted within each record, every record's
+    ``log_ZA`` and the indices of the records that fail a check, in order;
+    :func:`_check_flagged` names a flagged record's failure.
+    """
+    n = len(counts)
+    starts = np.cumsum(counts) - counts
+    by_score, sorted_values = np.empty_like(ids), np.empty_like(values)
+    log_za = np.empty(n)
+    bad = np.zeros(n, dtype=bool)
+    for k in sorted(set(counts.tolist())):
+        rows = np.flatnonzero(counts == k)
+        at = starts[rows, None] + np.arange(k)
+        by_score[at], sorted_values[at], log_za[rows], bad[rows] = _sorted_group(
+            ids[at], values[at], last_ids[rows], logprobs[rows]
+        )
+    return by_score, sorted_values, log_za, np.flatnonzero(bad)
+
+
+def _sorted_group(ids, values, last_ids, logprobs):
+    """:func:`_sorted_rows` for records of one K held as (n, K) matrices."""
+    by_score, sorted_values, bad = _sorted_matrix(ids, values, last_ids)
+    log_za, heavy = _normalized_checks(values, sorted_values, logprobs)
+    return by_score, sorted_values, log_za, bad | heavy
+
+
+def _sorted_matrix(ids, values, last_ids):
+    """Check n records of one K held as (n, K) matrices, and sort each row.
+
+    The checks: the token ranges, the scores' finiteness and duplicate ids
+    (one sort along each row).  Each row is sorted by score with a stable
+    argsort.  Returns the sorted ids and scores and a mask of the rows that
+    fail.
+    """
+    ordered = np.sort(ids, axis=1)
+    bad = (
+        (ids < 0) | (ids > last_ids[:, None]) | ~np.isfinite(values)
+    ).any(axis=1) | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    n, k = values.shape
+    # the flat index of each row's pairs in score order
+    at = np.argsort(-values, axis=1, kind="stable") + (np.arange(n) * k)[:, None]
+    return ids.ravel()[at], values.ravel()[at], bad
+
+
+def _normalized_checks(values, sorted_values, logprobs):
+    """``log_ZA`` of each row, and the rows under normalized access that fail.
+
+    ``log_ZA`` comes from :func:`censet.numerics.logsumexp_rows` of the
+    sorted rows, equal to the bit to :func:`censet.numerics.logsumexp` of
+    each.  A row fails with a positive score or a head mass above
+    ``1 + head_mass_tol``.
+    """
+    log_za = logsumexp_rows(sorted_values)
+    with np.errstate(over="ignore"):
+        heavy = np.exp(log_za) > 1.0 + POLICY.head_mass_tol
+    return log_za, logprobs & ((values > 0.0).any(axis=1) | heavy)
+
+
+def _check_flagged(tokens, scores, vocab_size, ids, values, logprobs, log_za) -> None:
+    """The pair checks of one record, one at a time, raising the first failure.
+
+    ``tokens`` and ``scores`` are the record's pairs as given, ``ids`` and
+    ``values`` their int64 and float64 arrays (None where
+    :func:`_int64_array` or :func:`_float64_array` could not hold them) and
+    ``log_za`` the record's log-sum-exp.  The pairs are walked from the
+    first one an array mask flags; a record without arrays is walked from
+    its first pair, which also covers values no array could hold:
+    non-integer tokens, ids beyond 64 bits and integer scores beyond the
+    float range (whose ``math.isfinite`` raises ``OverflowError``).  A
+    record without arrays always fails.
+    """
     if ids is not None:
         ordered = np.sort(ids)
         duplicated = bool((ordered[1:] == ordered[:-1]).any())
@@ -176,15 +264,28 @@ def _checked_pairs(tokens, scores, vocab_size: int) -> tuple[np.ndarray, np.ndar
         )
     first_bad = 0
     if ids is not None and values is not None:
-        finite = np.isfinite(values)
-        if 0 <= ordered[0] and ordered[-1] < vocab_size and finite.all():
-            return ids, values
-        first_bad = int(((ids < 0) | (ids >= vocab_size) | ~finite).argmax())
+        flagged = (ids < 0) | (ids >= vocab_size) | ~np.isfinite(values)
+        first_bad = int(flagged.argmax())
     for token, score in itertools.islice(zip(tokens, scores), first_bad, None):
         _check_pair(token, score, vocab_size)
-    raise ValidationError(
-        f"token ids beyond 64 bits are not supported (vocab_size={vocab_size})"
-    )
+    if ids is None or values is None:
+        raise ValidationError(
+            f"token ids beyond 64 bits are not supported (vocab_size={vocab_size})"
+        )
+    if logprobs:
+        if np.any(values > 0.0):
+            raise ValidationError("normalized log-probabilities must be <= 0")
+        _check_head_mass(log_za)
+
+
+def _check_pair(token, score, vocab_size: int) -> None:
+    """The checks on one (token, score) pair, in the order they apply."""
+    if not isinstance(token, (int, np.integer)) or isinstance(token, bool):
+        raise ValidationError(f"token id must be an integer, got {token!r}")
+    if token < 0 or token >= vocab_size:
+        raise ValidationError(f"token id {token} outside [0, {vocab_size})")
+    if not math.isfinite(score):
+        raise ValidationError(f"non-finite score {float(score)!r} for token {token}")
 
 
 def _as_list(values) -> list:
@@ -264,7 +365,13 @@ _TOKEN = operator.itemgetter("token")
 _SCORE = operator.itemgetter("score")
 
 
-def _parse_record(record: dict, lineno: int, position_id: str) -> TopKObservation:
+def _record_fields(record: dict, lineno: int) -> tuple[int, AccessMode, list, list]:
+    """A record's vocab_size, mode, tokens and scores, in source order.
+
+    Runs every check that reads the record's fields alone: the fields are
+    present and of their JSON kinds, the mode is known, topk is a non-empty
+    list of entries, and K fits the vocabulary (see :func:`_check_shape`).
+    """
     try:
         vocab_size = record["vocab_size"]
         mode_name = record["mode"]
@@ -286,11 +393,27 @@ def _parse_record(record: dict, lineno: int, position_id: str) -> TopKObservatio
     _check_json_kind(tokens, "integer", "token", lineno)
     _check_json_kind(scores, "number", "score", lineno)
     try:
+        _check_shape(vocab_size, len(tokens), len(scores))
+    except ValidationError as exc:
+        raise ParseError(lineno, str(exc)) from exc
+    return vocab_size, _MODE_NAMES[mode_name], tokens, scores
+
+
+def _position_id(record: dict, lineno: int, seen: set[str]) -> str:
+    pid = record.get("position_id", f"line{lineno}")
+    _check_position_id(pid, lineno, seen)
+    seen.add(pid)
+    return pid
+
+
+def _observation(lineno: int, vocab_size, mode, position_id, tokens, scores):
+    """A :class:`TopKObservation` of one record's fields; errors name the line."""
+    try:
         return TopKObservation(
             vocab_size=vocab_size,
             token_ids=tokens,
             scores=scores,
-            mode=_MODE_NAMES[mode_name],
+            mode=mode,
             position_id=position_id,
         )
     except ValidationError as exc:
@@ -299,8 +422,66 @@ def _parse_record(record: dict, lineno: int, position_id: str) -> TopKObservatio
         raise ParseError(lineno, "score outside the float range") from exc
 
 
-def parse_observations(source: str | bytes | IO) -> list[TopKObservation]:
-    """Parse line-delimited JSON records into validated observations.
+@dataclass(frozen=True, eq=False)
+class ObservationBatch(Sequence):
+    """Validated observations held column by column, one row per record;
+    :func:`parse_observations` builds it.
+
+    Rows keep input order.  Row i's pairs are ``offsets[i]:offsets[i + 1]``
+    of ``input_order`` (token ids in source order) and of ``token_ids`` and
+    ``scores`` (sorted by score as in :class:`TopKObservation`).  Indexing
+    or iterating yields each row as a :class:`TopKObservation` over
+    read-only views of these arrays; a slice yields a list of them.
+    """
+
+    position_ids: list[str]
+    modes: list[AccessMode]
+    vocab_sizes: list[int]
+    offsets: np.ndarray
+    input_order: np.ndarray
+    token_ids: np.ndarray
+    scores: np.ndarray
+    log_ZA: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.offsets, self.input_order, self.token_ids, self.scores,
+                      self.log_ZA):
+            array.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.position_ids)
+
+    def __getitem__(self, i: int | slice) -> TopKObservation | list[TopKObservation]:
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        start, end = self.offsets[i], self.offsets[i + 1]
+        obs = object.__new__(TopKObservation)
+        object.__setattr__(obs, "vocab_size", self.vocab_sizes[i])
+        object.__setattr__(obs, "mode", self.modes[i])
+        object.__setattr__(obs, "position_id", self.position_ids[i])
+        _set_arrays(
+            obs,
+            self.input_order[start:end],
+            self.token_ids[start:end],
+            self.scores[start:end],
+            float(self.log_ZA[i]),
+        )
+        return obs
+
+    @property
+    def k(self) -> np.ndarray:
+        """Each row's K."""
+        return np.diff(self.offsets)
+
+    @property
+    def tau(self) -> np.ndarray:
+        """Each row's censoring threshold, its smallest score."""
+        return self.scores[self.offsets[1:] - 1]
+
+
+def parse_observations(source: str | bytes | IO) -> ObservationBatch:
+    """Parse line-delimited JSON records into one batch of validated observations.
 
     Each line is one record: ``{"vocab_size": V, "mode": "logits"|"logprobs",
     "topk": [{"token": id, "score": s}, ...], "position_id": optional}``.
@@ -311,25 +492,81 @@ def parse_observations(source: str | bytes | IO) -> list[TopKObservation]:
     line.
 
     ``source`` is text, bytes or a stream of lines (see :func:`_read_jsonl`
-    for the line rules); a stream is consumed one record at a time, and
-    each record becomes arrays (see :class:`TopKObservation`), so no
-    per-pair Python objects outlive the line they were decoded from.
+    for the line rules).  The checks that read one record's fields run as
+    each line is decoded; the pair checks of :class:`TopKObservation` then
+    run over the whole batch at once (see :func:`_sorted_rows`).  The first
+    error in line order wins, as in :func:`_iter_observations`: a field
+    error on a line is raised only once every earlier line has passed its
+    pair checks.  The batch holds about 24 bytes per revealed pair; the
+    decoded lines' Python objects are dropped once their arrays are built.
     """
-    return list(_iter_observations(source))
+    seen: set[str] = set()
+    lines: list[int] = []
+    pids: list[str] = []
+    modes: list[AccessMode] = []
+    vocab_sizes: list[int] = []
+    counts: list[int] = []
+    # every record's pairs end to end, as int64 and float64
+    tokens, scores = array.array("q"), array.array("d")
+    failure = None
+    try:
+        for lineno, record in _read_jsonl(source):
+            pid = _position_id(record, lineno, seen)
+            vocab_size, mode, row_tokens, row_scores = _record_fields(record, lineno)
+            held = len(scores)
+            try:
+                tokens.extend(row_tokens)
+                scores.extend(row_scores)
+            except OverflowError:
+                # a value no int64 or float64 holds fails the record's pair
+                # checks: their error is held like a field error, so that the
+                # earlier lines' checks still run first
+                del tokens[held:], scores[held:]
+                _observation(lineno, vocab_size, mode, pid, row_tokens, row_scores)
+                raise
+            lines.append(lineno)
+            pids.append(pid)
+            modes.append(mode)
+            vocab_sizes.append(vocab_size)
+            counts.append(len(row_tokens))
+    except (ValueError, OSError) as exc:
+        failure = exc
+    ids = np.frombuffer(tokens, dtype=np.int64)
+    values = np.frombuffer(scores, dtype=np.float64)
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    logprobs = np.array([m is AccessMode.LOGPROBS for m in modes], dtype=bool)
+    by_score, sorted_values, log_za, flagged = _sorted_rows(
+        ids, values, np.diff(offsets),
+        np.array([_last_id(v) for v in vocab_sizes], dtype=np.int64), logprobs,
+    )
+    for r in flagged.tolist():
+        start, end = offsets[r], offsets[r + 1]
+        try:
+            # the arrays' values print as the JSON values they were read from
+            _check_flagged(ids[start:end].tolist(), values[start:end].tolist(),
+                           vocab_sizes[r], ids[start:end], values[start:end],
+                           logprobs[r], float(log_za[r]))
+        except ValidationError as exc:
+            raise ParseError(lines[r], str(exc)) from exc
+    if failure is not None:
+        raise failure
+    return ObservationBatch(pids, modes, vocab_sizes, offsets, ids, by_score,
+                            sorted_values, log_za)
 
 
 def _iter_observations(source: str | bytes | IO) -> Iterator[TopKObservation]:
     """:func:`parse_observations`, one observation at a time.
 
-    Each record is checked and yielded before the next line is read, so an
-    error is raised only once the stream reaches its line.
+    Each record is checked, pairs included, and yielded before the next
+    line is read, so an error is raised only once the stream reaches its
+    line, and only one record's arrays are held at a time.
     """
     seen: set[str] = set()
     for lineno, record in _read_jsonl(source):
-        pid = record.get("position_id", f"line{lineno}")
-        _check_position_id(pid, lineno, seen)
-        seen.add(pid)
-        yield _parse_record(record, lineno, pid)
+        pid = _position_id(record, lineno, seen)
+        vocab_size, mode, tokens, scores = _record_fields(record, lineno)
+        yield _observation(lineno, vocab_size, mode, pid, tokens, scores)
 
 
 def serialize_observations(observations: Iterable[TopKObservation]) -> str:
@@ -360,11 +597,13 @@ def serialize_observations(observations: Iterable[TopKObservation]) -> str:
 def summarize(obs: TopKObservation) -> LogSummary:
     """Compute the log-domain summary of a valid observation.
 
-    ``log_ZA`` is the observation's own, computed once at construction by
-    :func:`censet.numerics.logsumexp` (max-shifted, so no overflow for
-    scores of any magnitude), and ``alpha`` is exponentiated out of the log
-    domain, so the head conditional sums to 1 to machine precision even
-    under large score spreads.
+    ``log_ZA`` is the observation's own, computed once and max-shifted, so
+    no overflow for scores of any magnitude: at construction by
+    :func:`censet.numerics.logsumexp_rows` for a row of a batch or a
+    normalized observation, otherwise on first use by the ``log_ZA``
+    property's :func:`censet.numerics.logsumexp`.  ``alpha`` is
+    exponentiated out of the log domain, so the head conditional sums to 1
+    to machine precision even under large score spreads.
     """
     alpha = np.exp(obs.scores - obs.log_ZA)
     return LogSummary(

@@ -472,13 +472,17 @@ def oracle_battery(seed: int = 0) -> list[dict]:
     # composition separability: literal joint adversary over every
     # position's sup-candidate profile against the factored sum
     geoms = [sim.geometry_with_diameter(u, 32) for u in (0.1, 0.3, 0.5)]
-    result = sim.compose_nonadaptive(geoms)
+    _, _, factored_sum = sim.average_risk(
+        [mm.reserve(g.U_K)[1] for g in geoms],
+        [mm.symmetric_sup(g.M, g.log_odds, g.U_K)[0] for g in geoms],
+    )
     profiles = [
-        [risk for risk, _ in mm._sup_candidates(g, mm.symmetric_estimator(g))]
+        [risk for risk, _ in mm._sup_candidates(
+            g.M, g.log_odds, g.U_K, mm.symmetric_estimator(g).s)]
         for g in geoms
     ]
     joint_sup = float(reduce(np.add.outer, profiles).max()) / len(geoms)
-    gap = abs(joint_sup - result.factored_sum)
+    gap = abs(joint_sup - factored_sum)
     record("composition_separability", gap <= 1e-9, f"|joint - factored| = {gap:.2e}")
 
     # small-diameter expansions of the reserve and the lower bound

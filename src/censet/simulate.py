@@ -10,6 +10,7 @@ random stream, so parallel evaluation cannot change results.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import reduce
@@ -18,11 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .identified_set import SetGeometry, geometry
-from .minimax import (
-    binary_reserve,
-    symmetric_estimator,
-    worst_case_risk,
-)
+from .minimax import reserve, symmetric_sup
 from .numerics import logsumexp
 from .observation import (
     AccessMode,
@@ -45,6 +42,14 @@ class GaussianIID:
 class DirichletSoftmax:
     concentration: float = 1.0
 
+    def __post_init__(self):
+        # numpy draws all zeros at concentration 0, which the log clamp
+        # would turn into a uniform teacher
+        if not (math.isfinite(self.concentration) and self.concentration > 0.0):
+            raise ValueError(
+                f"concentration must be finite and > 0, got {self.concentration!r}"
+            )
+
 
 @dataclass(frozen=True)
 class PeakedHead:
@@ -52,6 +57,11 @@ class PeakedHead:
 
     head_size: int = 1
     gap: float = 10.0
+
+    def __post_init__(self):
+        # a negative gap would put the tail above the head
+        if not (math.isfinite(self.gap) and self.gap >= 0.0):
+            raise ValueError(f"gap must be finite and >= 0, got {self.gap!r}")
 
 
 LogitLaw = GaussianIID | DirichletSoftmax | PeakedHead
@@ -247,10 +257,10 @@ def _sweep(
     for i, z in enumerate(positions):
         for j, (geom, tail) in enumerate(_sweep_position(z, swept)):
             uks[j, i] = geom.U_K
-            rbins[j, i] = binary_reserve(geom.U_K).r_bin
+            rbins[j, i] = reserve(geom.U_K)[1]
             tails[j, i] = tail
             if with_sup:
-                sups[j, i] = worst_case_risk(geom, symmetric_estimator(geom))[0]
+                sups[j, i] = symmetric_sup(geom.M, geom.log_odds, geom.U_K)[0]
     rows = [
         (
             SweepRow(
@@ -306,59 +316,24 @@ def ksweep_with_sup_kl(
     return _sweep(positions, k_list, with_sup=True)
 
 
-@dataclass(frozen=True)
-class PositionRisk:
-    """Per-position bracket: certified floor and achieved estimator sup."""
+def average_risk(
+    r_bins: Sequence[float], sups: Sequence[float]
+) -> tuple[float, float, float]:
+    """``(avg_lower, avg_upper, factored_sum)`` of per-position risks.
 
-    u: float
-    r_bin: float
-    sup_kl: float
-    t_at_sup: float
-
-
-@dataclass(frozen=True)
-class CompositionResult:
-    """Averaged risk bracket over independent positions.
-
-    The exact per-position minimax value is bracketed by (r_bin, sup_kl),
-    and averaging preserves both certified sides.  The average loss over
-    the product of feasible sets separates across positions, so the joint
-    adversary's sup is the ``factored_sum`` of per-position sups; the
+    Each position's exact minimax value is bracketed by its ``r_bin`` and
+    the symmetric estimator's sup, and averaging over independent positions
+    preserves both certified sides.  The average loss over the product of
+    feasible sets separates across positions, so the joint adversary's sup
+    is ``factored_sum``, which adds the per-position sups left to right: it
+    is bitwise the maximum cell of the left-folded joint sum over the
+    positions' sup-candidate profiles, since rounding is monotone.  The
     oracle battery confirms this by literal enumeration.
     """
-
-    avg_lower: float
-    avg_upper: float
-    per_position: tuple[PositionRisk, ...]
-    factored_sum: float
-
-
-def compose_nonadaptive(geoms: Sequence[SetGeometry]) -> CompositionResult:
-    """Average worst-case risk of the symmetric estimator across positions.
-
-    ``factored_sum`` adds the per-position sups left to right, so it is
-    bitwise the maximum cell of the left-folded joint sum over the
-    positions' sup-candidate profiles: rounding is monotone.
-    """
-    if len(geoms) == 0:
+    if len(sups) == 0:
         raise ValueError("need at least one position")
-
-    per_position = []
-    for geom in geoms:
-        sup_kl, t_at = worst_case_risk(geom, symmetric_estimator(geom))
-        per_position.append(
-            PositionRisk(
-                u=geom.U_K,
-                r_bin=binary_reserve(geom.U_K).r_bin,
-                sup_kl=sup_kl,
-                t_at_sup=t_at,
-            )
-        )
-
-    factored_sum = reduce(lambda acc, p: acc + p.sup_kl, per_position, 0.0) / len(geoms)
-    return CompositionResult(
-        avg_lower=float(np.mean([p.r_bin for p in per_position])),
-        avg_upper=float(np.mean([p.sup_kl for p in per_position])),
-        per_position=tuple(per_position),
-        factored_sum=factored_sum,
+    return (
+        float(np.mean(r_bins)),
+        float(np.mean(sups)),
+        reduce(operator.add, sups, 0.0) / len(sups),
     )

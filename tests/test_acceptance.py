@@ -18,9 +18,11 @@ from censet.minimax import (
     SECOND_ORDER_COEFF,
     _sup_candidates,
     binary_reserve,
-    critical_k,
     g_max,
+    reserve,
     symmetric_estimator,
+    symmetric_sup,
+    verdicts,
     worst_case_risk,
 )
 from censet.normalized import (
@@ -40,8 +42,8 @@ from censet.reference import ReferenceLogits, reference_geometry
 from censet.simulate import (
     GaussianIID,
     SyntheticTeacherConfig,
+    average_risk,
     censor,
-    compose_nonadaptive,
     generate_teacher,
     geometry_with_diameter,
 )
@@ -89,13 +91,13 @@ def test_criterion_2_critical_threshold():
     u_crit = brentq(lambda u: binary_reserve(u).r_bin - 0.1, 1e-6, 0.9, xtol=1e-12)
     assert abs(u_crit - 0.25) <= 0.005
     geom = geometry_with_diameter(0.908, 256)
-    (verdict,) = critical_k([geom], 0.1)
-    assert verdict.verdict == "IMPOSSIBLE"
-    assert abs(verdict.r_bin - 0.538) <= 1e-3
+    ((r_bin, verdict),) = verdicts([geom.U_K], 0.1)
+    assert verdict == "IMPOSSIBLE"
+    assert abs(r_bin - 0.538) <= 1e-3
     _passed(
         2,
         f"R_bin = 0.1 at U = {u_crit:.4f}; U = 0.908 certified IMPOSSIBLE "
-        f"with R_bin = {verdict.r_bin:.4f}",
+        f"with R_bin = {r_bin:.4f}",
     )
 
 
@@ -245,19 +247,23 @@ def test_criterion_8_normalized_access():
 
 def test_criterion_9_composition():
     geoms = [geometry_with_diameter(u, 32) for u in (0.1, 0.3, 0.5)]
-    result = compose_nonadaptive(geoms)
+    avg_lower, _, factored_sum = average_risk(
+        [reserve(g.U_K)[1] for g in geoms],
+        [symmetric_sup(g.M, g.log_odds, g.U_K)[0] for g in geoms],
+    )
     expected = (0.038 + 0.123 + 0.223) / 3.0
-    assert abs(result.avg_lower - expected) <= 1e-3
+    assert abs(avg_lower - expected) <= 1e-3
     # the literal joint adversary over every position's sup candidates
     profiles = [
-        [risk for risk, _ in _sup_candidates(g, symmetric_estimator(g))]
+        [risk for risk, _ in _sup_candidates(
+            g.M, g.log_odds, g.U_K, symmetric_estimator(g).s)]
         for g in geoms
     ]
     joint = float(reduce(np.add.outer, profiles).max()) / len(geoms)
-    assert joint == result.factored_sum
+    assert joint == factored_sum
     _passed(
         9,
-        f"averaged lower bound {result.avg_lower:.4f} vs {expected:.4f}; "
+        f"averaged lower bound {avg_lower:.4f} vs {expected:.4f}; "
         "joint grid maximum equals the factored sum exactly",
     )
 

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from censet.cli import ANALYZE_FIELDS, CERTIFY_FIELDS, main
+from censet.cli import ANALYZE_FIELDS, CERTIFY_FIELDS, _json_report, main
 from censet.numerics import POLICY, NumericPolicy, apply_policy_overrides
 from censet.observation import (
     AccessMode,
@@ -463,6 +465,75 @@ class TestUnderflowedDiameter:
         wide, exact = json.loads(out.read_text())["rows"]
         assert wide["sup_kl_mean"] >= wide["rbin_mean"] > 0.0
         assert (exact["uk_mean"], exact["sup_kl_mean"]) == (0.0, 0.0)
+
+
+class TestDegenerateParameters:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["certify", "--delta", "nan"], "delta must be positive, got nan"),
+            (["simulate", "--law", "dirichlet", "--concentration", "0"],
+             "concentration must be finite and > 0, got 0.0"),
+            (["simulate", "--law", "peaked", "--gap", "-3"],
+             "gap must be finite and >= 0, got -3.0"),
+        ],
+        ids=["delta-nan", "concentration-0", "gap-negative"],
+    )
+    def test_rejected(self, argv, message, obs_file, tmp_path, capsys):
+        if argv[0] == "certify":
+            argv = [*argv, "--input", str(obs_file)]
+        out = tmp_path / "r.json"
+        assert main([*argv, "--output", str(out)]) == 1
+        assert not out.exists()
+        (error,) = json.loads(capsys.readouterr().err)["errors"]
+        assert error["message"] == message
+
+
+# JSON scalars a report can hold, with the encoders' edge cases
+REPORT_STRINGS = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from([
+        '"', "\\", "\n", "\x00\x1f\x7f", "\u2028", "caf\u00e9 \U0001f600",
+        "},\n      {", '"},\n      {"', "},\\n      {",
+    ]),
+)
+REPORT_SCALARS = st.one_of(
+    REPORT_STRINGS,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                     1.7976931348623157e308]),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**63, -(2**63) - 1, 2**64 + 1]),
+    st.booleans(),
+    st.none(),
+)
+
+
+class TestJsonReport:
+    """The C-encoder report writer against ``json.dumps(body, indent=2)``."""
+
+    @given(
+        payload=st.dictionaries(
+            REPORT_STRINGS.filter(lambda k: k != "rows"), REPORT_SCALARS, max_size=4
+        ),
+        rows=st.one_of(
+            st.just([]),
+            st.lists(st.dictionaries(REPORT_STRINGS, REPORT_SCALARS, min_size=1,
+                                     max_size=6), min_size=1, max_size=12),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_indented_encoder(self, payload, rows):
+        body = {**payload, "rows": rows}
+        assert _json_report(body) == json.dumps(body, indent=2)
+
+    @pytest.mark.parametrize("n", [0, 1, 500])
+    def test_report_rows(self, n):
+        rows = [{"position_id": f"p{i}", "U_K": i / 7, "verdict": None,
+                 "flag": i % 2 == 0} for i in range(n)]
+        body = {"command": "analyze", "units": "nats", "rows": rows}
+        assert _json_report(body) == json.dumps(body, indent=2)
+        assert _json_report({"errors": rows}) == json.dumps({"errors": rows}, indent=2)
 
 
 class TestCompose:

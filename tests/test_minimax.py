@@ -1,5 +1,6 @@
 """Recovery bounds: reserve, envelope, best responses, worst-case risk."""
 
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import xlogy
 
+from censet.cli import main
 from censet.identified_set import (
     FeasiblePoint,
     SetGeometry,
@@ -22,13 +24,13 @@ from censet.minimax import (
     EstimatorSpec,
     adversary_best_response,
     binary_reserve,
-    critical_k,
     estimator_distribution,
     g_envelope,
     g_max,
     minimax_certificate,
     risk_at_tail_mass,
     symmetric_estimator,
+    verdicts,
     worst_case_risk,
 )
 from censet.observation import LogSummary, summarize
@@ -419,25 +421,49 @@ class TestCertificate:
             assert 0.0 <= cert.r_bin <= cert.g_max + 1e-9
 
 
+def _certify_row(tmp_path, capsys, geom, delta):
+    """The ``certify`` report row of the observation behind ``geom``.
+
+    ``geom`` comes from :func:`geometry_with_diameter`: token 0 scores 0
+    and token 1 scores ``tau``.
+    """
+    path = tmp_path / "obs.jsonl"
+    topk = [{"token": 0, "score": 0.0}, {"token": 1, "score": geom.tau}]
+    path.write_text(json.dumps(
+        {"vocab_size": geom.vocab_size, "mode": "logits", "topk": topk}) + "\n")
+    argv = ["certify", "--input", str(path), "--delta", repr(delta), "--format", "json"]
+    assert main(argv) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert row["U_K"] == geom.U_K
+    return row
+
+
 class TestCriticalK:
-    def test_certified_impossible(self):
+    def test_certified_impossible(self, tmp_path, capsys):
         g = geometry_with_diameter(0.908, 256)
-        (verdict,) = critical_k([g], 0.1)
-        assert verdict.verdict == "IMPOSSIBLE"
-        assert verdict.r_bin == pytest.approx(0.538, abs=1e-3)
+        ((r_bin, verdict),) = verdicts([g.U_K], 0.1)
+        assert verdict == "IMPOSSIBLE"
+        assert r_bin == pytest.approx(0.538, abs=1e-3)
+        row = _certify_row(tmp_path, capsys, g, 0.1)
+        assert (row["r_bin"], row["verdict"]) == (r_bin, verdict)
 
-    def test_threshold_flag_at_boundary(self):
+    def test_threshold_flag_at_boundary(self, tmp_path, capsys):
         g = geometry_with_diameter(0.25, 16)
-        (verdict,) = critical_k([g], 0.1)
-        assert verdict.verdict == "THRESHOLD"
-        assert verdict.heuristic_u_max == pytest.approx(E * 0.1, rel=1e-15)
+        ((_, verdict),) = verdicts([g.U_K], 0.1)
+        assert verdict == "THRESHOLD"
+        row = _certify_row(tmp_path, capsys, g, 0.1)
+        assert row["verdict"] == "THRESHOLD"
+        assert row["heuristic_u_max"] == pytest.approx(E * 0.1, rel=1e-15)
 
-    def test_open_when_tolerance_is_loose(self):
+    def test_open_when_tolerance_is_loose(self, tmp_path, capsys):
         g = geometry_with_diameter(0.97, 128)
-        (verdict,) = critical_k([g], 10.0)
-        assert verdict.verdict == "OPEN"
-        assert verdict.within_first_order
+        ((_, verdict),) = verdicts([g.U_K], 10.0)
+        assert verdict == "OPEN"
+        row = _certify_row(tmp_path, capsys, g, 10.0)
+        assert row["verdict"] == "OPEN"
+        assert row["within_first_order"] is True
 
     def test_domain_error(self, v4_geometry):
-        with pytest.raises(ValueError):
-            critical_k([v4_geometry], 0.0)
+        for delta in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                verdicts([v4_geometry.U_K], delta)

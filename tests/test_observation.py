@@ -16,6 +16,7 @@ from censet.observation import (
     ParseError,
     TopKObservation,
     ValidationError,
+    _iter_observations,
     hidden_tail_mass,
     parse_observations,
     serialize_observations,
@@ -393,3 +394,137 @@ class TestArrays:
         with pytest.raises(ValidationError) as caught:
             TopKObservation(3, tokens, scores, AccessMode.LOGITS)
         assert str(caught.value) == message
+
+
+def _bits(array) -> bytes:
+    return np.ascontiguousarray(array).tobytes()
+
+
+# scores that tie, carry a sign on zero, are JSON integers or spread to the
+# ends of the float range
+SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.5, 0, 3, -7]),
+    st.floats(-1e308, 1e308, allow_nan=False),
+    st.floats(-50, 50, allow_nan=False),
+    st.integers(-(2**53), 2**53),
+)
+
+
+@st.composite
+def _records(draw):
+    vocab_size = draw(st.integers(1, 24))
+    k = draw(st.sampled_from([1, vocab_size, draw(st.integers(1, vocab_size))]))
+    tokens = draw(st.permutations(range(vocab_size)))[:k]
+    scores = draw(st.lists(SCORES, min_size=k, max_size=k))
+    mode = draw(st.sampled_from(["logits", "logprobs"]))
+    if mode == "logprobs":
+        # non-positive, with a head mass of at most K * exp(-log K) = 1
+        scores = [-abs(float(s)) - math.log(k) for s in scores]
+    topk = [{"token": t, "score": s} for t, s in zip(tokens, scores)]
+    return json.dumps({"vocab_size": vocab_size, "mode": mode, "topk": topk})
+
+
+class TestBatchParse:
+    """The batch parser against the one-record-at-a-time stream."""
+
+    @given(st.lists(_records(), min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_stream_bit_for_bit(self, records):
+        text = "\n".join(records) + "\n"
+        batch = parse_observations(text)
+        stream = list(_iter_observations(text))
+        assert len(batch) == len(stream)
+        assert _bits(batch.tau) == _bits([o.tau for o in stream])
+        assert batch.k.tolist() == [o.k for o in stream]
+        for got, want in zip(batch, stream):
+            assert (got.vocab_size, got.mode, got.position_id) == (
+                want.vocab_size, want.mode, want.position_id
+            )
+            for name in ("token_ids", "scores", "input_order"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and _bits(a) == _bits(b), name
+                assert not a.flags.writeable
+            assert _bits(np.float64(got.log_ZA)) == _bits(np.float64(want.log_ZA))
+
+    def test_empty_input(self):
+        batch = parse_observations("\n \n")
+        assert len(batch) == 0 and list(batch) == []
+        assert batch.k.tolist() == [] and batch.tau.tolist() == []
+
+    def test_indexing_and_slicing_as_a_list(self):
+        text = "".join(
+            _line(f"p{i}", [(i % 5, "-1.0"), ((i + 1) % 5, "0.5")]) + "\n"
+            for i in range(5)
+        )
+        batch = parse_observations(text)
+        ids = [o.position_id for o in batch]
+        assert batch[-1].position_id == ids[-1]
+        for part in (slice(1, None), slice(None, None, -2), slice(3, 1), slice(-9, 9)):
+            got = batch[part]
+            assert isinstance(got, list)
+            assert [o.position_id for o in got] == ids[part]
+        (second,) = batch[1:2]
+        assert second.input_order.tolist() == [1, 2]
+        assert second.token_ids.tolist() == [2, 1]
+        assert second.log_ZA == batch[1].log_ZA
+        with pytest.raises(IndexError):
+            batch[5]
+
+
+def _line(pid, pairs, mode="logits", vocab_size=5):
+    topk = ",".join('{"token":%s,"score":%s}' % pair for pair in pairs)
+    return '{"vocab_size":%d,"mode":"%s","position_id":"%s","topk":[%s]}' % (
+        vocab_size, mode, pid, topk
+    )
+
+
+# one faulty line per kind; "p0" is the id of the first, valid, line
+FAULTS = {
+    "invalid-json": lambda pid: '{"vocab_size": 5,',
+    "missing-field": lambda pid: '{"vocab_size":5,"position_id":"%s","topk":[]}' % pid,
+    "json-kind": lambda pid: _line(pid, [(0, "0.0"), ("1.5", "0.0")]),
+    "duplicate-position-id": lambda pid: _line("p0", [(0, "0.0")]),
+    "duplicate-token": lambda pid: _line(pid, [(1, "0.0"), (2, "-1.0"), (1, "1.0")]),
+    "token-range": lambda pid: _line(pid, [(0, "0.0"), (9, "-1.0")]),
+    "score-range": lambda pid: _line(pid, [(0, "1e999"), (2, "-1.0")]),
+    "positive-logprob": lambda pid: _line(pid, [(0, "-0.5"), (3, "0.25")], "logprobs"),
+    "head-mass": lambda pid: _line(
+        pid, [(0, repr(math.log(0.6))), (4, repr(math.log(0.6)))], "logprobs"
+    ),
+}
+
+
+class TestBatchErrorOrder:
+    """With faults on two lines, the batch raises the stream's first error."""
+
+    @staticmethod
+    def _text(faults: dict[int, str], n: int = 6) -> str:
+        lines = [
+            FAULTS[faults[i]](f"p{i}") if i in faults
+            else _line(f"p{i}", [(i % 5, "0.5"), ((i + 1) % 5, "-1.0")])
+            for i in range(n)
+        ]
+        return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def _error(parse, text) -> tuple[int, str]:
+        with pytest.raises(ParseError) as caught:
+            parse(text)
+        return caught.value.line, str(caught.value)
+
+    @pytest.mark.parametrize("second", sorted(FAULTS))
+    @pytest.mark.parametrize("first", sorted(FAULTS))
+    def test_first_fault_in_line_order_wins(self, first, second):
+        for i, j in ((1, 2), (1, 4), (3, 5)):
+            text = self._text({i: first, j: second})
+            expected = self._error(lambda t: list(_iter_observations(t)), text)
+            assert expected[0] == i + 1
+            assert self._error(parse_observations, text) == expected
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_single_fault(self, fault):
+        text = self._text({5: fault})
+        expected = self._error(lambda t: list(_iter_observations(t)), text)
+        assert self._error(parse_observations, text) == expected == (
+            6, expected[1]
+        )

@@ -10,7 +10,13 @@ import pytest
 
 from censet.cli import main
 from censet.identified_set import geometry
-from censet.minimax import _sup_candidates, binary_reserve, symmetric_estimator
+from censet.minimax import (
+    _sup_candidates,
+    binary_reserve,
+    reserve,
+    symmetric_estimator,
+    symmetric_sup,
+)
 from censet.numerics import POLICY
 from censet.observation import (
     AccessMode,
@@ -25,8 +31,8 @@ from censet.simulate import (
     PeakedHead,
     SyntheticTeacherConfig,
     _sweep_position,
+    average_risk,
     censor,
-    compose_nonadaptive,
     generate_teacher,
     geometry_with_diameter,
     ksweep,
@@ -347,66 +353,78 @@ class TestSyntheticDiameter:
             geometry_with_diameter(0.9, 4)
 
 
+def _compose(geoms):
+    """``compose``'s per-position ``(r_bin, sup_kl, t_at_sup)`` and its
+    ``(avg_lower, avg_upper, factored_sum)``."""
+    per_position = [
+        (reserve(g.U_K)[1], *symmetric_sup(g.M, g.log_odds, g.U_K)) for g in geoms
+    ]
+    r_bins, sups, _ = zip(*per_position)
+    return per_position, average_risk(r_bins, sups)
+
+
 class TestCompose:
     def test_single_position_matches_worst_case(self, v4_geometry):
         from censet.minimax import worst_case_risk
 
         est = symmetric_estimator(v4_geometry)
-        result = compose_nonadaptive([v4_geometry])
+        _, (avg_lower, avg_upper, _) = _compose([v4_geometry])
         sup_kl, _ = worst_case_risk(v4_geometry, est)
-        assert result.avg_upper == pytest.approx(sup_kl, rel=1e-12)
-        assert result.avg_lower == pytest.approx(
+        assert avg_upper == pytest.approx(sup_kl, rel=1e-12)
+        assert avg_lower == pytest.approx(
             binary_reserve(v4_geometry.U_K).r_bin, rel=1e-12
         )
 
     def test_three_position_average(self):
         geoms = [geometry_with_diameter(u, 32) for u in (0.1, 0.3, 0.5)]
-        result = compose_nonadaptive(geoms)
+        _, (avg_lower, avg_upper, _) = _compose(geoms)
         expected = (0.038 + 0.123 + 0.223) / 3
-        assert result.avg_lower == pytest.approx(expected, abs=1e-3)
-        assert result.avg_upper >= result.avg_lower
+        assert avg_lower == pytest.approx(expected, abs=1e-3)
+        assert avg_upper >= avg_lower
 
     def test_joint_grid_equals_factored_sum(self):
         geoms = [geometry_with_diameter(u, 16) for u in (0.2, 0.45, 0.7)]
-        result = compose_nonadaptive(geoms)
+        _, (_, _, factored_sum) = _compose(geoms)
         profiles = [
-            [risk for risk, _ in _sup_candidates(g, symmetric_estimator(g))]
+            [risk for risk, _ in _sup_candidates(
+                g.M, g.log_odds, g.U_K, symmetric_estimator(g).s)]
             for g in geoms
         ]
         joint = float(reduce(np.add.outer, profiles).max()) / len(geoms)
-        assert joint == result.factored_sum
+        assert joint == factored_sum
 
     def test_joint_sup_is_factored_sum_beyond_enumeration(self):
         # 30 positions with two candidates each: 2**30 joint cells
         geoms = [geometry_with_diameter(u, 64) for u in np.linspace(0.05, 0.95, 30)]
-        result = compose_nonadaptive(geoms)
-        profiles = [_sup_candidates(g, symmetric_estimator(g)) for g in geoms]
+        _, (_, avg_upper, factored_sum) = _compose(geoms)
+        profiles = [
+            _sup_candidates(g.M, g.log_odds, g.U_K, symmetric_estimator(g).s)
+            for g in geoms
+        ]
         assert all(len(p) == 2 for p in profiles)
         # rounding is monotone, so the max joint cell is the fold of the maxima
         maxima = [max(risk for risk, _ in p) for p in profiles]
         folded = reduce(lambda a, b: a + b, maxima, 0.0)
-        assert result.factored_sum == folded / len(geoms)
-        assert result.factored_sum == pytest.approx(result.avg_upper, rel=1e-14)
+        assert factored_sum == folded / len(geoms)
+        assert factored_sum == pytest.approx(avg_upper, rel=1e-14)
 
     def test_sup_from_breakpoint_profile(self):
         from censet.minimax import worst_case_risk
 
         geoms = [geometry_with_diameter(u, 64) for u in (0.05, 0.7, 0.95)]
-        result = compose_nonadaptive(geoms)
-        for geom, p in zip(geoms, result.per_position):
+        per_position, (_, avg_upper, factored_sum) = _compose(geoms)
+        for geom, (_, sup_kl, t_at_sup) in zip(geoms, per_position):
             est = symmetric_estimator(geom)
-            assert (p.sup_kl, p.t_at_sup) == worst_case_risk(geom, est)
-        assert result.factored_sum == pytest.approx(result.avg_upper, rel=1e-15)
+            assert (sup_kl, t_at_sup) == worst_case_risk(geom, est)
+        assert factored_sum == pytest.approx(avg_upper, rel=1e-15)
 
     def test_mixed_exact_positions(self):
         exact = geometry(summarize(censor(np.array([1.0, 0.0]), 2)))
         wide = geometry_with_diameter(0.4, 16)
-        result = compose_nonadaptive([exact, wide])
-        assert result.per_position[0].sup_kl == 0.0
-        assert result.avg_upper == pytest.approx(
-            result.per_position[1].sup_kl / 2, rel=1e-12
-        )
+        per_position, (_, avg_upper, _) = _compose([exact, wide])
+        assert per_position[0][1] == 0.0
+        assert avg_upper == pytest.approx(per_position[1][1] / 2, rel=1e-12)
 
     def test_empty_input(self):
         with pytest.raises(ValueError):
-            compose_nonadaptive([])
+            average_risk([], [])
