@@ -343,12 +343,10 @@ def cmd_reference(args) -> int:
         except ref.CoverageError:
             revealed_ref = None
         if revealed_ref is not None and obs.k >= 2:
-            diag = ref.calibrate_rho(
-                list(zip(obs.scores, revealed_ref)), candidate_rhos=(args.rho,)
-            )
-            row["max_perturbation"] = diag.max_perturbation
-            row["frac_exceeding_rho"] = diag.exceed_fraction[0][1]
-            max_perturbations.append(diag.max_perturbation)
+            worst, exceeding = ref.calibrate_rho(obs.scores, revealed_ref, args.rho)
+            row["max_perturbation"] = worst
+            row["frac_exceeding_rho"] = exceeding
+            max_perturbations.append(worst)
         rows.append(row)
     payload = {
         "command": "reference",

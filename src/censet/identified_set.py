@@ -16,9 +16,8 @@ the log domain: observed ``U_K`` values routinely exceed 0.98, where a naive
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
@@ -106,147 +105,3 @@ def per_token_cap(geom: SetGeometry, t: float) -> float:
     if t < -tol or t > geom.U_K + tol:
         raise ValueError(f"tail mass t={t!r} outside [0, U_K={geom.U_K!r}]")
     return token_cap(geom.log_odds, geom.M, min(max(t, 0.0), geom.U_K))
-
-
-@dataclass(frozen=True)
-class FeasiblePoint:
-    """A member of the compatible set: tail mass plus its allocation.
-
-    The head is implicitly ``(1-t) * alpha`` and is never stored.  The
-    maximal uniform tail is represented symbolically (``uniform=True``) and
-    materialized only on demand, since M can reach ~1.5e5 for real
-    vocabularies.
-    """
-
-    t: float
-    tail: Mapping[int, float] = field(default_factory=dict)
-    uniform: bool = False
-
-    def __post_init__(self):
-        if self.t < 0.0:
-            raise ValueError(f"tail mass must be nonnegative, got {self.t!r}")
-        if self.uniform and self.tail:
-            raise ValueError("a uniform tail carries no explicit allocation")
-        for u, w in self.tail.items():
-            if w < 0.0:
-                raise ValueError(f"negative tail weight {w!r} on token {u}")
-
-
-@dataclass(frozen=True)
-class MembershipReport:
-    ok: bool
-    violations: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def tail_map(geom: SetGeometry, point: FeasiblePoint) -> dict[int, float]:
-    """Materialize the tail allocation as an explicit token -> mass map."""
-    if point.uniform:
-        if geom.M == 0:
-            return {}
-        w = point.t / geom.M
-        return {int(u): w for u in geom.censored_ids}
-    return dict(point.tail)
-
-
-def to_distribution(geom: SetGeometry, point: FeasiblePoint) -> np.ndarray:
-    """Dense length-V distribution for a feasible point (small-V use)."""
-    p = np.zeros(geom.vocab_size)
-    p[geom.token_ids] = (1.0 - point.t) * geom.alpha
-    for u, w in tail_map(geom, point).items():
-        p[u] = w
-    return p
-
-
-def extremal_pair(geom: SetGeometry) -> tuple[FeasiblePoint, FeasiblePoint]:
-    """The zero-tail point and the maximal uniform-tail point.
-
-    Their total-variation distance equals U_K, attaining the diameter.
-    """
-    if geom.M == 0:
-        raise ValueError("compatible set is a single point; no extremal pair")
-    return FeasiblePoint(t=0.0), FeasiblePoint(t=geom.U_K, uniform=True)
-
-
-def membership(geom: SetGeometry, point: FeasiblePoint) -> MembershipReport:
-    """Check a point against the tail-mass range and per-token caps.
-
-    Tail entries on revealed token ids are a structural error (raised), not
-    a membership failure.  The report lists every violated constraint.
-    """
-    revealed = set(geom.token_ids.tolist())
-    if not point.uniform:
-        for u in point.tail:
-            if u in revealed:
-                raise ValueError(f"tail entry on revealed token id {u}")
-            if u < 0 or u >= geom.vocab_size:
-                raise ValueError(
-                    f"tail token id {u} outside [0, {geom.vocab_size})"
-                )
-
-    tol = POLICY.membership_tol
-    violations: list[str] = []
-    t = point.t
-    if t > geom.U_K + tol:
-        violations.append(
-            f"tail mass exceeds U_K: t={t!r} > U_K={geom.U_K!r}"
-        )
-    if geom.M == 0 and t > tol:
-        violations.append("no censored tokens but positive tail mass")
-
-    if not violations and geom.M > 0:
-        cap = per_token_cap(geom, min(t, geom.U_K)) + tol * (1.0 + t)
-        if point.uniform:
-            w = t / geom.M
-            if w > cap:
-                violations.append(
-                    f"uniform tail weight {w!r} exceeds per-token cap {cap!r}"
-                )
-        else:
-            total = 0.0
-            for u, w in point.tail.items():
-                total += w
-                if w > cap:
-                    violations.append(
-                        f"tail weight {w!r} on token {u} exceeds cap {cap!r}"
-                    )
-            if abs(total - t) > tol * (1.0 + t):
-                violations.append(
-                    f"tail allocation sums to {total!r}, expected t={t!r}"
-                )
-    return MembershipReport(ok=not violations, violations=tuple(violations))
-
-
-def _check_distribution_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    for name, arr in (("p", p), ("q", q)):
-        total = float(arr.sum())
-        if abs(total - 1.0) > POLICY.norm_tol:
-            raise ValueError(f"{name} sums to {total!r}, not 1 within tolerance")
-    return p, q
-
-
-def tv(p, q) -> float:
-    """Total variation distance, 0.5 * l1, between two full distributions."""
-    p, q = _check_distribution_pair(p, q)
-    return float(0.5 * np.abs(p - q).sum())
-
-
-def kl(p, q) -> float:
-    """KL divergence in nats with the extended conventions.
-
-    ``0 log 0 = 0``; mass in ``p`` where ``q`` is zero yields ``+inf`` (a
-    distinguished value, not an error: the zero-tail extremal point makes
-    this case routine).
-    """
-    p, q = _check_distribution_pair(p, q)
-    support = p > 0.0
-    if np.any(q[support] == 0.0):
-        return math.inf
-    ps = p[support]
-    return float(np.sum(ps * (np.log(ps) - np.log(q[support]))))

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .identified_set import FeasiblePoint, SetGeometry
+from .identified_set import SetGeometry
 from .numerics import POLICY, expit
 
 _INV_E = 1.0 / math.e
@@ -214,18 +214,6 @@ def symmetric_estimator(geom: SetGeometry, s: float | None = None) -> EstimatorS
     return EstimatorSpec(s=float(s))
 
 
-def estimator_distribution(geom: SetGeometry, est: EstimatorSpec) -> np.ndarray:
-    """Dense length-V distribution induced by an estimator (small-V use)."""
-    q = np.zeros(geom.vocab_size)
-    q[geom.token_ids] = (1.0 - est.s) * geom.alpha
-    if geom.M > 0 and est.s > 0.0:
-        weights = (
-            np.full(geom.M, 1.0 / geom.M) if est.is_uniform else est.tail_weights
-        )
-        q[geom.censored_ids] = est.s * weights
-    return q
-
-
 def _bernoulli_kl(t: float, s: float) -> float:
     """KL between Bernoulli(t) and Bernoulli(s), with the edge conventions."""
     if t > 0.0 and s == 0.0:
@@ -267,51 +255,6 @@ def _concentrated_tail_kl(
     if rem > 0.0:
         value += rem * math.log(rem * m)
     return n_full, rem, max(0.0, value)
-
-
-def risk_at_tail_mass(geom: SetGeometry, est: EstimatorSpec, t: float) -> float:
-    """Worst-case KL against a uniform-tail estimator at fixed tail mass.
-
-    Decomposes as d(t || s) + t * max KL(r || uniform), both pieces closed
-    form, so this is exact (no inner search).
-    """
-    if not est.is_uniform:
-        raise ValueError("closed-form best response requires a uniform tail rule")
-    if t < 0.0 or t > geom.U_K + POLICY.membership_tol:
-        raise ValueError(f"tail mass t={t!r} outside [0, U_K={geom.U_K!r}]")
-    if t == 0.0:
-        return -math.log1p(-est.s) if est.s < 1.0 else math.inf
-    t = min(t, geom.U_K)
-    _, _, tail_kl = _concentrated_tail_kl(geom.M, geom.log_odds, t, None)
-    return _bernoulli_kl(t, est.s) + t * tail_kl
-
-
-def adversary_best_response(
-    geom: SetGeometry, est: EstimatorSpec, t: float
-) -> tuple[FeasiblePoint, float]:
-    """The compatible point maximizing KL against ``est`` at tail mass t.
-
-    The maximizing tail puts the per-token cap on as many censored tokens
-    as fit and the remainder on one further token (lowest ids first, for
-    determinism).  Requires a uniform-tail estimator and 0 < t <= U_K.
-    """
-    if not est.is_uniform:
-        raise ValueError("closed-form best response requires a uniform tail rule")
-    if geom.M == 0:
-        raise ValueError("no censored tokens; adversary has no tail to allocate")
-    if t <= 0.0 or t > geom.U_K + POLICY.membership_tol:
-        raise ValueError(f"tail mass t={t!r} outside (0, U_K={geom.U_K!r}]")
-    t = min(t, geom.U_K)
-    n_full, rem, tail_kl = _concentrated_tail_kl(geom.M, geom.log_odds, t, None)
-    value = _bernoulli_kl(t, est.s) + t * tail_kl
-    if n_full == geom.M and rem == 0.0:
-        return FeasiblePoint(t=t, uniform=True), value
-    lam = math.exp(geom.log_odds) * (1.0 - t) / t
-    ids = geom.censored_ids
-    tail = {int(u): t * lam / geom.M for u in ids[:n_full]}
-    if rem > 0.0:
-        tail[int(ids[n_full])] = t * rem
-    return FeasiblePoint(t=t, tail=tail), value
 
 
 def _sup_candidates(
@@ -358,8 +301,10 @@ def worst_case_risk(geom: SetGeometry, est: EstimatorSpec) -> tuple[float, float
     log_odds - log s``.  So the sup is at floor or ceil of ``n_dagger =
     (d-1) M exp(-log_odds)`` (0 when d <= 1) clamped to [0, M]: only those
     breakpoints, ``t_n = sigmoid(log(n/M) + log_odds)`` capped at U_K, are
-    evaluated by the closed form of :func:`risk_at_tail_mass` with exactly
-    n tokens at the cap.  Returns (sup_kl, argmax_t).
+    evaluated, as ``d(t_n || s) + t_n * max KL(r || uniform)`` with exactly
+    n tokens at the cap (:func:`_concentrated_tail_kl`).  The oracles'
+    ``risk_at_tail_mass`` evaluates the same closed form at any t.  Returns
+    (sup_kl, argmax_t).
     """
     if geom.U_K != 0.0 and not est.is_uniform:
         raise ValueError("closed-form best response requires a uniform tail rule")

@@ -15,9 +15,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .identified_set import MembershipReport
 from .numerics import POLICY
 from .observation import AccessMode, ModeError, TopKObservation, _tail_mass
 
@@ -113,59 +110,3 @@ def tail_geometry(
         condition = TailCondition.OVERLAPPING_SUPPORTS
         diameter = allocation_diameter(t_star, cap, m)
     return t_star, cap, condition, diameter
-
-
-def disjoint_witness_pair(
-    obs: TopKObservation, ng: NormalizedGeometry
-) -> tuple[dict[int, float], dict[int, float]]:
-    """Two explicit allocations with disjoint supports and TV exactly t*.
-
-    Only available in the disjoint-supports regime.  Each allocation fills
-    ceil(t*/c) censored tokens (lowest ids first) to the cap, with the last
-    token absorbing the remainder.
-    """
-    if ng.condition is not TailCondition.DISJOINT_SUPPORTS:
-        raise ValueError(f"no disjoint witnesses in condition {ng.condition.value}")
-    hidden = np.ones(obs.vocab_size, dtype=bool)
-    hidden[obs.token_ids] = False
-    censored = np.flatnonzero(hidden).tolist()
-    n = _tokens_needed(ng.t_star, ng.cap)
-
-    def fill(ids: list[int]) -> dict[int, float]:
-        alloc: dict[int, float] = {}
-        remaining = ng.t_star
-        for u in ids:
-            w = min(ng.cap, remaining)
-            alloc[u] = w
-            remaining -= w
-        return alloc
-
-    return fill(censored[:n]), fill(censored[n : 2 * n])
-
-
-def allocation_membership(
-    obs: TopKObservation, ng: NormalizedGeometry, alloc: dict[int, float]
-) -> MembershipReport:
-    """Check an allocation: censored ids only, entries <= cap, sum = t*."""
-    revealed = set(obs.token_ids.tolist())
-    for u in alloc:
-        if u in revealed:
-            raise ValueError(f"allocation entry on revealed token id {u}")
-        if u < 0 or u >= obs.vocab_size:
-            raise ValueError(f"token id {u} outside [0, {obs.vocab_size})")
-    tol = POLICY.membership_tol
-    violations = []
-    total = 0.0
-    for u, w in alloc.items():
-        total += w
-        if w < -tol:
-            violations.append(f"negative mass {w!r} on token {u}")
-        if w > ng.cap + tol * (1.0 + ng.cap):
-            violations.append(
-                f"mass {w!r} on token {u} exceeds cap {ng.cap!r}"
-            )
-    if abs(total - ng.t_star) > tol * (1.0 + ng.t_star):
-        violations.append(
-            f"allocation sums to {total!r}, expected t* = {ng.t_star!r}"
-        )
-    return MembershipReport(ok=not violations, violations=tuple(violations))

@@ -28,8 +28,6 @@ class NumericPolicy:
     head_mass_tol: float = 1e-9
     # slack on identified-set membership checks (tail mass, per-token caps)
     membership_tol: float = 1e-12
-    # how close to 1 an input distribution must sum for tv()/kl()
-    norm_tol: float = 1e-9
     # feasibility slack for normalized access: t* <= M*c + tail_feasibility_tol
     tail_feasibility_tol: float = 1e-9
     # |R_bin - delta| band inside which a verdict is flagged THRESHOLD

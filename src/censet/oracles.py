@@ -1,15 +1,19 @@
-"""Independent brute-force routes to every closed form, and the battery.
+"""Independent brute-force routes to every closed form, their witnesses,
+and the battery.
 
 Each oracle reaches a closed-form quantity by enumeration, sampling, direct
 minimization or a dense scan instead of the algebra the analysis modules
-use, and refuses inputs too large to enumerate.  ``censet oracle`` runs
+use, and refuses inputs too large to enumerate.  The witnesses (extremal
+pairs, the adversary's best response, disjoint allocations) are the points
+that attain those quantities; each is a dense length-V float64 vector, so
+they are for small vocabularies only.  ``censet oracle`` runs
 :func:`oracle_battery`; the tests call the oracles directly.  No analysis
 path imports this module.
 
-Calls into the analysis modules go through module attributes (``geo.tv``,
-``mm.g_max``, ...), never names imported into this module, so the layer
-tracer of ``bench/spans.py``, which rebinds those attributes, sees every
-call the battery makes.
+Calls into the analysis modules go through module attributes
+(``geo.geometry``, ``mm.g_max``, ...), never names imported into this
+module, so the layer tracer of ``bench/spans.py``, which rebinds those
+attributes, sees every call the battery makes.
 """
 
 from __future__ import annotations
@@ -33,6 +37,190 @@ from .numerics import POLICY
 # combinatorial limits of the enumerating oracles
 _MAX_ORACLE_VOCAB = 12
 _MAX_ORACLE_TOKENS = 12
+
+
+# -- witnesses: dense length-V vectors -------------------------------------
+
+
+def point(
+    geom: geo.SetGeometry, t: float, tail: np.ndarray | None = None
+) -> np.ndarray:
+    """Dense vector with head ``(1-t) * alpha`` and tail mass ``t``.
+
+    The censored tail is uniform, ``t/M`` per token, or ``tail`` aligned
+    with ``geom.censored_ids``.  ``point(geom, 0.0)`` and
+    ``point(geom, geom.U_K)`` are the extremal pair, whose total variation
+    attains U_K.  Use :func:`membership` to check that the result lies in
+    the compatible set.
+    """
+    p = np.zeros(geom.vocab_size)
+    p[geom.token_ids] = (1.0 - t) * geom.alpha
+    if geom.M > 0:
+        p[geom.censored_ids] = t / geom.M if tail is None else tail
+    return p
+
+
+def membership(geom: geo.SetGeometry, p: np.ndarray) -> list[str]:
+    """The compatible-set constraints a dense vector violates; [] if none.
+
+    With ``t`` the mass of ``p`` on the censored tokens, a member has
+    ``t <= U_K``, head ``(1-t) * alpha``, every censored entry in
+    ``[0, cap(t)]`` (:func:`identified_set.per_token_cap`) and total mass
+    1, each within ``membership_tol``.  A normalized observation's set is
+    the members with ``t = t*``: at that mass the cap is ``exp(tau)``.
+    """
+    tol = POLICY.membership_tol
+    tail = p[geom.censored_ids]
+    t = float(tail.sum())
+    violations = []
+    if t > geom.U_K + tol:
+        violations.append(f"tail mass exceeds U_K: t={t!r} > U_K={geom.U_K!r}")
+    head_gap = float(np.abs(p[geom.token_ids] - (1.0 - t) * geom.alpha).max())
+    if head_gap > tol:
+        violations.append(f"head departs from (1-t)*alpha by {head_gap!r}")
+    if geom.M > 0:
+        low = float(tail.min())
+        if low < -tol:
+            violations.append(f"negative tail mass {low!r}")
+        cap = geo.per_token_cap(geom, min(max(t, 0.0), geom.U_K)) + tol * (1.0 + t)
+        high = float(tail.max())
+        if high > cap:
+            violations.append(f"tail mass {high!r} exceeds per-token cap {cap!r}")
+    total = float(p.sum())
+    if abs(total - 1.0) > tol:
+        violations.append(f"vector sums to {total!r}, not 1")
+    return violations
+
+
+def _check_same_shape(p: np.ndarray, q: np.ndarray) -> None:
+    if p.shape != q.shape:
+        raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
+
+
+def tv(p: np.ndarray, q: np.ndarray) -> float:
+    """Total variation distance, 0.5 * l1, between two dense vectors."""
+    _check_same_shape(p, q)
+    return float(0.5 * np.abs(p - q).sum())
+
+
+def kl(p: np.ndarray, q: np.ndarray) -> float:
+    """KL divergence in nats with the extended conventions.
+
+    ``0 log 0 = 0``; mass in ``p`` where ``q`` is zero yields ``+inf`` (a
+    distinguished value, not an error: the zero-tail extremal point makes
+    this case routine).
+    """
+    _check_same_shape(p, q)
+    support = p > 0.0
+    if np.any(q[support] == 0.0):
+        return math.inf
+    ps = p[support]
+    return float(np.sum(ps * (np.log(ps) - np.log(q[support]))))
+
+
+def geometry_with_diameter(u: float, m: int) -> geo.SetGeometry:
+    """A small valid observation whose diameter is exactly ``u``.
+
+    Two revealed tokens with scores (0, a) and ``m`` censored tokens, where
+    ``a`` is solved so that log-odds(U_K) = logit(u).  Requires
+    ``m >= 2 u / (1-u)`` so that a <= 0 stays the threshold.
+    """
+    if not 0.0 < u < 1.0:
+        raise ValueError(f"diameter must lie in (0, 1), got {u!r}")
+    if m < 2.0 * u / (1.0 - u):
+        raise ValueError(
+            f"m={m} too small to realize diameter {u} with two revealed tokens"
+        )
+    g = math.log(u) - math.log1p(-u) - math.log(m)
+    a = g - math.log1p(-math.exp(g))
+    obs = ob.TopKObservation(
+        vocab_size=m + 2,
+        token_ids=(0, 1),
+        scores=(0.0, a),
+        mode=ob.AccessMode.LOGITS,
+        position_id=f"synthetic-u{u}",
+    )
+    return geo.geometry(ob.summarize(obs))
+
+
+def estimator_distribution(
+    geom: geo.SetGeometry, est: mm.EstimatorSpec
+) -> np.ndarray:
+    """Dense length-V distribution induced by an estimator."""
+    return point(geom, est.s, None if est.is_uniform else est.s * est.tail_weights)
+
+
+def risk_at_tail_mass(
+    geom: geo.SetGeometry, est: mm.EstimatorSpec, t: float
+) -> float:
+    """Worst-case KL against a uniform-tail estimator at fixed tail mass.
+
+    Decomposes as d(t || s) + t * max KL(r || uniform), both pieces closed
+    form, so this is exact (no inner search).
+    """
+    if not est.is_uniform:
+        raise ValueError("closed-form best response requires a uniform tail rule")
+    if t < 0.0 or t > geom.U_K + POLICY.membership_tol:
+        raise ValueError(f"tail mass t={t!r} outside [0, U_K={geom.U_K!r}]")
+    if t == 0.0:
+        return -math.log1p(-est.s) if est.s < 1.0 else math.inf
+    t = min(t, geom.U_K)
+    _, _, tail_kl = mm._concentrated_tail_kl(geom.M, geom.log_odds, t, None)
+    return mm._bernoulli_kl(t, est.s) + t * tail_kl
+
+
+def adversary_best_response(
+    geom: geo.SetGeometry, est: mm.EstimatorSpec, t: float
+) -> tuple[np.ndarray, float]:
+    """The compatible point maximizing KL against ``est`` at tail mass t.
+
+    The maximizing tail puts the per-token cap on as many censored tokens
+    as fit and the remainder on one further token (lowest ids first, for
+    determinism).  Requires a uniform-tail estimator and 0 < t <= U_K.
+    Returns the point as a dense vector and its KL.
+    """
+    if not est.is_uniform:
+        raise ValueError("closed-form best response requires a uniform tail rule")
+    if geom.M == 0:
+        raise ValueError("no censored tokens; adversary has no tail to allocate")
+    if t <= 0.0 or t > geom.U_K + POLICY.membership_tol:
+        raise ValueError(f"tail mass t={t!r} outside (0, U_K={geom.U_K!r}]")
+    t = min(t, geom.U_K)
+    n_full, rem, tail_kl = mm._concentrated_tail_kl(geom.M, geom.log_odds, t, None)
+    value = mm._bernoulli_kl(t, est.s) + t * tail_kl
+    if n_full == geom.M and rem == 0.0:
+        return point(geom, t), value
+    lam = math.exp(geom.log_odds) * (1.0 - t) / t
+    tail = np.zeros(geom.M)
+    tail[:n_full] = t * lam / geom.M
+    if rem > 0.0:
+        tail[n_full] = t * rem
+    return point(geom, t, tail), value
+
+
+def disjoint_witness_pair(
+    geom: geo.SetGeometry, ng: norm.NormalizedGeometry
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two members with tail mass t* on disjoint supports: TV exactly t*.
+
+    ``geom`` is the geometry of the normalized observation ``ng`` describes.
+    Only available in the disjoint-supports regime.  Each tail fills
+    ceil(t*/c) censored tokens (lowest ids first) to the cap, with the last
+    token absorbing the remainder.
+    """
+    if ng.condition is not norm.TailCondition.DISJOINT_SUPPORTS:
+        raise ValueError(f"no disjoint witnesses in condition {ng.condition.value}")
+    n = norm._tokens_needed(ng.t_star, ng.cap)
+
+    def fill(offset: int) -> np.ndarray:
+        tail = np.zeros(geom.M)
+        remaining = ng.t_star
+        for i in range(offset, offset + n):
+            tail[i] = min(ng.cap, remaining)
+            remaining -= tail[i]
+        return point(geom, ng.t_star, tail)
+
+    return fill(0), fill(n)
 
 
 # -- set diameter: box-grid enumeration ------------------------------------
@@ -187,7 +375,7 @@ def reference_risk_oracle(
     tails = ys / denom[:, None]
     ts = tails.sum(axis=1)
 
-    q = mm.estimator_distribution(geom, est)
+    q = estimator_distribution(geom, est)
     q_tail = q[geom.censored_ids]
 
     worst = 0.0
@@ -379,8 +567,7 @@ def oracle_battery(seed: int = 0) -> list[dict]:
         geom = geo.geometry(ob.summarize(sim.censor(z, k)))
         oracle = brute_diameter_oracle(geom, 12, max_points=1024, seed=i)
         worst_gap = max(worst_gap, abs(oracle - geom.U_K))
-        p0, p1 = geo.extremal_pair(geom)
-        tv_pair = geo.tv(geo.to_distribution(geom, p0), geo.to_distribution(geom, p1))
+        tv_pair = tv(point(geom, 0.0), point(geom, geom.U_K))
         pair_gap = max(pair_gap, abs(tv_pair - geom.U_K))
         ok = ok and abs(oracle - geom.U_K) <= 1e-3 and abs(tv_pair - geom.U_K) <= 1e-12
     record(
@@ -413,7 +600,7 @@ def oracle_battery(seed: int = 0) -> list[dict]:
     ok = True
     detail = []
     for u in (0.05, 0.3, 0.7, 0.95):
-        geom = sim.geometry_with_diameter(u, 64)
+        geom = geometry_with_diameter(u, 64)
         sup_kl, _ = mm.worst_case_risk(geom, mm.symmetric_estimator(geom))
         r_bin = mm.binary_reserve(geom.U_K).r_bin
         gmax, _ = mm.g_max(geom.U_K)
@@ -424,7 +611,7 @@ def oracle_battery(seed: int = 0) -> list[dict]:
     # exact symmetric-estimator sup against a brute breakpoint + grid scan
     gap = 0.0
     for u, m in ((0.05, 7), (0.3, 16), (0.7, 64), (0.95, 64)):
-        geom = sim.geometry_with_diameter(u, m)
+        geom = geometry_with_diameter(u, m)
         for s in (u / math.e, mm.binary_reserve(u).s_star, 0.02, 0.5, 0.98):
             sup_kl, _ = mm.worst_case_risk(geom, mm.symmetric_estimator(geom, s))
             scan = breakpoint_scan_oracle(geom.M, geom.log_odds, s)
@@ -471,7 +658,7 @@ def oracle_battery(seed: int = 0) -> list[dict]:
 
     # composition separability: literal joint adversary over every
     # position's sup-candidate profile against the factored sum
-    geoms = [sim.geometry_with_diameter(u, 32) for u in (0.1, 0.3, 0.5)]
+    geoms = [geometry_with_diameter(u, 32) for u in (0.1, 0.3, 0.5)]
     _, _, factored_sum = sim.average_risk(
         [mm.reserve(g.U_K)[1] for g in geoms],
         [mm.symmetric_sup(g.M, g.log_odds, g.U_K)[0] for g in geoms],

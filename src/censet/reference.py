@@ -15,16 +15,18 @@ diagnostic without ever adjusting the bound itself.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
-from .identified_set import FeasiblePoint, SetGeometry
+from .identified_set import SetGeometry
 from .minimax import _INV_E, EstimatorSpec
 from .numerics import expit, logsumexp
 from .observation import (
+    _INT64_MAX,
     ParseError,
     _check_json_kind,
     _check_position_id,
@@ -63,16 +65,20 @@ class ReferenceLogits:
                     f"expected vocab_size {vocab_size}"
                 )
             return values[ids]
-        out = np.empty(len(ids))
-        for i, u in enumerate(ids):
-            if int(u) in self.entries:
-                out[i] = self.entries[int(u)]
-            elif self.default is not None:
-                out[i] = self.default
-            else:
-                raise CoverageError(
-                    f"no reference value for token {int(u)} and no default"
-                )
+        ids = np.asarray(ids, dtype=np.int64)
+        n = len(self.entries)
+        keys = np.fromiter(self.entries, dtype=np.int64, count=n)
+        scores = np.fromiter(self.entries.values(), dtype=float, count=n)
+        order = np.argsort(keys)
+        keys, scores = keys[order], scores[order]
+        at = np.searchsorted(keys, ids)
+        found = at < len(keys)
+        found[found] = keys[at[found]] == ids[found]
+        if self.default is None and not found.all():
+            u = int(ids[np.argmin(found)])
+            raise CoverageError(f"no reference value for token {u} and no default")
+        out = np.full(len(ids), math.nan if self.default is None else self.default)
+        out[found] = scores[at[found]]
         return out
 
 
@@ -153,75 +159,20 @@ def reference_estimator(
     return EstimatorSpec(s=float(s), tail_weights=rb.beta)
 
 
-def reference_extremal_pair(
-    geom: SetGeometry, rb: ReferenceBound
-) -> tuple[FeasiblePoint, FeasiblePoint]:
-    """Zero-tail point and the ceiling-saturating tail at mass U_R."""
-    if geom.M == 0:
-        raise ValueError("compatible set is a single point; no extremal pair")
-    tail = {
-        int(u): rb.U_R * w
-        for u, w in zip(rb.censored_ids, rb.beta)
-        if w > 0.0
-    }
-    return FeasiblePoint(t=0.0), FeasiblePoint(t=rb.U_R, tail=tail)
-
-
-@dataclass(frozen=True)
-class RhoDiagnostics:
-    """Empirical distribution of teacher-minus-reference score gaps.
-
-    Computed on revealed tokens only; compliance on censored tokens is not
-    testable from a censored observation, so this is a structural prior
-    diagnostic, not a guarantee.
-    """
-
-    n: int
-    max_perturbation: float
-    median_perturbation: float
-    quantiles: tuple[tuple[float, float], ...]
-    exceed_fraction: tuple[tuple[float, float], ...]
-    anchored: bool
-    note: str = (
-        "structural prior diagnostic on revealed tokens; "
-        "not a guarantee for censored tokens"
-    )
-
-
-_QUANTILES = (0.25, 0.5, 0.75, 0.9, 0.95, 0.99)
-
-
 def calibrate_rho(
-    observed_pairs: Sequence[tuple[float, float]],
-    candidate_rhos: Sequence[float] = (0.5, 1.0, 2.0, 5.0),
-    anchor_index: int | None = None,
-) -> RhoDiagnostics:
-    """Margin diagnostics from (teacher score, reference score) pairs.
+    scores: np.ndarray, ref_scores: np.ndarray, rho: float
+) -> tuple[float, float]:
+    """``(max_perturbation, exceed_fraction)`` of teacher-minus-reference gaps.
 
-    ``anchor_index`` optionally re-anchors the two shift-arbitrary scales so
-    that the gap at that pair is zero before differencing; the report
-    records whether anchoring was applied.
+    From the revealed tokens' teacher and reference scores: the largest gap
+    and the fraction of gaps above ``rho``.  Compliance on censored tokens
+    is not testable from a censored observation, so this is a structural
+    prior diagnostic, not a guarantee.
     """
-    if len(observed_pairs) < 2:
-        raise ValueError(
-            f"need at least 2 observed pairs, got {len(observed_pairs)}"
-        )
-    diffs = np.array([zt - zr for zt, zr in observed_pairs], dtype=float)
-    anchored = anchor_index is not None
-    if anchored:
-        diffs = diffs - diffs[anchor_index]
-    return RhoDiagnostics(
-        n=len(diffs),
-        max_perturbation=float(diffs.max()),
-        median_perturbation=float(np.median(diffs)),
-        quantiles=tuple(
-            (q, float(np.quantile(diffs, q))) for q in _QUANTILES
-        ),
-        exceed_fraction=tuple(
-            (float(r), float(np.mean(diffs > r))) for r in candidate_rhos
-        ),
-        anchored=anchored,
-    )
+    if len(scores) < 2:
+        raise ValueError(f"need at least 2 observed pairs, got {len(scores)}")
+    diffs = np.asarray(scores, dtype=float) - np.asarray(ref_scores, dtype=float)
+    return float(diffs.max()), float(np.mean(diffs > rho))
 
 
 def parse_reference_dump(source: str | bytes | IO) -> dict[str, ReferenceLogits]:
@@ -230,9 +181,11 @@ def parse_reference_dump(source: str | bytes | IO) -> dict[str, ReferenceLogits]
     One JSON record per line, either
     ``{"position_id": ..., "dense": [V scores]}`` or
     ``{"position_id": ..., "default": score or "-inf",
-    "entries": [{"token": id, "logit": score}, ...]}``.  Tokens must be JSON
-    integers, scores JSON numbers and ``position_id`` a JSON string; a
-    repeated ``position_id`` is an error, never a silent overwrite.
+    "entries": [{"token": id, "logit": score}, ...]}``, never both; the
+    ``default`` may be left out, but not given as null.  Tokens must be
+    distinct JSON integers in [0, 2**63), scores JSON numbers and
+    ``position_id`` a JSON string; a repeated token or ``position_id`` is
+    an error, never a silent overwrite.
     """
     out: dict[str, ReferenceLogits] = {}
     for lineno, record in _read_jsonl(source):
@@ -240,6 +193,8 @@ def parse_reference_dump(source: str | bytes | IO) -> dict[str, ReferenceLogits]
             raise ParseError(lineno, "record must carry a position_id")
         pid = record["position_id"]
         _check_position_id(pid, lineno, out)
+        if "dense" in record and "entries" in record:
+            raise ParseError(lineno, "record has both dense and entries")
         if "dense" in record:
             dense = record["dense"]
             if not isinstance(dense, list):
@@ -251,7 +206,8 @@ def parse_reference_dump(source: str | bytes | IO) -> dict[str, ReferenceLogits]
             default = record.get("default")
             if default == "-inf":
                 default = -math.inf
-            elif default is not None:
+            elif "default" in record:
+                # a JSON null is rejected here too: no coercion from null
                 default = float(_json_floats([default], "default", lineno)[0])
             try:
                 tokens = [e["token"] for e in record["entries"]]
@@ -259,10 +215,17 @@ def parse_reference_dump(source: str | bytes | IO) -> dict[str, ReferenceLogits]
             except (KeyError, TypeError) as exc:
                 raise ParseError(lineno, f"malformed entries ({exc!r})") from exc
             _check_json_kind(tokens, "integer", "token", lineno)
+            if tokens and (min(tokens) < 0 or max(tokens) > _INT64_MAX):
+                bad = next(u for u in tokens if not 0 <= u <= _INT64_MAX)
+                raise ParseError(
+                    lineno, f"token id {bad} outside [0, {_INT64_MAX}]"
+                )
             logits = _json_floats(logits, "logit", lineno).tolist()
-            ref = ReferenceLogits(
-                position_id=pid, entries=dict(zip(tokens, logits)), default=default
-            )
+            entries = dict(zip(tokens, logits))
+            if len(entries) < len(tokens):
+                dup = next(u for u, n in Counter(tokens).items() if n > 1)
+                raise ParseError(lineno, f"token {dup} listed twice in entries")
+            ref = ReferenceLogits(position_id=pid, entries=entries, default=default)
         else:
             raise ParseError(lineno, "record needs dense or entries")
         out[pid] = ref

@@ -28,7 +28,6 @@ from .observation import (
     ValidationError,
     _check_head_mass,
     _tail_mass,
-    summarize,
 )
 
 
@@ -36,6 +35,14 @@ from .observation import (
 class GaussianIID:
     mean: float = 0.0
     sd: float = 1.0
+
+    def __post_init__(self):
+        # a non-finite mean or sd draws non-finite logits, and numpy's own
+        # error for sd < 0 names no parameter
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean!r}")
+        if not (math.isfinite(self.sd) and self.sd >= 0.0):
+            raise ValueError(f"sd must be finite and >= 0, got {self.sd!r}")
 
 
 @dataclass(frozen=True)
@@ -77,8 +84,11 @@ class SyntheticTeacherConfig:
     def __post_init__(self):
         if self.vocab_size < 2:
             raise ValueError(f"vocab_size must be >= 2, got {self.vocab_size}")
-        if self.temperature <= 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        # an infinite temperature would flatten every teacher to uniform
+        if not (math.isfinite(self.temperature) and self.temperature > 0.0):
+            raise ValueError(
+                f"temperature must be finite and > 0, got {self.temperature!r}"
+            )
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
 
@@ -153,31 +163,6 @@ def censor(
         mode=mode,
         position_id=position_id,
     )
-
-
-def geometry_with_diameter(u: float, m: int) -> SetGeometry:
-    """A small valid observation whose diameter is exactly ``u``.
-
-    Two revealed tokens with scores (0, a) and ``m`` censored tokens, where
-    ``a`` is solved so that log-odds(U_K) = logit(u).  Requires
-    ``m >= 2 u / (1-u)`` so that a <= 0 stays the threshold.
-    """
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"diameter must lie in (0, 1), got {u!r}")
-    if m < 2.0 * u / (1.0 - u):
-        raise ValueError(
-            f"m={m} too small to realize diameter {u} with two revealed tokens"
-        )
-    g = math.log(u) - math.log1p(-u) - math.log(m)
-    a = g - math.log1p(-math.exp(g))
-    obs = TopKObservation(
-        vocab_size=m + 2,
-        token_ids=(0, 1),
-        scores=(0.0, a),
-        mode=AccessMode.LOGITS,
-        position_id=f"synthetic-u{u}",
-    )
-    return geometry(summarize(obs))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import pytest
 from scipy.optimize import brentq
 
 from censet.cli import main
-from censet.identified_set import extremal_pair, geometry, to_distribution, tv
+from censet.identified_set import geometry
 from censet.minimax import (
     SECOND_ORDER_COEFF,
     _sup_candidates,
@@ -27,8 +27,6 @@ from censet.minimax import (
 )
 from censet.normalized import (
     TailCondition,
-    allocation_membership,
-    disjoint_witness_pair,
     normalized_geometry,
 )
 from censet.observation import AccessMode, summarize
@@ -36,7 +34,12 @@ from censet.oracles import (
     allocation_diameter_oracle,
     balancing_oracle,
     brute_diameter_oracle,
+    disjoint_witness_pair,
+    geometry_with_diameter,
+    membership,
+    point,
     reference_diameter_oracle,
+    tv,
 )
 from censet.reference import ReferenceLogits, reference_geometry
 from censet.simulate import (
@@ -45,7 +48,6 @@ from censet.simulate import (
     average_risk,
     censor,
     generate_teacher,
-    geometry_with_diameter,
 )
 
 from conftest import make_observation
@@ -118,8 +120,7 @@ def test_criterion_3_diameter_oracle_equivalence():
         worst_oracle_gap = max(worst_oracle_gap, abs(oracle - geom.U_K))
         assert abs(oracle - geom.U_K) <= 1e-3
         if geom.M > 0:
-            p0, p1 = extremal_pair(geom)
-            d = tv(to_distribution(geom, p0), to_distribution(geom, p1))
+            d = tv(point(geom, 0.0), point(geom, geom.U_K))
             worst_pair_gap = max(worst_pair_gap, abs(d - geom.U_K))
             assert abs(d - geom.U_K) <= 1e-12
     elapsed = time.perf_counter() - start
@@ -223,12 +224,12 @@ def test_criterion_8_normalized_access():
     )
     ng2 = normalized_geometry(obs2)
     assert ng2.condition is TailCondition.DISJOINT_SUPPORTS
-    a, b = disjoint_witness_pair(obs2, ng2)
-    assert set(a) & set(b) == set()
-    witness_tv = 0.5 * (sum(a.values()) + sum(b.values()))
-    assert abs(witness_tv - ng2.t_star) <= 1e-12
-    assert allocation_membership(obs2, ng2, a).ok
-    assert allocation_membership(obs2, ng2, b).ok
+    geom2 = geometry(summarize(obs2))
+    a, b = disjoint_witness_pair(geom2, ng2)
+    censored = geom2.censored_ids
+    assert not np.any((a[censored] > 0.0) & (b[censored] > 0.0))
+    assert abs(tv(a, b) - ng2.t_star) <= 1e-12
+    assert membership(geom2, a) == [] and membership(geom2, b) == []
 
     # allocation oracle confirms the regimes for M <= 12
     worst = abs(allocation_diameter_oracle(0.2, 0.1, 10) - 0.2)

@@ -476,8 +476,19 @@ class TestDegenerateParameters:
              "concentration must be finite and > 0, got 0.0"),
             (["simulate", "--law", "peaked", "--gap", "-3"],
              "gap must be finite and >= 0, got -3.0"),
+            (["simulate", "--temperature", "inf"],
+             "temperature must be finite and > 0, got inf"),
+            (["simulate", "--temperature", "nan"],
+             "temperature must be finite and > 0, got nan"),
+            (["simulate", "--temperature", "0"],
+             "temperature must be finite and > 0, got 0.0"),
+            (["simulate", "--mean", "inf"], "mean must be finite, got inf"),
+            (["simulate", "--sd", "-1"], "sd must be finite and >= 0, got -1.0"),
+            (["simulate", "--sd", "nan"], "sd must be finite and >= 0, got nan"),
         ],
-        ids=["delta-nan", "concentration-0", "gap-negative"],
+        ids=["delta-nan", "concentration-0", "gap-negative", "temperature-inf",
+             "temperature-nan", "temperature-0", "mean-inf", "sd-negative",
+             "sd-nan"],
     )
     def test_rejected(self, argv, message, obs_file, tmp_path, capsys):
         if argv[0] == "certify":
@@ -592,6 +603,17 @@ class TestOracle:
             "32eef36aac1cd54cba40ec7ea86f5b3733b04ad4bed6c85713b16c12c1ed3258"
         )
 
+    def test_golden_report_bytes_seed_7(self, tmp_path):
+        # sha256 of `censet oracle --seed 7 --format json`, recorded before
+        # the witnesses moved into the oracles module
+        out = tmp_path / "o.json"
+        assert main(
+            ["oracle", "--seed", "7", "--format", "json", "--output", str(out)]
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "0fd21a8d3283dc1ab67b11b3dc82e661dfac9d7df881e3063ed6c02494d1794b"
+        )
+
 
 class TestNumericPolicyEnv:
     @staticmethod
@@ -615,10 +637,10 @@ class TestNumericPolicyEnv:
     def test_caller_policy_restored(self, obs_file, tmp_path, monkeypatch):
         apply_policy_overrides({"verdict_margin": 0.2})
         policy_file = tmp_path / "policy.json"
-        policy_file.write_text('{"verdict_margin": 0.5, "norm_tol": 1e-6}')
+        policy_file.write_text('{"verdict_margin": 0.5, "membership_tol": 1e-6}')
         monkeypatch.setenv("CENSET_NUMERIC_POLICY", str(policy_file))
         assert self._verdict(obs_file, tmp_path) == (0, "THRESHOLD")
-        assert (POLICY.verdict_margin, POLICY.norm_tol) == (0.2, 1e-9)
+        assert (POLICY.verdict_margin, POLICY.membership_tol) == (0.2, 1e-12)
 
     def test_unknown_field_rejected(self, obs_file, tmp_path, monkeypatch, capsys):
         policy_file = tmp_path / "policy.json"
@@ -638,7 +660,8 @@ class TestNumericPolicyEnv:
             "[1]",
             '{"verdict_margin": -1}',
             '{"head_mass_tol": -0.5}',
-            '{"membership_tol": -1e-12, "norm_tol": 1e-6}',
+            '{"membership_tol": -1e-12, "head_mass_tol": 1e-6}',
+            '{"norm_tol": 1e-9}',
             '{"tail_feasibility_tol": -1e999}',
         ],
     )

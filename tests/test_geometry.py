@@ -6,19 +6,16 @@ import numpy as np
 import pytest
 import sympy
 
-from censet.identified_set import (
-    FeasiblePoint,
-    extremal_pair,
-    geometry,
+from censet.identified_set import geometry, per_token_cap
+from censet.observation import summarize
+from censet.oracles import (
+    brute_diameter_oracle,
     kl,
     membership,
-    per_token_cap,
-    tail_map,
-    to_distribution,
+    point,
+    sample_feasible_points,
     tv,
 )
-from censet.observation import summarize
-from censet.oracles import brute_diameter_oracle, sample_feasible_points
 
 from conftest import make_geometry, make_observation
 
@@ -103,38 +100,37 @@ class TestPerTokenCap:
 class TestExtremalPair:
     def test_symmetric_case(self):
         g = make_geometry(2, [0.0])
-        p0, p1 = extremal_pair(g)
-        assert p0.t == 0.0 and math.isclose(p1.t, 0.5, abs_tol=1e-15)
-        assert tv(to_distribution(g, p0), to_distribution(g, p1)) == pytest.approx(
-            0.5, abs=1e-15
-        )
+        p0, p1 = point(g, 0.0), point(g, g.U_K)
+        assert p0[g.censored_ids].sum() == 0.0
+        assert math.isclose(p1[g.censored_ids].sum(), 0.5, abs_tol=1e-15)
+        assert tv(p0, p1) == pytest.approx(0.5, abs=1e-15)
 
     def test_tv_attains_diameter_by_direct_l1(self, v4_geometry):
-        p0, p1 = extremal_pair(v4_geometry)
-        d0 = to_distribution(v4_geometry, p0)
-        d1 = to_distribution(v4_geometry, p1)
+        d0 = point(v4_geometry, 0.0)
+        d1 = point(v4_geometry, v4_geometry.U_K)
         direct = 0.5 * float(np.abs(d0 - d1).sum())
         assert abs(direct - v4_geometry.U_K) <= 1e-12
 
     def test_both_points_are_members(self, v4_geometry):
-        for point in extremal_pair(v4_geometry):
-            assert membership(v4_geometry, point).ok
+        for t in (0.0, v4_geometry.U_K):
+            assert membership(v4_geometry, point(v4_geometry, t)) == []
 
-    def test_degenerate_when_m_zero(self):
-        with pytest.raises(ValueError):
-            extremal_pair(make_geometry(2, [0.1, 0.0]))
+    def test_single_point_when_m_zero(self):
+        g = make_geometry(2, [0.1, 0.0])
+        p = point(g, g.U_K)
+        np.testing.assert_array_equal(p, point(g, 0.0))
+        assert membership(g, p) == []
 
 
 class TestMembership:
     def test_zero_tail_is_member(self, v4_geometry):
-        assert membership(v4_geometry, FeasiblePoint(t=0.0)).ok
+        assert membership(v4_geometry, point(v4_geometry, 0.0)) == []
 
     def test_boundary_uniform_tail(self, v4_geometry):
         g = v4_geometry
-        assert membership(g, FeasiblePoint(t=g.U_K, uniform=True)).ok
-        report = membership(g, FeasiblePoint(t=g.U_K + 0.01, uniform=True))
-        assert not report.ok
-        assert any("exceeds U_K" in v for v in report.violations)
+        assert membership(g, point(g, g.U_K)) == []
+        violations = membership(g, point(g, g.U_K + 0.01))
+        assert any("exceeds U_K" in v for v in violations)
 
     def test_single_token_fixed_point_by_bisection(self, v4_geometry):
         # oracle: solve t = cap(t) by bisection; a lone censored token at that
@@ -148,21 +144,20 @@ class TestMembership:
             else:
                 hi = mid
         t_fp = 0.5 * (lo + hi)
-        u = int(g.censored_ids[0])
-        assert membership(g, FeasiblePoint(t=t_fp, tail={u: t_fp})).ok
+        assert membership(g, point(g, t_fp, [t_fp, 0.0])) == []
         too_big = t_fp + 1e-6
-        report = membership(g, FeasiblePoint(t=too_big, tail={u: too_big}))
-        assert not report.ok
-
-    def test_structural_error_on_revealed_token(self, v4_geometry):
-        with pytest.raises(ValueError, match="revealed"):
-            membership(v4_geometry, FeasiblePoint(t=0.1, tail={0: 0.1}))
+        violations = membership(g, point(g, too_big, [too_big, 0.0]))
+        assert any("exceeds per-token cap" in v for v in violations)
 
     def test_tail_sum_mismatch_reported(self, v4_geometry):
-        u = int(v4_geometry.censored_ids[0])
-        report = membership(v4_geometry, FeasiblePoint(t=0.2, tail={u: 0.05}))
-        assert not report.ok
-        assert any("sums to" in v for v in report.violations)
+        # head pinned for t = 0.2, but the tail carries only 0.05
+        violations = membership(v4_geometry, point(v4_geometry, 0.2, [0.05, 0.0]))
+        assert any("sums to" in v for v in violations)
+        assert any("head departs" in v for v in violations)
+
+    def test_negative_tail_entry_reported(self, v4_geometry):
+        violations = membership(v4_geometry, point(v4_geometry, 0.1, [0.2, -0.1]))
+        assert any("negative tail mass" in v for v in violations)
 
 
 class TestDivergences:
@@ -178,22 +173,21 @@ class TestDivergences:
         assert kl(p, q) == pytest.approx(math.log(2.0), rel=1e-15)
 
     def test_kl_infinite_when_support_escapes(self):
-        assert kl([0.5, 0.5], [1.0, 0.0]) == math.inf
+        assert kl(np.array([0.5, 0.5]), np.array([1.0, 0.0])) == math.inf
 
     def test_disjoint_tails_give_max_of_masses(self, v4_geometry):
         # two members with tails on different censored tokens
         g = v4_geometry
-        u1, u2 = (int(x) for x in g.censored_ids)
         for t, s in [(0.1, 0.3), (0.05, 0.34), (0.2, 0.2)]:
-            p = to_distribution(g, FeasiblePoint(t=t, tail={u1: t}))
-            q = to_distribution(g, FeasiblePoint(t=s, tail={u2: s}))
+            p = point(g, t, [t, 0.0])
+            q = point(g, s, [0.0, s])
             assert tv(p, q) == pytest.approx(max(t, s), abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="length"):
-            tv([0.5, 0.5], [1.0])
-        with pytest.raises(ValueError, match="sums"):
-            kl([0.7, 0.7], [0.5, 0.5])
+            tv(np.array([0.5, 0.5]), np.array([1.0]))
+        with pytest.raises(ValueError, match="length"):
+            kl(np.array([0.5, 0.5]), np.array([1.0]))
 
 
 class TestBruteDiameterOracle:
@@ -255,8 +249,7 @@ class TestInvariants:
             k = int(rng.integers(1, v))
             scores = np.sort(rng.normal(0.0, 2.0, size=k))[::-1]
             g = make_geometry(v, scores)
-            p0, p1 = extremal_pair(g)
-            d = tv(to_distribution(g, p0), to_distribution(g, p1))
+            d = tv(point(g, 0.0), point(g, g.U_K))
             assert abs(d - g.U_K) <= 1e-12
 
     def test_sampled_pairs_never_exceed_diameter(self, v4_geometry):
@@ -273,11 +266,7 @@ class TestInvariants:
         for t in np.linspace(0.0, g.U_K, 50):
             assert t / g.M <= per_token_cap(g, float(t)) + 1e-12
 
-    def test_uniform_point_materializes_on_demand(self, v4_geometry):
+    def test_uniform_point_spreads_tail_evenly(self, v4_geometry):
         g = v4_geometry
-        point = FeasiblePoint(t=g.U_K, uniform=True)
-        materialized = tail_map(g, point)
-        assert set(materialized) == set(int(u) for u in g.censored_ids)
-        np.testing.assert_allclose(
-            sorted(materialized.values()), np.full(g.M, g.U_K / g.M)
-        )
+        p = point(g, g.U_K)
+        np.testing.assert_allclose(p[g.censored_ids], np.full(g.M, g.U_K / g.M))

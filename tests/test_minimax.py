@@ -12,30 +12,31 @@ from scipy.optimize import minimize_scalar
 from scipy.special import xlogy
 
 from censet.cli import main
-from censet.identified_set import (
-    FeasiblePoint,
-    SetGeometry,
-    geometry,
-    kl,
-    to_distribution,
-)
+from censet.identified_set import SetGeometry, geometry
 from censet.minimax import (
     SECOND_ORDER_COEFF,
     EstimatorSpec,
-    adversary_best_response,
     binary_reserve,
-    estimator_distribution,
     g_envelope,
     g_max,
     minimax_certificate,
-    risk_at_tail_mass,
     symmetric_estimator,
     verdicts,
     worst_case_risk,
 )
 from censet.observation import LogSummary, summarize
-from censet.oracles import balancing_oracle, breakpoint_scan_oracle, endpoint_risk
-from censet.simulate import geometry_with_diameter
+from censet.oracles import (
+    adversary_best_response,
+    balancing_oracle,
+    breakpoint_scan_oracle,
+    endpoint_risk,
+    estimator_distribution,
+    geometry_with_diameter,
+    kl,
+    membership,
+    point,
+    risk_at_tail_mass,
+)
 
 from conftest import make_geometry
 
@@ -121,14 +122,11 @@ class TestBalancingOracle:
 
     def test_equalization_on_dense_distributions(self, v4_geometry):
         # same balance measured through the generic divergence on full vectors
-        from censet.identified_set import extremal_pair
-
         g = v4_geometry
         est = symmetric_estimator(g, s=binary_reserve(g.U_K).s_star)
         q = estimator_distribution(g, est)
-        p0, p1 = extremal_pair(g)
-        kl_zero = kl(to_distribution(g, p0), q)
-        kl_full = kl(to_distribution(g, p1), q)
+        kl_zero = kl(point(g, 0.0), q)
+        kl_full = kl(point(g, g.U_K), q)
         assert abs(kl_zero - kl_full) <= 1e-10
 
 
@@ -205,7 +203,7 @@ class TestSymmetricEstimator:
         est = symmetric_estimator(g)
         assert est.s == 0.0
         np.testing.assert_allclose(
-            estimator_distribution(g, est), to_distribution(g, FeasiblePoint(t=0.0))
+            estimator_distribution(g, est), point(g, 0.0)
         )
         assert worst_case_risk(g, est) == (0.0, 0.0)
 
@@ -216,7 +214,7 @@ class TestSymmetricEstimator:
     def test_zero_tail_kl_is_log_reserve_complement(self, v4_geometry):
         g = v4_geometry
         est = symmetric_estimator(g)
-        p0 = to_distribution(g, FeasiblePoint(t=0.0))
+        p0 = point(g, 0.0)
         q = estimator_distribution(g, est)
         assert kl(p0, q) == pytest.approx(-math.log1p(-est.s), rel=1e-12)
 
@@ -226,10 +224,10 @@ class TestAdversaryBestResponse:
         # lam(0.1) ~ 4.8 >= M = 2: all tail mass on one censored token
         g = v4_geometry
         est = symmetric_estimator(g)
-        point, value = adversary_best_response(g, est, 0.1)
-        tail = dict(point.tail)
-        assert len(tail) == 1
-        assert list(tail.values())[0] == pytest.approx(0.1, rel=1e-12)
+        p, value = adversary_best_response(g, est, 0.1)
+        tail = p[g.censored_ids]
+        assert np.count_nonzero(tail) == 1
+        assert tail.max() == pytest.approx(0.1, rel=1e-12)
         t = 0.1
         s = est.s
         d = t * math.log(t / s) + (1 - t) * (math.log1p(-t) - math.log1p(-s))
@@ -248,18 +246,16 @@ class TestAdversaryBestResponse:
         assert value == pytest.approx(-math.log1p(-est.s), abs=1e-6)
 
     def test_best_response_is_a_member(self, v4_geometry):
-        from censet.identified_set import membership
-
         g = v4_geometry
         est = symmetric_estimator(g)
         for t in (1e-4, 0.05, 0.2, g.U_K):
-            point, _ = adversary_best_response(g, est, t)
-            assert membership(g, point).ok
+            p, _ = adversary_best_response(g, est, t)
+            assert membership(g, p) == []
 
     def test_response_at_max_tail_is_uniform(self, v4_geometry):
         g = v4_geometry
-        point, value = adversary_best_response(g, symmetric_estimator(g), g.U_K)
-        assert point.uniform
+        p, _ = adversary_best_response(g, symmetric_estimator(g), g.U_K)
+        np.testing.assert_array_equal(p, point(g, g.U_K))
 
     def test_closed_form_dominates_random_members(self):
         # 1e4+ random capped tail conditionals at fixed t never beat the

@@ -11,12 +11,17 @@ from censet.identified_set import geometry
 from censet.normalized import (
     TailCondition,
     allocation_diameter,
-    allocation_membership,
-    disjoint_witness_pair,
     normalized_geometry,
 )
 from censet.observation import AccessMode, ModeError, summarize
-from censet.oracles import _extreme_allocations, allocation_diameter_oracle
+from censet.oracles import (
+    _extreme_allocations,
+    allocation_diameter_oracle,
+    disjoint_witness_pair,
+    membership,
+    point,
+    tv,
+)
 from censet.simulate import (
     GaussianIID,
     SyntheticTeacherConfig,
@@ -101,14 +106,14 @@ class TestNormalizedGeometry:
         assert ng.cap == pytest.approx(0.05, abs=1e-15)
         assert ng.diameter == pytest.approx(0.275, abs=1e-15)
         # attained: each allocation fills its own six tokens first
-        censored = sorted(set(range(20)) - set(obs.token_ids))
+        g = geometry(summarize(obs))
         rest = ng.t_star - 6 * ng.cap
-        a = {u: ng.cap for u in censored[:6]} | {censored[6]: rest}
-        b = {u: ng.cap for u in censored[6:]} | {censored[0]: rest}
-        assert allocation_membership(obs, ng, a).ok
-        assert allocation_membership(obs, ng, b).ok
-        tv = 0.5 * sum(abs(a.get(u, 0.0) - b.get(u, 0.0)) for u in censored)
-        assert tv == pytest.approx(ng.diameter, abs=1e-15)
+        tail_a, tail_b = np.zeros(12), np.full(12, ng.cap)
+        tail_a[:6], tail_a[6] = ng.cap, rest
+        tail_b[:6], tail_b[0] = 0.0, rest
+        a, b = point(g, ng.t_star, tail_a), point(g, ng.t_star, tail_b)
+        assert membership(g, a) == [] and membership(g, b) == []
+        assert tv(a, b) == pytest.approx(ng.diameter, abs=1e-15)
 
 
 class TestClosedFormDiameter:
@@ -190,37 +195,35 @@ class TestWitnesses:
     def test_disjoint_pair_attains_tail_mass_exactly(self):
         obs = logprob_observation([0.45, 0.25, 0.1], 13)
         ng = normalized_geometry(obs)
-        a, b = disjoint_witness_pair(obs, ng)
-        assert set(a) & set(b) == set()
-        assert sum(a.values()) == pytest.approx(ng.t_star, abs=1e-15)
-        direct_tv = 0.5 * (
-            sum(abs(v) for v in a.values()) + sum(abs(v) for v in b.values())
-        )
-        assert abs(direct_tv - ng.t_star) <= 1e-12
-        assert allocation_membership(obs, ng, a).ok
-        assert allocation_membership(obs, ng, b).ok
+        g = geometry(summarize(obs))
+        a, b = disjoint_witness_pair(g, ng)
+        tail_a, tail_b = a[g.censored_ids], b[g.censored_ids]
+        assert not np.any((tail_a > 0.0) & (tail_b > 0.0))
+        assert tail_a.sum() == pytest.approx(ng.t_star, abs=1e-15)
+        assert abs(tv(a, b) - ng.t_star) <= 1e-12
+        assert membership(g, a) == [] and membership(g, b) == []
 
     def test_witnesses_respect_cap(self):
         obs = logprob_observation([0.3, 0.28, 0.07], 20)
         ng = normalized_geometry(obs)
-        a, b = disjoint_witness_pair(obs, ng)
-        for alloc in (a, b):
-            assert all(w <= ng.cap + 1e-12 for w in alloc.values())
+        g = geometry(summarize(obs))
+        for p in disjoint_witness_pair(g, ng):
+            assert p[g.censored_ids].max() <= ng.cap + 1e-12
 
     def test_no_witnesses_outside_regime(self):
         obs = logprob_observation([0.55, 0.35], 3)
         ng = normalized_geometry(obs)
         with pytest.raises(ValueError, match="condition"):
-            disjoint_witness_pair(obs, ng)
+            disjoint_witness_pair(geometry(summarize(obs)), ng)
 
     def test_membership_flags_cap_violation(self):
         obs = logprob_observation([0.45, 0.25, 0.1], 13)
         ng = normalized_geometry(obs)
-        censored = sorted(set(range(13)) - set(obs.token_ids))
-        bad = {censored[0]: ng.t_star}  # one token over the cap
-        report = allocation_membership(obs, ng, bad)
-        assert not report.ok
-        assert any("cap" in v for v in report.violations)
+        g = geometry(summarize(obs))
+        tail = np.zeros(g.M)
+        tail[0] = ng.t_star  # one token over the cap
+        violations = membership(g, point(g, ng.t_star, tail))
+        assert any("cap" in v for v in violations)
 
 
 class TestConservatism:

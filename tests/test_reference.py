@@ -6,17 +6,22 @@ import math
 import numpy as np
 import pytest
 
-from censet.identified_set import geometry, membership, to_distribution, tv
+from censet.identified_set import geometry
 from censet.minimax import g_max, symmetric_estimator
 from censet.observation import ParseError, summarize
-from censet.oracles import reference_diameter_oracle, reference_risk_oracle
+from censet.oracles import (
+    membership,
+    point,
+    reference_diameter_oracle,
+    reference_risk_oracle,
+    tv,
+)
 from censet.reference import (
     CoverageError,
     ReferenceLogits,
     calibrate_rho,
     parse_reference_dump,
     reference_estimator,
-    reference_extremal_pair,
     reference_geometry,
 )
 from censet.simulate import (
@@ -68,6 +73,25 @@ class TestReferenceGeometry:
         with pytest.raises(CoverageError):
             reference_geometry(v4_geometry, ref, 0.5)
 
+    @pytest.mark.parametrize("default", [None, -2.5, -math.inf])
+    def test_sparse_gather_matches_lookup(self, default):
+        # the per-id dictionary lookup that the sorted-array gather replaced
+        rng = np.random.default_rng(4)
+        entries = {int(u): float(rng.normal()) for u in rng.permutation(60)[:25]}
+        ref = ReferenceLogits(position_id="p", entries=entries, default=default)
+        ids = rng.permutation(60)
+        covered = [u for u in ids.tolist() if u in entries]
+        if default is None:
+            first = next(u for u in ids.tolist() if u not in entries)
+            with pytest.raises(CoverageError, match=f"token {first} and"):
+                ref.gather(ids, 60)
+            ids = np.array(covered)
+        expected = [entries.get(u, default) for u in ids.tolist()]
+        np.testing.assert_array_equal(ref.gather(ids, 60), expected)
+        empty = ReferenceLogits(position_id="p", entries={}, default=default)
+        if default is not None:
+            np.testing.assert_array_equal(empty.gather(ids, 60), default)
+
     def test_negative_rho_rejected(self, v4_geometry):
         with pytest.raises(ValueError):
             reference_geometry(v4_geometry, dense_ref([0.0] * 4), -0.1)
@@ -113,13 +137,12 @@ class TestExtremalPair:
     def test_tv_attains_shrunken_diameter(self, v4_geometry):
         ref = dense_ref([0.0, -1.2, 0.0, 0.4])
         rb = reference_geometry(v4_geometry, ref, 0.3)
-        p0, p1 = reference_extremal_pair(v4_geometry, rb)
-        d = tv(
-            to_distribution(v4_geometry, p0), to_distribution(v4_geometry, p1)
-        )
-        assert abs(d - rb.U_R) <= 1e-12
-        assert membership(v4_geometry, p0).ok
-        assert membership(v4_geometry, p1).ok
+        # zero tail against the ceiling-saturating tail at mass U_R
+        p0 = point(v4_geometry, 0.0)
+        p1 = point(v4_geometry, rb.U_R, rb.U_R * rb.beta)
+        assert abs(tv(p0, p1) - rb.U_R) <= 1e-12
+        assert membership(v4_geometry, p0) == []
+        assert membership(v4_geometry, p1) == []
 
 
 class TestInvariantSuite:
@@ -176,42 +199,21 @@ class TestInvariantSuite:
 
 class TestCalibrateRho:
     def test_identical_models(self):
-        pairs = [(0.3, 0.3), (-1.2, -1.2), (2.0, 2.0)]
-        diag = calibrate_rho(pairs)
-        assert diag.max_perturbation == 0.0
-        assert diag.median_perturbation == 0.0
-        assert all(frac == 0.0 for _, frac in diag.exceed_fraction)
+        z = np.array([0.3, -1.2, 2.0])
+        assert calibrate_rho(z, z, 0.5) == (0.0, 0.0)
 
     def test_bounded_noise_compliance(self):
         rng = np.random.default_rng(0)
         z_ref = rng.normal(0.0, 2.0, size=400)
         z_teacher = z_ref + rng.uniform(-1.0, 1.0, size=400)
-        diag = calibrate_rho(
-            list(zip(z_teacher, z_ref)), candidate_rhos=(0.5, 1.0)
-        )
-        by_rho = dict(diag.exceed_fraction)
-        assert by_rho[1.0] == 0.0
-        assert by_rho[0.5] > 0.0
-        assert diag.max_perturbation <= 1.0
-
-    def test_report_fields_present(self):
-        diag = calibrate_rho([(1.0, 0.0), (0.5, 0.1)], candidate_rhos=(5.0,))
-        assert diag.n == 2
-        assert dict(diag.quantiles)[0.5] == diag.median_perturbation
-        assert "not a guarantee" in diag.note
-        assert not diag.anchored
-
-    def test_anchor_shift(self):
-        # anchoring removes a common offset between the two scales
-        pairs = [(10.0, 0.0), (10.5, 0.2), (9.8, -0.4)]
-        diag = calibrate_rho(pairs, anchor_index=0)
-        assert diag.anchored
-        assert dict(diag.quantiles)[0.5] == pytest.approx(0.2, abs=1e-12)
-        assert diag.max_perturbation == pytest.approx(0.3, abs=1e-12)
+        worst, exceeding = calibrate_rho(z_teacher, z_ref, 1.0)
+        assert exceeding == 0.0
+        assert worst <= 1.0
+        assert calibrate_rho(z_teacher, z_ref, 0.5)[1] > 0.0
 
     def test_insufficient_data(self):
         with pytest.raises(ValueError, match="at least 2"):
-            calibrate_rho([(0.0, 0.0)])
+            calibrate_rho(np.zeros(1), np.zeros(1), 1.0)
 
 
 class TestParseReferenceDump:
@@ -269,3 +271,30 @@ class TestParseReferenceDump:
             parse_reference_dump('{"dense":[0.0]}')
         with pytest.raises(ParseError, match="dense or entries"):
             parse_reference_dump('{"position_id":"a"}')
+
+    def test_duplicate_token_rejected(self):
+        text = (
+            '{"position_id":"a","dense":[0.0,1.0]}\n'
+            '{"position_id":"b","default":-9.0,"entries":[{"token":3,"logit":1.0},'
+            '{"token":5,"logit":0.0},{"token":3,"logit":2.0}]}\n'
+        )
+        with pytest.raises(ParseError, match="line 2: token 3 listed twice"):
+            parse_reference_dump(text)
+
+    @pytest.mark.parametrize("token", ["-1", str(2**63), str(2**64)])
+    def test_token_id_out_of_range(self, token):
+        record = ('{"position_id":"a","default":-9.0,"entries":'
+                  '[{"token":0,"logit":1.0},{"token":%s,"logit":0.0}]}' % token)
+        with pytest.raises(ParseError, match=f"line 1: token id {token} outside"):
+            parse_reference_dump(record)
+
+    def test_dense_and_entries_together_rejected(self):
+        record = ('{"position_id":"a","dense":[0.0,1.0],'
+                  '"default":-9.0,"entries":[{"token":0,"logit":1.0}]}')
+        with pytest.raises(ParseError, match="line 1: record has both dense and entries"):
+            parse_reference_dump(record)
+
+    def test_null_default_rejected(self):
+        record = '{"position_id":"a","default":null,"entries":[{"token":0,"logit":1.0}]}'
+        with pytest.raises(ParseError, match="line 1: default must be a JSON number"):
+            parse_reference_dump(record)

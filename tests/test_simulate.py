@@ -25,6 +25,7 @@ from censet.observation import (
     serialize_observations,
     summarize,
 )
+from censet.oracles import geometry_with_diameter
 from censet.simulate import (
     DirichletSoftmax,
     GaussianIID,
@@ -34,7 +35,6 @@ from censet.simulate import (
     average_risk,
     censor,
     generate_teacher,
-    geometry_with_diameter,
     ksweep,
 )
 
