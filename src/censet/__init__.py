@@ -13,13 +13,12 @@ everything else is imported from its submodule.
 """
 
 from .identified_set import geometry, per_token_cap
-from .minimax import minimax_certificate, symmetric_estimator, worst_case_risk
+from .minimax import certificate, symmetric_estimator, worst_case_risk
 from .observation import (
     ModeError,
     ParseError,
     ValidationError,
     parse_observations,
-    summarize,
 )
 
 __version__ = "0.1.0"
@@ -28,11 +27,10 @@ __all__ = [
     "ModeError",
     "ParseError",
     "ValidationError",
+    "certificate",
     "geometry",
-    "minimax_certificate",
     "parse_observations",
     "per_token_cap",
-    "summarize",
     "symmetric_estimator",
     "worst_case_risk",
 ]

@@ -34,7 +34,6 @@ from .observation import (
     _iter_observations,
     parse_observations,
     serialize_observations,
-    summarize,
 )
 
 POLICY_ENV_VAR = "CENSET_NUMERIC_POLICY"
@@ -138,12 +137,19 @@ def _to_table(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# characters that make a CSV cell need quotes (RFC 4180)
+_CSV_SPECIAL = frozenset(',"\r\n')
+
+
 def _csv_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    text = str(value)
+    if _CSV_SPECIAL.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
 
 
 def _to_csv(rows: list[dict]) -> str:
@@ -324,7 +330,7 @@ def cmd_reference(args) -> int:
                 f"reference dump has no record for position {obs.position_id}"
             )
         rlogits = refs[obs.position_id]
-        geom = geo.geometry(summarize(obs))
+        geom = geo.geometry(obs)
         rb = ref.reference_geometry(geom, rlogits, args.rho)
         est = ref.reference_estimator(geom, rb)
         row = {

@@ -22,49 +22,44 @@ from functools import cached_property
 import numpy as np
 
 from .numerics import POLICY, expit
-from .observation import LogSummary
+from .observation import TopKObservation
 
 
 @dataclass(frozen=True, eq=False)
 class SetGeometry:
-    """A summary together with its ambiguity diameter.
+    """An observation together with its ambiguity diameter.
 
     ``log_odds`` is ``log(M) + tau - log_ZA``; ``U_K = sigmoid(log_odds)``.
     Keeping the log-odds alongside ``U_K`` means ``1 - U_K`` is always
     available at full relative precision via ``sigmoid(-log_odds)``.
     """
 
-    summary: LogSummary
+    obs: TopKObservation
+    M: int
     U_K: float
     log_odds: float
 
     @property
-    def one_minus_UK(self) -> float:
-        return expit(-self.log_odds)
-
-    @property
-    def M(self) -> int:
-        return self.summary.M
-
-    @property
     def tau(self) -> float:
-        return self.summary.tau
+        return self.obs.tau
 
     @property
     def log_ZA(self) -> float:
-        return self.summary.log_ZA
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return self.summary.alpha
+        return self.obs.log_ZA
 
     @property
     def vocab_size(self) -> int:
-        return self.summary.vocab_size
+        return self.obs.vocab_size
 
     @property
     def token_ids(self) -> np.ndarray:
-        return self.summary.token_ids
+        return self.obs.token_ids
+
+    @cached_property
+    def alpha(self) -> np.ndarray:
+        """Head conditional ``exp(score - log_ZA)``, summing to 1 to machine
+        precision even under large score spreads."""
+        return np.exp(self.obs.scores - self.obs.log_ZA)
 
     @cached_property
     def censored_ids(self) -> np.ndarray:
@@ -82,10 +77,10 @@ def diameter(m: int, tau: float, log_za: float) -> tuple[float, float]:
     return expit(log_odds), log_odds
 
 
-def geometry(summary: LogSummary) -> SetGeometry:
+def geometry(obs: TopKObservation) -> SetGeometry:
     """Ambiguity diameter of the compatible set; exactly 0 when M = 0."""
-    u, log_odds = diameter(summary.M, summary.tau, summary.log_ZA)
-    return SetGeometry(summary=summary, U_K=u, log_odds=log_odds)
+    m = obs.vocab_size - obs.k
+    return SetGeometry(obs, m, *diameter(m, obs.tau, obs.log_ZA))
 
 
 def token_cap(log_odds: float, m: int, t: float) -> float:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,19 +37,6 @@ SECOND_ORDER_COEFF = 0.5 / math.e - 0.5 / math.e**2
 IMPOSSIBLE = "IMPOSSIBLE"
 OPEN = "OPEN"
 THRESHOLD = "THRESHOLD"
-
-
-@dataclass(frozen=True)
-class BinaryReserve:
-    """Balancing reserve and its certified lower bound.
-
-    ``limit`` marks the exact boundary values returned at U = 0 (0, 0) and
-    U = 1 (1/2, log 2).
-    """
-
-    s_star: float
-    r_bin: float
-    limit: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,51 +57,24 @@ class EstimatorSpec:
         return self.tail_weights is None
 
 
-def _check_diameter(u: float) -> None:
-    if not 0.0 <= u <= 1.0 or math.isnan(u):
-        raise ValueError(f"diameter must lie in [0, 1], got {u!r}")
-
-
 def reserve(u: float) -> tuple[float, float]:
-    """``(s*, R_bin)`` at a diameter u in [0, 1]; see :func:`binary_reserve`."""
+    """Closed-form balancing reserve and lower bound ``(s*, R_bin)`` at u.
+
+    Computed in the log domain: ``log A = log u + ((1-u)/u) log1p(-u)``,
+    then ``s* = sigmoid(log A)`` and ``R_bin = log(1 + A)``, stable down to
+    u ~ 1e-300 and up through u -> 1 (where A -> 1, s* -> 1/2,
+    R_bin -> log 2).  The boundary values are exact: (0, 0) at u = 0 and
+    (1/2, log 2) at u = 1.  Raises ``ValueError`` for u outside [0, 1] or
+    NaN.
+    """
+    if not 0.0 <= u <= 1.0:
+        raise ValueError(f"diameter must lie in [0, 1], got {u!r}")
     if u == 0.0:
         return 0.0, 0.0
     if u == 1.0:
         return 0.5, math.log(2.0)
     log_a = math.log(u) + (1.0 - u) / u * math.log1p(-u)
     return expit(log_a), float(np.logaddexp(0.0, log_a))
-
-
-def binary_reserve(u: float) -> BinaryReserve:
-    """Closed-form balancing reserve and lower bound at diameter ``u``.
-
-    Computed in the log domain: ``log A = log u + ((1-u)/u) log1p(-u)``,
-    then ``s* = sigmoid(log A)`` and ``R_bin = log(1 + A)``, stable down to
-    u ~ 1e-300 and up through u -> 1 (where A -> 1, s* -> 1/2,
-    R_bin -> log 2).
-    """
-    _check_diameter(u)
-    return BinaryReserve(*reserve(u), limit=u in (0.0, 1.0))
-
-
-def g_envelope(u: float, t: float, s: float) -> float:
-    """Upper envelope of the uniform-tail estimator's risk at tail mass t.
-
-    Evaluated through the simplified identity
-
-        G(t) = log(1-t) - (1-t) log(1-s) + t log(u / ((1-u) s)),
-
-    algebraically equal to the two-term defining form; G(0) = -log(1-s).
-    The cap factor log(u/((1-u)s)) diverges as u -> 1.
-    """
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"diameter must lie in (0, 1), got {u!r}")
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"reserve must lie in (0, 1), got {s!r}")
-    if t < -POLICY.membership_tol or t > u + POLICY.membership_tol:
-        raise ValueError(f"tail mass t={t!r} outside [0, u={u!r}]")
-    t = min(max(t, 0.0), u)
-    return _envelope(t, math.log1p(-s), _cap_factor(u, s))
 
 
 def _cap_factor(u: float, s: float) -> float:
@@ -152,29 +112,24 @@ def g_max(u: float) -> tuple[float, float]:
     return best, best_t
 
 
-@dataclass(frozen=True)
-class MinimaxCertificate:
+class Certificate(NamedTuple):
     """Everything a report needs about one diameter value.
 
     ``r_bin`` is a certified impossibility lower bound, not the minimax
-    value; ``g_max`` exposes the finite-diameter gap above it.
+    value; ``g_max`` exposes the finite-diameter gap above it, attained at
+    tail mass ``g_argmax``; ``first_order`` is the reserve's first-order
+    term u/e.
     """
 
-    u: float
     s_star: float
     r_bin: float
     g_max: float
     g_argmax: float
     first_order: float
-    second_order_coeff: float = SECOND_ORDER_COEFF
-    limit: bool = False
 
 
-def certificate(u: float) -> tuple[float, float, float, float, float]:
-    """``(s_star, r_bin, g_max, g_argmax, first_order)`` at u in [0, 1].
-
-    The fields of :func:`minimax_certificate`, without its checks.
-    """
+def certificate(u: float) -> Certificate:
+    """:class:`Certificate` at a diameter u in [0, 1]; raises like :func:`reserve`."""
     s_star, r_bin = reserve(u)
     if u == 0.0:
         gmax, argmax = 0.0, 0.0
@@ -182,21 +137,7 @@ def certificate(u: float) -> tuple[float, float, float, float, float]:
         gmax, argmax = math.inf, 1.0
     else:
         gmax, argmax = g_max(u)
-    return s_star, r_bin, gmax, argmax, u * _INV_E
-
-
-def minimax_certificate(u: float) -> MinimaxCertificate:
-    _check_diameter(u)
-    s_star, r_bin, gmax, argmax, first_order = certificate(u)
-    return MinimaxCertificate(
-        u=u,
-        s_star=s_star,
-        r_bin=r_bin,
-        g_max=gmax,
-        g_argmax=argmax,
-        first_order=first_order,
-        limit=u in (0.0, 1.0),
-    )
+    return Certificate(s_star, r_bin, gmax, argmax, u * _INV_E)
 
 
 def symmetric_estimator(geom: SetGeometry, s: float | None = None) -> EstimatorSpec:
@@ -296,8 +237,8 @@ def worst_case_risk(geom: SetGeometry, est: EstimatorSpec) -> tuple[float, float
         -t log s + (1-t) log((1-t)/(1-s)) + t log M + n c (1-t) log(c (1-t)) + y log y
 
     is a sum of linear and convex terms, so each piece peaks at a breakpoint.
-    There y = 0 and the risk is the concave envelope ``G(t_n)`` of
-    :func:`g_envelope`, stationary at ``1 + n c = d``, ``d = log(1-s) +
+    There y = 0 and the risk is the concave envelope ``G_U(t_n)`` of the
+    module docstring, stationary at ``1 + n c = d``, ``d = log(1-s) +
     log_odds - log s``.  So the sup is at floor or ceil of ``n_dagger =
     (d-1) M exp(-log_odds)`` (0 when d <= 1) clamped to [0, M]: only those
     breakpoints, ``t_n = sigmoid(log(n/M) + log_odds)`` capped at U_K, are

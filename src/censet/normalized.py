@@ -12,28 +12,16 @@ closed form of :func:`allocation_diameter`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .numerics import POLICY
-from .observation import AccessMode, ModeError, TopKObservation, _tail_mass
+from .observation import _tail_mass
 
 
 class TailCondition(str, Enum):
     DISJOINT_SUPPORTS = "DisjointSupports"
     SINGLE_POINT = "SinglePoint"
     OVERLAPPING_SUPPORTS = "OverlappingSupports"
-
-
-@dataclass(frozen=True)
-class NormalizedGeometry:
-    """Exact diameter verdict for one normalized observation."""
-
-    t_star: float
-    cap: float
-    M: int
-    condition: TailCondition
-    diameter: float
 
 
 def _tokens_needed(t_star: float, cap: float) -> int:
@@ -72,28 +60,16 @@ def allocation_diameter(t_star: float, cap: float, m: int) -> float:
     return abs(filled - spilled)
 
 
-def normalized_geometry(obs: TopKObservation) -> NormalizedGeometry:
-    """Exact diameter of the capped tail-allocation set.
-
-    Raises on non-normalized observations and on inconsistent ones whose
-    tail mass cannot fit under the per-token cap (t* > M*c).
-    """
-    if obs.mode is not AccessMode.LOGPROBS:
-        raise ModeError("normalized geometry requires mode=logprobs")
-    m = obs.vocab_size - obs.k
-    t_star, cap, condition, diameter = tail_geometry(obs.log_ZA, obs.tau, m)
-    return NormalizedGeometry(
-        t_star=t_star, cap=cap, M=m, condition=condition, diameter=diameter
-    )
-
-
 def tail_geometry(
     log_head: float, tau: float, m: int
 ) -> tuple[float, float, TailCondition, float]:
-    """``(t*, c, condition, diameter)`` of a normalized observation.
+    """Exact diameter of the capped tail-allocation set.
 
-    From the log head mass ``log_ZA``, the threshold ``tau`` and M; see
-    :func:`normalized_geometry`.
+    From a normalized observation's log head mass ``log_ZA``, threshold
+    ``tau`` and M, returns ``(t*, c, condition, diameter)``: the hidden
+    tail mass, the per-token cap ``exp(tau)``, the regime and the diameter.
+    Raises on an inconsistent observation whose tail mass cannot fit under
+    the per-token cap (t* > M*c).
     """
     t_star = _tail_mass(log_head)
     cap = math.exp(tau)

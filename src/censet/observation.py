@@ -1,12 +1,12 @@
-"""Ingestion and log-domain summaries of top-K censored observations.
+"""Ingestion of top-K censored observations.
 
 An observation is the per-position output of a top-K API: the vocabulary
 size, the K revealed (token, score) pairs, and the access mode.  Scores are
 either raw logits (log-probabilities up to an unknown additive shift) or
-normalized log-probabilities.  Everything downstream consumes the stable
-log-domain summary computed here: ``log_ZA`` (log-sum-exp of the revealed
-scores), the censoring threshold ``tau`` (smallest revealed score), the
-censored-token count ``M = V - K`` and the head conditional ``alpha``.
+normalized log-probabilities.  Everything downstream reads the log-domain
+quantities an observation carries: ``log_ZA`` (log-sum-exp of the revealed
+scores, max-shifted, so no overflow for scores of any magnitude) and the
+censoring threshold ``tau`` (smallest revealed score).
 """
 
 from __future__ import annotations
@@ -290,22 +290,6 @@ def _check_pair(token, score, vocab_size: int) -> None:
 
 def _as_list(values) -> list:
     return values.tolist() if isinstance(values, np.ndarray) else list(values)
-
-
-@dataclass(frozen=True, eq=False)
-class LogSummary:
-    """Log-domain quantities shared by all downstream analyses."""
-
-    log_ZA: float
-    tau: float
-    M: int
-    alpha: np.ndarray
-    token_ids: np.ndarray
-    vocab_size: int
-
-    @property
-    def k(self) -> int:
-        return len(self.token_ids)
 
 
 _MODE_NAMES = {m.value: m for m in AccessMode}
@@ -592,28 +576,6 @@ def serialize_observations(observations: Iterable[TopKObservation]) -> str:
             del record["position_id"]
         lines.append(json.dumps(record))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def summarize(obs: TopKObservation) -> LogSummary:
-    """Compute the log-domain summary of a valid observation.
-
-    ``log_ZA`` is the observation's own, computed once and max-shifted, so
-    no overflow for scores of any magnitude: at construction by
-    :func:`censet.numerics.logsumexp_rows` for a row of a batch or a
-    normalized observation, otherwise on first use by the ``log_ZA``
-    property's :func:`censet.numerics.logsumexp`.  ``alpha`` is
-    exponentiated out of the log domain, so the head conditional sums to 1
-    to machine precision even under large score spreads.
-    """
-    alpha = np.exp(obs.scores - obs.log_ZA)
-    return LogSummary(
-        log_ZA=obs.log_ZA,
-        tau=obs.tau,
-        M=obs.vocab_size - obs.k,
-        alpha=alpha,
-        token_ids=obs.token_ids,
-        vocab_size=obs.vocab_size,
-    )
 
 
 def hidden_tail_mass(obs: TopKObservation) -> float:

@@ -140,7 +140,7 @@ def geometry_with_diameter(u: float, m: int) -> geo.SetGeometry:
         mode=ob.AccessMode.LOGITS,
         position_id=f"synthetic-u{u}",
     )
-    return geo.geometry(ob.summarize(obs))
+    return geo.geometry(obs)
 
 
 def estimator_distribution(
@@ -198,27 +198,29 @@ def adversary_best_response(
     return point(geom, t, tail), value
 
 
-def disjoint_witness_pair(
-    geom: geo.SetGeometry, ng: norm.NormalizedGeometry
-) -> tuple[np.ndarray, np.ndarray]:
+def disjoint_witness_pair(geom: geo.SetGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Two members with tail mass t* on disjoint supports: TV exactly t*.
 
-    ``geom`` is the geometry of the normalized observation ``ng`` describes.
-    Only available in the disjoint-supports regime.  Each tail fills
-    ceil(t*/c) censored tokens (lowest ids first) to the cap, with the last
-    token absorbing the remainder.
+    ``geom`` is the geometry of a normalized observation, whose t* and cap
+    c come from :func:`normalized.tail_geometry`.  Only available in the
+    disjoint-supports regime.  Each tail fills ceil(t*/c) censored tokens
+    (lowest ids first) to the cap, with the last token absorbing the
+    remainder.
     """
-    if ng.condition is not norm.TailCondition.DISJOINT_SUPPORTS:
-        raise ValueError(f"no disjoint witnesses in condition {ng.condition.value}")
-    n = norm._tokens_needed(ng.t_star, ng.cap)
+    if geom.obs.mode is not ob.AccessMode.LOGPROBS:
+        raise ob.ModeError("disjoint witnesses require mode=logprobs")
+    t_star, cap, condition, _ = norm.tail_geometry(geom.log_ZA, geom.tau, geom.M)
+    if condition is not norm.TailCondition.DISJOINT_SUPPORTS:
+        raise ValueError(f"no disjoint witnesses in condition {condition.value}")
+    n = norm._tokens_needed(t_star, cap)
 
     def fill(offset: int) -> np.ndarray:
         tail = np.zeros(geom.M)
-        remaining = ng.t_star
+        remaining = t_star
         for i in range(offset, offset + n):
-            tail[i] = min(ng.cap, remaining)
+            tail[i] = min(cap, remaining)
             remaining -= tail[i]
-        return point(geom, ng.t_star, tail)
+        return point(geom, t_star, tail)
 
     return fill(0), fill(n)
 
@@ -429,7 +431,7 @@ def _golden_min(
 def balancing_oracle(u: float, grid: int = 2000) -> tuple[float, float]:
     """Direct minimization over ``s`` of the endpoint maximum.
 
-    Independent verification route for :func:`minimax.binary_reserve`: a
+    Independent verification route for :func:`minimax.reserve`: a
     coarse log-spaced grid brackets the minimum of the (convex) endpoint
     maximum, then golden-section refinement pins it down.  With
     ``grid >= 1000`` the result matches the closed form within 1e-6.
@@ -467,6 +469,28 @@ def breakpoint_scan_oracle(m: int, log_odds: float, s: float) -> float:
         xlogy(1.0 - t, 1.0 - t) + full * xlogy(cap, cap) + xlogy(rest, rest)
     )
     return float(risk.max())
+
+
+def g_envelope(u: float, t: float, s: float) -> float:
+    """Upper envelope of the uniform-tail estimator's risk at tail mass t.
+
+    Evaluated through the simplified identity
+
+        G(t) = log(1-t) - (1-t) log(1-s) + t log(u / ((1-u) s)),
+
+    algebraically equal to the two-term defining form of the
+    :mod:`censet.minimax` docstring; G(0) = -log(1-s).  The cap factor
+    log(u/((1-u)s)) diverges as u -> 1.  :func:`minimax.g_max` maximizes
+    the same expression over t.
+    """
+    if not 0.0 < u < 1.0:
+        raise ValueError(f"diameter must lie in (0, 1), got {u!r}")
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"reserve must lie in (0, 1), got {s!r}")
+    if t < -POLICY.membership_tol or t > u + POLICY.membership_tol:
+        raise ValueError(f"tail mass t={t!r} outside [0, u={u!r}]")
+    t = min(max(t, 0.0), u)
+    return mm._envelope(t, math.log1p(-s), mm._cap_factor(u, s))
 
 
 def _g_envelope_defining_form(u: float, t: float, s: float) -> float:
@@ -564,7 +588,7 @@ def oracle_battery(seed: int = 0) -> list[dict]:
             vocab_size=v, law=sim.GaussianIID(0.0, 2.0), seed=seed + i
         )
         z = sim.generate_teacher(config, 1)[0]
-        geom = geo.geometry(ob.summarize(sim.censor(z, k)))
+        geom = geo.geometry(sim.censor(z, k))
         oracle = brute_diameter_oracle(geom, 12, max_points=1024, seed=i)
         worst_gap = max(worst_gap, abs(oracle - geom.U_K))
         tv_pair = tv(point(geom, 0.0), point(geom, geom.U_K))
@@ -579,9 +603,9 @@ def oracle_battery(seed: int = 0) -> list[dict]:
     # balancing oracle against the closed-form reserve
     gap = 0.0
     for u in np.geomspace(1e-4, 0.999, 25):
-        reserve = mm.binary_reserve(float(u))
+        s_star, r_bin = mm.reserve(float(u))
         s_hat, r_hat = balancing_oracle(float(u))
-        gap = max(gap, abs(s_hat - reserve.s_star), abs(r_hat - reserve.r_bin))
+        gap = max(gap, abs(s_hat - s_star), abs(r_hat - r_bin))
     record("balancing_oracle", gap <= 1e-6, f"max deviation = {gap:.2e}")
 
     # envelope identity: defining form vs simplified form
@@ -591,7 +615,7 @@ def oracle_battery(seed: int = 0) -> list[dict]:
         for t in np.linspace(0.0, u, 17):
             gap = max(
                 gap,
-                abs(mm.g_envelope(u, float(t), s)
+                abs(g_envelope(u, float(t), s)
                     - _g_envelope_defining_form(u, float(t), s)),
             )
     record("envelope_identity", gap <= 1e-12, f"max |form gap| = {gap:.2e}")
@@ -602,7 +626,7 @@ def oracle_battery(seed: int = 0) -> list[dict]:
     for u in (0.05, 0.3, 0.7, 0.95):
         geom = geometry_with_diameter(u, 64)
         sup_kl, _ = mm.worst_case_risk(geom, mm.symmetric_estimator(geom))
-        r_bin = mm.binary_reserve(geom.U_K).r_bin
+        r_bin = mm.reserve(geom.U_K)[1]
         gmax, _ = mm.g_max(geom.U_K)
         ok = ok and (r_bin <= sup_kl + 1e-12) and (sup_kl <= gmax + 1e-6)
         detail.append(f"u={u}: {r_bin:.4f} <= {sup_kl:.4f} <= {gmax:.4f}")
@@ -612,7 +636,7 @@ def oracle_battery(seed: int = 0) -> list[dict]:
     gap = 0.0
     for u, m in ((0.05, 7), (0.3, 16), (0.7, 64), (0.95, 64)):
         geom = geometry_with_diameter(u, m)
-        for s in (u / math.e, mm.binary_reserve(u).s_star, 0.02, 0.5, 0.98):
+        for s in (u / math.e, mm.reserve(u)[0], 0.02, 0.5, 0.98):
             sup_kl, _ = mm.worst_case_risk(geom, mm.symmetric_estimator(geom, s))
             scan = breakpoint_scan_oracle(geom.M, geom.log_odds, s)
             gap = max(gap, abs(sup_kl - scan))
@@ -628,7 +652,7 @@ def oracle_battery(seed: int = 0) -> list[dict]:
             vocab_size=v, law=sim.GaussianIID(0.0, 1.5), seed=seed + 100 + i
         )
         z = sim.generate_teacher(config, 1)[0]
-        geom = geo.geometry(ob.summarize(sim.censor(z, k)))
+        geom = geo.geometry(sim.censor(z, k))
         rlogits = ref.ReferenceLogits(dense=z + rng.normal(0.0, 0.5, size=v))
         rb = ref.reference_geometry(geom, rlogits, float(rng.uniform(0.0, 2.0)))
         oracle = reference_diameter_oracle(geom, rb, 10, max_points=1024, seed=i)
@@ -675,12 +699,10 @@ def oracle_battery(seed: int = 0) -> list[dict]:
     # small-diameter expansions of the reserve and the lower bound
     ok = True
     for u in np.linspace(0.01, 0.5, 25):
-        reserve = mm.binary_reserve(float(u))
-        ok = ok and abs(reserve.s_star - u / math.e) <= u * u
+        s_star, r_bin = mm.reserve(float(u))
+        ok = ok and abs(s_star - u / math.e) <= u * u
         if u <= 0.3:
-            resid = abs(
-                reserve.r_bin - u / math.e - mm.SECOND_ORDER_COEFF * u * u
-            )
+            resid = abs(r_bin - u / math.e - mm.SECOND_ORDER_COEFF * u * u)
             ok = ok and resid <= u**3
     record("expansion_bounds", ok, "reserve and lower-bound expansions hold")
 

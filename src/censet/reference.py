@@ -175,6 +175,16 @@ def calibrate_rho(
     return float(diffs.max()), float(np.mean(diffs > rho))
 
 
+_DENSE_KEYS = frozenset({"position_id", "dense"})
+_SPARSE_KEYS = frozenset({"position_id", "entries", "default"})
+
+
+def _check_keys(record: dict, allowed: frozenset, form: str, lineno: int) -> None:
+    for key in record:
+        if key not in allowed:
+            raise ParseError(lineno, f"unknown field {key!r} in a {form} record")
+
+
 def parse_reference_dump(source: str | bytes | IO) -> dict[str, ReferenceLogits]:
     """Parse a reference dump keyed by position id.
 
@@ -185,7 +195,8 @@ def parse_reference_dump(source: str | bytes | IO) -> dict[str, ReferenceLogits]
     ``default`` may be left out, but not given as null.  Tokens must be
     distinct JSON integers in [0, 2**63), scores JSON numbers and
     ``position_id`` a JSON string; a repeated token or ``position_id`` is
-    an error, never a silent overwrite.
+    an error, never a silent overwrite.  A key outside the record's form
+    (``"default"`` in a dense record, a misspelled field) is an error too.
     """
     out: dict[str, ReferenceLogits] = {}
     for lineno, record in _read_jsonl(source):
@@ -196,6 +207,7 @@ def parse_reference_dump(source: str | bytes | IO) -> dict[str, ReferenceLogits]
         if "dense" in record and "entries" in record:
             raise ParseError(lineno, "record has both dense and entries")
         if "dense" in record:
+            _check_keys(record, _DENSE_KEYS, "dense", lineno)
             dense = record["dense"]
             if not isinstance(dense, list):
                 raise ParseError(lineno, "dense must be a list of scores")
@@ -203,6 +215,7 @@ def parse_reference_dump(source: str | bytes | IO) -> dict[str, ReferenceLogits]
                 position_id=pid, dense=_json_floats(dense, "dense score", lineno)
             )
         elif "entries" in record:
+            _check_keys(record, _SPARSE_KEYS, "sparse", lineno)
             default = record.get("default")
             if default == "-inf":
                 default = -math.inf

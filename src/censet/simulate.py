@@ -18,12 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .identified_set import SetGeometry, geometry
+from .identified_set import diameter
 from .minimax import reserve, symmetric_sup
 from .numerics import logsumexp
 from .observation import (
     AccessMode,
-    LogSummary,
     TopKObservation,
     ValidationError,
     _check_head_mass,
@@ -184,14 +183,15 @@ def _first_nonfinite(scores: np.ndarray) -> int:
 
 def _sweep_position(
     z: np.ndarray, ks: Sequence[int]
-) -> list[tuple[SetGeometry, float]]:
-    """Geometry and hidden tail mass of one position at every K in ``ks``.
+) -> list[tuple[int, float, float, float]]:
+    """``(M, U_K, log_odds, tail mass)`` of one position at every K in ``ks``.
 
-    Bit for bit equal to ``geometry(summarize(censor(z, k)))`` and
-    ``hidden_tail_mass(censor(z, k, mode=AccessMode.LOGPROBS))``, with the
-    same validation, from one stable sort of the row: each K reads a prefix
-    of the same order, so ties still break toward the lower token id.
-    ``ks`` must be sorted ascending and lie in [1, V].
+    The diameter is that of the top-K observation :func:`censor` makes of
+    ``z`` and the tail mass is the hidden mass of its normalized
+    reinterpretation (``mode=AccessMode.LOGPROBS``), bit for bit and with
+    the same validation, from one stable sort of the row: each K reads a
+    prefix of the same order, so ties still break toward the lower token
+    id.  ``ks`` must be sorted ascending and lie in [1, V].
     """
     if not ks:
         return []
@@ -208,19 +208,10 @@ def _sweep_position(
                 raise ValidationError(
                     f"non-finite score {float(scores[bad])!r} for token {order[bad]}"
                 )
-        scores = head[:k]
-        log_za = logsumexp(scores)
-        summary = LogSummary(
-            log_ZA=log_za,
-            tau=float(scores[-1]),
-            M=v - k,
-            alpha=np.exp(scores - log_za),
-            token_ids=order[:k],
-            vocab_size=v,
-        )
+        u, log_odds = diameter(v - k, float(head[k - 1]), logsumexp(head[:k]))
         log_head = logsumexp(logprobs[:k])
         _check_head_mass(log_head)
-        swept.append((geometry(summary), _tail_mass(log_head)))
+        swept.append((v - k, u, log_odds, _tail_mass(log_head)))
     return swept
 
 
@@ -240,12 +231,12 @@ def _sweep(
     swept = [k for k in ks if k <= v]
     uks, rbins, tails, sups = (np.empty((len(swept), n)) for _ in range(4))
     for i, z in enumerate(positions):
-        for j, (geom, tail) in enumerate(_sweep_position(z, swept)):
-            uks[j, i] = geom.U_K
-            rbins[j, i] = reserve(geom.U_K)[1]
+        for j, (m, u, log_odds, tail) in enumerate(_sweep_position(z, swept)):
+            uks[j, i] = u
+            rbins[j, i] = reserve(u)[1]
             tails[j, i] = tail
             if with_sup:
-                sups[j, i] = symmetric_sup(geom.M, geom.log_odds, geom.U_K)[0]
+                sups[j, i] = symmetric_sup(m, log_odds, u)[0]
     rows = [
         (
             SweepRow(

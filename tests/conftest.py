@@ -3,7 +3,7 @@ import pytest
 
 from censet.identified_set import geometry
 from censet.numerics import reset_policy
-from censet.observation import AccessMode, TopKObservation, summarize
+from censet.observation import AccessMode, TopKObservation
 
 
 @pytest.fixture(autouse=True)
@@ -27,7 +27,7 @@ def make_observation(vocab_size, scores, mode=AccessMode.LOGITS, tokens=None,
 
 
 def make_geometry(vocab_size, scores, **kwargs):
-    return geometry(summarize(make_observation(vocab_size, scores, **kwargs)))
+    return geometry(make_observation(vocab_size, scores, **kwargs))
 
 
 @pytest.fixture

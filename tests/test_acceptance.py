@@ -17,7 +17,6 @@ from censet.identified_set import geometry
 from censet.minimax import (
     SECOND_ORDER_COEFF,
     _sup_candidates,
-    binary_reserve,
     g_max,
     reserve,
     symmetric_estimator,
@@ -25,11 +24,8 @@ from censet.minimax import (
     verdicts,
     worst_case_risk,
 )
-from censet.normalized import (
-    TailCondition,
-    normalized_geometry,
-)
-from censet.observation import AccessMode, summarize
+from censet.normalized import TailCondition, tail_geometry
+from censet.observation import AccessMode
 from censet.oracles import (
     allocation_diameter_oracle,
     balancing_oracle,
@@ -78,7 +74,7 @@ def _tail_size_for(u: float) -> int:
 def test_criterion_1_gap_table():
     start = time.perf_counter()
     for u, (r_exp, fo_exp, diff_exp, gmax_exp) in GAP_TABLE.items():
-        r = binary_reserve(u).r_bin
+        r = reserve(u)[1]
         first_order = u / E
         assert abs(r - r_exp) <= 1e-3, f"r_bin({u})"
         assert abs(first_order - fo_exp) <= 1e-3, f"u/e({u})"
@@ -90,7 +86,7 @@ def test_criterion_1_gap_table():
 
 
 def test_criterion_2_critical_threshold():
-    u_crit = brentq(lambda u: binary_reserve(u).r_bin - 0.1, 1e-6, 0.9, xtol=1e-12)
+    u_crit = brentq(lambda u: reserve(u)[1] - 0.1, 1e-6, 0.9, xtol=1e-12)
     assert abs(u_crit - 0.25) <= 0.005
     geom = geometry_with_diameter(0.908, 256)
     ((r_bin, verdict),) = verdicts([geom.U_K], 0.1)
@@ -113,9 +109,7 @@ def test_criterion_3_diameter_oracle_equivalence():
         k = int(rng.integers(1, v))
         scores = np.sort(rng.normal(0.0, rng.uniform(0.5, 3.0), size=k))[::-1]
         tokens = rng.permutation(v)[:k]
-        geom = geometry(
-            summarize(make_observation(v, scores, tokens=[int(t) for t in tokens]))
-        )
+        geom = geometry(make_observation(v, scores, tokens=[int(t) for t in tokens]))
         oracle = brute_diameter_oracle(geom, 12, max_points=1024, seed=i)
         worst_oracle_gap = max(worst_oracle_gap, abs(oracle - geom.U_K))
         assert abs(oracle - geom.U_K) <= 1e-3
@@ -135,11 +129,11 @@ def test_criterion_3_diameter_oracle_equivalence():
 def test_criterion_4_balancing_oracle_equivalence():
     worst = 0.0
     for u in U_GRID:
-        closed = binary_reserve(float(u))
+        s_star, r_bin = reserve(float(u))
         s_hat, r_hat = balancing_oracle(float(u))
-        worst = max(worst, abs(s_hat - closed.s_star), abs(r_hat - closed.r_bin))
-        assert abs(s_hat - closed.s_star) <= 1e-6
-        assert abs(r_hat - closed.r_bin) <= 1e-6
+        worst = max(worst, abs(s_hat - s_star), abs(r_hat - r_bin))
+        assert abs(s_hat - s_star) <= 1e-6
+        assert abs(r_hat - r_bin) <= 1e-6
     _passed(4, f"balancing oracle matches closed form, max gap {worst:.2e}")
 
 
@@ -149,7 +143,7 @@ def test_criterion_5_envelope_ordering_and_tightness():
         geom = geometry_with_diameter(u, _tail_size_for(u))
         est = symmetric_estimator(geom)
         sup_kl, _ = worst_case_risk(geom, est)
-        r_bin = binary_reserve(geom.U_K).r_bin
+        r_bin = reserve(geom.U_K)[1]
         gmax = g_max(geom.U_K)[0]
         assert r_bin - 1e-12 <= sup_kl <= gmax + 1e-6
         if u <= 0.05:
@@ -161,9 +155,9 @@ def test_criterion_6_expansion_bounds():
     for u in U_GRID:
         u = float(u)
         if u <= 0.5:
-            assert abs(binary_reserve(u).s_star - u / E) <= u * u
+            assert abs(reserve(u)[0] - u / E) <= u * u
     us = np.geomspace(1e-3, 0.2, 60)
-    diffs = np.array([binary_reserve(float(u)).r_bin - u / E for u in us])
+    diffs = np.array([reserve(float(u))[1] - u / E for u in us])
     c_hat = float(np.mean(diffs / us**2))
     assert abs(c_hat - SECOND_ORDER_COEFF) <= 0.1 * SECOND_ORDER_COEFF
     _passed(
@@ -184,7 +178,7 @@ def test_criterion_7_reference_shrinkage():
             vocab_size=v, law=GaussianIID(0.0, 1.5), seed=1000 + checked
         )
         z = generate_teacher(config, 1)[0]
-        geom = geometry(summarize(censor(z, k)))
+        geom = geometry(censor(z, k))
         if geom.M == 0:
             continue
         ref = ReferenceLogits(dense=z + rng.normal(0.0, 1.0, size=v))
@@ -213,22 +207,22 @@ def test_criterion_8_normalized_access():
     obs1 = make_observation(
         3, [math.log(0.55), math.log(0.35)], mode=AccessMode.LOGPROBS
     )
-    ng1 = normalized_geometry(obs1)
-    assert ng1.M == 1
-    assert ng1.diameter == 0.0
+    geom1 = geometry(obs1)
+    assert geom1.M == 1
+    assert tail_geometry(geom1.log_ZA, geom1.tau, geom1.M)[3] == 0.0
 
     # disjoint-supports witness attains TV = t* exactly
     obs2 = make_observation(
         13, [math.log(0.45), math.log(0.25), math.log(0.1)],
         mode=AccessMode.LOGPROBS,
     )
-    ng2 = normalized_geometry(obs2)
-    assert ng2.condition is TailCondition.DISJOINT_SUPPORTS
-    geom2 = geometry(summarize(obs2))
-    a, b = disjoint_witness_pair(geom2, ng2)
+    geom2 = geometry(obs2)
+    t_star, _, condition, _ = tail_geometry(geom2.log_ZA, geom2.tau, geom2.M)
+    assert condition is TailCondition.DISJOINT_SUPPORTS
+    a, b = disjoint_witness_pair(geom2)
     censored = geom2.censored_ids
     assert not np.any((a[censored] > 0.0) & (b[censored] > 0.0))
-    assert abs(tv(a, b) - ng2.t_star) <= 1e-12
+    assert abs(tv(a, b) - t_star) <= 1e-12
     assert membership(geom2, a) == [] and membership(geom2, b) == []
 
     # allocation oracle confirms the regimes for M <= 12

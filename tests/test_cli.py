@@ -1,5 +1,6 @@
 """Command-line surface: reports, formats, exit codes, determinism."""
 
+import csv
 import hashlib
 import json
 import math
@@ -348,6 +349,21 @@ class TestCertify:
             assert tuple(r.keys()) == CERTIFY_FIELDS
             assert r["delta"] == 0.1
             assert r["heuristic_u_max"] == pytest.approx(math.e * 0.1, rel=1e-12)
+
+
+    @pytest.mark.parametrize("pid", ['a,"b"', "line\nbreak", "cr\r", 'quote"'])
+    def test_csv_quotes_cells_that_need_it(self, pid, tmp_path):
+        obs = tmp_path / "obs.jsonl"
+        obs.write_text(json.dumps({"vocab_size": 4, "mode": "logits", "position_id": pid,
+                                   "topk": [{"token": 0, "score": 0.0}]}) + "\n")
+        out = tmp_path / "c.csv"
+        assert main(["certify", "--input", str(obs), "--delta", "0.1",
+                     "--format", "csv", "--output", str(out)]) == 0
+        with open(out, newline="", encoding="utf-8") as handle:
+            header, row = csv.reader(handle)
+        assert header == list(CERTIFY_FIELDS)
+        assert len(row) == len(header)
+        assert row[0] == pid
 
 
 class TestReference:

@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from censet.identified_set import geometry, per_token_cap
-from censet.observation import summarize
+from censet.numerics import expit
 from censet.oracles import (
     brute_diameter_oracle,
     kl,
@@ -45,7 +45,7 @@ class TestGeometry:
         g = make_geometry(10_000, [0.0], tokens=[0])
         assert g.U_K > 0.999
         direct = 1.0 / (1.0 + g.M * math.exp(g.tau - g.log_ZA))
-        assert math.isclose(g.one_minus_UK, direct, rel_tol=1e-12)
+        assert math.isclose(expit(-g.log_odds), direct, rel_tol=1e-12)
 
 
     @pytest.mark.parametrize(
@@ -226,7 +226,7 @@ class TestInvariants:
                 obs = make_observation(
                     v, z[order[:k]], tokens=[int(t) for t in order[:k]]
                 )
-                u = geometry(summarize(obs)).U_K
+                u = geometry(obs).U_K
                 if previous is not None:
                     assert u <= previous + 1e-12
                 previous = u

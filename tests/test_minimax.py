@@ -12,25 +12,24 @@ from scipy.optimize import minimize_scalar
 from scipy.special import xlogy
 
 from censet.cli import main
-from censet.identified_set import SetGeometry, geometry
+from censet.identified_set import SetGeometry, diameter
 from censet.minimax import (
     SECOND_ORDER_COEFF,
     EstimatorSpec,
-    binary_reserve,
-    g_envelope,
+    certificate,
     g_max,
-    minimax_certificate,
+    reserve,
     symmetric_estimator,
     verdicts,
     worst_case_risk,
 )
-from censet.observation import LogSummary, summarize
 from censet.oracles import (
     adversary_best_response,
     balancing_oracle,
     breakpoint_scan_oracle,
     endpoint_risk,
     estimator_distribution,
+    g_envelope,
     geometry_with_diameter,
     kl,
     membership,
@@ -38,7 +37,7 @@ from censet.oracles import (
     risk_at_tail_mass,
 )
 
-from conftest import make_geometry
+from conftest import make_geometry, make_observation
 
 E = math.e
 
@@ -56,41 +55,39 @@ GAP_TABLE = {
 
 class TestBinaryReserve:
     def test_half_is_exact(self):
-        r = binary_reserve(0.5)
+        s_star, r_bin = reserve(0.5)
         # A = 0.5 * 0.5 = 1/4, so the reserve is exactly 1/5
-        assert r.s_star == pytest.approx(0.2, abs=1e-15)
-        assert r.r_bin == pytest.approx(-math.log(0.8), rel=1e-14)
+        assert s_star == pytest.approx(0.2, abs=1e-15)
+        assert r_bin == pytest.approx(-math.log(0.8), rel=1e-14)
 
     @pytest.mark.parametrize("u,expected", [(u, row[0]) for u, row in GAP_TABLE.items()])
     def test_tabulated_lower_bounds(self, u, expected):
-        assert binary_reserve(u).r_bin == pytest.approx(expected, abs=1e-3)
+        assert reserve(u)[1] == pytest.approx(expected, abs=1e-3)
 
     def test_quarter_near_tenth_of_a_nat(self):
-        assert binary_reserve(0.25).r_bin == pytest.approx(0.100, abs=1e-3)
+        assert reserve(0.25)[1] == pytest.approx(0.100, abs=1e-3)
 
     def test_r_bin_consistent_with_reserve(self):
         for u in np.geomspace(1e-6, 0.9999, 40):
-            r = binary_reserve(float(u))
-            assert abs(r.r_bin - (-math.log1p(-r.s_star))) <= 1e-12
+            s_star, r_bin = reserve(float(u))
+            assert abs(r_bin - (-math.log1p(-s_star))) <= 1e-12
 
-    def test_limits_are_flagged(self):
-        assert binary_reserve(0.0) == binary_reserve(0.0)
-        lo = binary_reserve(0.0)
-        hi = binary_reserve(1.0)
-        assert lo.limit and hi.limit
-        assert (lo.s_star, lo.r_bin) == (0.0, 0.0)
-        assert hi.s_star == 0.5
-        assert hi.r_bin == pytest.approx(math.log(2.0), rel=1e-15)
+    def test_limits_are_exact(self):
+        assert reserve(0.0) == (0.0, 0.0)
+        s_star, r_bin = reserve(1.0)
+        assert s_star == 0.5
+        assert r_bin == pytest.approx(math.log(2.0), rel=1e-15)
 
-    def test_domain_error(self):
-        for bad in (-0.1, 1.1, math.nan):
-            with pytest.raises(ValueError):
-                binary_reserve(bad)
+    @pytest.mark.parametrize("kernel", [reserve, certificate], ids=["reserve", "certificate"])
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, 1.5, -math.inf, math.inf, math.nan])
+    def test_domain_error(self, kernel, bad):
+        with pytest.raises(ValueError, match=r"diameter must lie in \[0, 1\], got"):
+            kernel(bad)
 
     def test_extreme_u_stays_finite(self):
-        r = binary_reserve(1e-300)
-        assert 0.0 < r.s_star < 1e-299
-        assert 0.0 < r.r_bin < 1e-299
+        s_star, r_bin = reserve(1e-300)
+        assert 0.0 < s_star < 1e-299
+        assert 0.0 < r_bin < 1e-299
 
 
 class TestBalancingOracle:
@@ -105,15 +102,15 @@ class TestBalancingOracle:
 
     def test_agreement_over_log_grid(self):
         for u in np.geomspace(1e-4, 0.999, 50):
-            r = binary_reserve(float(u))
+            s_star, r_bin = reserve(float(u))
             s_hat, r_hat = balancing_oracle(float(u))
-            assert abs(s_hat - r.s_star) <= 1e-6
-            assert abs(r_hat - r.r_bin) <= 1e-6
+            assert abs(s_hat - s_star) <= 1e-6
+            assert abs(r_hat - r_bin) <= 1e-6
 
     def test_equalization_at_reserve(self):
         # at s* the two endpoint divergences balance by construction
         for u in (0.05, 0.3, 0.5, 0.9, 0.99):
-            s = binary_reserve(u).s_star
+            s = reserve(u)[0]
             kl_zero = -math.log1p(-s)
             kl_full = (1 - u) * (math.log1p(-u) - math.log1p(-s)) + u * (
                 math.log(u) - math.log(s)
@@ -123,7 +120,7 @@ class TestBalancingOracle:
     def test_equalization_on_dense_distributions(self, v4_geometry):
         # same balance measured through the generic divergence on full vectors
         g = v4_geometry
-        est = symmetric_estimator(g, s=binary_reserve(g.U_K).s_star)
+        est = symmetric_estimator(g, s=reserve(g.U_K)[0])
         q = estimator_distribution(g, est)
         kl_zero = kl(point(g, 0.0), q)
         kl_full = kl(point(g, g.U_K), q)
@@ -238,7 +235,7 @@ class TestAdversaryBestResponse:
         est = symmetric_estimator(g)
         grid = np.linspace(1e-6, g.U_K, 400)
         best = max(risk_at_tail_mass(g, est, float(t)) for t in grid)
-        assert best >= binary_reserve(g.U_K).r_bin - 1e-12
+        assert best >= reserve(g.U_K)[1] - 1e-12
 
     def test_vanishing_tail_mass_limit(self, v4_geometry):
         est = symmetric_estimator(v4_geometry)
@@ -296,7 +293,7 @@ class TestWorstCaseRisk:
         g = geometry_with_diameter(0.05, 16)
         est = symmetric_estimator(g)
         sup_kl, _ = worst_case_risk(g, est)
-        r = binary_reserve(g.U_K).r_bin
+        r = reserve(g.U_K)[1]
         assert r - 1e-12 <= sup_kl <= r + 0.02 * g.U_K
 
     def test_large_diameter_bracket(self):
@@ -304,7 +301,7 @@ class TestWorstCaseRisk:
         est = symmetric_estimator(g)
         sup_kl, t_at = worst_case_risk(g, est)
         assert sup_kl <= g_max(g.U_K)[0] + 1e-6
-        assert sup_kl >= binary_reserve(g.U_K).r_bin
+        assert sup_kl >= reserve(g.U_K)[1]
         assert 0.0 < t_at < g.U_K
 
     def test_sup_at_least_any_grid_value(self, v4_geometry):
@@ -329,7 +326,7 @@ class TestWorstCaseRisk:
     def test_matches_breakpoint_scan(self, m, frac, rule, free_s):
         lo = -40.0 + frac * (math.log(m) + 40.0)
         g = _geometry_with_log_odds(m, lo)
-        s = {"u/e": g.U_K / E, "s*": binary_reserve(g.U_K).s_star, "free": free_s}[rule]
+        s = {"u/e": g.U_K / E, "s*": reserve(g.U_K)[0], "free": free_s}[rule]
         sup_kl, t_at = worst_case_risk(g, symmetric_estimator(g, s))
         assert sup_kl >= breakpoint_scan_oracle(g.M, g.log_odds, s) - 1e-10
         if rule == "u/e":
@@ -370,50 +367,46 @@ class TestWorstCaseRisk:
 
 
 def _geometry_with_log_odds(m: int, lo: float) -> SetGeometry:
-    """A geometry with M = m and log-odds ``lo``; only (M, log_odds) matter."""
-    summary = LogSummary(
-        log_ZA=0.0,
-        tau=lo - math.log(m),
-        M=m,
-        alpha=np.ones(1),
-        token_ids=(0,),
-        vocab_size=m + 1,
-    )
-    return geometry(summary)
+    """A geometry with M = m and log-odds ``lo``; only (M, log_odds) matter.
+
+    No observation with M = m reaches every such ``lo`` (K = 1 pins the
+    log-odds at log M, K >= 2 caps them at log(M/K)), so the diameter is set
+    directly on a placeholder observation.
+    """
+    placeholder = make_observation(m + 1, [0.0])
+    return SetGeometry(placeholder, m, *diameter(m, lo - math.log(m), 0.0))
 
 
 class TestExpansions:
     def test_reserve_first_order(self):
         for u in np.linspace(0.01, 0.5, 50):
-            assert abs(binary_reserve(float(u)).s_star - u / E) <= u * u
+            assert abs(reserve(float(u))[0] - u / E) <= u * u
 
     def test_second_order_coefficient_fit(self):
         us = np.geomspace(1e-3, 0.2, 50)
-        diffs = np.array([binary_reserve(float(u)).r_bin - u / E for u in us])
+        diffs = np.array([reserve(float(u))[1] - u / E for u in us])
         c_hat = float(np.mean(diffs / us**2))
         assert abs(c_hat - SECOND_ORDER_COEFF) <= 0.1 * SECOND_ORDER_COEFF
 
     def test_cubic_remainder_bound(self):
         for u in np.linspace(0.005, 0.3, 60):
-            resid = abs(
-                binary_reserve(float(u)).r_bin - u / E - SECOND_ORDER_COEFF * u * u
-            )
+            resid = abs(reserve(float(u))[1] - u / E - SECOND_ORDER_COEFF * u * u)
             assert resid <= u**3
 
 
 class TestCertificate:
     def test_fields_cohere(self):
-        cert = minimax_certificate(0.5)
+        cert = certificate(0.5)
         assert cert.s_star == pytest.approx(0.2, abs=1e-15)
         assert cert.r_bin <= cert.g_max + 1e-9
         assert cert.first_order == pytest.approx(0.5 / E, rel=1e-15)
-        assert cert.second_order_coeff == pytest.approx(
+        assert SECOND_ORDER_COEFF == pytest.approx(
             1 / (2 * E) - 1 / (2 * E * E), rel=1e-15
         )
 
     def test_ordering_over_grid(self):
         for u in np.geomspace(1e-4, 0.999, 30):
-            cert = minimax_certificate(float(u))
+            cert = certificate(float(u))
             assert 0.0 <= cert.r_bin <= cert.g_max + 1e-9
 
 

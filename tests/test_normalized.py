@@ -11,9 +11,9 @@ from censet.identified_set import geometry
 from censet.normalized import (
     TailCondition,
     allocation_diameter,
-    normalized_geometry,
+    tail_geometry,
 )
-from censet.observation import AccessMode, ModeError, summarize
+from censet.observation import AccessMode, ModeError
 from censet.oracles import (
     _extreme_allocations,
     allocation_diameter_oracle,
@@ -39,81 +39,80 @@ def logprob_observation(probs, vocab_size, tokens=None):
     )
 
 
+def normalized(obs):
+    """The geometry of ``obs`` and its ``(t*, c, condition, diameter)``."""
+    g = geometry(obs)
+    return g, tail_geometry(g.log_ZA, g.tau, g.M)
+
+
 class TestNormalizedGeometry:
     def test_zero_tail_single_point(self):
-        obs = logprob_observation([1.0], 5)
-        ng = normalized_geometry(obs)
-        assert ng.t_star == 0.0
-        assert ng.condition is TailCondition.SINGLE_POINT
-        assert ng.diameter == 0.0
+        _, (t_star, _, condition, d) = normalized(logprob_observation([1.0], 5))
+        assert t_star == 0.0
+        assert condition is TailCondition.SINGLE_POINT
+        assert d == 0.0
 
     def test_disjoint_supports_regime(self):
         # t* = 0.2, c = 0.1, M = 10: two disjoint 2-token allocations exist
-        obs = logprob_observation([0.45, 0.25, 0.1], 13)
-        ng = normalized_geometry(obs)
-        assert ng.t_star == pytest.approx(0.2, abs=1e-12)
-        assert ng.cap == pytest.approx(0.1, rel=1e-12)
-        assert ng.M == 10
-        assert ng.condition is TailCondition.DISJOINT_SUPPORTS
-        assert ng.diameter == pytest.approx(0.2, abs=1e-12)
+        g, (t_star, cap, condition, d) = normalized(
+            logprob_observation([0.45, 0.25, 0.1], 13)
+        )
+        assert t_star == pytest.approx(0.2, abs=1e-12)
+        assert cap == pytest.approx(0.1, rel=1e-12)
+        assert g.M == 10
+        assert condition is TailCondition.DISJOINT_SUPPORTS
+        assert d == pytest.approx(0.2, abs=1e-12)
 
     def test_single_censored_token(self):
         # M = 1: the lone censored token must carry exactly t*
-        obs = logprob_observation([0.55, 0.35], 3)
-        ng = normalized_geometry(obs)
-        assert ng.M == 1
-        assert ng.condition is TailCondition.SINGLE_POINT
-        assert ng.diameter == 0.0
+        g, (_, _, condition, d) = normalized(logprob_observation([0.55, 0.35], 3))
+        assert g.M == 1
+        assert condition is TailCondition.SINGLE_POINT
+        assert d == 0.0
 
     def test_overlapping_supports_exact_diameter(self):
         # t* = 0.2, c = 0.15, M = 2 < 2*ceil(0.2/0.15) = 4
-        obs = logprob_observation([0.45, 0.2, 0.15], 5)
-        ng = normalized_geometry(obs)
-        assert ng.condition is TailCondition.OVERLAPPING_SUPPORTS
-        # allocations live in [t*-c, c]^2, so TV tops out at 2c - t* = 0.1
-        assert ng.diameter == pytest.approx(0.1, abs=1e-12)
-        assert ng.diameter == pytest.approx(
-            allocation_diameter_oracle(ng.t_star, ng.cap, ng.M), abs=1e-15
+        g, (t_star, cap, condition, d) = normalized(
+            logprob_observation([0.45, 0.2, 0.15], 5)
         )
-
-    def test_mode_error(self):
-        with pytest.raises(ModeError):
-            normalized_geometry(make_observation(4, [0.0]))
+        assert condition is TailCondition.OVERLAPPING_SUPPORTS
+        # allocations live in [t*-c, c]^2, so TV tops out at 2c - t* = 0.1
+        assert d == pytest.approx(0.1, abs=1e-12)
+        assert d == pytest.approx(
+            allocation_diameter_oracle(t_star, cap, g.M), abs=1e-15
+        )
 
     def test_infeasible_observation(self):
         # head mass 0.5 but a single censored token capped at 0.1 < 0.5
         obs = logprob_observation([0.4, 0.1], 3)
         with pytest.raises(ValueError, match="inconsistent"):
-            normalized_geometry(obs)
+            normalized(obs)
 
     def test_large_m_overlapping_closed_form(self):
         # M = 20, t* = 0.5, c = 0.03: needs 2*ceil(16.7) = 34 > 20 tokens,
         # and each half of 10 tokens holds 0.3, so D = 0.3 + 0.3 - 0.5
         probs = [0.2, 0.15, 0.12, 0.03]
-        obs = logprob_observation(probs, 24)
-        ng = normalized_geometry(obs)
-        assert ng.condition is TailCondition.OVERLAPPING_SUPPORTS
-        assert ng.diameter == pytest.approx(20 * 0.03 - 0.5, abs=1e-9)
+        _, (_, _, condition, d) = normalized(logprob_observation(probs, 24))
+        assert condition is TailCondition.OVERLAPPING_SUPPORTS
+        assert d == pytest.approx(20 * 0.03 - 0.5, abs=1e-9)
 
     def test_regression_twelve_censored_tokens(self):
         # V = 20, K = 8, t* = 0.325, c = 0.05: reported as the bracket
         # (0.275, 0.325) when M <= 12 still went through the vertex oracle
         probs = [0.2, 0.1, 0.1, 0.075, 0.05, 0.05, 0.05, 0.05]
-        obs = logprob_observation(probs, 20)
-        ng = normalized_geometry(obs)
-        assert (ng.M, ng.condition) == (12, TailCondition.OVERLAPPING_SUPPORTS)
-        assert ng.t_star == pytest.approx(0.325, abs=1e-15)
-        assert ng.cap == pytest.approx(0.05, abs=1e-15)
-        assert ng.diameter == pytest.approx(0.275, abs=1e-15)
+        g, (t_star, cap, condition, d) = normalized(logprob_observation(probs, 20))
+        assert (g.M, condition) == (12, TailCondition.OVERLAPPING_SUPPORTS)
+        assert t_star == pytest.approx(0.325, abs=1e-15)
+        assert cap == pytest.approx(0.05, abs=1e-15)
+        assert d == pytest.approx(0.275, abs=1e-15)
         # attained: each allocation fills its own six tokens first
-        g = geometry(summarize(obs))
-        rest = ng.t_star - 6 * ng.cap
-        tail_a, tail_b = np.zeros(12), np.full(12, ng.cap)
-        tail_a[:6], tail_a[6] = ng.cap, rest
+        rest = t_star - 6 * cap
+        tail_a, tail_b = np.zeros(12), np.full(12, cap)
+        tail_a[:6], tail_a[6] = cap, rest
         tail_b[:6], tail_b[0] = 0.0, rest
-        a, b = point(g, ng.t_star, tail_a), point(g, ng.t_star, tail_b)
+        a, b = point(g, t_star, tail_a), point(g, t_star, tail_b)
         assert membership(g, a) == [] and membership(g, b) == []
-        assert tv(a, b) == pytest.approx(ng.diameter, abs=1e-15)
+        assert tv(a, b) == pytest.approx(d, abs=1e-15)
 
 
 class TestClosedFormDiameter:
@@ -193,36 +192,33 @@ class TestAllocationOracle:
 
 class TestWitnesses:
     def test_disjoint_pair_attains_tail_mass_exactly(self):
-        obs = logprob_observation([0.45, 0.25, 0.1], 13)
-        ng = normalized_geometry(obs)
-        g = geometry(summarize(obs))
-        a, b = disjoint_witness_pair(g, ng)
+        g, (t_star, *_) = normalized(logprob_observation([0.45, 0.25, 0.1], 13))
+        a, b = disjoint_witness_pair(g)
         tail_a, tail_b = a[g.censored_ids], b[g.censored_ids]
         assert not np.any((tail_a > 0.0) & (tail_b > 0.0))
-        assert tail_a.sum() == pytest.approx(ng.t_star, abs=1e-15)
-        assert abs(tv(a, b) - ng.t_star) <= 1e-12
+        assert tail_a.sum() == pytest.approx(t_star, abs=1e-15)
+        assert abs(tv(a, b) - t_star) <= 1e-12
         assert membership(g, a) == [] and membership(g, b) == []
 
     def test_witnesses_respect_cap(self):
-        obs = logprob_observation([0.3, 0.28, 0.07], 20)
-        ng = normalized_geometry(obs)
-        g = geometry(summarize(obs))
-        for p in disjoint_witness_pair(g, ng):
-            assert p[g.censored_ids].max() <= ng.cap + 1e-12
+        g, (_, cap, *_) = normalized(logprob_observation([0.3, 0.28, 0.07], 20))
+        for p in disjoint_witness_pair(g):
+            assert p[g.censored_ids].max() <= cap + 1e-12
 
     def test_no_witnesses_outside_regime(self):
         obs = logprob_observation([0.55, 0.35], 3)
-        ng = normalized_geometry(obs)
         with pytest.raises(ValueError, match="condition"):
-            disjoint_witness_pair(geometry(summarize(obs)), ng)
+            disjoint_witness_pair(geometry(obs))
+
+    def test_mode_error(self):
+        with pytest.raises(ModeError):
+            disjoint_witness_pair(geometry(make_observation(4, [0.0])))
 
     def test_membership_flags_cap_violation(self):
-        obs = logprob_observation([0.45, 0.25, 0.1], 13)
-        ng = normalized_geometry(obs)
-        g = geometry(summarize(obs))
+        g, (t_star, *_) = normalized(logprob_observation([0.45, 0.25, 0.1], 13))
         tail = np.zeros(g.M)
-        tail[0] = ng.t_star  # one token over the cap
-        violations = membership(g, point(g, ng.t_star, tail))
+        tail[0] = t_star  # one token over the cap
+        violations = membership(g, point(g, t_star, tail))
         assert any("cap" in v for v in violations)
 
 
@@ -238,15 +234,14 @@ class TestConservatism:
                 vocab_size=v, law=GaussianIID(0.0, 2.0), seed=i
             )
             z = generate_teacher(config, 1)[0]
-            obs = censor(z, k, mode=AccessMode.LOGPROBS)
-            ng = normalized_geometry(obs)
-            u_k = geometry(summarize(obs)).U_K
-            assert ng.t_star <= u_k + 1e-9
+            g, (t_star, *_) = normalized(censor(z, k, mode=AccessMode.LOGPROBS))
+            assert t_star <= g.U_K + 1e-9
 
     def test_nonbinding_cap_regime(self):
         # c*M >= 10 t* and M >= 4: comfortably disjoint, diameter = t*
-        obs = logprob_observation([0.5, 0.3, 0.1], 20)
-        ng = normalized_geometry(obs)
-        assert ng.M >= 4 and ng.cap * ng.M >= 10 * ng.t_star
-        assert ng.condition is TailCondition.DISJOINT_SUPPORTS
-        assert ng.diameter == pytest.approx(ng.t_star, abs=1e-15)
+        g, (t_star, cap, condition, d) = normalized(
+            logprob_observation([0.5, 0.3, 0.1], 20)
+        )
+        assert g.M >= 4 and cap * g.M >= 10 * t_star
+        assert condition is TailCondition.DISJOINT_SUPPORTS
+        assert d == pytest.approx(t_star, abs=1e-15)

@@ -1,4 +1,4 @@
-"""Parsing, validation, and log-domain summaries."""
+"""Parsing, validation, and the log-domain quantities of an observation."""
 
 import io
 import json
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from censet.identified_set import geometry
 from censet.observation import (
     AccessMode,
     ModeError,
@@ -20,7 +21,6 @@ from censet.observation import (
     hidden_tail_mass,
     parse_observations,
     serialize_observations,
-    summarize,
 )
 
 from conftest import make_observation
@@ -222,20 +222,20 @@ class TestRoundTrip:
         assert np.array_equal(back.input_order, obs.input_order)
 
 
-class TestSummarize:
+class TestLogDomain:
     def test_single_token_head(self):
-        s = summarize(make_observation(2, [0.0]))
-        assert s.log_ZA == 0.0
-        assert s.tau == 0.0
-        assert s.M == 1
-        np.testing.assert_allclose(s.alpha, [1.0])
+        g = geometry(make_observation(2, [0.0]))
+        assert g.log_ZA == 0.0
+        assert g.tau == 0.0
+        assert g.M == 1
+        np.testing.assert_allclose(g.alpha, [1.0])
 
     def test_two_token_head_against_direct_summation(self):
-        s = summarize(make_observation(4, [1.0, 0.0]))
+        g = geometry(make_observation(4, [1.0, 0.0]))
         direct = math.log(math.exp(1.0) + math.exp(0.0))
-        assert math.isclose(s.log_ZA, direct, rel_tol=1e-15)
+        assert math.isclose(g.log_ZA, direct, rel_tol=1e-15)
         np.testing.assert_allclose(
-            s.alpha,
+            g.alpha,
             [math.e / (math.e + 1), 1 / (math.e + 1)],
             rtol=1e-14,
         )
@@ -244,9 +244,9 @@ class TestSummarize:
         # extended-precision oracle for the log-sum-exp of (1000, 999)
         with mpmath.workdps(60):
             expected = float(mpmath.log(mpmath.e**1000 + mpmath.e**999))
-        s = summarize(make_observation(3, [1000.0, 999.0]))
-        assert math.isfinite(s.log_ZA)
-        assert math.isclose(s.log_ZA, expected, rel_tol=1e-15)
+        g = geometry(make_observation(3, [1000.0, 999.0]))
+        assert math.isfinite(g.log_ZA)
+        assert math.isclose(g.log_ZA, expected, rel_tol=1e-15)
 
     @given(
         scores=st.lists(st.floats(-5000, 5000, allow_nan=False), min_size=1,
@@ -256,8 +256,8 @@ class TestSummarize:
     @settings(max_examples=100, deadline=None)
     def test_shift_invariance(self, scores, shift):
         v = len(scores) + 2
-        base = summarize(make_observation(v, scores))
-        shifted = summarize(make_observation(v, [s + shift for s in scores]))
+        base = geometry(make_observation(v, scores))
+        shifted = geometry(make_observation(v, [s + shift for s in scores]))
         assert math.isclose(
             shifted.log_ZA, base.log_ZA + shift, rel_tol=1e-12, abs_tol=1e-9
         )
@@ -269,8 +269,8 @@ class TestSummarize:
     )
     @settings(max_examples=100, deadline=None)
     def test_alpha_sums_to_one(self, scores):
-        s = summarize(make_observation(len(scores) + 1, scores))
-        assert abs(float(s.alpha.sum()) - 1.0) <= 1e-12
+        g = geometry(make_observation(len(scores) + 1, scores))
+        assert abs(float(g.alpha.sum()) - 1.0) <= 1e-12
 
 
 class TestHiddenTailMass:

@@ -8,7 +8,7 @@ import pytest
 
 from censet.identified_set import geometry
 from censet.minimax import g_max, symmetric_estimator
-from censet.observation import ParseError, summarize
+from censet.observation import ParseError
 from censet.oracles import (
     membership,
     point,
@@ -153,7 +153,7 @@ class TestInvariantSuite:
             vocab_size=v, law=GaussianIID(0.0, 1.5), seed=int(rng.integers(2**32))
         )
         z = generate_teacher(config, 1)[0]
-        geom = geometry(summarize(censor(z, k)))
+        geom = geometry(censor(z, k))
         ref = ReferenceLogits(
             position_id="p", dense=z + rng.normal(0.0, 1.0, size=v)
         )
@@ -298,3 +298,19 @@ class TestParseReferenceDump:
         record = '{"position_id":"a","default":null,"entries":[{"token":0,"logit":1.0}]}'
         with pytest.raises(ParseError, match="line 1: default must be a JSON number"):
             parse_reference_dump(record)
+
+    @pytest.mark.parametrize(
+        "record,key,form",
+        [
+            ('"dense":[0.0,1.0],"default":"bogus"', "default", "dense"),
+            ('"dense":[0.0,1.0],"extra":1', "extra", "dense"),
+            ('"default":-9.0,"entries":[],"extra":1', "extra", "sparse"),
+            ('"dens":[0.0,1.0],"entries":[{"token":0,"logit":1.0}]', "dens", "sparse"),
+        ],
+    )
+    def test_unknown_field_rejected(self, record, key, form):
+        text = '{"position_id":"a","dense":[0.0]}\n{"position_id":"b",' + record + "}\n"
+        with pytest.raises(
+            ParseError, match=f"line 2: unknown field '{key}' in a {form} record"
+        ):
+            parse_reference_dump(text)

@@ -1,0 +1,69 @@
+"""The public surface: ``censet.__all__`` and each analysis module's names.
+
+A public name is a function or class defined in the module whose name does
+not start with ``_``.  A name added or removed here is an API change, so it
+shows up as a diff in this file.
+"""
+
+import importlib
+import inspect
+
+import pytest
+
+import censet
+
+PACKAGE = [
+    "ModeError",
+    "ParseError",
+    "ValidationError",
+    "certificate",
+    "geometry",
+    "parse_observations",
+    "per_token_cap",
+    "symmetric_estimator",
+    "worst_case_risk",
+]
+
+MODULES = {
+    "identified_set": [
+        "SetGeometry", "diameter", "geometry", "per_token_cap", "token_cap",
+    ],
+    "minimax": [
+        "Certificate", "EstimatorSpec", "certificate", "g_max", "reserve",
+        "symmetric_estimator", "symmetric_sup", "verdicts", "worst_case_risk",
+    ],
+    "normalized": ["TailCondition", "allocation_diameter", "tail_geometry"],
+    "observation": [
+        "AccessMode", "ModeError", "ObservationBatch", "ParseError",
+        "TopKObservation", "ValidationError", "hidden_tail_mass",
+        "parse_observations", "serialize_observations",
+    ],
+    "reference": [
+        "CoverageError", "ReferenceBound", "ReferenceLogits", "calibrate_rho",
+        "parse_reference_dump", "reference_estimator", "reference_geometry",
+    ],
+    "simulate": [
+        "DirichletSoftmax", "GaussianIID", "PeakedHead", "SweepRow",
+        "SyntheticTeacherConfig", "average_risk", "censor", "generate_teacher",
+        "ksweep", "ksweep_with_sup_kl",
+    ],
+}
+
+
+def _public_names(module) -> list[str]:
+    return sorted(
+        name
+        for name, obj in vars(module).items()
+        if (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+        and not name.startswith("_")
+    )
+
+
+def test_package_namespace():
+    assert sorted(censet.__all__) == PACKAGE
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_module_surface(name):
+    assert _public_names(importlib.import_module(f"censet.{name}")) == MODULES[name]
