@@ -25,13 +25,13 @@ from . import minimax as mm
 from . import normalized as norm
 from . import reference as ref
 from . import simulate as sim
-from .numerics import load_policy_file, restored_policy
+from .numerics import load_policy_file, logsumexp, restored_policy
 from .observation import (
     AccessMode,
     ObservationBatch,
     ParseError,
     ValidationError,
-    _iter_observations,
+    _batches,
     parse_observations,
     serialize_observations,
 )
@@ -120,11 +120,16 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
+# characters that would break a table row, written as their escapes
+_TABLE_ESCAPES = str.maketrans({"\r": "\\r", "\n": "\\n", "\t": "\\t"})
+
+
 def _to_table(rows: list[dict]) -> str:
     if not rows:
         return "(no rows)\n"
     keys = list(rows[0].keys())
-    cells = [[_fmt_cell(r.get(k)) for k in keys] for r in rows]
+    cells = [[_fmt_cell(r.get(k)).translate(_TABLE_ESCAPES) for k in keys]
+             for r in rows]
     widths = [
         max(len(k), *(len(row[i]) for row in cells)) for i, k in enumerate(keys)
     ]
@@ -269,27 +274,26 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _full_dump_matrix(source) -> np.ndarray:
-    """The n x V logit matrix of a full-dump JSONL stream.
+def _full_dump_rows(source, position_ids: list[str]) -> Iterator[tuple]:
+    """Each record of a full-dump JSONL stream as a row of
+    :func:`censet.simulate.ksweep`, parsed one bounded chunk at a time;
+    ``position_ids`` collects the records' ids.
 
-    Each record is scattered into its row as it is parsed and then dropped,
-    so no observation outlives its line.
+    The parse sorts each record by score.  Its log-sum-exp sums the row in
+    token-id order, as :func:`censet.simulate.score_sorted` does: score
+    order can change the last bit.
     """
-    rows = []
-    for obs in _iter_observations(source):
-        if obs.k != obs.vocab_size:
-            raise ValidationError(
-                f"position {obs.position_id}: sweep input must be a full dump "
-                f"(K = V), got K={obs.k} < V={obs.vocab_size}"
-            )
-        if rows and obs.vocab_size != len(rows[0]):
-            raise ValidationError("all positions must share one vocab_size")
-        row = np.empty(obs.vocab_size)
-        row[obs.token_ids] = obs.scores
-        rows.append(row)
-    if not rows:
-        raise ValidationError("sweep input holds no positions")
-    return np.stack(rows)
+    for batch in _batches(source, chunked=True):
+        for obs in batch:
+            if obs.k != obs.vocab_size:
+                raise ValidationError(
+                    f"position {obs.position_id}: sweep input must be a full dump "
+                    f"(K = V), got K={obs.k} < V={obs.vocab_size}"
+                )
+            position_ids.append(obs.position_id)
+            row = np.empty(obs.vocab_size)
+            row[obs.token_ids] = obs.scores
+            yield obs.scores, obs.token_ids, logsumexp(row)
 
 
 def _sweep_row_dict(row: sim.SweepRow) -> dict:
@@ -298,9 +302,13 @@ def _sweep_row_dict(row: sim.SweepRow) -> dict:
 
 
 def cmd_ksweep(args) -> int:
-    matrix = _parse_file(_full_dump_matrix, args.input)
-    rows = [_sweep_row_dict(r) for r in sim.ksweep(matrix, args.k)]
-    _emit({"command": "ksweep", "n_positions": len(matrix)}, rows, args)
+    position_ids: list[str] = []
+    sweep = _parse_file(
+        lambda handle: sim.ksweep(_full_dump_rows(handle, position_ids), args.k),
+        args.input,
+    )
+    rows = [_sweep_row_dict(r) for r in sweep]
+    _emit({"command": "ksweep", "n_positions": len(position_ids)}, rows, args)
     return 0
 
 
@@ -395,7 +403,7 @@ def cmd_simulate(args) -> int:
         with open(args.dump, "w", encoding="utf-8") as handle:
             handle.write(serialize_observations(observations))
     rows = []
-    for row, sup_kl_mean in sim.ksweep_with_sup_kl(teacher, args.k):
+    for row, sup_kl_mean in sim.ksweep_with_sup_kl(sim.score_sorted(teacher), args.k):
         out = _sweep_row_dict(row)
         out["sup_kl_mean"] = sup_kl_mean
         rows.append(out)

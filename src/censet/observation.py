@@ -18,14 +18,13 @@ import math
 import operator
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import IO, Container, Iterable, Iterator
 
 import numpy as np
 
-from .numerics import POLICY, logsumexp, logsumexp_rows
+from .numerics import POLICY, logsumexp_rows
 
 
 class ValidationError(ValueError):
@@ -51,48 +50,26 @@ class AccessMode(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class TopKObservation:
-    """One censored observation, held as arrays.
+    """One validated observation: a row of an :class:`ObservationBatch`.
 
-    Construct it from the K revealed pairs in source order: ``token_ids``
-    (integers) and ``scores`` (finite numbers) of equal length.  Once built,
-    ``token_ids`` (int64) and ``scores`` (float64) are sorted by score,
-    non-increasing, with ties in source order (a stable argsort of
-    ``-scores``); ``input_order`` keeps the token ids in source order so
-    that serialization round-trips byte-identically.  All three arrays are
-    read-only.
-
-    The checks run in a fixed order and the first failure decides the
-    message: ``vocab_size``, K, duplicate ids, then the pairs in source
-    order (within a pair, the token's type, the token's range, the score's
-    finiteness), then for normalized access the sign and the head mass.
+    A plain record, made by :func:`parse_observations` or
+    :func:`from_pairs`, which run the checks.  ``token_ids`` (int64) and
+    ``scores`` (float64) are sorted by score, non-increasing, with ties in
+    source order (a stable argsort of ``-scores``); ``input_order`` keeps
+    the token ids in source order so that serialization round-trips
+    byte-identically.  All three arrays are read-only.  ``log_ZA`` is the
+    log-sum-exp of the scores, the log of the revealed head mass: exact
+    under normalized access (where the checks bound it), up to the unknown
+    shift under raw logits.
     """
 
     vocab_size: int
+    mode: AccessMode
+    position_id: str
+    input_order: np.ndarray
     token_ids: np.ndarray
     scores: np.ndarray
-    mode: AccessMode
-    position_id: str = ""
-    input_order: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        _check_shape(self.vocab_size, len(self.token_ids), len(self.scores))
-        tokens, scores = self.token_ids, self.scores
-        ids, values = _int64_array(tokens), _float64_array(scores)
-        logprobs = self.mode is AccessMode.LOGPROBS
-        vocab_size = self.vocab_size
-        if ids is None or values is None:
-            # raises: the record holds a value no array can
-            _check_flagged(tokens, scores, vocab_size, ids, values, logprobs, None)
-        by_score, sorted_values, bad = _sorted_matrix(
-            ids[None], values[None], np.array([_last_id(vocab_size)])
-        )
-        log_za = None
-        if logprobs:
-            log_zas, heavy = _normalized_checks(values[None], sorted_values, True)
-            log_za, bad = float(log_zas[0]), bad | heavy
-        if bad[0]:
-            _check_flagged(tokens, scores, vocab_size, ids, values, logprobs, log_za)
-        _set_arrays(self, ids, by_score[0], sorted_values[0], log_za)
+    log_ZA: float
 
     @property
     def k(self) -> int:
@@ -103,29 +80,30 @@ class TopKObservation:
         """Censoring threshold: the smallest revealed score."""
         return float(self.scores[-1])
 
-    @cached_property
-    def log_ZA(self) -> float:
-        """Log-sum-exp of the scores, computed once per observation.
 
-        The log of the revealed head mass: exact under normalized access
-        (where construction checks it), up to the unknown shift under raw
-        logits.
-        """
-        return logsumexp(self.scores)
+def from_pairs(
+    vocab_size: int, token_ids, scores, mode: AccessMode, position_id: str = ""
+) -> TopKObservation:
+    """A validated observation of K revealed pairs given in source order.
 
-
-def _set_arrays(obs: TopKObservation, input_order, token_ids, scores, log_za) -> None:
-    """Store an observation's arrays read-only, and ``log_ZA`` when known."""
-    for name, array in (
-        ("input_order", input_order),
-        ("token_ids", token_ids),
-        ("scores", scores),
-    ):
-        array.flags.writeable = False
-        object.__setattr__(obs, name, array)
-    if log_za is not None:
-        # fills the cached property
-        object.__setattr__(obs, "log_ZA", log_za)
+    ``token_ids`` (integers) and ``scores`` (finite numbers) have equal
+    length and are copied.  The record goes through a one-row batch, so it
+    gets the checks and the sort of :func:`parse_observations`.  They run in
+    a fixed order and the first failure decides the message:
+    ``vocab_size``, K, duplicate ids, then the pairs in source order (within
+    a pair, the token's type, the token's range, the score's finiteness),
+    then for normalized access the sign and the head mass.  An error is a
+    :class:`ValidationError` that names no line.
+    """
+    _check_shape(vocab_size, len(token_ids), len(scores))
+    ids, values = _int64_array(token_ids), _float64_array(scores)
+    if ids is None or values is None:
+        # raises: the record holds a value no array can
+        _check_flagged(token_ids, scores, vocab_size, ids, values, False, None)
+    batch, error = _batch([(None, position_id, vocab_size, mode, len(ids))], ids, values)
+    if error is not None:
+        raise error
+    return batch[0]
 
 
 def _check_shape(vocab_size: int, k: int, n_scores: int) -> None:
@@ -188,6 +166,12 @@ def _sorted_rows(ids, values, counts, last_ids, logprobs):
     :func:`_check_flagged` names a flagged record's failure.
     """
     n = len(counts)
+    if n and (counts == counts[0]).all():
+        # one K for all: the columns are the (n, K) matrix, with no gather
+        by_score, sorted_values, log_za, bad = _sorted_group(
+            ids.reshape(n, -1), values.reshape(n, -1), last_ids, logprobs
+        )
+        return by_score.ravel(), sorted_values.ravel(), log_za, np.flatnonzero(bad)
     starts = np.cumsum(counts) - counts
     by_score, sorted_values = np.empty_like(ids), np.empty_like(values)
     log_za = np.empty(n)
@@ -250,8 +234,7 @@ def _check_flagged(tokens, scores, vocab_size, ids, values, logprobs, log_za) ->
     first one an array mask flags; a record without arrays is walked from
     its first pair, which also covers values no array could hold:
     non-integer tokens, ids beyond 64 bits and integer scores beyond the
-    float range (whose ``math.isfinite`` raises ``OverflowError``).  A
-    record without arrays always fails.
+    float range.  A record without arrays always fails.
     """
     if ids is not None:
         ordered = np.sort(ids)
@@ -284,7 +267,11 @@ def _check_pair(token, score, vocab_size: int) -> None:
         raise ValidationError(f"token id must be an integer, got {token!r}")
     if token < 0 or token >= vocab_size:
         raise ValidationError(f"token id {token} outside [0, {vocab_size})")
-    if not math.isfinite(score):
+    try:
+        finite = math.isfinite(score)
+    except OverflowError as exc:
+        raise ValidationError("score outside the float range") from exc
+    if not finite:
         raise ValidationError(f"non-finite score {float(score)!r} for token {token}")
 
 
@@ -383,27 +370,15 @@ def _record_fields(record: dict, lineno: int) -> tuple[int, AccessMode, list, li
     return vocab_size, _MODE_NAMES[mode_name], tokens, scores
 
 
-def _position_id(record: dict, lineno: int, seen: set[str]) -> str:
-    pid = record.get("position_id", f"line{lineno}")
-    _check_position_id(pid, lineno, seen)
-    seen.add(pid)
-    return pid
-
-
-def _observation(lineno: int, vocab_size, mode, position_id, tokens, scores):
-    """A :class:`TopKObservation` of one record's fields; errors name the line."""
-    try:
-        return TopKObservation(
-            vocab_size=vocab_size,
-            token_ids=tokens,
-            scores=scores,
-            mode=mode,
-            position_id=position_id,
-        )
-    except ValidationError as exc:
-        raise ParseError(lineno, str(exc)) from exc
-    except OverflowError as exc:
-        raise ParseError(lineno, "score outside the float range") from exc
+def _records(source: str | bytes | IO) -> Iterator[tuple]:
+    """``(line, position_id, vocab_size, mode, tokens, scores)`` of each
+    record, once the checks that read its fields alone have passed."""
+    seen: set[str] = set()
+    for lineno, record in _read_jsonl(source):
+        pid = record.get("position_id", f"line{lineno}")
+        _check_position_id(pid, lineno, seen)
+        seen.add(pid)
+        yield (lineno, pid, *_record_fields(record, lineno))
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,19 +414,12 @@ class ObservationBatch(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]
-        start, end = self.offsets[i], self.offsets[i + 1]
-        obs = object.__new__(TopKObservation)
-        object.__setattr__(obs, "vocab_size", self.vocab_sizes[i])
-        object.__setattr__(obs, "mode", self.modes[i])
-        object.__setattr__(obs, "position_id", self.position_ids[i])
-        _set_arrays(
-            obs,
-            self.input_order[start:end],
-            self.token_ids[start:end],
-            self.scores[start:end],
+        pairs = slice(self.offsets[i], self.offsets[i + 1])
+        return TopKObservation(
+            self.vocab_sizes[i], self.modes[i], self.position_ids[i],
+            self.input_order[pairs], self.token_ids[pairs], self.scores[pairs],
             float(self.log_ZA[i]),
         )
-        return obs
 
     @property
     def k(self) -> np.ndarray:
@@ -462,6 +430,49 @@ class ObservationBatch(Sequence):
     def tau(self) -> np.ndarray:
         """Each row's censoring threshold, its smallest score."""
         return self.scores[self.offsets[1:] - 1]
+
+
+def _batch(records: list[tuple], ids: np.ndarray, values: np.ndarray):
+    """Run the pair checks of records stored end to end and sort each one.
+
+    ``records`` holds each record's ``(line, position_id, vocab_size, mode,
+    K)``, all of whose field checks have passed, and ``ids`` (int64) and
+    ``values`` (float64) their pairs in source order.  Returns the batch of
+    the records before the first one that fails a pair check, and that
+    record's error (None if every record passes), a :class:`ParseError`
+    when its line is known.
+    """
+    lines, pids, vocab_sizes, modes, counts = (
+        map(list, zip(*records)) if records else ([],) * 5
+    )
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    logprobs = np.array([m is AccessMode.LOGPROBS for m in modes], dtype=bool)
+    by_score, sorted_values, log_za, flagged = _sorted_rows(
+        ids, values, np.diff(offsets),
+        np.array([_last_id(v) for v in vocab_sizes], dtype=np.int64), logprobs,
+    )
+    n, error = len(counts), None
+    for r in flagged.tolist():
+        pairs = slice(offsets[r], offsets[r + 1])
+        try:
+            # the arrays' values print as the values they were read from
+            _check_flagged(ids[pairs].tolist(), values[pairs].tolist(),
+                           vocab_sizes[r], ids[pairs], values[pairs], logprobs[r],
+                           float(log_za[r]))
+        except ValidationError as exc:
+            n, error = r, exc if lines[r] is None else ParseError(lines[r], str(exc))
+            break
+    end = offsets[n]
+    batch = ObservationBatch(pids[:n], modes[:n], vocab_sizes[:n], offsets[: n + 1],
+                             ids[:end], by_score[:end], sorted_values[:end],
+                             log_za[:n])
+    return batch, error
+
+
+# a chunked parse closes a chunk at the first record that brings it to this
+# many revealed pairs: a few MB of columns, whatever the record sizes
+_CHUNK_PAIRS = 1 << 17
 
 
 def parse_observations(source: str | bytes | IO) -> ObservationBatch:
@@ -477,80 +488,66 @@ def parse_observations(source: str | bytes | IO) -> ObservationBatch:
 
     ``source`` is text, bytes or a stream of lines (see :func:`_read_jsonl`
     for the line rules).  The checks that read one record's fields run as
-    each line is decoded; the pair checks of :class:`TopKObservation` then
-    run over the whole batch at once (see :func:`_sorted_rows`).  The first
-    error in line order wins, as in :func:`_iter_observations`: a field
-    error on a line is raised only once every earlier line has passed its
-    pair checks.  The batch holds about 24 bytes per revealed pair; the
-    decoded lines' Python objects are dropped once their arrays are built.
+    each line is decoded; the pair checks of :func:`from_pairs` then run
+    over the whole batch at once (see :func:`_sorted_rows`).  The first
+    error in line order wins: a field error on a line is raised only once
+    every earlier line has passed its pair checks.  The batch holds about
+    24 bytes per revealed pair; the decoded lines' Python objects are
+    dropped once their pairs are stored.
     """
-    seen: set[str] = set()
-    lines: list[int] = []
-    pids: list[str] = []
-    modes: list[AccessMode] = []
-    vocab_sizes: list[int] = []
-    counts: list[int] = []
-    # every record's pairs end to end, as int64 and float64
-    tokens, scores = array.array("q"), array.array("d")
-    failure = None
-    try:
-        for lineno, record in _read_jsonl(source):
-            pid = _position_id(record, lineno, seen)
-            vocab_size, mode, row_tokens, row_scores = _record_fields(record, lineno)
-            held = len(scores)
-            try:
-                tokens.extend(row_tokens)
-                scores.extend(row_scores)
-            except OverflowError:
-                # a value no int64 or float64 holds fails the record's pair
-                # checks: their error is held like a field error, so that the
-                # earlier lines' checks still run first
-                del tokens[held:], scores[held:]
-                _observation(lineno, vocab_size, mode, pid, row_tokens, row_scores)
-                raise
-            lines.append(lineno)
-            pids.append(pid)
-            modes.append(mode)
-            vocab_sizes.append(vocab_size)
-            counts.append(len(row_tokens))
-    except (ValueError, OSError) as exc:
-        failure = exc
-    ids = np.frombuffer(tokens, dtype=np.int64)
-    values = np.frombuffer(scores, dtype=np.float64)
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    logprobs = np.array([m is AccessMode.LOGPROBS for m in modes], dtype=bool)
-    by_score, sorted_values, log_za, flagged = _sorted_rows(
-        ids, values, np.diff(offsets),
-        np.array([_last_id(v) for v in vocab_sizes], dtype=np.int64), logprobs,
-    )
-    for r in flagged.tolist():
-        start, end = offsets[r], offsets[r + 1]
+    (batch,) = _batches(source, chunked=False)
+    return batch
+
+
+def _batches(source: str | bytes | IO, chunked: bool) -> Iterator[ObservationBatch]:
+    """:func:`parse_observations` as a sequence of batches, in input order.
+
+    Chunked, a batch closes at the first record that brings it to
+    ``_CHUNK_PAIRS`` pairs and holds at least one record, so an empty input
+    yields none; otherwise one batch holds every record.  An error is raised
+    only after the batch of the records before its line has been yielded,
+    so a consumer that checks each batch sees its own errors in line order
+    too.
+    """
+    limit = _CHUNK_PAIRS if chunked else math.inf
+    stream = _records(source)
+    more = True
+    while more:
+        records, failure, more = [], None, False
+        # the pairs of the chunk's records end to end
+        tokens, scores = array.array("q"), array.array("d")
         try:
-            # the arrays' values print as the JSON values they were read from
-            _check_flagged(ids[start:end].tolist(), values[start:end].tolist(),
-                           vocab_sizes[r], ids[start:end], values[start:end],
-                           logprobs[r], float(log_za[r]))
-        except ValidationError as exc:
-            raise ParseError(lines[r], str(exc)) from exc
-    if failure is not None:
-        raise failure
-    return ObservationBatch(pids, modes, vocab_sizes, offsets, ids, by_score,
-                            sorted_values, log_za)
+            for lineno, pid, vocab_size, mode, row_tokens, row_scores in stream:
+                held = len(scores)
+                try:
+                    tokens.extend(row_tokens)
+                    scores.extend(row_scores)
+                except OverflowError:
+                    # a value no int64 or float64 holds fails the record's
+                    # pair checks: their error is held like a field error
+                    del tokens[held:], scores[held:]
+                    raise _pair_error(lineno, row_tokens, row_scores, vocab_size)
+                records.append((lineno, pid, vocab_size, mode, len(row_tokens)))
+                if len(scores) >= limit:
+                    more = True
+                    break
+        except (ValueError, OSError) as exc:
+            failure = exc
+        batch, error = _batch(records, np.frombuffer(tokens, dtype=np.int64),
+                              np.frombuffer(scores, dtype=np.float64))
+        if len(batch) or not chunked:
+            yield batch
+        # a record's pair error comes from a line before the failed one
+        if error is not None or failure is not None:
+            raise error or failure
 
 
-def _iter_observations(source: str | bytes | IO) -> Iterator[TopKObservation]:
-    """:func:`parse_observations`, one observation at a time.
-
-    Each record is checked, pairs included, and yielded before the next
-    line is read, so an error is raised only once the stream reaches its
-    line, and only one record's arrays are held at a time.
-    """
-    seen: set[str] = set()
-    for lineno, record in _read_jsonl(source):
-        pid = _position_id(record, lineno, seen)
-        vocab_size, mode, tokens, scores = _record_fields(record, lineno)
-        yield _observation(lineno, vocab_size, mode, pid, tokens, scores)
+def _pair_error(lineno: int, tokens, scores, vocab_size: int) -> ParseError:
+    """The pair error of a record holding a value that no array can."""
+    try:
+        _check_flagged(tokens, scores, vocab_size, None, None, False, None)
+    except ValidationError as exc:
+        return ParseError(lineno, str(exc))
 
 
 def serialize_observations(observations: Iterable[TopKObservation]) -> str:
@@ -576,22 +573,6 @@ def serialize_observations(observations: Iterable[TopKObservation]) -> str:
             del record["position_id"]
         lines.append(json.dumps(record))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def hidden_tail_mass(obs: TopKObservation) -> float:
-    """Exact probability mass hidden behind the censoring threshold.
-
-    Defined only for normalized access, where the revealed head mass is
-    known exactly: returns ``1 - sum(exp(score))`` clamped to [0, 1].  A raw
-    value below ``-head_mass_tol`` indicates an inconsistent observation and
-    is reported via a warning before clamping.
-    """
-    if obs.mode is not AccessMode.LOGPROBS:
-        raise ModeError(
-            "hidden tail mass is identified only under normalized access "
-            f"(mode={obs.mode.value})"
-        )
-    return _tail_mass(obs.log_ZA)
 
 
 def _check_head_mass(log_head: float) -> None:

@@ -133,13 +133,8 @@ def geometry_with_diameter(u: float, m: int) -> geo.SetGeometry:
         )
     g = math.log(u) - math.log1p(-u) - math.log(m)
     a = g - math.log1p(-math.exp(g))
-    obs = ob.TopKObservation(
-        vocab_size=m + 2,
-        token_ids=(0, 1),
-        scores=(0.0, a),
-        mode=ob.AccessMode.LOGITS,
-        position_id=f"synthetic-u{u}",
-    )
+    obs = ob.from_pairs(m + 2, (0, 1), (0.0, a), ob.AccessMode.LOGITS,
+                        f"synthetic-u{u}")
     return geo.geometry(obs)
 
 

@@ -14,7 +14,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .observation import (
     ValidationError,
     _check_head_mass,
     _tail_mass,
+    from_pairs,
 )
 
 
@@ -155,13 +156,7 @@ def censor(
         scores = np.minimum(logits[top] - logsumexp(logits), 0.0)
     else:
         scores = logits[top]
-    return TopKObservation(
-        vocab_size=v,
-        token_ids=top,
-        scores=scores,
-        mode=mode,
-        position_id=position_id,
-    )
+    return from_pairs(v, top, scores, mode, position_id)
 
 
 @dataclass(frozen=True)
@@ -176,37 +171,55 @@ class SweepRow:
     n: int
 
 
+def score_sorted(logits: np.ndarray) -> Iterator[tuple]:
+    """The rows of a logit matrix as :func:`ksweep` reads them, each sorted
+    once by score as it is read.
+
+    A row becomes ``(scores, token_ids, log_z)``: its logits in
+    non-increasing order with ties toward the lower token id (a stable
+    sort, as in :func:`censor`), their ids, and the log-sum-exp of the row
+    in token-id order.
+    """
+    return map(_sorted_row, np.atleast_2d(np.asarray(logits, dtype=float)))
+
+
+def _sorted_row(z: np.ndarray) -> tuple:
+    order = np.argsort(-z, kind="stable")
+    return z[order], order, logsumexp(z)
+
+
 def _first_nonfinite(scores: np.ndarray) -> int:
     bad = np.flatnonzero(~np.isfinite(scores))
     return int(bad[0]) if len(bad) else len(scores)
 
 
 def _sweep_position(
-    z: np.ndarray, ks: Sequence[int]
+    scores: np.ndarray, token_ids: np.ndarray, log_z: float, ks: Sequence[int]
 ) -> list[tuple[int, float, float, float]]:
     """``(M, U_K, log_odds, tail mass)`` of one position at every K in ``ks``.
 
-    The diameter is that of the top-K observation :func:`censor` makes of
-    ``z`` and the tail mass is the hidden mass of its normalized
-    reinterpretation (``mode=AccessMode.LOGPROBS``), bit for bit and with
-    the same validation, from one stable sort of the row: each K reads a
-    prefix of the same order, so ties still break toward the lower token
-    id.  ``ks`` must be sorted ascending and lie in [1, V].
+    The position is a row as :func:`score_sorted` makes it.  The diameter is
+    that of the top-K observation :func:`censor` makes of the row and the
+    tail mass is the hidden mass of its normalized reinterpretation
+    (``mode=AccessMode.LOGPROBS``), bit for bit and with the same
+    validation: each K reads a prefix of the sorted row, and tied scores
+    are equal whichever token holds them.  ``ks`` must be sorted ascending
+    and lie in [1, V].
     """
     if not ks:
         return []
-    v = len(z)
-    order = np.argsort(-z, kind="stable")[: ks[-1]]
-    head = z[order]
-    logprobs = np.minimum(head - logsumexp(z), 0.0)
+    v = len(scores)
+    head = scores[: ks[-1]]
+    logprobs = np.minimum(head - log_z, 0.0)
     bad_logit = _first_nonfinite(head)
     bad_logprob = _first_nonfinite(logprobs)
     swept = []
     for k in ks:
-        for scores, bad in ((head, bad_logit), (logprobs, bad_logprob)):
+        for values, bad in ((head, bad_logit), (logprobs, bad_logprob)):
             if bad < k:
                 raise ValidationError(
-                    f"non-finite score {float(scores[bad])!r} for token {order[bad]}"
+                    f"non-finite score {float(values[bad])!r} for token "
+                    f"{token_ids[bad]}"
                 )
         u, log_odds = diameter(v - k, float(head[k - 1]), logsumexp(head[:k]))
         log_head = logsumexp(logprobs[:k])
@@ -216,80 +229,75 @@ def _sweep_position(
 
 
 def _sweep(
-    positions: np.ndarray, k_list: Sequence[int], with_sup: bool
+    rows: Iterable[tuple], k_list: Sequence[int], with_sup: bool
 ) -> list[tuple[SweepRow, float]]:
     """Sweep rows plus, when ``with_sup`` is set, the mean estimator sup per K.
 
-    Each position is sorted once and shared by all Ks (see
-    :func:`_sweep_position`); working memory stays O(V) per position.
+    ``rows`` are read one at a time and each is shared by all Ks (see
+    :func:`_sweep_position`); working memory is one row plus a few floats
+    per (position, K).
     """
-    positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    n, v = positions.shape
     ks = sorted(k_list)
-    if ks and ks[0] < 1:
-        raise ValueError(f"K must lie in [1, {v}], got {ks[0]}")
-    swept = [k for k in ks if k <= v]
-    uks, rbins, tails, sups = (np.empty((len(swept), n)) for _ in range(4))
-    for i, z in enumerate(positions):
-        for j, (m, u, log_odds, tail) in enumerate(_sweep_position(z, swept)):
-            uks[j, i] = u
-            rbins[j, i] = reserve(u)[1]
-            tails[j, i] = tail
+    n, v = 0, None
+    for scores, token_ids, log_z in rows:
+        if v is None:
+            v = len(scores)
+            if ks and ks[0] < 1:
+                raise ValueError(f"K must lie in [1, {v}], got {ks[0]}")
+            swept = [k for k in ks if k <= v]
+            # per swept K: U_K, r_bin, tail mass and sup of every position
+            stats = [([], [], [], []) for _ in swept]
+        elif len(scores) != v:
+            raise ValueError("all positions must share one vocab_size")
+        for (uks, rbins, tails, sups), (m, u, log_odds, tail) in zip(
+            stats, _sweep_position(scores, token_ids, log_z, swept)
+        ):
+            uks.append(u)
+            rbins.append(reserve(u)[1])
+            tails.append(tail)
             if with_sup:
-                sups[j, i] = symmetric_sup(m, log_odds, u)[0]
-    rows = [
-        (
-            SweepRow(
-                k=k,
-                uk_mean=float(uks[j].mean()),
-                uk_sd=float(uks[j].std(ddof=0)),
-                rbin_mean=float(rbins[j].mean()),
-                tail_mass_mean=float(tails[j].mean()),
-                n=n,
-            ),
-            float(sups[j].mean()) if with_sup else math.nan,
-        )
-        for j, k in enumerate(swept)
-    ]
+                sups.append(symmetric_sup(m, log_odds, u)[0])
+        n += 1
+    if v is None:
+        raise ValueError("sweep input holds no positions")
+    rows = []
+    for k, (uks, rbins, tails, sups) in zip(swept, stats):
+        uks = np.array(uks)
+        row = SweepRow(k=k, uk_mean=float(uks.mean()), uk_sd=float(uks.std(ddof=0)),
+                       rbin_mean=float(np.mean(rbins)),
+                       tail_mass_mean=float(np.mean(tails)), n=n)
+        rows.append((row, float(np.mean(sups)) if with_sup else math.nan))
     for k in ks[len(swept):]:
         warnings.warn(f"skipping K={k}: exceeds vocab_size {v}")
-        rows.append(
-            (
-                SweepRow(
-                    k=k,
-                    uk_mean=math.nan,
-                    uk_sd=math.nan,
-                    rbin_mean=math.nan,
-                    tail_mass_mean=math.nan,
-                    n=0,
-                ),
-                math.nan,
-            )
-        )
+        rows.append((SweepRow(k=k, uk_mean=math.nan, uk_sd=math.nan,
+                              rbin_mean=math.nan, tail_mass_mean=math.nan, n=0),
+                     math.nan))
     return rows
 
 
-def ksweep(positions: np.ndarray, k_list: Sequence[int]) -> list[SweepRow]:
+def ksweep(rows: Iterable[tuple], k_list: Sequence[int]) -> list[SweepRow]:
     """Censor every position at each K and aggregate the per-position stats.
 
-    Reports mean and population sd of the diameter, the mean lower bound,
-    and the mean hidden tail mass under the normalized reinterpretation of
-    the same positions.  Each position is sorted once; every K reads a
-    prefix of that order.  K values above V produce a skipped row.
+    ``rows`` holds each position's full row sorted by score, as
+    :func:`score_sorted` makes it from a logit matrix; every row has the
+    same V.  Reports mean and population sd of the diameter, the mean lower
+    bound, and the mean hidden tail mass under the normalized
+    reinterpretation of the same positions.  Every K reads a prefix of each
+    row.  K values above V produce a skipped row.
     """
-    return [row for row, _ in _sweep(positions, k_list, with_sup=False)]
+    return [row for row, _ in _sweep(rows, k_list, with_sup=False)]
 
 
 def ksweep_with_sup_kl(
-    positions: np.ndarray, k_list: Sequence[int]
+    rows: Iterable[tuple], k_list: Sequence[int]
 ) -> list[tuple[SweepRow, float]]:
     """:func:`ksweep` rows, each with the mean symmetric-estimator sup.
 
     The sup is ``worst_case_risk`` of the reserve-``U_K/e`` estimator on
-    each position's geometry at that K, from the same single sort per
-    position; skipped rows carry NaN.
+    each position's geometry at that K, from the same sorted rows; skipped
+    rows carry NaN.
     """
-    return _sweep(positions, k_list, with_sup=True)
+    return _sweep(rows, k_list, with_sup=True)
 
 
 def average_risk(

@@ -3,7 +3,7 @@ import pytest
 
 from censet.identified_set import geometry
 from censet.numerics import reset_policy
-from censet.observation import AccessMode, TopKObservation
+from censet.observation import AccessMode, from_pairs
 
 
 @pytest.fixture(autouse=True)
@@ -17,13 +17,7 @@ def make_observation(vocab_size, scores, mode=AccessMode.LOGITS, tokens=None,
                      position_id="test"):
     if tokens is None:
         tokens = range(len(scores))
-    return TopKObservation(
-        vocab_size=vocab_size,
-        token_ids=tokens,
-        scores=scores,
-        mode=mode,
-        position_id=position_id,
-    )
+    return from_pairs(vocab_size, tokens, scores, mode, position_id)
 
 
 def make_geometry(vocab_size, scores, **kwargs):

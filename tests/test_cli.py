@@ -14,14 +14,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from censet.cli import ANALYZE_FIELDS, CERTIFY_FIELDS, _json_report, main
-from censet.numerics import POLICY, NumericPolicy, apply_policy_overrides
+from censet import observation
+from censet.cli import (
+    ANALYZE_FIELDS,
+    CERTIFY_FIELDS,
+    _full_dump_rows,
+    _json_report,
+    main,
+)
+from censet.numerics import POLICY, NumericPolicy, apply_policy_overrides, logsumexp
 from censet.observation import (
     AccessMode,
     parse_observations,
     serialize_observations,
 )
-from censet.simulate import censor
+from censet.simulate import (
+    GaussianIID,
+    SyntheticTeacherConfig,
+    censor,
+    generate_teacher,
+    score_sorted,
+)
 
 
 @pytest.fixture
@@ -155,6 +168,37 @@ class TestParsePathGolden:
         argv = [str(inputs / a) if a.endswith(".jsonl") else a for a in argv]
         assert main([*argv, "--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("dump, ks", [("gauss.jsonl", "1,2,5,23,24"),
+                                          ("peaked.jsonl", "1,3,4,10")])
+    def test_ksweep_bytes_do_not_depend_on_chunks(self, dump, ks, inputs, tmp_path,
+                                                  monkeypatch):
+        def report(name):
+            out = tmp_path / name
+            assert main(["ksweep", "--input", str(inputs / dump), "--k", ks,
+                         "--output", str(out)]) == 0
+            return out.read_bytes()
+
+        default = report("default")
+        # one record per chunk
+        monkeypatch.setattr(observation, "_CHUNK_PAIRS", 1)
+        assert report("one-record") == default
+
+    def test_ksweep_ignores_topk_order(self, inputs, tmp_path):
+        # the peaked dump ties scores; shuffling moves tied tokens around
+        rng = np.random.default_rng(11)
+        records = [json.loads(line) for line in (inputs / "peaked.jsonl").open()]
+        for record in records:
+            rng.shuffle(record["topk"])
+        shuffled = tmp_path / "shuffled.jsonl"
+        shuffled.write_text("".join(json.dumps(r) + "\n" for r in records))
+        reports = []
+        for dump in (inputs / "peaked.jsonl", shuffled):
+            out = tmp_path / "report"
+            assert main(["ksweep", "--input", str(dump), "--k", "1,2,3,4,10,24",
+                         "--output", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_serialize_round_trips_bytes(self, inputs):
         dump = (inputs / "peaked.jsonl").read_text()
@@ -323,6 +367,45 @@ class TestKsweep:
             (error,) = json.loads(capsys.readouterr().err)["errors"]
             assert message in error["message"] and "line" not in error
 
+    @pytest.mark.parametrize("limit", [31, 1 << 17])
+    def test_chunk_errors_in_stream_order(self, limit, dump_file, tmp_path, capsys,
+                                          monkeypatch):
+        # at 31 pairs (30 a record) the partial record closes the first chunk
+        # and the later fault is in the second; by default all three lines
+        # share one chunk
+        monkeypatch.setattr(observation, "_CHUNK_PAIRS", limit)
+        lines = dump_file.read_text().splitlines()
+        partial = json.loads(lines[1])
+        partial["topk"] = partial["topk"][:5]
+        out_of_range = json.loads(lines[2])
+        out_of_range["topk"][0]["token"] = 99
+        for later in ("{not json", json.dumps(out_of_range)):
+            path = tmp_path / "bad.jsonl"
+            path.write_text("\n".join([lines[0], json.dumps(partial), later]) + "\n")
+            assert main(["ksweep", "--input", str(path), "--k", "1"]) == 1
+            (error,) = json.loads(capsys.readouterr().err)["errors"]
+            assert "full dump" in error["message"] and "line" not in error
+
+    def test_rows_equal_sorted_teacher_rows(self, tmp_path):
+        teacher = generate_teacher(
+            SyntheticTeacherConfig(200, GaussianIID(0.0, 2.0), seed=3), 40
+        )
+        # summing some of these rows in score order changes the last bit
+        assert any(logsumexp(z) != logsumexp(np.sort(z)[::-1]) for z in teacher)
+        path = tmp_path / "dump.jsonl"
+        path.write_text(serialize_observations(
+            [censor(z, len(z), position_id=f"p{i}") for i, z in enumerate(teacher)]
+        ))
+        with open(path, encoding="utf-8", newline="\n") as handle:
+            rows = list(_full_dump_rows(handle, []))
+        assert len(rows) == len(teacher)
+        for (scores, ids, log_z), (want_scores, want_ids, want_log_z) in zip(
+            rows, score_sorted(teacher)
+        ):
+            assert np.array_equal(scores, want_scores)
+            assert np.array_equal(ids, want_ids)
+            assert log_z == want_log_z
+
     def test_empty_dump(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("\n")
@@ -364,6 +447,19 @@ class TestCertify:
         assert header == list(CERTIFY_FIELDS)
         assert len(row) == len(header)
         assert row[0] == pid
+
+
+    def test_table_escapes_cells(self, tmp_path):
+        obs = tmp_path / "obs.jsonl"
+        obs.write_text(json.dumps({"vocab_size": 4, "mode": "logits",
+                                   "position_id": "a\nb\tc\rd",
+                                   "topk": [{"token": 0, "score": 0.0}]}) + "\n")
+        out = tmp_path / "c.txt"
+        assert main(["certify", "--input", str(obs), "--delta", "0.1",
+                     "--format", "table", "--output", str(out)]) == 0
+        _, _, row, *footer = out.read_bytes().decode().split("\n")
+        assert row.split("  ")[0] == r"a\nb\tc\rd"
+        assert all(line.startswith("# ") for line in footer[:-1]) and footer[-1] == ""
 
 
 class TestReference:

@@ -10,18 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from censet import observation
 from censet.identified_set import geometry
+from censet.normalized import tail_geometry
 from censet.observation import (
     AccessMode,
     ModeError,
     ParseError,
-    TopKObservation,
     ValidationError,
-    _iter_observations,
-    hidden_tail_mass,
+    _batches,
+    _tail_mass,
+    from_pairs,
     parse_observations,
     serialize_observations,
 )
+from censet.oracles import disjoint_witness_pair
 
 from conftest import make_observation
 
@@ -276,13 +279,14 @@ class TestLogDomain:
 class TestHiddenTailMass:
     def test_zero_tail(self):
         obs = make_observation(3, [math.log(1.0)], mode=AccessMode.LOGPROBS)
-        assert hidden_tail_mass(obs) == 0.0
+        assert _tail_mass(obs.log_ZA) == 0.0
 
     def test_arithmetic_identity(self):
         obs = make_observation(
             4, [math.log(0.5), math.log(0.3)], mode=AccessMode.LOGPROBS
         )
-        assert math.isclose(hidden_tail_mass(obs), 0.2, abs_tol=1e-15)
+        t_star, *_ = tail_geometry(obs.log_ZA, obs.tau, obs.vocab_size - obs.k)
+        assert math.isclose(t_star, 0.2, abs_tol=1e-15)
 
     def test_matches_direct_summation_on_synthetic_teacher(self):
         from censet.simulate import (
@@ -296,30 +300,30 @@ class TestHiddenTailMass:
         z = generate_teacher(config, 1)[0]
         obs = censor(z, 20, mode=AccessMode.LOGPROBS)
         direct = 1.0 - float(np.exp(obs.scores).sum())
-        assert math.isclose(hidden_tail_mass(obs), direct, abs_tol=1e-12)
+        assert math.isclose(_tail_mass(obs.log_ZA), direct, abs_tol=1e-12)
 
     def test_mode_error_on_logits(self):
-        obs = make_observation(3, [0.0])
+        # the tail mass is identified only under normalized access
         with pytest.raises(ModeError):
-            hidden_tail_mass(obs)
+            disjoint_witness_pair(geometry(make_observation(3, [0.0])))
 
 
 class TestValidationDirect:
     def test_duplicate_ids(self):
         with pytest.raises(ValidationError, match="duplicate"):
-            TopKObservation(3, [0, 0], [1.0, 0.5], AccessMode.LOGITS)
+            from_pairs(3, [0, 0], [1.0, 0.5], AccessMode.LOGITS)
 
     def test_inf_score(self):
         with pytest.raises(ValidationError, match="non-finite"):
-            TopKObservation(3, [0], [math.inf], AccessMode.LOGITS)
+            from_pairs(3, [0], [math.inf], AccessMode.LOGITS)
 
     def test_empty_revealed(self):
         with pytest.raises(ValidationError):
-            TopKObservation(3, [], [], AccessMode.LOGITS)
+            from_pairs(3, [], [], AccessMode.LOGITS)
 
     def test_vocab_too_small(self):
         with pytest.raises(ValidationError, match="exceeds"):
-            TopKObservation(1, [0, 1], [0.0, -1.0], AccessMode.LOGITS)
+            from_pairs(1, [0, 1], [0.0, -1.0], AccessMode.LOGITS)
 
 
 def _record(vocab_size, pairs, mode="logits"):
@@ -371,7 +375,7 @@ class TestValidationParity:
 class TestArrays:
     def test_arrays_are_read_only_copies(self):
         ids, scores = np.array([2, 0, 1]), np.array([0.5, 1.0, 0.5])
-        obs = TopKObservation(4, ids, scores, AccessMode.LOGITS)
+        obs = from_pairs(4, ids, scores, AccessMode.LOGITS)
         assert obs.token_ids.tolist() == [0, 2, 1]
         assert obs.scores.tolist() == [1.0, 0.5, 0.5]
         assert obs.input_order.tolist() == [2, 0, 1]
@@ -386,13 +390,14 @@ class TestArrays:
             ([0, 1.5], [0.0, 0.0], "token id must be an integer, got 1.5"),
             (np.array([1.0]), [0.0], "token id must be an integer, got np.float64(1.0)"),
             ([0, 1], [0.0], "2 token ids but 1 scores"),
+            ([0, 1], [0.0, 10**400], "score outside the float range"),
             (np.array([0, 1]), np.array([0.0, np.nan]),
              "non-finite score nan for token 1"),
         ],
     )
     def test_direct_construction_errors(self, tokens, scores, message):
         with pytest.raises(ValidationError) as caught:
-            TopKObservation(3, tokens, scores, AccessMode.LOGITS)
+            from_pairs(3, tokens, scores, AccessMode.LOGITS)
         assert str(caught.value) == message
 
 
@@ -424,15 +429,30 @@ def _records(draw):
     return json.dumps({"vocab_size": vocab_size, "mode": mode, "topk": topk})
 
 
+def _one_at_a_time(text: str) -> list:
+    """The records of ``text``, each line parsed alone behind blank lines
+    that keep its number; position ids are tracked here, not by the parser."""
+    seen, observations = set(), []
+    for i, line in enumerate(text.split("\n")):
+        if not line.strip():
+            continue
+        (obs,) = parse_observations("\n" * i + line)
+        if obs.position_id in seen:
+            raise ParseError(i + 1, f"duplicate position_id {obs.position_id!r}")
+        seen.add(obs.position_id)
+        observations.append(obs)
+    return observations
+
+
 class TestBatchParse:
-    """The batch parser against the one-record-at-a-time stream."""
+    """The batch parser against one-record parses of each line."""
 
     @given(st.lists(_records(), min_size=1, max_size=12))
     @settings(max_examples=200, deadline=None)
     def test_equals_stream_bit_for_bit(self, records):
         text = "\n".join(records) + "\n"
         batch = parse_observations(text)
-        stream = list(_iter_observations(text))
+        stream = _one_at_a_time(text)
         assert len(batch) == len(stream)
         assert _bits(batch.tau) == _bits([o.tau for o in stream])
         assert batch.k.tolist() == [o.k for o in stream]
@@ -495,7 +515,8 @@ FAULTS = {
 
 
 class TestBatchErrorOrder:
-    """With faults on two lines, the batch raises the stream's first error."""
+    """With faults on two lines, the batch raises the first error of the
+    one-record parses."""
 
     @staticmethod
     def _text(faults: dict[int, str], n: int = 6) -> str:
@@ -517,14 +538,51 @@ class TestBatchErrorOrder:
     def test_first_fault_in_line_order_wins(self, first, second):
         for i, j in ((1, 2), (1, 4), (3, 5)):
             text = self._text({i: first, j: second})
-            expected = self._error(lambda t: list(_iter_observations(t)), text)
+            expected = self._error(_one_at_a_time, text)
             assert expected[0] == i + 1
             assert self._error(parse_observations, text) == expected
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     def test_single_fault(self, fault):
         text = self._text({5: fault})
-        expected = self._error(lambda t: list(_iter_observations(t)), text)
+        expected = self._error(_one_at_a_time, text)
         assert self._error(parse_observations, text) == expected == (
             6, expected[1]
         )
+
+
+class TestChunks:
+    """A chunked parse: the same rows as one batch, in bounded pieces."""
+
+    TEXT = "".join(
+        _record(9, [(t, repr(-0.25 * t)) for t in range(k)]) + "\n"
+        for k in (3, 1, 4, 2, 2, 5, 1)
+    )
+
+    @pytest.mark.parametrize("limit, sizes", [
+        (1, [1] * 7), (4, [2, 1, 2, 1, 1]), (6, [3, 3, 1]), (100, [7]),
+    ])
+    def test_chunks_close_at_the_limit(self, limit, sizes, monkeypatch):
+        monkeypatch.setattr(observation, "_CHUNK_PAIRS", limit)
+        chunks = list(_batches(self.TEXT, chunked=True))
+        assert [len(c) for c in chunks] == sizes
+        whole = parse_observations(self.TEXT)
+        rows = [obs for chunk in chunks for obs in chunk]
+        assert [o.position_id for o in rows] == whole.position_ids
+        for got, want in zip(rows, whole):
+            for name in ("token_ids", "scores", "input_order"):
+                assert _bits(getattr(got, name)) == _bits(getattr(want, name))
+            assert _bits(np.float64(got.log_ZA)) == _bits(np.float64(want.log_ZA))
+
+    def test_empty_input_has_no_chunks(self):
+        assert list(_batches("\n", chunked=True)) == []
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_valid_prefix_before_the_error(self, fault, monkeypatch):
+        # lines 1-3 valid, line 4 faulty, in one chunk
+        monkeypatch.setattr(observation, "_CHUNK_PAIRS", 100)
+        text = TestBatchErrorOrder._text({3: fault}, n=5)
+        chunks = _batches(text, chunked=True)
+        assert [o.position_id for o in next(chunks)] == ["p0", "p1", "p2"]
+        with pytest.raises(ParseError, match="line 4: "):
+            next(chunks)

@@ -20,7 +20,7 @@ from censet.numerics import POLICY
 from censet.observation import (
     AccessMode,
     ValidationError,
-    hidden_tail_mass,
+    _tail_mass,
     serialize_observations,
 )
 from censet.oracles import geometry_with_diameter
@@ -34,6 +34,7 @@ from censet.simulate import (
     censor,
     generate_teacher,
     ksweep,
+    score_sorted,
 )
 
 
@@ -136,19 +137,19 @@ class TestKsweep:
         return generate_teacher(config, 12)
 
     def test_monotone_columns(self, teacher):
-        rows = ksweep(teacher, [1, 2, 5, 10, 25, 50])
+        rows = ksweep(score_sorted(teacher), [1, 2, 5, 10, 25, 50])
         uk = [r.uk_mean for r in rows]
         rb = [r.rbin_mean for r in rows]
         assert all(a >= b - 1e-12 for a, b in zip(uk, uk[1:]))
         assert all(a >= b - 1e-12 for a, b in zip(rb, rb[1:]))
 
     def test_full_k_row_is_exact_zero(self, teacher):
-        (row,) = ksweep(teacher, [50])
+        (row,) = ksweep(score_sorted(teacher), [50])
         assert row.uk_mean == 0.0
         assert row.rbin_mean == 0.0
 
     def test_population_sd(self, teacher):
-        (row,) = ksweep(teacher, [5])
+        (row,) = ksweep(score_sorted(teacher), [5])
         uks = [
             geometry(censor(z, 5)).U_K for z in teacher
         ]
@@ -158,7 +159,7 @@ class TestKsweep:
     def test_oversized_k_yields_warning_row(self, teacher):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rows = ksweep(teacher, [5, 99])
+            rows = ksweep(score_sorted(teacher), [5, 99])
         assert any("skipping" in str(w.message) for w in caught)
         skipped = rows[-1]
         assert skipped.k == 99
@@ -205,7 +206,7 @@ def _ksweep_csv(teacher, ks, out):
 def _censor_pipeline(z, k):
     """The per-(position, K) path the single-sort sweep replaces."""
     geom = geometry(censor(z, k))
-    return geom, hidden_tail_mass(censor(z, k, mode=AccessMode.LOGPROBS))
+    return geom, _tail_mass(censor(z, k, mode=AccessMode.LOGPROBS).log_ZA)
 
 
 def _pipeline_error(z, ks):
@@ -214,6 +215,12 @@ def _pipeline_error(z, ks):
         for k in ks:
             _censor_pipeline(z, k)
     return str(caught.value)
+
+
+def _sorted(z):
+    """``z`` as one row of :func:`score_sorted`."""
+    (row,) = score_sorted(z)
+    return row
 
 
 class TestSweepPosition:
@@ -234,7 +241,7 @@ class TestSweepPosition:
     def test_equals_censor_pipeline_exactly(self, name):
         for z in self.ROWS[name]:
             ks = list(range(1, len(z) + 1))
-            for k, (m, u, log_odds, tail) in zip(ks, _sweep_position(z, ks)):
+            for k, (m, u, log_odds, tail) in zip(ks, _sweep_position(*_sorted(z), ks)):
                 ref_geom, ref_tail = _censor_pipeline(z, k)
                 assert m == ref_geom.M
                 assert u == ref_geom.U_K
@@ -256,7 +263,7 @@ class TestSweepPosition:
             warnings.simplefilter("ignore", RuntimeWarning)
             expected = _pipeline_error(z, ks)
             with pytest.raises(ValidationError, match="non-finite") as caught:
-                _sweep_position(z, ks)
+                _sweep_position(*_sorted(z), ks)
         assert str(caught.value) == expected
 
     def test_rejects_head_mass_like_censor(self, monkeypatch):
@@ -267,12 +274,12 @@ class TestSweepPosition:
         ks = list(range(1, len(z) + 1))
         expected = _pipeline_error(z, ks)
         with pytest.raises(ValidationError, match="head mass") as caught:
-            _sweep_position(z, ks)
+            _sweep_position(*_sorted(z), ks)
         assert str(caught.value) == expected
 
     def test_k_below_one(self):
         with pytest.raises(ValueError, match="K must lie"):
-            ksweep(np.zeros((2, 4)), [0, 2])
+            ksweep(score_sorted(np.zeros((2, 4))), [0, 2])
 
 
 # ksweep CSV bytes of the per-(position, K) censor path and the sha256 of

@@ -35,7 +35,7 @@ MODULES = {
     "normalized": ["TailCondition", "allocation_diameter", "tail_geometry"],
     "observation": [
         "AccessMode", "ModeError", "ObservationBatch", "ParseError",
-        "TopKObservation", "ValidationError", "hidden_tail_mass",
+        "TopKObservation", "ValidationError", "from_pairs",
         "parse_observations", "serialize_observations",
     ],
     "reference": [
@@ -45,7 +45,7 @@ MODULES = {
     "simulate": [
         "DirichletSoftmax", "GaussianIID", "PeakedHead", "SweepRow",
         "SyntheticTeacherConfig", "average_risk", "censor", "generate_teacher",
-        "ksweep", "ksweep_with_sup_kl",
+        "ksweep", "ksweep_with_sup_kl", "score_sorted",
     ],
 }
 
