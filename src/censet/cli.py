@@ -25,7 +25,7 @@ from . import minimax as mm
 from . import normalized as norm
 from . import reference as ref
 from . import simulate as sim
-from .numerics import load_policy_file, logsumexp, restored_policy
+from .numerics import load_policy_file, logsumexp, policy, use_policy
 from .observation import (
     AccessMode,
     ObservationBatch,
@@ -547,14 +547,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     policy_path = os.environ.get(POLICY_ENV_VAR)
     try:
-        with restored_policy():
-            if policy_path:
-                load_policy_file(policy_path)
+        with use_policy(load_policy_file(policy_path) if policy_path else policy()):
             return _HANDLERS[args.command](args)
     except ParseError as exc:
         _emit_errors([{"message": str(exc), "line": exc.line}])
         return 1
-    except (ValidationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         _emit_errors([{"message": str(exc)}])
         return 1
 

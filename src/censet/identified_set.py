@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import POLICY, expit
+from .numerics import expit, policy
 from .observation import TopKObservation
 
 
@@ -96,7 +96,7 @@ def per_token_cap(geom: SetGeometry, t: float) -> float:
     """
     if geom.M == 0:
         raise ValueError("per-token cap undefined: no censored tokens")
-    tol = POLICY.membership_tol
+    tol = policy().membership_tol
     if t < -tol or t > geom.U_K + tol:
         raise ValueError(f"tail mass t={t!r} outside [0, U_K={geom.U_K!r}]")
     return token_cap(geom.log_odds, geom.M, min(max(t, 0.0), geom.U_K))

@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .identified_set import SetGeometry
-from .numerics import POLICY, expit
+from .numerics import expit, policy
 
 _INV_E = 1.0 / math.e
 SECOND_ORDER_COEFF = 0.5 / math.e - 0.5 / math.e**2
@@ -268,7 +268,7 @@ def verdicts(us: Sequence[float], delta: float) -> list[tuple[float, str]]:
     """
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta!r}")
-    margin = POLICY.verdict_margin
+    margin = policy().verdict_margin
     out = []
     for u in us:
         r = reserve(u)[1]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .numerics import POLICY
+from .numerics import policy
 from .observation import _tail_mass
 
 
@@ -73,7 +73,7 @@ def tail_geometry(
     """
     t_star = _tail_mass(log_head)
     cap = math.exp(tau)
-    if t_star > m * cap + POLICY.tail_feasibility_tol:
+    if t_star > m * cap + policy().tail_feasibility_tol:
         raise ValueError(
             f"inconsistent observation: hidden tail mass {t_star!r} cannot "
             f"fit under cap {cap!r} on {m} censored tokens"

@@ -1,9 +1,9 @@
-"""Global numeric policy and the two scalar kernels every module shares.
+"""The numeric policy and the two scalar kernels every module shares.
 
-All tolerance knobs live in one mutable record rather than per-call flags,
-so a batch run is governed by a single, reportable configuration.  The CLI
-may override fields from a JSON file (env var ``CENSET_NUMERIC_POLICY``) for
-the duration of one command; the previous values return when it ends.
+All tolerance knobs live in one frozen :class:`NumericPolicy`, read with
+:func:`policy` and set for a scope with :func:`use_policy`.  The CLI runs
+each command under the caller's policy with the overrides of a JSON file
+(env var ``CENSET_NUMERIC_POLICY``) applied; no policy is ever mutated.
 
 :func:`logsumexp` and :func:`expit` reproduce SciPy's ``special``
 functions of those names bit for bit at a fraction of the per-call cost,
@@ -17,12 +17,13 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True)
 class NumericPolicy:
     # admissibility of a normalized head mass: reject above 1 + head_mass_tol
     head_mass_tol: float = 1e-9
@@ -34,25 +35,43 @@ class NumericPolicy:
     verdict_margin: float = 1e-3
 
 
-POLICY = NumericPolicy()
+_POLICY = ContextVar("censet_numeric_policy", default=NumericPolicy())
 
 
-def _assign(source: NumericPolicy) -> None:
-    for f in dataclasses.fields(NumericPolicy):
-        setattr(POLICY, f.name, getattr(source, f.name))
+def policy() -> NumericPolicy:
+    """The policy in force in the current context."""
+    return _POLICY.get()
 
 
-def apply_policy_overrides(overrides) -> None:
-    """Update the global policy in place, all fields or none.
+@contextmanager
+def use_policy(value: NumericPolicy):
+    """Make ``value`` the policy in force until the block exits."""
+    token = _POLICY.set(value)
+    try:
+        yield
+    finally:
+        _POLICY.reset(token)
 
-    ``overrides`` must map known field names to finite non-negative
-    numbers (a negative tolerance would switch its check off); it is checked
-    in full before any field changes.
+
+def _unique_keys(pairs):
+    for i, (key, _) in enumerate(pairs):
+        if any(key == seen for seen, _ in pairs[:i]):
+            raise ValueError(f"duplicate numeric policy field: {key!r}")
+    return dict(pairs)
+
+
+def load_policy_file(path: str) -> NumericPolicy:
+    """The current policy with the overrides in the JSON file at ``path``.
+
+    The file maps known fields, each at most once, to finite non-negative
+    JSON numbers (a negative tolerance would switch its check off); a bad
+    file raises ``ValueError``, so its overrides apply all or none.
     """
+    with open(path, "r", encoding="utf-8") as handle:
+        overrides = json.load(handle, object_pairs_hook=_unique_keys)
     if not isinstance(overrides, dict):
         raise ValueError("numeric policy overrides must be a JSON object")
     valid = {f.name for f in dataclasses.fields(NumericPolicy)}
-    updated = dataclasses.replace(POLICY)
     for key, value in overrides.items():
         if key not in valid:
             raise ValueError(f"unknown numeric policy field: {key!r}")
@@ -66,28 +85,8 @@ def apply_policy_overrides(overrides) -> None:
                 f"numeric policy field {key!r} must be a finite non-negative "
                 f"JSON number, got {value!r}"
             )
-        setattr(updated, key, float(value))
-    _assign(updated)
-
-
-def load_policy_file(path: str) -> None:
-    with open(path, "r", encoding="utf-8") as handle:
-        apply_policy_overrides(json.load(handle))
-
-
-@contextmanager
-def restored_policy():
-    """Put the global policy back as it was on exit, whatever ran inside."""
-    saved = dataclasses.replace(POLICY)
-    try:
-        yield
-    finally:
-        _assign(saved)
-
-
-def reset_policy() -> None:
-    """Restore all tolerances to their defaults (used by tests)."""
-    _assign(NumericPolicy())
+    overrides = {key: float(value) for key, value in overrides.items()}
+    return dataclasses.replace(policy(), **overrides)
 
 
 def logsumexp(a) -> float:
@@ -148,7 +147,8 @@ def logsumexp_rows(a: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         spread = a_max - a[:, -1]
         top = a == a_max[:, None]
-        terms = np.exp(a - a_max[:, None])
+        terms = np.subtract(a, a_max[:, None])
+        np.exp(terms, out=terms)
         terms[top] = 0.0
         m = np.count_nonzero(top, axis=1).astype(np.float64)
         out = np.log1p(np.add.reduce(terms, axis=1) / m) + np.log(m) + a_max

@@ -24,7 +24,7 @@ from typing import IO, Container, Iterable, Iterator
 
 import numpy as np
 
-from .numerics import POLICY, logsumexp_rows
+from .numerics import logsumexp_rows, policy
 
 
 class ValidationError(ValueError):
@@ -220,7 +220,7 @@ def _normalized_checks(values, sorted_values, logprobs):
     """
     log_za = logsumexp_rows(sorted_values)
     with np.errstate(over="ignore"):
-        heavy = np.exp(log_za) > 1.0 + POLICY.head_mass_tol
+        heavy = np.exp(log_za) > 1.0 + policy().head_mass_tol
     return log_za, logprobs & ((values > 0.0).any(axis=1) | heavy)
 
 
@@ -578,7 +578,7 @@ def serialize_observations(observations: Iterable[TopKObservation]) -> str:
 def _check_head_mass(log_head: float) -> None:
     """Reject a normalized head whose mass ``exp(log_head)`` exceeds 1."""
     head = float(np.exp(log_head))
-    if head > 1.0 + POLICY.head_mass_tol:
+    if head > 1.0 + policy().head_mass_tol:
         raise ValidationError(
             f"revealed head mass {head!r} exceeds 1 beyond tolerance; "
             "refusing to renormalize"
@@ -588,7 +588,7 @@ def _check_head_mass(log_head: float) -> None:
 def _tail_mass(log_head: float) -> float:
     """``1 - exp(log_head)`` clamped to [0, 1], warning below ``-head_mass_tol``."""
     raw = -math.expm1(log_head)
-    if raw < -POLICY.head_mass_tol:
+    if raw < -policy().head_mass_tol:
         warnings.warn(
             f"hidden tail mass {raw!r} below 0 beyond tolerance; clamping",
             stacklevel=3,

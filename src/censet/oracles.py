@@ -32,7 +32,7 @@ from . import normalized as norm
 from . import observation as ob
 from . import reference as ref
 from . import simulate as sim
-from .numerics import POLICY
+from .numerics import policy
 
 # combinatorial limits of the enumerating oracles
 _MAX_ORACLE_VOCAB = 12
@@ -69,7 +69,7 @@ def membership(geom: geo.SetGeometry, p: np.ndarray) -> list[str]:
     1, each within ``membership_tol``.  A normalized observation's set is
     the members with ``t = t*``: at that mass the cap is ``exp(tau)``.
     """
-    tol = POLICY.membership_tol
+    tol = policy().membership_tol
     tail = p[geom.censored_ids]
     t = float(tail.sum())
     violations = []
@@ -155,7 +155,7 @@ def risk_at_tail_mass(
     """
     if not est.is_uniform:
         raise ValueError("closed-form best response requires a uniform tail rule")
-    if t < 0.0 or t > geom.U_K + POLICY.membership_tol:
+    if t < 0.0 or t > geom.U_K + policy().membership_tol:
         raise ValueError(f"tail mass t={t!r} outside [0, U_K={geom.U_K!r}]")
     if t == 0.0:
         return -math.log1p(-est.s) if est.s < 1.0 else math.inf
@@ -178,7 +178,7 @@ def adversary_best_response(
         raise ValueError("closed-form best response requires a uniform tail rule")
     if geom.M == 0:
         raise ValueError("no censored tokens; adversary has no tail to allocate")
-    if t <= 0.0 or t > geom.U_K + POLICY.membership_tol:
+    if t <= 0.0 or t > geom.U_K + policy().membership_tol:
         raise ValueError(f"tail mass t={t!r} outside (0, U_K={geom.U_K!r}]")
     t = min(t, geom.U_K)
     n_full, rem, tail_kl = mm._concentrated_tail_kl(geom.M, geom.log_odds, t, None)
@@ -482,7 +482,7 @@ def g_envelope(u: float, t: float, s: float) -> float:
         raise ValueError(f"diameter must lie in (0, 1), got {u!r}")
     if not 0.0 < s < 1.0:
         raise ValueError(f"reserve must lie in (0, 1), got {s!r}")
-    if t < -POLICY.membership_tol or t > u + POLICY.membership_tol:
+    if t < -policy().membership_tol or t > u + policy().membership_tol:
         raise ValueError(f"tail mass t={t!r} outside [0, u={u!r}]")
     t = min(max(t, 0.0), u)
     return mm._envelope(t, math.log1p(-s), mm._cap_factor(u, s))
@@ -543,7 +543,7 @@ def allocation_diameter_oracle(t_star: float, cap: float, m: int) -> float:
         raise ValueError(f"oracle supports 1 <= M <= {_MAX_ORACLE_TOKENS}, got {m}")
     if t_star < 0.0 or cap < 0.0:
         raise ValueError("t_star and cap must be nonnegative")
-    if t_star > m * cap + POLICY.tail_feasibility_tol:
+    if t_star > m * cap + policy().tail_feasibility_tol:
         raise ValueError(
             f"infeasible: t_star {t_star!r} exceeds M*cap = {m * cap!r}"
         )

@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 from censet.identified_set import geometry
-from censet.numerics import reset_policy
 from censet.observation import AccessMode, from_pairs
-
-
-@pytest.fixture(autouse=True)
-def _default_policy():
-    reset_policy()
-    yield
-    reset_policy()
 
 
 def make_observation(vocab_size, scores, mode=AccessMode.LOGITS, tokens=None,

@@ -1,6 +1,7 @@
 """Command-line surface: reports, formats, exit codes, determinism."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,7 +23,13 @@ from censet.cli import (
     _json_report,
     main,
 )
-from censet.numerics import POLICY, NumericPolicy, apply_policy_overrides, logsumexp
+from censet.numerics import (
+    NumericPolicy,
+    load_policy_file,
+    logsumexp,
+    policy,
+    use_policy,
+)
 from censet.observation import (
     AccessMode,
     parse_observations,
@@ -741,18 +748,39 @@ class TestNumericPolicyEnv:
         policy_file.write_text('{"verdict_margin": 0.25}')
         monkeypatch.setenv("CENSET_NUMERIC_POLICY", str(policy_file))
         assert self._verdict(obs_file, tmp_path) == (0, "THRESHOLD")
-        assert POLICY == NumericPolicy()
+        assert policy() == NumericPolicy()
         # the override ended with that command
         monkeypatch.delenv("CENSET_NUMERIC_POLICY")
         assert self._verdict(obs_file, tmp_path) == (0, "OPEN")
 
     def test_caller_policy_restored(self, obs_file, tmp_path, monkeypatch):
-        apply_policy_overrides({"verdict_margin": 0.2})
         policy_file = tmp_path / "policy.json"
-        policy_file.write_text('{"verdict_margin": 0.5, "membership_tol": 1e-6}')
+        policy_file.write_text('{"membership_tol": 1e-6}')
         monkeypatch.setenv("CENSET_NUMERIC_POLICY", str(policy_file))
-        assert self._verdict(obs_file, tmp_path) == (0, "THRESHOLD")
-        assert (POLICY.verdict_margin, POLICY.membership_tol) == (0.2, 1e-12)
+        caller = NumericPolicy(verdict_margin=0.2)
+        with use_policy(caller):
+            # the caller's margin holds where the file sets none
+            assert self._verdict(obs_file, tmp_path) == (0, "THRESHOLD")
+            assert load_policy_file(str(policy_file)) == NumericPolicy(
+                membership_tol=1e-6, verdict_margin=0.2
+            )
+            assert policy() is caller
+        assert policy() == NumericPolicy()
+
+    def test_caller_policy_survives_failed_command(self, tmp_path, monkeypatch,
+                                                   capsys):
+        policy_file = tmp_path / "policy.json"
+        policy_file.write_text('{"verdict_margin": 0.5}')
+        monkeypatch.setenv("CENSET_NUMERIC_POLICY", str(policy_file))
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("not json\n")
+        with use_policy(NumericPolicy(verdict_margin=0.2)):
+            assert main(["certify", "--input", str(bad), "--delta", "0.3"]) == 1
+            assert json.loads(capsys.readouterr().err)["errors"][0]["line"] == 1
+            assert policy().verdict_margin == 0.2
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                policy().verdict_margin = 0.5
+        assert policy() == NumericPolicy()
 
     def test_unknown_field_rejected(self, obs_file, tmp_path, monkeypatch, capsys):
         policy_file = tmp_path / "policy.json"
@@ -775,6 +803,7 @@ class TestNumericPolicyEnv:
             '{"membership_tol": -1e-12, "head_mass_tol": 1e-6}',
             '{"norm_tol": 1e-9}',
             '{"tail_feasibility_tol": -1e999}',
+            '{"verdict_margin": 0.25, "verdict_margin": 0.001}',
         ],
     )
     def test_invalid_file_rejected_whole(self, text, obs_file, tmp_path,
@@ -786,8 +815,8 @@ class TestNumericPolicyEnv:
         (error,) = json.loads(capsys.readouterr().err)["errors"]
         assert "numeric policy" in error["message"]
         with pytest.raises(ValueError):
-            apply_policy_overrides(json.loads(text))
-        assert POLICY == NumericPolicy()
+            load_policy_file(str(policy_file))
+        assert policy() == NumericPolicy()
 
 
 SCIPY_GUARD = """

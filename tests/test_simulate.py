@@ -16,7 +16,7 @@ from censet.minimax import (
     symmetric_estimator,
     symmetric_sup,
 )
-from censet.numerics import POLICY
+from censet.numerics import NumericPolicy, use_policy
 from censet.observation import (
     AccessMode,
     ValidationError,
@@ -266,15 +266,15 @@ class TestSweepPosition:
                 _sweep_position(*_sorted(z), ks)
         assert str(caught.value) == expected
 
-    def test_rejects_head_mass_like_censor(self, monkeypatch):
-        # a policy file cannot hold a negative tolerance; set one directly to
-        # make every head fail its mass check
-        monkeypatch.setattr(POLICY, "head_mass_tol", -0.5)
+    def test_rejects_head_mass_like_censor(self):
+        # a policy file cannot hold a negative tolerance; build one directly
+        # to make every head fail its mass check
         z = self.ROWS["gaussian"][0]
         ks = list(range(1, len(z) + 1))
-        expected = _pipeline_error(z, ks)
-        with pytest.raises(ValidationError, match="head mass") as caught:
-            _sweep_position(*_sorted(z), ks)
+        with use_policy(NumericPolicy(head_mass_tol=-0.5)):
+            expected = _pipeline_error(z, ks)
+            with pytest.raises(ValidationError, match="head mass") as caught:
+                _sweep_position(*_sorted(z), ks)
         assert str(caught.value) == expected
 
     def test_k_below_one(self):

@@ -33,6 +33,10 @@ MODULES = {
         "symmetric_estimator", "symmetric_sup", "verdicts", "worst_case_risk",
     ],
     "normalized": ["TailCondition", "allocation_diameter", "tail_geometry"],
+    "numerics": [
+        "NumericPolicy", "expit", "load_policy_file", "logsumexp",
+        "logsumexp_rows", "policy", "use_policy",
+    ],
     "observation": [
         "AccessMode", "ModeError", "ObservationBatch", "ParseError",
         "TopKObservation", "ValidationError", "from_pairs",
