@@ -65,10 +65,17 @@ def load_policy_file(path: str) -> NumericPolicy:
 
     The file maps known fields, each at most once, to finite non-negative
     JSON numbers (a negative tolerance would switch its check off); a bad
-    file raises ``ValueError``, so its overrides apply all or none.
+    file raises ``ValueError``, so its overrides apply all or none.  A file
+    that is not JSON at all gets an error naming the file.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        overrides = json.load(handle, object_pairs_hook=_unique_keys)
+        try:
+            overrides = json.load(handle, object_pairs_hook=_unique_keys)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"numeric policy file {path!r} (CENSET_NUMERIC_POLICY) is not "
+                f"valid JSON: {exc}"
+            ) from exc
     if not isinstance(overrides, dict):
         raise ValueError("numeric policy overrides must be a JSON object")
     valid = {f.name for f in dataclasses.fields(NumericPolicy)}

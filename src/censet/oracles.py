@@ -37,6 +37,8 @@ from .numerics import policy
 # combinatorial limits of the enumerating oracles
 _MAX_ORACLE_VOCAB = 12
 _MAX_ORACLE_TOKENS = 12
+# largest sign-vector projection of _l1_farthest_pairs, in floats
+_PROJECTION_FLOATS = 2**22
 
 
 # -- witnesses: dense length-V vectors -------------------------------------
@@ -223,21 +225,44 @@ def disjoint_witness_pair(geom: geo.SetGeometry) -> tuple[np.ndarray, np.ndarray
 # -- set diameter: box-grid enumeration ------------------------------------
 
 
-def _max_pairwise_tv(tails: np.ndarray, block: int = 128) -> float:
+def _l1_farthest_pairs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate farthest pairs, in l1, among the rows of ``points``.
+
+    ``||x||_1 = max over sign vectors sigma of sigma . x``, so the l1
+    diameter of the rows is the max over sigma of ``max_i sigma . x_i -
+    min_j sigma . x_j``, and the rows attaining that max and min for the
+    best sigma are a farthest pair.  Returns the argmax and argmin rows of
+    every sign vector's projection, one pair per sigma whose first sign is
+    +1 (sigma and -sigma give the same pair): 2^(d-1) candidates, among
+    them a farthest pair of all the rows in exact arithmetic.  The signs go
+    in blocks so that a projection holds at most ``_PROJECTION_FLOATS``.
+    """
+    n, d = points.shape
+    bits = (np.arange(2 ** (d - 1))[:, None] >> np.arange(d - 1)) & 1
+    signs = np.hstack([np.ones((len(bits), 1)), 1.0 - 2.0 * bits])
+    block = max(1, _PROJECTION_FLOATS // n)
+    first, second = [], []
+    for lo in range(0, len(signs), block):
+        proj = points @ signs[lo:lo + block].T
+        first.append(proj.argmax(axis=0))
+        second.append(proj.argmin(axis=0))
+    return np.concatenate(first), np.concatenate(second)
+
+
+def _max_pairwise_tv(tails: np.ndarray) -> float:
     """Max pairwise TV over points sharing one head conditional.
 
     For such points TV = 0.5 * (|t - s| + sum_u |p_u - q_u|), so only tail
-    vectors are needed.  Blocked to bound memory; max is order-independent.
+    vectors are needed.  That is half the l1 distance between the rows of
+    ``[totals | tails]``, so the max over every pair of sampled points is
+    attained on a candidate pair of :func:`_l1_farthest_pairs`, and only
+    those pairs are evaluated.
     """
     totals = tails.sum(axis=1)
-    best = 0.0
-    n = tails.shape[0]
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        dt = np.abs(totals[lo:hi, None] - totals[None, :])
-        dp = np.abs(tails[lo:hi, None, :] - tails[None, :, :]).sum(axis=2)
-        best = max(best, float(0.5 * (dt + dp).max()))
-    return best
+    i, j = _l1_farthest_pairs(np.column_stack([totals, tails]))
+    dt = np.abs(totals[i] - totals[j])
+    dp = np.abs(tails[i] - tails[j]).sum(axis=1)
+    return float(0.5 * (dt + dp).max())
 
 
 def _box_tail_samples(
@@ -359,8 +384,10 @@ def reference_risk_oracle(
 
     Draws unnormalized tail weights uniformly below the per-token ceilings
     (every draw is a valid member), always including the two extremal
-    corners, and evaluates KL directly on dense distributions.  A sampled
-    lower bound on the true sup, suitable for envelope checks on small V.
+    corners, and evaluates KL directly on dense distributions, all samples
+    in one array pass; ``+inf`` if a sample has mass where the estimator
+    has none.  A sampled lower bound on the true sup, suitable for
+    envelope checks on small V.
     """
     if geom.M == 0:
         return 0.0
@@ -372,22 +399,15 @@ def reference_risk_oracle(
     tails = ys / denom[:, None]
     ts = tails.sum(axis=1)
 
-    q = estimator_distribution(geom, est)
-    q_tail = q[geom.censored_ids]
-
-    worst = 0.0
-    for tail, t in zip(tails, ts):
-        # estimator head is (1-s) * alpha, so the head KL term collapses
-        value = (1.0 - t) * (math.log1p(-t) - math.log1p(-est.s))
-        mask = tail > 0.0
-        if np.any(mask & (q_tail == 0.0)):
-            return math.inf
-        if np.any(mask):
-            value += float(
-                np.sum(tail[mask] * (np.log(tail[mask]) - np.log(q_tail[mask])))
-            )
-        worst = max(worst, value)
-    return worst
+    q_tail = estimator_distribution(geom, est)[geom.censored_ids]
+    # estimator head is (1-s) * alpha, so the head KL term collapses
+    head = (1.0 - ts) * (np.log1p(-ts) - math.log1p(-est.s))
+    # mass where the estimator has none gives +inf; the terms of a zero
+    # sample entry (nan or -inf) are masked out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = tails * (np.log(tails) - np.log(q_tail))
+    tail = np.where(tails > 0.0, terms, 0.0).sum(axis=1)
+    return max(0.0, float((head + tail).max()))
 
 
 # -- recovery bounds: direct minimization and dense scans ------------------
@@ -400,6 +420,15 @@ def endpoint_risk(u: float, s: float) -> float:
         math.log(u) - math.log(s)
     )
     return max(kl_zero, kl_full)
+
+
+def _endpoint_risks(u: float, s: np.ndarray) -> np.ndarray:
+    """:func:`endpoint_risk` at every reserve of the array ``s``."""
+    log1m_s = np.log1p(-s)
+    kl_full = (1.0 - u) * (math.log1p(-u) - log1m_s) + u * (
+        math.log(u) - np.log(s)
+    )
+    return np.maximum(-log1m_s, kl_full)
 
 
 def _golden_min(
@@ -436,8 +465,7 @@ def balancing_oracle(u: float, grid: int = 2000) -> tuple[float, float]:
     if grid < 8:
         raise ValueError("grid must be at least 8")
     s_grid = np.geomspace(1e-12, 0.98, grid)
-    values = [endpoint_risk(u, s) for s in s_grid]
-    i = int(np.argmin(values))
+    i = int(np.argmin(_endpoint_risks(u, s_grid)))
     lo = s_grid[max(i - 1, 0)]
     hi = s_grid[min(i + 1, grid - 1)]
     s_hat, r_hat = _golden_min(lambda s: endpoint_risk(u, s), lo, hi, 1e-13)
@@ -537,7 +565,11 @@ def allocation_diameter_oracle(t_star: float, cap: float, m: int) -> float:
     """Exact max pairwise TV over capped tail allocations (small M).
 
     TV is convex in the pair, so the maximum over the polytope is attained
-    at vertex pairs; vertices are enumerated exactly.
+    at vertex pairs; vertices are enumerated exactly.  The max over every
+    pair of vertices is half their l1 diameter, attained on a candidate
+    pair of :func:`_l1_farthest_pairs` (by the sign-vector identity
+    ``||x||_1 = max over sigma of sigma . x``), and only those pairs are
+    evaluated.
     """
     if m < 1 or m > _MAX_ORACLE_TOKENS:
         raise ValueError(f"oracle supports 1 <= M <= {_MAX_ORACLE_TOKENS}, got {m}")
@@ -550,14 +582,8 @@ def allocation_diameter_oracle(t_star: float, cap: float, m: int) -> float:
     if t_star == 0.0 or m == 1:
         return 0.0
     points = _extreme_allocations(t_star, cap, m)
-    best = 0.0
-    n = len(points)
-    block = max(1, 2**22 // max(n * m, 1))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        dp = np.abs(points[lo:hi, None, :] - points[None, :, :]).sum(axis=2)
-        best = max(best, float(0.5 * dp.max()))
-    return best
+    i, j = _l1_farthest_pairs(points)
+    return float(0.5 * np.abs(points[i] - points[j]).sum(axis=1).max())
 
 
 # -- the battery -----------------------------------------------------------

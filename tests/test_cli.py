@@ -789,6 +789,19 @@ class TestNumericPolicyEnv:
         assert main(["analyze", "--input", str(obs_file)]) == 1
         assert "not_a_field" in capsys.readouterr().err
 
+    def test_malformed_file_named_in_error(self, obs_file, tmp_path,
+                                           monkeypatch, capsys):
+        policy_file = tmp_path / "policy.json"
+        policy_file.write_text('{"verdict_margin": 0.25,\n}')
+        monkeypatch.setenv("CENSET_NUMERIC_POLICY", str(policy_file))
+        assert main(["analyze", "--input", str(obs_file)]) == 1
+        (error,) = json.loads(capsys.readouterr().err)["errors"]
+        assert str(policy_file) in error["message"]
+        assert "CENSET_NUMERIC_POLICY" in error["message"]
+        assert "line 2 column 1" in error["message"]
+        assert "line" not in error
+        assert policy() == NumericPolicy()
+
     @pytest.mark.parametrize(
         "text",
         [
