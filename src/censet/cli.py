@@ -275,25 +275,39 @@ def cmd_analyze(args) -> int:
 
 
 def _full_dump_rows(source, position_ids: list[str]) -> Iterator[tuple]:
-    """Each record of a full-dump JSONL stream as a row of
-    :func:`censet.simulate.ksweep`, parsed one bounded chunk at a time;
-    ``position_ids`` collects the records' ids.
+    """A full-dump JSONL stream as blocks of :func:`censet.simulate.ksweep`,
+    parsed one bounded chunk at a time; ``position_ids`` collects the
+    records' ids.
 
-    The parse sorts each record by score.  Its log-sum-exp sums the row in
-    token-id order, as :func:`censet.simulate.score_sorted` does: score
-    order can change the last bit.
+    Each run of one vocab size in a chunk is one block, whose score and id
+    matrices are views of the batch's columns: the parse has sorted each
+    record by score.  Its log-sum-exp sums each row in token-id order, as
+    :func:`censet.simulate.score_sorted` does: score order can change the
+    last bit.  A record that is not a full dump fails once the rows before
+    it have been yielded, so errors keep stream order.
     """
     for batch in _batches(source, chunked=True):
-        for obs in batch:
-            if obs.k != obs.vocab_size:
-                raise ValidationError(
-                    f"position {obs.position_id}: sweep input must be a full dump "
-                    f"(K = V), got K={obs.k} < V={obs.vocab_size}"
-                )
-            position_ids.append(obs.position_id)
-            row = np.empty(obs.vocab_size)
-            row[obs.token_ids] = obs.scores
-            yield obs.scores, obs.token_ids, logsumexp(row)
+        vocab_sizes = np.array(batch.vocab_sizes, dtype=np.int64)
+        partial = np.flatnonzero(batch.k != vocab_sizes).tolist()
+        end = partial[0] if partial else len(batch)
+        # a change of vocab size is the sweep's error, raised between blocks
+        cuts = [0, *(np.flatnonzero(np.diff(vocab_sizes[:end])) + 1).tolist(), end]
+        for lo, hi in zip(cuts, cuts[1:]):
+            if lo == hi:
+                continue
+            v = batch.vocab_sizes[lo]
+            pairs = slice(batch.offsets[lo], batch.offsets[hi])
+            scores = batch.scores[pairs].reshape(hi - lo, v)
+            token_ids = batch.token_ids[pairs].reshape(hi - lo, v)
+            full = np.empty((hi - lo, v))
+            np.put_along_axis(full, token_ids, scores, axis=1)
+            position_ids.extend(batch.position_ids[lo:hi])
+            yield scores, token_ids, np.array([logsumexp(z) for z in full]), v
+        if partial:
+            raise ValidationError(
+                f"position {batch.position_ids[end]}: sweep input must be a full "
+                f"dump (K = V), got K={batch.k[end]} < V={batch.vocab_sizes[end]}"
+            )
 
 
 def _sweep_row_dict(row: sim.SweepRow) -> dict:
@@ -403,7 +417,9 @@ def cmd_simulate(args) -> int:
         with open(args.dump, "w", encoding="utf-8") as handle:
             handle.write(serialize_observations(observations))
     rows = []
-    for row, sup_kl_mean in sim.ksweep_with_sup_kl(sim.score_sorted(teacher), args.k):
+    for row, sup_kl_mean in sim.ksweep_with_sup_kl(
+        [sim.score_sorted(teacher, max(args.k))], args.k
+    ):
         out = _sweep_row_dict(row)
         out["sup_kl_mean"] = sup_kl_mean
         rows.append(out)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .identified_set import diameter
 from .minimax import reserve, symmetric_sup
-from .numerics import logsumexp
+from .numerics import logsumexp, logsumexp_rows
 from .observation import (
     AccessMode,
     TopKObservation,
@@ -127,11 +127,11 @@ def generate_teacher(
     """
     if n_positions < 1:
         raise ValueError(f"n_positions must be >= 1, got {n_positions}")
-    rows = [
-        _draw_logits(config.law, config.vocab_size, _position_rng(config.seed, i))
-        for i in range(n_positions)
-    ]
-    return np.stack(rows) / config.temperature
+    logits = np.empty((n_positions, config.vocab_size))
+    for i, row in enumerate(logits):
+        row[:] = _draw_logits(config.law, len(row), _position_rng(config.seed, i))
+    logits /= config.temperature
+    return logits
 
 
 def censor(
@@ -171,102 +171,134 @@ class SweepRow:
     n: int
 
 
-def score_sorted(logits: np.ndarray) -> Iterator[tuple]:
-    """The rows of a logit matrix as :func:`ksweep` reads them, each sorted
-    once by score as it is read.
+def score_sorted(logits: np.ndarray, width: int) -> tuple:
+    """The rows of a logit matrix as one block of :func:`ksweep`, each row
+    cut to its top ``width`` scores (all V when ``width`` exceeds V).
 
-    A row becomes ``(scores, token_ids, log_z)``: its logits in
-    non-increasing order with ties toward the lower token id (a stable
-    sort, as in :func:`censor`), their ids, and the log-sum-exp of the row
-    in token-id order.
+    A block is ``(scores, token_ids, log_z, vocab_size)``: (n, w) matrices
+    of each row's top logits in non-increasing order with ties toward the
+    lower token id (a stable sort, as in :func:`censor`) and of their ids,
+    the log-sum-exp of each full row in token-id order, and V.
     """
-    return map(_sorted_row, np.atleast_2d(np.asarray(logits, dtype=float)))
+    logits = np.atleast_2d(np.asarray(logits, dtype=float))
+    v = logits.shape[1]
+    width = min(width, v)
+    token_ids = np.stack([_top(z, width) for z in logits])
+    scores = np.take_along_axis(logits, token_ids, axis=1)
+    log_z = np.array([logsumexp(z) for z in logits])
+    return scores, token_ids, log_z, v
 
 
-def _sorted_row(z: np.ndarray) -> tuple:
-    order = np.argsort(-z, kind="stable")
-    return z[order], order, logsumexp(z)
+def _top(z: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(-z, kind="stable")[:k]`` by an O(V) selection of the
+    candidates and a stable sort of those alone.
+
+    Every entry at or above the k-th largest is a candidate, ties included;
+    listed in id order, their stable sort by score is that of the full row.
+    A NaN k-th value leaves fewer than k candidates: the row takes the full
+    sort then.
+    """
+    neg = -z
+    if k < len(z):
+        t = np.partition(neg, k - 1)[k - 1]
+        cand = np.flatnonzero(neg <= t)
+        if len(cand) >= k:
+            return cand[np.argsort(neg[cand], kind="stable")[:k]]
+    return np.argsort(neg, kind="stable")[:k]
 
 
-def _first_nonfinite(scores: np.ndarray) -> int:
-    bad = np.flatnonzero(~np.isfinite(scores))
-    return int(bad[0]) if len(bad) else len(scores)
+def _bad_column(values: np.ndarray) -> np.ndarray:
+    """Column of each row's first non-finite entry; the width if it has none."""
+    bad = ~np.isfinite(values)
+    return np.where(bad.any(axis=1), bad.argmax(axis=1), values.shape[1])
 
 
-def _sweep_position(
-    scores: np.ndarray, token_ids: np.ndarray, log_z: float, ks: Sequence[int]
-) -> list[tuple[int, float, float, float]]:
-    """``(M, U_K, log_odds, tail mass)`` of one position at every K in ``ks``.
+def _sweep_block(
+    scores: np.ndarray, token_ids: np.ndarray, log_z: np.ndarray, v: int,
+    ks: Sequence[int],
+) -> Iterator[tuple[int, float, float, float]]:
+    """``(M, U_K, log_odds, tail mass)`` of each row of a block at each K in
+    ``ks``, row by row and in each row by ascending K.
 
-    The position is a row as :func:`score_sorted` makes it.  The diameter is
-    that of the top-K observation :func:`censor` makes of the row and the
-    tail mass is the hidden mass of its normalized reinterpretation
-    (``mode=AccessMode.LOGPROBS``), bit for bit and with the same
-    validation: each K reads a prefix of the sorted row, and tied scores
-    are equal whichever token holds them.  ``ks`` must be sorted ascending
-    and lie in [1, V].
+    The diameter is that of the top-K observation :func:`censor` makes of
+    the row and the tail mass is the hidden mass of its normalized
+    reinterpretation (``mode=AccessMode.LOGPROBS``), bit for bit and with
+    the same validation: each K reads a prefix of the sorted rows, tied
+    scores are equal whichever token holds them, and
+    :func:`logsumexp_rows` equals :func:`logsumexp` on each row.  The
+    checks run in the order of the output, so the first error raised is
+    that of the first failing row.  ``ks`` must be ascending and lie in
+    [1, w].
     """
     if not ks:
-        return []
-    v = len(scores)
-    head = scores[: ks[-1]]
-    logprobs = np.minimum(head - log_z, 0.0)
-    bad_logit = _first_nonfinite(head)
-    bad_logprob = _first_nonfinite(logprobs)
-    swept = []
-    for k in ks:
-        for values, bad in ((head, bad_logit), (logprobs, bad_logprob)):
-            if bad < k:
-                raise ValidationError(
-                    f"non-finite score {float(values[bad])!r} for token "
-                    f"{token_ids[bad]}"
-                )
-        u, log_odds = diameter(v - k, float(head[k - 1]), logsumexp(head[:k]))
-        log_head = logsumexp(logprobs[:k])
-        _check_head_mass(log_head)
-        swept.append((v - k, u, log_odds, _tail_mass(log_head)))
-    return swept
+        return
+    head = scores[:, : ks[-1]]
+    # a row with an infinite logit fails its non-finite check below
+    with np.errstate(invalid="ignore"):
+        logprobs = np.minimum(head - log_z[:, None], 0.0)
+    log_za = np.array([logsumexp_rows(head[:, :k]) for k in ks]).T.tolist()
+    log_head = np.array([logsumexp_rows(logprobs[:, :k]) for k in ks]).T.tolist()
+    bad_logit = _bad_column(head).tolist()
+    bad_logprob = _bad_column(logprobs).tolist()
+    for i, row in enumerate(head.tolist()):
+        for k, row_za, row_head in zip(ks, log_za[i], log_head[i]):
+            for values, bad in ((head, bad_logit[i]), (logprobs, bad_logprob[i])):
+                if bad < k:
+                    raise ValidationError(
+                        f"non-finite score {float(values[i, bad])!r} for token "
+                        f"{token_ids[i, bad]}"
+                    )
+            u, log_odds = diameter(v - k, row[k - 1], row_za)
+            _check_head_mass(row_head)
+            yield v - k, u, log_odds, _tail_mass(row_head)
 
 
 def _sweep(
-    rows: Iterable[tuple], k_list: Sequence[int], with_sup: bool
+    blocks: Iterable[tuple], k_list: Sequence[int], with_sup: bool
 ) -> list[tuple[SweepRow, float]]:
     """Sweep rows plus, when ``with_sup`` is set, the mean estimator sup per K.
 
-    ``rows`` are read one at a time and each is shared by all Ks (see
-    :func:`_sweep_position`); working memory is one row plus a few floats
-    per (position, K).
+    ``blocks`` are read one at a time (see :func:`score_sorted`) and every
+    K reads a prefix of the same rows (see :func:`_sweep_block`): one
+    :func:`logsumexp_rows` call per K and block for the revealed mass and
+    one for the normalized head.  Working memory is one block plus a few
+    floats per (position, K).
     """
     ks = sorted(k_list)
-    n, v = 0, None
-    for scores, token_ids, log_z in rows:
+    v = None
+    stats = []
+    for scores, token_ids, log_z, vocab_size in blocks:
         if v is None:
-            v = len(scores)
+            v = vocab_size
             if ks and ks[0] < 1:
                 raise ValueError(f"K must lie in [1, {v}], got {ks[0]}")
             swept = [k for k in ks if k <= v]
-            # per swept K: U_K, r_bin, tail mass and sup of every position
-            stats = [([], [], [], []) for _ in swept]
-        elif len(scores) != v:
+        elif vocab_size != v:
             raise ValueError("all positions must share one vocab_size")
-        for (uks, rbins, tails, sups), (m, u, log_odds, tail) in zip(
-            stats, _sweep_position(scores, token_ids, log_z, swept)
-        ):
-            uks.append(u)
-            rbins.append(reserve(u)[1])
-            tails.append(tail)
-            if with_sup:
-                sups.append(symmetric_sup(m, log_odds, u)[0])
-        n += 1
+        if scores.shape[1] < max(swept, default=0):
+            raise ValueError(
+                f"block of width {scores.shape[1]} cannot sweep K={swept[-1]}"
+            )
+        # per (position, K): U_K, r_bin, tail mass and sup
+        values = [
+            (u, reserve(u)[1], tail,
+             symmetric_sup(m, log_odds, u)[0] if with_sup else math.nan)
+            for m, u, log_odds, tail in _sweep_block(
+                scores, token_ids, log_z, v, swept
+            )
+        ]
+        stats.append(np.array(values).reshape(len(scores), len(swept), 4))
     if v is None:
         raise ValueError("sweep input holds no positions")
+    # one contiguous row of every position per statistic and K
+    uks, rbins, tails, sups = np.ascontiguousarray(np.concatenate(stats).T)
     rows = []
-    for k, (uks, rbins, tails, sups) in zip(swept, stats):
-        uks = np.array(uks)
-        row = SweepRow(k=k, uk_mean=float(uks.mean()), uk_sd=float(uks.std(ddof=0)),
-                       rbin_mean=float(np.mean(rbins)),
-                       tail_mass_mean=float(np.mean(tails)), n=n)
-        rows.append((row, float(np.mean(sups)) if with_sup else math.nan))
+    for j, k in enumerate(swept):
+        row = SweepRow(k=k, uk_mean=float(uks[j].mean()),
+                       uk_sd=float(uks[j].std(ddof=0)),
+                       rbin_mean=float(np.mean(rbins[j])),
+                       tail_mass_mean=float(np.mean(tails[j])), n=uks.shape[1])
+        rows.append((row, float(np.mean(sups[j])) if with_sup else math.nan))
     for k in ks[len(swept):]:
         warnings.warn(f"skipping K={k}: exceeds vocab_size {v}")
         rows.append((SweepRow(k=k, uk_mean=math.nan, uk_sd=math.nan,
@@ -275,21 +307,22 @@ def _sweep(
     return rows
 
 
-def ksweep(rows: Iterable[tuple], k_list: Sequence[int]) -> list[SweepRow]:
+def ksweep(blocks: Iterable[tuple], k_list: Sequence[int]) -> list[SweepRow]:
     """Censor every position at each K and aggregate the per-position stats.
 
-    ``rows`` holds each position's full row sorted by score, as
-    :func:`score_sorted` makes it from a logit matrix; every row has the
-    same V.  Reports mean and population sd of the diameter, the mean lower
-    bound, and the mean hidden tail mass under the normalized
-    reinterpretation of the same positions.  Every K reads a prefix of each
-    row.  K values above V produce a skipped row.
+    ``blocks`` holds the positions' rows sorted by score, in blocks as
+    :func:`score_sorted` makes one from a logit matrix; every block has the
+    same V and is at least as wide as the largest K up to V.  Reports mean
+    and population sd of the diameter, the mean lower bound, and the mean
+    hidden tail mass under the normalized reinterpretation of the same
+    positions.  Every K reads a prefix of each row.  K values above V
+    produce a skipped row.
     """
-    return [row for row, _ in _sweep(rows, k_list, with_sup=False)]
+    return [row for row, _ in _sweep(blocks, k_list, with_sup=False)]
 
 
 def ksweep_with_sup_kl(
-    rows: Iterable[tuple], k_list: Sequence[int]
+    blocks: Iterable[tuple], k_list: Sequence[int]
 ) -> list[tuple[SweepRow, float]]:
     """:func:`ksweep` rows, each with the mean symmetric-estimator sup.
 
@@ -297,7 +330,7 @@ def ksweep_with_sup_kl(
     each position's geometry at that K, from the same sorted rows; skipped
     rows carry NaN.
     """
-    return _sweep(rows, k_list, with_sup=True)
+    return _sweep(blocks, k_list, with_sup=True)
 
 
 def average_risk(

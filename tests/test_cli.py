@@ -357,8 +357,9 @@ class TestKsweep:
         assert "one vocab_size" in capsys.readouterr().err
 
     def test_errors_in_stream_order(self, dump_file, tmp_path, capsys):
-        # the matrix is built as the records stream in, so a bad record is
-        # reported before any later line is read
+        # the records are parsed and swept one chunk of batches at a time, and
+        # a chunk's blocks end before its first bad record, so a bad record
+        # is reported before any later line's error
         lines = dump_file.read_text().splitlines()
         partial = json.loads(lines[1])
         partial["topk"] = partial["topk"][:5]
@@ -393,7 +394,11 @@ class TestKsweep:
             (error,) = json.loads(capsys.readouterr().err)["errors"]
             assert "full dump" in error["message"] and "line" not in error
 
-    def test_rows_equal_sorted_teacher_rows(self, tmp_path):
+    @pytest.mark.parametrize("limit", [1000, 1 << 17])
+    def test_rows_equal_sorted_teacher_rows(self, limit, tmp_path, monkeypatch):
+        # 1,000 pairs close a chunk every 5 records; by default one chunk and
+        # one block hold all 40
+        monkeypatch.setattr(observation, "_CHUNK_PAIRS", limit)
         teacher = generate_teacher(
             SyntheticTeacherConfig(200, GaussianIID(0.0, 2.0), seed=3), 40
         )
@@ -404,14 +409,12 @@ class TestKsweep:
             [censor(z, len(z), position_id=f"p{i}") for i, z in enumerate(teacher)]
         ))
         with open(path, encoding="utf-8", newline="\n") as handle:
-            rows = list(_full_dump_rows(handle, []))
-        assert len(rows) == len(teacher)
-        for (scores, ids, log_z), (want_scores, want_ids, want_log_z) in zip(
-            rows, score_sorted(teacher)
-        ):
-            assert np.array_equal(scores, want_scores)
-            assert np.array_equal(ids, want_ids)
-            assert log_z == want_log_z
+            blocks = list(_full_dump_rows(handle, []))
+        want_scores, want_ids, want_log_z, v = score_sorted(teacher, 200)
+        assert len(blocks) == 40 * 200 // min(limit, 8000)
+        assert all(block[3] == v for block in blocks)
+        for got, want in zip(zip(*blocks), (want_scores, want_ids, want_log_z)):
+            assert np.array_equal(np.concatenate(got), want)
 
     def test_empty_dump(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"

@@ -1,12 +1,15 @@
 """Synthetic teachers, censoring, K-sweeps, and composition."""
 
 import hashlib
+import itertools
 import math
 import warnings
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from censet.cli import main
 from censet.identified_set import geometry
@@ -16,7 +19,7 @@ from censet.minimax import (
     symmetric_estimator,
     symmetric_sup,
 )
-from censet.numerics import NumericPolicy, use_policy
+from censet.numerics import NumericPolicy, logsumexp, use_policy
 from censet.observation import (
     AccessMode,
     ValidationError,
@@ -29,7 +32,10 @@ from censet.simulate import (
     GaussianIID,
     PeakedHead,
     SyntheticTeacherConfig,
-    _sweep_position,
+    _draw_logits,
+    _position_rng,
+    _sweep_block,
+    _top,
     average_risk,
     censor,
     generate_teacher,
@@ -63,6 +69,13 @@ class TestGenerateTeacher:
         assert not np.array_equal(z[0], z[1])
         # a shorter run reproduces the same leading positions
         np.testing.assert_array_equal(generate_teacher(config, 2), z[:2])
+
+    def test_rows_are_position_draws_over_temperature(self):
+        config = SyntheticTeacherConfig(64, GaussianIID(0.0, 2.0), temperature=0.7,
+                                        seed=3)
+        draws = [_draw_logits(config.law, 64, _position_rng(3, i)) for i in range(4)]
+        np.testing.assert_array_equal(generate_teacher(config, 4),
+                                      np.stack(draws) / 0.7)
 
     def test_extreme_temperature_flattens(self):
         config = SyntheticTeacherConfig(
@@ -128,6 +141,48 @@ class TestCensor:
             censor(np.zeros(3), 4)
 
 
+SPECIAL = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 1e308, -1e308]
+
+
+@st.composite
+def _rows_and_k(draw):
+    """A row of special floats or of small integers (many ties) and a K of
+    1, V - 1 or V."""
+    v = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        values = st.sampled_from(SPECIAL)
+    else:
+        values = st.integers(-3, 3).map(float)
+    z = np.array(draw(st.lists(values, min_size=v, max_size=v)))
+    k = draw(st.sampled_from(sorted({1, max(v - 1, 1), v})))
+    return z, k
+
+
+class TestTop:
+    @settings(max_examples=400, deadline=None)
+    @given(_rows_and_k())
+    def test_equals_stable_argsort_prefix(self, row_and_k):
+        z, k = row_and_k
+        want = np.argsort(-z, kind="stable")[:k]
+        got = _top(z, k)
+        assert np.array_equal(got, want)
+        assert np.array_equal(z[got], z[want], equal_nan=True)
+        assert np.array_equal(np.signbit(z[got]), np.signbit(z[want]))
+
+    @pytest.mark.parametrize("k", [1, 100, 4095, 4096])
+    def test_score_sorted_equals_full_sort(self, k):
+        teacher = np.vstack([
+            generate_teacher(SyntheticTeacherConfig(4096, DirichletSoftmax(1.0)), 2),
+            np.random.default_rng(1).integers(-2, 3, size=(2, 4096)) * 1.0,
+        ])
+        scores, token_ids, log_z, v = score_sorted(teacher, k)
+        order = np.argsort(-teacher, axis=1, kind="stable")[:, :k]
+        assert v == 4096
+        assert np.array_equal(token_ids, order)
+        assert np.array_equal(scores, np.take_along_axis(teacher, order, axis=1))
+        assert log_z.tolist() == [logsumexp(z) for z in teacher]
+
+
 class TestKsweep:
     @pytest.fixture
     def teacher(self):
@@ -137,19 +192,19 @@ class TestKsweep:
         return generate_teacher(config, 12)
 
     def test_monotone_columns(self, teacher):
-        rows = ksweep(score_sorted(teacher), [1, 2, 5, 10, 25, 50])
+        rows = ksweep([score_sorted(teacher, 50)], [1, 2, 5, 10, 25, 50])
         uk = [r.uk_mean for r in rows]
         rb = [r.rbin_mean for r in rows]
         assert all(a >= b - 1e-12 for a, b in zip(uk, uk[1:]))
         assert all(a >= b - 1e-12 for a, b in zip(rb, rb[1:]))
 
     def test_full_k_row_is_exact_zero(self, teacher):
-        (row,) = ksweep(score_sorted(teacher), [50])
+        (row,) = ksweep([score_sorted(teacher, 50)], [50])
         assert row.uk_mean == 0.0
         assert row.rbin_mean == 0.0
 
     def test_population_sd(self, teacher):
-        (row,) = ksweep(score_sorted(teacher), [5])
+        (row,) = ksweep([score_sorted(teacher, 5)], [5])
         uks = [
             geometry(censor(z, 5)).U_K for z in teacher
         ]
@@ -159,7 +214,7 @@ class TestKsweep:
     def test_oversized_k_yields_warning_row(self, teacher):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rows = ksweep(score_sorted(teacher), [5, 99])
+            rows = ksweep([score_sorted(teacher, 99)], [5, 99])
         assert any("skipping" in str(w.message) for w in caught)
         skipped = rows[-1]
         assert skipped.k == 99
@@ -217,13 +272,13 @@ def _pipeline_error(z, ks):
     return str(caught.value)
 
 
-def _sorted(z):
-    """``z`` as one row of :func:`score_sorted`."""
-    (row,) = score_sorted(z)
-    return row
+def _swept(z, ks):
+    """:func:`_sweep_block` over ``z`` as one full-width block (one row or
+    a matrix of them)."""
+    return list(_sweep_block(*score_sorted(z, np.shape(z)[-1]), ks))
 
 
-class TestSweepPosition:
+class TestSweepBlock:
     ROWS = {
         "gaussian": generate_teacher(
             SyntheticTeacherConfig(40, GaussianIID(0.0, 3.0), seed=4), 2
@@ -239,14 +294,17 @@ class TestSweepPosition:
 
     @pytest.mark.parametrize("name", sorted(ROWS))
     def test_equals_censor_pipeline_exactly(self, name):
-        for z in self.ROWS[name]:
-            ks = list(range(1, len(z) + 1))
-            for k, (m, u, log_odds, tail) in zip(ks, _sweep_position(*_sorted(z), ks)):
-                ref_geom, ref_tail = _censor_pipeline(z, k)
-                assert m == ref_geom.M
-                assert u == ref_geom.U_K
-                assert log_odds == ref_geom.log_odds
-                assert tail == ref_tail
+        # both rows in one block, each over every K
+        rows = self.ROWS[name]
+        ks = list(range(1, rows.shape[1] + 1))
+        for (z, k), (m, u, log_odds, tail) in zip(
+            itertools.product(rows, ks), _swept(rows, ks), strict=True
+        ):
+            ref_geom, ref_tail = _censor_pipeline(z, k)
+            assert m == ref_geom.M
+            assert u == ref_geom.U_K
+            assert log_odds == ref_geom.log_odds
+            assert tail == ref_tail
 
     @pytest.mark.parametrize(
         "z",
@@ -263,7 +321,7 @@ class TestSweepPosition:
             warnings.simplefilter("ignore", RuntimeWarning)
             expected = _pipeline_error(z, ks)
             with pytest.raises(ValidationError, match="non-finite") as caught:
-                _sweep_position(*_sorted(z), ks)
+                _swept(z, ks)
         assert str(caught.value) == expected
 
     def test_rejects_head_mass_like_censor(self):
@@ -274,12 +332,33 @@ class TestSweepPosition:
         with use_policy(NumericPolicy(head_mass_tol=-0.5)):
             expected = _pipeline_error(z, ks)
             with pytest.raises(ValidationError, match="head mass") as caught:
-                _sweep_position(*_sorted(z), ks)
+                _swept(z, ks)
         assert str(caught.value) == expected
+
+    def test_first_failing_row_raises_first(self):
+        # row 1 first fails at K = 5 (a -inf logit), row 2 already at K = 2
+        # (a log_z far below its own makes each head logprob 0): row by row,
+        # row 1's error comes first, as the per-position censor path has it
+        rng = np.random.default_rng(11)
+        good, cut, shifted = rng.normal(size=(3, 8))
+        cut[np.argsort(-cut, kind="stable")[4:]] = -np.inf
+        scores, token_ids, log_z, v = score_sorted(np.stack([good, cut, shifted]), 8)
+        log_z = log_z.copy()
+        log_z[2] = scores[2, -1] - 50.0
+        ks = list(range(1, 9))
+        with pytest.raises(ValidationError, match="head mass"):
+            list(_sweep_block(scores[2:], token_ids[2:], log_z[2:], v, [2]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = _pipeline_error(cut, ks)
+            with pytest.raises(ValidationError, match="non-finite") as caught:
+                list(_sweep_block(scores, token_ids, log_z, v, ks))
+        assert str(caught.value) == expected
+        assert "token" in expected
 
     def test_k_below_one(self):
         with pytest.raises(ValueError, match="K must lie"):
-            ksweep(score_sorted(np.zeros((2, 4))), [0, 2])
+            ksweep([score_sorted(np.zeros((2, 4)), 2)], [0, 2])
 
 
 # ksweep CSV bytes of the per-(position, K) censor path and the sha256 of
