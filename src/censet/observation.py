@@ -20,9 +20,10 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Container, Iterable, Iterator
+from typing import IO, Callable, Container, Iterable, Iterator, TypeVar
 
 import numpy as np
+import orjson
 
 from .numerics import logsumexp_rows, policy
 
@@ -282,31 +283,91 @@ def _as_list(values) -> list:
 _MODE_NAMES = {m.value: m for m in AccessMode}
 # JSON value kinds and the Python types json.loads yields for them
 _JSON_KINDS = {"integer": frozenset({int}), "number": frozenset({int, float})}
+_T = TypeVar("_T")
 
 
-def _read_jsonl(source: str | bytes | IO) -> Iterator[tuple[int, dict]]:
-    """``(line number, JSON object)`` per non-blank line of text, bytes or a stream.
+def _read_jsonl(
+    source: str | bytes | IO, check: Callable[[dict, int], _T]
+) -> Iterator[_T]:
+    """``check(record, line number)`` of each non-blank line of text, bytes or
+    a stream, where the record is the line's JSON object.
 
     Lines end at ``\\n`` only, less one trailing ``\\r``; line numbers count
     them.  A stream is read one line at a time, never whole; open a text
     file with ``newline="\\n"`` so that no other character ends a line.
+
+    Decoding rule: each line is decoded by ``orjson``, and again by ``json``
+    when orjson refuses it or when its record fails ``check``; the second
+    outcome, record or error, is final.  orjson refuses NaN and Infinity
+    literals, numbers beyond the float range and lone surrogates, which
+    ``json`` accepts, and reads an integer outside [-2**63, 2**64) as the
+    nearest float where ``json`` keeps the integer; every other value is the
+    one ``json`` gives.  ``check`` raises a :class:`ValueError` to reject a
+    record and runs its side effects only once the record has passed, so
+    that accepted records and every error are those of ``json``.  A line
+    that :func:`_shallow` cannot clear goes to ``json`` alone.
+
+    Nothing of a line is held once its item is yielded.
     """
     if isinstance(source, bytes):
         source = source.decode("utf-8")
     lines = source.split("\n") if isinstance(source, str) else source
-    for lineno, line in enumerate(lines, start=1):
+    lineno = 0
+    for line in lines:
+        lineno += 1
         if isinstance(line, bytes):
             line = line.decode("utf-8")
         line = line.removesuffix("\n").removesuffix("\r")
         if not line or line.isspace():
             continue
+        item = [_decoded(line, lineno, check)]
+        del line
+        # popped as it is yielded: no local holds the item while suspended
+        yield item.pop()
+
+
+def _decoded(line: str, lineno: int, check: Callable[[dict, int], _T]) -> _T:
+    """``check`` of one line's record, by the decoding rule of :func:`_read_jsonl`."""
+    if _shallow(line):
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(lineno, f"invalid JSON ({exc.msg})") from exc
-        if not isinstance(record, dict):
-            raise ParseError(lineno, "record must be a JSON object")
-        yield lineno, record
+            return check(_json_object(orjson.loads(line), lineno), lineno)
+        except ValueError:
+            pass
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(lineno, f"invalid JSON ({exc.msg})") from exc
+    return check(_json_object(record, lineno), lineno)
+
+
+# orjson 3.8 recurses once per level of nesting, with no limit: a line some
+# 10^5 levels deep overflows the C stack and kills the process, where json
+# raises RecursionError near the interpreter's recursion limit (1,000)
+_ORJSON_MAX_DEPTH = 256
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b"[{:,")))
+
+
+def _shallow(line: str) -> bool:
+    """Whether ``line`` nests at most ``_ORJSON_MAX_DEPTH`` levels of arrays
+    and objects, by a bound that holds for any text.
+
+    A valid document of depth d has at least 2d characters.  Past the
+    top level, each level is an array (a ``[``), an object in an array
+    (one per array level at most) or an object as a key's value (a ``:``
+    then, past whitespace, a ``{``).  Deleting every character but
+    ``[{:,`` joins each such ``:`` and ``{``; characters in strings only
+    add to the counts.
+    """
+    if len(line) <= 2 * _ORJSON_MAX_DEPTH:
+        return True
+    kept = line.encode("utf-8", "surrogatepass").translate(None, _NOT_STRUCTURE)
+    return 1 + 2 * kept.count(b"[") + kept.count(b":{") <= _ORJSON_MAX_DEPTH
+
+
+def _json_object(record, lineno: int) -> dict:
+    if not isinstance(record, dict):
+        raise ParseError(lineno, "record must be a JSON object")
+    return record
 
 
 def _check_json_kind(values, kind: str, what: str, lineno: int) -> None:
@@ -374,11 +435,17 @@ def _records(source: str | bytes | IO) -> Iterator[tuple]:
     """``(line, position_id, vocab_size, mode, tokens, scores)`` of each
     record, once the checks that read its fields alone have passed."""
     seen: set[str] = set()
-    for lineno, record in _read_jsonl(source):
+
+    def fields(record: dict, lineno: int) -> tuple:
         pid = record.get("position_id", f"line{lineno}")
         _check_position_id(pid, lineno, seen)
+        checked = (lineno, pid, *_record_fields(record, lineno))
+        # taken only once every check has passed: a failed check runs
+        # again on json's decode of the line
         seen.add(pid)
-        yield (lineno, pid, *_record_fields(record, lineno))
+        return checked
+
+    return _read_jsonl(source, fields)
 
 
 @dataclass(frozen=True, eq=False)
@@ -487,7 +554,10 @@ def parse_observations(source: str | bytes | IO) -> ObservationBatch:
     line.
 
     ``source`` is text, bytes or a stream of lines (see :func:`_read_jsonl`
-    for the line rules).  The checks that read one record's fields run as
+    for the line rules).  Each line is decoded by ``orjson``, and again by
+    ``json`` when orjson refuses it or its record fails a field check, so
+    the records accepted and the errors raised are those of ``json`` (see
+    :func:`_read_jsonl`).  The checks that read one record's fields run as
     each line is decoded; the pair checks of :func:`from_pairs` then run
     over the whole batch at once (see :func:`_sorted_rows`).  The first
     error in line order wins: a field error on a line is raised only once
@@ -528,6 +598,7 @@ def _batches(source: str | bytes | IO, chunked: bool) -> Iterator[ObservationBat
                     del tokens[held:], scores[held:]
                     raise _pair_error(lineno, row_tokens, row_scores, vocab_size)
                 records.append((lineno, pid, vocab_size, mode, len(row_tokens)))
+                del row_tokens, row_scores
                 if len(scores) >= limit:
                     more = True
                     break

@@ -197,9 +197,11 @@ def parse_reference_dump(source: str | bytes | IO) -> dict[str, ReferenceLogits]
     ``position_id`` a JSON string; a repeated token or ``position_id`` is
     an error, never a silent overwrite.  A key outside the record's form
     (``"default"`` in a dense record, a misspelled field) is an error too.
+    Lines are decoded as by :func:`censet.observation.parse_observations`.
     """
     out: dict[str, ReferenceLogits] = {}
-    for lineno, record in _read_jsonl(source):
+
+    def reference(record: dict, lineno: int) -> ReferenceLogits:
         if "position_id" not in record:
             raise ParseError(lineno, "record must carry a position_id")
         pid = record["position_id"]
@@ -241,5 +243,8 @@ def parse_reference_dump(source: str | bytes | IO) -> dict[str, ReferenceLogits]
             ref = ReferenceLogits(position_id=pid, entries=entries, default=default)
         else:
             raise ParseError(lineno, "record needs dense or entries")
-        out[pid] = ref
+        return ref
+
+    for ref in _read_jsonl(source, reference):
+        out[ref.position_id] = ref
     return out

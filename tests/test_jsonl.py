@@ -1,0 +1,400 @@
+"""Line decoding: orjson first, json when orjson refuses a line or its record
+fails a check, so parses match a json-only decode exactly."""
+
+import io
+import json
+import math
+import os
+import random
+import struct
+import subprocess
+import sys
+import tracemalloc
+from decimal import Decimal, localcontext
+from unittest import mock
+
+import numpy as np
+import orjson
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from censet import observation
+from censet.observation import (
+    _ORJSON_MAX_DEPTH,
+    ParseError,
+    _batches,
+    _shallow,
+    parse_observations,
+)
+from censet.reference import parse_reference_dump
+
+
+def _refuse(line):
+    raise orjson.JSONDecodeError("refused", line, 0)
+
+
+def _json_only():
+    """Every line decoded by json: orjson refuses them all."""
+    return mock.patch.object(observation, "orjson", mock.Mock(loads=_refuse))
+
+
+def _bits(array) -> bytes:
+    return np.ascontiguousarray(array).tobytes()
+
+
+def _batch_digest(batch) -> tuple:
+    return (
+        batch.position_ids, batch.modes, batch.vocab_sizes,
+        *(_bits(a) for a in (batch.offsets, batch.input_order, batch.token_ids,
+                             batch.scores, batch.log_ZA)),
+    )
+
+
+def _whole(text):
+    return _batch_digest(parse_observations(text))
+
+
+def _chunked(text):
+    # chunks of about two pairs, so errors also land between chunks
+    with mock.patch.object(observation, "_CHUNK_PAIRS", 2):
+        digests = []
+        for batch in _batches(text, chunked=True):
+            digests.append(_batch_digest(batch))
+    return digests
+
+
+def _references(text):
+    return {
+        pid: (None if ref.dense is None else _bits(ref.dense),
+              None if ref.entries is None else
+              [(u, _bits(np.float64(v))) for u, v in ref.entries.items()],
+              None if ref.default is None else _bits(np.float64(ref.default)))
+        for pid, ref in parse_reference_dump(text).items()
+    }
+
+
+def _outcome(parse, text):
+    """The parse's result, or its error's type and message."""
+    try:
+        return parse(text)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+# JSON literals that orjson and json decode alike; a pool repeats a value
+# to draw it more often
+VOCAB = ["8"] * 20 + ["5", "0", "-1", "9223372036854775807", "18446744073709551615"]
+INTEGERS = ["0", "1", "2", "3", "4", "5", "8", "-1", "9223372036854775807",
+            "18446744073709551615", "-9223372036854775808"]
+NUMBERS = ["0.5", "-1.25", "-3", "0", "-0.0", "-2.5e-3", "1E+2", "1e-400",
+           "-0.6931471805599453", "5e-324", "-7"]
+STRINGS = ['"p0"', '"p1"', '"p2"', '"p3"', '"p4"', '"line2"', '"-inf"',
+           '"\\u00e9"', '"logits"']
+OTHERS = ["null", "true", "false", "[]", "{}", '[{"token": 1}]']
+# literals that orjson refuses or reads other than json: integers outside
+# [-2**63, 2**64) (orjson: the nearest float), NaN and infinities, numbers
+# beyond the float range, a lone surrogate and a raw control character
+SPECIAL = ["18446744073709551616", "-9223372036854775809", "1" + "0" * 30,
+           "-" + "7" * 25, "1" + "0" * 400, "NaN", "Infinity", "-Infinity",
+           "1e400", "-1e400", '"\\ud800"', '"p\\udc00"', '"a\tb"']
+
+
+def _rarely(n: int):
+    """True one time in ``n``."""
+    return st.sampled_from([False] * (n - 1) + [True])
+
+
+@st.composite
+def _value(draw, pool):
+    """A literal from ``pool``, or one time in 25 from ``SPECIAL``."""
+    return draw(st.sampled_from(SPECIAL if draw(_rarely(25)) else pool))
+
+
+def _object(draw, fields: dict) -> str:
+    """A JSON object of ``fields`` (key -> literal strategy), some left out,
+    some given twice, some with a key outside the form."""
+    pairs = [(k, draw(v)) for k, v in fields.items() if not draw(_rarely(60))]
+    if pairs and draw(_rarely(6)):
+        key, _ = draw(st.sampled_from(pairs))
+        pairs.insert(draw(st.integers(0, len(pairs))), (key, draw(fields[key])))
+    if draw(_rarely(10)):
+        pairs.append(("extra", draw(_value(NUMBERS + OTHERS))))
+    return "{" + ", ".join(f'"{k}": {v}' for k, v in pairs) + "}"
+
+
+def _entries(draw, score_key: str) -> str:
+    """A list of up to four entries, with distinct tokens but for rare values."""
+    k = draw(st.sampled_from([1, 2, 3, 4] * 3 + [0]))
+    tokens = draw(st.permutations(range(8)))[:k]
+    entries = [
+        _object(draw, {"token": _value([str(t)] * 40 + INTEGERS),
+                       score_key: _value(NUMBERS)})
+        for t in tokens
+    ]
+    return "[" + ", ".join(entries) + "]"
+
+
+@st.composite
+def _observation(draw) -> str:
+    return _object(draw, {
+        "vocab_size": _value(VOCAB),
+        "mode": _value(['"logits"'] * 3 + ['"logprobs"']),
+        "position_id": _value(STRINGS),
+        "topk": st.just(_entries(draw, "score")),
+    })
+
+
+@st.composite
+def _reference(draw) -> str:
+    if draw(st.booleans()):
+        dense = st.lists(_value(NUMBERS), max_size=4).map(
+            lambda values: "[" + ", ".join(values) + "]"
+        )
+        return _object(draw, {"position_id": _value(STRINGS), "dense": dense})
+    return _object(draw, {
+        "position_id": _value(STRINGS),
+        "default": _value(NUMBERS * 2 + ['"-inf"'] + OTHERS),
+        "entries": st.just(_entries(draw, "logit")),
+    })
+
+
+def _text(record):
+    other = st.sampled_from(["", "  ", "\t", "null", "[1]", '"s"', "3", "{"])
+    line = _rarely(10).flatmap(lambda rare: other if rare else record)
+    ending = st.sampled_from(["\n", "\r\n"])
+    return st.lists(st.tuples(line, ending), min_size=1, max_size=6).map(
+        lambda lines: "".join(a + b for a, b in lines)
+    )
+
+
+class TestEquivalence:
+    """Each parse equals the same parse with every line decoded by json."""
+
+    @given(_text(_observation()))
+    @settings(max_examples=250, deadline=None)
+    def test_observations(self, text):
+        for parse in (_whole, _chunked):
+            got = _outcome(parse, text)
+            with _json_only():
+                assert got == _outcome(parse, text)
+
+    @given(_text(_reference()))
+    @settings(max_examples=250, deadline=None)
+    def test_references(self, text):
+        got = _outcome(_references, text)
+        with _json_only():
+            assert got == _outcome(_references, text)
+
+    @pytest.mark.parametrize("source", [str, str.encode, io.StringIO])
+    def test_sources(self, source):
+        text = (
+            '{"vocab_size": 5, "mode": "logits", "topk": [{"token": 3, '
+            '"score": 1e308}, {"token": 0, "score": 18446744073709551616}]}\r\n\n'
+            '{"vocab_size": 5, "mode": "logits", "topk": [{"token": 1, "score": NaN}]}\n'
+        )
+        got = _outcome(_whole, source(text))
+        with _json_only():
+            assert got == _outcome(_whole, source(text))
+        assert got == (ParseError, "line 3: non-finite score nan for token 1")
+
+    def test_raw_lone_surrogate_in_a_long_line(self):
+        # a str can hold a lone surrogate, which orjson refuses to encode
+        topk = ", ".join('{"token": %d, "score": -1.5}' % t for t in range(60))
+        text = ('{"vocab_size": 60, "mode": "logits", "position_id": "\ud800", '
+                '"topk": [%s]}\n' % topk)
+        assert len(text) > 2 * _ORJSON_MAX_DEPTH
+        got = _outcome(_whole, text)
+        with _json_only():
+            assert got == _outcome(_whole, text)
+        assert got[0] == ["\ud800"]
+
+    def test_big_int_token_is_not_a_duplicate_position_id(self):
+        # orjson reads the token as a float, which fails the field checks
+        # after the position_id check passed: the json retry must not find
+        # the line's own position_id already taken
+        line = ('{"vocab_size": 5, "mode": "logits", "position_id": "p0", '
+                '"topk": [{"token": 18446744073709551616, "score": 0.0}]}\n')
+        message = "line 1: token id 18446744073709551616 outside [0, 5)"
+        with pytest.raises(ParseError) as caught:
+            parse_observations(line)
+        assert str(caught.value) == message
+        ref = ('{"position_id": "p0", '
+               '"entries": [{"token": 18446744073709551616, "logit": 0}]}')
+        with pytest.raises(ParseError) as caught:
+            parse_reference_dump(ref)
+        assert str(caught.value) == (
+            "line 1: token id 18446744073709551616 outside [0, 9223372036854775807]"
+        )
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _same(a: float, b: float) -> bool:
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+class TestOrjsonNumbers:
+    """What the decoding rule assumes of orjson's number parsing; an orjson
+    that rounds otherwise fails here."""
+
+    def test_shortest_repr_round_trips(self):
+        rng = random.Random(20240611)
+        values = [_double(rng.getrandbits(64)) for _ in range(20000)]
+        values += [_double(rng.getrandbits(52)) for _ in range(5000)]  # subnormals
+        values += [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   2.225073858507201e-308, 1.7976931348623157e308]
+        for x in values:
+            if math.isfinite(x):
+                got = orjson.loads(repr(x))
+                assert _same(got, x), repr(x)
+
+    def test_halfway_decimals_round_like_float(self):
+        rng = random.Random(7)
+        largest = 0x7FEFFFFFFFFFFFFF  # the bits of the largest finite double
+        starts = [rng.randrange(largest) for _ in range(3000)]
+        starts += [rng.getrandbits(52) for _ in range(1000)]  # subnormal ties
+        starts += [0, 1, largest - 1, 0x0010000000000000 - 1]
+        with localcontext(prec=2000):  # exact: a double has < 800 digits
+            for bits in starts:
+                lo, hi = Decimal(_double(bits)), Decimal(_double(bits + 1))
+                mid = (lo + hi) / 2
+                # the exact tie, and decimals just below and above it
+                nudge = (hi - lo) * Decimal("1e-20")
+                for d in (mid, mid - nudge, mid + nudge):
+                    for text in (str(d), str(-d)):
+                        assert _same(orjson.loads(text), float(text)), text
+
+    def test_integers_outside_64_bits_become_the_nearest_float(self):
+        for n in (2**64, -(2**63) - 1, 10**30, -(10**25), 2**64 + 2**11 + 1,
+                  2**1023 + 2**970 + 1):
+            got = orjson.loads(str(n))
+            assert type(got) is float and _same(got, float(n)), n
+        for n in (2**64 - 1, -(2**63), 0, 2**63):
+            got = orjson.loads(str(n))
+            assert type(got) is int and got == n
+
+    @pytest.mark.parametrize("text", [
+        "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400,
+        '"\\ud800"', '"\\udc00x"',
+    ])
+    def test_refuses_what_json_accepts(self, text):
+        json.loads(text)
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(text)
+
+    def test_duplicate_keys_keep_json_order_and_last_value(self):
+        text = '{"b": 0, "a": 1, "b": 2}'
+        assert list(orjson.loads(text).items()) == list(json.loads(text).items())
+
+
+def _nest(rng: random.Random, depth: int, kinds: list, noisy: bool) -> str:
+    """A value ``depth`` levels deep whose levels repeat ``kinds``: an array,
+    an array with an element before the nested one, or an object holding it
+    as a key's value.  Spaced at random, beside strings full of brackets
+    and colons when ``noisy``."""
+    spaces = ["", " ", "\t", "  ", "\r "]
+    noise = ['"[{"', '":{"', '"x"', "1", '"]}"', '": {"'] if noisy else ["1"]
+    text = rng.choice(noise)
+    for level in range(depth - 1):
+        a, b, n = rng.choice(spaces), rng.choice(spaces), rng.choice(noise)
+        text = {
+            "array": f"[{a}{text}{b}]",
+            "element": f"[{a}{n},{b}{text}]",
+            "value": f'{{{a}"k"{b}:{a}{text}, "s": {n}{b}}}',
+        }[kinds[level % len(kinds)]]
+    return text
+
+
+def _depth(value) -> int:
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return 1 + max(map(_depth, value), default=0)
+    return 0
+
+
+class TestDepthGuard:
+    """orjson 3.8 recurses without a limit; lines that could nest deeper than
+    ``_ORJSON_MAX_DEPTH`` go to json."""
+
+    @given(st.integers(1, 2 * _ORJSON_MAX_DEPTH),
+           st.lists(st.sampled_from(["array", "element", "value"]), min_size=1,
+                    max_size=3),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_bound_holds(self, depth, kinds, noisy, seed):
+        text = _nest(random.Random(seed), depth, kinds, noisy)
+        # a line past the length at which the bound is computed
+        line = f'{{"pad": "{"x" * 2 * _ORJSON_MAX_DEPTH}", "v": {text}}}'
+        actual = _depth(json.loads(line))
+        assert actual == depth
+        if _shallow(line):
+            assert actual <= _ORJSON_MAX_DEPTH
+
+    @pytest.mark.parametrize("opener, closer", [("[", "]"), ('{"a":', "}"),
+                                                ('[{"a":', "}]")])
+    def test_deep_lines_go_to_json(self, opener, closer):
+        depth = 2000  # past json's recursion limit, well short of orjson's crash
+        line = ('{"vocab_size": 5, "mode": "logits", "topk": [{"token": 1, '
+                f'"score": 0.5}}], "extra": {opener * depth}1{closer * depth}}}\n')
+        assert not _shallow(line)
+        with pytest.raises(RecursionError):
+            parse_observations(line)
+
+    def test_long_records_use_orjson(self):
+        entries = ", ".join('{"token": %d, "score": -1.5}' % t for t in range(1000))
+        dense = ", ".join(["-0.25"] * 1000)
+        sparse = entries.replace("score", "logit")
+        for line in ('{"vocab_size": 1000, "mode": "logits", "topk": [%s]}' % entries,
+                     '{"position_id": "p", "dense": [%s]}' % dense,
+                     '{"position_id": "p", "entries": [%s]}' % sparse):
+            assert len(line) > 2 * _ORJSON_MAX_DEPTH and _shallow(line)
+
+    def test_a_line_too_deep_for_the_stack_is_an_error(self, tmp_path):
+        # 300,000 levels overflow orjson's stack in a fresh process
+        deep = tmp_path / "deep.jsonl"
+        deep.write_text('{"vocab_size": 5, "mode": "logits", "topk": '
+                        '[{"token": 1, "score": 0.5}], "extra": '
+                        + "[" * 300_000 + "]" * 300_000 + "}\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+             *filter(None, [env.get("PYTHONPATH")])]
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "censet.cli", "analyze", "--input", str(deep)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 1, result.returncode
+        assert "RecursionError" in result.stderr
+
+
+class TestMemory:
+    def test_nothing_of_a_record_held_with_a_chunk(self, monkeypatch):
+        k = 6000
+        monkeypatch.setattr(observation, "_CHUNK_PAIRS", k)
+        line = json.dumps({
+            "vocab_size": 2 * k, "mode": "logits",
+            "topk": [{"token": t, "score": -1e-3 * t} for t in range(k)],
+        })
+        stream = io.StringIO(f"{line}\n{line}\n")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            record = json.loads(line)
+            record_bytes = tracemalloc.get_traced_memory()[0] - before
+            del record
+            chunks = _batches(stream, chunked=True)
+            before = tracemalloc.get_traced_memory()[0]
+            first = next(chunks)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(first) == 1
+        # the chunk's columns take about 34 bytes a pair; a record's token and
+        # score lists would add about 70, its decoded object about 240
+        assert held < record_bytes / 4, (held, record_bytes)
+        assert len(list(chunks)) == 1
