@@ -103,8 +103,10 @@ _LN2 = math.log(2.0)
 
 
 def _parse_file(parser, path: str):
-    """Run a JSONL parser over the file at ``path``, one line at a time."""
-    with open(path, "r", encoding="utf-8", newline="\n") as handle:
+    """Run a JSONL parser over the file at ``path``, one line at a time; a
+    byte that is not UTF-8 is an error naming its line."""
+    with open(path, "r", encoding="utf-8", newline="\n",
+              errors="surrogateescape") as handle:
         return parser(handle)
 
 
@@ -354,7 +356,6 @@ def cmd_reference(args) -> int:
         rlogits = refs[obs.position_id]
         geom = geo.geometry(obs)
         rb = ref.reference_geometry(geom, rlogits, args.rho)
-        est = ref.reference_estimator(geom, rb)
         row = {
             "position_id": obs.position_id,
             "K": obs.k,
@@ -362,7 +363,7 @@ def cmd_reference(args) -> int:
             "U_R": rb.U_R,
             "shrinkage": rb.U_R / geom.U_K if geom.U_K > 0 else None,
             "rho": args.rho,
-            "reserve": est.s,
+            "reserve": ref._reserve(rb),
             "max_perturbation": None,
             "frac_exceeding_rho": None,
         }

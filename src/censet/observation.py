@@ -294,7 +294,11 @@ def _read_jsonl(
 
     Lines end at ``\\n`` only, less one trailing ``\\r``; line numbers count
     them.  A stream is read one line at a time, never whole; open a text
-    file with ``newline="\\n"`` so that no other character ends a line.
+    file with ``newline="\\n"`` so that no other character ends a line, and
+    with ``errors="surrogateescape"`` so that a byte that is not UTF-8 is
+    a :class:`ParseError` naming its line and its offset in the line, as
+    one is in bytes.  Only lines of a ``str`` source are not checked, so it
+    may hold lone surrogates.
 
     Decoding rule: each line is decoded by ``orjson``, and again by ``json``
     when orjson refuses it or when its record fails ``check``; the second
@@ -305,19 +309,23 @@ def _read_jsonl(
     one ``json`` gives.  ``check`` raises a :class:`ValueError` to reject a
     record and runs its side effects only once the record has passed, so
     that accepted records and every error are those of ``json``.  A line
-    that :func:`_shallow` cannot clear goes to ``json`` alone.
+    that :func:`_shallow` cannot clear goes to ``json`` alone.  orjson gets
+    the line as read, line end and all, which JSON takes as whitespace; the
+    ``\\r`` is stripped for ``json`` alone, whose error messages depend on it.
 
     Nothing of a line is held once its item is yielded.
     """
+    checked = not isinstance(source, str)
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        source = source.decode("utf-8", "surrogateescape")
     lines = source.split("\n") if isinstance(source, str) else source
     lineno = 0
     for line in lines:
         lineno += 1
         if isinstance(line, bytes):
-            line = line.decode("utf-8")
-        line = line.removesuffix("\n").removesuffix("\r")
+            line = line.decode("utf-8", "surrogateescape")
+        if checked and not line.isascii():
+            _check_utf8(line, lineno)
         if not line or line.isspace():
             continue
         item = [_decoded(line, lineno, check)]
@@ -334,15 +342,34 @@ def _decoded(line: str, lineno: int, check: Callable[[dict, int], _T]) -> _T:
         except ValueError:
             pass
     try:
-        record = json.loads(line)
+        record = json.loads(line.removesuffix("\n").removesuffix("\r"))
     except json.JSONDecodeError as exc:
         raise ParseError(lineno, f"invalid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise ParseError(lineno, "JSON nested too deeply to decode") from exc
     return check(_json_object(record, lineno), lineno)
+
+
+def _check_utf8(line: str, lineno: int) -> None:
+    """Reject a line decoded with ``errors="surrogateescape"`` that holds a
+    byte that is not UTF-8.
+
+    Such a byte is held as a lone surrogate.  Encoded back, the line fails a
+    strict decode with the message and the offset within the line that its
+    bytes would give.  A lone surrogate that stands for no byte passes.
+    """
+    try:
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeEncodeError:
+        pass
+    except UnicodeDecodeError as exc:
+        raise ParseError(lineno, str(exc)) from exc
 
 
 # orjson 3.8 recurses once per level of nesting, with no limit: a line some
 # 10^5 levels deep overflows the C stack and kills the process, where json
-# raises RecursionError near the interpreter's recursion limit (1,000)
+# raises RecursionError near the interpreter's recursion limit (1,000), which
+# _decoded reports as the line's error
 _ORJSON_MAX_DEPTH = 256
 _NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b"[{:,")))
 
@@ -388,7 +415,7 @@ def _check_position_id(pid, lineno: int, seen: Container[str]) -> None:
 def _json_floats(values: list, what: str, lineno: int) -> np.ndarray:
     _check_json_kind(values, "number", what, lineno)
     try:
-        return np.array(values, dtype=float)
+        return np.fromiter(values, np.float64, len(values))
     except OverflowError as exc:
         raise ParseError(lineno, f"{what} outside the float range") from exc
 
@@ -588,16 +615,17 @@ def _batches(source: str | bytes | IO, chunked: bool) -> Iterator[ObservationBat
         tokens, scores = array.array("q"), array.array("d")
         try:
             for lineno, pid, vocab_size, mode, row_tokens, row_scores in stream:
-                held = len(scores)
+                held, k = len(scores), len(row_tokens)
                 try:
-                    tokens.extend(row_tokens)
-                    scores.extend(row_scores)
+                    # faster than array.extend, with OverflowError on the same values
+                    tokens.frombytes(np.fromiter(row_tokens, np.int64, k).view("u1"))
+                    scores.frombytes(np.fromiter(row_scores, np.float64, k).view("u1"))
                 except OverflowError:
                     # a value no int64 or float64 holds fails the record's
                     # pair checks: their error is held like a field error
                     del tokens[held:], scores[held:]
                     raise _pair_error(lineno, row_tokens, row_scores, vocab_size)
-                records.append((lineno, pid, vocab_size, mode, len(row_tokens)))
+                records.append((lineno, pid, vocab_size, mode, k))
                 del row_tokens, row_scores
                 if len(scores) >= limit:
                     more = True

@@ -150,13 +150,19 @@ def reference_estimator(
     Default reserve is U_R / e.  With U_R = 0 the reference forbids the
     entire tail and the head conditional is returned exactly.
     """
+    s = _reserve(rb, s)
+    return EstimatorSpec(s=s, tail_weights=rb.beta if s else None)
+
+
+def _reserve(rb: ReferenceBound, s: float | None = None) -> float:
+    """The reserve of :func:`reference_estimator`, with no tail weights built."""
     if rb.U_R == 0.0:
-        return EstimatorSpec(s=0.0, tail_weights=None)
+        return 0.0
     if s is None:
         s = rb.U_R * _INV_E
     if not 0.0 < s < 1.0:
         raise ValueError(f"reserve must lie in (0, 1), got {s!r}")
-    return EstimatorSpec(s=float(s), tail_weights=rb.beta)
+    return float(s)
 
 
 def calibrate_rho(

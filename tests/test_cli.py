@@ -329,6 +329,27 @@ class TestAnalyze:
             "line 3: invalid JSON (Invalid control character at)"
         )
 
+    def test_bad_byte_names_its_line(self, tmp_path, capsys):
+        record = '{"vocab_size":3,"mode":"logits","topk":[{"token":0,"score":0.0}]}'
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(record.encode() + b"\n" + b'{"position_id": "\xff"}\n')
+        assert main(["analyze", "--input", str(path)]) == 1
+        assert json.loads(capsys.readouterr().err)["errors"] == [{
+            "message": "line 2: 'utf-8' codec can't decode byte 0xff in "
+                       "position 17: invalid start byte",
+            "line": 2,
+        }]
+
+    def test_too_deep_a_line_names_it(self, tmp_path, capsys):
+        path = tmp_path / "deep.jsonl"
+        path.write_text('{"vocab_size": 5, "mode": "logits", "topk": '
+                        '[{"token": 1, "score": 0.5}], "extra": '
+                        + "[" * 2000 + "]" * 2000 + "}\n")
+        assert main(["analyze", "--input", str(path)]) == 1
+        assert json.loads(capsys.readouterr().err)["errors"] == [
+            {"message": "line 1: JSON nested too deeply to decode", "line": 1}
+        ]
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["analyze", "--input", str(tmp_path / "nope.jsonl")])
         assert code == 1

@@ -228,6 +228,85 @@ class TestEquivalence:
         )
 
 
+RECORD = '{"vocab_size": 5, "mode": "logits", "topk": [{"token": 1, "score": 0.5}]}'
+
+
+class TestLineEnds:
+    """orjson gets each line with its end; json gets it less the end."""
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    @pytest.mark.parametrize("source", [str, str.encode, io.StringIO])
+    def test_unterminated_string_at_a_line_end(self, ending, source):
+        text = RECORD + ending + '{"a": "xyz' + ending
+        message = "line 2: invalid JSON (Unterminated string starting at)"
+        for parse in (_whole, _chunked):
+            assert _outcome(parse, source(text)) == (ParseError, message)
+            with _json_only():
+                assert _outcome(parse, source(text)) == (ParseError, message)
+
+    @pytest.mark.parametrize("bad, message", [
+        ('{"vocab_size": 5, "mode": "logits", "topk": [{"token": 0, "score": 0.5}, '
+         '{"token": 9223372036854775808, "score": 0.5}]}',
+         "line 2: token id 9223372036854775808 outside [0, 5)"),
+        ('{"vocab_size": 18446744073709551616, "mode": "logits", '
+         '"topk": [{"token": 9223372036854775808, "score": 0.5}]}',
+         "line 2: token ids beyond 64 bits are not supported "
+         "(vocab_size=18446744073709551616)"),
+        ('{"vocab_size": 5, "mode": "logits", "topk": [{"token": 0, "score": 1%s}]}'
+         % ("0" * 400), "line 2: score outside the float range"),
+    ])
+    def test_a_value_no_column_holds_after_a_good_record(self, bad, message):
+        chunks = _batches(f"{RECORD}\n{bad}\n", chunked=True)
+        first = next(chunks)
+        assert first.position_ids == ["line1"] and first.token_ids.tolist() == [1]
+        with pytest.raises(ParseError) as caught:
+            next(chunks)
+        assert str(caught.value) == message
+
+
+class TestUtf8:
+    """A byte that is not UTF-8 is an error naming its line."""
+
+    BAD = (RECORD + "\r\n").encode() + b'{"position_id": "\xc3\xa9\xff"}\n'
+    MESSAGE = ("line 2: 'utf-8' codec can't decode byte 0xff in position 19: "
+               "invalid start byte")
+
+    @pytest.mark.parametrize("source", [
+        lambda raw: raw,
+        io.BytesIO,
+        lambda raw: io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8",
+                                     newline="\n", errors="surrogateescape"),
+    ])
+    def test_bad_byte_names_its_line(self, source):
+        chunks = _batches(source(self.BAD), chunked=True)
+        assert next(chunks).position_ids == ["line1"]
+        with pytest.raises(ParseError) as caught:
+            next(chunks)
+        assert str(caught.value) == self.MESSAGE
+        refs = b'{"position_id": "p", "dense": [0.5]}\n' + self.BAD.split(b"\n")[1]
+        with pytest.raises(ParseError) as caught:
+            parse_reference_dump(source(refs))
+        assert str(caught.value) == self.MESSAGE
+
+    def test_surrogate_bytes_are_not_utf8(self):
+        # the UTF-8 form of U+D800, which a strict decode rejects
+        raw = b'{"position_id": "\xed\xa0\x80"}\n'
+        with pytest.raises(ParseError) as caught:
+            parse_observations(raw)
+        assert str(caught.value) == ("line 1: 'utf-8' codec can't decode byte "
+                                     "0xed in position 17: invalid continuation byte")
+
+    def test_a_text_stream_keeps_its_lone_surrogates(self):
+        # a lone surrogate that stands for no byte read is text, as in a str
+        line = RECORD.replace('"topk"', '"position_id": "\ud800", "topk"')
+        assert parse_observations(io.StringIO(line + "\n")).position_ids == ["\ud800"]
+
+    def test_valid_utf8_passes(self):
+        raw = RECORD.replace('"topk"', '"position_id": "\u00e9\u2028", "topk"')
+        batch = parse_observations(raw.encode() + b"\r\n")
+        assert batch.position_ids == ["\u00e9\u2028"]
+
+
 def _double(bits: int) -> float:
     return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
@@ -341,8 +420,9 @@ class TestDepthGuard:
         line = ('{"vocab_size": 5, "mode": "logits", "topk": [{"token": 1, '
                 f'"score": 0.5}}], "extra": {opener * depth}1{closer * depth}}}\n')
         assert not _shallow(line)
-        with pytest.raises(RecursionError):
+        with pytest.raises(ParseError) as caught:
             parse_observations(line)
+        assert str(caught.value) == "line 1: JSON nested too deeply to decode"
 
     def test_long_records_use_orjson(self):
         entries = ", ".join('{"token": %d, "score": -1.5}' % t for t in range(1000))
@@ -369,7 +449,9 @@ class TestDepthGuard:
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert result.returncode == 1, result.returncode
-        assert "RecursionError" in result.stderr
+        assert json.loads(result.stderr) == {"errors": [
+            {"message": "line 1: JSON nested too deeply to decode", "line": 1}
+        ]}
 
 
 class TestMemory:
