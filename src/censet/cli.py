@@ -25,13 +25,12 @@ from . import minimax as mm
 from . import normalized as norm
 from . import reference as ref
 from . import simulate as sim
-from .numerics import load_policy_file, logsumexp, policy, use_policy
+from .numerics import load_policy_file, policy, use_policy
 from .observation import (
     AccessMode,
     ObservationBatch,
     ParseError,
     ValidationError,
-    _batches,
     parse_observations,
     serialize_observations,
 )
@@ -276,55 +275,26 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _full_dump_rows(source, position_ids: list[str]) -> Iterator[tuple]:
-    """A full-dump JSONL stream as blocks of :func:`censet.simulate.ksweep`,
-    parsed one bounded chunk at a time; ``position_ids`` collects the
-    records' ids.
-
-    Each run of one vocab size in a chunk is one block, whose score and id
-    matrices are views of the batch's columns: the parse has sorted each
-    record by score.  Its log-sum-exp sums each row in token-id order, as
-    :func:`censet.simulate.score_sorted` does: score order can change the
-    last bit.  A record that is not a full dump fails once the rows before
-    it have been yielded, so errors keep stream order.
-    """
-    for batch in _batches(source, chunked=True):
-        vocab_sizes = np.array(batch.vocab_sizes, dtype=np.int64)
-        partial = np.flatnonzero(batch.k != vocab_sizes).tolist()
-        end = partial[0] if partial else len(batch)
-        # a change of vocab size is the sweep's error, raised between blocks
-        cuts = [0, *(np.flatnonzero(np.diff(vocab_sizes[:end])) + 1).tolist(), end]
-        for lo, hi in zip(cuts, cuts[1:]):
-            if lo == hi:
-                continue
-            v = batch.vocab_sizes[lo]
-            pairs = slice(batch.offsets[lo], batch.offsets[hi])
-            scores = batch.scores[pairs].reshape(hi - lo, v)
-            token_ids = batch.token_ids[pairs].reshape(hi - lo, v)
-            full = np.empty((hi - lo, v))
-            np.put_along_axis(full, token_ids, scores, axis=1)
-            position_ids.extend(batch.position_ids[lo:hi])
-            yield scores, token_ids, np.array([logsumexp(z) for z in full]), v
-        if partial:
-            raise ValidationError(
-                f"position {batch.position_ids[end]}: sweep input must be a full "
-                f"dump (K = V), got K={batch.k[end]} < V={batch.vocab_sizes[end]}"
-            )
-
-
 def _sweep_row_dict(row: sim.SweepRow) -> dict:
     out = asdict(row)
     return {"K": out.pop("k"), **out}
 
 
 def cmd_ksweep(args) -> int:
-    position_ids: list[str] = []
-    sweep = _parse_file(
-        lambda handle: sim.ksweep(_full_dump_rows(handle, position_ids), args.k),
-        args.input,
-    )
+    n_positions = 0
+
+    def blocks(handle):
+        nonlocal n_positions
+        for block in sim._dump_blocks(handle):
+            n_positions += len(block[0])
+            yield block
+
+    sweep = _parse_file(lambda handle: sim.ksweep(blocks(handle), args.k), args.input)
     rows = [_sweep_row_dict(r) for r in sweep]
-    _emit({"command": "ksweep", "n_positions": len(position_ids)}, rows, args)
+    # the ksweep report schema has no estimator column
+    for row in rows:
+        del row["sup_kl_mean"]
+    _emit({"command": "ksweep", "n_positions": n_positions}, rows, args)
     return 0
 
 
@@ -344,6 +314,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_reference(args) -> int:
+    # reference_geometry checks rho per row, and an input may have none
+    ref._check_rho(args.rho)
     observations = _parse_file(parse_observations, args.input)
     refs = _parse_file(ref.parse_reference_dump, args.reference)
     rows = []
@@ -417,13 +389,10 @@ def cmd_simulate(args) -> int:
         ]
         with open(args.dump, "w", encoding="utf-8") as handle:
             handle.write(serialize_observations(observations))
-    rows = []
-    for row, sup_kl_mean in sim.ksweep_with_sup_kl(
-        [sim.score_sorted(teacher, max(args.k))], args.k
-    ):
-        out = _sweep_row_dict(row)
-        out["sup_kl_mean"] = sup_kl_mean
-        rows.append(out)
+    rows = [
+        _sweep_row_dict(row)
+        for row in sim.ksweep([sim.score_sorted(teacher, max(args.k))], args.k)
+    ]
     _emit(
         {"command": "simulate", "seed": args.seed, "law": args.law},
         rows,

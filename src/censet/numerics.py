@@ -66,15 +66,16 @@ def load_policy_file(path: str) -> NumericPolicy:
     The file maps known fields, each at most once, to finite non-negative
     JSON numbers (a negative tolerance would switch its check off); a bad
     file raises ``ValueError``, so its overrides apply all or none.  A file
-    that is not JSON at all gets an error naming the file.
+    that is not UTF-8 or not JSON at all gets an error naming the file.
     """
     with open(path, "r", encoding="utf-8") as handle:
         try:
             overrides = json.load(handle, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            what = "UTF-8" if isinstance(exc, UnicodeDecodeError) else "JSON"
             raise ValueError(
                 f"numeric policy file {path!r} (CENSET_NUMERIC_POLICY) is not "
-                f"valid JSON: {exc}"
+                f"valid {what}: {exc}"
             ) from exc
     if not isinstance(overrides, dict):
         raise ValueError("numeric policy overrides must be a JSON object")

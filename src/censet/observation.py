@@ -129,9 +129,12 @@ def _last_id(vocab_size: int) -> int:
 
 def _int64_array(values) -> np.ndarray | None:
     """A new int64 array of ``values``, or None unless each is an integer
-    (bools are not) that fits in 64 bits."""
+    (bools are not) that an int64 can hold."""
     if isinstance(values, np.ndarray):
-        integral = values.dtype.kind in "iu"
+        # the cast would wrap an unsigned id above the int64 range
+        integral = values.dtype.kind == "i" or (
+            values.dtype.kind == "u" and values.max(initial=0) <= _INT64_MAX
+        )
     else:
         integral = all(
             issubclass(t, (int, np.integer)) and t is not bool
@@ -168,7 +171,10 @@ def _sorted_rows(ids, values, counts, last_ids, logprobs):
     """
     n = len(counts)
     if n and (counts == counts[0]).all():
-        # one K for all: the columns are the (n, K) matrix, with no gather
+        # one K for all: the columns are the (n, K) matrix, with no gather.
+        # Keep this path: without it a fresh fulldump-32k (64 x 32,000)
+        # ksweep peaked at 62.0-62.1 MB against 59.6-59.7 MB (ru_maxrss,
+        # three runs each) and took 1.37-1.85 s against 1.22-1.37 s
         by_score, sorted_values, log_za, bad = _sorted_group(
             ids.reshape(n, -1), values.reshape(n, -1), last_ids, logprobs
         )

@@ -105,6 +105,11 @@ class ReferenceBound:
         return np.exp(self.log_ceilings - self.log_CR)
 
 
+def _check_rho(rho: float) -> None:
+    if rho < 0.0 or math.isnan(rho):
+        raise ValueError(f"rho must be nonnegative, got {rho!r}")
+
+
 def reference_geometry(
     geom: SetGeometry, ref: ReferenceLogits, rho: float
 ) -> ReferenceBound:
@@ -114,8 +119,7 @@ def reference_geometry(
     alignment is the caller's responsibility.  A reference score of -inf
     forbids the token outright, regardless of rho.
     """
-    if rho < 0.0 or math.isnan(rho):
-        raise ValueError(f"rho must be nonnegative, got {rho!r}")
+    _check_rho(rho)
     if geom.M == 0:
         return ReferenceBound(
             rho=rho,

@@ -25,6 +25,7 @@ from .observation import (
     AccessMode,
     TopKObservation,
     ValidationError,
+    _batches,
     _check_head_mass,
     _tail_mass,
     from_pairs,
@@ -169,6 +170,7 @@ class SweepRow:
     rbin_mean: float
     tail_mass_mean: float
     n: int
+    sup_kl_mean: float
 
 
 def score_sorted(logits: np.ndarray, width: int) -> tuple:
@@ -185,8 +187,47 @@ def score_sorted(logits: np.ndarray, width: int) -> tuple:
     width = min(width, v)
     token_ids = np.stack([_top(z, width) for z in logits])
     scores = np.take_along_axis(logits, token_ids, axis=1)
-    log_z = np.array([logsumexp(z) for z in logits])
-    return scores, token_ids, log_z, v
+    return scores, token_ids, _log_z(logits), v
+
+
+def _log_z(logits: np.ndarray) -> np.ndarray:
+    """The log-sum-exp of each row of a logit matrix, summed in token-id
+    order: summing a row in score order can change the last bit."""
+    return np.array([logsumexp(z) for z in logits])
+
+
+def _dump_blocks(source) -> Iterator[tuple]:
+    """A full-dump JSONL source as blocks of :func:`ksweep`, parsed one
+    bounded chunk at a time.
+
+    Each run of one vocab size in a chunk is one block, whose score and id
+    matrices are views of the batch's columns: the parse has sorted each
+    record by score.  Its log-sum-exp is :func:`_log_z` of the rows
+    scattered back to token-id order, as in :func:`score_sorted`.  A record
+    that is not a full dump fails once the rows before it have been
+    yielded, so errors keep stream order.
+    """
+    for batch in _batches(source, chunked=True):
+        vocab_sizes = np.array(batch.vocab_sizes, dtype=np.int64)
+        partial = np.flatnonzero(batch.k != vocab_sizes).tolist()
+        end = partial[0] if partial else len(batch)
+        # a change of vocab size is the sweep's error, raised between blocks
+        cuts = [0, *(np.flatnonzero(np.diff(vocab_sizes[:end])) + 1).tolist(), end]
+        for lo, hi in zip(cuts, cuts[1:]):
+            if lo == hi:
+                continue
+            v = batch.vocab_sizes[lo]
+            pairs = slice(batch.offsets[lo], batch.offsets[hi])
+            scores = batch.scores[pairs].reshape(hi - lo, v)
+            token_ids = batch.token_ids[pairs].reshape(hi - lo, v)
+            full = np.empty((hi - lo, v))
+            np.put_along_axis(full, token_ids, scores, axis=1)
+            yield scores, token_ids, _log_z(full), v
+        if partial:
+            raise ValidationError(
+                f"position {batch.position_ids[end]}: sweep input must be a full "
+                f"dump (K = V), got K={batch.k[end]} < V={batch.vocab_sizes[end]}"
+            )
 
 
 def _top(z: np.ndarray, k: int) -> np.ndarray:
@@ -253,16 +294,19 @@ def _sweep_block(
             yield v - k, u, log_odds, _tail_mass(row_head)
 
 
-def _sweep(
-    blocks: Iterable[tuple], k_list: Sequence[int], with_sup: bool
-) -> list[tuple[SweepRow, float]]:
-    """Sweep rows plus, when ``with_sup`` is set, the mean estimator sup per K.
+def ksweep(blocks: Iterable[tuple], k_list: Sequence[int]) -> list[SweepRow]:
+    """Censor every position at each K and aggregate the per-position stats.
 
-    ``blocks`` are read one at a time (see :func:`score_sorted`) and every
-    K reads a prefix of the same rows (see :func:`_sweep_block`): one
-    :func:`logsumexp_rows` call per K and block for the revealed mass and
-    one for the normalized head.  Working memory is one block plus a few
-    floats per (position, K).
+    ``blocks`` holds the positions' rows sorted by score, in blocks as
+    :func:`score_sorted` makes from a logit matrix and :func:`_dump_blocks`
+    from a full dump, all of one V and at least as wide as the largest K
+    up to V.  Per K: mean and population sd of the diameter, the mean lower
+    bound, the mean hidden tail mass of the normalized reinterpretation and
+    the mean symmetric-estimator sup (``worst_case_risk`` of the
+    reserve-``U_K/e`` estimator).  A K above V gives a skipped row: NaN
+    statistics and n = 0.  Blocks are read one at a time and every K reads
+    a prefix of the same rows (see :func:`_sweep_block`), so working memory
+    is one block plus a few floats per (position, K).
     """
     ks = sorted(k_list)
     v = None
@@ -281,8 +325,7 @@ def _sweep(
             )
         # per (position, K): U_K, r_bin, tail mass and sup
         values = [
-            (u, reserve(u)[1], tail,
-             symmetric_sup(m, log_odds, u)[0] if with_sup else math.nan)
+            (u, reserve(u)[1], tail, symmetric_sup(m, log_odds, u)[0])
             for m, u, log_odds, tail in _sweep_block(
                 scores, token_ids, log_z, v, swept
             )
@@ -292,45 +335,20 @@ def _sweep(
         raise ValueError("sweep input holds no positions")
     # one contiguous row of every position per statistic and K
     uks, rbins, tails, sups = np.ascontiguousarray(np.concatenate(stats).T)
-    rows = []
-    for j, k in enumerate(swept):
-        row = SweepRow(k=k, uk_mean=float(uks[j].mean()),
-                       uk_sd=float(uks[j].std(ddof=0)),
-                       rbin_mean=float(np.mean(rbins[j])),
-                       tail_mass_mean=float(np.mean(tails[j])), n=uks.shape[1])
-        rows.append((row, float(np.mean(sups[j])) if with_sup else math.nan))
+    rows = [
+        SweepRow(k=k, uk_mean=float(uks[j].mean()),
+                 uk_sd=float(uks[j].std(ddof=0)),
+                 rbin_mean=float(np.mean(rbins[j])),
+                 tail_mass_mean=float(np.mean(tails[j])), n=uks.shape[1],
+                 sup_kl_mean=float(np.mean(sups[j])))
+        for j, k in enumerate(swept)
+    ]
     for k in ks[len(swept):]:
         warnings.warn(f"skipping K={k}: exceeds vocab_size {v}")
-        rows.append((SweepRow(k=k, uk_mean=math.nan, uk_sd=math.nan,
-                              rbin_mean=math.nan, tail_mass_mean=math.nan, n=0),
-                     math.nan))
+        rows.append(SweepRow(k=k, uk_mean=math.nan, uk_sd=math.nan,
+                             rbin_mean=math.nan, tail_mass_mean=math.nan, n=0,
+                             sup_kl_mean=math.nan))
     return rows
-
-
-def ksweep(blocks: Iterable[tuple], k_list: Sequence[int]) -> list[SweepRow]:
-    """Censor every position at each K and aggregate the per-position stats.
-
-    ``blocks`` holds the positions' rows sorted by score, in blocks as
-    :func:`score_sorted` makes one from a logit matrix; every block has the
-    same V and is at least as wide as the largest K up to V.  Reports mean
-    and population sd of the diameter, the mean lower bound, and the mean
-    hidden tail mass under the normalized reinterpretation of the same
-    positions.  Every K reads a prefix of each row.  K values above V
-    produce a skipped row.
-    """
-    return [row for row, _ in _sweep(blocks, k_list, with_sup=False)]
-
-
-def ksweep_with_sup_kl(
-    blocks: Iterable[tuple], k_list: Sequence[int]
-) -> list[tuple[SweepRow, float]]:
-    """:func:`ksweep` rows, each with the mean symmetric-estimator sup.
-
-    The sup is ``worst_case_risk`` of the reserve-``U_K/e`` estimator on
-    each position's geometry at that K, from the same sorted rows; skipped
-    rows carry NaN.
-    """
-    return _sweep(blocks, k_list, with_sup=True)
 
 
 def average_risk(

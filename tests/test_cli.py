@@ -19,7 +19,6 @@ from censet import observation
 from censet.cli import (
     ANALYZE_FIELDS,
     CERTIFY_FIELDS,
-    _full_dump_rows,
     _json_report,
     main,
 )
@@ -38,6 +37,7 @@ from censet.observation import (
 from censet.simulate import (
     GaussianIID,
     SyntheticTeacherConfig,
+    _dump_blocks,
     censor,
     generate_teacher,
     score_sorted,
@@ -430,7 +430,7 @@ class TestKsweep:
             [censor(z, len(z), position_id=f"p{i}") for i, z in enumerate(teacher)]
         ))
         with open(path, encoding="utf-8", newline="\n") as handle:
-            blocks = list(_full_dump_rows(handle, []))
+            blocks = list(_dump_blocks(handle))
         want_scores, want_ids, want_log_z, v = score_sorted(teacher, 200)
         assert len(blocks) == 40 * 200 // min(limit, 8000)
         assert all(block[3] == v for block in blocks)
@@ -448,6 +448,18 @@ class TestKsweep:
             assert main(["ksweep", "--input", str(dump_file), "--k", "5,200"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[-1].startswith("200,nan")
+
+    def test_every_k_skipped_still_counts_positions(self, dump_file, capsys):
+        with pytest.warns(UserWarning, match="skipping"):
+            assert main(["ksweep", "--input", str(dump_file), "--k", "50,90",
+                         "--format", "json"]) == 0
+        body = json.loads(capsys.readouterr().out)
+        assert body["n_positions"] == 6
+        assert [(r["K"], r["n"]) for r in body["rows"]] == [(50, 0), (90, 0)]
+        assert list(body["rows"][0]) == [
+            "K", "uk_mean", "uk_sd", "rbin_mean", "tail_mass_mean", "n",
+        ]
+        assert all(math.isnan(r["uk_mean"]) for r in body["rows"])
 
 
 class TestCertify:
@@ -528,6 +540,17 @@ class TestReference:
             ["reference", "--input", str(obs), "--reference", str(refs)]
         ) == 1
         assert "zzz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rho, shown", [("-1", "-1.0"), ("nan", "nan")])
+    def test_bad_rho_rejected_before_any_row(self, rho, shown, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert main(
+            ["reference", "--input", str(empty), "--reference", str(empty),
+             "--rho", rho]
+        ) == 1
+        (error,) = json.loads(capsys.readouterr().err)["errors"]
+        assert error["message"] == f"rho must be nonnegative, got {shown}"
 
 
 class TestSimulate:
@@ -825,6 +848,19 @@ class TestNumericPolicyEnv:
         assert "line 2 column 1" in error["message"]
         assert "line" not in error
         assert policy() == NumericPolicy()
+
+    def test_file_not_utf8_named_in_error(self, obs_file, tmp_path, monkeypatch,
+                                          capsys):
+        policy_file = tmp_path / "policy.json"
+        policy_file.write_bytes(b'{"verdict_margin": 0.25\xff}')
+        monkeypatch.setenv("CENSET_NUMERIC_POLICY", str(policy_file))
+        assert main(["analyze", "--input", str(obs_file)]) == 1
+        (error,) = json.loads(capsys.readouterr().err)["errors"]
+        assert error["message"] == (
+            f"numeric policy file {str(policy_file)!r} (CENSET_NUMERIC_POLICY) "
+            "is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in "
+            "position 23: invalid start byte"
+        )
 
     @pytest.mark.parametrize(
         "text",

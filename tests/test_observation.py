@@ -400,6 +400,22 @@ class TestArrays:
             from_pairs(3, tokens, scores, AccessMode.LOGITS)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize(
+        "vocab_size, token, message",
+        [
+            (10, 2**63, "token id 9223372036854775808 outside [0, 10)"),
+            (10, 2**64 - 1, "token id 18446744073709551615 outside [0, 10)"),
+            (2**64, 2**63, "token ids beyond 64 bits are not supported "
+                           "(vocab_size=18446744073709551616)"),
+        ],
+    )
+    def test_unsigned_ids_beyond_int64_are_named(self, vocab_size, token, message):
+        # the uint64 array gets the error of the same id in a list
+        for tokens in (np.array([token], dtype=np.uint64), [token]):
+            with pytest.raises(ValidationError) as caught:
+                from_pairs(vocab_size, tokens, [0.0], AccessMode.LOGITS)
+            assert str(caught.value) == message
+
 
 def _bits(array) -> bytes:
     return np.ascontiguousarray(array).tobytes()

@@ -220,6 +220,7 @@ class TestKsweep:
         assert skipped.k == 99
         assert skipped.n == 0
         assert math.isnan(skipped.uk_mean)
+        assert math.isnan(skipped.sup_kl_mean)
 
     def test_geometry_consistency_two_code_paths(self, teacher):
         # pipeline value vs direct evaluation on raw order statistics
