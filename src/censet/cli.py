@@ -206,7 +206,9 @@ def _json_report(body: dict) -> str:
 
 def _emit(payload: dict, rows: list[dict], args) -> None:
     units = "bits" if getattr(args, "bits", False) else "nats"
-    shown = _convert_bits(rows) if units == "bits" else rows
+    shown = rows
+    if units == "bits":
+        (payload, *shown) = _convert_bits([payload, *rows])
     if args.format == "json":
         text = _json_report({**payload, "units": units, "rows": shown}) + "\n"
     elif args.format == "csv":

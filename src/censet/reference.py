@@ -28,9 +28,8 @@ from .numerics import expit, logsumexp
 from .observation import (
     _INT64_MAX,
     ParseError,
-    _check_json_kind,
     _check_position_id,
-    _json_floats,
+    _json_array,
     _read_jsonl,
 )
 
@@ -117,7 +116,8 @@ def reference_geometry(
 
     The reference scores must share the observation's additive scale; that
     alignment is the caller's responsibility.  A reference score of -inf
-    forbids the token outright, regardless of rho.
+    forbids the token outright, regardless of rho; a NaN one on a censored
+    token is a :class:`ValueError`.
     """
     _check_rho(rho)
     if geom.M == 0:
@@ -135,6 +135,11 @@ def reference_geometry(
         np.isneginf(z_ref), -math.inf, np.minimum(geom.tau, z_ref + rho)
     )
     log_cr = logsumexp(ceilings)
+    if math.isnan(log_cr):
+        # NaN would read below as a tail the reference forbids outright
+        raise ValueError(
+            f"reference scores for position {ref.position_id!r} hold a NaN"
+        )
     u_r = expit(log_cr - geom.log_ZA) if math.isfinite(log_cr) else 0.0
     return ReferenceBound(
         rho=rho,
@@ -195,6 +200,18 @@ def _check_keys(record: dict, allowed: frozenset, form: str, lineno: int) -> Non
             raise ParseError(lineno, f"unknown field {key!r} in a {form} record")
 
 
+def _json_scores(values: list, what: str, lineno: int, literals: bool) -> np.ndarray:
+    """A float64 array of a record's reference scores, all JSON numbers
+    within the float range and none NaN (which the ``json`` fallback reads)."""
+    converted = _json_array(values, "d", what, lineno, literals)
+    if converted is None:
+        raise ParseError(lineno, f"{what} outside the float range")
+    scores = np.frombuffer(converted, dtype=np.float64)
+    if np.isnan(scores).any():
+        raise ParseError(lineno, f"{what} must not be NaN")
+    return scores
+
+
 def parse_reference_dump(source: str | bytes | IO) -> dict[str, ReferenceLogits]:
     """Parse a reference dump keyed by position id.
 
@@ -206,12 +223,14 @@ def parse_reference_dump(source: str | bytes | IO) -> dict[str, ReferenceLogits]
     distinct JSON integers in [0, 2**63), scores JSON numbers and
     ``position_id`` a JSON string; a repeated token or ``position_id`` is
     an error, never a silent overwrite.  A key outside the record's form
-    (``"default"`` in a dense record, a misspelled field) is an error too.
+    (``"default"`` in a dense record, a misspelled field) is an error too,
+    and so is a NaN score: ``-inf`` forbids a token and ``+inf`` sets no
+    ceiling, but NaN means neither.
     Lines are decoded as by :func:`censet.observation.parse_observations`.
     """
     out: dict[str, ReferenceLogits] = {}
 
-    def reference(record: dict, lineno: int) -> ReferenceLogits:
+    def reference(record: dict, lineno: int, literals: bool) -> ReferenceLogits:
         if "position_id" not in record:
             raise ParseError(lineno, "record must carry a position_id")
         pid = record["position_id"]
@@ -224,7 +243,8 @@ def parse_reference_dump(source: str | bytes | IO) -> dict[str, ReferenceLogits]
             if not isinstance(dense, list):
                 raise ParseError(lineno, "dense must be a list of scores")
             ref = ReferenceLogits(
-                position_id=pid, dense=_json_floats(dense, "dense score", lineno)
+                position_id=pid,
+                dense=_json_scores(dense, "dense score", lineno, literals),
             )
         elif "entries" in record:
             _check_keys(record, _SPARSE_KEYS, "sparse", lineno)
@@ -233,19 +253,20 @@ def parse_reference_dump(source: str | bytes | IO) -> dict[str, ReferenceLogits]
                 default = -math.inf
             elif "default" in record:
                 # a JSON null is rejected here too: no coercion from null
-                default = float(_json_floats([default], "default", lineno)[0])
+                (default,) = _json_scores([default], "default", lineno,
+                                          literals).tolist()
             try:
                 tokens = [e["token"] for e in record["entries"]]
                 logits = [e["logit"] for e in record["entries"]]
             except (KeyError, TypeError) as exc:
                 raise ParseError(lineno, f"malformed entries ({exc!r})") from exc
-            _check_json_kind(tokens, "integer", "token", lineno)
-            if tokens and (min(tokens) < 0 or max(tokens) > _INT64_MAX):
+            ids = _json_array(tokens, "q", "token", lineno, literals)
+            if ids is None or (ids and min(ids) < 0):
                 bad = next(u for u in tokens if not 0 <= u <= _INT64_MAX)
                 raise ParseError(
                     lineno, f"token id {bad} outside [0, {_INT64_MAX}]"
                 )
-            logits = _json_floats(logits, "logit", lineno).tolist()
+            logits = _json_scores(logits, "logit", lineno, literals).tolist()
             entries = dict(zip(tokens, logits))
             if len(entries) < len(tokens):
                 dup = next(u for u, n in Counter(tokens).items() if n > 1)

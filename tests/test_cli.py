@@ -541,6 +541,20 @@ class TestReference:
         ) == 1
         assert "zzz" in capsys.readouterr().err
 
+    def test_nan_reference_score_is_an_error(self, tmp_path, capsys):
+        obs = tmp_path / "obs.jsonl"
+        obs.write_text(
+            '{"vocab_size":4,"mode":"logits","position_id":"p0",'
+            '"topk":[{"token":0,"score":2.0},{"token":1,"score":1.0}]}\n'
+        )
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text('{"position_id":"p0","dense":[2.0,1.0,NaN,0.5]}\n')
+        assert main(
+            ["reference", "--input", str(obs), "--reference", str(refs)]
+        ) == 1
+        (error,) = json.loads(capsys.readouterr().err)["errors"]
+        assert error["message"] == "line 1: dense score must not be NaN"
+
     @pytest.mark.parametrize("rho, shown", [("-1", "-1.0"), ("nan", "nan")])
     def test_bad_rho_rejected_before_any_row(self, rho, shown, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
@@ -724,6 +738,22 @@ class TestCompose:
         assert payload["separability_gap"] <= 1e-9
         assert payload["avg_lower"] <= payload["avg_upper"] + 1e-12
         assert len(payload["rows"]) == 2
+
+    def test_bits_converts_the_payload(self, obs_file, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert main(["compose", "--input", str(obs_file), "--format", "json",
+                     "--bits", "--output", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        rows = payload["rows"]
+        assert payload["units"] == "bits"
+        assert payload["avg_lower"] == pytest.approx(
+            np.mean([r["r_bin"] for r in rows]), rel=1e-12)
+        for key in ("avg_upper", "joint_sup", "factored_sum"):
+            assert payload[key] == pytest.approx(
+                np.mean([r["sup_kl"] for r in rows]), rel=1e-12)
+        assert main(["compose", "--input", str(obs_file), "--bits"]) == 0
+        table = capsys.readouterr().out
+        assert f"# avg_lower: {payload['avg_lower']:.6g}\n" in table
 
 
 class TestOracle:

@@ -1,6 +1,8 @@
 """Line decoding: orjson first, json when orjson refuses a line or its record
 fails a check, so parses match a json-only decode exactly."""
 
+import array
+import contextlib
 import io
 import json
 import math
@@ -19,11 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from censet import observation
+from censet import observation, reference
 from censet.observation import (
+    _COUNT_FROM_LENGTH,
     _ORJSON_MAX_DEPTH,
     ParseError,
     _batches,
+    _few_openers,
+    _has_literal,
     _shallow,
     parse_observations,
 )
@@ -228,6 +233,177 @@ class TestEquivalence:
         )
 
 
+def _old_conversion(values, typecode, what, lineno, literals):
+    """The conversion rule before one ``array.array`` pass: the exact kind
+    check of every value, then ``np.fromiter``; None on overflow."""
+    observation._check_json_kind(values, observation._ARRAY_KINDS[typecode], what,
+                                 lineno)
+    dtype = np.int64 if typecode == "q" else np.float64
+    try:
+        converted = np.fromiter(values, dtype, len(values))
+    except OverflowError:
+        return None
+    return array.array(typecode, converted.tobytes())
+
+
+@contextlib.contextmanager
+def _old_rule():
+    with mock.patch.object(observation, "_json_array", _old_conversion), \
+            mock.patch.object(reference, "_json_array", _old_conversion):
+        yield
+
+
+# a value of every JSON kind: integers, floats and bools; null, strings,
+# lists and objects; integers past 2**63, past 2**64 and past the float
+# range; and the NaN and infinities that only the json fallback reads
+ANY_KIND = ["7", "-2", "0.5", "-1e-3", "true", "false", "null", '"3"', '"true"',
+            "[]", "[1]", "{}", '{"a": 1}', str(2**63), str(-(2**63) - 1),
+            str(2**64), "1" + "0" * 30, "1" + "0" * 400, "-" + "1" * 400,
+            "NaN", "Infinity", "-Infinity"]
+# position ids that hold the words of the literal screen, its letters or an
+# infinity's name
+SCREEN_IDS = ['"true"', '"f0"', '"uuid"', '"Infinity"', '"p0"', '"nul"', '"false"']
+
+
+@st.composite
+def _mixed(draw, pool):
+    """A literal from ``pool``, or one time in four of any kind."""
+    return draw(st.sampled_from(ANY_KIND if draw(_rarely(4)) else pool))
+
+
+def _pairs(draw, score_key: str) -> str:
+    k = draw(st.integers(0, 5))
+    tokens = draw(st.permutations(range(8)))[:k]
+    return "[" + ", ".join(
+        '{"token": %s, "%s": %s}' % (draw(_mixed([str(t)])), score_key,
+                                     draw(_mixed(NUMBERS)))
+        for t in tokens
+    ) + "]"
+
+
+@st.composite
+def _any_kind_record(draw) -> str:
+    pid = draw(st.sampled_from(SCREEN_IDS))
+    form = draw(st.sampled_from(["observation", "dense", "sparse"]))
+    if form == "observation":
+        return ('{"vocab_size": %s, "mode": "logits", "position_id": %s, "topk": %s}'
+                % (draw(_mixed(VOCAB)), pid, _pairs(draw, "score")))
+    if form == "dense":
+        values = draw(st.lists(_mixed(NUMBERS), max_size=5))
+        return '{"position_id": %s, "dense": [%s]}' % (pid, ", ".join(values))
+    return ('{"position_id": %s, "default": %s, "entries": %s}'
+            % (pid, draw(_mixed(NUMBERS + ['"-inf"'])), _pairs(draw, "logit")))
+
+
+class TestConversionParity:
+    """One ``array.array`` pass, with the exact kind check only on a literal
+    word or a failed conversion, gives every batch and every error message
+    of the exact kind check followed by ``np.fromiter``.  Both rules reject
+    NaN reference scores, after the conversion: that check is new, and
+    ``test_reference`` shows it."""
+
+    @given(st.lists(_any_kind_record(), min_size=1, max_size=4))
+    @settings(max_examples=400, deadline=None)
+    def test_same_batches_and_errors(self, records):
+        text = "\n".join(records) + "\n"
+        parses = (_whole, _chunked, _references)
+        for decode in (contextlib.nullcontext, _json_only):
+            with decode():
+                got = [_outcome(parse, text) for parse in parses]
+                with _old_rule():
+                    want = [_outcome(parse, text) for parse in parses]
+            assert got == want
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"vocab_size": 5, "mode": "logits", "topk": [{"token": 1, '
+         '"score": true}]}', "line 1: score must be a JSON number, got True"),
+        ('{"vocab_size": 5, "mode": "logits", "topk": [{"token": false, '
+         '"score": 0.5}]}', "line 1: token must be a JSON integer, got False"),
+        ('{"vocab_size": 5, "mode": "logits", "topk": [{"token": 18446744073709551615, '
+         '"score": 0.5}, {"token": 1, "score": "x"}]}',
+         "line 1: score must be a JSON number, got 'x'"),
+        ('{"vocab_size": 5, "mode": "logits", "topk": [{"token": 9223372036854775808, '
+         '"score": 0.5}, {"token": 1.0, "score": 0.5}]}',
+         "line 1: token must be a JSON integer, got 1.0"),
+        ('{"position_id": "a", "dense": [1, %s, true]}' % ("1" + "0" * 400),
+         "line 1: dense score must be a JSON number, got True"),
+        ('{"position_id": "a", "default": 0, "entries": '
+         '[{"token": 9223372036854775808, "logit": 0}, {"token": true, "logit": 0}]}',
+         "line 1: token must be a JSON integer, got True"),
+    ])
+    def test_kind_error_behind_an_overflow_or_a_bool(self, line, message):
+        parse = parse_reference_dump if "position_id" in line else parse_observations
+        for decode in (contextlib.nullcontext, _json_only):
+            with decode(), pytest.raises(ParseError) as caught:
+                parse(line)
+            assert str(caught.value) == message
+
+
+class TestLiteralScreen:
+    @pytest.mark.parametrize("line", [
+        "true", "null", "false", '{"a": 1, "b": true', '[1, null', '{"a": false',
+        '{"position_id": "untrue"}', '{"position_id": "a nullity"}',
+        '{"position_id": "falsehood", "v": 1}',
+    ])
+    def test_finds_the_words(self, line):
+        assert _has_literal(line)
+
+    @pytest.mark.parametrize("line", [
+        "", "tru", "ull", "alse", "fals", "TRUE", "Null", "t rue", "nu ll",
+        '{"position_id": "f0", "uuid": "fu", "unit": "nul"}',
+        # the letters around a u or an f at either end of the line
+        "ue, tr", "ull, n", "u", "f", "alse, f",
+    ])
+    def test_ignores_letters(self, line):
+        assert not _has_literal(line)
+
+
+def _padded(value: str, pad: int = _COUNT_FROM_LENGTH) -> str:
+    return f'{{"pad": "{"x" * pad}", "v": {value}}}'
+
+
+class TestBracketCount:
+    """A long line holding at most ``_ORJSON_MAX_DEPTH`` opening brackets
+    is clear of the depth bound."""
+
+    @pytest.mark.parametrize("extra, shallow", [(0, True), (1, False)])
+    def test_nested_brackets(self, extra, shallow):
+        # the object holding "pad" is one level, one opening bracket
+        depth = _ORJSON_MAX_DEPTH - 1 + extra
+        line = _padded("[" * depth + "]" * depth)
+        assert _depth(json.loads(line)) == 1 + depth
+        assert _shallow(line) is shallow
+        # shorter lines go to the bound, which counts each [ twice
+        short = _padded("[" * depth + "]" * depth, pad=0)
+        assert 2 * _ORJSON_MAX_DEPTH < len(short) < _COUNT_FROM_LENGTH
+        assert not _shallow(short)
+
+    # past the count, the bound decides: it counts each [ twice and a {
+    # only after a colon
+    @pytest.mark.parametrize("opener, bound", [("[", False), ("{", True),
+                                               ("[{", False)])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_brackets_in_strings(self, opener, bound, extra):
+        n = _ORJSON_MAX_DEPTH - 1 + extra
+        line = _padded(json.dumps((opener * n)[:n]))
+        assert len(line) > _COUNT_FROM_LENGTH
+        assert line.count("[") + line.count("{") == 1 + n
+        assert _few_openers(line) is not extra
+        assert _shallow(line) is (bound if extra else True)
+
+    @given(st.integers(1, 2 * _ORJSON_MAX_DEPTH),
+           st.lists(st.sampled_from(["array", "element", "value"]), min_size=1,
+                    max_size=3),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_count_holds(self, depth, kinds, noisy, seed):
+        line = _padded(_nest(random.Random(seed), depth, kinds, noisy))
+        actual = _depth(json.loads(line))
+        assert actual == depth
+        if _shallow(line):
+            assert actual <= _ORJSON_MAX_DEPTH
+
+
 RECORD = '{"vocab_size": 5, "mode": "logits", "topk": [{"token": 1, "score": 0.5}]}'
 
 
@@ -428,9 +604,12 @@ class TestDepthGuard:
         entries = ", ".join('{"token": %d, "score": -1.5}' % t for t in range(1000))
         dense = ", ".join(["-0.25"] * 1000)
         sparse = entries.replace("score", "logit")
+        # a 600 KB dense reference line, cleared by its bracket count
+        wide = ", ".join(["-0.2500000000000001"] * 30000)
         for line in ('{"vocab_size": 1000, "mode": "logits", "topk": [%s]}' % entries,
                      '{"position_id": "p", "dense": [%s]}' % dense,
-                     '{"position_id": "p", "entries": [%s]}' % sparse):
+                     '{"position_id": "p", "entries": [%s]}' % sparse,
+                     '{"position_id": "p", "dense": [%s]}' % wide):
             assert len(line) > 2 * _ORJSON_MAX_DEPTH and _shallow(line)
 
     def test_a_line_too_deep_for_the_stack_is_an_error(self, tmp_path):

@@ -96,6 +96,25 @@ class TestReferenceGeometry:
         with pytest.raises(ValueError):
             reference_geometry(v4_geometry, dense_ref([0.0] * 4), -0.1)
 
+    @pytest.mark.parametrize("ref", [
+        dense_ref([2.0, 1.0, math.nan, 0.5]),
+        ReferenceLogits(position_id="p", entries={0: 2.0}, default=math.nan),
+    ])
+    def test_nan_reference_rejected(self, v4_geometry, ref):
+        # NaN would otherwise read as a reference that forbids the whole tail
+        with pytest.raises(ValueError, match="reference scores for position 'p' "
+                                             "hold a NaN"):
+            reference_geometry(v4_geometry, ref, 0.5)
+
+    def test_infinite_reference_scores_keep_their_meaning(self, v4_geometry):
+        # +inf sets no ceiling (U_R = U_K), -inf forbids the token
+        rb = reference_geometry(v4_geometry, dense_ref([0, 0, math.inf, math.inf]),
+                                0.5)
+        assert rb.U_R == pytest.approx(v4_geometry.U_K, rel=1e-12)
+        rb = reference_geometry(v4_geometry, dense_ref([0, 0, math.inf, -math.inf]),
+                                0.5)
+        assert rb.U_R == pytest.approx(1.0 / (math.e + 2.0), rel=1e-12)
+
     def test_wrong_dense_length(self, v4_geometry):
         with pytest.raises(CoverageError):
             reference_geometry(v4_geometry, dense_ref([0.0] * 3), 0.5)
@@ -293,6 +312,27 @@ class TestParseReferenceDump:
                   '"default":-9.0,"entries":[{"token":0,"logit":1.0}]}')
         with pytest.raises(ParseError, match="line 1: record has both dense and entries"):
             parse_reference_dump(record)
+
+    @pytest.mark.parametrize("record, field", [
+        ('"dense":[2.0,1.0,NaN,0.5]', "dense score"),
+        ('"default":0.0,"entries":[{"token":0,"logit":2.0},{"token":2,"logit":NaN}]',
+         "logit"),
+        ('"default":NaN,"entries":[{"token":0,"logit":2.0}]', "default"),
+    ])
+    def test_nan_score_rejected(self, record, field):
+        text = '{"position_id":"a","dense":[0.0]}\n{"position_id":"b",' + record + "}\n"
+        with pytest.raises(ParseError) as caught:
+            parse_reference_dump(text)
+        assert str(caught.value) == f"line 2: {field} must not be NaN"
+
+    def test_infinite_scores_accepted(self):
+        refs = parse_reference_dump(
+            '{"position_id":"a","dense":[Infinity,-Infinity,0.5]}\n'
+            '{"position_id":"b","default":-Infinity,"entries":'
+            '[{"token":0,"logit":Infinity}]}\n'
+        )
+        assert refs["a"].dense.tolist() == [math.inf, -math.inf, 0.5]
+        assert refs["b"].default == -math.inf and refs["b"].entries == {0: math.inf}
 
     def test_null_default_rejected(self):
         record = '{"position_id":"a","default":null,"entries":[{"token":0,"logit":1.0}]}'
