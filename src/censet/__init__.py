@@ -13,7 +13,7 @@ everything else is imported from its submodule.
 """
 
 from .identified_set import geometry, per_token_cap
-from .minimax import certificate, symmetric_estimator, worst_case_risk
+from .minimax import certificate, symmetric_sup
 from .observation import (
     ModeError,
     ParseError,
@@ -31,6 +31,5 @@ __all__ = [
     "geometry",
     "parse_observations",
     "per_token_cap",
-    "symmetric_estimator",
-    "worst_case_risk",
+    "symmetric_sup",
 ]

@@ -337,7 +337,7 @@ def cmd_reference(args) -> int:
             "U_R": rb.U_R,
             "shrinkage": rb.U_R / geom.U_K if geom.U_K > 0 else None,
             "rho": args.rho,
-            "reserve": ref._reserve(rb),
+            "reserve": rb.reserve,
             "max_perturbation": None,
             "frac_exceeding_rho": None,
         }

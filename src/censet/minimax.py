@@ -22,12 +22,10 @@ estimator's worst case from above.  All divergences are in nats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .identified_set import SetGeometry
 from .numerics import expit, policy
 
 _INV_E = 1.0 / math.e
@@ -37,24 +35,6 @@ SECOND_ORDER_COEFF = 0.5 / math.e - 0.5 / math.e**2
 IMPOSSIBLE = "IMPOSSIBLE"
 OPEN = "OPEN"
 THRESHOLD = "THRESHOLD"
-
-
-@dataclass(frozen=True, eq=False)
-class EstimatorSpec:
-    """A candidate recovery distribution.
-
-    Head token v receives ``(1-s) * alpha_v``; censored token u receives
-    ``s * w_u`` where the conditional weights w sum to 1.  ``tail_weights``
-    is aligned with the geometry's sorted censored ids; ``None`` means the
-    uniform rule w_u = 1/M.
-    """
-
-    s: float
-    tail_weights: np.ndarray | None = None
-
-    @property
-    def is_uniform(self) -> bool:
-        return self.tail_weights is None
 
 
 def reserve(u: float) -> tuple[float, float]:
@@ -140,21 +120,6 @@ def certificate(u: float) -> Certificate:
     return Certificate(s_star, r_bin, gmax, argmax, u * _INV_E)
 
 
-def symmetric_estimator(geom: SetGeometry, s: float | None = None) -> EstimatorSpec:
-    """Uniform-tail estimator; default reserve is U_K / e.
-
-    With no censored tokens, or a diameter that underflows to 0, the truth
-    is identified to double precision and the reserve collapses to 0.
-    """
-    if geom.M == 0 or geom.U_K == 0.0:
-        return EstimatorSpec(s=0.0)
-    if s is None:
-        s = geom.U_K * _INV_E
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"reserve must lie in (0, 1), got {s!r}")
-    return EstimatorSpec(s=float(s))
-
-
 def _bernoulli_kl(t: float, s: float) -> float:
     """KL between Bernoulli(t) and Bernoulli(s), with the edge conventions."""
     if t > 0.0 and s == 0.0:
@@ -204,12 +169,14 @@ def _sup_candidates(
     """(risk, t) at the one or two breakpoints that can hold the sup.
 
     For M censored tokens, log-odds ``lo``, diameter ``u`` and a uniform
-    tail rule with reserve ``s`` (see :func:`worst_case_risk`).
+    tail rule with reserve ``s`` (see :func:`symmetric_sup`).
     """
     if u == 0.0:
         # only t = 0 is compatible: no censored tokens, or an underflowed tail
         if m == 0 and s != 0.0:
             raise ValueError("estimator reserves tail mass but M = 0")
+        if not 0.0 <= s < 1.0:
+            raise ValueError(f"reserve must lie in [0, 1), got {s!r}")
         return [(-math.log1p(-s), 0.0)]
     if not 0.0 < s < 1.0:
         raise ValueError(f"reserve must lie in (0, 1), got {s!r}")
@@ -227,8 +194,17 @@ def _sup_candidates(
     return out
 
 
-def worst_case_risk(geom: SetGeometry, est: EstimatorSpec) -> tuple[float, float]:
-    """Exact supremum over the compatible set of KL against ``est``.
+def symmetric_sup(
+    m: int, log_odds: float, u: float, s: float | None = None
+) -> tuple[float, float]:
+    """Exact supremum over the compatible set of KL against the symmetric
+    estimator, which gives head token v ``(1-s) * alpha_v`` and each of the
+    M censored tokens ``s / M``.
+
+    For M censored tokens, log-odds ``log_odds`` and diameter ``u`` (U_K).
+    The default reserve is ``u / e``; with no censored tokens, or a
+    diameter that underflows to 0, the truth is identified to double
+    precision and the default collapses to 0.
 
     With ``c = exp(log_odds) / M`` the cap binds at ``t_n = n c / (1 + n c)``,
     n = 0..M (``t_M = U_K``).  Between ``t_n`` and ``t_{n+1}`` the adversary
@@ -247,15 +223,8 @@ def worst_case_risk(geom: SetGeometry, est: EstimatorSpec) -> tuple[float, float
     ``risk_at_tail_mass`` evaluates the same closed form at any t.  Returns
     (sup_kl, argmax_t).
     """
-    if geom.U_K != 0.0 and not est.is_uniform:
-        raise ValueError("closed-form best response requires a uniform tail rule")
-    return max(_sup_candidates(geom.M, geom.log_odds, geom.U_K, est.s))
-
-
-def symmetric_sup(m: int, log_odds: float, u: float) -> tuple[float, float]:
-    """:func:`worst_case_risk` of :func:`symmetric_estimator` at its default
-    reserve, from M, ``log_odds`` and ``U_K``."""
-    s = 0.0 if m == 0 or u == 0.0 else u * _INV_E
+    if s is None:
+        s = 0.0 if m == 0 or u == 0.0 else u * _INV_E
     return max(_sup_candidates(m, log_odds, u, s))
 
 

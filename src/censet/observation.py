@@ -16,7 +16,6 @@ import itertools
 import json
 import math
 import operator
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -757,11 +756,5 @@ def _check_head_mass(log_head: float) -> None:
 
 
 def _tail_mass(log_head: float) -> float:
-    """``1 - exp(log_head)`` clamped to [0, 1], warning below ``-head_mass_tol``."""
-    raw = -math.expm1(log_head)
-    if raw < -policy().head_mass_tol:
-        warnings.warn(
-            f"hidden tail mass {raw!r} below 0 beyond tolerance; clamping",
-            stacklevel=3,
-        )
-    return min(1.0, max(0.0, raw))
+    """``1 - exp(log_head)`` clamped to [0, 1]."""
+    return min(1.0, max(0.0, -math.expm1(log_head)))

@@ -141,50 +141,52 @@ def geometry_with_diameter(u: float, m: int) -> geo.SetGeometry:
 
 
 def estimator_distribution(
-    geom: geo.SetGeometry, est: mm.EstimatorSpec
+    geom: geo.SetGeometry, s: float, tail_weights: np.ndarray | None = None
 ) -> np.ndarray:
-    """Dense length-V distribution induced by an estimator."""
-    return point(geom, est.s, None if est.is_uniform else est.s * est.tail_weights)
+    """Dense length-V distribution of the estimator with reserve ``s``.
+
+    Head token v receives ``(1-s) * alpha_v`` and censored token u receives
+    ``s * w_u``, where the weights ``tail_weights`` are aligned with
+    ``geom.censored_ids`` and sum to 1; ``None`` means the uniform rule
+    w_u = 1/M of :func:`minimax.symmetric_sup`.
+    """
+    return point(geom, s, None if tail_weights is None else s * tail_weights)
 
 
-def risk_at_tail_mass(
-    geom: geo.SetGeometry, est: mm.EstimatorSpec, t: float
-) -> float:
-    """Worst-case KL against a uniform-tail estimator at fixed tail mass.
+def risk_at_tail_mass(geom: geo.SetGeometry, s: float, t: float) -> float:
+    """Worst-case KL at fixed tail mass t against the uniform-tail
+    estimator with reserve ``s``.
 
     Decomposes as d(t || s) + t * max KL(r || uniform), both pieces closed
     form, so this is exact (no inner search).
     """
-    if not est.is_uniform:
-        raise ValueError("closed-form best response requires a uniform tail rule")
     if t < 0.0 or t > geom.U_K + policy().membership_tol:
         raise ValueError(f"tail mass t={t!r} outside [0, U_K={geom.U_K!r}]")
     if t == 0.0:
-        return -math.log1p(-est.s) if est.s < 1.0 else math.inf
+        return -math.log1p(-s) if s < 1.0 else math.inf
     t = min(t, geom.U_K)
     _, _, tail_kl = mm._concentrated_tail_kl(geom.M, geom.log_odds, t, None)
-    return mm._bernoulli_kl(t, est.s) + t * tail_kl
+    return mm._bernoulli_kl(t, s) + t * tail_kl
 
 
 def adversary_best_response(
-    geom: geo.SetGeometry, est: mm.EstimatorSpec, t: float
+    geom: geo.SetGeometry, s: float, t: float
 ) -> tuple[np.ndarray, float]:
-    """The compatible point maximizing KL against ``est`` at tail mass t.
+    """The compatible point maximizing KL at tail mass t against the
+    uniform-tail estimator with reserve ``s``.
 
     The maximizing tail puts the per-token cap on as many censored tokens
     as fit and the remainder on one further token (lowest ids first, for
-    determinism).  Requires a uniform-tail estimator and 0 < t <= U_K.
-    Returns the point as a dense vector and its KL.
+    determinism).  Requires 0 < t <= U_K.  Returns the point as a dense
+    vector and its KL.
     """
-    if not est.is_uniform:
-        raise ValueError("closed-form best response requires a uniform tail rule")
     if geom.M == 0:
         raise ValueError("no censored tokens; adversary has no tail to allocate")
     if t <= 0.0 or t > geom.U_K + policy().membership_tol:
         raise ValueError(f"tail mass t={t!r} outside (0, U_K={geom.U_K!r}]")
     t = min(t, geom.U_K)
     n_full, rem, tail_kl = mm._concentrated_tail_kl(geom.M, geom.log_odds, t, None)
-    value = mm._bernoulli_kl(t, est.s) + t * tail_kl
+    value = mm._bernoulli_kl(t, s) + t * tail_kl
     if n_full == geom.M and rem == 0.0:
         return point(geom, t), value
     lam = math.exp(geom.log_odds) * (1.0 - t) / t
@@ -376,11 +378,13 @@ def sample_feasible_points(
 def reference_risk_oracle(
     geom: geo.SetGeometry,
     rb: ref.ReferenceBound,
-    est: mm.EstimatorSpec,
+    s: float,
+    tail_weights: np.ndarray | None = None,
     n_samples: int = 4096,
     seed: int = 0,
 ) -> float:
-    """Max sampled KL of ceiling-constrained truths against an estimator.
+    """Max sampled KL of ceiling-constrained truths against the estimator
+    of :func:`estimator_distribution` with reserve ``s``.
 
     Draws unnormalized tail weights uniformly below the per-token ceilings
     (every draw is a valid member), always including the two extremal
@@ -399,9 +403,9 @@ def reference_risk_oracle(
     tails = ys / denom[:, None]
     ts = tails.sum(axis=1)
 
-    q_tail = estimator_distribution(geom, est)[geom.censored_ids]
+    q_tail = estimator_distribution(geom, s, tail_weights)[geom.censored_ids]
     # estimator head is (1-s) * alpha, so the head KL term collapses
-    head = (1.0 - ts) * (np.log1p(-ts) - math.log1p(-est.s))
+    head = (1.0 - ts) * (np.log1p(-ts) - math.log1p(-s))
     # mass where the estimator has none gives +inf; the terms of a zero
     # sample entry (nan or -inf) are masked out
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -475,7 +479,7 @@ def balancing_oracle(u: float, grid: int = 2000) -> tuple[float, float]:
 def breakpoint_scan_oracle(m: int, log_odds: float, s: float) -> float:
     """Brute scan of the uniform-tail estimator's risk over tail masses.
 
-    Independent route for :func:`minimax.worst_case_risk`: one numpy pass,
+    Independent route for :func:`minimax.symmetric_sup`: one numpy pass,
     in absolute tail masses (``floor(t / cap)`` tokens at ``cap = c (1-t)``,
     the rest on one more), over every breakpoint ``t_n = n c / (1 + n c)``
     and a 257-point uniform grid of [0, U_K].  O(M) memory: meant for small
@@ -646,7 +650,7 @@ def oracle_battery(seed: int = 0) -> list[dict]:
     detail = []
     for u in (0.05, 0.3, 0.7, 0.95):
         geom = geometry_with_diameter(u, 64)
-        sup_kl, _ = mm.worst_case_risk(geom, mm.symmetric_estimator(geom))
+        sup_kl, _ = mm.symmetric_sup(geom.M, geom.log_odds, geom.U_K)
         r_bin = mm.reserve(geom.U_K)[1]
         gmax, _ = mm.g_max(geom.U_K)
         ok = ok and (r_bin <= sup_kl + 1e-12) and (sup_kl <= gmax + 1e-6)
@@ -658,7 +662,7 @@ def oracle_battery(seed: int = 0) -> list[dict]:
     for u, m in ((0.05, 7), (0.3, 16), (0.7, 64), (0.95, 64)):
         geom = geometry_with_diameter(u, m)
         for s in (u / math.e, mm.reserve(u)[0], 0.02, 0.5, 0.98):
-            sup_kl, _ = mm.worst_case_risk(geom, mm.symmetric_estimator(geom, s))
+            sup_kl, _ = mm.symmetric_sup(geom.M, geom.log_odds, geom.U_K, s)
             scan = breakpoint_scan_oracle(geom.M, geom.log_odds, s)
             gap = max(gap, abs(sup_kl - scan))
     record("sup_breakpoint_scan", gap <= 1e-10, f"max |sup - scan| = {gap:.2e}")
@@ -710,7 +714,7 @@ def oracle_battery(seed: int = 0) -> list[dict]:
     )
     profiles = [
         [risk for risk, _ in mm._sup_candidates(
-            g.M, g.log_odds, g.U_K, mm.symmetric_estimator(g).s)]
+            g.M, g.log_odds, g.U_K, g.U_K * mm._INV_E)]
         for g in geoms
     ]
     joint_sup = float(reduce(np.add.outer, profiles).max()) / len(geoms)

@@ -23,7 +23,7 @@ from typing import IO
 import numpy as np
 
 from .identified_set import SetGeometry
-from .minimax import _INV_E, EstimatorSpec
+from .minimax import _INV_E
 from .numerics import expit, logsumexp
 from .observation import (
     _INT64_MAX,
@@ -93,8 +93,10 @@ class ReferenceBound:
     U_R: float
 
     @property
-    def log_odds(self) -> float:
-        return self.log_CR - self.log_ZA
+    def reserve(self) -> float:
+        """The reference estimator's reserve ``U_R / e``, split over the
+        censored tokens by :attr:`beta`; 0 at U_R = 0."""
+        return self.U_R * _INV_E
 
     @cached_property
     def beta(self) -> np.ndarray:
@@ -149,29 +151,6 @@ def reference_geometry(
         log_ZA=geom.log_ZA,
         U_R=u_r,
     )
-
-
-def reference_estimator(
-    geom: SetGeometry, rb: ReferenceBound, s: float | None = None
-) -> EstimatorSpec:
-    """Estimator reserving mass ``s`` split proportionally to the ceilings.
-
-    Default reserve is U_R / e.  With U_R = 0 the reference forbids the
-    entire tail and the head conditional is returned exactly.
-    """
-    s = _reserve(rb, s)
-    return EstimatorSpec(s=s, tail_weights=rb.beta if s else None)
-
-
-def _reserve(rb: ReferenceBound, s: float | None = None) -> float:
-    """The reserve of :func:`reference_estimator`, with no tail weights built."""
-    if rb.U_R == 0.0:
-        return 0.0
-    if s is None:
-        s = rb.U_R * _INV_E
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"reserve must lie in (0, 1), got {s!r}")
-    return float(s)
 
 
 def calibrate_rho(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator, Sequence
@@ -302,8 +301,8 @@ def ksweep(blocks: Iterable[tuple], k_list: Sequence[int]) -> list[SweepRow]:
     from a full dump, all of one V and at least as wide as the largest K
     up to V.  Per K: mean and population sd of the diameter, the mean lower
     bound, the mean hidden tail mass of the normalized reinterpretation and
-    the mean symmetric-estimator sup (``worst_case_risk`` of the
-    reserve-``U_K/e`` estimator).  A K above V gives a skipped row: NaN
+    the mean symmetric-estimator sup (:func:`minimax.symmetric_sup` at its
+    default reserve ``U_K/e``).  A K above V gives a skipped row: NaN
     statistics and n = 0.  Blocks are read one at a time and every K reads
     a prefix of the same rows (see :func:`_sweep_block`), so working memory
     is one block plus a few floats per (position, K).
@@ -344,7 +343,6 @@ def ksweep(blocks: Iterable[tuple], k_list: Sequence[int]) -> list[SweepRow]:
         for j, k in enumerate(swept)
     ]
     for k in ks[len(swept):]:
-        warnings.warn(f"skipping K={k}: exceeds vocab_size {v}")
         rows.append(SweepRow(k=k, uk_mean=math.nan, uk_sd=math.nan,
                              rbin_mean=math.nan, tail_mass_mean=math.nan, n=0,
                              sup_kl_mean=math.nan))

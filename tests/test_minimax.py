@@ -14,14 +14,13 @@ from scipy.special import xlogy
 from censet.cli import main
 from censet.identified_set import SetGeometry, diameter
 from censet.minimax import (
+    _INV_E,
     SECOND_ORDER_COEFF,
-    EstimatorSpec,
     certificate,
     g_max,
     reserve,
-    symmetric_estimator,
+    symmetric_sup,
     verdicts,
-    worst_case_risk,
 )
 from censet.oracles import (
     adversary_best_response,
@@ -40,6 +39,15 @@ from censet.oracles import (
 from conftest import make_geometry, make_observation
 
 E = math.e
+
+
+def _sup(g, s=None):
+    """:func:`symmetric_sup` of a geometry."""
+    return symmetric_sup(g.M, g.log_odds, g.U_K, s)
+
+
+def _default_reserve(g):
+    return g.U_K * _INV_E
 
 # second-order gap table: u -> (r_bin, u/e, r_bin - u/e, g_max)
 GAP_TABLE = {
@@ -120,8 +128,7 @@ class TestBalancingOracle:
     def test_equalization_on_dense_distributions(self, v4_geometry):
         # same balance measured through the generic divergence on full vectors
         g = v4_geometry
-        est = symmetric_estimator(g, s=reserve(g.U_K)[0])
-        q = estimator_distribution(g, est)
+        q = estimator_distribution(g, reserve(g.U_K)[0])
         kl_zero = kl(point(g, 0.0), q)
         kl_full = kl(point(g, g.U_K), q)
         assert abs(kl_zero - kl_full) <= 1e-10
@@ -191,78 +198,78 @@ class TestGMax:
 
 class TestSymmetricEstimator:
     def test_default_reserve(self, v4_geometry):
-        est = symmetric_estimator(v4_geometry)
-        assert est.s == pytest.approx(v4_geometry.U_K / E, rel=1e-14)
-        assert est.is_uniform
+        geoms = [v4_geometry, make_geometry(12, [0.0, -3.0, -9.0])]
+        geoms += [geometry_with_diameter(u, 1000) for u in (1e-9, 0.05, 0.7, 0.995)]
+        for g in geoms:
+            assert g.U_K > 0.0
+            assert _sup(g) == _sup(g, g.U_K * _INV_E)
 
     def test_exact_identification_when_m_zero(self):
         g = make_geometry(2, [0.4, 0.0])
-        est = symmetric_estimator(g)
-        assert est.s == 0.0
         np.testing.assert_allclose(
-            estimator_distribution(g, est), point(g, 0.0)
+            estimator_distribution(g, 0.0), point(g, 0.0)
         )
-        assert worst_case_risk(g, est) == (0.0, 0.0)
+        assert _sup(g) == (0.0, 0.0)
+        with pytest.raises(ValueError, match="M = 0"):
+            _sup(g, 0.5)
 
     def test_induced_distribution_normalized(self, v4_geometry):
-        q = estimator_distribution(v4_geometry, symmetric_estimator(v4_geometry))
+        q = estimator_distribution(v4_geometry, _default_reserve(v4_geometry))
         assert abs(float(q.sum()) - 1.0) <= 1e-12
 
     def test_zero_tail_kl_is_log_reserve_complement(self, v4_geometry):
         g = v4_geometry
-        est = symmetric_estimator(g)
+        s = _default_reserve(g)
         p0 = point(g, 0.0)
-        q = estimator_distribution(g, est)
-        assert kl(p0, q) == pytest.approx(-math.log1p(-est.s), rel=1e-12)
+        q = estimator_distribution(g, s)
+        assert kl(p0, q) == pytest.approx(-math.log1p(-s), rel=1e-12)
 
 
 class TestAdversaryBestResponse:
     def test_single_token_when_cap_slack(self, v4_geometry):
         # lam(0.1) ~ 4.8 >= M = 2: all tail mass on one censored token
         g = v4_geometry
-        est = symmetric_estimator(g)
-        p, value = adversary_best_response(g, est, 0.1)
+        s = _default_reserve(g)
+        p, value = adversary_best_response(g, s, 0.1)
         tail = p[g.censored_ids]
         assert np.count_nonzero(tail) == 1
         assert tail.max() == pytest.approx(0.1, rel=1e-12)
         t = 0.1
-        s = est.s
         d = t * math.log(t / s) + (1 - t) * (math.log1p(-t) - math.log1p(-s))
         assert value == pytest.approx(d + t * math.log(g.M), rel=1e-12)
 
     def test_sweep_dominates_binary_lower_bound(self, v4_geometry):
         g = v4_geometry
-        est = symmetric_estimator(g)
+        s = _default_reserve(g)
         grid = np.linspace(1e-6, g.U_K, 400)
-        best = max(risk_at_tail_mass(g, est, float(t)) for t in grid)
+        best = max(risk_at_tail_mass(g, s, float(t)) for t in grid)
         assert best >= reserve(g.U_K)[1] - 1e-12
 
     def test_vanishing_tail_mass_limit(self, v4_geometry):
-        est = symmetric_estimator(v4_geometry)
-        value = risk_at_tail_mass(v4_geometry, est, 1e-8)
-        assert value == pytest.approx(-math.log1p(-est.s), abs=1e-6)
+        s = _default_reserve(v4_geometry)
+        value = risk_at_tail_mass(v4_geometry, s, 1e-8)
+        assert value == pytest.approx(-math.log1p(-s), abs=1e-6)
 
     def test_best_response_is_a_member(self, v4_geometry):
         g = v4_geometry
-        est = symmetric_estimator(g)
         for t in (1e-4, 0.05, 0.2, g.U_K):
-            p, _ = adversary_best_response(g, est, t)
+            p, _ = adversary_best_response(g, _default_reserve(g), t)
             assert membership(g, p) == []
 
     def test_response_at_max_tail_is_uniform(self, v4_geometry):
         g = v4_geometry
-        p, _ = adversary_best_response(g, symmetric_estimator(g), g.U_K)
+        p, _ = adversary_best_response(g, _default_reserve(g), g.U_K)
         np.testing.assert_array_equal(p, point(g, g.U_K))
 
     def test_closed_form_dominates_random_members(self):
         # 1e4+ random capped tail conditionals at fixed t never beat the
         # concentrated extreme point
         g = make_geometry(8, [1.0, 0.0])
-        est = symmetric_estimator(g)
+        s = _default_reserve(g)
         rng = np.random.default_rng(3)
         for t in (0.05, 0.2, float(g.U_K) * 0.99):
             cap = g.U_K / (1 - g.U_K) * (1 - t) / g.M
-            closed = risk_at_tail_mass(g, est, t)
+            closed = risk_at_tail_mass(g, s, t)
             raw = rng.uniform(0.0, 1.0, size=(3500, g.M))
             x = t * raw / raw.sum(axis=1, keepdims=True)
             for _ in range(60):
@@ -273,7 +280,7 @@ class TestAdversaryBestResponse:
                 scale = np.where(total_room > 0, deficit / np.maximum(total_room, 1e-300), 0.0)
                 x = x + room * scale[:, None]
             head = np.outer(np.full(len(x), 1.0 - t), g.alpha)
-            q = estimator_distribution(g, est)
+            q = estimator_distribution(g, s)
             q_head = q[list(g.token_ids)]
             q_tail = q[g.censored_ids]
             head_term = (head * (np.log(head) - np.log(q_head))).sum(axis=1)
@@ -283,37 +290,35 @@ class TestAdversaryBestResponse:
             assert float((head_term + tail_term).max()) <= closed + 1e-10
 
     def test_domain_error_beyond_diameter(self, v4_geometry):
-        est = symmetric_estimator(v4_geometry)
+        s = _default_reserve(v4_geometry)
         with pytest.raises(ValueError):
-            adversary_best_response(v4_geometry, est, v4_geometry.U_K + 0.05)
+            adversary_best_response(v4_geometry, s, v4_geometry.U_K + 0.05)
 
 
 class TestWorstCaseRisk:
     def test_small_diameter_first_order_band(self):
         g = geometry_with_diameter(0.05, 16)
-        est = symmetric_estimator(g)
-        sup_kl, _ = worst_case_risk(g, est)
+        sup_kl, _ = _sup(g)
         r = reserve(g.U_K)[1]
         assert r - 1e-12 <= sup_kl <= r + 0.02 * g.U_K
 
     def test_large_diameter_bracket(self):
         g = geometry_with_diameter(0.91, 64)
-        est = symmetric_estimator(g)
-        sup_kl, t_at = worst_case_risk(g, est)
+        sup_kl, t_at = _sup(g)
         assert sup_kl <= g_max(g.U_K)[0] + 1e-6
         assert sup_kl >= reserve(g.U_K)[1]
         assert 0.0 < t_at < g.U_K
 
     def test_sup_at_least_any_grid_value(self, v4_geometry):
-        est = symmetric_estimator(v4_geometry)
-        sup_kl, _ = worst_case_risk(v4_geometry, est)
+        s = _default_reserve(v4_geometry)
+        sup_kl, _ = _sup(v4_geometry)
         for t in np.linspace(0.0, v4_geometry.U_K, 37):
-            assert sup_kl + 1e-12 >= risk_at_tail_mass(v4_geometry, est, float(t))
+            assert sup_kl + 1e-12 >= risk_at_tail_mass(v4_geometry, s, float(t))
 
     def test_regression_high_diameter(self):
         # the former grid + golden search read 3.5294813 here
         g = geometry_with_diameter(0.995, 1000)
-        sup_kl, _ = worst_case_risk(g, symmetric_estimator(g))
+        sup_kl, _ = _sup(g)
         assert abs(sup_kl - 3.5330845177311616) <= 1e-12
 
     @given(
@@ -327,7 +332,7 @@ class TestWorstCaseRisk:
         lo = -40.0 + frac * (math.log(m) + 40.0)
         g = _geometry_with_log_odds(m, lo)
         s = {"u/e": g.U_K / E, "s*": reserve(g.U_K)[0], "free": free_s}[rule]
-        sup_kl, t_at = worst_case_risk(g, symmetric_estimator(g, s))
+        sup_kl, t_at = _sup(g, s)
         assert sup_kl >= breakpoint_scan_oracle(g.M, g.log_odds, s) - 1e-10
         if rule == "u/e":
             assert sup_kl <= g_max(g.U_K)[0] + 1e-12
@@ -340,17 +345,18 @@ class TestWorstCaseRisk:
         # U_K underflows to 0 with M > 0: only t = 0 is compatible
         g = make_geometry(10, [0.0, -800.0])
         assert g.U_K == 0.0 and g.M == 8
-        est = symmetric_estimator(g)
-        assert est.s == 0.0
-        assert worst_case_risk(g, est) == (0.0, 0.0)
-        assert worst_case_risk(g, EstimatorSpec(s=0.5)) == (-math.log(0.5), 0.0)
+        assert _sup(g) == (0.0, 0.0)
+        assert _sup(g, 0.5) == (-math.log(0.5), 0.0)
+        # a reserve outside [0, 1) would read as a negative or undefined risk
+        for bad in (-0.5, 1.0, math.nan):
+            with pytest.raises(ValueError, match="reserve must lie"):
+                _sup(g, bad)
 
     def test_just_below_a_breakpoint(self):
         # at ratio t / cap = n - delta only n - 1 tokens fit under the cap; a
         # snap of the ratio up to n overshot this numpy evaluation by ~1e-10
         g = geometry_with_diameter(0.7, 64)
-        est = symmetric_estimator(g)
-        m, s = g.M, est.s
+        m, s = g.M, _default_reserve(g)
         c = math.exp(g.log_odds) / m
         for n in range(1, m):
             for delta in (1e-10, 3e-10, 9e-10):
@@ -363,7 +369,7 @@ class TestWorstCaseRisk:
                     t * (math.log(m) - math.log(s)) - (1 - t) * math.log1p(-s)
                     + xlogy(1 - t, 1 - t) + full * xlogy(cap, cap) + xlogy(rest, rest)
                 )
-                assert abs(risk_at_tail_mass(g, est, t) - direct) <= 1e-13
+                assert abs(risk_at_tail_mass(g, s, t) - direct) <= 1e-13
 
 
 def _geometry_with_log_odds(m: int, lo: float) -> SetGeometry:

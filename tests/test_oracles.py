@@ -13,7 +13,7 @@ import pytest
 
 import censet.oracles as oracles
 from censet.identified_set import geometry
-from censet.minimax import EstimatorSpec, symmetric_estimator, worst_case_risk
+from censet.minimax import _INV_E, symmetric_sup
 from censet.normalized import allocation_diameter
 from censet.oracles import (
     _endpoint_risks,
@@ -26,7 +26,7 @@ from censet.oracles import (
     estimator_distribution,
     reference_risk_oracle,
 )
-from censet.reference import ReferenceLogits, reference_estimator, reference_geometry
+from censet.reference import ReferenceLogits, reference_geometry
 from censet.simulate import GaussianIID, SyntheticTeacherConfig, censor, generate_teacher
 
 from conftest import make_geometry
@@ -149,7 +149,7 @@ class TestBalancingGrid:
             np.testing.assert_allclose(grid, scalar, rtol=1e-13)
 
 
-def scalar_reference_risk(geom, rb, est, n_samples=4096, seed=0):
+def scalar_reference_risk(geom, rb, s, tail_weights=None, n_samples=4096, seed=0):
     """The sample-at-a-time loop that reference_risk_oracle replaces."""
     if geom.M == 0:
         return 0.0
@@ -158,11 +158,11 @@ def scalar_reference_risk(geom, rb, est, n_samples=4096, seed=0):
     ys = rng.uniform(0.0, 1.0, size=(n_samples, geom.M)) * bounds
     ys = np.concatenate([ys, np.zeros((1, geom.M)), bounds[None, :]], axis=0)
     tails = ys / (1.0 + ys.sum(axis=1))[:, None]
-    q_tail = estimator_distribution(geom, est)[geom.censored_ids]
+    q_tail = estimator_distribution(geom, s, tail_weights)[geom.censored_ids]
     worst = 0.0
     for tail in tails:
         t = float(tail.sum())
-        value = (1.0 - t) * (math.log1p(-t) - math.log1p(-est.s))
+        value = (1.0 - t) * (math.log1p(-t) - math.log1p(-s))
         mask = tail > 0.0
         if np.any(mask & (q_tail == 0.0)):
             return math.inf
@@ -191,22 +191,23 @@ def reference_cases(seed, count):
 class TestReferenceRiskOracle:
     def test_equals_scalar_loop(self):
         for i, (geom, rb) in enumerate(reference_cases(21, 12)):
-            for est in (reference_estimator(geom, rb), symmetric_estimator(geom)):
-                got = reference_risk_oracle(geom, rb, est, n_samples=512, seed=i)
-                want = scalar_reference_risk(geom, rb, est, n_samples=512, seed=i)
+            # the reference estimator splits its reserve over the ceilings
+            for est in ((rb.reserve, rb.beta), (geom.U_K * _INV_E, None)):
+                got = reference_risk_oracle(geom, rb, *est, n_samples=512, seed=i)
+                want = scalar_reference_risk(geom, rb, *est, n_samples=512, seed=i)
                 assert got == pytest.approx(want, rel=1e-14, abs=1e-15)
 
     def test_zero_estimator_tail_entry_is_infinite(self, v4_geometry):
         rb = reference_geometry(
             v4_geometry, ReferenceLogits(position_id="p", dense=np.zeros(4)), 0.5
         )
-        est = EstimatorSpec(s=0.1, tail_weights=np.array([1.0, 0.0]))
-        assert reference_risk_oracle(v4_geometry, rb, est) == math.inf
-        assert scalar_reference_risk(v4_geometry, rb, est) == math.inf
+        weights = np.array([1.0, 0.0])
+        assert reference_risk_oracle(v4_geometry, rb, 0.1, weights) == math.inf
+        assert scalar_reference_risk(v4_geometry, rb, 0.1, weights) == math.inf
 
     def test_below_exact_symmetric_sup(self):
         # ceilings min(tau, z_ref + rho) <= tau: every sample is compatible
         for i, (geom, rb) in enumerate(reference_cases(5, 12)):
-            est = symmetric_estimator(geom)
-            sup_kl, _ = worst_case_risk(geom, est)
-            assert reference_risk_oracle(geom, rb, est, seed=i) <= sup_kl + 1e-12
+            sup_kl, _ = symmetric_sup(geom.M, geom.log_odds, geom.U_K)
+            s = geom.U_K * _INV_E
+            assert reference_risk_oracle(geom, rb, s, seed=i) <= sup_kl + 1e-12

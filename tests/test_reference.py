@@ -1,15 +1,18 @@
 """Reference-model shrinkage, calibration diagnostics, and box oracles."""
 
 import io
+import json
 import math
 
 import numpy as np
 import pytest
 
+from censet.cli import main
 from censet.identified_set import geometry
-from censet.minimax import g_max, symmetric_estimator
-from censet.observation import ParseError
+from censet.minimax import _INV_E, g_max
+from censet.observation import ParseError, parse_observations
 from censet.oracles import (
+    estimator_distribution,
     membership,
     point,
     reference_diameter_oracle,
@@ -21,7 +24,6 @@ from censet.reference import (
     ReferenceLogits,
     calibrate_rho,
     parse_reference_dump,
-    reference_estimator,
     reference_geometry,
 )
 from censet.simulate import (
@@ -124,31 +126,66 @@ class TestReferenceEstimator:
     def test_uniform_reference_reduces_to_symmetric(self, v4_geometry):
         ref = dense_ref([9.0, 9.0, -0.7, -0.7])
         rb = reference_geometry(v4_geometry, ref, 0.2)
-        est = reference_estimator(v4_geometry, rb)
-        np.testing.assert_allclose(est.tail_weights, [0.5, 0.5], atol=1e-15)
-        twin = symmetric_estimator(v4_geometry, s=rb.U_R / E)
-        assert est.s == pytest.approx(twin.s, rel=1e-15)
+        np.testing.assert_allclose(rb.beta, [0.5, 0.5], atol=1e-15)
+        assert rb.reserve == pytest.approx(rb.U_R / E, rel=1e-15)
+        np.testing.assert_allclose(
+            estimator_distribution(v4_geometry, rb.reserve, rb.beta),
+            estimator_distribution(v4_geometry, rb.reserve),
+            rtol=1e-15, atol=0.0,
+        )
 
     def test_v4_reserve(self, v4_geometry):
         ref = dense_ref([9.0, 9.0, -1.0, -1.0])
         rb = reference_geometry(v4_geometry, ref, 0.5)
-        est = reference_estimator(v4_geometry, rb)
-        assert est.s == pytest.approx(0.0905, abs=5e-4)
-        np.testing.assert_allclose(est.tail_weights, [0.5, 0.5], atol=1e-15)
+        assert rb.reserve == pytest.approx(0.0905, abs=5e-4)
+        np.testing.assert_allclose(rb.beta, [0.5, 0.5], atol=1e-15)
 
     def test_zero_diameter_returns_exact_head(self, v4_geometry):
         ref = dense_ref([-math.inf] * 4)
         rb = reference_geometry(v4_geometry, ref, 1.0)
-        est = reference_estimator(v4_geometry, rb)
-        assert est.s == 0.0
+        assert rb.U_R == 0.0
+        assert rb.reserve == 0.0
+        np.testing.assert_array_equal(
+            estimator_distribution(v4_geometry, rb.reserve, rb.beta),
+            point(v4_geometry, 0.0),
+        )
+
+    def test_reserve_is_the_report_column(self, tmp_path):
+        obs = tmp_path / "obs.jsonl"
+        obs.write_text(
+            '{"vocab_size":5,"mode":"logits","position_id":"a",'
+            '"topk":[{"token":2,"score":1.0},{"token":0,"score":0.0}]}\n'
+            '{"vocab_size":4,"mode":"logits","position_id":"b",'
+            '"topk":[{"token":1,"score":0.5},{"token":3,"score":-0.5}]}\n'
+            '{"vocab_size":2,"mode":"logits","position_id":"c",'
+            '"topk":[{"token":0,"score":0.3},{"token":1,"score":0.0}]}\n'
+        )
+        refs = tmp_path / "refs.jsonl"
+        # "b" forbids its whole tail, so U_R = 0; "c" has no censored token
+        refs.write_text(
+            '{"position_id":"a","dense":[1.1,0.2,-1.0,-0.4,0.7]}\n'
+            '{"position_id":"b","default":"-inf","entries":[]}\n'
+            '{"position_id":"c","dense":[0.0,0.0]}\n'
+        )
+        out = tmp_path / "report.json"
+        assert main(["reference", "--input", str(obs), "--reference", str(refs),
+                     "--rho", "0.5", "--format", "json", "--output", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        ref_dump = parse_reference_dump(refs.read_text())
+        expected = [
+            reference_geometry(geometry(o), ref_dump[o.position_id], 0.5).reserve
+            for o in parse_observations(obs.read_text())
+        ]
+        assert [r["reserve"] for r in rows] == expected
+        assert expected[0] > 0.0 and expected[1:] == [0.0, 0.0]
 
     def test_risk_within_shrunken_envelope(self, v4_geometry):
         # sampled box-constrained adversary never exceeds the envelope max
         ref = dense_ref([9.0, 9.0, -1.0, -1.0])
         rb = reference_geometry(v4_geometry, ref, 0.5)
         assert rb.U_R <= 0.3
-        est = reference_estimator(v4_geometry, rb)
-        worst = reference_risk_oracle(v4_geometry, rb, est, n_samples=4096, seed=5)
+        worst = reference_risk_oracle(v4_geometry, rb, rb.reserve, rb.beta,
+                                      n_samples=4096, seed=5)
         assert worst <= g_max(rb.U_R)[0] + 1e-6
 
 
@@ -196,11 +233,9 @@ class TestInvariantSuite:
             rb = reference_geometry(geom, ref, 1e3)
             assert abs(rb.U_R - geom.U_K) <= 1e-9
             if geom.M > 0 and rb.U_R > 0:
-                est = reference_estimator(geom, rb)
-                twin = symmetric_estimator(geom)
-                assert abs(est.s - twin.s) <= 1e-12
+                assert abs(rb.reserve - geom.U_K * _INV_E) <= 1e-12
                 np.testing.assert_allclose(
-                    est.tail_weights, np.full(geom.M, 1.0 / geom.M), atol=1e-12
+                    rb.beta, np.full(geom.M, 1.0 / geom.M), atol=1e-12
                 )
 
     def test_box_oracle_confirms_shrunken_diameter(self):

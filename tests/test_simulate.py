@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from censet.cli import main
 from censet.identified_set import geometry
 from censet.minimax import (
+    _INV_E,
     _sup_candidates,
     reserve,
-    symmetric_estimator,
     symmetric_sup,
 )
 from censet.numerics import NumericPolicy, logsumexp, use_policy
@@ -211,11 +211,10 @@ class TestKsweep:
         assert row.uk_sd == pytest.approx(float(np.std(uks, ddof=0)), rel=1e-12)
         assert row.n == len(teacher)
 
-    def test_oversized_k_yields_warning_row(self, teacher):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rows = ksweep([score_sorted(teacher, 99)], [5, 99])
-        assert any("skipping" in str(w.message) for w in caught)
+    def test_oversized_k_yields_skip_row(self, teacher, capsys):
+        # the skipped row is the whole record of a K above V: no warning
+        rows = ksweep([score_sorted(teacher, 99)], [5, 99])
+        assert capsys.readouterr().err == ""
         skipped = rows[-1]
         assert skipped.k == 99
         assert skipped.n == 0
@@ -410,18 +409,19 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("law", sorted(GOLDEN))
-def test_golden_report_bytes(law, tmp_path):
+def test_golden_report_bytes(law, tmp_path, capsys):
     teacher_args, ksweep_csv, simulate_sha256 = GOLDEN[law]
     dump, report, sweep = (tmp_path / n for n in ("d.jsonl", "s.json", "k.csv"))
-    with pytest.warns(UserWarning, match="skipping K=20"):
-        assert main(
-            ["simulate", "--vocab", "12", "--positions", "3", *teacher_args,
-             "--k", GOLDEN_KS, "--dump", str(dump), "--format", "json",
-             "--output", str(report)]
-        ) == 0
-        assert main(
-            ["ksweep", "--input", str(dump), "--k", GOLDEN_KS, "--output", str(sweep)]
-        ) == 0
+    # K = 20 exceeds V = 12: a skipped row, and nothing on stderr
+    assert main(
+        ["simulate", "--vocab", "12", "--positions", "3", *teacher_args,
+         "--k", GOLDEN_KS, "--dump", str(dump), "--format", "json",
+         "--output", str(report)]
+    ) == 0
+    assert main(
+        ["ksweep", "--input", str(dump), "--k", GOLDEN_KS, "--output", str(sweep)]
+    ) == 0
+    assert capsys.readouterr().err == ""
     assert sweep.read_text() == ksweep_csv
     assert hashlib.sha256(report.read_bytes()).hexdigest() == simulate_sha256
 
@@ -449,11 +449,9 @@ def _compose(geoms):
 
 class TestCompose:
     def test_single_position_matches_worst_case(self, v4_geometry):
-        from censet.minimax import worst_case_risk
-
-        est = symmetric_estimator(v4_geometry)
-        _, (avg_lower, avg_upper, _) = _compose([v4_geometry])
-        sup_kl, _ = worst_case_risk(v4_geometry, est)
+        g = v4_geometry
+        _, (avg_lower, avg_upper, _) = _compose([g])
+        sup_kl, _ = symmetric_sup(g.M, g.log_odds, g.U_K)
         assert avg_upper == pytest.approx(sup_kl, rel=1e-12)
         assert avg_lower == pytest.approx(
             reserve(v4_geometry.U_K)[1], rel=1e-12
@@ -471,7 +469,7 @@ class TestCompose:
         _, (_, _, factored_sum) = _compose(geoms)
         profiles = [
             [risk for risk, _ in _sup_candidates(
-                g.M, g.log_odds, g.U_K, symmetric_estimator(g).s)]
+                g.M, g.log_odds, g.U_K, g.U_K * _INV_E)]
             for g in geoms
         ]
         joint = float(reduce(np.add.outer, profiles).max()) / len(geoms)
@@ -482,7 +480,7 @@ class TestCompose:
         geoms = [geometry_with_diameter(u, 64) for u in np.linspace(0.05, 0.95, 30)]
         _, (_, avg_upper, factored_sum) = _compose(geoms)
         profiles = [
-            _sup_candidates(g.M, g.log_odds, g.U_K, symmetric_estimator(g).s)
+            _sup_candidates(g.M, g.log_odds, g.U_K, g.U_K * _INV_E)
             for g in geoms
         ]
         assert all(len(p) == 2 for p in profiles)
@@ -493,13 +491,11 @@ class TestCompose:
         assert factored_sum == pytest.approx(avg_upper, rel=1e-14)
 
     def test_sup_from_breakpoint_profile(self):
-        from censet.minimax import worst_case_risk
-
         geoms = [geometry_with_diameter(u, 64) for u in (0.05, 0.7, 0.95)]
         per_position, (_, avg_upper, factored_sum) = _compose(geoms)
-        for geom, (_, sup_kl, t_at_sup) in zip(geoms, per_position):
-            est = symmetric_estimator(geom)
-            assert (sup_kl, t_at_sup) == worst_case_risk(geom, est)
+        for g, (_, sup_kl, t_at_sup) in zip(geoms, per_position):
+            profile = _sup_candidates(g.M, g.log_odds, g.U_K, g.U_K * _INV_E)
+            assert (sup_kl, t_at_sup) == max(profile)
         assert factored_sum == pytest.approx(avg_upper, rel=1e-15)
 
     def test_mixed_exact_positions(self):

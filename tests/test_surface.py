@@ -20,8 +20,7 @@ PACKAGE = [
     "geometry",
     "parse_observations",
     "per_token_cap",
-    "symmetric_estimator",
-    "worst_case_risk",
+    "symmetric_sup",
 ]
 
 MODULES = {
@@ -29,8 +28,8 @@ MODULES = {
         "SetGeometry", "diameter", "geometry", "per_token_cap", "token_cap",
     ],
     "minimax": [
-        "Certificate", "EstimatorSpec", "certificate", "g_max", "reserve",
-        "symmetric_estimator", "symmetric_sup", "verdicts", "worst_case_risk",
+        "Certificate", "certificate", "g_max", "reserve", "symmetric_sup",
+        "verdicts",
     ],
     "normalized": ["TailCondition", "allocation_diameter", "tail_geometry"],
     "numerics": [
@@ -44,7 +43,7 @@ MODULES = {
     ],
     "reference": [
         "CoverageError", "ReferenceBound", "ReferenceLogits", "calibrate_rho",
-        "parse_reference_dump", "reference_estimator", "reference_geometry",
+        "parse_reference_dump", "reference_geometry",
     ],
     "simulate": [
         "DirichletSoftmax", "GaussianIID", "PeakedHead", "SweepRow",
