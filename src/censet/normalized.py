@@ -24,11 +24,15 @@ class TailCondition(str, Enum):
     OVERLAPPING_SUPPORTS = "OverlappingSupports"
 
 
-def _tokens_needed(t_star: float, cap: float) -> int:
-    """ceil(t*/c) with a snap for ratios a hair above an integer."""
-    ratio = t_star / cap
+def _tokens_needed(t_star: float, cap: float) -> float:
+    """ceil(t*/c) with a snap for ratios a hair above an integer; inf when
+    t*/c is not a finite float (a zero cap, or one so small that the ratio
+    overflows)."""
+    ratio = t_star / cap if cap > 0.0 else math.inf
+    if math.isinf(ratio):
+        return math.inf
     # float dust: t*/c can land just above n when t* is a whole multiple n*c
-    return int(math.ceil(ratio - 1e-12))
+    return math.ceil(ratio - 1e-12)
 
 
 def allocation_diameter(t_star: float, cap: float, m: int) -> float:
@@ -52,7 +56,10 @@ def allocation_diameter(t_star: float, cap: float, m: int) -> float:
 
     D = t* once both halves can hold t* (the disjoint-supports regime) and
     D = 0 for M <= 1.  D >= 0 whenever t* <= M*c; the abs only matters for
-    a tail mass admitted above M*c by the feasibility slack.
+    a tail mass admitted above M*c by the feasibility slack.  The code
+    never forms q: c * min(q, n) is min(n * c, t*), so a zero cap, or one
+    so small that t*/c overflows, gives D = t* (up to the mass the caps
+    hold) without a division.
     """
     half = m // 2
     filled = min(half * cap, t_star)

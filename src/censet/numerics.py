@@ -1,13 +1,15 @@
-"""The numeric policy and the two scalar kernels every module shares.
+"""The numeric policy and the kernels every module shares.
 
 All tolerance knobs live in one frozen :class:`NumericPolicy`, read with
 :func:`policy` and set for a scope with :func:`use_policy`.  The CLI runs
 each command under the caller's policy with the overrides of a JSON file
 (env var ``CENSET_NUMERIC_POLICY``) applied; no policy is ever mutated.
 
-:func:`logsumexp` and :func:`expit` reproduce SciPy's ``special``
-functions of those names bit for bit at a fraction of the per-call cost,
-so the analysis commands need numpy alone.
+:func:`logsumexp_rows` is the one log-sum-exp kernel, over the rows of a
+matrix (:func:`logsumexp` is its one-row case), and :func:`expit` is the
+sigmoid.  Each reproduces SciPy's ``special`` function of that name bit
+for bit, row by row, at a fraction of the per-call cost, so the analysis
+commands need numpy alone.
 """
 
 from __future__ import annotations
@@ -98,70 +100,45 @@ def load_policy_file(path: str) -> NumericPolicy:
 
 
 def logsumexp(a) -> float:
-    """``log(sum(exp(a)))`` over a 1-D array, equal to SciPy's ``logsumexp``.
+    """``log(sum(exp(a)))`` over a 1-D array: :func:`logsumexp_rows` of the
+    array as one row, and -inf for an empty array."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.size == 0:
+        return -math.inf
+    return float(logsumexp_rows(a.reshape(1, -1))[0])
+
+
+def logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """``log(sum(exp(row)))`` of each row of a 2-D float64 array, each equal
+    to SciPy's ``logsumexp`` of the row.
 
     The real-input algorithm of SciPy 1.17, the max-separated form of
     Blanchard, Higham & Higham, "Accurately computing the log-sum-exp and
     softmax functions" (IMA J. Numer. Anal. 41(4), 2021): with ``m``
-    entries equal to the maximum ``a_max`` and ``s`` the sum of the other
-    entries' ``exp(a - a_max)``, divided by ``m`` when nonzero, the result
-    is ``log1p(s) + log(m) + a_max``.  Each step is the numpy ufunc SciPy
-    applies, to an array of the same length and order (the maxima stay in
-    the sum as zeros, so pairwise summation groups the terms alike), which
-    makes the two equal to the bit.  A result that is not finite is
-    ``log(sum(exp(a)))``, as in SciPy: nan if any entry is nan, else inf
-    if one is +inf, and -inf for an empty or all ``-inf`` array.
+    entries of a row equal to its maximum ``a_max`` and ``s`` the sum of
+    the other entries' ``exp(a - a_max)``, divided by ``m`` when nonzero,
+    the result is ``log1p(s) + log(m) + a_max``.  Each step is the numpy
+    ufunc SciPy applies, here over the whole matrix: the maxima stay in the
+    sum as zeros and a sum over axis 1 groups each row's terms as SciPy's
+    1-D sum does, so the two are equal to the bit (``s / 1 = s`` and
+    ``x + log(1) = x`` for ``x >= 0``).  The rows may be in any order and
+    may be a view such as a prefix of columns.  A row whose result is not
+    finite is ``log(sum(exp(row)))``, as in SciPy: nan if an entry is nan,
+    else inf if one is +inf or the sum overflows, and -inf for an all
+    ``-inf`` row.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.size == 0:
-        return -math.inf
-    a_max = float(a[a.argmax()])
-    # only a nan, an infinity or a spread beyond the float range can warn
-    if math.isfinite(a_max - float(a[a.argmin()])):
-        return _shifted_logsumexp(a, a_max)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _shifted_logsumexp(a, a_max)
-        if math.isfinite(out):
-            return out
-        return float(np.log(np.add.reduce(np.exp(a), keepdims=True))[0])
-
-
-def _shifted_logsumexp(a: np.ndarray, a_max: float) -> float:
-    top = a == a_max
-    m = np.count_nonzero(top)
-    terms = np.exp(a - a_max)
-    terms[top] = 0.0
-    s = np.add.reduce(terms, keepdims=True)
-    if m == 1:
-        # log(1) = 0 and s / 1 = s, exactly
-        return float((np.log1p(s) + a_max)[0])
-    if s[0] != 0.0:
-        s /= m
-    return float((np.log1p(s) + np.log(np.full(1, float(m))) + a_max)[0])
-
-
-def logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """:func:`logsumexp` of each row of a 2-D array sorted non-increasing.
-
-    The same steps as :func:`logsumexp`, each one numpy ufunc over the
-    whole matrix: the row's first entry is its maximum and its last the
-    minimum, a sum over axis 1 groups each row's terms as the 1-D sum does,
-    and ``log1p(s / m) + log(m)`` equals the kernel's ``m == 1`` form
-    exactly (``s / 1 = s`` and ``x + 0.0 = x`` for ``x >= 0``).  A row
-    whose spread is not finite takes :func:`logsumexp` itself.
-    """
-    a_max = a[:, 0]
+    a_max = a.max(axis=1)
     # only a row with a nan, an infinity or an overflowing spread can warn
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        spread = a_max - a[:, -1]
         top = a == a_max[:, None]
-        terms = np.subtract(a, a_max[:, None])
+        terms = np.subtract(a, a_max[:, None], order="C")
         np.exp(terms, out=terms)
         terms[top] = 0.0
-        m = np.count_nonzero(top, axis=1).astype(np.float64)
+        m = np.add.reduce(top, axis=1, dtype=np.float64)
         out = np.log1p(np.add.reduce(terms, axis=1) / m) + np.log(m) + a_max
-    for row in np.flatnonzero(~np.isfinite(spread)).tolist():
-        out[row] = logsumexp(a[row])
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.add.reduce(np.exp(a[bad]), axis=1))
     return out
 
 

@@ -219,9 +219,9 @@ def _sorted_matrix(ids, values, last_ids):
 def _normalized_checks(values, sorted_values, logprobs):
     """``log_ZA`` of each row, and the rows under normalized access that fail.
 
-    ``log_ZA`` comes from :func:`censet.numerics.logsumexp_rows` of the
-    sorted rows, equal to the bit to :func:`censet.numerics.logsumexp` of
-    each.  A row fails with a positive score or a head mass above
+    ``log_ZA`` is :func:`censet.numerics.logsumexp_rows` of the rows in
+    score order, the order in which :func:`censet.simulate.ksweep` sums
+    each prefix.  A row fails with a positive score or a head mass above
     ``1 + head_mass_tol``.
     """
     log_za = logsumexp_rows(sorted_values)

@@ -21,6 +21,7 @@ from .identified_set import diameter
 from .minimax import reserve, symmetric_sup
 from .numerics import logsumexp, logsumexp_rows
 from .observation import (
+    _CHUNK_PAIRS,
     AccessMode,
     TopKObservation,
     ValidationError,
@@ -150,8 +151,7 @@ def censor(
     v = len(logits)
     if not 1 <= k <= v:
         raise ValueError(f"K must lie in [1, {v}], got {k}")
-    order = np.argsort(-logits, kind="stable")
-    top = order[:k]
+    top = _top(logits, k)
     if mode is AccessMode.LOGPROBS:
         scores = np.minimum(logits[top] - logsumexp(logits), 0.0)
     else:
@@ -178,21 +178,22 @@ def score_sorted(logits: np.ndarray, width: int) -> tuple:
 
     A block is ``(scores, token_ids, log_z, vocab_size)``: (n, w) matrices
     of each row's top logits in non-increasing order with ties toward the
-    lower token id (a stable sort, as in :func:`censor`) and of their ids,
-    the log-sum-exp of each full row in token-id order, and V.
+    lower token id (:func:`_top`, as in :func:`censor`) and of their ids,
+    the log-sum-exp of each full row in token-id order, and V: summing a
+    row in score order can change the last bit.
     """
     logits = np.atleast_2d(np.asarray(logits, dtype=float))
     v = logits.shape[1]
     width = min(width, v)
     token_ids = np.stack([_top(z, width) for z in logits])
     scores = np.take_along_axis(logits, token_ids, axis=1)
-    return scores, token_ids, _log_z(logits), v
-
-
-def _log_z(logits: np.ndarray) -> np.ndarray:
-    """The log-sum-exp of each row of a logit matrix, summed in token-id
-    order: summing a row in score order can change the last bit."""
-    return np.array([logsumexp(z) for z in logits])
+    # rows a parse chunk's worth at a time: the kernel's temporaries of the
+    # whole n x V teacher would raise the command's peak memory
+    rows = max(1, _CHUNK_PAIRS // v)
+    log_z = np.concatenate([
+        logsumexp_rows(logits[lo:lo + rows]) for lo in range(0, len(logits), rows)
+    ])
+    return scores, token_ids, log_z, v
 
 
 def _dump_blocks(source) -> Iterator[tuple]:
@@ -201,9 +202,10 @@ def _dump_blocks(source) -> Iterator[tuple]:
 
     Each run of one vocab size in a chunk is one block, whose score and id
     matrices are views of the batch's columns: the parse has sorted each
-    record by score.  Its log-sum-exp is :func:`_log_z` of the rows
-    scattered back to token-id order, as in :func:`score_sorted`.  A record
-    that is not a full dump fails once the rows before it have been
+    record by score.  Its log-sum-exp is :func:`logsumexp_rows` of the rows
+    scattered back to token-id order, the order :func:`score_sorted` sums
+    in, so the sweep of a dump equals that of its teacher bit for bit.  A
+    record that is not a full dump fails once the rows before it have been
     yielded, so errors keep stream order.
     """
     for batch in _batches(source, chunked=True):
@@ -221,7 +223,7 @@ def _dump_blocks(source) -> Iterator[tuple]:
             token_ids = batch.token_ids[pairs].reshape(hi - lo, v)
             full = np.empty((hi - lo, v))
             np.put_along_axis(full, token_ids, scores, axis=1)
-            yield scores, token_ids, _log_z(full), v
+            yield scores, token_ids, logsumexp_rows(full), v
         if partial:
             raise ValidationError(
                 f"position {batch.position_ids[end]}: sweep input must be a full "
@@ -264,11 +266,11 @@ def _sweep_block(
     the row and the tail mass is the hidden mass of its normalized
     reinterpretation (``mode=AccessMode.LOGPROBS``), bit for bit and with
     the same validation: each K reads a prefix of the sorted rows, tied
-    scores are equal whichever token holds them, and
-    :func:`logsumexp_rows` equals :func:`logsumexp` on each row.  The
-    checks run in the order of the output, so the first error raised is
-    that of the first failing row.  ``ks`` must be ascending and lie in
-    [1, w].
+    scores are equal whichever token holds them, and one
+    :func:`logsumexp_rows` over a prefix of the block equals
+    :func:`logsumexp` of each row's prefix.  The checks run in the order of
+    the output, so the first error raised is that of the first failing row.
+    ``ks`` must be ascending and lie in [1, w].
     """
     if not ks:
         return

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from censet import observation
@@ -647,6 +647,67 @@ class TestUnderflowedDiameter:
         wide, exact = json.loads(out.read_text())["rows"]
         assert wide["sup_kl_mean"] >= wide["rbin_mean"] > 0.0
         assert (exact["uk_mean"], exact["sup_kl_mean"]) == (0.0, 0.0)
+
+
+# scores at the edges of the float range, of exp and of the feasibility slack
+EXTREME_SCORES = (0.0, -0.0, -1e-12, -1e-300, -5e-324, -745.0, -800.0,
+                  1e308, -1e308, 1.7976931348623157e308,
+                  -1.7976931348623157e308, 710.0, -710.0)
+
+
+@st.composite
+def extreme_records(draw):
+    vocab_size = draw(st.integers(1, 8))
+    tokens = draw(st.lists(st.integers(0, vocab_size - 1), min_size=1,
+                           unique=True))
+    return {
+        "vocab_size": vocab_size,
+        "mode": draw(st.sampled_from(["logits", "logprobs"])),
+        "topk": [{"token": t, "score": draw(st.sampled_from(EXTREME_SCORES))}
+                 for t in tokens],
+    }
+
+
+class TestExtremeScores:
+    """Every command ends in a report or a JSON error, never a traceback."""
+
+    @given(records=st.lists(extreme_records(), min_size=1, max_size=3))
+    @example(records=[{"vocab_size": 10, "mode": "logprobs", "topk": [
+        {"token": 0, "score": -1e-12}, {"token": 1, "score": -745.0}]}])
+    @example(records=[{"vocab_size": 5, "mode": "logprobs", "topk": [
+        {"token": 4, "score": -1.7976931348623157e308},
+        {"token": 2, "score": -1.7976931348623157e308},
+        {"token": 1, "score": -1e-300}]}])
+    @settings(max_examples=100, deadline=None)
+    def test_exit_code_only(self, records, tmp_path_factory):
+        work = tmp_path_factory.mktemp("extreme")
+        path = work / "obs.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        for argv in (["analyze"], ["certify", "--delta", "0.1"], ["compose"]):
+            code = main([*argv, "--input", str(path), "--format", "json",
+                         "--output", str(work / "r.json")])
+            assert code in (0, 1)
+
+    @pytest.mark.parametrize(
+        "topk, vocab_size",
+        [
+            ([-1e-12, -745.0], 10),
+            ([-1.7976931348623157e308, -1.7976931348623157e308, -1e-300], 5),
+        ],
+        ids=["subnormal-cap", "zero-cap"],
+    )
+    def test_vanishing_cap_is_overlapping(self, topk, vocab_size, tmp_path):
+        path = tmp_path / "obs.jsonl"
+        path.write_text(json.dumps({
+            "vocab_size": vocab_size, "mode": "logprobs",
+            "topk": [{"token": t, "score": x} for t, x in enumerate(topk)],
+        }) + "\n")
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--input", str(path), "--format", "json",
+                     "--output", str(out)]) == 0
+        (row,) = json.loads(out.read_text())["rows"]
+        assert row["norm_condition"] == "OverlappingSupports"
+        assert row["diam_lower"] == row["diam_upper"] == row["t_star"] > 0.0
 
 
 class TestDegenerateParameters:

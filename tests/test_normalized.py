@@ -82,6 +82,34 @@ class TestNormalizedGeometry:
             allocation_diameter_oracle(t_star, cap, g.M), abs=1e-15
         )
 
+    def test_whole_multiple_of_the_cap_is_disjoint(self):
+        # t* = 2/7 and c = 1/7, but t*/c rounds to 2.0000000000000013: the
+        # snap in the ceil keeps M = 5 >= 2 * 2 in the disjoint regime
+        g, (t_star, cap, condition, d) = normalized(
+            logprob_observation([1 / 7] * 5, 10)
+        )
+        assert g.M == 5 and t_star / cap > 2.0
+        assert condition is TailCondition.DISJOINT_SUPPORTS
+        assert d == t_star
+
+    @pytest.mark.parametrize(
+        "scores, vocab_size",
+        [
+            # c = 5e-324 is subnormal, so t*/c overflows to inf
+            ([-1e-12, -745.0], 10),
+            # c = exp(-1.797e308) = 0
+            ([-1.7976931348623157e308, -1.7976931348623157e308, -1e-300], 5),
+        ],
+        ids=["subnormal-cap", "zero-cap"],
+    )
+    def test_vanishing_cap_overlaps(self, scores, vocab_size):
+        # t* <= M*c + tail_feasibility_tol admits a tail no cap can hold
+        obs = make_observation(vocab_size, scores, mode=AccessMode.LOGPROBS)
+        g, (t_star, cap, condition, d) = normalized(obs)
+        assert t_star > g.M * cap
+        assert condition is TailCondition.OVERLAPPING_SUPPORTS
+        assert d == allocation_diameter(t_star, cap, g.M) == t_star
+
     def test_infeasible_observation(self):
         # head mass 0.5 but a single censored token capped at 0.1 < 0.5
         obs = logprob_observation([0.4, 0.1], 3)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from censet.numerics import expit, logsumexp
+from censet.numerics import expit, logsumexp, logsumexp_rows
 
 # the kernels reproduce the algorithms of SciPy 1.17; older releases differ
 pytest.importorskip("scipy", minversion="1.17")
@@ -104,6 +105,71 @@ class TestLogsumexp:
             for values in ([1e308, -1e308], [math.inf, 1.0], [-math.inf] * 3,
                            [math.nan, 0.0]):
                 logsumexp(np.asarray(values))
+
+
+def assert_rows_match(a) -> None:
+    """:func:`logsumexp_rows` of ``a`` against SciPy's 1-D ``logsumexp`` of
+    each row, bit for bit, and quietly."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = logsumexp_rows(a)
+    assert ours.shape == (a.shape[0],) and ours.dtype == np.float64
+    for row, got in zip(a, ours.tolist()):
+        want = scipy_logsumexp(row)
+        assert same(got, want), (row, got, want)
+
+
+matrices = arrays(
+    np.float64, st.tuples(st.integers(1, 8), st.integers(1, 40)),
+    elements=any_scores,
+)
+
+
+class TestLogsumexpRows:
+    @given(matrices, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_scipy(self, a, data):
+        assert_rows_match(a)
+        assert_rows_match(np.asfortranarray(a))
+        # the parse's order: each row by score, non-increasing
+        assert_rows_match(-np.sort(-a, axis=1))
+        k = data.draw(st.integers(1, a.shape[1]))
+        assert_rows_match(a[:, :k])
+
+    @given(st.lists(any_scores, min_size=1, max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_one_row_and_one_column(self, values):
+        a = np.asarray(values, dtype=np.float64)
+        assert_rows_match(a.reshape(1, -1))
+        assert_rows_match(a.reshape(-1, 1))
+        # a column of a wider matrix is a strided view
+        assert_rows_match(np.stack([a, a + 1.0], axis=1)[:, :1])
+
+    @given(st.integers(1, 8), st.lists(finite_scores, min_size=2, max_size=60),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_ties_at_the_max(self, n, values, data):
+        a = np.tile(np.asarray(values), (n, 1))
+        for row in a:
+            tied = data.draw(st.lists(st.integers(0, len(row) - 1), min_size=1))
+            row[tied] = row.max()
+            data.draw(st.randoms()).shuffle(row)
+        assert_rows_match(a)
+
+    def test_every_special_pair(self):
+        # each ordered pair of SPECIALS, alone and beside ordinary scores
+        pairs = np.array([(x, y) for x in SPECIALS for y in SPECIALS])
+        assert_rows_match(pairs)
+        normal = np.random.default_rng(0).normal(0.0, 3.0, (len(pairs), 20))
+        assert_rows_match(np.concatenate([normal, pairs, normal], axis=1))
+
+    @pytest.mark.parametrize("width", [9, 129, 300])
+    def test_column_major_rows_sum_in_row_order(self, width):
+        # a transposed matrix reduced along its strided axis would sum each
+        # row in another grouping than SciPy's 1-D sum
+        a = np.random.default_rng(width).normal(0.0, 3.0, (width, 50)).T
+        assert a.flags.f_contiguous
+        assert_rows_match(a)
 
 
 def assert_expit_matches(x: float) -> None:

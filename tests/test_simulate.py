@@ -182,6 +182,13 @@ class TestTop:
         assert np.array_equal(scores, np.take_along_axis(teacher, order, axis=1))
         assert log_z.tolist() == [logsumexp(z) for z in teacher]
 
+    def test_log_z_across_row_blocks(self):
+        # 32 rows of V = 4096 fill one block of the row-wise kernel: 70 rows
+        # take two full blocks and a partial one
+        teacher = generate_teacher(SyntheticTeacherConfig(4096, GaussianIID()), 70)
+        *_, log_z, _ = score_sorted(teacher, 1)
+        assert log_z.tolist() == [logsumexp(z) for z in teacher]
+
 
 class TestKsweep:
     @pytest.fixture
