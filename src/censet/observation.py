@@ -86,12 +86,12 @@ def from_pairs(
 ) -> TopKObservation:
     """A validated observation of K revealed pairs given in source order.
 
-    ``token_ids`` (integers) and ``scores`` (finite numbers) have equal
-    length and are copied.  The record goes through a one-row batch, so it
-    gets the checks and the sort of :func:`parse_observations`.  They run in
-    a fixed order and the first failure decides the message:
+    ``token_ids`` (integers) and ``scores`` (finite numbers, no bools) have
+    equal length and are copied.  The record goes through a one-row batch,
+    so it gets the checks and the sort of :func:`parse_observations`.  They
+    run in a fixed order and the first failure decides the message:
     ``vocab_size``, K, duplicate ids, then the pairs in source order (within
-    a pair, the token's type, the token's range, the score's finiteness),
+    a pair, the token's type and range, the score's type and finiteness),
     then for normalized access the sign and the head mass.  An error is a
     :class:`ValidationError` that names no line.
     """
@@ -126,20 +126,26 @@ def _last_id(vocab_size: int) -> int:
     return min(vocab_size - 1, _INT64_MAX)
 
 
+# the types of a score; a bool is none
+_NUMBERS = (int, float, np.integer, np.floating)
+
+
+def _all_of(values, types: tuple) -> bool:
+    """Whether each of ``values`` is of ``types`` and none is a bool, read
+    from the dtype of an array that does not hold objects."""
+    if isinstance(values, np.ndarray) and values.dtype.kind != "O":
+        return issubclass(values.dtype.type, types)
+    return all(issubclass(t, types) and t is not bool for t in set(map(type, values)))
+
+
 def _int64_array(values) -> np.ndarray | None:
     """A new int64 array of ``values``, or None unless each is an integer
     (bools are not) that an int64 can hold."""
-    if isinstance(values, np.ndarray):
+    if not _all_of(values, (int, np.integer)) or (
         # the cast would wrap an unsigned id above the int64 range
-        integral = values.dtype.kind == "i" or (
-            values.dtype.kind == "u" and values.max(initial=0) <= _INT64_MAX
-        )
-    else:
-        integral = all(
-            issubclass(t, (int, np.integer)) and t is not bool
-            for t in set(map(type, values))
-        )
-    if not integral:
+        isinstance(values, np.ndarray) and values.dtype.kind == "u"
+        and values.max(initial=0) > _INT64_MAX
+    ):
         return None
     try:
         return np.array(values, dtype=np.int64)
@@ -148,10 +154,13 @@ def _int64_array(values) -> np.ndarray | None:
 
 
 def _float64_array(values) -> np.ndarray | None:
-    """A new float64 array of ``values``, or None if one cannot be held."""
+    """A new float64 array of ``values``, or None unless each is a number
+    (bools are not) that a float64 can hold."""
+    if not _all_of(values, _NUMBERS):
+        return None
     try:
         return np.array(values, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         return None
 
 
@@ -239,8 +248,8 @@ def _check_flagged(tokens, scores, vocab_size, ids, values, logprobs, log_za) ->
     ``log_za`` the record's log-sum-exp.  The pairs are walked from the
     first one an array mask flags; a record without arrays is walked from
     its first pair, which also covers values no array could hold:
-    non-integer tokens, ids beyond 64 bits and integer scores beyond the
-    float range.  A record without arrays always fails.
+    non-integer tokens, ids beyond 64 bits, scores that are not numbers and
+    integers beyond the float range.  A record without arrays always fails.
     """
     if ids is not None:
         ordered = np.sort(ids)
@@ -273,6 +282,8 @@ def _check_pair(token, score, vocab_size: int) -> None:
         raise ValidationError(f"token id must be an integer, got {token!r}")
     if token < 0 or token >= vocab_size:
         raise ValidationError(f"token id {token} outside [0, {vocab_size})")
+    if not isinstance(score, _NUMBERS) or isinstance(score, bool):
+        raise ValidationError(f"score must be a number, got {score!r}")
     try:
         finite = math.isfinite(score)
     except OverflowError as exc:

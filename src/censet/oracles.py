@@ -24,7 +24,6 @@ from functools import reduce
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit, xlogy
 
 from . import identified_set as geo
 from . import minimax as mm
@@ -32,7 +31,7 @@ from . import normalized as norm
 from . import observation as ob
 from . import reference as ref
 from . import simulate as sim
-from .numerics import policy
+from .numerics import expit, policy
 
 # combinatorial limits of the enumerating oracles
 _MAX_ORACLE_VOCAB = 12
@@ -485,7 +484,12 @@ def breakpoint_scan_oracle(m: int, log_odds: float, s: float) -> float:
     and a 257-point uniform grid of [0, U_K].  O(M) memory: meant for small
     M.
     """
-    u = float(expit(log_odds))
+    def xlogx(x):
+        # 0 at 0, by the C library's log as SciPy's xlogy(x, x): numpy's SIMD
+        # log can differ in the last bit
+        return x * np.array(list(map(math.log, np.where(x > 0.0, x, 1.0).tolist())))
+
+    u = expit(log_odds)
     c = math.exp(log_odds) / m
     n = np.arange(m + 1)
     t = np.minimum(np.concatenate([n * c / (1 + n * c), np.linspace(0, u, 257)]), u)
@@ -493,7 +497,7 @@ def breakpoint_scan_oracle(m: int, log_odds: float, s: float) -> float:
     full = np.minimum(np.floor(t / cap), m)
     rest = np.maximum(t - full * cap, 0.0)
     risk = t * (math.log(m) - math.log(s)) - (1.0 - t) * math.log1p(-s) + (
-        xlogy(1.0 - t, 1.0 - t) + full * xlogy(cap, cap) + xlogy(rest, rest)
+        xlogx(1.0 - t) + full * xlogx(cap) + xlogx(rest)
     )
     return float(risk.max())
 

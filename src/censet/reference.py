@@ -10,6 +10,10 @@ censored token u.  Writing ``B_u`` for the exponential of that ceiling and
 with the extremal tail allocating ``U_R * B_u / C_R`` per token.  The margin
 is checkable only on revealed tokens; :func:`calibrate_rho` reports that
 diagnostic without ever adjusting the bound itself.
+
+Both forms of a reference are read by one lookup: a sparse map is laid out
+over the vocabulary (its default, the listed scores on top) and indexed
+like a dense vector.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ from .minimax import _INV_E
 from .numerics import expit, logsumexp
 from .observation import (
     _INT64_MAX,
+    _NUMBERS,
     ParseError,
+    _all_of,
     _check_position_id,
     _json_array,
     _read_jsonl,
@@ -38,12 +44,21 @@ class CoverageError(ValueError):
     """A censored token has no reference value and no default was given."""
 
 
+def _scores(values) -> np.ndarray:
+    """A float64 array of ``values``, which must all be numbers (no bools)."""
+    if not _all_of(values, _NUMBERS):
+        raise ValueError("reference scores must be numbers")
+    return np.asarray(values, dtype=np.float64)
+
+
 @dataclass(frozen=True, eq=False)
 class ReferenceLogits:
     """Reference scores for one position: dense vector or sparse map.
 
-    Sparse maps require an explicit ``default`` (may be ``-inf``); a silent
-    zero default would smuggle in an arbitrary scale choice.
+    A sparse map may give a ``default`` (``-inf`` included) for the tokens
+    it does not list.  Without one, :meth:`gather` names the first token
+    asked for that is not listed: a silent zero would be an arbitrary scale.
+    Listed tokens outside the vocabulary are ignored.
     """
 
     position_id: str = ""
@@ -57,39 +72,35 @@ class ReferenceLogits:
 
     def gather(self, ids: np.ndarray, vocab_size: int) -> np.ndarray:
         if self.dense is not None:
-            values = np.asarray(self.dense, dtype=float)
-            if len(values) != vocab_size:
+            table = _scores(self.dense)
+            if len(table) != vocab_size:
                 raise CoverageError(
-                    f"dense reference has length {len(values)}, "
+                    f"dense reference has length {len(table)}, "
                     f"expected vocab_size {vocab_size}"
                 )
-            return values[ids]
-        ids = np.asarray(ids, dtype=np.int64)
-        n = len(self.entries)
-        keys = np.fromiter(self.entries, dtype=np.int64, count=n)
-        scores = np.fromiter(self.entries.values(), dtype=float, count=n)
-        order = np.argsort(keys)
-        keys, scores = keys[order], scores[order]
-        at = np.searchsorted(keys, ids)
-        found = at < len(keys)
-        found[found] = keys[at[found]] == ids[found]
-        if self.default is None and not found.all():
-            u = int(ids[np.argmin(found)])
-            raise CoverageError(f"no reference value for token {u} and no default")
-        out = np.full(len(ids), math.nan if self.default is None else self.default)
-        out[found] = scores[at[found]]
-        return out
+            return table[ids]
+        keys = np.fromiter(self.entries, dtype=np.int64, count=len(self.entries))
+        kept = (keys >= 0) & (keys < vocab_size)
+        default = math.nan if self.default is None else self.default
+        scores = _scores([default, *self.entries.values()])
+        table = np.full(vocab_size, scores[0])
+        table[keys[kept]] = scores[1:][kept]
+        if self.default is None:
+            listed = np.zeros(vocab_size, dtype=bool)
+            listed[keys[kept]] = True
+            found = listed[ids]
+            if not found.all():
+                u = int(ids[found.argmin()])
+                raise CoverageError(f"no reference value for token {u} and no default")
+        return table[ids]
 
 
 @dataclass(frozen=True, eq=False)
 class ReferenceBound:
     """Per-token ceilings and the resulting shrunken diameter."""
 
-    rho: float
-    censored_ids: np.ndarray
     log_ceilings: np.ndarray
     log_CR: float
-    log_ZA: float
     U_R: float
 
     @property
@@ -101,8 +112,8 @@ class ReferenceBound:
     @cached_property
     def beta(self) -> np.ndarray:
         """Ceiling-proportional tail weights B_u / C_R."""
-        if math.isinf(self.log_CR) and self.log_CR < 0:
-            return np.zeros(len(self.censored_ids))
+        if self.log_CR == -math.inf:
+            return np.zeros(len(self.log_ceilings))
         return np.exp(self.log_ceilings - self.log_CR)
 
 
@@ -119,20 +130,11 @@ def reference_geometry(
     The reference scores must share the observation's additive scale; that
     alignment is the caller's responsibility.  A reference score of -inf
     forbids the token outright, regardless of rho; a NaN one on a censored
-    token is a :class:`ValueError`.
+    token is a :class:`ValueError`.  With no censored token (M = 0) the
+    ceilings are empty, ``log_CR`` is -inf and U_R is 0.
     """
     _check_rho(rho)
-    if geom.M == 0:
-        return ReferenceBound(
-            rho=rho,
-            censored_ids=np.empty(0, dtype=int),
-            log_ceilings=np.empty(0),
-            log_CR=-math.inf,
-            log_ZA=geom.log_ZA,
-            U_R=0.0,
-        )
-    ids = geom.censored_ids
-    z_ref = ref.gather(ids, geom.vocab_size)
+    z_ref = ref.gather(geom.censored_ids, geom.vocab_size)
     ceilings = np.where(
         np.isneginf(z_ref), -math.inf, np.minimum(geom.tau, z_ref + rho)
     )
@@ -143,14 +145,7 @@ def reference_geometry(
             f"reference scores for position {ref.position_id!r} hold a NaN"
         )
     u_r = expit(log_cr - geom.log_ZA) if math.isfinite(log_cr) else 0.0
-    return ReferenceBound(
-        rho=rho,
-        censored_ids=ids,
-        log_ceilings=ceilings,
-        log_CR=log_cr,
-        log_ZA=geom.log_ZA,
-        U_R=u_r,
-    )
+    return ReferenceBound(log_ceilings=ceilings, log_CR=log_cr, U_R=u_r)
 
 
 def calibrate_rho(

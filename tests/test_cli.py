@@ -108,13 +108,62 @@ REFERENCE_DUMP_JSONL = (
     '{"token":6,"logit":-1.2},{"token":3,"logit":-2.4}]}\n'
 )
 
+# sparse references without a default (one leaves a revealed token unlisted),
+# with entries at and beyond V and with a -inf default, and an M = 0 row
+REFERENCE_EDGE_OBS_JSONL = (
+    '{"vocab_size":5,"mode":"logits","position_id":"no-default",'
+    '"topk":[{"token":3,"score":0.5},{"token":0,"score":-0.25}]}\n'
+    '{"vocab_size":6,"mode":"logits","position_id":"unlisted-revealed",'
+    '"topk":[{"token":2,"score":1.0},{"token":5,"score":0.0}]}\n'
+    '{"vocab_size":6,"mode":"logprobs","position_id":"beyond-V",'
+    '"topk":[{"token":4,"score":-0.7},{"token":1,"score":-1.9}]}\n'
+    '{"vocab_size":7,"mode":"logits","position_id":"neg-inf-default",'
+    '"topk":[{"token":0,"score":2.0},{"token":6,"score":1.5},'
+    '{"token":3,"score":0.25}]}\n'
+    '{"vocab_size":3,"mode":"logits","position_id":"M=0",'
+    '"topk":[{"token":2,"score":0.5},{"token":0,"score":-1.0},'
+    '{"token":1,"score":-1.5}]}\n'
+)
+REFERENCE_EDGE_DUMP_JSONL = (
+    '{"position_id":"no-default","entries":[{"token":4,"logit":-1.0},'
+    '{"token":0,"logit":0.1},{"token":2,"logit":-0.6},{"token":1,"logit":-2.5},'
+    '{"token":3,"logit":0.75}]}\n'
+    '{"position_id":"unlisted-revealed","entries":[{"token":0,"logit":-0.5},'
+    '{"token":1,"logit":-1.5},{"token":3,"logit":-0.2},{"token":4,"logit":-3.0},'
+    '{"token":2,"logit":0.8}]}\n'
+    '{"position_id":"beyond-V","default":-2.0,"entries":[{"token":6,"logit":5.0},'
+    '{"token":0,"logit":-1.1},{"token":4,"logit":-0.5},{"token":1,"logit":-2.2},'
+    '{"token":9223372036854775807,"logit":4.0}]}\n'
+    '{"position_id":"neg-inf-default","default":"-inf","entries":'
+    '[{"token":2,"logit":0.4},{"token":6,"logit":1.0},{"token":0,"logit":2.5}]}\n'
+    '{"position_id":"M=0","dense":[-0.75,-1.25,0.25]}\n'
+)
+
+# M at or above 2**53, where M is no longer exact as a float: V = 2**64 - 1
+# and V = 2**53 + 7 under logits, and V = 2**53 + 7 under normalized access
+# with disjoint (log 0.6, log 0.3) and overlapping (log 0.9, log 2e-17) supports
+HUGE_M_JSONL = (
+    '{"vocab_size":18446744073709551615,"mode":"logits","position_id":"2^64-1",'
+    '"topk":[{"token":7,"score":1.0},{"token":2,"score":-0.5}]}\n'
+    '{"vocab_size":9007199254740999,"mode":"logits","position_id":"2^53+7",'
+    '"topk":[{"token":0,"score":0.5},{"token":1,"score":-1.25}]}\n'
+    '{"vocab_size":9007199254740999,"mode":"logprobs","position_id":"disjoint",'
+    f'"topk":[{{"token":3,"score":{math.log(0.6)!r}}},'
+    f'{{"token":9,"score":{math.log(0.3)!r}}}]}}\n'
+    '{"vocab_size":9007199254740999,"mode":"logprobs","position_id":"overlapping",'
+    f'"topk":[{{"token":3,"score":{math.log(0.9)!r}}},'
+    f'{{"token":9,"score":{math.log(2e-17)!r}}}]}}\n'
+)
+
 
 class TestParsePathGolden:
     """Report bytes of the JSONL read path and of every row format.
 
     The JSON and ksweep pins were recorded before the observation arrays
     replaced per-pair tuples; the csv, table, ``--bits`` and ``reference``
-    pins before the batch path replaced the per-row analysis."""
+    pins before the batch path replaced the per-row analysis; the
+    reference-edge and huge-M pins before a sparse reference was laid out
+    over the vocabulary."""
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
@@ -122,6 +171,9 @@ class TestParsePathGolden:
         (root / "mixed.jsonl").write_text(MIXED_ORDER_JSONL)
         (root / "refobs.jsonl").write_text(REFERENCE_OBS_JSONL)
         (root / "refdump.jsonl").write_text(REFERENCE_DUMP_JSONL)
+        (root / "edgeobs.jsonl").write_text(REFERENCE_EDGE_OBS_JSONL)
+        (root / "edgedump.jsonl").write_text(REFERENCE_EDGE_DUMP_JSONL)
+        (root / "huge.jsonl").write_text(HUGE_M_JSONL)
         for name, law in (("gauss", ["--law", "gaussian", "--sd", "2"]),
                           ("peaked", ["--law", "peaked", "--head-size", "3",
                                       "--gap", "2"])):
@@ -165,10 +217,25 @@ class TestParsePathGolden:
             (["reference", "--input", "refobs.jsonl", "--reference",
               "refdump.jsonl", "--format", "json"],
              "b70a2ed65d3cd205a073561e50bdcec2a9366d7fa7ba4eaa31d1183d8b8c1525"),
+            (["reference", "--input", "edgeobs.jsonl", "--reference",
+              "edgedump.jsonl", "--rho", "0.25", "--format", "json"],
+             "e133efda19609117f71b5937796d11df6f90e245454a116f77bcd858d0daba5c"),
+            (["reference", "--input", "edgeobs.jsonl", "--reference",
+              "edgedump.jsonl", "--rho", "0.25", "--format", "csv"],
+             "b7112c186333a8982fe0fccc0a90ec5f8766a5234f03af630e103bbd5e643251"),
+            (["analyze", "--input", "huge.jsonl", "--format", "csv"],
+             "a167134b4c75d142ea033008d6c18051a6dc31f109b022b376f0155df0ad5762"),
+            (["certify", "--input", "huge.jsonl", "--delta", "0.1",
+              "--format", "csv"],
+             "dfb7a44f0e45e8970fad9b778136990d021f588ef8c9835b726272b10a034ec2"),
+            (["compose", "--input", "huge.jsonl", "--format", "csv"],
+             "7c250f10edfee8f8e8cc7ac86c3b991f8f4114d6a696d0a1c23afbf48c652c1e"),
         ],
         ids=["analyze", "certify", "compose", "ksweep-gauss", "ksweep-peaked",
              "analyze-csv", "analyze-table", "certify-csv", "certify-table",
-             "compose-csv", "compose-table", "analyze-bits", "reference"],
+             "compose-csv", "compose-table", "analyze-bits", "reference",
+             "reference-edges", "reference-edges-csv", "analyze-huge-M-csv",
+             "certify-huge-M-csv", "compose-huge-M-csv"],
     )
     def test_report_bytes(self, argv, digest, inputs, tmp_path):
         out = tmp_path / "report"
@@ -556,6 +623,22 @@ class TestReference:
         ) == 1
         (error,) = json.loads(capsys.readouterr().err)["errors"]
         assert error["message"] == "line 1: dense score must not be NaN"
+
+    def test_wrong_dense_length_fails_with_no_censored_token(self, tmp_path,
+                                                             capsys):
+        # M = 0: the length is checked as on every other row
+        obs = tmp_path / "obs.jsonl"
+        obs.write_text(
+            '{"vocab_size":2,"mode":"logits","position_id":"full",'
+            '"topk":[{"token":0,"score":0.0},{"token":1,"score":-1.0}]}\n'
+        )
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text('{"position_id":"full","dense":[0.0,-1.0,-2.0]}\n')
+        assert main(
+            ["reference", "--input", str(obs), "--reference", str(refs)]
+        ) == 1
+        (error,) = json.loads(capsys.readouterr().err)["errors"]
+        assert error["message"] == "dense reference has length 3, expected vocab_size 2"
 
     @pytest.mark.parametrize("rho, shown", [("-1", "-1.0"), ("nan", "nan")])
     def test_bad_rho_rejected_before_any_row(self, rho, shown, tmp_path, capsys):
@@ -997,16 +1080,16 @@ for argv in (
     ["ksweep", "--input", dump, "--k", "1,5"],
     ["reference", "--input", obs, "--reference", refs],
     ["simulate", "--vocab", "16", "--positions", "2", "--k", "1,5"],
+    ["oracle", "--seed", "0"],
 ):
     assert main([*argv, "--output", out]) == 0, argv
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not loaded, loaded
-assert main(["oracle", "--seed", "0", "--output", out]) == 0
 """
 
 
-def test_only_oracle_loads_scipy(obs_file, dump_file, tmp_path):
-    """Every command but ``oracle`` runs on numpy alone; ``oracle`` still passes."""
+def test_no_command_loads_scipy(obs_file, dump_file, tmp_path):
+    """Every command, ``oracle`` included, runs without SciPy."""
     refs = tmp_path / "refs.jsonl"
     refs.write_text(
         '{"position_id":"a","dense":[1.1,0.2,-1.0,-1.0]}\n'

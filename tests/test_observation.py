@@ -393,6 +393,15 @@ class TestArrays:
             ([0, 1], [0.0, 10**400], "score outside the float range"),
             (np.array([0, 1]), np.array([0.0, np.nan]),
              "non-finite score nan for token 1"),
+            # scores are never coerced from strings, bools, None or complex
+            ([0, 1], ["1.5", 0.5], "score must be a number, got '1.5'"),
+            ([0, 1], np.array(["1.5", "0.5"]),
+             "score must be a number, got np.str_('1.5')"),
+            ([0, 1], [0.5, True], "score must be a number, got True"),
+            ([0, 1], np.array([True, False]), "score must be a number, got np.True_"),
+            ([0, 1], [None, 0.5], "score must be a number, got None"),
+            ([0, 1], ["x", 0.5], "score must be a number, got 'x'"),
+            ([0, 1], [1j, 0.5], "score must be a number, got 1j"),
         ],
     )
     def test_direct_construction_errors(self, tokens, scores, message):

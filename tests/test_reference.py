@@ -77,7 +77,7 @@ class TestReferenceGeometry:
 
     @pytest.mark.parametrize("default", [None, -2.5, -math.inf])
     def test_sparse_gather_matches_lookup(self, default):
-        # the per-id dictionary lookup that the sorted-array gather replaced
+        # the per-id dictionary lookup that the vocabulary layout replaced
         rng = np.random.default_rng(4)
         entries = {int(u): float(rng.normal()) for u in rng.permutation(60)[:25]}
         ref = ReferenceLogits(position_id="p", entries=entries, default=default)
@@ -93,6 +93,30 @@ class TestReferenceGeometry:
         empty = ReferenceLogits(position_id="p", entries={}, default=default)
         if default is not None:
             np.testing.assert_array_equal(empty.gather(ids, 60), default)
+
+    @pytest.mark.parametrize("default", [None, 0.0])
+    def test_negative_key_does_not_wrap(self, default):
+        # a key of -1 from direct construction names no token, not V - 1
+        ref = ReferenceLogits(position_id="p", entries={-1: 5.0, 0: 1.0},
+                              default=default)
+        if default is None:
+            with pytest.raises(CoverageError, match="token 3 and"):
+                ref.gather(np.array([0, 3]), 4)
+        else:
+            np.testing.assert_array_equal(ref.gather(np.array([0, 3]), 4),
+                                          [1.0, 0.0])
+
+    @pytest.mark.parametrize("ref", [
+        ReferenceLogits(position_id="p", dense=["1.5", 0.0, 0.0, 0.0]),
+        ReferenceLogits(position_id="p", dense=[True, 0.0, 0.0, 0.0]),
+        ReferenceLogits(position_id="p", dense=np.array([1, 0, 0, 0], dtype=bool)),
+        ReferenceLogits(position_id="p", entries={2: "1.5"}, default=0.0),
+        ReferenceLogits(position_id="p", entries={2: 1.5}, default=True),
+    ])
+    def test_non_numbers_rejected(self, v4_geometry, ref):
+        # no coercion from strings or bools, as in from_pairs
+        with pytest.raises(ValueError, match="reference scores must be numbers"):
+            reference_geometry(v4_geometry, ref, 0.5)
 
     def test_negative_rho_rejected(self, v4_geometry):
         with pytest.raises(ValueError):
