@@ -540,7 +540,8 @@ def main(argv=None) -> int:
     except ParseError as exc:
         _emit_errors([{"message": str(exc), "line": exc.line}])
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
+        # a MemoryError: an allocation refused outright, e.g. O(V) at V = 2^62
         _emit_errors([{"message": str(exc)}])
         return 1
 

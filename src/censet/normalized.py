@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .numerics import policy
 from .observation import _tail_mass
 
 
@@ -70,21 +69,17 @@ def allocation_diameter(t_star: float, cap: float, m: int) -> float:
 def tail_geometry(
     log_head: float, tau: float, m: int
 ) -> tuple[float, float, TailCondition, float]:
-    """Exact diameter of the capped tail-allocation set.
+    """Exact diameter of the capped tail-allocation set, in closed form.
 
     From a normalized observation's log head mass ``log_ZA``, threshold
     ``tau`` and M, returns ``(t*, c, condition, diameter)``: the hidden
     tail mass, the per-token cap ``exp(tau)``, the regime and the diameter.
-    Raises on an inconsistent observation whose tail mass cannot fit under
-    the per-token cap (t* > M*c).
+    A validated observation's tail fits under its caps, t* <= M*c up to
+    ``tail_feasibility_tol``: the checks of
+    :func:`censet.observation.from_pairs` reject any other.
     """
     t_star = _tail_mass(log_head)
     cap = math.exp(tau)
-    if t_star > m * cap + policy().tail_feasibility_tol:
-        raise ValueError(
-            f"inconsistent observation: hidden tail mass {t_star!r} cannot "
-            f"fit under cap {cap!r} on {m} censored tokens"
-        )
     if t_star == 0.0 or m <= 1:
         condition, diameter = TailCondition.SINGLE_POINT, 0.0
     elif m >= 2 * _tokens_needed(t_star, cap):

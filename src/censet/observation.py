@@ -92,7 +92,8 @@ def from_pairs(
     run in a fixed order and the first failure decides the message:
     ``vocab_size``, K, duplicate ids, then the pairs in source order (within
     a pair, the token's type and range, the score's type and finiteness),
-    then for normalized access the sign and the head mass.  An error is a
+    then for normalized access the sign, the head mass and the hidden tail's
+    fit under its caps (see :func:`_check_tail`).  An error is a
     :class:`ValidationError` that names no line.
     """
     _check_shape(vocab_size, len(token_ids), len(scores))
@@ -119,6 +120,9 @@ def _check_shape(vocab_size: int, k: int, n_scores: int) -> None:
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# relative slack of the tail screen: numpy's exp and expm1 round by ulps apart
+# from math's, which _check_tail uses
+_SCREEN_SLACK = 2.0**-40
 
 
 def _last_id(vocab_size: int) -> int:
@@ -203,7 +207,7 @@ def _sorted_rows(ids, values, counts, last_ids, logprobs):
 def _sorted_group(ids, values, last_ids, logprobs):
     """:func:`_sorted_rows` for records of one K held as (n, K) matrices."""
     by_score, sorted_values, bad = _sorted_matrix(ids, values, last_ids)
-    log_za, heavy = _normalized_checks(values, sorted_values, logprobs)
+    log_za, heavy = _normalized_checks(values, sorted_values, last_ids, logprobs)
     return by_score, sorted_values, log_za, bad | heavy
 
 
@@ -225,18 +229,24 @@ def _sorted_matrix(ids, values, last_ids):
     return ids.ravel()[at], values.ravel()[at], bad
 
 
-def _normalized_checks(values, sorted_values, logprobs):
-    """``log_ZA`` of each row, and the rows under normalized access that fail.
+def _normalized_checks(values, sorted_values, last_ids, logprobs):
+    """``log_ZA`` of each row, and the rows under normalized access to check.
 
     ``log_ZA`` is :func:`censet.numerics.logsumexp_rows` of the rows in
     score order, the order in which :func:`censet.simulate.ksweep` sums
     each prefix.  A row fails with a positive score or a head mass above
-    ``1 + head_mass_tol``.
+    ``1 + head_mass_tol``.  A row whose tail may not fit under its caps is
+    flagged too, a little early: :func:`_check_tail` decides.
     """
     log_za = logsumexp_rows(sorted_values)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         heavy = np.exp(log_za) > 1.0 + policy().head_mass_tol
-    return log_za, logprobs & ((values > 0.0).any(axis=1) | heavy)
+        # M*c with M low past the int64 range and c one ulp low (subnormals)
+        room = (last_ids - (values.shape[1] - 1)) * np.nextafter(
+            np.exp(sorted_values[:, -1]), 0.0)
+        overfull = np.clip(-np.expm1(log_za), 0.0, 1.0) * (1.0 + _SCREEN_SLACK) > (
+            room * (1.0 - _SCREEN_SLACK) + policy().tail_feasibility_tol)
+    return log_za, logprobs & ((values > 0.0).any(axis=1) | heavy | overfull)
 
 
 def _check_flagged(tokens, scores, vocab_size, ids, values, logprobs, log_za) -> None:
@@ -273,7 +283,7 @@ def _check_flagged(tokens, scores, vocab_size, ids, values, logprobs, log_za) ->
     if logprobs:
         if np.any(values > 0.0):
             raise ValidationError("normalized log-probabilities must be <= 0")
-        _check_head_mass(log_za)
+        _check_tail(log_za, float(values.min()), vocab_size - len(values))
 
 
 def _check_pair(token, score, vocab_size: int) -> None:
@@ -666,9 +676,11 @@ def parse_observations(source: str | bytes | IO) -> ObservationBatch:
     "topk": [{"token": id, "score": s}, ...], "position_id": optional}``.
     ``vocab_size`` and ``token`` must be JSON integers, ``score`` a JSON
     number and ``position_id`` a JSON string (``"line<n>"`` when absent)
-    that no other record uses; nothing is coerced.  Input order is
-    preserved; K is the length of the topk list.  Errors name the offending
-    line.
+    that no other record uses; nothing is coerced.  A normalized record's
+    scores must be <= 0 and its tail must fit under its caps (see
+    :func:`_check_tail`), so every command accepts the same records.  Input
+    order is preserved; K is the length of the topk list.  Errors name the
+    offending line.
 
     ``source`` is text, bytes or a stream of lines (see :func:`_read_jsonl`
     for the line rules).  Each line is decoded by ``orjson``, and again by
@@ -756,14 +768,29 @@ def serialize_observations(observations: Iterable[TopKObservation]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _check_head_mass(log_head: float) -> None:
-    """Reject a normalized head whose mass ``exp(log_head)`` exceeds 1."""
+def _check_tail(log_head: float, tau: float, m: int) -> float:
+    """The hidden tail mass t* of a normalized record, which is rejected with
+    a head mass ``exp(log_head)`` above 1 + ``head_mass_tol`` or with t*
+    above M*c + ``tail_feasibility_tol``, M censored tokens capped at
+    c = ``exp(tau)``."""
     head = float(np.exp(log_head))
     if head > 1.0 + policy().head_mass_tol:
         raise ValidationError(
             f"revealed head mass {head!r} exceeds 1 beyond tolerance; "
             "refusing to renormalize"
         )
+    t_star, cap = _tail_mass(log_head), math.exp(tau)
+    try:
+        room = m * cap
+    except OverflowError:  # an M beyond the float range: M*c exactly, bounded
+        num, den = cap.as_integer_ratio()
+        room = min(m * num, 2**1023 * den) / den
+    if t_star > room + policy().tail_feasibility_tol:
+        raise ValidationError(
+            f"inconsistent observation: hidden tail mass {t_star!r} cannot "
+            f"fit under cap {cap!r} on {m} censored tokens"
+        )
+    return t_star
 
 
 def _tail_mass(log_head: float) -> float:

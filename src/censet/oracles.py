@@ -574,10 +574,12 @@ def allocation_diameter_oracle(t_star: float, cap: float, m: int) -> float:
 
     TV is convex in the pair, so the maximum over the polytope is attained
     at vertex pairs; vertices are enumerated exactly.  The max over every
-    pair of vertices is half their l1 diameter, attained on a candidate
-    pair of :func:`_l1_farthest_pairs` (by the sign-vector identity
-    ``||x||_1 = max over sigma of sigma . x``), and only those pairs are
-    evaluated.
+    pair of vertices is half their l1 diameter.  The vertex set is closed
+    under permuting the M tokens, and every vertex is a permutation of any
+    other (the same capped, remainder and empty entries), so a permutation
+    that maps vertex x to the first vertex maps the pair (x, y) to a pair
+    at the same l1 distance from the first vertex.  The farthest vertex
+    from the first one therefore realizes the diameter.
     """
     if m < 1 or m > _MAX_ORACLE_TOKENS:
         raise ValueError(f"oracle supports 1 <= M <= {_MAX_ORACLE_TOKENS}, got {m}")
@@ -590,8 +592,7 @@ def allocation_diameter_oracle(t_star: float, cap: float, m: int) -> float:
     if t_star == 0.0 or m == 1:
         return 0.0
     points = _extreme_allocations(t_star, cap, m)
-    i, j = _l1_farthest_pairs(points)
-    return float(0.5 * np.abs(points[i] - points[j]).sum(axis=1).max())
+    return float(0.5 * np.abs(points - points[0]).sum(axis=1).max())
 
 
 # -- the battery -----------------------------------------------------------

@@ -26,8 +26,7 @@ from .observation import (
     TopKObservation,
     ValidationError,
     _batches,
-    _check_head_mass,
-    _tail_mass,
+    _check_tail,
     from_pairs,
 )
 
@@ -209,25 +208,24 @@ def _dump_blocks(source) -> Iterator[tuple]:
     yielded, so errors keep stream order.
     """
     for batch in _batches(source, chunked=True):
-        vocab_sizes = np.array(batch.vocab_sizes, dtype=np.int64)
-        partial = np.flatnonzero(batch.k != vocab_sizes).tolist()
-        end = partial[0] if partial else len(batch)
+        sizes, ks = batch.vocab_sizes, batch.k.tolist()  # ints beyond int64 too
+        end = next((i for i, v in enumerate(sizes) if ks[i] != v), len(batch))
         # a change of vocab size is the sweep's error, raised between blocks
-        cuts = [0, *(np.flatnonzero(np.diff(vocab_sizes[:end])) + 1).tolist(), end]
+        cuts = [0, *(i for i in range(1, end) if sizes[i] != sizes[i - 1]), end]
         for lo, hi in zip(cuts, cuts[1:]):
             if lo == hi:
                 continue
-            v = batch.vocab_sizes[lo]
+            v = sizes[lo]
             pairs = slice(batch.offsets[lo], batch.offsets[hi])
             scores = batch.scores[pairs].reshape(hi - lo, v)
             token_ids = batch.token_ids[pairs].reshape(hi - lo, v)
             full = np.empty((hi - lo, v))
             np.put_along_axis(full, token_ids, scores, axis=1)
             yield scores, token_ids, logsumexp_rows(full), v
-        if partial:
+        if end < len(batch):
             raise ValidationError(
                 f"position {batch.position_ids[end]}: sweep input must be a full "
-                f"dump (K = V), got K={batch.k[end]} < V={batch.vocab_sizes[end]}"
+                f"dump (K = V), got K={ks[end]} < V={sizes[end]}"
             )
 
 
@@ -265,7 +263,8 @@ def _sweep_block(
     The diameter is that of the top-K observation :func:`censor` makes of
     the row and the tail mass is the hidden mass of its normalized
     reinterpretation (``mode=AccessMode.LOGPROBS``), bit for bit and with
-    the same validation: each K reads a prefix of the sorted rows, tied
+    the same validation, :func:`censet.observation._check_tail` of each
+    (row, K) included: each K reads a prefix of the sorted rows, tied
     scores are equal whichever token holds them, and one
     :func:`logsumexp_rows` over a prefix of the block equals
     :func:`logsumexp` of each row's prefix.  The checks run in the order of
@@ -280,10 +279,12 @@ def _sweep_block(
         logprobs = np.minimum(head - log_z[:, None], 0.0)
     log_za = np.array([logsumexp_rows(head[:, :k]) for k in ks]).T.tolist()
     log_head = np.array([logsumexp_rows(logprobs[:, :k]) for k in ks]).T.tolist()
+    # the threshold of each row's normalized reinterpretation at each K
+    taus = logprobs[:, np.array(ks) - 1].tolist()
     bad_logit = _bad_column(head).tolist()
     bad_logprob = _bad_column(logprobs).tolist()
     for i, row in enumerate(head.tolist()):
-        for k, row_za, row_head in zip(ks, log_za[i], log_head[i]):
+        for k, row_za, row_head, tau in zip(ks, log_za[i], log_head[i], taus[i]):
             for values, bad in ((head, bad_logit[i]), (logprobs, bad_logprob[i])):
                 if bad < k:
                     raise ValidationError(
@@ -291,8 +292,7 @@ def _sweep_block(
                         f"{token_ids[i, bad]}"
                     )
             u, log_odds = diameter(v - k, row[k - 1], row_za)
-            _check_head_mass(row_head)
-            yield v - k, u, log_odds, _tail_mass(row_head)
+            yield v - k, u, log_odds, _check_tail(row_head, tau, v - k)
 
 
 def ksweep(blocks: Iterable[tuple], k_list: Sequence[int]) -> list[SweepRow]:

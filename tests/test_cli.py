@@ -19,6 +19,7 @@ from censet import observation
 from censet.cli import (
     ANALYZE_FIELDS,
     CERTIFY_FIELDS,
+    R_BIN_FOOTNOTE,
     _json_report,
     main,
 )
@@ -154,6 +155,13 @@ HUGE_M_JSONL = (
     f'"topk":[{{"token":3,"score":{math.log(0.9)!r}}},'
     f'{{"token":9,"score":{math.log(2e-17)!r}}}]}}\n'
 )
+
+
+# t* = 0.4 but one censored token capped at 0.1: the t = t* slice is empty
+OVERFULL_TAIL_JSONL = json.dumps({
+    "vocab_size": 3, "mode": "logprobs",
+    "topk": [{"token": 0, "score": math.log(0.5)}, {"token": 1, "score": math.log(0.1)}],
+}) + "\n"
 
 
 class TestParsePathGolden:
@@ -505,6 +513,45 @@ class TestKsweep:
         for got, want in zip(zip(*blocks), (want_scores, want_ids, want_log_z)):
             assert np.array_equal(np.concatenate(got), want)
 
+    @pytest.mark.parametrize("k", ["0", "a", "1,-2", ","])
+    def test_bad_k_list_is_a_usage_error(self, k, dump_file, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["ksweep", "--input", str(dump_file), "--k", k])
+        assert caught.value.code == 2
+        assert f"bad K list {k!r}" in capsys.readouterr().err
+
+    def test_vocab_size_beyond_int64_is_not_a_full_dump(self, tmp_path, capsys):
+        path = tmp_path / "huge.jsonl"
+        path.write_text('{"vocab_size": 9223372036854775808, "mode": "logits", '
+                        '"topk": [{"token": 0, "score": 1.0}]}\n')
+        assert main(["ksweep", "--input", str(path), "--k", "1"]) == 1
+        (error,) = json.loads(capsys.readouterr().err)["errors"]
+        assert error == {"message": (
+            "position line1: sweep input must be a full dump (K = V), got K=1 "
+            "< V=9223372036854775808"
+        )}
+
+    def test_rejects_a_logprobs_dump_of_mass_below_one(self, tmp_path, capsys):
+        # K = V and a head mass of 0.8: t* = 0.2 with no censored token
+        path = tmp_path / "light.jsonl"
+        path.write_text(json.dumps({"vocab_size": 2, "mode": "logprobs", "topk": [
+            {"token": 0, "score": math.log(0.5)}, {"token": 1, "score": math.log(0.3)},
+        ]}) + "\n")
+        assert main(["ksweep", "--input", str(path), "--k", "1"]) == 1
+        (error,) = json.loads(capsys.readouterr().err)["errors"]
+        assert error["line"] == 1
+        assert error["message"].startswith(
+            "line 1: inconsistent observation: hidden tail mass 0.2"
+        )
+        assert error["message"].endswith("on 0 censored tokens")
+
+    def test_table_shows_nan_for_a_skipped_k(self, dump_file, capsys):
+        assert main(["ksweep", "--input", str(dump_file), "--k", "5,200",
+                     "--format", "table"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3].split() == ["200", "nan", "nan", "nan", "nan", "0"]
+        assert lines[4:] == ["# n_positions: 6"]
+
     def test_empty_dump(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("\n")
@@ -640,6 +687,19 @@ class TestReference:
         (error,) = json.loads(capsys.readouterr().err)["errors"]
         assert error["message"] == "dense reference has length 3, expected vocab_size 2"
 
+    def test_vocabulary_too_large_to_lay_out(self, tmp_path, capsys):
+        # a sparse reference with a default is laid out over all V = 2^62
+        # tokens: numpy refuses the 4 EiB allocation at once
+        obs = tmp_path / "obs.jsonl"
+        obs.write_text('{"vocab_size": %d, "mode": "logits", "position_id": "p", '
+                       '"topk": [{"token": 0, "score": 1.0}]}\n' % 2**62)
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text('{"position_id": "p", "default": -1.0, '
+                        '"entries": [{"token": 0, "logit": 0.5}]}\n')
+        assert main(["reference", "--input", str(obs), "--reference", str(refs)]) == 1
+        (error,) = json.loads(capsys.readouterr().err)["errors"]
+        assert error["message"].startswith("Unable to allocate")
+
     @pytest.mark.parametrize("rho, shown", [("-1", "-1.0"), ("nan", "nan")])
     def test_bad_rho_rejected_before_any_row(self, rho, shown, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
@@ -732,6 +792,45 @@ class TestUnderflowedDiameter:
         assert (exact["uk_mean"], exact["sup_kl_mean"]) == (0.0, 0.0)
 
 
+class TestOverfullTail:
+    """Every command rejects a normalized record whose hidden tail mass
+    cannot fit under its caps, t* > M*c + tail_feasibility_tol, at its line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["certify", "--delta", "0.1"], ["compose"],
+        ["reference", "--reference", "{ref}"],
+    ], ids=["analyze", "certify", "compose", "reference"])
+    def test_every_command_rejects_it(self, argv, tmp_path, capsys):
+        obs = tmp_path / "obs.jsonl"
+        obs.write_text(OVERFULL_TAIL_JSONL)
+        ref = tmp_path / "ref.jsonl"
+        ref.write_text('{"position_id": "line1", "dense": [0.0, 0.0, 0.0]}\n')
+        argv = [arg.format(ref=ref) for arg in argv]
+        assert main([*argv, "--input", str(obs)]) == 1
+        (error,) = json.loads(capsys.readouterr().err)["errors"]
+        assert error == {"line": 1, "message": (
+            "line 1: inconsistent observation: hidden tail mass 0.39999999999999997 "
+            "cannot fit under cap 0.10000000000000002 on 1 censored tokens"
+        )}
+
+    @pytest.mark.parametrize("vocab_size, score, code", [
+        (10**400, -0.5, 0),
+        # M*c = 0: the tail of mass 1 fits under no cap
+        (10**400, -1e308, 1),
+        # M*c ~ 1.8e308 * 1e-323 ~ 2e-15 < t* ~ 1
+        (2**1024 + 1, -744.0, 1),
+    ])
+    def test_m_beyond_the_float_range(self, vocab_size, score, code, tmp_path, capsys):
+        obs = tmp_path / "obs.jsonl"
+        obs.write_text('{"vocab_size": %d, "mode": "logprobs", '
+                       '"topk": [{"token": 0, "score": %r}]}\n' % (vocab_size, score))
+        assert main(["certify", "--delta", "0.1", "--input", str(obs),
+                     "--format", "json"]) == code
+        if code:
+            (error,) = json.loads(capsys.readouterr().err)["errors"]
+            assert "cannot fit under cap" in error["message"]
+
+
 # scores at the edges of the float range, of exp and of the feasibility slack
 EXTREME_SCORES = (0.0, -0.0, -1e-12, -1e-300, -5e-324, -745.0, -800.0,
                   1e308, -1e308, 1.7976931348623157e308,
@@ -766,10 +865,13 @@ class TestExtremeScores:
         work = tmp_path_factory.mktemp("extreme")
         path = work / "obs.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
-        for argv in (["analyze"], ["certify", "--delta", "0.1"], ["compose"]):
-            code = main([*argv, "--input", str(path), "--format", "json",
-                         "--output", str(work / "r.json")])
-            assert code in (0, 1)
+        codes = {
+            main([*argv, "--input", str(path), "--format", "json",
+                  "--output", str(work / "r.json")])
+            for argv in (["analyze"], ["certify", "--delta", "0.1"], ["compose"])
+        }
+        # every command accepts the same records
+        assert codes in ({0}, {1})
 
     @pytest.mark.parametrize(
         "topk, vocab_size",
@@ -811,10 +913,14 @@ class TestDegenerateParameters:
             (["simulate", "--mean", "inf"], "mean must be finite, got inf"),
             (["simulate", "--sd", "-1"], "sd must be finite and >= 0, got -1.0"),
             (["simulate", "--sd", "nan"], "sd must be finite and >= 0, got nan"),
+            (["simulate", "--law", "peaked", "--head-size", "64", "--vocab", "64"],
+             "head_size must lie in [1, vocab_size), got 64"),
+            (["simulate", "--seed", "18446744073709551616"],
+             "seed must fit in 64 bits"),
         ],
         ids=["delta-nan", "concentration-0", "gap-negative", "temperature-inf",
              "temperature-nan", "temperature-0", "mean-inf", "sd-negative",
-             "sd-nan"],
+             "sd-nan", "head-size-V", "seed-2^64"],
     )
     def test_rejected(self, argv, message, obs_file, tmp_path, capsys):
         if argv[0] == "certify":
@@ -844,6 +950,16 @@ REPORT_SCALARS = st.one_of(
     st.booleans(),
     st.none(),
 )
+
+
+class TestNoRows:
+    def test_table_and_csv(self, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert main(["analyze", "--input", str(empty), "--format", "table"]) == 0
+        assert capsys.readouterr().out == f"(no rows)\n# footnote: {R_BIN_FOOTNOTE}\n"
+        assert main(["analyze", "--input", str(empty), "--format", "csv"]) == 0
+        assert capsys.readouterr().out == ""
 
 
 class TestJsonReport:
@@ -923,6 +1039,19 @@ class TestOracle:
             "expansion_bounds",
             "sup_breakpoint_scan",
         } <= names
+
+    def test_failed_check_exits_1_with_errors(self, monkeypatch, tmp_path, capsys):
+        from censet import oracles
+
+        checks = [{"check": "a", "status": "PASS", "detail": "ok"},
+                  {"check": "b", "status": "FAIL", "detail": "gap 0.5"}]
+        monkeypatch.setattr(oracles, "oracle_battery", lambda seed: checks)
+        out = tmp_path / "o.json"
+        assert main(["oracle", "--format", "json", "--output", str(out)]) == 1
+        assert json.loads(out.read_text())["rows"] == checks
+        assert json.loads(capsys.readouterr().err) == {"errors": [
+            {"message": "oracle check failed: b", "detail": "gap 0.5"}
+        ]}
 
     def test_seed_determines_report_bytes(self, tmp_path):
         reports = []

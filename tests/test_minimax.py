@@ -213,6 +213,13 @@ class TestSymmetricEstimator:
         with pytest.raises(ValueError, match="M = 0"):
             _sup(g, 0.5)
 
+    @pytest.mark.parametrize("s", [0.0, 1.0, 1.5, -0.25, math.nan])
+    def test_reserve_outside_the_open_interval(self, s):
+        # M > 0 and U_K > 0: a reserve of 0 or 1 puts infinite risk somewhere
+        with pytest.raises(ValueError) as caught:
+            symmetric_sup(8, 0.0, 0.5, s)
+        assert str(caught.value) == f"reserve must lie in (0, 1), got {s!r}"
+
     def test_induced_distribution_normalized(self, v4_geometry):
         q = estimator_distribution(v4_geometry, _default_reserve(v4_geometry))
         assert abs(float(q.sum()) - 1.0) <= 1e-12

@@ -13,7 +13,7 @@ from censet.normalized import (
     allocation_diameter,
     tail_geometry,
 )
-from censet.observation import AccessMode, ModeError
+from censet.observation import AccessMode, ModeError, ValidationError
 from censet.oracles import (
     _extreme_allocations,
     allocation_diameter_oracle,
@@ -111,10 +111,10 @@ class TestNormalizedGeometry:
         assert d == allocation_diameter(t_star, cap, g.M) == t_star
 
     def test_infeasible_observation(self):
-        # head mass 0.5 but a single censored token capped at 0.1 < 0.5
-        obs = logprob_observation([0.4, 0.1], 3)
-        with pytest.raises(ValueError, match="inconsistent"):
-            normalized(obs)
+        # head mass 0.5 but a single censored token capped at 0.1 < 0.5: the
+        # record is rejected when it is made, so no geometry is ever asked of it
+        with pytest.raises(ValidationError, match="inconsistent"):
+            logprob_observation([0.4, 0.1], 3)
 
     def test_large_m_overlapping_closed_form(self):
         # M = 20, t* = 0.5, c = 0.03: needs 2*ceil(16.7) = 34 > 20 tokens,

@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from censet import observation
 from censet.identified_set import geometry
 from censet.normalized import tail_geometry
+from censet.numerics import NumericPolicy, logsumexp_rows, use_policy
 from censet.observation import (
     AccessMode,
     ModeError,
     ParseError,
     ValidationError,
     _batches,
+    _check_tail,
     _tail_mass,
     from_pairs,
     parse_observations,
@@ -308,6 +310,37 @@ class TestHiddenTailMass:
             disjoint_witness_pair(geometry(make_observation(3, [0.0])))
 
 
+class TestTailScreen:
+    """The parse's vector screen sends every record that :func:`_check_tail`
+    rejects to it: the drawn tails lie within a few ulps of M*c plus the
+    tolerance, where numpy's rounding and math's may differ."""
+
+    @given(m=st.integers(0, 6), cap=st.floats(0.01, 0.12), ulps=st.integers(-40, 40),
+           tol=st.sampled_from([0.0, 1e-12, 1e-9]))
+    @settings(max_examples=400, deadline=None)
+    def test_parse_agrees_with_the_check(self, m, cap, ulps, tol):
+        t_star = m * cap + tol
+        t_star += ulps * math.ulp(max(t_star, 1e-300))
+        head = 1.0 - t_star
+        # K = 2 with the cap as the threshold, or a full dump of one token
+        scores = [math.log(head - cap), math.log(cap)] if m else [math.log(head)]
+        text = json.dumps({"vocab_size": len(scores) + m, "mode": "logprobs",
+                           "topk": [{"token": i, "score": x} for i, x in enumerate(scores)]})
+        log_za = float(logsumexp_rows(np.array([sorted(scores, reverse=True)]))[0])
+        with use_policy(NumericPolicy(tail_feasibility_tol=tol)):
+            try:
+                _check_tail(log_za, min(scores), m)
+                expected = None
+            except ValidationError as exc:
+                expected = f"line 1: {exc}"
+            try:
+                parse_observations(text)
+                got = None
+            except ParseError as exc:
+                got = str(exc)
+        assert got == expected
+
+
 class TestValidationDirect:
     def test_duplicate_ids(self):
         with pytest.raises(ValidationError, match="duplicate"):
@@ -469,15 +502,29 @@ def _one_at_a_time(text: str) -> list:
     return observations
 
 
+def _outcome(parse, text: str) -> tuple:
+    """``(records, None)`` of a parse, or ``(None, (line, message))`` of its error."""
+    try:
+        return parse(text), None
+    except ParseError as exc:
+        return None, (exc.line, str(exc))
+
+
 class TestBatchParse:
     """The batch parser against one-record parses of each line."""
 
     @given(st.lists(_records(), min_size=1, max_size=12))
     @settings(max_examples=200, deadline=None)
     def test_equals_stream_bit_for_bit(self, records):
+        # a drawn tail may not fit under its caps (K = 1, V = 3, score -5):
+        # then both parsers raise the same error
         text = "\n".join(records) + "\n"
-        batch = parse_observations(text)
-        stream = _one_at_a_time(text)
+        (batch, batch_error), (stream, stream_error) = (
+            _outcome(parse, text) for parse in (parse_observations, _one_at_a_time)
+        )
+        assert batch_error == stream_error
+        if batch_error is not None:
+            return
         assert len(batch) == len(stream)
         assert _bits(batch.tau) == _bits([o.tau for o in stream])
         assert batch.k.tolist() == [o.k for o in stream]
@@ -535,6 +582,10 @@ FAULTS = {
     "positive-logprob": lambda pid: _line(pid, [(0, "-0.5"), (3, "0.25")], "logprobs"),
     "head-mass": lambda pid: _line(
         pid, [(0, repr(math.log(0.6))), (4, repr(math.log(0.6)))], "logprobs"
+    ),
+    # t* = 0.4 under one censored token capped at 0.1
+    "overfull-tail": lambda pid: _line(
+        pid, [(0, repr(math.log(0.5))), (2, repr(math.log(0.1)))], "logprobs", 3
     ),
 }
 

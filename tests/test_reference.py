@@ -340,6 +340,12 @@ class TestParseReferenceDump:
         with pytest.raises(ParseError, match=f"line 1: {field} must be a JSON"):
             parse_reference_dump('{"position_id":"a",' + record + "}")
 
+    @pytest.mark.parametrize("dense", ['{"0":1.0}', "1.0", '"0.0,1.0"', "null"])
+    def test_dense_must_be_a_list(self, dense):
+        with pytest.raises(ParseError) as caught:
+            parse_reference_dump('{"position_id":"a","dense":%s}' % dense)
+        assert str(caught.value) == "line 1: dense must be a list of scores"
+
     def test_not_an_object(self):
         with pytest.raises(ParseError, match="line 1: record must be a JSON object"):
             parse_reference_dump("[1, 2]")

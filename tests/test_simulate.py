@@ -342,6 +342,16 @@ class TestSweepBlock:
                 _swept(z, ks)
         assert str(caught.value) == expected
 
+    def test_rejects_an_overfull_tail_like_censor(self):
+        # with a slack of -0.5, a tail within 0.5 of what its caps hold fails
+        z = self.ROWS["gaussian"][0]
+        ks = list(range(1, len(z) + 1))
+        with use_policy(NumericPolicy(tail_feasibility_tol=-0.5)):
+            expected = _pipeline_error(z, ks)
+            with pytest.raises(ValidationError, match="cannot fit under cap") as caught:
+                _swept(z, ks)
+        assert str(caught.value) == expected
+
     def test_first_failing_row_raises_first(self):
         # row 1 first fails at K = 5 (a -inf logit), row 2 already at K = 2
         # (a log_z far below its own makes each head logprob 0): row by row,
