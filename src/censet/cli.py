@@ -16,7 +16,6 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -230,49 +229,60 @@ def _emit_errors(errors: list[dict]) -> None:
     sys.stderr.write(_json_report({"errors": errors}) + "\n")
 
 
-class _Position(NamedTuple):
-    """One row of a batch with its diameter, as plain Python numbers."""
-
-    position_id: str
-    mode: AccessMode
-    vocab_size: int
-    k: int
-    m: int
-    tau: float
-    log_za: float
-    u: float
-    log_odds: float
+def _diameters(batch: ObservationBatch) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Each row's M, as a list of ints, and its U_K and log-odds columns."""
+    ms = [v - k for v, k in zip(batch.vocab_sizes, batch.k.tolist())]
+    return ms, *geo.diameter(ms, batch.tau, batch.log_ZA)
 
 
-def _positions(batch: ObservationBatch) -> Iterator[_Position]:
-    for pid, mode, v, k, tau, log_za in zip(
-        batch.position_ids,
-        batch.modes,
-        batch.vocab_sizes,
-        batch.k.tolist(),
-        batch.tau.tolist(),
-        batch.log_ZA.tolist(),
-    ):
-        m = v - k
-        yield _Position(pid, mode, v, k, m, tau, log_za, *geo.diameter(m, tau, log_za))
+def _check_float_range(batch: ObservationBatch, ms: list[int]) -> None:
+    """Raise the error of the first row whose M exceeds the float range, where
+    the per-token cap and the sup's breakpoints overflow."""
+    if ms and max(ms) > sys.float_info.max:
+        line = next(line for line, m in zip(batch.lines, ms) if m > sys.float_info.max)
+        raise ParseError(line, "M = vocab_size - K is too large for a float")
+
+
+def _scatter(n: int, rows: list[int], values: list) -> list:
+    """A column of n entries holding ``values`` at ``rows`` and None elsewhere."""
+    out = [None] * n
+    for i, value in zip(rows, values):
+        out[i] = value
+    return out
 
 
 def cmd_analyze(args) -> int:
     batch = _parse_file(parse_observations, args.input)
-    rows = []
-    for pid, mode, v, k, m, tau, log_za, u, log_odds in _positions(batch):
-        caps = (None, None)
-        if m:
-            caps = (geo.token_cap(log_odds, m, 0.0), geo.token_cap(log_odds, m, u))
-        normalized = (None,) * 5
-        if mode is AccessMode.LOGPROBS:
-            t_star, cap, condition, diameter = norm.tail_geometry(log_za, tau, m)
-            normalized = (t_star, cap, condition.value, diameter, diameter)
-        s_star, r_bin, g_max, g_argmax, first_order = mm.certificate(u)
-        sup_kl, _ = mm.symmetric_sup(m, log_odds, u)
-        values = (pid, mode.value, v, k, m, tau, log_za, u, log_odds, *caps, m == 0,
-                  s_star, r_bin, sup_kl, g_max, g_argmax, first_order, *normalized)
-        rows.append(dict(zip(ANALYZE_FIELDS, values)))
+    ms, u, log_odds = _diameters(batch)
+    _check_float_range(batch, ms)
+    n = len(ms)
+    # an M = 0 row has no caps: its stand-in M of 1 is never shown
+    live, caps = [m or 1 for m in ms], []
+    for t in (0.0, u):
+        column = geo.token_cap(log_odds, live, t).tolist()
+        caps.append([cap if m else None for cap, m in zip(column, ms)])
+    # the normalized-access fields, on logprobs rows only
+    normalized = [[None] * n] * 5
+    lp = [i for i, mode in enumerate(batch.modes) if mode is AccessMode.LOGPROBS]
+    if lp:
+        t_star, cap, condition, diameter = norm.tail_geometry(
+            batch.log_ZA[lp], batch.tau[lp], [ms[i] for i in lp])
+        diameter = diameter.tolist()
+        normalized = [
+            _scatter(n, lp, values) for values in (
+                t_star.tolist(), cap.tolist(), [c.value for c in condition], diameter,
+                diameter)
+        ]
+    cert = mm.certificate(u)
+    sup_kl, _ = mm.symmetric_sup(ms, log_odds, u)
+    columns = (
+        batch.position_ids, [mode.value for mode in batch.modes], batch.vocab_sizes,
+        batch.k.tolist(), ms, batch.tau.tolist(), batch.log_ZA.tolist(), u.tolist(),
+        log_odds.tolist(), *caps, [m == 0 for m in ms], cert.s_star.tolist(),
+        cert.r_bin.tolist(), sup_kl.tolist(), cert.g_max.tolist(),
+        cert.g_argmax.tolist(), cert.first_order.tolist(), *normalized,
+    )
+    rows = [dict(zip(ANALYZE_FIELDS, values)) for values in zip(*columns)]
     _emit({"command": "analyze", "footnote": R_BIN_FOOTNOTE}, rows, args)
     return 0
 
@@ -302,14 +312,15 @@ def cmd_ksweep(args) -> int:
 
 def cmd_certify(args) -> int:
     batch = _parse_file(parse_observations, args.input)
-    positions = list(_positions(batch))
-    verdicts = mm.verdicts([p.u for p in positions], args.delta)
+    _, u, _ = _diameters(batch)
+    verdicts = mm.verdicts(u, args.delta)
     # the first-order admissibility ceiling on the diameter
     u_max = math.e * args.delta
     rows = [
-        dict(zip(CERTIFY_FIELDS, (p.position_id, p.k, p.u, r_bin, args.delta,
-                                  verdict, u_max, p.u <= u_max)))
-        for p, (r_bin, verdict) in zip(positions, verdicts)
+        dict(zip(CERTIFY_FIELDS, (pid, k, uk, r_bin, args.delta, verdict, u_max,
+                                  uk <= u_max)))
+        for pid, k, uk, (r_bin, verdict) in zip(
+            batch.position_ids, batch.k.tolist(), u.tolist(), verdicts)
     ]
     _emit({"command": "certify", "footnote": R_BIN_FOOTNOTE}, rows, args)
     return 0
@@ -318,17 +329,16 @@ def cmd_certify(args) -> int:
 def cmd_reference(args) -> int:
     # reference_geometry checks rho per row, and an input may have none
     ref._check_rho(args.rho)
-    observations = _parse_file(parse_observations, args.input)
+    observations = list(_parse_file(parse_observations, args.input))
     refs = _parse_file(ref.parse_reference_dump, args.reference)
     rows = []
     max_perturbations = []
-    for obs in observations:
+    for obs, geom in zip(observations, geo.geometries(observations)):
         if obs.position_id not in refs:
             raise ValidationError(
                 f"reference dump has no record for position {obs.position_id}"
             )
         rlogits = refs[obs.position_id]
-        geom = geo.geometry(obs)
         rb = ref.reference_geometry(geom, rlogits, args.rho)
         row = {
             "position_id": obs.position_id,
@@ -405,14 +415,16 @@ def cmd_simulate(args) -> int:
 
 def cmd_compose(args) -> int:
     batch = _parse_file(parse_observations, args.input)
-    rows = []
-    for p in _positions(batch):
-        sup_kl, t_at = mm.symmetric_sup(p.m, p.log_odds, p.u)
-        rows.append({"position_id": p.position_id, "U_K": p.u,
-                     "r_bin": mm.reserve(p.u)[1], "sup_kl": sup_kl, "t_at_sup": t_at})
-    avg_lower, avg_upper, factored_sum = sim.average_risk(
-        [r["r_bin"] for r in rows], [r["sup_kl"] for r in rows]
-    )
+    ms, u, log_odds = _diameters(batch)
+    _check_float_range(batch, ms)
+    sup_kl, t_at = (c.tolist() for c in mm.symmetric_sup(ms, log_odds, u))
+    r_bin = mm.reserve(u)[1].tolist()
+    rows = [
+        {"position_id": pid, "U_K": uk, "r_bin": r, "sup_kl": sup, "t_at_sup": t}
+        for pid, uk, r, sup, t in zip(
+            batch.position_ids, u.tolist(), r_bin, sup_kl, t_at)
+    ]
+    avg_lower, avg_upper, factored_sum = sim.average_risk(r_bin, sup_kl)
     payload = {
         "command": "compose",
         "avg_lower": avg_lower,

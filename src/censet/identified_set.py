@@ -11,6 +11,12 @@ total-variation distance between two compatible distributions is
 i.e. ``sigmoid(log M + tau - log_ZA)``.  All odds arithmetic here stays in
 the log domain: observed ``U_K`` values routinely exceed 0.98, where a naive
 ``1 - U_K`` loses most of its significant digits.
+
+:func:`diameter` and :func:`token_cap` are column kernels: they take the
+columns of a batch and return columns, each entry equal to the one-row
+call's bit for bit (see :mod:`censet.numerics` for the exactness rule).  M
+is a list of Python ints, exact at any size, and ``log M`` is ``math``'s
+log of the int.
 """
 
 from __future__ import annotations
@@ -18,10 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .numerics import expit, policy
+from .numerics import columns, expit, libm, policy
 from .observation import TopKObservation
 
 
@@ -69,23 +76,50 @@ class SetGeometry:
         return np.flatnonzero(hidden)
 
 
-def diameter(m: int, tau: float, log_za: float) -> tuple[float, float]:
-    """``(U_K, log_odds)`` from M, ``tau`` and ``log_ZA``; (0.0, -inf) when M = 0."""
-    if m == 0:
-        return 0.0, -math.inf
-    log_odds = math.log(m) + tau - log_za
+def diameter(m, tau, log_za):
+    """``(U_K, log_odds)`` from M, ``tau`` and ``log_ZA``; (0.0, -inf) when M = 0.
+
+    Takes an int M and floats, or a list of M and float columns (see
+    :func:`censet.numerics.columns`).
+    """
+    return columns(_diameter, m, tau, log_za)
+
+
+def _diameter(m: list, tau, log_za) -> tuple[np.ndarray, np.ndarray]:
+    # an M = 0 row reads log 1 until its log-odds become -inf
+    log_odds = libm(math.log, [n or 1 for n in m]) + tau - log_za
+    log_odds = np.where(np.array(m, dtype=bool), log_odds, -math.inf)
     return expit(log_odds), log_odds
 
 
 def geometry(obs: TopKObservation) -> SetGeometry:
     """Ambiguity diameter of the compatible set; exactly 0 when M = 0."""
-    m = obs.vocab_size - obs.k
-    return SetGeometry(obs, m, *diameter(m, obs.tau, obs.log_ZA))
+    (geom,) = geometries([obs])
+    return geom
 
 
-def token_cap(log_odds: float, m: int, t: float) -> float:
-    """:func:`per_token_cap` from ``log_odds`` and M > 0, for t in [0, U_K]."""
-    return math.exp(log_odds) * (1.0 - t) / m
+def geometries(observations: Sequence[TopKObservation]) -> Iterator[SetGeometry]:
+    """:func:`geometry` of each observation, from one :func:`diameter` call
+    over all of them.
+
+    Each geometry is made as the result is iterated, so a loop that drops
+    each one in turn holds one at a time, with its cached O(V) arrays.
+    """
+    ms = [obs.vocab_size - obs.k for obs in observations]
+    u, log_odds = diameter(
+        ms, np.array([obs.tau for obs in observations], dtype=np.float64),
+        np.array([obs.log_ZA for obs in observations], dtype=np.float64))
+    return map(SetGeometry, observations, ms, u.tolist(), log_odds.tolist())
+
+
+def token_cap(log_odds, m, t):
+    """:func:`per_token_cap` from ``log_odds`` and M > 0, for t in [0, U_K];
+    of floats and an int M, or of float columns and a list of M."""
+    return columns(_token_cap, log_odds, m, t)
+
+
+def _token_cap(log_odds, m: list, t) -> np.ndarray:
+    return libm(math.exp, log_odds) * (1.0 - np.asarray(t)) / libm(float, m)
 
 
 def per_token_cap(geom: SetGeometry, t: float) -> float:

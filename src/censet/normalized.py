@@ -7,6 +7,11 @@ Two allocations on disjoint supports realize TV = t*, which needs
 ``M >= 2 * ceil(t*/c)`` tokens; with a single censored token the set is one
 point.  In between, the supports must overlap and the diameter has the
 closed form of :func:`allocation_diameter`.
+
+:func:`tail_geometry` and :func:`allocation_diameter` are column kernels
+(see :func:`censet.numerics.columns`): floats and an int M, or float
+columns and a list of M.  ``M // 2`` and the regime test ``M >= 2
+ceil(t*/c)`` are computed on Python ints, exact at any size.
 """
 
 from __future__ import annotations
@@ -14,6 +19,9 @@ from __future__ import annotations
 import math
 from enum import Enum
 
+import numpy as np
+
+from .numerics import columns, libm
 from .observation import _tail_mass
 
 
@@ -34,7 +42,7 @@ def _tokens_needed(t_star: float, cap: float) -> float:
     return math.ceil(ratio - 1e-12)
 
 
-def allocation_diameter(t_star: float, cap: float, m: int) -> float:
+def allocation_diameter(t_star, cap, m):
     """Exact max pairwise TV over {0 <= x <= c, sum(x) = t*} on M tokens.
 
     With q = t*/c the diameter is
@@ -60,31 +68,48 @@ def allocation_diameter(t_star: float, cap: float, m: int) -> float:
     so small that t*/c overflows, gives D = t* (up to the mass the caps
     hold) without a division.
     """
-    half = m // 2
-    filled = min(half * cap, t_star)
-    spilled = t_star - min((m - half) * cap, t_star)
-    return abs(filled - spilled)
+    return columns(_allocation_diameter, t_star, cap, m)
 
 
-def tail_geometry(
-    log_head: float, tau: float, m: int
-) -> tuple[float, float, TailCondition, float]:
+def _allocation_diameter(t_star, cap, m: list) -> np.ndarray:
+    t_star = np.asarray(t_star, dtype=np.float64)
+    cap = np.asarray(cap, dtype=np.float64)
+    halves = [n // 2 for n in m]
+    filled = libm(float, halves) * cap
+    filled = np.where(t_star < filled, t_star, filled)
+    spilled = libm(float, [n - h for n, h in zip(m, halves)]) * cap
+    spilled = t_star - np.where(t_star < spilled, t_star, spilled)
+    return np.abs(filled - spilled)
+
+
+def tail_geometry(log_head, tau, m):
     """Exact diameter of the capped tail-allocation set, in closed form.
 
     From a normalized observation's log head mass ``log_ZA``, threshold
     ``tau`` and M, returns ``(t*, c, condition, diameter)``: the hidden
-    tail mass, the per-token cap ``exp(tau)``, the regime and the diameter.
-    A validated observation's tail fits under its caps, t* <= M*c up to
-    ``tail_feasibility_tol``: the checks of
-    :func:`censet.observation.from_pairs` reject any other.
+    tail mass, the per-token cap ``exp(tau)``, the regime and the diameter
+    (of columns, a list of conditions).  A validated observation's tail
+    fits under its caps, t* <= M*c up to ``tail_feasibility_tol``: the
+    checks of :func:`censet.observation.from_pairs` reject any other.
     """
-    t_star = _tail_mass(log_head)
-    cap = math.exp(tau)
-    if t_star == 0.0 or m <= 1:
-        condition, diameter = TailCondition.SINGLE_POINT, 0.0
-    elif m >= 2 * _tokens_needed(t_star, cap):
-        condition, diameter = TailCondition.DISJOINT_SUPPORTS, t_star
-    else:
-        condition = TailCondition.OVERLAPPING_SUPPORTS
-        diameter = allocation_diameter(t_star, cap, m)
-    return t_star, cap, condition, diameter
+    return columns(_tail_geometry, log_head, tau, m)
+
+
+def _tail_geometry(log_head, tau, m: list) -> tuple:
+    t_star, cap = _tail_mass(log_head), libm(math.exp, tau)
+    single = (t_star == 0.0) | np.array([n <= 1 for n in m], dtype=bool)
+    disjoint = ~single & np.array(
+        [n >= 2 * _tokens_needed(t, c) for n, t, c in
+         zip(m, t_star.tolist(), cap.tolist())], dtype=bool)
+    overlapping = ~(single | disjoint)
+    diameter = np.where(disjoint, t_star, 0.0)
+    rows = np.flatnonzero(overlapping)
+    diameter[rows] = _allocation_diameter(
+        t_star[rows], cap[rows], [m[i] for i in rows.tolist()])
+    conditions = [
+        TailCondition.SINGLE_POINT if one else
+        TailCondition.DISJOINT_SUPPORTS if apart else
+        TailCondition.OVERLAPPING_SUPPORTS
+        for one, apart in zip(single.tolist(), disjoint.tolist())
+    ]
+    return t_star, cap, conditions, diameter

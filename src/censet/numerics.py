@@ -10,6 +10,28 @@ matrix (:func:`logsumexp` is its one-row case), and :func:`expit` is the
 sigmoid.  Each reproduces SciPy's ``special`` function of that name bit
 for bit, row by row, at a fraction of the per-call cost, so the analysis
 commands need numpy alone.
+
+The closed forms of :mod:`~censet.identified_set`, :mod:`~censet.minimax`
+and :mod:`~censet.normalized` are column kernels, run through
+:func:`columns`: one call evaluates every row of a batch, and a call with
+scalars is the one-row case of the same code.  A column's entries equal
+the scalar formula's bit for bit, by two rules.
+
+- *Exactness.*  Every ``log``, ``log1p``, ``exp`` and ``expm1`` is
+  ``math``'s (the C library's), applied entry by entry by :func:`libm`:
+  numpy's own ufuncs differ from it in the last bit on a few percent of
+  inputs.  numpy does only what IEEE arithmetic rounds exactly, each step
+  in the scalar expression's order: ``+ - * /``, ``abs``, comparisons and
+  ``where``, plus the ``logaddexp`` of ``minimax.reserve``.
+  A Python ``min(a, b)`` is ``where(b < a, b, a)`` and ``max(a, b)``
+  ``where(b > a, b, a)``, which keep its choice on NaN and signed zeros.
+  The one ``OverflowError`` caught is that of :func:`expit`'s ``exp``.
+- *Integer M.*  Every quantity derived from the number M of censored
+  tokens is computed on Python ints: ``log M``, ``n / M``, ``n >= M``,
+  ``M // 2``, the sup's candidate counts and the normalized regime's
+  ``M >= 2 ceil(t*/c)``.  A float64 M is inexact above 2^53, where the
+  scalar formulas still read M exactly; ``x / M`` divides by ``float(M)``,
+  as Python does.
 """
 
 from __future__ import annotations
@@ -21,6 +43,7 @@ import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -142,12 +165,55 @@ def logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def expit(x: float) -> float:
-    """The logistic sigmoid ``1 / (1 + exp(-x))``, equal to SciPy's ``expit``.
+def libm(f: Callable[[float], float], values) -> np.ndarray:
+    """``f`` (a function of ``math``) of each entry of a float array or of a
+    list of numbers, Python ints included, as a float64 column."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    return np.fromiter(map(f, values), np.float64, len(values))
+
+
+def columns(kernel: Callable, *args):
+    """``kernel(*args)`` over columns, or over one row of scalars.
+
+    A call whose first argument is a list or an array passes its columns
+    through.  Otherwise every argument but None becomes a column of one
+    entry, and each result column comes back as its entry, a Python value,
+    in the same tuple or named tuple.  The kernel runs with numpy's float
+    warnings off: Python's float arithmetic, which it stands for, gives
+    infinities and NaN silently too.
+    """
+    with np.errstate(all="ignore"):
+        if isinstance(args[0], (list, np.ndarray)):
+            return kernel(*args)
+        out = kernel(*(None if a is None else [a] for a in args))
+    if not isinstance(out, tuple):
+        return _entry(out)
+    entries = [_entry(column) for column in out]
+    return out._make(entries) if hasattr(out, "_make") else tuple(entries)
+
+
+def _entry(column):
+    return column.item() if isinstance(column, np.ndarray) else column[0]
+
+
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def expit(x):
+    """The logistic sigmoid ``1 / (1 + exp(-x))`` of a float, or of each
+    entry of a float array, equal to SciPy's ``expit``.
 
     An ``exp(-x)`` beyond the float range gives 0.0, as SciPy's does.
     """
-    try:
-        return 1.0 / (1.0 + math.exp(-x))
-    except OverflowError:
-        return 0.0
+    if isinstance(x, np.ndarray):
+        try:
+            exp = libm(math.exp, -x)
+        except OverflowError:
+            exp = libm(_exp_or_inf, -x)
+        return 1.0 / (1.0 + exp)
+    return 1.0 / (1.0 + _exp_or_inf(-x))

@@ -24,7 +24,7 @@ from typing import IO, Callable, Container, Iterable, Iterator, TypeVar
 import numpy as np
 import orjson
 
-from .numerics import logsumexp_rows, policy
+from .numerics import columns, libm, logsumexp_rows, policy
 
 
 class ValidationError(ValueError):
@@ -585,8 +585,11 @@ class ObservationBatch(Sequence):
     ``scores`` (sorted by score as in :class:`TopKObservation`).  Indexing
     or iterating yields each row as a :class:`TopKObservation` over
     read-only views of these arrays; a slice yields a list of them.
+    ``lines`` holds each record's line in its source (None for a record
+    :func:`from_pairs` made).
     """
 
+    lines: list[int | None]
     position_ids: list[str]
     modes: list[AccessMode]
     vocab_sizes: list[int]
@@ -658,9 +661,9 @@ def _batch(records: list[tuple], ids: np.ndarray, values: np.ndarray):
             n, error = r, exc if lines[r] is None else ParseError(lines[r], str(exc))
             break
     end = offsets[n]
-    batch = ObservationBatch(pids[:n], modes[:n], vocab_sizes[:n], offsets[: n + 1],
-                             ids[:end], by_score[:end], sorted_values[:end],
-                             log_za[:n])
+    batch = ObservationBatch(lines[:n], pids[:n], modes[:n], vocab_sizes[:n],
+                             offsets[: n + 1], ids[:end], by_score[:end],
+                             sorted_values[:end], log_za[:n])
     return batch, error
 
 
@@ -793,6 +796,13 @@ def _check_tail(log_head: float, tau: float, m: int) -> float:
     return t_star
 
 
-def _tail_mass(log_head: float) -> float:
-    """``1 - exp(log_head)`` clamped to [0, 1]."""
-    return min(1.0, max(0.0, -math.expm1(log_head)))
+def _tail_mass(log_head):
+    """``1 - exp(log_head)`` clamped to [0, 1], of a float or of a float
+    column."""
+    return columns(_tail_masses, log_head)
+
+
+def _tail_masses(log_head) -> np.ndarray:
+    t = -libm(math.expm1, log_head)
+    t = np.where(t > 0.0, t, 0.0)
+    return np.where(t < 1.0, t, 1.0)

@@ -152,6 +152,81 @@ def estimator_distribution(
     return point(geom, s, None if tail_weights is None else s * tail_weights)
 
 
+def _bernoulli_kl(t: float, s: float) -> float:
+    """KL between Bernoulli(t) and Bernoulli(s), with the edge conventions."""
+    if t > 0.0 and s == 0.0:
+        return math.inf
+    if t < 1.0 and s == 1.0:
+        return math.inf
+    out = 0.0
+    if t > 0.0:
+        out += t * (math.log(t) - math.log(s))
+    if t < 1.0:
+        out += (1.0 - t) * (math.log1p(-t) - math.log1p(-s))
+    return out
+
+
+def _concentrated_tail_kl(
+    m: int, log_odds: float, t: float, n_full: int | None
+) -> tuple[int, float, float]:
+    """Max of KL(r || uniform_M) over tail conditionals obeying the cap.
+
+    At tail mass t the cap allows ``r_u <= lam/M`` with
+    ``lam = exp(log_odds) (1-t)/t``; the maximizer is an extreme point of
+    the capped simplex: ``floor(M/lam)`` tokens at the cap plus one token
+    absorbing the remainder.  ``n_full=None`` takes that floor; at a cap
+    breakpoint ``t_n`` the caller passes n itself, since the float ratio
+    M/lam can land a hair below n there.  Returns (n_full, remainder,
+    kl_value).
+    """
+    lam = math.exp(log_odds) * (1.0 - t) / t
+    if lam <= 0.0:
+        return m, 0.0, 0.0
+    if n_full is None:
+        n_full = math.floor(m / lam)
+    n_full = min(n_full, m)
+    rem = max(0.0, 1.0 - n_full * lam / m)
+    if n_full >= m:
+        # all tokens at the cap: the conditional is exactly uniform
+        rem = 0.0
+    value = n_full * (lam / m) * math.log(lam)
+    if rem > 0.0:
+        value += rem * math.log(rem * m)
+    return n_full, rem, max(0.0, value)
+
+
+def _sup_candidates(
+    m: int, lo: float, u: float, s: float
+) -> list[tuple[float, float]]:
+    """(risk, t) at the one or two breakpoints that can hold the sup, one
+    value at a time: the scalar route to :func:`minimax.symmetric_sup`.
+
+    For M censored tokens, log-odds ``lo``, diameter ``u`` and a uniform
+    tail rule with reserve ``s``; the sup is the largest pair.
+    """
+    if u == 0.0:
+        # only t = 0 is compatible: no censored tokens, or an underflowed tail
+        if m == 0 and s != 0.0:
+            raise ValueError("estimator reserves tail mass but M = 0")
+        if not 0.0 <= s < 1.0:
+            raise ValueError(f"reserve must lie in [0, 1), got {s!r}")
+        return [(-math.log1p(-s), 0.0)]
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"reserve must lie in (0, 1), got {s!r}")
+    d = math.log1p(-s) + lo - math.log(s)
+    log_n = math.log(d - 1.0) + math.log(m) - lo if d > 1.0 else -math.inf
+    n_dagger = m if log_n >= math.log(m) else math.exp(log_n)
+    out = []
+    for n in sorted({math.floor(n_dagger), min(math.ceil(n_dagger), m)}):
+        if n == 0:
+            out.append((-math.log1p(-s), 0.0))
+            continue
+        t = min(expit(lo + math.log(n / m)), u)
+        _, _, tail_kl = _concentrated_tail_kl(m, lo, t, n)
+        out.append((_bernoulli_kl(t, s) + t * tail_kl, t))
+    return out
+
+
 def risk_at_tail_mass(geom: geo.SetGeometry, s: float, t: float) -> float:
     """Worst-case KL at fixed tail mass t against the uniform-tail
     estimator with reserve ``s``.
@@ -164,8 +239,8 @@ def risk_at_tail_mass(geom: geo.SetGeometry, s: float, t: float) -> float:
     if t == 0.0:
         return -math.log1p(-s) if s < 1.0 else math.inf
     t = min(t, geom.U_K)
-    _, _, tail_kl = mm._concentrated_tail_kl(geom.M, geom.log_odds, t, None)
-    return mm._bernoulli_kl(t, s) + t * tail_kl
+    _, _, tail_kl = _concentrated_tail_kl(geom.M, geom.log_odds, t, None)
+    return _bernoulli_kl(t, s) + t * tail_kl
 
 
 def adversary_best_response(
@@ -184,8 +259,8 @@ def adversary_best_response(
     if t <= 0.0 or t > geom.U_K + policy().membership_tol:
         raise ValueError(f"tail mass t={t!r} outside (0, U_K={geom.U_K!r}]")
     t = min(t, geom.U_K)
-    n_full, rem, tail_kl = mm._concentrated_tail_kl(geom.M, geom.log_odds, t, None)
-    value = mm._bernoulli_kl(t, s) + t * tail_kl
+    n_full, rem, tail_kl = _concentrated_tail_kl(geom.M, geom.log_odds, t, None)
+    value = _bernoulli_kl(t, s) + t * tail_kl
     if n_full == geom.M and rem == 0.0:
         return point(geom, t), value
     lam = math.exp(geom.log_odds) * (1.0 - t) / t
@@ -512,7 +587,7 @@ def g_envelope(u: float, t: float, s: float) -> float:
     algebraically equal to the two-term defining form of the
     :mod:`censet.minimax` docstring; G(0) = -log(1-s).  The cap factor
     log(u/((1-u)s)) diverges as u -> 1.  :func:`minimax.g_max` maximizes
-    the same expression over t.
+    the same expression over t; this is its scalar route.
     """
     if not 0.0 < u < 1.0:
         raise ValueError(f"diameter must lie in (0, 1), got {u!r}")
@@ -521,7 +596,8 @@ def g_envelope(u: float, t: float, s: float) -> float:
     if t < -policy().membership_tol or t > u + policy().membership_tol:
         raise ValueError(f"tail mass t={t!r} outside [0, u={u!r}]")
     t = min(max(t, 0.0), u)
-    return mm._envelope(t, math.log1p(-s), mm._cap_factor(u, s))
+    cap_factor = math.log(u) - math.log1p(-u) - math.log(s)
+    return math.log1p(-t) - (1.0 - t) * math.log1p(-s) + t * cap_factor
 
 
 def _g_envelope_defining_form(u: float, t: float, s: float) -> float:
@@ -598,6 +674,12 @@ def allocation_diameter_oracle(t_star: float, cap: float, m: int) -> float:
 # -- the battery -----------------------------------------------------------
 
 
+def _geometry_columns(geoms: list[geo.SetGeometry]) -> tuple:
+    """M, log-odds and U_K of each geometry, as the kernels take them."""
+    return ([g.M for g in geoms], np.array([g.log_odds for g in geoms]),
+            np.array([g.U_K for g in geoms]))
+
+
 def oracle_battery(seed: int = 0) -> list[dict]:
     """All brute-force verification checks, each with a pass/fail status."""
     checks: list[dict] = []
@@ -611,14 +693,15 @@ def oracle_battery(seed: int = 0) -> list[dict]:
     worst_gap = 0.0
     pair_gap = 0.0
     ok = True
+    observations = []
     for i in range(12):
         v = int(rng.integers(3, 9))
         k = int(rng.integers(1, v))
         config = sim.SyntheticTeacherConfig(
             vocab_size=v, law=sim.GaussianIID(0.0, 2.0), seed=seed + i
         )
-        z = sim.generate_teacher(config, 1)[0]
-        geom = geo.geometry(sim.censor(z, k))
+        observations.append(sim.censor(sim.generate_teacher(config, 1)[0], k))
+    for i, geom in enumerate(geo.geometries(observations)):
         oracle = brute_diameter_oracle(geom, 12, max_points=1024, seed=i)
         worst_gap = max(worst_gap, abs(oracle - geom.U_K))
         tv_pair = tv(point(geom, 0.0), point(geom, geom.U_K))
@@ -632,9 +715,9 @@ def oracle_battery(seed: int = 0) -> list[dict]:
 
     # balancing oracle against the closed-form reserve
     gap = 0.0
-    for u in np.geomspace(1e-4, 0.999, 25):
-        s_star, r_bin = mm.reserve(float(u))
-        s_hat, r_hat = balancing_oracle(float(u))
+    us = np.geomspace(1e-4, 0.999, 25)
+    for u, s_star, r_bin in zip(us.tolist(), *(c.tolist() for c in mm.reserve(us))):
+        s_hat, r_hat = balancing_oracle(u)
         gap = max(gap, abs(s_hat - s_star), abs(r_hat - r_bin))
     record("balancing_oracle", gap <= 1e-6, f"max deviation = {gap:.2e}")
 
@@ -653,28 +736,37 @@ def oracle_battery(seed: int = 0) -> list[dict]:
     # ordering r_bin <= symmetric-estimator sup <= g_max
     ok = True
     detail = []
-    for u in (0.05, 0.3, 0.7, 0.95):
-        geom = geometry_with_diameter(u, 64)
-        sup_kl, _ = mm.symmetric_sup(geom.M, geom.log_odds, geom.U_K)
-        r_bin = mm.reserve(geom.U_K)[1]
-        gmax, _ = mm.g_max(geom.U_K)
+    targets = (0.05, 0.3, 0.7, 0.95)
+    geoms = [geometry_with_diameter(u, 64) for u in targets]
+    ms, log_odds, us = _geometry_columns(geoms)
+    cert = mm.certificate(us)
+    sups = mm.symmetric_sup(ms, log_odds, us)[0].tolist()
+    for u, r_bin, sup_kl, gmax in zip(
+        targets, cert.r_bin.tolist(), sups, cert.g_max.tolist()
+    ):
         ok = ok and (r_bin <= sup_kl + 1e-12) and (sup_kl <= gmax + 1e-6)
         detail.append(f"u={u}: {r_bin:.4f} <= {sup_kl:.4f} <= {gmax:.4f}")
     record("envelope_ordering", ok, "; ".join(detail))
 
     # exact symmetric-estimator sup against a brute breakpoint + grid scan
     gap = 0.0
-    for u, m in ((0.05, 7), (0.3, 16), (0.7, 64), (0.95, 64)):
+    cases = ((0.05, 7), (0.3, 16), (0.7, 64), (0.95, 64))
+    balanced = mm.reserve(np.array([u for u, _ in cases]))[0].tolist()
+    pairs = []
+    for (u, m), s_star in zip(cases, balanced):
         geom = geometry_with_diameter(u, m)
-        for s in (u / math.e, mm.reserve(u)[0], 0.02, 0.5, 0.98):
-            sup_kl, _ = mm.symmetric_sup(geom.M, geom.log_odds, geom.U_K, s)
-            scan = breakpoint_scan_oracle(geom.M, geom.log_odds, s)
-            gap = max(gap, abs(sup_kl - scan))
+        pairs += [(geom, s) for s in (u / math.e, s_star, 0.02, 0.5, 0.98)]
+    ms, log_odds, us = _geometry_columns([geom for geom, _ in pairs])
+    sups = mm.symmetric_sup(ms, log_odds, us, np.array([s for _, s in pairs]))[0]
+    for (geom, s), sup_kl in zip(pairs, sups.tolist()):
+        scan = breakpoint_scan_oracle(geom.M, geom.log_odds, s)
+        gap = max(gap, abs(sup_kl - scan))
     record("sup_breakpoint_scan", gap <= 1e-10, f"max |sup - scan| = {gap:.2e}")
 
     # reference shrinkage against the box-constrained oracle
     ok = True
     worst_gap = 0.0
+    observations, references = [], []
     for i in range(8):
         v = int(rng.integers(4, 9))
         k = int(rng.integers(1, v - 1))
@@ -682,9 +774,13 @@ def oracle_battery(seed: int = 0) -> list[dict]:
             vocab_size=v, law=sim.GaussianIID(0.0, 1.5), seed=seed + 100 + i
         )
         z = sim.generate_teacher(config, 1)[0]
-        geom = geo.geometry(sim.censor(z, k))
+        observations.append(sim.censor(z, k))
         rlogits = ref.ReferenceLogits(dense=z + rng.normal(0.0, 0.5, size=v))
-        rb = ref.reference_geometry(geom, rlogits, float(rng.uniform(0.0, 2.0)))
+        references.append((rlogits, float(rng.uniform(0.0, 2.0))))
+    for i, (geom, (rlogits, rho)) in enumerate(
+        zip(geo.geometries(observations), references)
+    ):
+        rb = ref.reference_geometry(geom, rlogits, rho)
         oracle = reference_diameter_oracle(geom, rb, 10, max_points=1024, seed=i)
         worst_gap = max(worst_gap, abs(oracle - rb.U_R))
         ok = ok and abs(oracle - rb.U_R) <= 1e-3 and rb.U_R <= geom.U_K + 1e-12
@@ -697,13 +793,16 @@ def oracle_battery(seed: int = 0) -> list[dict]:
     d3 = allocation_diameter_oracle(0.15, 0.2, 1)
     gap = 0.0
     cap = 0.07
-    for m in range(1, 13):
-        for q in (0.5, 1.0, m - 2.0, m - 1.25, m - 0.5):
-            if q >= 0.0:
-                t_star = q * cap
-                closed = norm.allocation_diameter(t_star, cap, m)
-                brute = allocation_diameter_oracle(t_star, cap, m)
-                gap = max(gap, abs(closed - brute))
+    cases = [
+        (q * cap, m)
+        for m in range(1, 13)
+        for q in (0.5, 1.0, m - 2.0, m - 1.25, m - 0.5)
+        if q >= 0.0
+    ]
+    closed = norm.allocation_diameter(
+        np.array([t_star for t_star, _ in cases]), cap, [m for _, m in cases])
+    for (t_star, m), value in zip(cases, closed.tolist()):
+        gap = max(gap, abs(value - allocation_diameter_oracle(t_star, cap, m)))
     ok = abs(d1 - 0.2) <= 1e-3 and d2 < 0.2 and d3 == 0.0 and gap <= 1e-12
     detail = f"disjoint: {d1:.4f}, capped: {d2:.4f}, single: {d3:.4f}"
     if gap > 1e-12:
@@ -713,13 +812,12 @@ def oracle_battery(seed: int = 0) -> list[dict]:
     # composition separability: literal joint adversary over every
     # position's sup-candidate profile against the factored sum
     geoms = [geometry_with_diameter(u, 32) for u in (0.1, 0.3, 0.5)]
+    ms, log_odds, us = _geometry_columns(geoms)
     _, _, factored_sum = sim.average_risk(
-        [mm.reserve(g.U_K)[1] for g in geoms],
-        [mm.symmetric_sup(g.M, g.log_odds, g.U_K)[0] for g in geoms],
+        mm.reserve(us)[1].tolist(), mm.symmetric_sup(ms, log_odds, us)[0].tolist()
     )
     profiles = [
-        [risk for risk, _ in mm._sup_candidates(
-            g.M, g.log_odds, g.U_K, g.U_K * mm._INV_E)]
+        [risk for risk, _ in _sup_candidates(g.M, g.log_odds, g.U_K, g.U_K * mm._INV_E)]
         for g in geoms
     ]
     joint_sup = float(reduce(np.add.outer, profiles).max()) / len(geoms)
@@ -728,8 +826,8 @@ def oracle_battery(seed: int = 0) -> list[dict]:
 
     # small-diameter expansions of the reserve and the lower bound
     ok = True
-    for u in np.linspace(0.01, 0.5, 25):
-        s_star, r_bin = mm.reserve(float(u))
+    us = np.linspace(0.01, 0.5, 25)
+    for u, s_star, r_bin in zip(us, *(c.tolist() for c in mm.reserve(us))):
         ok = ok and abs(s_star - u / math.e) <= u * u
         if u <= 0.3:
             resid = abs(r_bin - u / math.e - mm.SECOND_ORDER_COEFF * u * u)

@@ -19,14 +19,16 @@ import numpy as np
 
 from .identified_set import diameter
 from .minimax import reserve, symmetric_sup
-from .numerics import logsumexp, logsumexp_rows
+from .numerics import libm, logsumexp, logsumexp_rows, policy
 from .observation import (
     _CHUNK_PAIRS,
+    _SCREEN_SLACK,
     AccessMode,
     TopKObservation,
     ValidationError,
     _batches,
     _check_tail,
+    _tail_mass,
     from_pairs,
 )
 
@@ -256,9 +258,9 @@ def _bad_column(values: np.ndarray) -> np.ndarray:
 def _sweep_block(
     scores: np.ndarray, token_ids: np.ndarray, log_z: np.ndarray, v: int,
     ks: Sequence[int],
-) -> Iterator[tuple[int, float, float, float]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(M, U_K, log_odds, tail mass)`` of each row of a block at each K in
-    ``ks``, row by row and in each row by ascending K.
+    ``ks``, as (n, |ks|) arrays.
 
     The diameter is that of the top-K observation :func:`censor` makes of
     the row and the tail mass is the hidden mass of its normalized
@@ -267,32 +269,48 @@ def _sweep_block(
     (row, K) included: each K reads a prefix of the sorted rows, tied
     scores are equal whichever token holds them, and one
     :func:`logsumexp_rows` over a prefix of the block equals
-    :func:`logsumexp` of each row's prefix.  The checks run in the order of
-    the output, so the first error raised is that of the first failing row.
-    ``ks`` must be ascending and lie in [1, w].
+    :func:`logsumexp` of each row's prefix.  The checks run as a screen
+    over every cell; a flagged cell is checked as the per-position path
+    checks it, in the order of the output (row by row, K ascending), so the
+    first error raised is that of the first failing cell.  ``ks`` must be
+    ascending and lie in [1, w].
     """
+    n, kk = len(scores), np.array(ks, dtype=np.int64)
+    m = np.broadcast_to(v - kk, (n, len(ks)))
     if not ks:
-        return
+        return m, *np.empty((3, n, 0))
     head = scores[:, : ks[-1]]
-    # a row with an infinite logit fails its non-finite check below
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
+        # a row with an infinite logit fails its non-finite check below
         logprobs = np.minimum(head - log_z[:, None], 0.0)
-    log_za = np.array([logsumexp_rows(head[:, :k]) for k in ks]).T.tolist()
-    log_head = np.array([logsumexp_rows(logprobs[:, :k]) for k in ks]).T.tolist()
-    # the threshold of each row's normalized reinterpretation at each K
-    taus = logprobs[:, np.array(ks) - 1].tolist()
-    bad_logit = _bad_column(head).tolist()
-    bad_logprob = _bad_column(logprobs).tolist()
-    for i, row in enumerate(head.tolist()):
-        for k, row_za, row_head, tau in zip(ks, log_za[i], log_head[i], taus[i]):
-            for values, bad in ((head, bad_logit[i]), (logprobs, bad_logprob[i])):
-                if bad < k:
-                    raise ValidationError(
-                        f"non-finite score {float(values[i, bad])!r} for token "
-                        f"{token_ids[i, bad]}"
-                    )
-            u, log_odds = diameter(v - k, row[k - 1], row_za)
-            yield v - k, u, log_odds, _check_tail(row_head, tau, v - k)
+        log_za = np.array([logsumexp_rows(head[:, :k]) for k in ks]).T
+        log_head = np.array([logsumexp_rows(logprobs[:, :k]) for k in ks]).T
+        # the threshold of each row's normalized reinterpretation at each K
+        taus = logprobs[:, kk - 1]
+        t_star = _tail_mass(log_head.ravel())
+        cells_m = m.ravel().tolist()
+        room = libm(float, cells_m) * libm(math.exp, taus.ravel())
+        limits = policy()
+        bad_logit, bad_logprob = _bad_column(head), _bad_column(logprobs)
+        # _check_tail's two rules; its head mass is numpy's exp of one value,
+        # which may round apart from the array's, so the screen has slack
+        flagged = (
+            (bad_logit[:, None] < kk) | (bad_logprob[:, None] < kk)
+            | (np.exp(log_head) * (1.0 + _SCREEN_SLACK) > 1.0 + limits.head_mass_tol)
+            | (t_star > room + limits.tail_feasibility_tol).reshape(n, -1)
+        )
+    for i, j in zip(*np.nonzero(flagged)):
+        k = ks[j]
+        for values, bad in ((head, bad_logit[i]), (logprobs, bad_logprob[i])):
+            if bad < k:
+                raise ValidationError(
+                    f"non-finite score {float(values[i, bad])!r} for token "
+                    f"{token_ids[i, bad]}"
+                )
+        # raises, unless the screen's slack flagged the cell
+        _check_tail(float(log_head[i, j]), float(taus[i, j]), v - k)
+    u, log_odds = diameter(cells_m, head[:, kk - 1].ravel(), log_za.ravel())
+    return m, u.reshape(n, -1), log_odds.reshape(n, -1), t_star.reshape(n, -1)
 
 
 def ksweep(blocks: Iterable[tuple], k_list: Sequence[int]) -> list[SweepRow]:
@@ -306,7 +324,8 @@ def ksweep(blocks: Iterable[tuple], k_list: Sequence[int]) -> list[SweepRow]:
     the mean symmetric-estimator sup (:func:`minimax.symmetric_sup` at its
     default reserve ``U_K/e``).  A K above V gives a skipped row: NaN
     statistics and n = 0.  Blocks are read one at a time and every K reads
-    a prefix of the same rows (see :func:`_sweep_block`), so working memory
+    a prefix of the same rows (see :func:`_sweep_block`); the closed forms
+    run once per block over all its (position, K) cells, so working memory
     is one block plus a few floats per (position, K).
     """
     ks = sorted(k_list)
@@ -324,14 +343,14 @@ def ksweep(blocks: Iterable[tuple], k_list: Sequence[int]) -> list[SweepRow]:
             raise ValueError(
                 f"block of width {scores.shape[1]} cannot sweep K={swept[-1]}"
             )
+        m, u, log_odds, tail = (
+            c.ravel() for c in _sweep_block(scores, token_ids, log_z, v, swept)
+        )
         # per (position, K): U_K, r_bin, tail mass and sup
-        values = [
-            (u, reserve(u)[1], tail, symmetric_sup(m, log_odds, u)[0])
-            for m, u, log_odds, tail in _sweep_block(
-                scores, token_ids, log_z, v, swept
-            )
-        ]
-        stats.append(np.array(values).reshape(len(scores), len(swept), 4))
+        r_bin = reserve(u)[1]
+        sup = symmetric_sup(m.tolist(), log_odds, u)[0]
+        stats.append(np.stack([u, r_bin, tail, sup], axis=-1).reshape(
+            len(scores), len(swept), 4))
     if v is None:
         raise ValueError("sweep input holds no positions")
     # one contiguous row of every position per statistic and K

@@ -17,7 +17,6 @@ from censet.identified_set import geometry
 from censet.minimax import (
     _INV_E,
     SECOND_ORDER_COEFF,
-    _sup_candidates,
     g_max,
     reserve,
     symmetric_sup,
@@ -26,6 +25,7 @@ from censet.minimax import (
 from censet.normalized import TailCondition, tail_geometry
 from censet.observation import AccessMode
 from censet.oracles import (
+    _sup_candidates,
     allocation_diameter_oracle,
     balancing_oracle,
     brute_diameter_oracle,

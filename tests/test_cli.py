@@ -289,6 +289,87 @@ class TestParsePathGolden:
             assert serialize_observations(parse_observations(text)) == text
 
 
+def _column_golden_jsonl(n_rows: int = 320, seed: int = 23) -> str:
+    """A seeded dump of ``n_rows`` records alternating logits and logprobs.
+
+    Four in five are small teachers censored at a random K (M = 0 and M = 1
+    included), some spread wide enough that U_K underflows to 0; the rest
+    reveal a few tokens of a vocabulary of 151,936, 2^53 - 1, 2^53 + 7,
+    2^64 - 1, 10^30 or 2^1020.  Normalized scores come from ``math``, so
+    the records do not depend on numpy's transcendentals.
+    """
+    rng = np.random.default_rng(seed)
+    big = (151_936, 2**53 - 1, 2**53 + 7, 2**64 - 1, 10**30, 2**1020)
+    lines = []
+    for i in range(n_rows):
+        mode = ("logits", "logprobs")[i % 2]
+        if i % 5 == 4:
+            v = big[int(rng.integers(len(big)))]
+            k = int(rng.integers(1, 9))
+            ids = rng.choice(1000, size=k, replace=False).tolist()
+            if mode == "logits":
+                scores = rng.normal(0.0, 3.0, size=k).tolist()
+            else:
+                scores = [math.log(p) for p in rng.dirichlet(np.ones(k + 1))[:k]]
+        else:
+            v = int(rng.integers(2, 60))
+            z = rng.normal(0.0, float(rng.choice([0.5, 2.0, 6.0, 300.0])), size=v)
+            k = int(rng.integers(1, v + 1))
+            ids = np.argsort(-z, kind="stable")[:k].tolist()
+            scores = z[ids].tolist()
+            if mode == "logprobs":
+                top = max(scores)
+                log_z = top + math.log(math.fsum(math.exp(x - top) for x in z.tolist()))
+                scores = [min(x - log_z, 0.0) for x in scores]
+        lines.append(json.dumps({
+            "vocab_size": v, "mode": mode, "position_id": f"r{i}",
+            "topk": [{"token": t, "score": s} for t, s in zip(ids, scores)],
+        }))
+    return "\n".join(lines) + "\n"
+
+
+class TestColumnGolden:
+    """Report bytes over hundreds of rows of mixed modes and vocab sizes, and
+    of a simulate sweep of 256 positions: bits that could depend on how many
+    rows a column holds.  Recorded before the row commands and the sweep
+    evaluated their closed forms over columns."""
+
+    @pytest.fixture(scope="class")
+    def dump(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("column-golden") / "rows.jsonl"
+        path.write_text(_column_golden_jsonl())
+        return path
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["analyze", "--format", "csv"],
+             "af30eb1093e905075685a44c994319c5b9ad645f74a5b3728bc02e5da0584dd0"),
+            (["certify", "--delta", "0.1", "--format", "csv"],
+             "d779c77ba76bb9f59f8a6255515cdd28b7bfd6daaac4fbd0a3c371b878ede7d5"),
+            (["compose", "--format", "csv"],
+             "46d3a2e3af355b23b6f3f8c3d0ff21130d4f6b56e128a28c38b952f43921459f"),
+        ],
+        ids=["analyze-csv", "certify-csv", "compose-csv"],
+    )
+    def test_row_command_bytes(self, argv, digest, dump, tmp_path):
+        out = tmp_path / "report"
+        assert main([argv[0], "--input", str(dump), *argv[1:],
+                     "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_simulate_bytes(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(
+            ["simulate", "--vocab", "500", "--positions", "256", "--law",
+             "dirichlet", "--concentration", "0.3", "--seed", "4", "--k",
+             "1,2,10,50,499,500,600", "--format", "json", "--output", str(out)]
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "5543ecabda59bb9dce61e0e699813cf043bdd6e775624dfefd8154244ce69437"
+        )
+
+
 class TestAnalyze:
     def test_json_report_schema(self, obs_file, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -829,6 +910,50 @@ class TestOverfullTail:
         if code:
             (error,) = json.loads(capsys.readouterr().err)["errors"]
             assert "cannot fit under cap" in error["message"]
+
+
+class TestMBeyondFloatRange:
+    """``analyze`` and ``compose`` need M as a float (the per-token cap, the
+    sup's breakpoints); past the float range they name the record's line.
+    ``certify`` needs only U_K, which is 1.0 there."""
+
+    @staticmethod
+    def _write(tmp_path, vocab_size, mode):
+        obs = tmp_path / "obs.jsonl"
+        record = {"vocab_size": vocab_size, "mode": mode,
+                  "topk": [{"token": 0, "score": -0.5}]}
+        # a blank line first: the error names the line, not the row
+        obs.write_text("\n" + json.dumps(record) + "\n")
+        return obs
+
+    @pytest.mark.parametrize("mode", ["logits", "logprobs"])
+    @pytest.mark.parametrize("command", ["analyze", "compose"])
+    def test_row_commands_name_the_line(self, command, mode, tmp_path, capsys):
+        obs = self._write(tmp_path, 10**400, mode)
+        assert main([command, "--input", str(obs), "--format", "csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"errors": [{
+            "message": "line 2: M = vocab_size - K is too large for a float",
+            "line": 2,
+        }]}
+
+    @pytest.mark.parametrize("mode", ["logits", "logprobs"])
+    def test_certify_reports_the_diameter(self, mode, tmp_path, capsys):
+        obs = self._write(tmp_path, 10**400, mode)
+        assert main(["certify", "--delta", "0.1", "--input", str(obs),
+                     "--format", "csv"]) == 0
+        (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
+        assert (row["U_K"], row["verdict"]) == ("1.0", "IMPOSSIBLE")
+
+    @pytest.mark.parametrize("mode", ["logits", "logprobs"])
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["certify", "--delta", "0.1"], ["compose"],
+    ], ids=["analyze", "certify", "compose"])
+    def test_within_the_float_range(self, argv, mode, tmp_path, capsys):
+        obs = self._write(tmp_path, 2**1020, mode)
+        assert main([*argv, "--input", str(obs), "--format", "csv"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 # scores at the edges of the float range, of exp and of the feasibility slack

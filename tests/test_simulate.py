@@ -13,12 +13,7 @@ from hypothesis import strategies as st
 
 from censet.cli import main
 from censet.identified_set import geometry
-from censet.minimax import (
-    _INV_E,
-    _sup_candidates,
-    reserve,
-    symmetric_sup,
-)
+from censet.minimax import _INV_E, reserve, symmetric_sup
 from censet.numerics import NumericPolicy, logsumexp, use_policy
 from censet.observation import (
     AccessMode,
@@ -26,7 +21,7 @@ from censet.observation import (
     _tail_mass,
     serialize_observations,
 )
-from censet.oracles import geometry_with_diameter
+from censet.oracles import _sup_candidates, geometry_with_diameter
 from censet.simulate import (
     DirichletSoftmax,
     GaussianIID,
@@ -281,8 +276,9 @@ def _pipeline_error(z, ks):
 
 def _swept(z, ks):
     """:func:`_sweep_block` over ``z`` as one full-width block (one row or
-    a matrix of them)."""
-    return list(_sweep_block(*score_sorted(z, np.shape(z)[-1]), ks))
+    a matrix of them): its (n, |ks|) columns of M, U_K, log-odds and tail
+    mass."""
+    return _sweep_block(*score_sorted(z, np.shape(z)[-1]), ks)
 
 
 class TestSweepBlock:
@@ -301,11 +297,13 @@ class TestSweepBlock:
 
     @pytest.mark.parametrize("name", sorted(ROWS))
     def test_equals_censor_pipeline_exactly(self, name):
-        # both rows in one block, each over every K
+        # both rows in one block, each over every K; the columns' cells row
+        # by row, K ascending
         rows = self.ROWS[name]
         ks = list(range(1, rows.shape[1] + 1))
+        cells = zip(*(column.ravel().tolist() for column in _swept(rows, ks)))
         for (z, k), (m, u, log_odds, tail) in zip(
-            itertools.product(rows, ks), _swept(rows, ks), strict=True
+            itertools.product(rows, ks), cells, strict=True
         ):
             ref_geom, ref_tail = _censor_pipeline(z, k)
             assert m == ref_geom.M
@@ -364,12 +362,12 @@ class TestSweepBlock:
         log_z[2] = scores[2, -1] - 50.0
         ks = list(range(1, 9))
         with pytest.raises(ValidationError, match="head mass"):
-            list(_sweep_block(scores[2:], token_ids[2:], log_z[2:], v, [2]))
+            _sweep_block(scores[2:], token_ids[2:], log_z[2:], v, [2])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             expected = _pipeline_error(cut, ks)
             with pytest.raises(ValidationError, match="non-finite") as caught:
-                list(_sweep_block(scores, token_ids, log_z, v, ks))
+                _sweep_block(scores, token_ids, log_z, v, ks)
         assert str(caught.value) == expected
         assert "token" in expected
 

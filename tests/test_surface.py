@@ -25,7 +25,8 @@ PACKAGE = [
 
 MODULES = {
     "identified_set": [
-        "SetGeometry", "diameter", "geometry", "per_token_cap", "token_cap",
+        "SetGeometry", "diameter", "geometries", "geometry", "per_token_cap",
+        "token_cap",
     ],
     "minimax": [
         "Certificate", "certificate", "g_max", "reserve", "symmetric_sup",
@@ -33,8 +34,8 @@ MODULES = {
     ],
     "normalized": ["TailCondition", "allocation_diameter", "tail_geometry"],
     "numerics": [
-        "NumericPolicy", "expit", "load_policy_file", "logsumexp",
-        "logsumexp_rows", "policy", "use_policy",
+        "NumericPolicy", "columns", "expit", "libm", "load_policy_file",
+        "logsumexp", "logsumexp_rows", "policy", "use_policy",
     ],
     "observation": [
         "AccessMode", "ModeError", "ObservationBatch", "ParseError",
