@@ -395,12 +395,11 @@ def cmd_simulate(args) -> int:
     )
     teacher = sim.generate_teacher(config, args.positions)
     if args.dump:
-        observations = [
-            sim.censor(z, args.vocab, position_id=f"pos{i}")
-            for i, z in enumerate(teacher)
-        ]
+        # one record at a time: a V = 151,936 record's line is about 7 MB
         with open(args.dump, "w", encoding="utf-8") as handle:
-            handle.write(serialize_observations(observations))
+            for i, z in enumerate(teacher):
+                handle.write(serialize_observations(
+                    [sim.censor(z, args.vocab, position_id=f"pos{i}")]))
     rows = [
         _sweep_row_dict(row)
         for row in sim.ksweep([sim.score_sorted(teacher, max(args.k))], args.k)

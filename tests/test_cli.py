@@ -839,6 +839,28 @@ class TestSimulate:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[-1].startswith("25,0.0,")  # K = V row: exactly identified
 
+    def test_dump_written_record_by_record_is_the_batch_serialization(self, tmp_path):
+        dump = tmp_path / "dump.jsonl"
+        assert main(
+            ["simulate", "--vocab", "30", "--positions", "3", "--seed", "4",
+             "--k", "5", "--dump", str(dump), "--format", "json",
+             "--output", str(tmp_path / "ignore.json")]
+        ) == 0
+        config = SyntheticTeacherConfig(vocab_size=30, law=GaussianIID(), seed=4)
+        teacher = generate_teacher(config, 3)
+        assert dump.read_text() == serialize_observations(
+            [censor(z, 30, position_id=f"pos{i}") for i, z in enumerate(teacher)]
+        )
+
+    def test_no_positions_is_refused_before_the_dump(self, tmp_path, capsys):
+        dump = tmp_path / "dump.jsonl"
+        assert main(
+            ["simulate", "--vocab", "30", "--positions", "0", "--k", "5",
+             "--dump", str(dump), "--format", "json"]
+        ) == 1
+        assert "n_positions must be >= 1, got 0" in capsys.readouterr().err
+        assert not dump.exists()
+
 
 class TestUnderflowedDiameter:
     """U_K underflows to 0 with M > 0: the position is exact, not an error."""

@@ -29,6 +29,7 @@ from censet.observation import (
     _batches,
     _few_openers,
     _has_literal,
+    _piecewise,
     _shallow,
     parse_observations,
 )
@@ -633,6 +634,139 @@ class TestDepthGuard:
         ]}
 
 
+def _piecewise_at(chars: int):
+    """Lines longer than ``2 * chars`` decoded piece by piece."""
+    return mock.patch.object(observation, "_PIECE_CHARS", chars)
+
+
+ENTRIES = ", ".join('{"token": %d, "score": %s}' % (t, -0.5 - t) for t in range(6))
+COMPACT = ",".join('{"token":%d,"score":%s}' % (t, -0.5 - t) for t in range(6))
+HEAD = '"vocab_size": 8, "mode": "logits"'
+
+
+def _topk(extra: str) -> str:
+    return '{%s, "topk": [%s, %s]}' % (HEAD, ENTRIES, extra)
+
+
+# (line, whether the piecewise path decodes it, the whole-line error or None):
+# with 16-character pieces each line is cut into several
+ADVERSARIAL = [
+    # topk first; a second topk before and after; "topk" as a value; a
+    # nested topk beside the top-level one, and alone
+    ('{"topk": [%s], %s, "position_id": "p"}' % (ENTRIES, HEAD), True, None),
+    ('{%s, "topk": [{"token": 7, "score": 0}], "topk": [%s]}' % (HEAD, ENTRIES),
+     False, None),
+    ('{%s, "topk": [%s], "topk": [{"token": 7, "score": 0}]}' % (HEAD, ENTRIES),
+     False, None),
+    ('{%s, "position_id": "topk", "topk": [%s]}' % (HEAD, ENTRIES), False, None),
+    ('{%s, "meta": {"topk": [1, 2]}, "topk": [%s]}' % (HEAD, ENTRIES), False, None),
+    ('{"meta": {"topk": [%s]}, %s}' % (ENTRIES, HEAD), False,
+     "line 1: missing field 'topk'"),
+    # "}, {" in the position_id, in an entry's string and as a score
+    ('{%s, "position_id": "a}, {b", "topk": [%s]}' % (HEAD, ENTRIES), True, None),
+    (_topk('{"token": 6, "score": -1, "note": "x}, {y"}'), False, None),
+    (_topk('{"token": 6, "score": "}, {"}'), False,
+     "line 1: score must be a JSON number, got '}, {'"),
+    # values of the wrong kind, a missing key, an extra key, a second score
+    (_topk('{"token": 6.0, "score": -1}'), False,
+     "line 1: token must be a JSON integer, got 6.0"),
+    (_topk('{"token": 6, "score": true}'), False,
+     "line 1: score must be a JSON number, got True"),
+    (_topk('{"token": 6}'), False, "line 1: malformed topk entry (KeyError('score'))"),
+    (_topk('{"token": 6, "score": -1, "x": [1]}'), True, None),
+    (_topk('{"token": 6, "score": -1, "score": -2}'), True, None),
+    (_topk("3"), False,
+     "line 1: malformed topk entry (TypeError(\"'int' object is not subscriptable\"))"),
+    # what orjson refuses or reads apart from json
+    (_topk('{"token": 6, "score": NaN}'), False,
+     "line 1: non-finite score nan for token 6"),
+    (_topk('{"token": %d, "score": -1}' % 2**66), False,
+     "line 1: token id 73786976294838206464 outside [0, 8)"),
+    # a value orjson reads but no int64 holds
+    (_topk('{"token": %d, "score": -1}' % (2**64 - 1)), False,
+     "line 1: token id 18446744073709551615 outside [0, 8)"),
+    # a list after topk's; compact and spaced separators; a backslash
+    ('{%s, "topk": [%s], "y": [1]}' % (HEAD, ENTRIES), False, None),
+    ('{"vocab_size":8,"mode":"logits","topk":[%s]}' % COMPACT, True, None),
+    ('{%s, "topk": [%s] , "position_id": 5}' % (HEAD, ENTRIES.replace("}, {", "} , {")),
+     True, "line 1: position_id must be a JSON string, got 5"),
+    ('{%s, "position_id": "a\\"topk\\": [", "topk": [%s]}' % (HEAD, ENTRIES),
+     False, None),
+    # an empty topk; a topk that is no list; errors of the other fields and
+    # of the pair checks
+    ('{%s, "topk": [], "pad": "%s"}' % (HEAD, "x" * 64), False,
+     "line 1: topk must be a non-empty list"),
+    ('{%s, "topk": {"a": [%s]}}' % (HEAD, ENTRIES), False,
+     "line 1: topk must be a non-empty list"),
+    ('{"vocab_size": 3, "mode": "logits", "topk": [%s]}' % ENTRIES, True,
+     "line 1: K=6 exceeds vocab_size=3"),
+    ('{"vocab_size": 8, "mode": "odds", "topk": [%s]}' % ENTRIES, True,
+     "line 1: mode must be one of ['logits', 'logprobs'], got 'odds'"),
+    ('{"vocab_size": 8, "mode": "logprobs", "topk": [%s, {"token": 6, "score": 0.5}]}'
+     % ENTRIES, True, "line 1: normalized log-probabilities must be <= 0"),
+]
+
+
+@st.composite
+def _formatted(draw) -> str:
+    """An observation line of valid values in random key order, separators
+    and whitespace: long enough to be cut at small piece sizes."""
+    space = st.sampled_from(["", " ", "  ", "\t", " \r "])
+    comma = st.sampled_from([", ", ",", " ,", " , "])
+
+    def obj(fields: dict) -> str:
+        keys = draw(st.permutations(sorted(fields)))
+        return "{" + draw(space) + draw(comma).join(
+            f'"{k}"' + draw(space) + ":" + draw(space) + fields[k] for k in keys
+        ) + draw(space) + "}"
+
+    k = draw(st.integers(1, 30))
+    tokens = draw(st.permutations(range(40)))[:k]
+    entries = [obj({"token": str(t), "score": repr(draw(st.floats(-50.0, 0.0)))})
+               for t in tokens]
+    fields = {"vocab_size": str(draw(st.sampled_from([k, 40, 2**62]))),
+              "mode": draw(st.sampled_from(['"logits"', '"logprobs"'])),
+              "topk": "[" + draw(space) + draw(comma).join(entries) + draw(space) + "]"}
+    if draw(st.booleans()):
+        fields["position_id"] = draw(st.sampled_from(['"p"', '"}, {"', '"a]"']))
+    return draw(space) + obj(fields) + draw(space)
+
+
+class TestPiecewise:
+    """A long line's topk list decoded piece by piece gives the record or the
+    error of the whole-line decode."""
+
+    @pytest.mark.parametrize("line, decoded, message", ADVERSARIAL)
+    def test_adversarial_lines(self, line, decoded, message):
+        text = f"{line}\n"
+        whole = _outcome(_whole, text)
+        assert whole[1] == message if message else len(whole[0]) == 1
+        with _piecewise_at(16):
+            assert len(text) > 2 * observation._PIECE_CHARS
+            assert _outcome(_whole, text) == whole
+            try:
+                record = _piecewise(text, 1, _has_literal(text))
+            except ValueError:
+                record = None
+        assert (record is not None) is decoded
+
+    @given(st.lists(st.one_of(_formatted(), _observation()), min_size=1, max_size=4),
+           st.sampled_from([1, 8, 16, 40, 100]))
+    @settings(max_examples=250, deadline=None)
+    def test_same_as_whole_line(self, lines, chars):
+        text = "\n".join(lines) + "\n"
+        whole = _outcome(_whole, text), _outcome(_chunked, text)
+        with _piecewise_at(chars):
+            assert (_outcome(_whole, text), _outcome(_chunked, text)) == whole
+
+    def test_short_lines_keep_one_decode(self):
+        line = '{%s, "topk": [%s]}' % (HEAD, ENTRIES)
+        with _piecewise_at((len(line) + 1) // 2), \
+                mock.patch.object(observation, "_piecewise") as piecewise:
+            parse_observations(line)
+        piecewise.assert_not_called()
+
+
 class TestMemory:
     def test_nothing_of_a_record_held_with_a_chunk(self, monkeypatch):
         k = 6000
@@ -659,3 +793,24 @@ class TestMemory:
         # score lists would add about 70, its decoded object about 240
         assert held < record_bytes / 4, (held, record_bytes)
         assert len(list(chunks)) == 1
+
+    def test_a_full_dump_record_decodes_in_bounded_pieces(self, tmp_path):
+        # a V = 151,936 full dump, one record of about 7 MB; decoded whole
+        # its entries alone would take about 6.8 times the line
+        v = 151_936
+        scores = np.random.default_rng(3).normal(0.0, 3.0, v).tolist()
+        line = json.dumps({"vocab_size": v, "mode": "logits", "position_id": "pos0",
+                           "topk": [{"token": t, "score": s}
+                                    for t, s in enumerate(scores)]})
+        assert len(line) > 2 * observation._PIECE_CHARS
+        path = tmp_path / "full.jsonl"
+        path.write_text(line + "\n")
+        tracemalloc.start()
+        try:
+            with open(path, encoding="utf-8", newline="\n") as handle:
+                batch = parse_observations(handle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.k.tolist() == [v]
+        assert peak < 3 * len(line), (peak, len(line))
