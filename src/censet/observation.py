@@ -121,9 +121,6 @@ def _check_shape(vocab_size: int, k: int, n_scores: int) -> None:
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# relative slack of the tail screen: numpy's exp and expm1 round by ulps apart
-# from math's, which _check_tail uses
-_SCREEN_SLACK = 2.0**-40
 
 
 def _last_id(vocab_size: int) -> int:
@@ -169,17 +166,16 @@ def _float64_array(values) -> np.ndarray | None:
         return None
 
 
-def _sorted_rows(ids, values, counts, last_ids, logprobs):
+def _sorted_rows(ids, values, counts, last_ids):
     """Check and sort the pairs of n records stored end to end.
 
     ``ids`` (int64) and ``values`` (float64) hold every record's pairs in
-    source order, ``counts`` each record's K, ``last_ids`` its largest valid
-    token id (see :func:`_last_id`) and ``logprobs`` whether it is under
-    normalized access.  Records that share K are checked and sorted as one
-    (n, K) matrix by :func:`_sorted_matrix` and :func:`_normalized_checks`.
+    source order, ``counts`` each record's K and ``last_ids`` its largest
+    valid token id (see :func:`_last_id`).  Records that share K are checked
+    and sorted as one (n, K) matrix by :func:`_sorted_matrix`.
 
     Returns the ids and scores sorted within each record, every record's
-    ``log_ZA`` and the indices of the records that fail a check, in order;
+    ``log_ZA`` and a mask of the records that fail a check;
     :func:`_check_flagged` names a flagged record's failure.
     """
     n = len(counts)
@@ -188,10 +184,9 @@ def _sorted_rows(ids, values, counts, last_ids, logprobs):
         # Keep this path: without it a fresh fulldump-32k (64 x 32,000)
         # ksweep peaked at 62.0-62.1 MB against 59.6-59.7 MB (ru_maxrss,
         # three runs each) and took 1.37-1.85 s against 1.22-1.37 s
-        by_score, sorted_values, log_za, bad = _sorted_group(
-            ids.reshape(n, -1), values.reshape(n, -1), last_ids, logprobs
-        )
-        return by_score.ravel(), sorted_values.ravel(), log_za, np.flatnonzero(bad)
+        by_score, sorted_values, log_za, bad = _sorted_matrix(
+            ids.reshape(n, -1), values.reshape(n, -1), last_ids)
+        return by_score.ravel(), sorted_values.ravel(), log_za, bad
     starts = np.cumsum(counts) - counts
     by_score, sorted_values = np.empty_like(ids), np.empty_like(values)
     log_za = np.empty(n)
@@ -199,17 +194,9 @@ def _sorted_rows(ids, values, counts, last_ids, logprobs):
     for k in sorted(set(counts.tolist())):
         rows = np.flatnonzero(counts == k)
         at = starts[rows, None] + np.arange(k)
-        by_score[at], sorted_values[at], log_za[rows], bad[rows] = _sorted_group(
-            ids[at], values[at], last_ids[rows], logprobs[rows]
-        )
-    return by_score, sorted_values, log_za, np.flatnonzero(bad)
-
-
-def _sorted_group(ids, values, last_ids, logprobs):
-    """:func:`_sorted_rows` for records of one K held as (n, K) matrices."""
-    by_score, sorted_values, bad = _sorted_matrix(ids, values, last_ids)
-    log_za, heavy = _normalized_checks(values, sorted_values, last_ids, logprobs)
-    return by_score, sorted_values, log_za, bad | heavy
+        by_score[at], sorted_values[at], log_za[rows], bad[rows] = _sorted_matrix(
+            ids[at], values[at], last_ids[rows])
+    return by_score, sorted_values, log_za, bad
 
 
 def _sorted_matrix(ids, values, last_ids):
@@ -217,8 +204,9 @@ def _sorted_matrix(ids, values, last_ids):
 
     The checks: the token ranges, the scores' finiteness and duplicate ids
     (one sort along each row).  Each row is sorted by score with a stable
-    argsort.  Returns the sorted ids and scores and a mask of the rows that
-    fail.
+    argsort.  Returns the sorted ids and scores, each row's ``log_ZA`` (in
+    score order, as :func:`censet.simulate.ksweep` sums each prefix) and a
+    mask of the rows that fail.
     """
     ordered = np.sort(ids, axis=1)
     bad = (
@@ -227,27 +215,8 @@ def _sorted_matrix(ids, values, last_ids):
     n, k = values.shape
     # the flat index of each row's pairs in score order
     at = np.argsort(-values, axis=1, kind="stable") + (np.arange(n) * k)[:, None]
-    return ids.ravel()[at], values.ravel()[at], bad
-
-
-def _normalized_checks(values, sorted_values, last_ids, logprobs):
-    """``log_ZA`` of each row, and the rows under normalized access to check.
-
-    ``log_ZA`` is :func:`censet.numerics.logsumexp_rows` of the rows in
-    score order, the order in which :func:`censet.simulate.ksweep` sums
-    each prefix.  A row fails with a positive score or a head mass above
-    ``1 + head_mass_tol``.  A row whose tail may not fit under its caps is
-    flagged too, a little early: :func:`_check_tail` decides.
-    """
-    log_za = logsumexp_rows(sorted_values)
-    with np.errstate(over="ignore", invalid="ignore"):
-        heavy = np.exp(log_za) > 1.0 + policy().head_mass_tol
-        # M*c with M low past the int64 range and c one ulp low (subnormals)
-        room = (last_ids - (values.shape[1] - 1)) * np.nextafter(
-            np.exp(sorted_values[:, -1]), 0.0)
-        overfull = np.clip(-np.expm1(log_za), 0.0, 1.0) * (1.0 + _SCREEN_SLACK) > (
-            room * (1.0 - _SCREEN_SLACK) + policy().tail_feasibility_tol)
-    return log_za, logprobs & ((values > 0.0).any(axis=1) | heavy | overfull)
+    sorted_values = values.ravel()[at]
+    return ids.ravel()[at], sorted_values, logsumexp_rows(sorted_values), bad
 
 
 def _check_flagged(tokens, scores, vocab_size, ids, values, logprobs, log_za) -> None:
@@ -379,16 +348,17 @@ def _decoded(
     :func:`_read_jsonl`: with ``topk``, a line longer than two pieces is
     tried piece by piece first (see :func:`_piecewise`), and any failure
     there falls back to the whole-line decode, so that path gives the
-    record or the error."""
+    record or the error, with no orjson step where the failure rules it out."""
     literals = _has_literal(line)
+    orjson_may_stand = True
     if topk and len(line) > 2 * _PIECE_CHARS:
         try:
             record = _piecewise(line, lineno, literals)
             if record is not None:
                 return check(record, lineno, literals)
         except ValueError:
-            pass
-    if _shallow(line):
+            orjson_may_stand = False
+    if orjson_may_stand and _shallow(line):
         try:
             return check(_json_object(orjson.loads(line), lineno), lineno, literals)
         except ValueError:
@@ -451,6 +421,15 @@ def _piecewise(line: str, lineno: int, literals: bool) -> dict | None:
     the depth bound or is empty, and any conversion error, including an
     entry that is not an object or lacks a key and a value no int64 or
     float64 holds: the whole-line decode then gives today's record or error.
+
+    It raises where the decline rules out orjson's decode of the line.
+    Past the frame checks each piece that decodes holds the next elements
+    of the line's topk list, as a JSON value's extent depends only on the
+    text from its start.  So a conversion error, like a failed assembled
+    record, fails ``check`` on any record orjson reads from the line; and a
+    piece that orjson refuses but ``json`` takes holds a value only ``json``
+    takes (NaN, Infinity, a number beyond the float range, a lone
+    surrogate), as does the line.
     """
     found = _TOPK_LIST.search(line)
     if found is None:
@@ -466,7 +445,10 @@ def _piecewise(line: str, lineno: int, literals: bool) -> dict | None:
     frame = head + "[]" + tail
     if not _shallow(frame):
         return None
-    record = orjson.loads(frame)
+    try:
+        record = orjson.loads(frame)
+    except orjson.JSONDecodeError:
+        return None
     if not isinstance(record, dict) or record.get("topk") != []:
         return None
     ids, values = array.array("q"), array.array("d")
@@ -494,16 +476,25 @@ def _pieces(line: str, lo: int, hi: int) -> Iterator[str]:
 
 
 def _piece_pairs(text: str, lineno: int, literals: bool) -> _Pairs | None:
-    """The arrays of the entries of one piece's array ``text``, or None
-    where :func:`_piecewise` declines it; its decoded objects are freed on
-    return."""
+    """The arrays of the entries of one piece's array ``text``; None, or a
+    :class:`ValueError`, where :func:`_piecewise` declines it.  Its decoded
+    objects are freed on return."""
     if not _shallow(text):
         return None
-    entries = orjson.loads(text)
+    try:
+        entries = orjson.loads(text)
+    except orjson.JSONDecodeError:
+        try:
+            json.loads(text)
+        except json.JSONDecodeError:
+            return None
+        raise  # json takes what orjson refuses: orjson refuses the line
     if not entries:
         return None
     _, _, ids, values = _topk_pairs(entries, lineno, literals)
-    return None if ids is None or values is None else _Pairs(ids, values)
+    if ids is None or values is None:
+        raise ValueError("a topk value that no int64 or float64 holds")
+    return _Pairs(ids, values)
 
 
 def _has_literal(line: str) -> bool:
@@ -786,12 +777,19 @@ def _batch(records: list[tuple], ids: np.ndarray, values: np.ndarray):
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     logprobs = np.array([m is AccessMode.LOGPROBS for m in modes], dtype=bool)
-    by_score, sorted_values, log_za, flagged = _sorted_rows(
+    by_score, sorted_values, log_za, bad = _sorted_rows(
         ids, values, np.diff(offsets),
-        np.array([_last_id(v) for v in vocab_sizes], dtype=np.int64), logprobs,
+        np.array([_last_id(v) for v in vocab_sizes], dtype=np.int64),
     )
+    # the sign check; past it a log head is at most log K, in math.exp's range
+    bad |= logprobs & (sorted_values[offsets[:-1]] > 0.0)
+    rows = np.flatnonzero(logprobs & ~bad)
+    if len(rows):
+        _, bad[rows] = _tail_rule(
+            log_za[rows], sorted_values[offsets[rows + 1] - 1],
+            [vocab_sizes[r] - counts[r] for r in rows.tolist()])
     n, error = len(counts), None
-    for r in flagged.tolist():
+    for r in np.flatnonzero(bad).tolist():
         pairs = slice(offsets[r], offsets[r + 1])
         try:
             # the arrays' values print as the values they were read from
@@ -918,28 +916,39 @@ def serialize_observations(observations: Iterable[TopKObservation]) -> str:
 
 
 def _check_tail(log_head: float, tau: float, m: int) -> float:
-    """The hidden tail mass t* of a normalized record, which is rejected with
-    a head mass ``exp(log_head)`` above 1 + ``head_mass_tol`` or with t*
-    above M*c + ``tail_feasibility_tol``, M censored tokens capped at
-    c = ``exp(tau)``."""
-    head = float(np.exp(log_head))
-    if head > 1.0 + policy().head_mass_tol:
-        raise ValidationError(
-            f"revealed head mass {head!r} exceeds 1 beyond tolerance; "
-            "refusing to renormalize"
-        )
-    t_star, cap = _tail_mass(log_head), math.exp(tau)
-    try:
-        room = m * cap
-    except OverflowError:  # an M beyond the float range: M*c exactly, bounded
-        num, den = cap.as_integer_ratio()
-        room = min(m * num, 2**1023 * den) / den
-    if t_star > room + policy().tail_feasibility_tol:
+    """:func:`_tail_rule` of one record: its t*, or the rule's error."""
+    t_star, rejected = columns(_tail_rule, log_head, tau, m)
+    if rejected:
+        head = math.exp(log_head)
+        if head > 1.0 + policy().head_mass_tol:
+            raise ValidationError(
+                f"revealed head mass {head!r} exceeds 1 beyond tolerance; "
+                "refusing to renormalize"
+            )
         raise ValidationError(
             f"inconsistent observation: hidden tail mass {t_star!r} cannot "
-            f"fit under cap {cap!r} on {m} censored tokens"
+            f"fit under cap {math.exp(tau)!r} on {m} censored tokens"
         )
     return t_star
+
+
+def _tail_rule(log_head, tau, m) -> tuple[np.ndarray, np.ndarray]:
+    """Each normalized row's hidden tail mass t*, and a mask of the rows
+    with a head mass ``exp(log_head)`` above 1 + ``head_mass_tol`` or t*
+    above M*c + ``tail_feasibility_tol`` (M an int, c = ``exp(tau)``)."""
+    t_star, limits = _tail_masses(log_head), policy()
+    room = np.fromiter(map(_room, m, libm(math.exp, tau).tolist()), np.float64, len(m))
+    return t_star, (libm(math.exp, log_head) > 1.0 + limits.head_mass_tol) | (
+        t_star > room + limits.tail_feasibility_tol)
+
+
+def _room(m: int, cap: float) -> float:
+    """M*c as Python rounds it, and exactly, bounded, past the float range."""
+    try:
+        return m * cap
+    except OverflowError:
+        num, den = cap.as_integer_ratio()
+        return min(m * num, 2**1023 * den) / den
 
 
 def _tail_mass(log_head):

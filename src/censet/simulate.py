@@ -19,16 +19,15 @@ import numpy as np
 
 from .identified_set import diameter
 from .minimax import reserve, symmetric_sup
-from .numerics import libm, logsumexp, logsumexp_rows, policy
+from .numerics import logsumexp, logsumexp_rows
 from .observation import (
     _CHUNK_PAIRS,
-    _SCREEN_SLACK,
     AccessMode,
     TopKObservation,
     ValidationError,
     _batches,
     _check_tail,
-    _tail_mass,
+    _tail_rule,
     from_pairs,
 )
 
@@ -265,15 +264,12 @@ def _sweep_block(
     The diameter is that of the top-K observation :func:`censor` makes of
     the row and the tail mass is the hidden mass of its normalized
     reinterpretation (``mode=AccessMode.LOGPROBS``), bit for bit and with
-    the same validation, :func:`censet.observation._check_tail` of each
-    (row, K) included: each K reads a prefix of the sorted rows, tied
-    scores are equal whichever token holds them, and one
-    :func:`logsumexp_rows` over a prefix of the block equals
-    :func:`logsumexp` of each row's prefix.  The checks run as a screen
-    over every cell; a flagged cell is checked as the per-position path
-    checks it, in the order of the output (row by row, K ascending), so the
-    first error raised is that of the first failing cell.  ``ks`` must be
-    ascending and lie in [1, w].
+    the same validation, :func:`censet.observation._tail_rule` over every
+    (row, K) cell: each K reads a prefix of the sorted rows, tied scores are
+    equal whichever token holds them, and one :func:`logsumexp_rows` over a
+    prefix of the block equals :func:`logsumexp` of each row's prefix.  The
+    first failing cell (row by row, K ascending) raises the per-position
+    error, a non-finite score first.  ``ks`` must be ascending, in [1, w].
     """
     n, kk = len(scores), np.array(ks, dtype=np.int64)
     m = np.broadcast_to(v - kk, (n, len(ks)))
@@ -287,19 +283,12 @@ def _sweep_block(
         log_head = np.array([logsumexp_rows(logprobs[:, :k]) for k in ks]).T
         # the threshold of each row's normalized reinterpretation at each K
         taus = logprobs[:, kk - 1]
-        t_star = _tail_mass(log_head.ravel())
         cells_m = m.ravel().tolist()
-        room = libm(float, cells_m) * libm(math.exp, taus.ravel())
-        limits = policy()
+        t_star, rejected = _tail_rule(log_head.ravel(), taus.ravel(), cells_m)
         bad_logit, bad_logprob = _bad_column(head), _bad_column(logprobs)
-        # _check_tail's two rules; its head mass is numpy's exp of one value,
-        # which may round apart from the array's, so the screen has slack
-        flagged = (
-            (bad_logit[:, None] < kk) | (bad_logprob[:, None] < kk)
-            | (np.exp(log_head) * (1.0 + _SCREEN_SLACK) > 1.0 + limits.head_mass_tol)
-            | (t_star > room + limits.tail_feasibility_tol).reshape(n, -1)
-        )
-    for i, j in zip(*np.nonzero(flagged)):
+        flagged = ((bad_logit[:, None] < kk) | (bad_logprob[:, None] < kk)
+                   | rejected.reshape(n, -1))
+    for i, j in np.argwhere(flagged)[:1]:
         k = ks[j]
         for values, bad in ((head, bad_logit[i]), (logprobs, bad_logprob[i])):
             if bad < k:
@@ -307,7 +296,7 @@ def _sweep_block(
                     f"non-finite score {float(values[i, bad])!r} for token "
                     f"{token_ids[i, bad]}"
                 )
-        # raises, unless the screen's slack flagged the cell
+        # raises: the one-row case of the rule that flagged the cell
         _check_tail(float(log_head[i, j]), float(taus[i, j]), v - k)
     u, log_odds = diameter(cells_m, head[:, kk - 1].ravel(), log_za.ravel())
     return m, u.reshape(n, -1), log_odds.reshape(n, -1), t_star.reshape(n, -1)

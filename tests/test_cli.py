@@ -922,6 +922,9 @@ class TestOverfullTail:
         (10**400, -1e308, 1),
         # M*c ~ 1.8e308 * 1e-323 ~ 2e-15 < t* ~ 1
         (2**1024 + 1, -744.0, 1),
+        # M*c ~ 2^1100 * 1e-323 ~ 1e8 >= t*: a product clamped at 2^1023
+        # before the cap would reject it
+        (2**1100, -744.0, 0),
     ])
     def test_m_beyond_the_float_range(self, vocab_size, score, code, tmp_path, capsys):
         obs = tmp_path / "obs.jsonl"

@@ -759,6 +759,38 @@ class TestPiecewise:
         with _piecewise_at(chars):
             assert (_outcome(_whole, text), _outcome(_chunked, text)) == whole
 
+    @pytest.mark.parametrize("line, whole, message", [
+        # orjson refuses a piece that json takes
+        (_topk('{"token": 6, "score": NaN}'), ["json"],
+         "line 1: non-finite score nan for token 6"),
+        # a piece's entries fail conversion
+        (_topk('{"token": 6.0, "score": -1}'), ["json"],
+         "line 1: token must be a JSON integer, got 6.0"),
+        (_topk('{"token": %d, "score": -1}' % (2**64 - 1)), ["json"],
+         "line 1: token id 18446744073709551615 outside [0, 8)"),
+        # the assembled record fails its check
+        ('{"vocab_size": 3, "mode": "logits", "topk": [%s]}' % ENTRIES, ["json"],
+         "line 1: K=6 exceeds vocab_size=3"),
+        # a piece both refuse proves nothing: orjson decodes the valid line
+        ('{%s, "topk": [%s], "y": [1]}' % (HEAD, ENTRIES), ["orjson"], None),
+    ], ids=["nan", "float-token", "wide-token", "record-check", "both-refuse"])
+    def test_a_decline_decodes_the_whole_line_once(self, line, whole, message,
+                                                   monkeypatch):
+        text = f"{line}\n"
+        expected = _outcome(_whole, text)
+        decoders = []
+        for module in (orjson, json):
+            def counted(source, *args, loads=module.loads, name=module.__name__):
+                decoders.append((name, source.strip()))
+                return loads(source, *args)
+            monkeypatch.setattr(module, "loads", counted)
+        with _piecewise_at(16):
+            got = _outcome(_whole, text)
+        monkeypatch.undo()
+        assert got == expected
+        assert (got[1] == message) if message else len(got[0]) == 1
+        assert [name for name, source in decoders if source == line] == whole
+
     def test_short_lines_keep_one_decode(self):
         line = '{%s, "topk": [%s]}' % (HEAD, ENTRIES)
         with _piecewise_at((len(line) + 1) // 2), \

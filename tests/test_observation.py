@@ -1,6 +1,7 @@
 """Parsing, validation, and the log-domain quantities of an observation."""
 
 import io
+import itertools
 import json
 import math
 
@@ -27,6 +28,7 @@ from censet.observation import (
     serialize_observations,
 )
 from censet.oracles import disjoint_witness_pair
+from censet.simulate import _sweep_block, censor, score_sorted
 
 from conftest import make_observation
 
@@ -311,9 +313,32 @@ class TestHiddenTailMass:
 
 
 class TestTailScreen:
-    """The parse's vector screen sends every record that :func:`_check_tail`
-    rejects to it: the drawn tails lie within a few ulps of M*c plus the
-    tolerance, where numpy's rounding and math's may differ."""
+    """One rule decides a normalized tail, with no slack: the parse rejects
+    a record exactly when :func:`_check_tail` raises, with its message, and
+    the sweep rejects the first cell that :func:`censor` rejects.  The drawn
+    heads and tails lie within a few ulps of the rule's bounds, tolerance 0
+    included, where two roundings of ``exp`` could tell them apart."""
+
+    @staticmethod
+    def _agree(scores, m, limits):
+        """The parse's error for a normalized record of ``scores`` and M
+        censored tokens, and the one :func:`_check_tail` gives."""
+        text = json.dumps({"vocab_size": len(scores) + m, "mode": "logprobs",
+                           "topk": [{"token": i, "score": x} for i, x in enumerate(scores)]})
+        log_za = float(logsumexp_rows(np.array([sorted(scores, reverse=True)]))[0])
+        with use_policy(limits):
+            try:
+                _check_tail(log_za, min(scores), m)
+                expected = None
+            except ValidationError as exc:
+                expected = f"line 1: {exc}"
+            try:
+                parse_observations(text)
+                got = None
+            except ParseError as exc:
+                got = str(exc)
+        assert got == expected
+        return got
 
     @given(m=st.integers(0, 6), cap=st.floats(0.01, 0.12), ulps=st.integers(-40, 40),
            tol=st.sampled_from([0.0, 1e-12, 1e-9]))
@@ -324,19 +349,49 @@ class TestTailScreen:
         head = 1.0 - t_star
         # K = 2 with the cap as the threshold, or a full dump of one token
         scores = [math.log(head - cap), math.log(cap)] if m else [math.log(head)]
-        text = json.dumps({"vocab_size": len(scores) + m, "mode": "logprobs",
-                           "topk": [{"token": i, "score": x} for i, x in enumerate(scores)]})
-        log_za = float(logsumexp_rows(np.array([sorted(scores, reverse=True)]))[0])
-        with use_policy(NumericPolicy(tail_feasibility_tol=tol)):
+        self._agree(scores, m, NumericPolicy(tail_feasibility_tol=tol))
+
+    @given(m=st.integers(0, 3), tol=st.sampled_from([0.0, 1e-12, 1e-9]),
+           ulps=st.integers(-6, 6), jitter=st.integers(-40, 40))
+    @settings(max_examples=400, deadline=None)
+    def test_head_at_its_bound(self, m, tol, ulps, jitter):
+        # scores 0 and x give a head mass of about 1 + exp(x): x steps the
+        # head's exp across 1 + tol by ulps of 1, and jitter by ulps of x
+        excess = tol + ulps * math.ulp(1.0)
+        x = math.log(excess) if excess > 0.0 else -745.0
+        x += jitter * math.ulp(x)
+        self._agree([0.0, x], m, NumericPolicy(head_mass_tol=tol))
+
+    def test_both_sides_of_the_head_bound(self):
+        # the draws above reach both outcomes of the head rule
+        outcomes = {self._agree([0.0, math.log(1e-9 + j * math.ulp(1.0))], 0,
+                                NumericPolicy()) is None for j in (-4, 4)}
+        assert outcomes == {True, False}
+
+    @given(v=st.integers(2, 7), tie=st.sampled_from([-3.0, -0.7, 0.0, 2.5]),
+           spread=st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.75, 4.0]), min_size=7,
+                           max_size=7),
+           rows=st.integers(1, 3), head_tol=st.sampled_from([0.0, 1e-15, 1e-9]),
+           tail_tol=st.sampled_from([0.0, 1e-15, 1e-9]))
+    @settings(max_examples=200, deadline=None)
+    def test_sweep_agrees_with_censor(self, v, tie, spread, rows, head_tol, tail_tol):
+        # rows whose hidden tokens tie at the threshold, so that t* = M*c up
+        # to rounding; each later row shifted, which moves the roundings
+        z = np.array([[tie + s + r / 8 for s in spread[:v]] for r in range(rows)])
+        ks = list(range(1, v + 1))
+        with use_policy(NumericPolicy(head_mass_tol=head_tol,
+                                      tail_feasibility_tol=tail_tol)):
+            expected = None
+            for row, k in itertools.product(z, ks):
+                try:
+                    censor(row, k, AccessMode.LOGPROBS)
+                except ValidationError as exc:
+                    expected = str(exc)
+                    break
             try:
-                _check_tail(log_za, min(scores), m)
-                expected = None
-            except ValidationError as exc:
-                expected = f"line 1: {exc}"
-            try:
-                parse_observations(text)
+                _sweep_block(*score_sorted(z, v), ks)
                 got = None
-            except ParseError as exc:
+            except ValidationError as exc:
                 got = str(exc)
         assert got == expected
 
