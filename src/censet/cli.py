@@ -11,13 +11,15 @@ byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
+import orjson
 
 from . import identified_set as geo
 from . import minimax as mm
@@ -80,6 +82,21 @@ CERTIFY_FIELDS = (
     "within_first_order",
 )
 
+COMPOSE_FIELDS = ("position_id", "U_K", "r_bin", "sup_kl", "t_at_sup")
+
+REFERENCE_FIELDS = (
+    "position_id", "K", "U_K", "U_R", "shrinkage", "rho", "reserve",
+    "max_perturbation", "frac_exceeding_rho",
+)
+
+SIMULATE_FIELDS = (
+    "K", "uk_mean", "uk_sd", "rbin_mean", "tail_mass_mean", "n", "sup_kl_mean",
+)
+# the ksweep report schema has no estimator column
+KSWEEP_FIELDS = SIMULATE_FIELDS[:-1]
+
+ORACLE_FIELDS = ("check", "status", "detail")
+
 # report fields measured in nats, rescaled under --bits
 NAT_FIELDS = frozenset(
     {
@@ -124,22 +141,87 @@ def _fmt_cell(value) -> str:
 _TABLE_ESCAPES = str.maketrans({"\r": "\\r", "\n": "\\n", "\t": "\\t"})
 
 
-def _to_table(rows: list[dict]) -> str:
-    if not rows:
+def _to_table(fields, columns) -> str:
+    if not columns or not columns[0]:
         return "(no rows)\n"
-    keys = list(rows[0].keys())
-    cells = [[_fmt_cell(r.get(k)).translate(_TABLE_ESCAPES) for k in keys]
-             for r in rows]
-    widths = [
-        max(len(k), *(len(row[i]) for row in cells)) for i, k in enumerate(keys)
-    ]
+    cells = [[_fmt_cell(v).translate(_TABLE_ESCAPES) for v in column]
+             for column in columns]
+    widths = [max(len(f), *map(len, column)) for f, column in zip(fields, cells)]
     lines = [
-        "  ".join(k.ljust(w) for k, w in zip(keys, widths)).rstrip(),
+        "  ".join(f.ljust(w) for f, w in zip(fields, widths)).rstrip(),
         "  ".join("-" * w for w in widths),
     ]
-    for row in cells:
+    for row in zip(*cells):
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
     return "\n".join(lines) + "\n"
+
+
+_COMMA, _E, _MINUS, _PLUS, _ZERO = b",e-+0"
+_DIGIT = np.zeros(256, dtype=bool)
+_DIGIT[list(b"0123456789")] = True
+
+
+def _float_reprs(values: list, fallback=float.__repr__) -> list[str]:
+    """``float.__repr__`` of each float in ``values``, from one orjson pass.
+
+    orjson writes the shortest digits that round-trip, as ``repr`` does
+    (Ryu against Gay's dtoa), and the exponent is spelled differently:
+    ``repr`` signs it and writes at least two digits (``1e+16`` and
+    ``2.5e-07`` for orjson's ``1e16`` and ``2.5e-7``).  Those bytes are put
+    in over the whole text at once.  ``repr`` writes a nonzero value below
+    1e-4 or from 1e16 up in scientific notation and every other value
+    positionally (digits that round-trip stay on the value's side of both
+    bounds).  A token laid out otherwise, such as orjson's positional
+    1e-5 <= |x| < 1e-4 or its ``null`` for a non-finite value, is replaced
+    by ``fallback(value)``, one at a time.  ``values`` holds only exact
+    floats.
+    """
+    if not values:
+        return []
+    raw = np.frombuffer(orjson.dumps(values), dtype=np.uint8)
+    x = np.array(values, dtype=float)
+    magnitude = np.abs(x)
+    scientific = ((magnitude < 1e-4) & (magnitude != 0.0)) | (magnitude >= 1e16)
+    e = np.flatnonzero(raw == _E)
+    has_e = np.zeros(len(values), dtype=bool)
+    # the token of each "e" is the number of commas before it
+    has_e[np.searchsorted(np.flatnonzero(raw == _COMMA), e)] = True
+    mismatched = np.flatnonzero((has_e != scientific) | ~np.isfinite(x)).tolist()
+    unsigned = _DIGIT[raw[e + 1]]
+    short = (raw[e + 1] == _MINUS) & ~_DIGIT[raw.take(e + 3, mode="clip")]
+    text = np.insert(
+        raw, np.concatenate([e[unsigned] + 1, e[short] + 2]),
+        np.repeat(np.array([_PLUS, _ZERO], dtype=np.uint8),
+                  [np.count_nonzero(unsigned), np.count_nonzero(short)]),
+    )[1:-1].tobytes().decode("ascii")
+    out = text.split(",")
+    for i in mismatched:
+        out[i] = fallback(values[i])
+    return out
+
+
+def _texts(columns, cell, exact: dict, fallback) -> list[list[str]]:
+    """Each column's cells as text.  Every exact float of all the columns
+    goes through one :func:`_float_reprs` call with ``fallback``; a column
+    of one type in ``exact`` maps through its function, and any other cell
+    goes through ``cell``."""
+    kinds = [set(map(type, column)) for column in columns]
+    floats = []
+    for column, kind in zip(columns, kinds):
+        if kind == {float}:
+            floats.extend(column)
+        elif float in kind:
+            floats.extend(v for v in column if type(v) is float)
+    reprs = iter(_float_reprs(floats, fallback))
+    out = []
+    for column, kind in zip(columns, kinds):
+        if kind == {float}:
+            out.append(list(itertools.islice(reprs, len(column))))
+        elif len(kind) == 1 and (spell := exact.get(*kind)):
+            out.append(list(map(spell, column)))
+        else:
+            out.append([next(reprs) if type(v) is float else cell(v) for v in column])
+    return out
 
 
 # characters that make a CSV cell need quotes (RFC 4180)
@@ -150,70 +232,83 @@ def _csv_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return float.__repr__(value)
     text = str(value)
     if _CSV_SPECIAL.isdisjoint(text):
         return text
     return '"' + text.replace('"', '""') + '"'
 
 
-def _to_csv(rows: list[dict]) -> str:
-    if not rows:
+def _to_csv(fields, columns) -> str:
+    if not columns or not columns[0]:
         return ""
-    keys = list(rows[0].keys())
-    lines = [",".join(keys)]
-    for r in rows:
-        lines.append(",".join(_csv_cell(r.get(k)) for k in keys))
-    return "\n".join(lines) + "\n"
+    texts = _texts(columns, _csv_cell, {int: int.__repr__}, float.__repr__)
+    return "\n".join([",".join(fields), *map(",".join, zip(*texts))]) + "\n"
 
 
-def _convert_bits(rows: list[dict]) -> list[dict]:
-    out = []
-    for r in rows:
-        conv = dict(r)
-        for k in r:
-            if k in NAT_FIELDS and isinstance(r[k], float) and math.isfinite(r[k]):
-                conv[k] = r[k] / _LN2
-        out.append(conv)
-    return out
+_JSON_LITERALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-# json.dumps(rows, indent=2) nests a row's fields six spaces deep
-_ROW_SEPARATORS = (",\n      ", ": ")
-_ROW_BREAK = "},\n      {"
+def _json_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _JSON_LITERALS.get(text, text)
 
 
-def _json_report(body: dict) -> str:
-    """``json.dumps(body, indent=2)`` for a body whose last value is a list
-    of flat, non-empty rows, with the rows through CPython's C encoder.
+def _json_cell(value) -> str:
+    """A cell as ``json.dumps`` writes it."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
-    The C encoder runs only without ``indent``; with the separators above it
-    writes each row's fields as the indented encoder does, one per line.
-    An encoded string never holds a raw newline, so ``_ROW_BREAK`` occurs
-    only between two rows, where the indented form breaks the line before
-    ``}`` and after ``{``.
+
+def _json_report(head: dict, key: str, fields, columns) -> str:
+    """``json.dumps({**head, key: rows}, indent=2)``, where ``rows`` are the
+    dicts of ``fields`` to each row's cells of ``columns``.
+
+    The rows are one ``%`` template of the encoded field names, filled with
+    the cells as :func:`_texts` writes them.
     """
-    *_, (key, rows) = body.items()
-    text = json.dumps({**body, key: []}, indent=2)
-    if not rows:
+    text = json.dumps({**head, key: []}, indent=2)
+    if not columns or not columns[0]:
         return text
-    inner = json.dumps(rows, separators=_ROW_SEPARATORS)[2:-2]
-    inner = inner.replace(_ROW_BREAK, "\n    },\n    {\n      ")
+    names = [encode_basestring_ascii(f).replace("%", "%%") for f in fields]
+    template = "    {\n      " + ",\n      ".join(f"{n}: %s" for n in names) + "\n    }"
+    texts = _texts(columns, _json_cell,
+                   {str: encode_basestring_ascii, int: int.__repr__}, _json_float)
+    rows = ",\n".join([template % row for row in zip(*texts)])
     # text ends with the empty list: "[]\n}"
-    return text[:-4] + "[\n    {\n      " + inner + "\n    }\n  ]\n}"
+    return text[:-4] + "[\n" + rows + "\n  ]\n}"
 
 
-def _emit(payload: dict, rows: list[dict], args) -> None:
+def _nats_to_bits(value):
+    return value / _LN2 if isinstance(value, float) and math.isfinite(value) else value
+
+
+def _emit(payload: dict, fields, columns, args) -> None:
+    """Write a report: ``payload``'s values, then one row for each index of
+    the ``columns``, with the names in ``fields``."""
     units = "bits" if getattr(args, "bits", False) else "nats"
-    shown = rows
     if units == "bits":
-        (payload, *shown) = _convert_bits([payload, *rows])
+        payload = {k: _nats_to_bits(v) if k in NAT_FIELDS else v
+                   for k, v in payload.items()}
+        columns = [list(map(_nats_to_bits, c)) if f in NAT_FIELDS else c
+                   for f, c in zip(fields, columns)]
     if args.format == "json":
-        text = _json_report({**payload, "units": units, "rows": shown}) + "\n"
+        text = _json_report({**payload, "units": units}, "rows", fields, columns) + "\n"
     elif args.format == "csv":
-        text = _to_csv(shown)
+        text = _to_csv(fields, columns)
     else:
-        text = _to_table(shown)
+        text = _to_table(fields, columns)
         extra = {k: v for k, v in payload.items() if k not in ("command",)}
         if extra:
             text += "".join(f"# {k}: {_fmt_cell(v) if not isinstance(v, str) else v}\n"
@@ -225,8 +320,8 @@ def _emit(payload: dict, rows: list[dict], args) -> None:
         sys.stdout.write(text)
 
 
-def _emit_errors(errors: list[dict]) -> None:
-    sys.stderr.write(_json_report({"errors": errors}) + "\n")
+def _emit_errors(fields, columns) -> None:
+    sys.stderr.write(_json_report({}, "errors", fields, columns) + "\n")
 
 
 def _diameters(batch: ObservationBatch) -> tuple[list[int], np.ndarray, np.ndarray]:
@@ -282,14 +377,13 @@ def cmd_analyze(args) -> int:
         cert.r_bin.tolist(), sup_kl.tolist(), cert.g_max.tolist(),
         cert.g_argmax.tolist(), cert.first_order.tolist(), *normalized,
     )
-    rows = [dict(zip(ANALYZE_FIELDS, values)) for values in zip(*columns)]
-    _emit({"command": "analyze", "footnote": R_BIN_FOOTNOTE}, rows, args)
+    _emit({"command": "analyze", "footnote": R_BIN_FOOTNOTE}, ANALYZE_FIELDS, columns, args)
     return 0
 
 
-def _sweep_row_dict(row: sim.SweepRow) -> dict:
-    out = asdict(row)
-    return {"K": out.pop("k"), **out}
+def _sweep_columns(sweep: list[sim.SweepRow], fields) -> list[list]:
+    """The columns of a K sweep's report; its ``K`` field is ``SweepRow.k``."""
+    return [[getattr(row, "k" if f == "K" else f) for row in sweep] for f in fields]
 
 
 def cmd_ksweep(args) -> int:
@@ -302,11 +396,8 @@ def cmd_ksweep(args) -> int:
             yield block
 
     sweep = _parse_file(lambda handle: sim.ksweep(blocks(handle), args.k), args.input)
-    rows = [_sweep_row_dict(r) for r in sweep]
-    # the ksweep report schema has no estimator column
-    for row in rows:
-        del row["sup_kl_mean"]
-    _emit({"command": "ksweep", "n_positions": n_positions}, rows, args)
+    _emit({"command": "ksweep", "n_positions": n_positions}, KSWEEP_FIELDS,
+          _sweep_columns(sweep, KSWEEP_FIELDS), args)
     return 0
 
 
@@ -316,13 +407,11 @@ def cmd_certify(args) -> int:
     verdicts = mm.verdicts(u, args.delta)
     # the first-order admissibility ceiling on the diameter
     u_max = math.e * args.delta
-    rows = [
-        dict(zip(CERTIFY_FIELDS, (pid, k, uk, r_bin, args.delta, verdict, u_max,
-                                  uk <= u_max)))
-        for pid, k, uk, (r_bin, verdict) in zip(
-            batch.position_ids, batch.k.tolist(), u.tolist(), verdicts)
-    ]
-    _emit({"command": "certify", "footnote": R_BIN_FOOTNOTE}, rows, args)
+    n = len(verdicts)
+    columns = (batch.position_ids, batch.k.tolist(), u.tolist(), [r for r, _ in verdicts],
+               [args.delta] * n, [v for _, v in verdicts], [u_max] * n,
+               (u <= u_max).tolist())
+    _emit({"command": "certify", "footnote": R_BIN_FOOTNOTE}, CERTIFY_FIELDS, columns, args)
     return 0
 
 
@@ -340,27 +429,17 @@ def cmd_reference(args) -> int:
             )
         rlogits = refs[obs.position_id]
         rb = ref.reference_geometry(geom, rlogits, args.rho)
-        row = {
-            "position_id": obs.position_id,
-            "K": obs.k,
-            "U_K": geom.U_K,
-            "U_R": rb.U_R,
-            "shrinkage": rb.U_R / geom.U_K if geom.U_K > 0 else None,
-            "rho": args.rho,
-            "reserve": rb.reserve,
-            "max_perturbation": None,
-            "frac_exceeding_rho": None,
-        }
+        worst = exceeding = None
         try:
             revealed_ref = rlogits.gather(obs.token_ids, obs.vocab_size)
         except ref.CoverageError:
             revealed_ref = None
         if revealed_ref is not None and obs.k >= 2:
             worst, exceeding = ref.calibrate_rho(obs.scores, revealed_ref, args.rho)
-            row["max_perturbation"] = worst
-            row["frac_exceeding_rho"] = exceeding
             max_perturbations.append(worst)
-        rows.append(row)
+        rows.append((obs.position_id, obs.k, geom.U_K, rb.U_R,
+                     rb.U_R / geom.U_K if geom.U_K > 0 else None, args.rho, rb.reserve,
+                     worst, exceeding))
     payload = {
         "command": "reference",
         "rho": args.rho,
@@ -374,7 +453,8 @@ def cmd_reference(args) -> int:
         payload["frac_positions_exceeding_rho"] = float(
             np.mean([m > args.rho for m in max_perturbations])
         )
-    _emit(payload, rows, args)
+    # no rows make no columns, which the writers read as an empty report
+    _emit(payload, REFERENCE_FIELDS, list(zip(*rows)), args)
     return 0
 
 
@@ -400,15 +480,9 @@ def cmd_simulate(args) -> int:
             for i, z in enumerate(teacher):
                 handle.write(serialize_observations(
                     [sim.censor(z, args.vocab, position_id=f"pos{i}")]))
-    rows = [
-        _sweep_row_dict(row)
-        for row in sim.ksweep([sim.score_sorted(teacher, max(args.k))], args.k)
-    ]
-    _emit(
-        {"command": "simulate", "seed": args.seed, "law": args.law},
-        rows,
-        args,
-    )
+    sweep = sim.ksweep([sim.score_sorted(teacher, max(args.k))], args.k)
+    _emit({"command": "simulate", "seed": args.seed, "law": args.law}, SIMULATE_FIELDS,
+          _sweep_columns(sweep, SIMULATE_FIELDS), args)
     return 0
 
 
@@ -418,11 +492,6 @@ def cmd_compose(args) -> int:
     _check_float_range(batch, ms)
     sup_kl, t_at = (c.tolist() for c in mm.symmetric_sup(ms, log_odds, u))
     r_bin = mm.reserve(u)[1].tolist()
-    rows = [
-        {"position_id": pid, "U_K": uk, "r_bin": r, "sup_kl": sup, "t_at_sup": t}
-        for pid, uk, r, sup, t in zip(
-            batch.position_ids, u.tolist(), r_bin, sup_kl, t_at)
-    ]
     avg_lower, avg_upper, factored_sum = sim.average_risk(r_bin, sup_kl)
     payload = {
         "command": "compose",
@@ -434,7 +503,8 @@ def cmd_compose(args) -> int:
         "separability_gap": 0.0,
         "footnote": R_BIN_FOOTNOTE,
     }
-    _emit(payload, rows, args)
+    _emit(payload, COMPOSE_FIELDS, (batch.position_ids, u.tolist(), r_bin, sup_kl, t_at),
+          args)
     return 0
 
 
@@ -443,13 +513,13 @@ def cmd_oracle(args) -> int:
     from .oracles import oracle_battery
 
     checks = oracle_battery(seed=args.seed)
-    _emit({"command": "oracle", "seed": args.seed}, checks, args)
+    _emit({"command": "oracle", "seed": args.seed}, ORACLE_FIELDS,
+          [[c[f] for c in checks] for f in ORACLE_FIELDS], args)
     failed = [c for c in checks if c["status"] != "PASS"]
     if failed:
-        _emit_errors(
-            [{"message": f"oracle check failed: {c['check']}", "detail": c["detail"]}
-             for c in failed]
-        )
+        _emit_errors(("message", "detail"),
+                     ([f"oracle check failed: {c['check']}" for c in failed],
+                      [c["detail"] for c in failed]))
         return 1
     return 0
 
@@ -549,11 +619,11 @@ def main(argv=None) -> int:
         with use_policy(load_policy_file(policy_path) if policy_path else policy()):
             return _HANDLERS[args.command](args)
     except ParseError as exc:
-        _emit_errors([{"message": str(exc), "line": exc.line}])
+        _emit_errors(("message", "line"), ([str(exc)], [exc.line]))
         return 1
     except (ValueError, OSError, MemoryError) as exc:
         # a MemoryError: an allocation refused outright, e.g. O(V) at V = 2^62
-        _emit_errors([{"message": str(exc)}])
+        _emit_errors(("message",), ([str(exc)],))
         return 1
 
 

@@ -26,6 +26,7 @@ from .observation import (
     TopKObservation,
     ValidationError,
     _batches,
+    _check_pair,
     _check_tail,
     _tail_rule,
     from_pairs,
@@ -152,10 +153,13 @@ def censor(
     if not 1 <= k <= v:
         raise ValueError(f"K must lie in [1, {v}], got {k}")
     top = _top(logits, k)
+    scores = logits[top]
     if mode is AccessMode.LOGPROBS:
-        scores = np.minimum(logits[top] - logsumexp(logits), 0.0)
-    else:
-        scores = logits[top]
+        # a non-finite revealed logit fails as it does in logits mode, before
+        # the shift turns it into another value
+        for i in np.flatnonzero(~np.isfinite(scores))[:1]:
+            _check_pair(int(top[i]), float(scores[i]), v)
+        scores = np.minimum(scores - logsumexp(logits), 0.0)
     return from_pairs(v, top, scores, mode, position_id)
 
 

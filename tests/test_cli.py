@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +21,10 @@ from censet.cli import (
     ANALYZE_FIELDS,
     CERTIFY_FIELDS,
     R_BIN_FOOTNOTE,
+    _float_reprs,
+    _json_float,
     _json_report,
+    _to_csv,
     main,
 )
 from censet.numerics import (
@@ -1087,14 +1091,31 @@ REPORT_STRINGS = st.one_of(
     st.text(max_size=12),
     st.sampled_from([
         '"', "\\", "\n", "\x00\x1f\x7f", "\u2028", "caf\u00e9 \U0001f600",
-        "},\n      {", '"},\n      {"', "},\\n      {",
+        "},\n      {", '"},\n      {"', "},\\n      {", "%", "%s %%",
     ]),
 )
+# floats where repr's layout or exponent width changes, and the extremes
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    *(x for edge in (1e-05, 0.0001)
+      for x in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0))),
+    9999999999999998.0, 1e16, 1e22,
+]
+EDGE_FLOATS += [-x for x in EDGE_FLOATS]
+REPORT_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, *EDGE_FLOATS]),
+)
+
+
+class SubFloat(float):
+    """A float subclass, which the writers spell one value at a time."""
+
+
 REPORT_SCALARS = st.one_of(
     REPORT_STRINGS,
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
-                     1.7976931348623157e308]),
+    REPORT_FLOATS,
+    REPORT_FLOATS.map(SubFloat),
     st.integers(-(2**70), 2**70),
     st.sampled_from([2**63, -(2**63) - 1, 2**64 + 1]),
     st.booleans(),
@@ -1112,31 +1133,104 @@ class TestNoRows:
         assert capsys.readouterr().out == ""
 
 
+def _float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+class TestFloatReprs:
+    """The bulk float formatter against ``float.__repr__``."""
+
+    @given(st.lists(st.one_of(
+        st.floats(),
+        st.integers(0, 2**64 - 1).map(_float_of_bits),
+        st.sampled_from(EDGE_FLOATS),
+    ), max_size=40))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_repr(self, values):
+        assert _float_reprs(values) == [float.__repr__(v) for v in values]
+
+    def test_bulk(self):
+        rng = np.random.default_rng(0)
+        patterns = rng.integers(0, 2**64, 100_000, dtype=np.uint64, endpoint=False)
+        spread = 10.0 ** rng.uniform(-8.0, 20.0, 100_000) * rng.choice([-1.0, 1.0], 100_000)
+        values = [*patterns.view(np.float64).tolist(), *spread.tolist(), *EDGE_FLOATS]
+        assert _float_reprs(values) == [float.__repr__(v) for v in values]
+
+    def test_non_finite_spellings(self):
+        values = [math.nan, 1.0, math.inf, -math.inf, 1e-05]
+        assert _float_reprs(values) == ["nan", "1.0", "inf", "-inf", "1e-05"]
+        assert _float_reprs(values, _json_float) == [
+            "NaN", "1.0", "Infinity", "-Infinity", "1e-05"]
+        assert _float_reprs([]) == []
+
+
+@st.composite
+def report_tables(draw):
+    """A report's field names and columns, and the rows they make."""
+    fields = draw(st.lists(REPORT_STRINGS, min_size=1, max_size=6, unique=True))
+    n = draw(st.integers(0, 12))
+    # float columns, with or without gaps, as the commands' reports have
+    kinds = st.sampled_from([REPORT_SCALARS, REPORT_FLOATS, st.none() | REPORT_FLOATS])
+    columns = [draw(st.lists(draw(kinds), min_size=n, max_size=n)) for _ in fields]
+    return fields, columns, [dict(zip(fields, row)) for row in zip(*columns)]
+
+
 class TestJsonReport:
-    """The C-encoder report writer against ``json.dumps(body, indent=2)``."""
+    """The report writer against ``json.dumps(body, indent=2)``."""
 
     @given(
         payload=st.dictionaries(
             REPORT_STRINGS.filter(lambda k: k != "rows"), REPORT_SCALARS, max_size=4
         ),
-        rows=st.one_of(
-            st.just([]),
-            st.lists(st.dictionaries(REPORT_STRINGS, REPORT_SCALARS, min_size=1,
-                                     max_size=6), min_size=1, max_size=12),
-        ),
+        table=report_tables(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_indented_encoder(self, payload, rows):
+    def test_matches_indented_encoder(self, payload, table):
+        fields, columns, rows = table
         body = {**payload, "rows": rows}
-        assert _json_report(body) == json.dumps(body, indent=2)
+        assert _json_report(payload, "rows", fields, columns) == json.dumps(body, indent=2)
 
     @pytest.mark.parametrize("n", [0, 1, 500])
     def test_report_rows(self, n):
-        rows = [{"position_id": f"p{i}", "U_K": i / 7, "verdict": None,
-                 "flag": i % 2 == 0} for i in range(n)]
-        body = {"command": "analyze", "units": "nats", "rows": rows}
-        assert _json_report(body) == json.dumps(body, indent=2)
-        assert _json_report({"errors": rows}) == json.dumps({"errors": rows}, indent=2)
+        fields = ("position_id", "U_K", "verdict", "flag")
+        columns = ([f"p{i}" for i in range(n)], [i / 7 for i in range(n)], [None] * n,
+                   [i % 2 == 0 for i in range(n)])
+        rows = [dict(zip(fields, row)) for row in zip(*columns)]
+        head = {"command": "analyze", "units": "nats"}
+        assert (_json_report(head, "rows", fields, columns)
+                == json.dumps({**head, "rows": rows}, indent=2))
+        assert (_json_report({}, "errors", fields, columns)
+                == json.dumps({"errors": rows}, indent=2))
+
+
+# the CSV writer before it took columns: one dict per row, one repr per float
+def _reference_csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    text = str(value)
+    if frozenset(',"\r\n').isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _reference_csv(rows: list[dict]) -> str:
+    if not rows:
+        return ""
+    keys = list(rows[0].keys())
+    lines = [",".join(keys)]
+    for r in rows:
+        lines.append(",".join(_reference_csv_cell(r.get(k)) for k in keys))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvReport:
+    @given(report_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_row_writer(self, table):
+        fields, columns, rows = table
+        assert _to_csv(fields, columns) == _reference_csv(rows)
 
 
 class TestCompose:

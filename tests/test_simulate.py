@@ -129,6 +129,25 @@ class TestCensor:
             rtol=1e-12,
         )
 
+    @pytest.mark.parametrize("z, k", [
+        ([-np.inf] * 3, 2),
+        ([1.0, np.inf, 0.0], 2),
+        ([0.0, -np.inf, -np.inf], 3),
+    ])
+    def test_logprobs_names_the_non_finite_logit(self, z, k):
+        # the same message as logits mode and the sweep, with no warning
+        # from shifting a non-finite logit
+        z = np.array(z)
+        with pytest.raises(ValidationError) as logits_mode:
+            censor(z, k)
+        with pytest.raises(ValidationError) as logprobs_mode:
+            censor(z, k, AccessMode.LOGPROBS)
+        with pytest.raises(ValidationError) as swept:
+            _swept(z, [k])
+        assert str(logprobs_mode.value) == str(logits_mode.value) == str(swept.value)
+        assert "non-finite score" in str(logprobs_mode.value)
+        assert "nan" not in str(logprobs_mode.value)
+
     def test_k_bounds(self):
         with pytest.raises(ValueError):
             censor(np.zeros(3), 0)
