@@ -188,6 +188,7 @@ def _float_reprs(values: list, fallback=float.__repr__) -> list[str]:
     has_e[np.searchsorted(np.flatnonzero(raw == _COMMA), e)] = True
     mismatched = np.flatnonzero((has_e != scientific) | ~np.isfinite(x)).tolist()
     unsigned = _DIGIT[raw[e + 1]]
+    # e + 3 runs past the closing "]" only after an unsigned one-digit exponent
     short = (raw[e + 1] == _MINUS) & ~_DIGIT[raw.take(e + 3, mode="clip")]
     text = np.insert(
         raw, np.concatenate([e[unsigned] + 1, e[short] + 2]),
