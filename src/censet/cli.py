@@ -419,17 +419,21 @@ def cmd_certify(args) -> int:
 def cmd_reference(args) -> int:
     # reference_geometry checks rho per row, and an input may have none
     ref._check_rho(args.rho)
-    observations = list(_parse_file(parse_observations, args.input))
+    batch = _parse_file(parse_observations, args.input)
     refs = _parse_file(ref.parse_reference_dump, args.reference)
+    _, u, _ = _diameters(batch)
     rows = []
     max_perturbations = []
-    for obs, geom in zip(observations, geo.geometries(observations)):
+    for obs, u_k in zip(batch, u.tolist()):
         if obs.position_id not in refs:
             raise ValidationError(
                 f"reference dump has no record for position {obs.position_id}"
             )
         rlogits = refs[obs.position_id]
-        rb = ref.reference_geometry(geom, rlogits, args.rho)
+        try:
+            rb = ref.reference_geometry(obs, rlogits, args.rho)
+        except ref.CoverageError as exc:
+            raise ref.CoverageError(f"position {obs.position_id}: {exc}") from exc
         worst = exceeding = None
         try:
             revealed_ref = rlogits.gather(obs.token_ids, obs.vocab_size)
@@ -438,8 +442,8 @@ def cmd_reference(args) -> int:
         if revealed_ref is not None and obs.k >= 2:
             worst, exceeding = ref.calibrate_rho(obs.scores, revealed_ref, args.rho)
             max_perturbations.append(worst)
-        rows.append((obs.position_id, obs.k, geom.U_K, rb.U_R,
-                     rb.U_R / geom.U_K if geom.U_K > 0 else None, args.rho, rb.reserve,
+        rows.append((obs.position_id, obs.k, u_k, rb.U_R,
+                     rb.U_R / u_k if u_k > 0 else None, args.rho, rb.reserve,
                      worst, exceeding))
     payload = {
         "command": "reference",

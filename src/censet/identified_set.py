@@ -16,7 +16,8 @@ the log domain: observed ``U_K`` values routinely exceed 0.98, where a naive
 columns of a batch and return columns, each entry equal to the one-row
 call's bit for bit (see :mod:`censet.numerics` for the exactness rule).  M
 is a list of Python ints, exact at any size, and ``log M`` is ``math``'s
-log of the int.
+log of the int.  The commands read a parsed batch's columns; :func:`geometry`
+makes the per-row :class:`SetGeometry` that the oracles and the tests read.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -71,9 +71,14 @@ class SetGeometry:
     @cached_property
     def censored_ids(self) -> np.ndarray:
         """Sorted ids of the censored tokens."""
-        hidden = np.ones(self.vocab_size, dtype=bool)
-        hidden[self.token_ids] = False
-        return np.flatnonzero(hidden)
+        return _hidden_ids(self.token_ids, self.vocab_size)
+
+
+def _hidden_ids(token_ids: np.ndarray, vocab_size: int) -> np.ndarray:
+    """Sorted ids of the tokens of the vocabulary not in ``token_ids``."""
+    hidden = np.ones(vocab_size, dtype=bool)
+    hidden[token_ids] = False
+    return np.flatnonzero(hidden)
 
 
 def diameter(m, tau, log_za):
@@ -94,22 +99,8 @@ def _diameter(m: list, tau, log_za) -> tuple[np.ndarray, np.ndarray]:
 
 def geometry(obs: TopKObservation) -> SetGeometry:
     """Ambiguity diameter of the compatible set; exactly 0 when M = 0."""
-    (geom,) = geometries([obs])
-    return geom
-
-
-def geometries(observations: Sequence[TopKObservation]) -> Iterator[SetGeometry]:
-    """:func:`geometry` of each observation, from one :func:`diameter` call
-    over all of them.
-
-    Each geometry is made as the result is iterated, so a loop that drops
-    each one in turn holds one at a time, with its cached O(V) arrays.
-    """
-    ms = [obs.vocab_size - obs.k for obs in observations]
-    u, log_odds = diameter(
-        ms, np.array([obs.tau for obs in observations], dtype=np.float64),
-        np.array([obs.log_ZA for obs in observations], dtype=np.float64))
-    return map(SetGeometry, observations, ms, u.tolist(), log_odds.tolist())
+    m = obs.vocab_size - obs.k
+    return SetGeometry(obs, m, *diameter(m, obs.tau, obs.log_ZA))
 
 
 def token_cap(log_odds, m, t):

@@ -693,15 +693,13 @@ def oracle_battery(seed: int = 0) -> list[dict]:
     worst_gap = 0.0
     pair_gap = 0.0
     ok = True
-    observations = []
     for i in range(12):
         v = int(rng.integers(3, 9))
         k = int(rng.integers(1, v))
         config = sim.SyntheticTeacherConfig(
             vocab_size=v, law=sim.GaussianIID(0.0, 2.0), seed=seed + i
         )
-        observations.append(sim.censor(sim.generate_teacher(config, 1)[0], k))
-    for i, geom in enumerate(geo.geometries(observations)):
+        geom = geo.geometry(sim.censor(sim.generate_teacher(config, 1)[0], k))
         oracle = brute_diameter_oracle(geom, 12, max_points=1024, seed=i)
         worst_gap = max(worst_gap, abs(oracle - geom.U_K))
         tv_pair = tv(point(geom, 0.0), point(geom, geom.U_K))
@@ -766,7 +764,6 @@ def oracle_battery(seed: int = 0) -> list[dict]:
     # reference shrinkage against the box-constrained oracle
     ok = True
     worst_gap = 0.0
-    observations, references = [], []
     for i in range(8):
         v = int(rng.integers(4, 9))
         k = int(rng.integers(1, v - 1))
@@ -774,12 +771,9 @@ def oracle_battery(seed: int = 0) -> list[dict]:
             vocab_size=v, law=sim.GaussianIID(0.0, 1.5), seed=seed + 100 + i
         )
         z = sim.generate_teacher(config, 1)[0]
-        observations.append(sim.censor(z, k))
+        geom = geo.geometry(sim.censor(z, k))
         rlogits = ref.ReferenceLogits(dense=z + rng.normal(0.0, 0.5, size=v))
-        references.append((rlogits, float(rng.uniform(0.0, 2.0))))
-    for i, (geom, (rlogits, rho)) in enumerate(
-        zip(geo.geometries(observations), references)
-    ):
+        rho = float(rng.uniform(0.0, 2.0))
         rb = ref.reference_geometry(geom, rlogits, rho)
         oracle = reference_diameter_oracle(geom, rb, 10, max_points=1024, seed=i)
         worst_gap = max(worst_gap, abs(oracle - rb.U_R))

@@ -13,7 +13,8 @@ diagnostic without ever adjusting the bound itself.
 
 Both forms of a reference are read by one lookup: a sparse map is laid out
 over the vocabulary (its default, the listed scores on top) and indexed
-like a dense vector.
+like a dense vector.  :func:`reference_geometry` reads one row of a parsed
+batch at a time, as the ``reference`` command does.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ from typing import IO
 
 import numpy as np
 
-from .identified_set import SetGeometry
+from .identified_set import _hidden_ids
 from .minimax import _INV_E
 from .numerics import expit, logsumexp
 from .observation import (
     _INT64_MAX,
     _NUMBERS,
     ParseError,
+    TopKObservation,
     _all_of,
     _check_position_id,
     _json_array,
@@ -123,10 +125,12 @@ def _check_rho(rho: float) -> None:
 
 
 def reference_geometry(
-    geom: SetGeometry, ref: ReferenceLogits, rho: float
+    obs: TopKObservation, ref: ReferenceLogits, rho: float
 ) -> ReferenceBound:
-    """Shrunken geometry under per-token ceilings min(tau, z_ref(u) + rho).
+    """Shrunken geometry of a parsed observation under per-token ceilings
+    min(tau, z_ref(u) + rho) on its censored tokens u.
 
+    Only ``token_ids``, ``vocab_size``, ``tau`` and ``log_ZA`` are read.
     The reference scores must share the observation's additive scale; that
     alignment is the caller's responsibility.  A reference score of -inf
     forbids the token outright, regardless of rho; a NaN one on a censored
@@ -134,9 +138,12 @@ def reference_geometry(
     ceilings are empty, ``log_CR`` is -inf and U_R is 0.
     """
     _check_rho(rho)
-    z_ref = ref.gather(geom.censored_ids, geom.vocab_size)
+    # held in a name to the end of the call: freed right after gather, its
+    # pages would go back to the OS and fault in again for the next arrays
+    censored = _hidden_ids(obs.token_ids, obs.vocab_size)
+    z_ref = ref.gather(censored, obs.vocab_size)
     ceilings = np.where(
-        np.isneginf(z_ref), -math.inf, np.minimum(geom.tau, z_ref + rho)
+        np.isneginf(z_ref), -math.inf, np.minimum(obs.tau, z_ref + rho)
     )
     log_cr = logsumexp(ceilings)
     if math.isnan(log_cr):
@@ -144,7 +151,7 @@ def reference_geometry(
         raise ValueError(
             f"reference scores for position {ref.position_id!r} hold a NaN"
         )
-    u_r = expit(log_cr - geom.log_ZA) if math.isfinite(log_cr) else 0.0
+    u_r = expit(log_cr - obs.log_ZA) if math.isfinite(log_cr) else 0.0
     return ReferenceBound(log_ceilings=ceilings, log_CR=log_cr, U_R=u_r)
 
 

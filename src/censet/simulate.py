@@ -240,16 +240,17 @@ def _top(z: np.ndarray, k: int) -> np.ndarray:
 
     Every entry at or above the k-th largest is a candidate, ties included;
     listed in id order, their stable sort by score is that of the full row.
-    A NaN k-th value leaves fewer than k candidates: the row takes the full
-    sort then.
+    A NaN anywhere in the row is an error naming its first token: it would
+    sort below every score and go unseen among the censored tokens.
     """
+    if np.isnan(z).any():  # raises, naming the first NaN's token
+        _check_pair(int(np.isnan(z).argmax()), math.nan, len(z))
     neg = -z
-    if k < len(z):
-        t = np.partition(neg, k - 1)[k - 1]
-        cand = np.flatnonzero(neg <= t)
-        if len(cand) >= k:
-            return cand[np.argsort(neg[cand], kind="stable")[:k]]
-    return np.argsort(neg, kind="stable")[:k]
+    if k == len(z):
+        return np.argsort(neg, kind="stable")
+    t = np.partition(neg, k - 1)[k - 1]
+    cand = np.flatnonzero(neg <= t)
+    return cand[np.argsort(neg[cand], kind="stable")[:k]]
 
 
 def _bad_column(values: np.ndarray) -> np.ndarray:

@@ -770,7 +770,28 @@ class TestReference:
             ["reference", "--input", str(obs), "--reference", str(refs)]
         ) == 1
         (error,) = json.loads(capsys.readouterr().err)["errors"]
-        assert error["message"] == "dense reference has length 3, expected vocab_size 2"
+        assert error["message"] == (
+            "position full: dense reference has length 3, expected vocab_size 2")
+
+    def test_uncovered_censored_token_names_its_position(self, tmp_path, capsys):
+        # row "b" lists no score for its censored token 1 and has no default
+        obs = tmp_path / "obs.jsonl"
+        obs.write_text(
+            '{"vocab_size":2,"mode":"logits","position_id":"a",'
+            '"topk":[{"token":0,"score":0.0}]}\n'
+            '{"vocab_size":3,"mode":"logits","position_id":"b",'
+            '"topk":[{"token":0,"score":0.0},{"token":2,"score":-1.0}]}\n'
+        )
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text(
+            '{"position_id":"a","dense":[0.0,-1.0]}\n'
+            '{"position_id":"b","entries":[{"token":0,"logit":0.0},'
+            '{"token":2,"logit":-1.0}]}\n'
+        )
+        assert main(["reference", "--input", str(obs), "--reference", str(refs)]) == 1
+        (error,) = json.loads(capsys.readouterr().err)["errors"]
+        assert error["message"] == (
+            "position b: no reference value for token 1 and no default")
 
     def test_vocabulary_too_large_to_lay_out(self, tmp_path, capsys):
         # a sparse reference with a default is laid out over all V = 2^62

@@ -183,25 +183,47 @@ class TestReferenceEstimator:
             '"topk":[{"token":1,"score":0.5},{"token":3,"score":-0.5}]}\n'
             '{"vocab_size":2,"mode":"logits","position_id":"c",'
             '"topk":[{"token":0,"score":0.3},{"token":1,"score":0.0}]}\n'
+            '{"vocab_size":3,"mode":"logits","position_id":"d",'
+            '"topk":[{"token":0,"score":0.2},{"token":1,"score":-0.1}]}\n'
         )
         refs = tmp_path / "refs.jsonl"
-        # "b" forbids its whole tail, so U_R = 0; "c" has no censored token
+        # "b" forbids its whole tail, so U_R = 0; "c" has no censored token;
+        # "d" lists no score for its revealed token 1 and has no default, so
+        # it has no calibration
         refs.write_text(
             '{"position_id":"a","dense":[1.1,0.2,-1.0,-0.4,0.7]}\n'
             '{"position_id":"b","default":"-inf","entries":[]}\n'
             '{"position_id":"c","dense":[0.0,0.0]}\n'
+            '{"position_id":"d","entries":[{"token":0,"logit":0.1},'
+            '{"token":2,"logit":-2.0}]}\n'
         )
-        out = tmp_path / "report.json"
+        out, analyzed = tmp_path / "report.json", tmp_path / "analyze.json"
         assert main(["reference", "--input", str(obs), "--reference", str(refs),
                      "--rho", "0.5", "--format", "json", "--output", str(out)]) == 0
+        assert main(["analyze", "--input", str(obs), "--format", "json",
+                     "--output", str(analyzed)]) == 0
         rows = json.loads(out.read_text())["rows"]
+        u_k = [r["U_K"] for r in json.loads(analyzed.read_text())["rows"]]
         ref_dump = parse_reference_dump(refs.read_text())
-        expected = [
-            reference_geometry(geometry(o), ref_dump[o.position_id], 0.5).reserve
-            for o in parse_observations(obs.read_text())
-        ]
-        assert [r["reserve"] for r in rows] == expected
-        assert expected[0] > 0.0 and expected[1:] == [0.0, 0.0]
+        batch = parse_observations(obs.read_text())
+        expected = []
+        for o, u in zip(batch, u_k):
+            rlogits = ref_dump[o.position_id]
+            rb = reference_geometry(o, rlogits, 0.5)
+            try:
+                calibration = calibrate_rho(
+                    o.scores, rlogits.gather(o.token_ids, o.vocab_size), 0.5)
+            except CoverageError:
+                calibration = (None, None)
+            expected.append({
+                "position_id": o.position_id, "K": o.k, "U_K": u, "U_R": rb.U_R,
+                "shrinkage": rb.U_R / u if u > 0 else None, "rho": 0.5,
+                "reserve": rb.reserve, "max_perturbation": calibration[0],
+                "frac_exceeding_rho": calibration[1],
+            })
+        assert rows == expected
+        assert [r["reserve"] > 0.0 for r in rows] == [True, False, False, True]
+        assert rows[3]["max_perturbation"] is rows[3]["frac_exceeding_rho"] is None
 
     def test_risk_within_shrunken_envelope(self, v4_geometry):
         # sampled box-constrained adversary never exceeds the envelope max

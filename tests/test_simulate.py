@@ -148,6 +148,23 @@ class TestCensor:
         assert "non-finite score" in str(logprobs_mode.value)
         assert "nan" not in str(logprobs_mode.value)
 
+    @pytest.mark.parametrize("z, k, token", [
+        ([2.0, np.nan, 1.0], 1, 1),
+        ([2.0, np.nan, 1.0], 2, 1),
+        ([np.nan, 3.0, np.nan, 0.0], 1, 0),
+        ([0.0, -np.inf, np.nan], 3, 2),
+    ])
+    def test_a_nan_logit_is_named_revealed_or_hidden(self, z, k, token):
+        # a hidden NaN would sort below every score and pass unseen
+        z = np.array(z)
+        message = f"^non-finite score nan for token {token}$"
+        with pytest.raises(ValidationError, match=message):
+            censor(z, k)
+        with pytest.raises(ValidationError, match=message):
+            censor(z, k, AccessMode.LOGPROBS)
+        with pytest.raises(ValidationError, match=message):
+            ksweep([score_sorted(z[None], len(z))], [k])
+
     def test_k_bounds(self):
         with pytest.raises(ValueError):
             censor(np.zeros(3), 0)
@@ -176,7 +193,14 @@ class TestTop:
     @settings(max_examples=400, deadline=None)
     @given(_rows_and_k())
     def test_equals_stable_argsort_prefix(self, row_and_k):
+        # a row with a NaN has no order to match: its first NaN is the error
         z, k = row_and_k
+        nan = np.flatnonzero(np.isnan(z))
+        if len(nan):
+            with pytest.raises(ValidationError,
+                               match=f"^non-finite score nan for token {nan[0]}$"):
+                _top(z, k)
+            return
         want = np.argsort(-z, kind="stable")[:k]
         got = _top(z, k)
         assert np.array_equal(got, want)

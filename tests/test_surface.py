@@ -25,8 +25,7 @@ PACKAGE = [
 
 MODULES = {
     "identified_set": [
-        "SetGeometry", "diameter", "geometries", "geometry", "per_token_cap",
-        "token_cap",
+        "SetGeometry", "diameter", "geometry", "per_token_cap", "token_cap",
     ],
     "minimax": [
         "Certificate", "certificate", "g_max", "reserve", "symmetric_sup",
