@@ -530,11 +530,13 @@ def cmd_oracle(args) -> int:
 
 
 def _parse_k_list(text: str) -> list[int]:
+    """The sorted Ks of a comma-separated list; an empty part, a repeated K
+    or a K below 1 is an error rather than dropped."""
     try:
-        ks = sorted({int(part) for part in text.split(",") if part.strip()})
+        ks = sorted(int(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad K list {text!r}") from exc
-    if not ks or any(k < 1 for k in ks):
+    if ks[0] < 1 or len(set(ks)) < len(ks):
         raise argparse.ArgumentTypeError(f"bad K list {text!r}")
     return ks
 

@@ -313,14 +313,15 @@ def _read_jsonl(
     the line as read, line end and all, which JSON takes as whitespace; the
     ``\\r`` is stripped for ``json`` alone, whose error messages depend on it.
 
-    With ``topk``, records are observations: a line longer than two pieces
-    (``2 * _PIECE_CHARS`` characters) first has its ``topk`` list decoded
-    and converted one piece at a time (see :func:`_piecewise`), and goes
-    the way above only if that path declines it or ``check`` rejects its
-    record.  Nothing of a line is held once its item is yielded.  While
-    such a line is decoded, the Python objects held beside it and its
-    arrays are those of one piece, about ``_PIECE_CHARS`` characters of
-    entries wherever a ``},`` separates two of them.
+    With ``topk``, records are observations: a line of at least
+    ``_COUNT_FROM_LENGTH`` characters first has its ``topk`` list decoded
+    and converted one piece at a time (see :func:`_piecewise`), a piece in
+    the form ``json.dumps`` writes with no entry dict (see
+    :func:`_flat_pairs`), and goes the way above only if that path declines
+    it or ``check`` rejects its record.  Nothing of a line is held once its
+    item is yielded.  While such a line is decoded, the Python objects held
+    beside it and its arrays are those of one piece, about ``_PIECE_CHARS``
+    characters of entries wherever a ``},`` separates two of them.
     """
     checked = not isinstance(source, str)
     if isinstance(source, bytes):
@@ -345,13 +346,16 @@ def _decoded(
     line: str, lineno: int, check: Callable[[dict, int, bool], _T], topk: bool
 ) -> _T:
     """``check`` of one line's record, by the decoding rule of
-    :func:`_read_jsonl`: with ``topk``, a line longer than two pieces is
-    tried piece by piece first (see :func:`_piecewise`), and any failure
-    there falls back to the whole-line decode, so that path gives the
-    record or the error, with no orjson step where the failure rules it out."""
+    :func:`_read_jsonl`: with ``topk``, a line of at least
+    ``_COUNT_FROM_LENGTH`` characters is tried piece by piece first (see
+    :func:`_piecewise`), and any failure there falls back to the whole-line
+    decode, so that path gives the record or the error, with no orjson step
+    where the failure rules it out.  A shorter line, such as a K = 20
+    record of about 1 KB, is decoded whole: the piece path's fixed cost
+    (the frame's decode and the piece's checks) would outweigh its saving."""
     literals = _has_literal(line)
     orjson_may_stand = True
-    if topk and len(line) > 2 * _PIECE_CHARS:
+    if topk and len(line) >= _COUNT_FROM_LENGTH:
         try:
             record = _piecewise(line, lineno, literals)
             if record is not None:
@@ -373,8 +377,12 @@ def _decoded(
 
 
 # a long line's topk list is decoded in pieces of at least this many
-# characters (about 22,000 entries of a full dump), each cut after an entry
-_PIECE_CHARS = 1 << 20
+# characters (about 2,800 entries of a full dump), each cut after an entry.
+# A piece's text, its rewrites and its decoded values then stay within a
+# core's L2 cache: parsing a fulldump-32k line took 7.8-8.8 ms in pieces of
+# 2^16 to 2^17 characters against 11.9-13.6 ms in pieces of 2^20 (best of
+# four, four rounds, on a 2-vCPU Xeon with 2 MiB of L2 a core)
+_PIECE_CHARS = 1 << 17
 # a topk key, its colon and the opening bracket of its list
 _TOPK_LIST = re.compile(r'"topk"[ \t\n\r]*:[ \t\n\r]*\[')
 
@@ -396,12 +404,15 @@ def _piecewise(line: str, lineno: int, literals: bool) -> dict | None:
     ``"topk"``, the list's text, and a tail from the line's last ``]``.  The
     list's text is cut after a ``}`` that a ``,`` follows, the first one at
     least ``_PIECE_CHARS`` characters on from the last cut (a list whose
-    entries no ``},`` separates is one piece).  Each piece is
-    decoded by orjson as ``"[" + piece + "]"`` and converted by
-    :func:`_topk_pairs`, and its entries are freed before the next piece is
-    decoded; the frame ``head + "[]" + tail`` is decoded for the other
-    fields.  Each text orjson gets is first cleared by :func:`_shallow`; the
-    whole line is never encoded for that bound.
+    entries no ``},`` separates is one piece).  Each piece's array
+    ``"[" + piece + "]"`` is converted by :func:`_piece_pairs`: with no
+    entry dict when it is in the form ``json.dumps`` writes (see
+    :func:`_flat_pairs`), else decoded by orjson and converted by
+    :func:`_topk_pairs`.  Its decoded objects are freed before the next
+    piece is decoded; the frame ``head + "[]" + tail`` is decoded for the
+    other fields.  Each text orjson gets is first cleared by
+    :func:`_shallow`, but for a flat piece's rewrite, which nests nothing;
+    the whole line is never encoded for that bound.
 
     Why an accepted record is the whole line's: the pieces rejoined with
     ``,`` are the list's text again.  When each piece decodes to a non-empty
@@ -477,8 +488,12 @@ def _pieces(line: str, lo: int, hi: int) -> Iterator[str]:
 
 def _piece_pairs(text: str, lineno: int, literals: bool) -> _Pairs | None:
     """The arrays of the entries of one piece's array ``text``; None, or a
-    :class:`ValueError`, where :func:`_piecewise` declines it.  Its decoded
+    :class:`ValueError`, where :func:`_piecewise` declines it.  A text that
+    :func:`_flat_pairs` declines is decoded into entry dicts.  Its decoded
     objects are freed on return."""
+    pairs = _flat_pairs(text)
+    if pairs is not None:
+        return pairs
     if not _shallow(text):
         return None
     try:
@@ -495,6 +510,75 @@ def _piece_pairs(text: str, lineno: int, literals: bool) -> _Pairs | None:
     if ids is None or values is None:
         raise ValueError("a topk value that no int64 or float64 holds")
     return _Pairs(ids, values)
+
+
+# the characters of a JSON number
+_NUMBER_CHARS = b"0123456789+-.eE"
+# what deleting them leaves of one entry as json.dumps writes it, and of the
+# ", " that follows it
+_ENTRY_SKELETON = b'{"tokn": , "scor": }, '
+# spells each key of such an entry as the literal true: "token" -> true,
+# "score" -> true, each ":" a comma
+_KEYS_TO_TRUE = bytes.maketrans(b'{}"ns:okrc', b"     ,ruut")
+
+
+def _flat_pairs(text: str) -> _Pairs | None:
+    """The arrays of one piece's array ``text`` of entries in the form
+    ``json.dumps`` writes, read with no entry dict; None for any other text.
+
+    Two checks on the text's bytes: deleting each character of a JSON number
+    (``0-9 + - . e E``) leaves exactly the skeleton ``[{"tokn": ,
+    "scor": }, {"tokn": , "scor": }, ...]`` of n >= 1 entries, with one
+    space allowed after the ``[`` (a piece that :func:`_pieces` cut begins
+    with the space after a comma); and each ``}`` but the last is followed
+    by ``, {``, the last by the closing ``]``.  The text is then rewritten
+    byte for byte by ``_KEYS_TO_TRUE`` and decoded by orjson, which gives
+    ``[true, token, true, score, ...]``, whose slices ``[1::4]`` and
+    ``[3::4]`` become the int64 and float64 ``array.array`` of the pairs.  A
+    rewrite orjson refuses, or a value that ``array.array`` refuses, gives
+    None.
+
+    Why the arrays are those of the entry-dict decode: the text is its
+    skeleton with runs of number characters inserted, and the rewrite keeps
+    number characters as they are.  Its commas come from the skeleton's
+    ``:`` and ``,`` alone, so it has 4n - 1, and each of the 4n elements
+    between them rewrites one stretch of the text between the same
+    separators.  A key's stretch rewrites to ``tru`` among spaces, plus the
+    number characters inserted there; the letters t, r, u and number
+    characters can form no JSON value but ``true`` (``"`` is gone, so no
+    string), and ``true`` only with an ``e`` between the ``u`` and the
+    space that ``n`` or ``"`` became, and nothing else: the key ``"token"``
+    or ``"score"`` spelled exactly.  ``n``, ``s`` and ``"`` become spaces,
+    so a space added inside a key would rewrite as whitespace too; the
+    skeleton is compared spaces and all, so no key holds one.  A value's
+    stretch holds number characters and spaces, where the text's value lies
+    between a ``: `` and the next ``,`` or ``}``; the ``}`` becomes a space,
+    and the second check keeps a number from standing after it, where the
+    text would not be JSON.  So a rewrite that decodes is a JSON array whose
+    values are ``true`` and numbers, each number spelled as in the text, and
+    the text is a JSON array of n objects ``{"token": t, "score": s}``
+    whose values orjson reads as it reads them in the rewrite.  The slices
+    hold only those numbers, so they pass the JSON kind checks of
+    :func:`_topk_pairs`, and ``array.array`` converts them as
+    :func:`_json_array` does.  Nothing nests, so no depth bound is needed.
+    """
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    skeleton = raw.translate(None, _NUMBER_CHARS)
+    n, lead = divmod(len(skeleton), len(_ENTRY_SKELETON))
+    if not (
+        n and lead < 2 and skeleton.startswith(b"[ "[: 1 + lead])
+        and skeleton.startswith(_ENTRY_SKELETON * (n - 1), 1 + lead)
+        and skeleton.endswith(_ENTRY_SKELETON[:-2] + b"]")
+        and raw.count(b"}, {") == n - 1 and raw.endswith(b"}]")
+    ):
+        return None
+    try:
+        values = orjson.loads(raw.translate(_KEYS_TO_TRUE))
+        return _Pairs(array.array("q", values[1::4]), array.array("d", values[3::4]))
+    except (orjson.JSONDecodeError, TypeError, OverflowError):
+        return None
 
 
 def _has_literal(line: str) -> bool:
@@ -547,7 +631,10 @@ _NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b"[{:,")))
 # bracket, up to ~60 us when it gives up, and the bound ~1.4 ns a character:
 # on a 1 KB line of 22 brackets the count takes 4 us and the bound 2 us, on
 # a 658,753-character dense line 0.02 ms and 0.93 ms, and on a 1.5 MB
-# full-dump line the count gives up after 0.12 ms beside the bound's 2.7 ms
+# full-dump line the count gives up after 0.12 ms beside the bound's 2.7 ms.
+# An observation line this long takes the piece path of _piecewise first,
+# where a piece in the form json.dumps writes needs neither (_flat_pairs):
+# such a line pays the bound only for a piece or a line the path declines
 _COUNT_FROM_LENGTH = 1 << 16
 
 
@@ -835,11 +922,14 @@ def parse_observations(source: str | bytes | IO) -> ObservationBatch:
     every earlier line has passed its pair checks.  The batch holds about
     24 bytes per revealed pair; the decoded lines' Python objects are
     dropped once their pairs are stored.  One record's decode holds its
-    line, its arrays and the Python objects of at most about two pieces of
-    entries (``2 * _PIECE_CHARS`` characters; see :func:`_piecewise` for
-    where a piece may run longer): a V = 151,936 full-dump record of
-    6.9 MiB parses at a 16.8 MiB peak (``tracemalloc``), where one decode
-    of the whole line took 47.1 MiB.
+    line, its arrays and the Python objects of one piece of entries (about
+    ``_PIECE_CHARS`` characters; see :func:`_piecewise` for where a piece
+    may run longer), or of a whole line shorter than
+    ``_COUNT_FROM_LENGTH``.  A piece in the form ``json.dumps`` writes is
+    read with no entry dict (see :func:`_flat_pairs`): a V = 151,936
+    full-dump record of 6.9 MiB parses at a 13.8 MiB peak
+    (``tracemalloc``), where one decode of the whole line took 47.1 MiB,
+    and a V = 32,000 record of 1.4 MiB at 2.9 MiB.
     """
     (batch,) = _batches(source, chunked=False)
     return batch

@@ -204,29 +204,34 @@ def _dump_blocks(source) -> Iterator[tuple]:
     """A full-dump JSONL source as blocks of :func:`ksweep`, parsed one
     bounded chunk at a time.
 
-    Each run of one vocab size in a chunk is one block, whose score and id
-    matrices are views of the batch's columns: the parse has sorted each
-    record by score.  Its log-sum-exp is :func:`logsumexp_rows` of the rows
-    scattered back to token-id order, the order :func:`score_sorted` sums
-    in, so the sweep of a dump equals that of its teacher bit for bit.  A
-    record that is not a full dump fails once the rows before it have been
-    yielded, so errors keep stream order.
+    The records of a chunk are one block, whose score and id matrices are
+    views of the batch's columns: the parse has sorted each record by
+    score.  Its log-sum-exp is :func:`logsumexp_rows` of the rows scattered
+    back to token-id order, the order :func:`score_sorted` sums in, so the
+    sweep of a dump equals that of its teacher bit for bit.  A record that
+    is not a full dump, or whose V differs from the first record's, fails
+    once the rows before it have been yielded, so errors keep stream order;
+    the error names its position.
     """
+    v = None
     for batch in _batches(source, chunked=True):
         sizes, ks = batch.vocab_sizes, batch.k.tolist()  # ints beyond int64 too
-        end = next((i for i, v in enumerate(sizes) if ks[i] != v), len(batch))
-        # a change of vocab size is the sweep's error, raised between blocks
-        cuts = [0, *(i for i in range(1, end) if sizes[i] != sizes[i - 1]), end]
-        for lo, hi in zip(cuts, cuts[1:]):
-            if lo == hi:
-                continue
-            v = sizes[lo]
-            pairs = slice(batch.offsets[lo], batch.offsets[hi])
-            scores = batch.scores[pairs].reshape(hi - lo, v)
-            token_ids = batch.token_ids[pairs].reshape(hi - lo, v)
-            full = np.empty((hi - lo, v))
+        if v is None:
+            v = sizes[0]
+        end = next((i for i, size in enumerate(sizes) if ks[i] != size), len(batch))
+        other = next((i for i in range(end) if sizes[i] != v), end)
+        if other:
+            pairs = slice(0, batch.offsets[other])
+            scores = batch.scores[pairs].reshape(other, v)
+            token_ids = batch.token_ids[pairs].reshape(other, v)
+            full = np.empty((other, v))
             np.put_along_axis(full, token_ids, scores, axis=1)
             yield scores, token_ids, logsumexp_rows(full), v
+        if other < end:
+            raise ValidationError(
+                f"position {batch.position_ids[other]}: all positions must share "
+                f"one vocab_size, got V={sizes[other]} after V={v}"
+            )
         if end < len(batch):
             raise ValidationError(
                 f"position {batch.position_ids[end]}: sweep input must be a full "

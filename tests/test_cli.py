@@ -538,6 +538,18 @@ class TestKsweep:
         assert main(["ksweep", "--input", str(path), "--k", "1"]) == 1
         assert "one vocab_size" in capsys.readouterr().err
 
+    def test_mixed_vocab_sizes_name_the_first_other_position(self, tmp_path, capsys):
+        path = tmp_path / "mixed.jsonl"
+        path.write_text(serialize_observations([
+            censor(np.array([0.0, 2.0, 1.0]), 3, position_id="a"),
+            censor(np.array([0.5, 1.0, 0.0, 0.25]), 4, position_id="b"),
+            censor(np.array([0.5, 1.0]), 2, position_id="c"),
+        ]))
+        assert main(["ksweep", "--input", str(path), "--k", "1"]) == 1
+        assert json.loads(capsys.readouterr().err) == {"errors": [{"message": (
+            "position b: all positions must share one vocab_size, got V=4 after V=3"
+        )}]}
+
     def test_errors_in_stream_order(self, dump_file, tmp_path, capsys):
         # the records are parsed and swept one chunk of batches at a time, and
         # a chunk's blocks end before its first bad record, so a bad record
@@ -598,7 +610,8 @@ class TestKsweep:
         for got, want in zip(zip(*blocks), (want_scores, want_ids, want_log_z)):
             assert np.array_equal(np.concatenate(got), want)
 
-    @pytest.mark.parametrize("k", ["0", "a", "1,-2", ","])
+    @pytest.mark.parametrize("k", ["0", "a", "1,-2", ",", "1,", ",5", "1,,5", " ",
+                                   "1,1,5", "5,1,05"])
     def test_bad_k_list_is_a_usage_error(self, k, dump_file, capsys):
         with pytest.raises(SystemExit) as caught:
             main(["ksweep", "--input", str(dump_file), "--k", k])

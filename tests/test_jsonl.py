@@ -3,6 +3,7 @@ fails a check, so parses match a json-only decode exactly."""
 
 import array
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -13,6 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 from decimal import Decimal, localcontext
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -25,6 +27,7 @@ from censet import observation, reference
 from censet.observation import (
     _COUNT_FROM_LENGTH,
     _ORJSON_MAX_DEPTH,
+    AccessMode,
     ParseError,
     _batches,
     _few_openers,
@@ -32,8 +35,10 @@ from censet.observation import (
     _piecewise,
     _shallow,
     parse_observations,
+    serialize_observations,
 )
 from censet.reference import parse_reference_dump
+from censet.simulate import censor
 
 
 def _refuse(line):
@@ -634,9 +639,15 @@ class TestDepthGuard:
         ]}
 
 
-def _piecewise_at(chars: int):
-    """Lines longer than ``2 * chars`` decoded piece by piece."""
-    return mock.patch.object(observation, "_PIECE_CHARS", chars)
+@contextlib.contextmanager
+def _piecewise_at(chars: int, longer_than: int | None = None):
+    """Lines longer than ``longer_than`` (``2 * chars`` unless given)
+    decoded piece by piece, in pieces of ``chars``."""
+    if longer_than is None:
+        longer_than = 2 * chars
+    with mock.patch.object(observation, "_PIECE_CHARS", chars), \
+            mock.patch.object(observation, "_COUNT_FROM_LENGTH", longer_than + 1):
+        yield
 
 
 ENTRIES = ", ".join('{"token": %d, "score": %s}' % (t, -0.5 - t) for t in range(6))
@@ -797,6 +808,133 @@ class TestPiecewise:
                 mock.patch.object(observation, "_piecewise") as piecewise:
             parse_observations(line)
         piecewise.assert_not_called()
+
+
+def _flat_outcome(text: str, chars: int):
+    """The parse of ``text`` with every line decoded piece by piece, in
+    pieces of ``chars``, and whether :func:`_flat_pairs` took each piece it
+    was given, in order."""
+    taken = []
+
+    def flat_pairs(piece, real=observation._flat_pairs):
+        pairs = real(piece)
+        taken.append(pairs is not None)
+        return pairs
+
+    with _piecewise_at(chars, longer_than=0), \
+            mock.patch.object(observation, "_flat_pairs", flat_pairs):
+        return _outcome(_whole, text), taken
+
+
+FLAT = ", ".join('{"token": %d, "score": %s}' % (t, -0.5 - t) for t in range(1, 6))
+ONE = '{"token": 6, "score": -1.5}'
+
+
+def _flat_line(*entries: str) -> str:
+    return '{%s, "topk": [%s]}' % (HEAD, ", ".join(entries))
+
+
+# (line, whether the flat path takes every piece, the whole-line error or None)
+FLAT_CASES = [
+    (_flat_line(FLAT, ONE), True, None),
+    # keys misspelled, with an e moved or doubled, or a space or digit added
+    (_flat_line(FLAT, '{"tokne": 6, "score": -1}'), False,
+     "line 1: malformed topk entry (KeyError('token'))"),
+    (_flat_line(FLAT, '{" token": 6, "score": -1}'), False,
+     "line 1: malformed topk entry (KeyError('token'))"),
+    (_flat_line(FLAT, '{"token ": 6, "score": -1}'), False,
+     "line 1: malformed topk entry (KeyError('token'))"),
+    (_flat_line(FLAT, '{"toke1n": 6, "score": -1}'), False,
+     "line 1: malformed topk entry (KeyError('token'))"),
+    (_flat_line(FLAT, '{"tokEn": 6, "score": -1}'), False,
+     "line 1: malformed topk entry (KeyError('token'))"),
+    (_flat_line(FLAT, '{"token": 6, "scoer": -1}'), False,
+     "line 1: malformed topk entry (KeyError('score'))"),
+    (_flat_line(FLAT, '{"token": 6, "scoree": -1}'), False,
+     "line 1: malformed topk entry (KeyError('score'))"),
+    # the keys swapped or repeated, other separators
+    (_flat_line(FLAT, '{"score": -1, "token": 6}'), False, None),
+    (_flat_line(FLAT, '{"token": 7, "token": 6, "score": -1}'), False, None),
+    (_flat_line(FLAT, '{"token":6,"score":-1}'), False, None),
+    (_flat_line(FLAT, '{"token" : 6, "score": -1}'), False, None),
+    (_flat_line(FLAT + ",  " + ONE), False, None),
+    # a score that is no finite float, or an integer
+    (_flat_line(FLAT, '{"token": 6, "score": true}'), False,
+     "line 1: score must be a JSON number, got True"),
+    (_flat_line(FLAT, '{"token": 6, "score": NaN}'), False,
+     "line 1: non-finite score nan for token 6"),
+    (_flat_line(FLAT, '{"token": 6, "score": 1e999}'), False,
+     "line 1: non-finite score inf for token 6"),
+    (_flat_line(FLAT, '{"token": 6, "score": -3}'), True, None),
+    (_flat_line(FLAT, '{"token": 6, "score": -2.5E-3}'), True, None),
+    # tokens that are floats, beyond int64, or a negative zero
+    (_flat_line(FLAT, '{"token": 3.0, "score": -1}'), False,
+     "line 1: token must be a JSON integer, got 3.0"),
+    (_flat_line(FLAT, '{"token": %d, "score": -1}' % 2**63), False,
+     "line 1: token id 9223372036854775808 outside [0, 8)"),
+    (_flat_line(FLAT, '{"token": %d, "score": -1}' % (2**64 - 1)), False,
+     "line 1: token id 18446744073709551615 outside [0, 8)"),
+    (_flat_line(FLAT, '{"token": -0, "score": -1}'), True, None),
+    # a score after its entry's brace, the last entry's or another's:
+    # rewritten, the brace is a space, so only the text check sees this
+    (_flat_line(FLAT, '{"token": 6, "score": }-1'), False,
+     "line 1: invalid JSON (Expecting value)"),
+    (_flat_line('{"token": 6, "score": }-1', FLAT), False,
+     "line 1: invalid JSON (Expecting value)"),
+]
+
+
+class TestFlatPieces:
+    """A piece in the form json.dumps writes is read with no entry dict and
+    gives the record or the error of the whole-line decode."""
+
+    @pytest.mark.parametrize("line, flat, message", FLAT_CASES)
+    @pytest.mark.parametrize("chars", [16, 1 << 20], ids=["cut", "whole-list"])
+    def test_adversarial_entries(self, line, flat, message, chars):
+        text = f"{line}\n"
+        whole = _outcome(_whole, text)
+        assert whole[1] == message if message else len(whole[0]) == 1
+        outcome, taken = _flat_outcome(text, chars)
+        assert outcome == whole
+        assert taken and all(taken) is flat
+        if flat and chars == 16:
+            # cut pieces after the first begin with " {"
+            assert len(taken) == 6
+
+    @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 3),
+                              st.text('0123456789+-.eE{}[]":, \ttokenscr\\', max_size=3)),
+                    min_size=1, max_size=3),
+           st.sampled_from([1, 16, 40, 1 << 20]))
+    @settings(max_examples=400, deadline=None)
+    def test_edited_lists_parse_as_whole_lines(self, edits, chars):
+        line = _flat_line(FLAT, ONE)
+        lo = line.index("[")
+        for at, cut, insert in edits:
+            at = lo + at % (len(line) - lo + 1)
+            line = line[:at] + insert + line[at + cut:]
+        text = f"{line}\n"
+        assert _flat_outcome(text, chars)[0] == _outcome(_whole, text)
+
+    def test_canonical_writers_take_the_flat_path(self, tmp_path):
+        # every piece json.dumps (serialize_observations) or the benchmark's
+        # writer makes goes down the flat path, at the default piece size too
+        rng = np.random.default_rng(5)
+        rows = rng.normal(0.0, 3.0, (3, 3000)) * [[1.0], [1e-7], [1e9]]
+        texts = [serialize_observations(
+            [censor(z, k, mode, f"p{i}") for i, z in enumerate(rows)
+             for k, mode in ((20, AccessMode.LOGITS), (3000, AccessMode.LOGPROBS))])]
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        workloads._Writer(tmp_path).full_dump("full.jsonl", rows)
+        texts.append((tmp_path / "full.jsonl").read_text())
+        texts.append(workloads._obs_line("q", 3000, "logits", np.arange(20), rows[0, :20]))
+        for text in texts:
+            whole = _outcome(_whole, text)
+            for chars in (100, observation._PIECE_CHARS):
+                outcome, taken = _flat_outcome(text, chars)
+                assert outcome == whole and taken and all(taken)
 
 
 class TestMemory:
