@@ -11,6 +11,7 @@ byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -542,6 +543,7 @@ def _parse_k_list(text: str) -> list[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the ``censet`` command line on each call."""
     parser = argparse.ArgumentParser(
         prog="censet",
         description=(
@@ -567,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ksweep", help="K-sweep statistics over a full dump")
     p.add_argument("--input", required=True, help="full-dump JSONL (K = V)")
-    p.add_argument("--k", type=_parse_k_list, default=[1, 5, 10, 20, 50, 100])
+    p.add_argument("--k", type=_parse_k_list, default=(1, 5, 10, 20, 50, 100))
     common(p, fmt_default="csv")
 
     p = sub.add_parser("certify", help="impossibility verdicts at tolerance delta")
@@ -593,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap", type=float, default=10.0)
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=_parse_k_list, default=[1, 5, 10, 20, 50])
+    p.add_argument("--k", type=_parse_k_list, default=(1, 5, 10, 20, 50))
     p.add_argument("--dump", default=None, help="write the full dump JSONL here")
     common(p)
 
@@ -619,8 +621,23 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reads with, built when ``main`` is first
+    called.  Parsing leaves a parser unchanged and every default is
+    immutable, so no call sees state from an earlier one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command on ``argv`` (default ``sys.argv[1:]``) and return its
+    exit code; a usage error raises ``SystemExit(2)`` as argparse does.
+
+    ``main`` may be called any number of times in one process.  The parser
+    is built on the first call and reused after it, while the policy file
+    named by ``CENSET_NUMERIC_POLICY`` is read on every call.
+    """
+    args = _parser().parse_args(argv)
     policy_path = os.environ.get(POLICY_ENV_VAR)
     try:
         with use_policy(load_policy_file(policy_path) if policy_path else policy()):

@@ -681,7 +681,13 @@ def _geometry_columns(geoms: list[geo.SetGeometry]) -> tuple:
 
 
 def oracle_battery(seed: int = 0) -> list[dict]:
-    """All brute-force verification checks, each with a pass/fail status."""
+    """All brute-force verification checks, each with a pass/fail status.
+
+    ``seed`` lies in [0, 2^64), as a teacher's seed does; the teachers' seeds
+    derived from it wrap modulo 2^64.
+    """
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 bits")
     checks: list[dict] = []
     rng = np.random.default_rng(seed)
 
@@ -697,7 +703,7 @@ def oracle_battery(seed: int = 0) -> list[dict]:
         v = int(rng.integers(3, 9))
         k = int(rng.integers(1, v))
         config = sim.SyntheticTeacherConfig(
-            vocab_size=v, law=sim.GaussianIID(0.0, 2.0), seed=seed + i
+            vocab_size=v, law=sim.GaussianIID(0.0, 2.0), seed=(seed + i) % 2**64
         )
         geom = geo.geometry(sim.censor(sim.generate_teacher(config, 1)[0], k))
         oracle = brute_diameter_oracle(geom, 12, max_points=1024, seed=i)
@@ -768,7 +774,8 @@ def oracle_battery(seed: int = 0) -> list[dict]:
         v = int(rng.integers(4, 9))
         k = int(rng.integers(1, v - 1))
         config = sim.SyntheticTeacherConfig(
-            vocab_size=v, law=sim.GaussianIID(0.0, 1.5), seed=seed + 100 + i
+            vocab_size=v, law=sim.GaussianIID(0.0, 1.5),
+            seed=(seed + 100 + i) % 2**64,
         )
         z = sim.generate_teacher(config, 1)[0]
         geom = geo.geometry(sim.censor(z, k))

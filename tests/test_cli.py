@@ -1363,6 +1363,37 @@ class TestOracle:
             "0fd21a8d3283dc1ab67b11b3dc82e661dfac9d7df881e3063ed6c02494d1794b"
         )
 
+    def test_golden_report_bytes_seed_3(self, tmp_path):
+        # sha256 of `censet oracle --seed 3 --format json`, recorded before
+        # the derived teacher seeds wrapped modulo 2^64
+        out = tmp_path / "o.json"
+        assert main(
+            ["oracle", "--seed", "3", "--format", "json", "--output", str(out)]
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "30e54c4c17b3a89fdc316fca6ef2d89fdc4aaf0505cb6ab1de6df2b3b3d94635"
+        )
+
+    def test_largest_seed_runs(self, tmp_path):
+        # the battery derives teacher seeds seed + i and seed + 100 + i
+        out = tmp_path / "o.json"
+        seed = str(2**64 - 1)
+        assert main(
+            ["oracle", "--seed", seed, "--format", "json", "--output", str(out)]
+        ) == 0
+        payload = json.loads(out.read_text())
+        assert payload["seed"] == 2**64 - 1
+        assert all(c["status"] == "PASS" for c in payload["rows"])
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        assert main(["oracle", "--seed", str(seed), "--output", str(out)]) == 1
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err) == {"errors": [
+            {"message": "seed must fit in 64 bits"}
+        ]}
+
 
 class TestNumericPolicyEnv:
     @staticmethod
@@ -1473,6 +1504,92 @@ class TestNumericPolicyEnv:
         with pytest.raises(ValueError):
             load_policy_file(str(policy_file))
         assert policy() == NumericPolicy()
+
+
+def _subprocess_env(**extra) -> dict:
+    """This process's environment with the package's source on PYTHONPATH, no
+    numeric policy file, and ``extra`` on top."""
+    env = dict(os.environ)
+    env.pop("CENSET_NUMERIC_POLICY", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src"),
+         *filter(None, [env.get("PYTHONPATH")])]
+    )
+    return env | extra
+
+
+RUN_MAIN_ONCE = "import sys; from censet.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+class TestRepeatedMain:
+    """``main`` called many times in one process acts as one call per process."""
+
+    def test_sequence_matches_calls_run_alone(self, obs_file, dump_file, tmp_path,
+                                              monkeypatch, capsys):
+        policy_file = tmp_path / "policy.json"
+        # r_bin of row a is ~0.146: OPEN at delta 0.3, THRESHOLD within 0.25
+        policy_file.write_text('{"verdict_margin": 0.25}')
+        certify = ["certify", "--input", str(obs_file), "--delta", "0.3",
+                   "--format", "json"]
+        # (argv, policy file or None, writes --output)
+        calls = [
+            (["certify", "--input", str(obs_file)], None, False),
+            (["analyze", "--input", str(tmp_path / "missing.jsonl")], None, False),
+            (["ksweep", "--input", str(dump_file), "--format", "json"], None, True),
+            (["ksweep", "--input", str(dump_file), "--k", "1,1"], None, True),
+            (certify, str(policy_file), True),
+            (certify, None, True),
+            (["simulate", "--vocab", "16", "--positions", "2"], None, False),
+            (["simulate", "--vocab", "16", "--positions", "2", "--format", "csv"],
+             None, True),
+            (["ksweep", "--input", str(dump_file), "--format", "json"], None, True),
+        ]
+
+        def outcome(code, out, err, path):
+            return code, out, err, path.read_bytes() if path.exists() else None
+
+        in_process = []
+        for i, (argv, policy_path, writes) in enumerate(calls):
+            path = tmp_path / f"seq{i}.out"
+            if policy_path is None:
+                monkeypatch.delenv("CENSET_NUMERIC_POLICY", raising=False)
+            else:
+                monkeypatch.setenv("CENSET_NUMERIC_POLICY", policy_path)
+            try:
+                code = main([*argv, "--output", str(path)] if writes else argv)
+            except SystemExit as exc:
+                code = exc.code
+            in_process.append(outcome(code, *capsys.readouterr(), path))
+        monkeypatch.delenv("CENSET_NUMERIC_POLICY", raising=False)
+
+        alone = []
+        for i, (argv, policy_path, writes) in enumerate(calls):
+            path = tmp_path / f"alone{i}.out"
+            env = _subprocess_env(**(
+                {} if policy_path is None else {"CENSET_NUMERIC_POLICY": policy_path}))
+            result = subprocess.run(
+                [sys.executable, "-c", RUN_MAIN_ONCE,
+                 *([*argv, "--output", str(path)] if writes else argv)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            alone.append(outcome(result.returncode, result.stdout, result.stderr, path))
+
+        for argv_, seq, one in zip(calls, in_process, alone):
+            assert seq == one, argv_
+        codes = [code for code, *_ in in_process]
+        assert codes == [2, 1, 0, 2, 0, 0, 0, 0, 0]
+        # the policy file applied to its call only
+        verdicts = [json.loads(in_process[i][3])["rows"][0]["verdict"] for i in (4, 5)]
+        assert verdicts == ["THRESHOLD", "OPEN"]
+        # both default-K sweeps report every default K
+        assert in_process[2][3] == in_process[8][3]
+        assert [r["K"] for r in json.loads(in_process[2][3])["rows"]] == [
+            1, 5, 10, 20, 50, 100]
+
+    def test_build_parser_returns_a_new_parser(self):
+        from censet.cli import build_parser
+
+        assert build_parser() is not build_parser()
 
 
 SCIPY_GUARD = """
