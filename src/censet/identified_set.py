@@ -17,13 +17,15 @@ columns of a batch and return columns, each entry equal to the one-row
 call's bit for bit (see :mod:`censet.numerics` for the exactness rule).  M
 is a list of Python ints, exact at any size, and ``log M`` is ``math``'s
 log of the int.  The commands read a parsed batch's columns; :func:`geometry`
-makes the per-row :class:`SetGeometry` that the oracles and the tests read.
+makes the per-row :class:`SetGeometry` that the oracles and the tests read:
+the observation itself, a :class:`~censet.observation.TopKObservation` with
+its M, ``U_K`` and log-odds added.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -33,40 +35,23 @@ from .observation import TopKObservation
 
 
 @dataclass(frozen=True, eq=False)
-class SetGeometry:
-    """An observation together with its ambiguity diameter.
+class SetGeometry(TopKObservation):
+    """An observation with its ambiguity diameter: M = V - K censored tokens.
 
     ``log_odds`` is ``log(M) + tau - log_ZA``; ``U_K = sigmoid(log_odds)``.
     Keeping the log-odds alongside ``U_K`` means ``1 - U_K`` is always
     available at full relative precision via ``sigmoid(-log_odds)``.
     """
 
-    obs: TopKObservation
     M: int
     U_K: float
     log_odds: float
-
-    @property
-    def tau(self) -> float:
-        return self.obs.tau
-
-    @property
-    def log_ZA(self) -> float:
-        return self.obs.log_ZA
-
-    @property
-    def vocab_size(self) -> int:
-        return self.obs.vocab_size
-
-    @property
-    def token_ids(self) -> np.ndarray:
-        return self.obs.token_ids
 
     @cached_property
     def alpha(self) -> np.ndarray:
         """Head conditional ``exp(score - log_ZA)``, summing to 1 to machine
         precision even under large score spreads."""
-        return np.exp(self.obs.scores - self.obs.log_ZA)
+        return np.exp(self.scores - self.log_ZA)
 
     @cached_property
     def censored_ids(self) -> np.ndarray:
@@ -100,7 +85,8 @@ def _diameter(m: list, tau, log_za) -> tuple[np.ndarray, np.ndarray]:
 def geometry(obs: TopKObservation) -> SetGeometry:
     """Ambiguity diameter of the compatible set; exactly 0 when M = 0."""
     m = obs.vocab_size - obs.k
-    return SetGeometry(obs, m, *diameter(m, obs.tau, obs.log_ZA))
+    row = (getattr(obs, f.name) for f in fields(TopKObservation))
+    return SetGeometry(*row, m, *diameter(m, obs.tau, obs.log_ZA))
 
 
 def token_cap(log_odds, m, t):

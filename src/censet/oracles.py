@@ -280,7 +280,7 @@ def disjoint_witness_pair(geom: geo.SetGeometry) -> tuple[np.ndarray, np.ndarray
     (lowest ids first) to the cap, with the last token absorbing the
     remainder.
     """
-    if geom.obs.mode is not ob.AccessMode.LOGPROBS:
+    if geom.mode is not ob.AccessMode.LOGPROBS:
         raise ob.ModeError("disjoint witnesses require mode=logprobs")
     t_star, cap, condition, _ = norm.tail_geometry(geom.log_ZA, geom.tau, geom.M)
     if condition is not norm.TailCondition.DISJOINT_SUPPORTS:

@@ -130,12 +130,13 @@ def reference_geometry(
     """Shrunken geometry of a parsed observation under per-token ceilings
     min(tau, z_ref(u) + rho) on its censored tokens u.
 
-    Only ``token_ids``, ``vocab_size``, ``tau`` and ``log_ZA`` are read.
-    The reference scores must share the observation's additive scale; that
-    alignment is the caller's responsibility.  A reference score of -inf
-    forbids the token outright, regardless of rho; a NaN one on a censored
-    token is a :class:`ValueError`.  With no censored token (M = 0) the
-    ceilings are empty, ``log_CR`` is -inf and U_R is 0.
+    Only ``token_ids``, ``vocab_size``, ``tau`` and ``log_ZA`` are read, so
+    a :class:`~censet.identified_set.SetGeometry`, which is an observation,
+    works too.  The reference scores must share the observation's additive
+    scale; that alignment is the caller's responsibility.  A reference score
+    of -inf forbids the token outright, regardless of rho; a NaN one on a
+    censored token is a :class:`ValueError`.  With no censored token (M = 0)
+    the ceilings are empty, ``log_CR`` is -inf and U_R is 0.
     """
     _check_rho(rho)
     # held in a name to the end of the call: freed right after gather, its

@@ -301,11 +301,8 @@ def _sweep_block(
     for i, j in np.argwhere(flagged)[:1]:
         k = ks[j]
         for values, bad in ((head, bad_logit[i]), (logprobs, bad_logprob[i])):
-            if bad < k:
-                raise ValidationError(
-                    f"non-finite score {float(values[i, bad])!r} for token "
-                    f"{token_ids[i, bad]}"
-                )
+            if bad < k:  # raises: the pair's non-finite score
+                _check_pair(int(token_ids[i, bad]), float(values[i, bad]), v)
         # raises: the one-row case of the rule that flagged the cell
         _check_tail(float(log_head[i, j]), float(taus[i, j]), v - k)
     u, log_odds = diameter(cells_m, head[:, kk - 1].ravel(), log_za.ravel())

@@ -802,6 +802,18 @@ class TestPiecewise:
         assert (got[1] == message) if message else len(got[0]) == 1
         assert [name for name, source in decoders if source == line] == whole
 
+    def test_a_frame_too_deep_is_declined(self):
+        # orjson would decode the 2,000-level frame; json refuses the line
+        depth = 2000
+        entries = ", ".join('{"token": %d, "score": -1.5}' % t for t in range(3000))
+        line = ('{"vocab_size": 3000, "mode": "logits", "meta": %s1%s, "topk": [%s]}\n'
+                % ("[" * depth, "]" * depth, entries))
+        assert len(line) >= _COUNT_FROM_LENGTH
+        assert _piecewise(line, 1, _has_literal(line)) is None
+        with pytest.raises(ParseError) as caught:
+            parse_observations(line)
+        assert str(caught.value) == "line 1: JSON nested too deeply to decode"
+
     def test_short_lines_keep_one_decode(self):
         line = '{%s, "topk": [%s]}' % (HEAD, ENTRIES)
         with _piecewise_at((len(line) + 1) // 2), \
@@ -875,6 +887,8 @@ FLAT_CASES = [
     (_flat_line(FLAT, '{"token": %d, "score": -1}' % (2**64 - 1)), False,
      "line 1: token id 18446744073709551615 outside [0, 8)"),
     (_flat_line(FLAT, '{"token": -0, "score": -1}'), True, None),
+    # a non-ASCII character, here in an extra key: declined, not an encode error
+    (_flat_line(FLAT, '{"token": 6, "score": -1, "\u00e9": 0}'), False, None),
     # a score after its entry's brace, the last entry's or another's:
     # rewritten, the brace is a space, so only the text check sees this
     (_flat_line(FLAT, '{"token": 6, "score": }-1'), False,

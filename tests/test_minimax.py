@@ -387,7 +387,8 @@ def _geometry_with_log_odds(m: int, lo: float) -> SetGeometry:
     directly on a placeholder observation.
     """
     placeholder = make_observation(m + 1, [0.0])
-    return SetGeometry(placeholder, m, *diameter(m, lo - math.log(m), 0.0))
+    u, log_odds = diameter(m, lo - math.log(m), 0.0)
+    return SetGeometry(**vars(placeholder), M=m, U_K=u, log_odds=log_odds)
 
 
 class TestExpansions:

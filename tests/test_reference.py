@@ -43,6 +43,12 @@ def dense_ref(values):
 
 
 class TestReferenceGeometry:
+    @pytest.mark.parametrize("both", [True, False])
+    def test_exactly_one_of_dense_or_entries(self, both):
+        values = dict(dense=np.zeros(4), entries={0: 0.0}) if both else {}
+        with pytest.raises(ValueError, match="^provide exactly one of dense or entries$"):
+            ReferenceLogits(position_id="p", **values)
+
     def test_saturated_margin_recovers_base_diameter(self, v4_geometry):
         ref = dense_ref([0.0, 0.0, 0.0, 0.0])
         rb = reference_geometry(v4_geometry, ref, math.inf)

@@ -289,6 +289,16 @@ class TestKsweep:
         b = _ksweep_csv(teacher, "1,5,10", tmp_path / "b.csv")
         assert a == b
 
+    def test_blocks_of_two_vocab_sizes_are_refused(self):
+        blocks = [score_sorted(np.zeros((1, 4)), 4), score_sorted(np.zeros((1, 5)), 5)]
+        with pytest.raises(ValueError, match="^all positions must share one vocab_size$"):
+            ksweep(blocks, [1])
+
+    def test_block_narrower_than_a_swept_k_is_refused(self):
+        scores, token_ids, log_z, _ = score_sorted(np.zeros((1, 3)), 3)
+        with pytest.raises(ValueError, match="^block of width 3 cannot sweep K=5$"):
+            ksweep([(scores, token_ids, log_z, 8)], [1, 5])
+
 
 def _ksweep_csv(teacher, ks, out):
     """`censet ksweep --format csv` over a full dump of ``teacher``."""
