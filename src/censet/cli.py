@@ -393,9 +393,10 @@ def cmd_ksweep(args) -> int:
 
     def blocks(handle):
         nonlocal n_positions
-        for block in sim._dump_blocks(handle):
+        for block in sim._dump_blocks(handle, max(args.k)):
             n_positions += len(block[0])
             yield block
+            del block
 
     sweep = _parse_file(lambda handle: sim.ksweep(blocks(handle), args.k), args.input)
     _emit({"command": "ksweep", "n_positions": n_positions}, KSWEEP_FIELDS,
@@ -417,35 +418,59 @@ def cmd_certify(args) -> int:
     return 0
 
 
-def cmd_reference(args) -> int:
-    # reference_geometry checks rho per row, and an input may have none
-    ref._check_rho(args.rho)
-    batch = _parse_file(parse_observations, args.input)
-    refs = _parse_file(ref.parse_reference_dump, args.reference)
-    _, u, _ = _diameters(batch)
-    rows = []
-    max_perturbations = []
-    for obs, u_k in zip(batch, u.tolist()):
-        if obs.position_id not in refs:
-            raise ValidationError(
-                f"reference dump has no record for position {obs.position_id}"
-            )
-        rlogits = refs[obs.position_id]
-        try:
-            rb = ref.reference_geometry(obs, rlogits, args.rho)
-        except ref.CoverageError as exc:
-            raise ref.CoverageError(f"position {obs.position_id}: {exc}") from exc
-        worst = exceeding = None
+def _reference_row(obs, u_k: float, rlogits, rho: float) -> tuple | Exception:
+    """One row of the ``reference`` report, or its error naming the position.
+
+    The error is made, not raised, and holds no traceback, so a row may
+    keep it until the whole dump has been read.
+    """
+    try:
+        rb = ref.reference_geometry(obs, rlogits, rho)
         try:
             revealed_ref = rlogits.gather(obs.token_ids, obs.vocab_size)
         except ref.CoverageError:
             revealed_ref = None
-        if revealed_ref is not None and obs.k >= 2:
-            worst, exceeding = ref.calibrate_rho(obs.scores, revealed_ref, args.rho)
-            max_perturbations.append(worst)
-        rows.append((obs.position_id, obs.k, u_k, rb.U_R,
-                     rb.U_R / u_k if u_k > 0 else None, args.rho, rb.reserve,
-                     worst, exceeding))
+    except (ValueError, MemoryError) as exc:
+        # numpy's errors for a vocabulary too large to lay out (a
+        # MemoryError, or a ValueError past its largest dimension) name no
+        # position
+        kind = next(t for t in (ref.CoverageError, ValueError, MemoryError)
+                    if isinstance(exc, t))
+        return kind(f"position {obs.position_id}: {exc}")
+    worst = exceeding = None
+    if revealed_ref is not None and obs.k >= 2:
+        worst, exceeding = ref.calibrate_rho(obs.scores, revealed_ref, rho)
+    return (obs.position_id, obs.k, u_k, rb.U_R, rb.U_R / u_k if u_k > 0 else None,
+            rho, rb.reserve, worst, exceeding)
+
+
+def cmd_reference(args) -> int:
+    # reference_geometry checks rho per row, and an input may have none
+    ref._check_rho(args.rho)
+    batch = _parse_file(parse_observations, args.input)
+    _, u, _ = _diameters(batch)
+    u = u.tolist()
+    at = {pid: i for i, pid in enumerate(batch.position_ids)}
+    # each row's report row, or the error that names its position
+    rows: list = [None] * len(batch)
+
+    def read(handle):
+        for rlogits in ref._reference_records(handle):
+            i = at.get(rlogits.position_id)
+            # a record for no input position is checked, then skipped
+            if i is not None:
+                rows[i] = _reference_row(batch[i], u[i], rlogits, args.rho)
+            # dropped before the next line is decoded
+            del rlogits
+
+    # a row's error waits for the whole dump: a later line's parse error wins
+    _parse_file(read, args.reference)
+    for pid, row in zip(batch.position_ids, rows):
+        if row is None:
+            raise ValidationError(f"reference dump has no record for position {pid}")
+        if isinstance(row, Exception):
+            raise row
+    max_perturbations = [row[7] for row in rows if row[7] is not None]
     payload = {
         "command": "reference",
         "rho": args.rho,

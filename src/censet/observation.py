@@ -181,9 +181,9 @@ def _sorted_rows(ids, values, counts, last_ids):
     n = len(counts)
     if n and (counts == counts[0]).all():
         # one K for all: the columns are the (n, K) matrix, with no gather.
-        # Keep this path: without it a fresh fulldump-32k (64 x 32,000)
-        # ksweep peaked at 62.0-62.1 MB against 59.6-59.7 MB (ru_maxrss,
-        # three runs each) and took 1.37-1.85 s against 1.22-1.37 s
+        # Keep this path: without it a fresh analyze of the fulldump-32k
+        # full dump (64 x 32,000 pairs in one batch) peaked at 191.5-191.6 MB
+        # against 143.9-145.7 MB (ru_maxrss, three runs each)
         by_score, sorted_values, log_za, bad = _sorted_matrix(
             ids.reshape(n, -1), values.reshape(n, -1), last_ids)
         return by_score.ravel(), sorted_values.ravel(), log_za, bad
@@ -945,6 +945,30 @@ def _batches(source: str | bytes | IO, chunked: bool) -> Iterator[ObservationBat
     so a consumer that checks each batch sees its own errors in line order
     too.
     """
+    for records, ids, values, failure in _chunks(source, chunked):
+        batch, error = _batch(records, ids, values)
+        if len(batch) or not chunked:
+            yield batch
+        # a record's pair error comes from a line before the failed one
+        if error is not None or failure is not None:
+            raise error or failure
+
+
+def _chunks(source: str | bytes | IO, chunked: bool) -> Iterator[tuple]:
+    """The records of a JSONL source whose field checks passed, in chunks
+    of ``(records, ids, values, failure)``, before any pair check.
+
+    ``records`` holds each record's ``(line, position_id, vocab_size, mode,
+    K)`` and ``ids`` (int64) and ``values`` (float64) their pairs end to
+    end, in source order, as :func:`_batch` takes them.  Chunked, a chunk
+    closes at the first record that brings it to ``_CHUNK_PAIRS`` pairs;
+    otherwise one chunk holds every record.  ``failure`` is the error of
+    the line that ended the stream, or None; it is due once the chunk's
+    own records have passed their pair checks.  The last chunk may hold no
+    record.  Nothing here holds a chunk's arrays once the next chunk is
+    asked for, so a consumer that drops its own references holds one
+    chunk at a time.
+    """
     limit = _CHUNK_PAIRS if chunked else math.inf
     stream = _records(source)
     more = True
@@ -963,13 +987,11 @@ def _batches(source: str | bytes | IO, chunked: bool) -> Iterator[ObservationBat
                     break
         except (ValueError, OSError) as exc:
             failure = exc
-        batch, error = _batch(records, np.frombuffer(tokens, dtype=np.int64),
-                              np.frombuffer(scores, dtype=np.float64))
-        if len(batch) or not chunked:
-            yield batch
-        # a record's pair error comes from a line before the failed one
-        if error is not None or failure is not None:
-            raise error or failure
+        chunk = [(records, np.frombuffer(tokens, dtype=np.int64),
+                  np.frombuffer(scores, dtype=np.float64), failure)]
+        del records, tokens, scores
+        # popped as it is yielded: no local holds the chunk while suspended
+        yield chunk.pop()
 
 
 def _pair_error(lineno: int, tokens, scores, vocab_size: int) -> ParseError:

@@ -23,7 +23,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -209,14 +209,24 @@ def parse_reference_dump(source: str | bytes | IO) -> dict[str, ReferenceLogits]
     and so is a NaN score: ``-inf`` forbids a token and ``+inf`` sets no
     ceiling, but NaN means neither.
     Lines are decoded as by :func:`censet.observation.parse_observations`.
+    The dict is built from :func:`_reference_records`, which the
+    ``reference`` command reads one record at a time.
     """
-    out: dict[str, ReferenceLogits] = {}
+    return {ref.position_id: ref for ref in _reference_records(source)}
+
+
+def _reference_records(source: str | bytes | IO) -> Iterator[ReferenceLogits]:
+    """The records of a reference dump in line order, each checked as
+    :func:`parse_reference_dump` checks it, the repeated ``position_id``
+    included.  Nothing of a line is held once its record is yielded: a
+    consumer that drops each record holds one line's at a time."""
+    seen: set[str] = set()
 
     def reference(record: dict, lineno: int, literals: bool) -> ReferenceLogits:
         if "position_id" not in record:
             raise ParseError(lineno, "record must carry a position_id")
         pid = record["position_id"]
-        _check_position_id(pid, lineno, out)
+        _check_position_id(pid, lineno, seen)
         if "dense" in record and "entries" in record:
             raise ParseError(lineno, "record has both dense and entries")
         if "dense" in record:
@@ -256,8 +266,9 @@ def parse_reference_dump(source: str | bytes | IO) -> dict[str, ReferenceLogits]
             ref = ReferenceLogits(position_id=pid, entries=entries, default=default)
         else:
             raise ParseError(lineno, "record needs dense or entries")
+        # taken only once every check has passed: a failed check runs again
+        # on json's decode of the line
+        seen.add(pid)
         return ref
 
-    for ref in _read_jsonl(source, reference):
-        out[ref.position_id] = ref
-    return out
+    yield from _read_jsonl(source, reference)

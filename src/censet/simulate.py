@@ -25,9 +25,10 @@ from .observation import (
     AccessMode,
     TopKObservation,
     ValidationError,
-    _batches,
+    _batch,
     _check_pair,
     _check_tail,
+    _chunks,
     _tail_rule,
     from_pairs,
 )
@@ -200,43 +201,96 @@ def score_sorted(logits: np.ndarray, width: int) -> tuple:
     return scores, token_ids, log_z, v
 
 
-def _dump_blocks(source) -> Iterator[tuple]:
-    """A full-dump JSONL source as blocks of :func:`ksweep`, parsed one
-    bounded chunk at a time.
+def _dump_blocks(source, width: int) -> Iterator[tuple]:
+    """A full-dump JSONL source as blocks of :func:`ksweep`, each row cut to
+    its top ``width`` scores, one bounded chunk of records at a time.
 
-    The records of a chunk are one block, whose score and id matrices are
-    views of the batch's columns: the parse has sorted each record by
-    score.  Its log-sum-exp is :func:`logsumexp_rows` of the rows scattered
-    back to token-id order, the order :func:`score_sorted` sums in, so the
-    sweep of a dump equals that of its teacher bit for bit.  A record that
-    is not a full dump, or whose V differs from the first record's, fails
-    once the rows before it have been yielded, so errors keep stream order;
-    the error names its position.
+    A chunk's records (see :func:`censet.observation._chunks`) get the pair
+    checks of :func:`censet.observation.parse_observations` in source
+    order, with no sort: the token range and finite scores on the (n, V)
+    matrices, then one scatter of the scores into token order, where a slot
+    left empty is a token listed twice (K = V).  A normalized row keeps its
+    head checks on its log-sum-exp in score order.  The rows that pass make
+    :func:`score_sorted` of the scattered matrix, the block a teacher's rows
+    make, so the sweep of a dump equals that of its teacher bit for bit.
+
+    The first record that fails a pair check, is not a full dump, or whose V
+    differs from the first record's fails once the rows before it have been
+    yielded, so errors keep stream order.  A pair error is the one
+    :func:`censet.observation._check_flagged` gives and names its line; it
+    comes before the record's other faults, which name its position.  The
+    chunk's own arrays are dropped before its block is yielded: working
+    memory is one chunk and its scatter.
     """
     v = None
-    for batch in _batches(source, chunked=True):
-        sizes, ks = batch.vocab_sizes, batch.k.tolist()  # ints beyond int64 too
-        if v is None:
-            v = sizes[0]
-        end = next((i for i, size in enumerate(sizes) if ks[i] != size), len(batch))
-        other = next((i for i in range(end) if sizes[i] != v), end)
-        if other:
-            pairs = slice(0, batch.offsets[other])
-            scores = batch.scores[pairs].reshape(other, v)
-            token_ids = batch.token_ids[pairs].reshape(other, v)
-            full = np.empty((other, v))
-            np.put_along_axis(full, token_ids, scores, axis=1)
-            yield scores, token_ids, logsumexp_rows(full), v
-        if other < end:
-            raise ValidationError(
-                f"position {batch.position_ids[other]}: all positions must share "
-                f"one vocab_size, got V={sizes[other]} after V={v}"
-            )
-        if end < len(batch):
-            raise ValidationError(
-                f"position {batch.position_ids[end]}: sweep input must be a full "
-                f"dump (K = V), got K={ks[end]} < V={sizes[end]}"
-            )
+    for records, ids, values, failure in _chunks(source, chunked=True):
+        if v is None and records:
+            v = records[0][2]
+        # the leading records that are full dumps of V
+        end = next((i for i, (_, _, size, _, k) in enumerate(records)
+                    if k != size or size != v), len(records))
+        if end:
+            full, end = _token_order(
+                ids[: end * v].reshape(end, v), values[: end * v].reshape(end, v),
+                [mode is AccessMode.LOGPROBS for _, _, _, mode, _ in records[:end]])
+        error = failure
+        if end < len(records):
+            pairs = slice(end * v, end * v + records[end][4])
+            error = _dump_error(records[end], ids[pairs], values[pairs], v)
+        del records, ids, values
+        if end:
+            block = [score_sorted(full[:end], width)]
+            del full
+            yield block.pop()
+        if error is not None:
+            raise error
+
+
+def _dump_error(record: tuple, ids: np.ndarray, values: np.ndarray, v: int):
+    """The error of a record that a full dump of V rejects: its pair error
+    if it has one (see :func:`censet.observation._batch`), else the error
+    of a record that is not a full dump or not of V."""
+    _, pid, size, _, k = record
+    error = _batch([record], ids, values)[1]
+    if error is not None:
+        return error
+    if k != size:
+        return ValidationError(f"position {pid}: sweep input must be a full "
+                               f"dump (K = V), got K={k} < V={size}")
+    return ValidationError(f"position {pid}: all positions must share one "
+                           f"vocab_size, got V={size} after V={v}")
+
+
+def _token_order(ids: np.ndarray, values: np.ndarray, logprobs: list[bool]):
+    """``(full, ok)``: the first ``ok`` of n full-dump rows of one V, which
+    pass the pair checks, as an (ok, V) matrix of each row's scores in
+    token order; row ``ok`` fails them (``ok`` = n if none does).
+
+    ``ids`` and ``values`` are the rows' (n, V) pairs in source order and
+    ``logprobs`` marks the normalized rows.
+    """
+    n, v = ids.shape
+    bad = ((ids.min(axis=1) < 0) | (ids.max(axis=1) >= v)
+           | ~np.isfinite(values).all(axis=1))
+    ok = int(bad.argmax()) if bad.any() else n
+    full = np.full((ok, v), math.nan)
+    np.put_along_axis(full, ids[:ok], values[:ok], axis=1)
+    # V ids in [0, V): a slot left NaN is a token listed twice
+    bad = np.isnan(full).any(axis=1)
+    rows = np.flatnonzero(np.array(logprobs[:ok], dtype=bool))
+    if len(rows):
+        # the head checks of parse_observations, on each row summed in
+        # score order
+        by_score = np.sort(values[rows], axis=1)[:, ::-1]
+        head = logsumexp_rows(by_score)
+        rejected = by_score[:, 0] > 0.0
+        fits = np.flatnonzero(~rejected)
+        rejected[fits] = _tail_rule(head[fits], by_score[fits, -1],
+                                    [0] * len(fits))[1]
+        bad[rows] |= rejected
+    if bad.any():
+        ok = int(bad.argmax())
+    return full, ok
 
 
 def _top(z: np.ndarray, k: int) -> np.ndarray:
@@ -319,10 +373,12 @@ def ksweep(blocks: Iterable[tuple], k_list: Sequence[int]) -> list[SweepRow]:
     bound, the mean hidden tail mass of the normalized reinterpretation and
     the mean symmetric-estimator sup (:func:`minimax.symmetric_sup` at its
     default reserve ``U_K/e``).  A K above V gives a skipped row: NaN
-    statistics and n = 0.  Blocks are read one at a time and every K reads
-    a prefix of the same rows (see :func:`_sweep_block`); the closed forms
-    run once per block over all its (position, K) cells, so working memory
-    is one block plus a few floats per (position, K).
+    statistics and n = 0.  Blocks are read one at a time, each dropped
+    before the next is asked for, and every K reads a prefix of the same
+    rows (see :func:`_sweep_block`); the closed forms run once per block
+    over all its (position, K) cells, so working memory is one block, with
+    what a generator of blocks holds to make the next, plus a few floats
+    per (position, K).
     """
     ks = sorted(k_list)
     v = None
@@ -347,6 +403,8 @@ def ksweep(blocks: Iterable[tuple], k_list: Sequence[int]) -> list[SweepRow]:
         sup = symmetric_sup(m.tolist(), log_odds, u)[0]
         stats.append(np.stack([u, r_bin, tail, sup], axis=-1).reshape(
             len(scores), len(swept), 4))
+        # dropped before the next block is made
+        del scores, token_ids, log_z
     if v is None:
         raise ValueError("sweep input holds no positions")
     # one contiguous row of every position per statistic and K

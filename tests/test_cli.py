@@ -3,12 +3,14 @@
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -603,12 +605,62 @@ class TestKsweep:
             [censor(z, len(z), position_id=f"p{i}") for i, z in enumerate(teacher)]
         ))
         with open(path, encoding="utf-8", newline="\n") as handle:
-            blocks = list(_dump_blocks(handle))
+            blocks = list(_dump_blocks(handle, 200))
         want_scores, want_ids, want_log_z, v = score_sorted(teacher, 200)
         assert len(blocks) == 40 * 200 // min(limit, 8000)
         assert all(block[3] == v for block in blocks)
         for got, want in zip(zip(*blocks), (want_scores, want_ids, want_log_z)):
             assert np.array_equal(np.concatenate(got), want)
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_first_fault_of_a_chunk_in_line_order(self, order, dump_file, tmp_path,
+                                                  capsys):
+        # one chunk holds a record of K < V, one of a second V and one that
+        # lists a token twice, after a good record
+        lines = dump_file.read_text().splitlines()
+        partial = json.loads(lines[1])
+        partial["topk"] = partial["topk"][:5]
+        twice = json.loads(lines[2])
+        twice["topk"][1]["token"] = twice["topk"][0]["token"]
+        faults = [
+            (json.dumps(partial), "position p1: sweep input must be a full dump "
+                                  "(K = V), got K=5 < V=30"),
+            (serialize_observations([censor(np.zeros(31), 31, position_id="v31")]
+                                    ).strip(),
+             "position v31: all positions must share one vocab_size, got V=31 "
+             "after V=30"),
+            (json.dumps(twice), "duplicate token ids in revealed list: "),
+        ]
+        path = tmp_path / "faults.jsonl"
+        path.write_text("\n".join([lines[0], *(faults[i][0] for i in order),
+                                   lines[3]]) + "\n")
+        assert main(["ksweep", "--input", str(path), "--k", "1"]) == 1
+        (error,) = json.loads(capsys.readouterr().err)["errors"]
+        if order[0] == 2:
+            # a pair error names its line, the second
+            assert error["line"] == 2
+            assert error["message"].startswith("line 2: " + faults[2][1])
+        else:
+            assert error == {"message": faults[order[0]][1]}
+
+    def test_logprobs_dump_bytes(self, tmp_path, capsys):
+        # normalized rows of K = V (M = 0): their head checks sum each row in
+        # score order, and they sweep as rows of logits do
+        teacher = generate_teacher(
+            SyntheticTeacherConfig(24, GaussianIID(0.0, 2.0), seed=5), 5)
+        path = tmp_path / "logprobs.jsonl"
+        path.write_text(serialize_observations(
+            [censor(z, 24, AccessMode.LOGPROBS, f"p{i}") for i, z in enumerate(teacher)]
+        ))
+        assert main(["ksweep", "--input", str(path), "--k", "1,3,24,30"]) == 0
+        assert capsys.readouterr().out == (
+            "K,uk_mean,uk_sd,rbin_mean,tail_mass_mean,n\n"
+            "1,0.9583333333333334,0.0,0.6068568829624167,0.5750520072038637,5\n"
+            "3,0.7440082793769234,0.1250250744926687,0.3923564839202755,"
+            "0.2748863329948737,5\n"
+            "24,0.0,0.0,0.0,0.0,5\n"
+            "30,nan,nan,nan,nan,0\n"
+        )
 
     @pytest.mark.parametrize("k", ["0", "a", "1,-2", ",", "1,", ",5", "1,,5", " ",
                                    "1,1,5", "5,1,05"])
@@ -817,7 +869,82 @@ class TestReference:
                         '"entries": [{"token": 0, "logit": 0.5}]}\n')
         assert main(["reference", "--input", str(obs), "--reference", str(refs)]) == 1
         (error,) = json.loads(capsys.readouterr().err)["errors"]
-        assert error["message"].startswith("Unable to allocate")
+        assert error["message"].startswith("position p: Unable to allocate")
+
+    def test_vocabulary_beyond_numpy_dimensions_names_its_position(self, tmp_path,
+                                                                  capsys):
+        # V = 10^400 passes the parse; numpy refuses to lay it out
+        obs = tmp_path / "obs.jsonl"
+        obs.write_text('{"vocab_size": 1%s, "mode": "logits", "position_id": "p", '
+                       '"topk": [{"token": 0, "score": 1.0}]}\n' % ("0" * 400))
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text('{"position_id": "p", "default": -1.0, '
+                        '"entries": [{"token": 0, "logit": 0.5}]}\n')
+        assert main(["reference", "--input", str(obs), "--reference", str(refs)]) == 1
+        (error,) = json.loads(capsys.readouterr().err)["errors"]
+        assert error == {"message": "position p: Maximum allowed dimension exceeded"}
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_record_order_does_not_change_the_report(self, fmt, tmp_path):
+        obs = tmp_path / "obs.jsonl"
+        obs.write_text(REFERENCE_OBS_JSONL + REFERENCE_EDGE_OBS_JSONL)
+        records = (REFERENCE_DUMP_JSONL + REFERENCE_EDGE_DUMP_JSONL).splitlines()
+        reports = []
+        for order, extra in ((range(7), []), ([3, 0, 6, 2, 5, 1, 4], [
+            '{"position_id":"absent","dense":[0.0]}'
+        ])):
+            # a valid record for no input position is read, then skipped
+            refs = tmp_path / "refs.jsonl"
+            refs.write_text("\n".join([*extra, *(records[i] for i in order)]) + "\n")
+            out = tmp_path / "report"
+            assert main(["reference", "--input", str(obs), "--reference", str(refs),
+                         "--format", fmt, "--output", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_later_parse_error_wins_over_a_row_error(self, tmp_path, capsys):
+        obs = tmp_path / "obs.jsonl"
+        obs.write_text('{"vocab_size":3,"mode":"logits","position_id":"a",'
+                       '"topk":[{"token":0,"score":0.0}]}\n')
+        refs = tmp_path / "refs.jsonl"
+        # row a cannot be covered; the dump's second line is not JSON
+        refs.write_text('{"position_id":"a","entries":[{"token":0,"logit":0.0}]}\n'
+                        "{not json\n")
+        assert main(["reference", "--input", str(obs), "--reference", str(refs)]) == 1
+        (error,) = json.loads(capsys.readouterr().err)["errors"]
+        assert error["line"] == 2 and error["message"].startswith("line 2: invalid JSON")
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_row_errors_in_observation_order(self, order, tmp_path, capsys):
+        # rows u1 and u2 leave censored token 1 uncovered and row m has no
+        # record; the dump lists u2 before u1
+        rows = ["u1", "m", "u2"]
+        obs = tmp_path / "obs.jsonl"
+        obs.write_text("".join(
+            '{"vocab_size":3,"mode":"logits","position_id":"%s",'
+            '"topk":[{"token":0,"score":0.0}]}\n' % rows[i] for i in order))
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text("".join(
+            '{"position_id":"%s","entries":[{"token":0,"logit":0.0},'
+            '{"token":2,"logit":-1.0}]}\n' % pid for pid in ("u2", "u1")))
+        assert main(["reference", "--input", str(obs), "--reference", str(refs)]) == 1
+        (error,) = json.loads(capsys.readouterr().err)["errors"]
+        first = rows[order[0]]
+        assert error == {"message": (
+            "reference dump has no record for position m" if first == "m" else
+            f"position {first}: no reference value for token 1 and no default"
+        )}
+
+    def test_malformed_record_for_an_absent_position_fails(self, tmp_path, capsys):
+        obs = tmp_path / "obs.jsonl"
+        obs.write_text('{"vocab_size":2,"mode":"logits","position_id":"a",'
+                       '"topk":[{"token":0,"score":0.0}]}\n')
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text('{"position_id":"a","dense":[0.0,-1.0]}\n'
+                        '{"position_id":"absent","dense":"0.0"}\n')
+        assert main(["reference", "--input", str(obs), "--reference", str(refs)]) == 1
+        (error,) = json.loads(capsys.readouterr().err)["errors"]
+        assert error == {"message": "line 2: dense must be a list of scores", "line": 2}
 
     @pytest.mark.parametrize("rho, shown", [("-1", "-1.0"), ("nan", "nan")])
     def test_bad_rho_rejected_before_any_row(self, rho, shown, tmp_path, capsys):
@@ -829,6 +956,59 @@ class TestReference:
         ) == 1
         (error,) = json.loads(capsys.readouterr().err)["errors"]
         assert error["message"] == f"rho must be nonnegative, got {shown}"
+
+
+class TestWorkingMemory:
+    """ksweep holds one chunk and reference one reference line, not their
+    input: the peak (tracemalloc) of a long input is that of a short one."""
+
+    @staticmethod
+    def _peak(argv) -> int:
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_ksweep_holds_one_chunk(self, tmp_path, monkeypatch):
+        # two records of V = 8,000 a chunk: 16 chunks, then the first alone
+        v = 8000
+        monkeypatch.setattr(observation, "_CHUNK_PAIRS", 2 * v)
+        teacher = generate_teacher(
+            SyntheticTeacherConfig(v, GaussianIID(0.0, 2.0), seed=3), 32)
+        argvs = []
+        for n in (32, 2):
+            path = tmp_path / f"dump{n}.jsonl"
+            with path.open("w") as handle:
+                for i, z in enumerate(teacher[:n]):
+                    handle.write(serialize_observations([censor(z, v, position_id=f"p{i}")]))
+            argvs.append(["ksweep", "--input", str(path), "--k", "1,5,20",
+                          "--output", str(tmp_path / "report")])
+        # the first call's one-time state is not the command's working memory
+        assert main(argvs[1]) == 0
+        whole, first = map(self._peak, argvs)
+        assert whole < 1.05 * first, (whole, first)
+
+    def test_reference_holds_one_line(self, tmp_path):
+        # dense records of V = 32,000, written with one decimal
+        v = 32000
+        teacher = generate_teacher(
+            SyntheticTeacherConfig(v, GaussianIID(0.0, 2.0), seed=4), 64)
+        argvs = []
+        for n in (64, 4):
+            obs, refs = tmp_path / f"obs{n}.jsonl", tmp_path / f"refs{n}.jsonl"
+            obs.write_text(serialize_observations(
+                [censor(z, 20, position_id=f"p{i}") for i, z in enumerate(teacher[:n])]))
+            with refs.open("w") as handle:
+                for i, z in enumerate(teacher[:n]):
+                    handle.write(f'{{"position_id": "p{i}", "dense": '
+                                 f'{json.dumps(np.round(z, 1).tolist())}}}\n')
+            argvs.append(["reference", "--input", str(obs), "--reference", str(refs),
+                          "--output", str(tmp_path / "report")])
+        assert main(argvs[1]) == 0
+        whole, few = map(self._peak, argvs)
+        assert whole < 1.10 * few, (whole, few)
 
 
 class TestSimulate:
