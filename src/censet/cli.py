@@ -426,10 +426,6 @@ def _reference_row(obs, u_k: float, rlogits, rho: float) -> tuple | Exception:
     """
     try:
         rb = ref.reference_geometry(obs, rlogits, rho)
-        try:
-            revealed_ref = rlogits.gather(obs.token_ids, obs.vocab_size)
-        except ref.CoverageError:
-            revealed_ref = None
     except (ValueError, MemoryError) as exc:
         # numpy's errors for a vocabulary too large to lay out (a
         # MemoryError, or a ValueError past its largest dimension) name no
@@ -438,8 +434,8 @@ def _reference_row(obs, u_k: float, rlogits, rho: float) -> tuple | Exception:
                     if isinstance(exc, t))
         return kind(f"position {obs.position_id}: {exc}")
     worst = exceeding = None
-    if revealed_ref is not None and obs.k >= 2:
-        worst, exceeding = ref.calibrate_rho(obs.scores, revealed_ref, rho)
+    if rb.revealed_ref is not None and obs.k >= 2:
+        worst, exceeding = ref.calibrate_rho(obs.scores, rb.revealed_ref, rho)
     return (obs.position_id, obs.k, u_k, rb.U_R, rb.U_R / u_k if u_k > 0 else None,
             rho, rb.reserve, worst, exceeding)
 

@@ -931,27 +931,12 @@ def parse_observations(source: str | bytes | IO) -> ObservationBatch:
     (``tracemalloc``), where one decode of the whole line took 47.1 MiB,
     and a V = 32,000 record of 1.4 MiB at 2.9 MiB.
     """
-    (batch,) = _batches(source, chunked=False)
+    ((records, ids, values, failure),) = _chunks(source, chunked=False)
+    batch, error = _batch(records, ids, values)
+    # a record's pair error comes from a line before the failed one
+    if error is not None or failure is not None:
+        raise error or failure
     return batch
-
-
-def _batches(source: str | bytes | IO, chunked: bool) -> Iterator[ObservationBatch]:
-    """:func:`parse_observations` as a sequence of batches, in input order.
-
-    Chunked, a batch closes at the first record that brings it to
-    ``_CHUNK_PAIRS`` pairs and holds at least one record, so an empty input
-    yields none; otherwise one batch holds every record.  An error is raised
-    only after the batch of the records before its line has been yielded,
-    so a consumer that checks each batch sees its own errors in line order
-    too.
-    """
-    for records, ids, values, failure in _chunks(source, chunked):
-        batch, error = _batch(records, ids, values)
-        if len(batch) or not chunked:
-            yield batch
-        # a record's pair error comes from a line before the failed one
-        if error is not None or failure is not None:
-            raise error or failure
 
 
 def _chunks(source: str | bytes | IO, chunked: bool) -> Iterator[tuple]:

@@ -11,10 +11,13 @@ with the extremal tail allocating ``U_R * B_u / C_R`` per token.  The margin
 is checkable only on revealed tokens; :func:`calibrate_rho` reports that
 diagnostic without ever adjusting the bound itself.
 
-Both forms of a reference are read by one lookup: a sparse map is laid out
-over the vocabulary (its default, the listed scores on top) and indexed
-like a dense vector.  :func:`reference_geometry` reads one row of a parsed
-batch at a time, as the ``reference`` command does.
+Each reference row is laid out once over the vocabulary: a dense row is its
+vector, a sparse map its default with the listed scores on top.
+:func:`reference_geometry` derives everything from that one layout, in
+place: the censored tokens' ceilings, taken by one mask in ascending id
+order, and the revealed tokens' reference scores, which the ``reference``
+command's calibration reads.  It reads one row of a parsed batch at a time,
+as that command does.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .identified_set import _hidden_ids
 from .minimax import _INV_E
 from .numerics import expit, logsumexp
 from .observation import (
@@ -72,7 +74,15 @@ class ReferenceLogits:
         if (self.dense is None) == (self.entries is None):
             raise ValueError("provide exactly one of dense or entries")
 
-    def gather(self, ids: np.ndarray, vocab_size: int) -> np.ndarray:
+    def _layout(self, vocab_size: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """The row over the vocabulary, and the mask of the listed tokens of a
+        sparse map with no default (None for any other row).
+
+        A dense row gives its checked vector itself.  A sparse map gives a
+        new vector of its default, the listed scores on top; keys outside
+        [0, V) are ignored, and without a default the unlisted tokens read
+        NaN.
+        """
         if self.dense is not None:
             table = _scores(self.dense)
             if len(table) != vocab_size:
@@ -80,30 +90,46 @@ class ReferenceLogits:
                     f"dense reference has length {len(table)}, "
                     f"expected vocab_size {vocab_size}"
                 )
-            return table[ids]
+            return table, None
         keys = np.fromiter(self.entries, dtype=np.int64, count=len(self.entries))
         kept = (keys >= 0) & (keys < vocab_size)
         default = math.nan if self.default is None else self.default
         scores = _scores([default, *self.entries.values()])
         table = np.full(vocab_size, scores[0])
         table[keys[kept]] = scores[1:][kept]
+        listed = None
         if self.default is None:
             listed = np.zeros(vocab_size, dtype=bool)
             listed[keys[kept]] = True
+        return table, listed
+
+    def gather(self, ids: np.ndarray, vocab_size: int) -> np.ndarray:
+        """The reference scores of the tokens ``ids``, in their order."""
+        table, listed = self._layout(vocab_size)
+        if listed is not None:
             found = listed[ids]
             if not found.all():
-                u = int(ids[found.argmin()])
-                raise CoverageError(f"no reference value for token {u} and no default")
+                raise _uncovered(ids[found.argmin()])
         return table[ids]
+
+
+def _uncovered(token) -> CoverageError:
+    return CoverageError(f"no reference value for token {int(token)} and no default")
 
 
 @dataclass(frozen=True, eq=False)
 class ReferenceBound:
-    """Per-token ceilings and the resulting shrunken diameter."""
+    """Per-token ceilings and the resulting shrunken diameter.
+
+    ``revealed_ref`` holds the reference scores of the observation's
+    revealed tokens, in its score order, for :func:`calibrate_rho`; None
+    when a sparse map with no default leaves one of them unlisted.
+    """
 
     log_ceilings: np.ndarray
     log_CR: float
     U_R: float
+    revealed_ref: np.ndarray | None
 
     @property
     def reserve(self) -> float:
@@ -137,15 +163,36 @@ def reference_geometry(
     of -inf forbids the token outright, regardless of rho; a NaN one on a
     censored token is a :class:`ValueError`.  With no censored token (M = 0)
     the ceilings are empty, ``log_CR`` is -inf and U_R is 0.
+
+    The row is laid out once over the vocabulary
+    (:meth:`ReferenceLogits._layout`), and one vector serves both lookups:
+    the revealed tokens' scores are read from it first, then the ceilings
+    are computed over it in place and the censored ones taken by a mask,
+    in ascending id order.  The mask is allocated before the layout, so a
+    vocabulary too large to lay out fails on the smaller array, with
+    numpy's error for it.
     """
     _check_rho(rho)
-    # held in a name to the end of the call: freed right after gather, its
-    # pages would go back to the OS and fault in again for the next arrays
-    censored = _hidden_ids(obs.token_ids, obs.vocab_size)
-    z_ref = ref.gather(censored, obs.vocab_size)
-    ceilings = np.where(
-        np.isneginf(z_ref), -math.inf, np.minimum(obs.tau, z_ref + rho)
-    )
+    censored = np.ones(obs.vocab_size, dtype=bool)
+    censored[obs.token_ids] = False
+    layout, listed = ref._layout(obs.vocab_size)
+    revealed = layout[obs.token_ids]
+    if listed is not None:
+        uncovered = censored & ~listed
+        if uncovered.any():
+            raise _uncovered(uncovered.argmax())
+        if not listed[obs.token_ids].all():
+            revealed = None
+    # -inf + inf is NaN: only at rho = +inf does a forbidden token need
+    # setting back to -inf
+    forbidden = np.isneginf(layout) if rho == math.inf else None
+    with np.errstate(invalid="ignore"):
+        # a sparse row's layout is its own to overwrite, a dense row's is not
+        capped = np.add(layout, rho, out=None if ref.dense is not None else layout)
+    np.minimum(obs.tau, capped, out=capped)
+    if forbidden is not None:
+        capped[forbidden] = -math.inf
+    ceilings = capped[censored]
     log_cr = logsumexp(ceilings)
     if math.isnan(log_cr):
         # NaN would read below as a tail the reference forbids outright
@@ -153,7 +200,8 @@ def reference_geometry(
             f"reference scores for position {ref.position_id!r} hold a NaN"
         )
     u_r = expit(log_cr - obs.log_ZA) if math.isfinite(log_cr) else 0.0
-    return ReferenceBound(log_ceilings=ceilings, log_CR=log_cr, U_R=u_r)
+    return ReferenceBound(log_ceilings=ceilings, log_CR=log_cr, U_R=u_r,
+                          revealed_ref=revealed)
 
 
 def calibrate_rho(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from censet.identified_set import geometry
-from censet.observation import AccessMode, from_pairs
+from censet.observation import AccessMode, _batch, _chunks, from_pairs
 
 
 def make_observation(vocab_size, scores, mode=AccessMode.LOGITS, tokens=None,
@@ -24,3 +24,19 @@ def v4_geometry():
 
 def random_logits(rng, v, spread=2.0):
     return np.asarray(rng.normal(0.0, spread, size=v))
+
+
+def chunked_batches(source):
+    """A chunked parse as a sequence of batches, in input order.
+
+    Each chunk of :func:`censet.observation._chunks` gets the pair checks of
+    :func:`censet.observation._batch`.  A chunk that keeps no record yields
+    nothing, so an empty input yields no batch; an error is raised only after
+    the batch of the records before its line has been yielded.
+    """
+    for records, ids, values, failure in _chunks(source, chunked=True):
+        batch, error = _batch(records, ids, values)
+        if len(batch):
+            yield batch
+        if error is not None or failure is not None:
+            raise error or failure

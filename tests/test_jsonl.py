@@ -29,7 +29,6 @@ from censet.observation import (
     _ORJSON_MAX_DEPTH,
     AccessMode,
     ParseError,
-    _batches,
     _few_openers,
     _has_literal,
     _piecewise,
@@ -39,6 +38,8 @@ from censet.observation import (
 )
 from censet.reference import parse_reference_dump
 from censet.simulate import censor
+
+from conftest import chunked_batches
 
 
 def _refuse(line):
@@ -70,7 +71,7 @@ def _chunked(text):
     # chunks of about two pairs, so errors also land between chunks
     with mock.patch.object(observation, "_CHUNK_PAIRS", 2):
         digests = []
-        for batch in _batches(text, chunked=True):
+        for batch in chunked_batches(text):
             digests.append(_batch_digest(batch))
     return digests
 
@@ -438,7 +439,7 @@ class TestLineEnds:
          % ("0" * 400), "line 2: score outside the float range"),
     ])
     def test_a_value_no_column_holds_after_a_good_record(self, bad, message):
-        chunks = _batches(f"{RECORD}\n{bad}\n", chunked=True)
+        chunks = chunked_batches(f"{RECORD}\n{bad}\n")
         first = next(chunks)
         assert first.position_ids == ["line1"] and first.token_ids.tolist() == [1]
         with pytest.raises(ParseError) as caught:
@@ -460,7 +461,7 @@ class TestUtf8:
                                      newline="\n", errors="surrogateescape"),
     ])
     def test_bad_byte_names_its_line(self, source):
-        chunks = _batches(source(self.BAD), chunked=True)
+        chunks = chunked_batches(source(self.BAD))
         assert next(chunks).position_ids == ["line1"]
         with pytest.raises(ParseError) as caught:
             next(chunks)
@@ -966,7 +967,7 @@ class TestMemory:
             record = json.loads(line)
             record_bytes = tracemalloc.get_traced_memory()[0] - before
             del record
-            chunks = _batches(stream, chunked=True)
+            chunks = chunked_batches(stream)
             before = tracemalloc.get_traced_memory()[0]
             first = next(chunks)
             held = tracemalloc.get_traced_memory()[0] - before

@@ -20,7 +20,6 @@ from censet.observation import (
     ModeError,
     ParseError,
     ValidationError,
-    _batches,
     _check_tail,
     _tail_mass,
     from_pairs,
@@ -30,7 +29,7 @@ from censet.observation import (
 from censet.oracles import disjoint_witness_pair
 from censet.simulate import _sweep_block, censor, score_sorted
 
-from conftest import make_observation
+from conftest import chunked_batches, make_observation
 
 
 class TestParse:
@@ -695,7 +694,7 @@ class TestChunks:
     ])
     def test_chunks_close_at_the_limit(self, limit, sizes, monkeypatch):
         monkeypatch.setattr(observation, "_CHUNK_PAIRS", limit)
-        chunks = list(_batches(self.TEXT, chunked=True))
+        chunks = list(chunked_batches(self.TEXT))
         assert [len(c) for c in chunks] == sizes
         whole = parse_observations(self.TEXT)
         rows = [obs for chunk in chunks for obs in chunk]
@@ -706,14 +705,14 @@ class TestChunks:
             assert _bits(np.float64(got.log_ZA)) == _bits(np.float64(want.log_ZA))
 
     def test_empty_input_has_no_chunks(self):
-        assert list(_batches("\n", chunked=True)) == []
+        assert list(chunked_batches("\n")) == []
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     def test_valid_prefix_before_the_error(self, fault, monkeypatch):
         # lines 1-3 valid, line 4 faulty, in one chunk
         monkeypatch.setattr(observation, "_CHUNK_PAIRS", 100)
         text = TestBatchErrorOrder._text({3: fault}, n=5)
-        chunks = _batches(text, chunked=True)
+        chunks = chunked_batches(text)
         assert [o.position_id for o in next(chunks)] == ["p0", "p1", "p2"]
         with pytest.raises(ParseError, match="line 4: "):
             next(chunks)

@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from censet.cli import main
 from censet.identified_set import geometry
 from censet.minimax import _INV_E, g_max
+from censet.numerics import expit, logsumexp
 from censet.observation import ParseError, parse_observations
 from censet.oracles import (
     estimator_distribution,
@@ -33,7 +36,7 @@ from censet.simulate import (
     generate_teacher,
 )
 
-from conftest import make_geometry
+from conftest import make_geometry, make_observation
 
 E = math.e
 
@@ -150,6 +153,124 @@ class TestReferenceGeometry:
     def test_wrong_dense_length(self, v4_geometry):
         with pytest.raises(CoverageError):
             reference_geometry(v4_geometry, dense_ref([0.0] * 3), 0.5)
+
+
+def _setdiff_geometry(obs, ref, rho):
+    """The ceilings as the censored ids' gather computed them: ``(log_ceilings,
+    log_CR, U_R, reserve)``."""
+    censored = np.setdiff1d(np.arange(obs.vocab_size), obs.token_ids)
+    z = ref.gather(censored, obs.vocab_size)
+    with np.errstate(invalid="ignore"):
+        ceilings = np.where(np.isneginf(z), -math.inf, np.minimum(obs.tau, z + rho))
+    log_cr = logsumexp(ceilings)
+    if math.isnan(log_cr):
+        raise ValueError(
+            f"reference scores for position {ref.position_id!r} hold a NaN"
+        )
+    u_r = expit(log_cr - obs.log_ZA) if math.isfinite(log_cr) else 0.0
+    return ceilings, log_cr, u_r, u_r * _INV_E
+
+
+def _outcome(compute):
+    """The bits of a geometry's four results, or its error's type and text."""
+    try:
+        ceilings, log_cr, u_r, reserve = compute()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return (np.asarray(ceilings, dtype=np.float64).tobytes(),
+            *(np.float64(x).tobytes() for x in (log_cr, u_r, reserve)))
+
+
+def _layout_geometry(obs, ref, rho):
+    rb = reference_geometry(obs, ref, rho)
+    return rb.log_ceilings, rb.log_CR, rb.U_R, rb.reserve
+
+
+REFERENCE_SCORES = st.one_of(
+    st.floats(-40.0, 40.0), st.sampled_from([math.inf, -math.inf, -0.0]),
+)
+
+
+@st.composite
+def _reference_cases(draw):
+    """An observation of V <= 64 (K = V included), a dense or sparse reference
+    row for it, and a margin."""
+    v = draw(st.integers(1, 64))
+    k = draw(st.integers(1, v))
+    tokens = draw(st.permutations(range(v)))[:k]
+    scores = draw(st.lists(st.floats(-30.0, 30.0), min_size=k, max_size=k))
+    obs = make_observation(v, scores, tokens=tokens)
+    form = draw(st.sampled_from(["dense", "finite", "-inf", "none", "uncovered"]))
+    if form == "dense":
+        ref = ReferenceLogits(position_id="p", dense=np.array(
+            draw(st.lists(REFERENCE_SCORES, min_size=v, max_size=v))))
+    else:
+        # keys beyond the vocabulary and negative keys are ignored
+        keys = draw(st.sets(st.integers(-3, v + 3)))
+        if form == "none":
+            keys |= set(range(v)) - set(tokens)
+        values = draw(st.lists(REFERENCE_SCORES, min_size=len(keys),
+                               max_size=len(keys)))
+        default = {"finite": draw(st.floats(-40.0, 40.0)), "-inf": -math.inf
+                   }.get(form)
+        ref = ReferenceLogits(position_id="p", entries=dict(zip(keys, values)),
+                              default=default)
+    return obs, ref, draw(st.sampled_from([0.0, 0.5, math.inf]))
+
+
+class TestOneLayout:
+    """The ceilings taken from one layout per row by a mask equal, bit for bit,
+    those of the censored ids' gather, and so do ``log_CR``, U_R and the
+    reserve; an uncovered row fails with the same text."""
+
+    @given(_reference_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_same_bits_as_the_censored_gather(self, case):
+        obs, ref, rho = case
+        assert (_outcome(lambda: _layout_geometry(obs, ref, rho))
+                == _outcome(lambda: _setdiff_geometry(obs, ref, rho)))
+
+    @pytest.mark.parametrize("ref", [
+        dense_ref([0.5, -math.inf, math.inf, 2.0]),
+        ReferenceLogits(position_id="p", entries={0: 1.0, 7: 2.0}, default=-1.0),
+        ReferenceLogits(position_id="p", entries={1: 1.0}, default=-math.inf),
+        ReferenceLogits(position_id="p", entries={2: 1.0}),
+    ])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, math.inf])
+    def test_no_censored_token(self, ref, rho):
+        # K = V: the ceilings are empty whatever the row lists
+        obs = make_observation(4, [1.0, 0.5, 0.0, -1.0])
+        ceilings, log_cr, u_r, reserve = _layout_geometry(obs, ref, rho)
+        assert ceilings.shape == (0,) and log_cr == -math.inf
+        assert u_r == reserve == 0.0
+        assert (_outcome(lambda: _layout_geometry(obs, ref, rho))
+                == _outcome(lambda: _setdiff_geometry(obs, ref, rho)))
+
+    def test_uncovered_row_text(self):
+        # tokens 2, 4 and 5 are censored; 4 is the first with no score
+        obs = make_observation(6, [1.0, 0.0, -1.0], tokens=[3, 0, 1])
+        ref = ReferenceLogits(position_id="p", entries={2: 0.0, 5: 0.0, 9: 0.0})
+        with pytest.raises(CoverageError) as caught:
+            reference_geometry(obs, ref, 0.5)
+        assert str(caught.value) == "no reference value for token 4 and no default"
+        assert _outcome(lambda: _setdiff_geometry(obs, ref, 0.5)) == (
+            CoverageError, str(caught.value))
+
+    @pytest.mark.parametrize("ref, revealed", [
+        (dense_ref([0.5, -1.0, 2.0, 3.0]), [-1.0, 0.5]),
+        (ReferenceLogits(position_id="p", entries={0: 4.0, 2: 1.0}, default=-2.0),
+         [-2.0, 4.0]),
+        (ReferenceLogits(position_id="p", entries={0: 4.0, 1: 1.0, 2: 0.0, 3: 0.0}),
+         [1.0, 4.0]),
+        (ReferenceLogits(position_id="p", entries={0: 4.0, 2: 0.0, 3: 0.0}), None),
+    ])
+    def test_revealed_scores_from_the_same_layout(self, ref, revealed):
+        # tokens 1 and 0 are revealed, in that score order
+        rb = reference_geometry(make_geometry(4, [1.0, 0.0], tokens=[1, 0]), ref, 0.5)
+        if revealed is None:
+            assert rb.revealed_ref is None
+        else:
+            assert rb.revealed_ref.tolist() == revealed
 
 
 class TestReferenceEstimator:
