@@ -293,8 +293,8 @@ def _read_jsonl(
     ``literals`` is :func:`_has_literal` of the line.
 
     Lines end at ``\\n`` only, less one trailing ``\\r``; line numbers count
-    them.  A stream is read one line at a time, never whole; open a text
-    file with ``newline="\\n"`` so that no other character ends a line, and
+    them.  A stream is read by ``readline``, never whole; open a text file
+    with ``newline="\\n"`` so that no other character ends a line, and
     with ``errors="surrogateescape"`` so that a byte that is not UTF-8 is
     a :class:`ParseError` naming its line and its offset in the line, as
     one is in bytes.  Only lines of a ``str`` source are not checked, so it
@@ -322,14 +322,41 @@ def _read_jsonl(
     item is yielded.  While such a line is decoded, the Python objects held
     beside it and its arrays are those of one piece, about ``_PIECE_CHARS``
     characters of entries wherever a ``},`` separates two of them.
+
+    Which lines stream: a seekable binary stream, such as a file opened
+    ``"rb"``, is read ``_COUNT_FROM_LENGTH`` bytes of a line at most, and a
+    topk line that fills that with no newline is decoded as it is read,
+    never held whole (see :func:`_streamed`).  Every other line reaches
+    :func:`_decoded` whole: each line of a str or bytes source, of a text
+    or non-seekable stream, of a reference dump, and a streamed line that
+    the piece path declines, read again from its start.
     """
     checked = not isinstance(source, str)
     if isinstance(source, bytes):
         source = source.decode("utf-8", "surrogateescape")
-    lines = source.split("\n") if isinstance(source, str) else source
+    if isinstance(source, str):
+        lines, limit = iter(source.split("\n")), -1
+    else:
+        limit = _COUNT_FROM_LENGTH if topk and source.seekable() else -1
+        lines = _stream_lines(source, limit)
     lineno = 0
     for line in lines:
         lineno += 1
+        if len(line) == limit and not line.endswith(
+            b"\n" if isinstance(line, bytes) else "\n"
+        ):
+            # the start of a longer line
+            if isinstance(line, bytes):
+                start = source.tell() - len(line)
+                item = _streamed(source, line, lineno, check)
+                if item is not None:
+                    del line
+                    yield item.pop()
+                    continue
+                source.seek(start)
+                line = source.readline()
+            else:
+                line += source.readline()
         if isinstance(line, bytes):
             line = line.decode("utf-8", "surrogateescape")
         if checked and not line.isascii():
@@ -342,26 +369,65 @@ def _read_jsonl(
         yield item.pop()
 
 
+def _stream_lines(stream: IO, limit: int) -> Iterator[str | bytes]:
+    """``stream.readline(limit)`` until the stream ends."""
+    while line := stream.readline(limit):
+        yield line
+
+
+def _streamed(
+    stream: IO, first: bytes, lineno: int, check: Callable[[dict, int, bool], _T]
+) -> list[_T] | None:
+    """``[check(record, lineno, literals)]`` of a line of a binary stream
+    whose first bytes are ``first``, by :func:`_piecewise` over blocks read
+    as it converts them; None where that path declines the line or
+    ``check`` rejects its record, with the stream anywhere in the line.
+
+    After ``first``, each block is ``readline(_PIECE_CHARS)``, up to the
+    line's ``\\n`` or the end of the stream.  A block that is not ASCII
+    raises its decode's error, which declines the line too, so a streamed
+    line needs no UTF-8 check.  The caller reads a declined line again
+    from its start: its record or error is then the whole line's, and the
+    same line number names it.
+    """
+    def blocks() -> Iterator[str]:
+        block = first
+        while block:
+            yield block.decode("ascii")
+            if block.endswith(b"\n"):
+                return
+            block = stream.readline(_PIECE_CHARS)
+
+    try:
+        decoded = _piecewise(blocks(), lineno)
+        if decoded is not None:
+            return [check(decoded[0], lineno, decoded[1])]
+    except ValueError:
+        pass
+    return None
+
+
 def _decoded(
     line: str, lineno: int, check: Callable[[dict, int, bool], _T], topk: bool
 ) -> _T:
-    """``check`` of one line's record, by the decoding rule of
+    """``check`` of one whole line's record, by the decoding rule of
     :func:`_read_jsonl`: with ``topk``, a line of at least
-    ``_COUNT_FROM_LENGTH`` characters is tried piece by piece first (see
-    :func:`_piecewise`), and any failure there falls back to the whole-line
-    decode, so that path gives the record or the error, with no orjson step
-    where the failure rules it out.  A shorter line, such as a K = 20
-    record of about 1 KB, is decoded whole: the piece path's fixed cost
-    (the frame's decode and the piece's checks) would outweigh its saving."""
-    literals = _has_literal(line)
+    ``_COUNT_FROM_LENGTH`` characters is tried piece by piece first, as
+    the one block of :func:`_piecewise`, and any failure there falls back
+    to the whole-line decode, so that path gives the record or the error,
+    with no orjson step where the failure rules it out.  A shorter line,
+    such as a K = 20 record of about 1 KB, is decoded whole: the piece
+    path's fixed cost (the frame's decode and the piece's checks) would
+    outweigh its saving."""
     orjson_may_stand = True
     if topk and len(line) >= _COUNT_FROM_LENGTH:
         try:
-            record = _piecewise(line, lineno, literals)
-            if record is not None:
-                return check(record, lineno, literals)
+            decoded = _piecewise((line,), lineno)
+            if decoded is not None:
+                return check(decoded[0], lineno, decoded[1])
         except ValueError:
             orjson_may_stand = False
+    literals = _has_literal(line)
     if orjson_may_stand and _shallow(line):
         try:
             return check(_json_object(orjson.loads(line), lineno), lineno, literals)
@@ -395,11 +461,14 @@ class _Pairs(NamedTuple):
     values: array.array
 
 
-def _piecewise(line: str, lineno: int, literals: bool) -> dict | None:
+def _piecewise(blocks: Iterable[str], lineno: int) -> tuple[dict, bool] | None:
     """The record of an observation line with its ``topk`` list as
-    :class:`_Pairs`, decoded and converted one piece at a time; None, or a
-    :class:`ValueError`, where this path declines the line.
+    :class:`_Pairs`, decoded and converted one piece at a time, and
+    :func:`_has_literal` of the line; None, or a :class:`ValueError`, where
+    this path declines the line.
 
+    The line is the join of ``blocks``: one block of the whole line, or a
+    stream's blocks that :func:`_streamed` reads as they are asked for.
     The line is cut into a head up to the ``[`` that follows the key
     ``"topk"``, the list's text, and a tail from the line's last ``]``.  The
     list's text is cut after a ``}`` that a ``,`` follows, the first one at
@@ -412,7 +481,19 @@ def _piecewise(line: str, lineno: int, literals: bool) -> dict | None:
     piece is decoded; the frame ``head + "[]" + tail`` is decoded for the
     other fields.  Each text orjson gets is first cleared by
     :func:`_shallow`, but for a flat piece's rewrite, which nests nothing;
-    the whole line is never encoded for that bound.
+    the whole line is never encoded for that bound.  ``_has_literal`` runs
+    on the head, the tail and each piece, never on the line: a literal
+    cannot straddle a ``[``, ``]`` or ``},`` cut.
+
+    How blocks are held: the head is found in the first block, and the path
+    declines a line whose first block holds no ``"topk": [``.  The list's
+    text not yet cut is carried, and each further block joins it; so what
+    is held is a piece, the text after it and one block.  A carry longer
+    than two pieces, where no ``},`` lets it be cut, declines the line.
+    The frame is checked once the blocks end, before the last text is cut,
+    and for one block before any piece; a cut made in an earlier text lies
+    before the line's last ``]`` only if the last text holds a ``]``, so
+    the cuts are those of the whole line, or the path declines.
 
     Why an accepted record is the whole line's: the pieces rejoined with
     ``,`` are the list's text again.  When each piece decodes to a non-empty
@@ -433,25 +514,72 @@ def _piecewise(line: str, lineno: int, literals: bool) -> dict | None:
     entry that is not an object or lacks a key and a value no int64 or
     float64 holds: the whole-line decode then gives today's record or error.
 
-    It raises where the decline rules out orjson's decode of the line.
-    Past the frame checks each piece that decodes holds the next elements
-    of the line's topk list, as a JSON value's extent depends only on the
-    text from its start.  So a conversion error, like a failed assembled
-    record, fails ``check`` on any record orjson reads from the line; and a
-    piece that orjson refuses but ``json`` takes holds a value only ``json``
-    takes (NaN, Infinity, a number beyond the float range, a lone
-    surrogate), as does the line.
+    It raises where the decline rules out orjson's decode of the line, once
+    the frame checks have passed; a streamed line is read again whole for
+    any decline, so there the order of the checks does not matter.  Past
+    the frame checks each piece that decodes holds the next elements of
+    the line's topk list, as a JSON value's extent depends only on the text
+    from its start.  So a conversion error, like a failed assembled record,
+    fails ``check`` on any record orjson reads from the line; and a piece
+    that orjson refuses but ``json`` takes holds a value only ``json`` takes
+    (NaN, Infinity, a number beyond the float range, a lone surrogate), as
+    does the line.
     """
-    found = _TOPK_LIST.search(line)
+    blocks = iter(blocks)
+    text = next(blocks)
+    found = _TOPK_LIST.search(text)
     if found is None:
         return None
-    lo, hi = found.end(), line.rfind("]")
-    if hi < lo:
+    lo = found.end()
+    head = text[: lo - 1]
+    if "\\" in head or head.count('"topk"') != 1:
         return None
-    head, tail = line[: lo - 1], line[hi + 1:]
-    if "\\" in head or "\\" in tail or (
-        head.count('"topk"') + tail.count('"topk"') != 1
-    ):
+    literals = _has_literal(head)
+    ids, values = array.array("q"), array.array("d")
+
+    def take(piece: str) -> bool:
+        """Append the pairs of one piece; False where the path declines it."""
+        nonlocal literals
+        taken = _piece_pairs(f"[{piece}]", lineno)
+        if taken is None:
+            return False
+        pairs, seen = taken
+        ids.extend(pairs.ids)
+        values.extend(pairs.values)
+        literals = literals or seen
+        return True
+
+    for block in itertools.chain(blocks, [None]):
+        hi = len(text)
+        if block is None:
+            # the line ends in this text, its list at the last "]"
+            hi = text.rfind("]")
+            tail = text[hi + 1:]
+            record = _frame(head, tail) if hi >= lo else None
+            if record is None:
+                return None
+            literals = literals or _has_literal(tail)
+        while (cut := text.find("},", lo + _PIECE_CHARS, hi)) >= 0:
+            if not take(text[lo:cut + 1]):
+                return None
+            lo = cut + 2
+        if block is None:
+            if not take(text[lo:hi]):
+                return None
+        elif hi - lo > 2 * _PIECE_CHARS:
+            return None
+        else:
+            text = text[lo:] + block
+            lo = 0
+    record["topk"] = _Pairs(ids, values)
+    return record, literals
+
+
+def _frame(head: str, tail: str) -> dict | None:
+    """The record of the frame ``head + "[]" + tail``, the line with its
+    topk list emptied; None unless the tail holds no backslash and no
+    ``"topk"`` and the frame is an object whose ``topk`` is ``[]``."""
+    if "\\" in tail or '"topk"' in tail:
         return None
     frame = head + "[]" + tail
     if not _shallow(frame):
@@ -462,38 +590,20 @@ def _piecewise(line: str, lineno: int, literals: bool) -> dict | None:
         return None
     if not isinstance(record, dict) or record.get("topk") != []:
         return None
-    ids, values = array.array("q"), array.array("d")
-    for piece in _pieces(line, lo, hi):
-        pairs = _piece_pairs(f"[{piece}]", lineno, literals)
-        if pairs is None:
-            return None
-        ids += pairs.ids
-        values += pairs.values
-    record["topk"] = _Pairs(ids, values)
     return record
 
 
-def _pieces(line: str, lo: int, hi: int) -> Iterator[str]:
-    """``line[lo:hi]`` cut after each first ``}`` followed by ``,`` that lies
-    at least ``_PIECE_CHARS`` characters on from the last cut; the comma
-    goes with neither piece."""
-    while True:
-        cut = line.find("},", lo + _PIECE_CHARS, hi)
-        if cut < 0:
-            yield line[lo:hi]
-            return
-        yield line[lo:cut + 1]
-        lo = cut + 2
-
-
-def _piece_pairs(text: str, lineno: int, literals: bool) -> _Pairs | None:
-    """The arrays of the entries of one piece's array ``text``; None, or a
-    :class:`ValueError`, where :func:`_piecewise` declines it.  A text that
-    :func:`_flat_pairs` declines is decoded into entry dicts.  Its decoded
-    objects are freed on return."""
+def _piece_pairs(text: str, lineno: int) -> tuple[_Pairs, bool] | None:
+    """The arrays of the entries of one piece's array ``text``, and
+    :func:`_has_literal` of the text; None, or a :class:`ValueError`, where
+    :func:`_piecewise` declines it.  A text that :func:`_flat_pairs`
+    declines is decoded into entry dicts.  Its decoded objects are freed on
+    return."""
     pairs = _flat_pairs(text)
     if pairs is not None:
-        return pairs
+        # a flat text spells no u and no f, so no literal
+        return pairs, False
+    literals = _has_literal(text)
     if not _shallow(text):
         return None
     try:
@@ -509,7 +619,7 @@ def _piece_pairs(text: str, lineno: int, literals: bool) -> _Pairs | None:
     _, _, ids, values = _topk_pairs(entries, lineno, literals)
     if ids is None or values is None:
         raise ValueError("a topk value that no int64 or float64 holds")
-    return _Pairs(ids, values)
+    return _Pairs(ids, values), literals
 
 
 # the characters of a JSON number
@@ -912,24 +1022,27 @@ def parse_observations(source: str | bytes | IO) -> ObservationBatch:
     offending line.
 
     ``source`` is text, bytes or a stream of lines (see :func:`_read_jsonl`
-    for the line rules).  Each line is decoded by ``orjson``, and again by
-    ``json`` when orjson refuses it or its record fails a field check, so
-    the records accepted and the errors raised are those of ``json`` (see
-    :func:`_read_jsonl`).  The checks that read one record's fields run as
-    each line is decoded; the pair checks of :func:`from_pairs` then run
-    over the whole batch at once (see :func:`_sorted_rows`).  The first
-    error in line order wins: a field error on a line is raised only once
-    every earlier line has passed its pair checks.  The batch holds about
-    24 bytes per revealed pair; the decoded lines' Python objects are
-    dropped once their pairs are stored.  One record's decode holds its
-    line, its arrays and the Python objects of one piece of entries (about
-    ``_PIECE_CHARS`` characters; see :func:`_piecewise` for where a piece
-    may run longer), or of a whole line shorter than
-    ``_COUNT_FROM_LENGTH``.  A piece in the form ``json.dumps`` writes is
-    read with no entry dict (see :func:`_flat_pairs`): a V = 151,936
-    full-dump record of 6.9 MiB parses at a 13.8 MiB peak
-    (``tracemalloc``), where one decode of the whole line took 47.1 MiB,
-    and a V = 32,000 record of 1.4 MiB at 2.9 MiB.
+    for the line rules, and for the long lines of a seekable binary stream,
+    which are decoded as they are read).  Each line is decoded by
+    ``orjson``, and again by ``json`` when orjson refuses it or its record
+    fails a field check, so the records accepted and the errors raised are
+    those of ``json`` (see :func:`_read_jsonl`).  The checks that read one
+    record's fields run as each line is decoded; the pair checks of
+    :func:`from_pairs` then run over the whole batch at once (see
+    :func:`_sorted_rows`).  The first error in line order wins: a field
+    error on a line is raised only once every earlier line has passed its
+    pair checks.  The batch holds about 24 bytes per revealed pair; the
+    decoded lines' Python objects are dropped once their pairs are stored.
+    One record's decode holds its arrays and the Python objects of one piece
+    of entries (about ``_PIECE_CHARS`` characters; see :func:`_piecewise`
+    for where a piece may run longer), or of a whole line shorter than
+    ``_COUNT_FROM_LENGTH``, and the line itself unless it streams.  A piece
+    in the form ``json.dumps`` writes is read with no entry dict (see
+    :func:`_flat_pairs`): a V = 151,936 full-dump record of 6.9 MiB parses
+    at a 9.4 MiB peak (``tracemalloc``) from a file opened in binary, where
+    the batch's sort sets the peak, and at 13.8 MiB from a text file, whose
+    read of the line takes twice its length; one decode of the whole line
+    took 47.1 MiB.  A V = 32,000 record of 1.4 MiB parses at 2.8 MiB.
     """
     ((records, ids, values, failure),) = _chunks(source, chunked=False)
     batch, error = _batch(records, ids, values)
@@ -963,8 +1076,13 @@ def _chunks(source: str | bytes | IO, chunked: bool) -> Iterator[tuple]:
         tokens, scores = array.array("q"), array.array("d")
         try:
             for lineno, pid, vocab_size, mode, row_tokens, row_scores in stream:
-                tokens += row_tokens
-                scores += row_scores
+                if records:
+                    tokens += row_tokens
+                    scores += row_scores
+                else:
+                    # the first record's own arrays, which nothing else
+                    # holds: a long record's pairs are not copied
+                    tokens, scores = row_tokens, row_scores
                 records.append((lineno, pid, vocab_size, mode, len(row_tokens)))
                 del row_tokens, row_scores
                 if len(scores) >= limit:

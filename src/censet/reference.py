@@ -60,9 +60,9 @@ class ReferenceLogits:
     """Reference scores for one position: dense vector or sparse map.
 
     A sparse map may give a ``default`` (``-inf`` included) for the tokens
-    it does not list.  Without one, :meth:`gather` names the first token
-    asked for that is not listed: a silent zero would be an arbitrary scale.
-    Listed tokens outside the vocabulary are ignored.
+    it does not list.  Without one, :func:`reference_geometry` names the
+    first censored token that is not listed: a silent zero would be an
+    arbitrary scale.  Listed tokens outside the vocabulary are ignored.
     """
 
     position_id: str = ""
@@ -102,15 +102,6 @@ class ReferenceLogits:
             listed = np.zeros(vocab_size, dtype=bool)
             listed[keys[kept]] = True
         return table, listed
-
-    def gather(self, ids: np.ndarray, vocab_size: int) -> np.ndarray:
-        """The reference scores of the tokens ``ids``, in their order."""
-        table, listed = self._layout(vocab_size)
-        if listed is not None:
-            found = listed[ids]
-            if not found.all():
-                raise _uncovered(ids[found.argmin()])
-        return table[ids]
 
 
 def _uncovered(token) -> CoverageError:

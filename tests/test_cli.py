@@ -7,6 +7,8 @@ import itertools
 import json
 import math
 import os
+import platform
+import resource
 import struct
 import subprocess
 import sys
@@ -1770,6 +1772,21 @@ class TestRepeatedMain:
         from censet.cli import build_parser
 
         assert build_parser() is not build_parser()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc")
+    def test_freed_arrays_stay_in_the_heap(self, tmp_path):
+        # after main, a 2 MiB array freed and allocated again reuses its
+        # pages; under glibc's defaults it is mapped, or trimmed off the
+        # heap, and faulted in anew
+        assert main(["simulate", "--vocab", "16", "--positions", "2", "--k", "1,5",
+                     "--output", str(tmp_path / "out")]) == 0
+        np.ones(1 << 18)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            np.ones(1 << 18)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        # one 2 MiB array faulted in anew would take 512
+        assert faults < 100, faults
 
 
 SCIPY_GUARD = """

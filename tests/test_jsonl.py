@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from censet import observation, reference
+from censet import cli, observation, reference
 from censet.observation import (
     _COUNT_FROM_LENGTH,
     _ORJSON_MAX_DEPTH,
@@ -757,7 +757,7 @@ class TestPiecewise:
             assert len(text) > 2 * observation._PIECE_CHARS
             assert _outcome(_whole, text) == whole
             try:
-                record = _piecewise(text, 1, _has_literal(text))
+                record = _piecewise((text,), 1)
             except ValueError:
                 record = None
         assert (record is not None) is decoded
@@ -810,7 +810,7 @@ class TestPiecewise:
         line = ('{"vocab_size": 3000, "mode": "logits", "meta": %s1%s, "topk": [%s]}\n'
                 % ("[" * depth, "]" * depth, entries))
         assert len(line) >= _COUNT_FROM_LENGTH
-        assert _piecewise(line, 1, _has_literal(line)) is None
+        assert _piecewise((line,), 1) is None
         with pytest.raises(ParseError) as caught:
             parse_observations(line)
         assert str(caught.value) == "line 1: JSON nested too deeply to decode"
@@ -952,6 +952,122 @@ class TestFlatPieces:
                 assert outcome == whole and taken and all(taken)
 
 
+# the long lines of TestStreamedLines are cut into pieces of about 128
+# characters and read in blocks of 128 bytes, after a first one of 256
+STREAM_PIECE, STREAM_FIRST = 128, 256
+STREAM_HEAD = '"vocab_size": 64, "mode": "logits", "position_id": "long"'
+NEXT = ('{"vocab_size": 5, "mode": "logits", "position_id": "next", '
+        '"topk": [{"token": 1, "score": 0.5}]}')
+
+
+def _stream_line(at: int | None = None, entry: str = "", head: str = STREAM_HEAD,
+                 tail: str = "") -> str:
+    """A line of 60 flat entries, entry ``at`` replaced by ``entry % at``."""
+    entries = ['{"token": %d, "score": %s}' % (t, -0.5 - t) for t in range(60)]
+    if at is not None:
+        entries[at] = entry % at
+    return '{%s, "topk": [%s]%s}' % (head, ", ".join(entries), tail)
+
+
+def _shifted(line: str, marker: str, into: int = 0) -> str:
+    """``line`` with its position id padded so that a block ends ``into``
+    bytes into the first ``marker``."""
+    at = len(line[: line.index(marker)].encode())
+    pad = (STREAM_FIRST - at - into) % STREAM_PIECE
+    return line.replace('"long"', '"long%s"' % ("x" * pad), 1)
+
+
+def _sized(chars: int) -> str:
+    """A line of six entries padded to ``chars`` characters."""
+    line = '{%s, "pad": "", "topk": [%s]}' % (HEAD, ENTRIES)
+    return line.replace('""', '"%s"' % ("x" * (chars - len(line))), 1)
+
+
+def _cut(char: str, into: int) -> str:
+    line = _stream_line(40, '{"token": %d, "score": -1, "n": "@"}')
+    return _shifted(line, "@", into).replace("@", char)
+
+
+# (long line, whether the piece path takes it as it streams)
+STREAMED = {
+    # entries that orjson decodes, or that decline the line, in the first, a
+    # middle and the last piece
+    **{f"{what}-{where}": (_stream_line(at, entry), streams)
+       for what, entry, streams in [
+           ("extra-key", '{"token": %d, "score": -1, "x": [0]}', True),
+           ("nan", '{"token": %d, "score": NaN}', False),
+           ("escaped-key", '{"tok\\u0065n": %d, "score": -1}', True)]
+       for where, at in [("first", 0), ("middle", 30), ("last", 59)]},
+    # a character that is not ASCII in a later block, whole or cut by one
+    "non-ascii": (_stream_line(40, '{"token": %d, "score": -1, "n": "é"}'), False),
+    **{f"cut-{len(char.encode())}-{into}": (_cut(char, into), False)
+       for char in ("é", "€") for into in range(1, len(char.encode()))},
+    "late-topk": (_stream_line(head=STREAM_HEAD.replace("long", "p" * 300)), False),
+    # "}," in the tail: in the line's last block, and in blocks before it
+    "tail-cut": (_shifted(_stream_line(tail=', "note": "a}, {b"'), "}, {b"), True),
+    "long-tail-cut": (_stream_line(tail=', "note": "a}, {b%s}, {c%s"'
+                                   % ("x" * 200, "x" * 200)), False),
+    # the assembled record fails its check
+    "record-check": (_stream_line().replace('"vocab_size": 64', '"vocab_size": 50'),
+                     False),
+    # the line but its end fills the first read; one byte less
+    "first-read": (_sized(STREAM_FIRST), True),
+    "first-read-less-one": (_sized(STREAM_FIRST - 1), True),
+}
+
+
+class _Unseekable(io.BytesIO):
+    def seekable(self) -> bool:
+        return False
+
+
+class TestStreamedLines:
+    """A long line of a seekable binary stream is decoded as it is read, and
+    gives the batch or the error of the str source; so does a non-seekable
+    binary stream, which reads each line whole."""
+
+    @pytest.mark.parametrize("name", sorted(STREAMED))
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", None], ids=["lf", "crlf", "last"])
+    def test_same_as_the_str_source(self, name, ending, tmp_path):
+        line, taken = STREAMED[name]
+        # beside a short line: before it, or last with no line end
+        if ending:
+            text, lineno = f"{line}{ending}{NEXT}\n", 1
+        else:
+            text, lineno = f"{NEXT}\n{line}", 2
+        # the first read holds no "\n"
+        long = len(line.encode()) + (ending == "\r\n") >= STREAM_FIRST
+        raw = text.encode()
+        path = tmp_path / "lines.jsonl"
+        path.write_bytes(raw)
+        with _piecewise_at(STREAM_PIECE, longer_than=STREAM_FIRST - 1):
+            expected = _outcome(_whole, text)
+            if not isinstance(expected[0], type):
+                # the other line parses too
+                assert "next" in expected[0]
+            for open_source, seekable in [(lambda: io.BytesIO(raw), True),
+                                          (lambda: open(path, "rb"), True),
+                                          (lambda: _Unseekable(raw), False)]:
+                decoded = []
+
+                def spy(line, number, *args, real=observation._decoded):
+                    decoded.append(number)
+                    return real(line, number, *args)
+
+                with open_source() as stream, \
+                        mock.patch.object(observation, "_decoded", spy):
+                    assert _outcome(_whole, stream) == expected
+                assert (lineno not in decoded) is (taken and long and seekable)
+
+    def test_topk_past_the_first_64_kib(self):
+        line = _stream_line(head=STREAM_HEAD.replace("long", "p" * (1 << 16)))
+        assert line.index('"topk"') > _COUNT_FROM_LENGTH
+        text = f"{line}\n{NEXT}\n"
+        expected = _outcome(_whole, text)
+        assert expected[0] == ["p" * (1 << 16), "next"]
+        assert _outcome(_whole, io.BytesIO(text.encode())) == expected
+
+
 class TestMemory:
     def test_nothing_of_a_record_held_with_a_chunk(self, monkeypatch):
         k = 6000
@@ -999,3 +1115,27 @@ class TestMemory:
             tracemalloc.stop()
         assert batch.k.tolist() == [v]
         assert peak < 3 * len(line), (peak, len(line))
+
+    def test_a_full_dump_line_streams_from_a_binary_file(self, tmp_path):
+        # ksweep opens its input in binary: the line is decoded as it is read
+        # and never held whole, where reading it as text took twice the line
+        v = 151_936
+        scores = np.random.default_rng(4).normal(0.0, 3.0, v).tolist()
+        line = json.dumps({"vocab_size": v, "mode": "logits", "position_id": "pos0",
+                           "topk": [{"token": t, "score": s}
+                                    for t, s in enumerate(scores)]})
+        path = tmp_path / "full.jsonl"
+        path.write_text(line + "\n")
+        out = tmp_path / "sweep.csv"
+        # what main sets up once per process is not the read's
+        cli._parser()
+        cli._keep_freed_memory()
+        tracemalloc.start()
+        try:
+            assert cli.main(["ksweep", "--input", str(path), "--k", "1,20,1000",
+                             "--format", "csv", "--output", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.read_text().count("\n") == 4
+        assert peak < len(line), (peak, len(line))
