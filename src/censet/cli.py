@@ -127,9 +127,10 @@ _READ_BUFFER = 1 << 20
 
 def _parse_file(parser, path: str):
     """Run a JSONL parser over the file at ``path``, opened in binary, so
-    that a long observation line is decoded as it is read (see
-    :func:`censet.observation._read_jsonl`) and every other line is read
-    whole; a byte that is not UTF-8 is an error naming its line."""
+    that a long observation line is decoded as it is read, in UTF-8 blocks,
+    and read again whole only where its piece path declines it (see
+    :func:`censet.observation._read_jsonl`); every other line is read whole.
+    A byte that is not UTF-8 is an error naming its line."""
     with open(path, "rb", buffering=_READ_BUFFER) as handle:
         return parser(handle)
 

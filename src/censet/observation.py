@@ -12,6 +12,9 @@ censoring threshold ``tau`` (smallest revealed score).
 from __future__ import annotations
 
 import array
+import codecs
+import functools
+import io
 import itertools
 import json
 import math
@@ -293,12 +296,12 @@ def _read_jsonl(
     ``literals`` is :func:`_has_literal` of the line.
 
     Lines end at ``\\n`` only, less one trailing ``\\r``; line numbers count
-    them.  A stream is read by ``readline``, never whole; open a text file
-    with ``newline="\\n"`` so that no other character ends a line, and
-    with ``errors="surrogateescape"`` so that a byte that is not UTF-8 is
-    a :class:`ParseError` naming its line and its offset in the line, as
-    one is in bytes.  Only lines of a ``str`` source are not checked, so it
-    may hold lone surrogates.
+    them.  A stream is read by ``readline``, never whole, and bytes are read
+    as a binary stream; open a text file with ``newline="\\n"`` so that no
+    other character ends a line, and with ``errors="surrogateescape"`` so
+    that a byte that is not UTF-8 is a :class:`ParseError` naming its line
+    and its offset in the line, as one is in bytes.  Only lines of a ``str``
+    source are not checked, so it may hold lone surrogates.
 
     Decoding rule: each line is decoded by ``orjson``, and again by ``json``
     when orjson refuses it or when its record fails ``check``; the second
@@ -315,118 +318,95 @@ def _read_jsonl(
 
     With ``topk``, records are observations: a line of at least
     ``_COUNT_FROM_LENGTH`` characters first has its ``topk`` list decoded
-    and converted one piece at a time (see :func:`_piecewise`), a piece in
-    the form ``json.dumps`` writes with no entry dict (see
-    :func:`_flat_pairs`), and goes the way above only if that path declines
-    it or ``check`` rejects its record.  Nothing of a line is held once its
-    item is yielded.  While such a line is decoded, the Python objects held
-    beside it and its arrays are those of one piece, about ``_PIECE_CHARS``
-    characters of entries wherever a ``},`` separates two of them.
+    and converted one piece at a time, once (see :func:`_piecewise`).  A
+    line that path declines is decoded whole by the rule above; so is one
+    whose record ``check`` rejects, or where the path raises, but with no
+    orjson step.  A shorter line, such as a K = 20 record of about 1 KB,
+    is decoded whole alone: the piece path's fixed cost (the frame's decode
+    and the piece's checks) would outweigh its saving.  Nothing of a line
+    is held once its item is yielded.  While a long line is decoded, the
+    Python objects held beside it and its arrays are those of one piece.
 
-    Which lines stream: a seekable binary stream, such as a file opened
-    ``"rb"``, is read ``_COUNT_FROM_LENGTH`` bytes of a line at most, and a
-    topk line that fills that with no newline is decoded as it is read,
-    never held whole (see :func:`_streamed`).  Every other line reaches
-    :func:`_decoded` whole: each line of a str or bytes source, of a text
-    or non-seekable stream, of a reference dump, and a streamed line that
-    the piece path declines, read again from its start.
+    Which lines stream: a seekable binary stream, bytes included, is read
+    ``_COUNT_FROM_LENGTH`` bytes of a line at most, and a topk line that
+    fills that with no newline is decoded as it is read, never held whole
+    (see :func:`_utf8_blocks`).  If the piece path declines it, a byte that
+    is not UTF-8 included, it is read again whole from its start, under the
+    same line number.  Every other line is read whole.
     """
     checked = not isinstance(source, str)
     if isinstance(source, bytes):
-        source = source.decode("utf-8", "surrogateescape")
+        source = io.BytesIO(source)
     if isinstance(source, str):
         lines, limit = iter(source.split("\n")), -1
     else:
-        limit = _COUNT_FROM_LENGTH if topk and source.seekable() else -1
-        lines = _stream_lines(source, limit)
+        end = source.read(0)
+        streamable = topk and isinstance(end, bytes) and source.seekable()
+        limit = _COUNT_FROM_LENGTH if streamable else -1
+        lines = iter(functools.partial(source.readline, limit), end)
     lineno = 0
     for line in lines:
         lineno += 1
-        if len(line) == limit and not line.endswith(
-            b"\n" if isinstance(line, bytes) else "\n"
-        ):
-            # the start of a longer line
-            if isinstance(line, bytes):
-                start = source.tell() - len(line)
-                item = _streamed(source, line, lineno, check)
-                if item is not None:
-                    del line
-                    yield item.pop()
-                    continue
+        # the start of a longer line, which is decoded as it is read
+        streams = len(line) == limit and not line.endswith(b"\n")
+        start = source.tell() - len(line) if streams else None
+        if not streams:
+            line = _text(line, lineno, checked)
+        item, orjson_may_stand, decoded = [], True, None
+        if streams or (topk and len(line) >= _COUNT_FROM_LENGTH):
+            blocks = _utf8_blocks(source, line) if streams else (line,)
+            try:
+                decoded = _piecewise(blocks, lineno)
+                if decoded is not None:
+                    item.append(check(decoded[0], lineno, decoded[1]))
+            except ValueError:
+                orjson_may_stand = False
+            del blocks, decoded
+            if streams and not item:
                 source.seek(start)
-                line = source.readline()
-            else:
-                line += source.readline()
-        if isinstance(line, bytes):
-            line = line.decode("utf-8", "surrogateescape")
-        if checked and not line.isascii():
-            _check_utf8(line, lineno)
-        if not line or line.isspace():
-            continue
-        item = [_decoded(line, lineno, check, topk)]
+                line = _text(source.readline(), lineno, checked)
+        if not item:
+            if not line or line.isspace():
+                continue
+            item.append(_decoded(line, lineno, check, orjson_may_stand))
         del line
         # popped as it is yielded: no local holds the item while suspended
         yield item.pop()
 
 
-def _stream_lines(stream: IO, limit: int) -> Iterator[str | bytes]:
-    """``stream.readline(limit)`` until the stream ends."""
-    while line := stream.readline(limit):
-        yield line
+def _text(line: str | bytes, lineno: int, checked: bool) -> str:
+    """A line as text, checked by :func:`_check_utf8` where ``checked``."""
+    if isinstance(line, bytes):
+        line = line.decode("utf-8", "surrogateescape")
+    if checked and not line.isascii():
+        _check_utf8(line, lineno)
+    return line
 
 
-def _streamed(
-    stream: IO, first: bytes, lineno: int, check: Callable[[dict, int, bool], _T]
-) -> list[_T] | None:
-    """``[check(record, lineno, literals)]`` of a line of a binary stream
-    whose first bytes are ``first``, by :func:`_piecewise` over blocks read
-    as it converts them; None where that path declines the line or
-    ``check`` rejects its record, with the stream anywhere in the line.
+def _utf8_blocks(stream: IO, block: bytes) -> Iterator[str]:
+    """The rest of a binary ``stream``'s line from its first read
+    ``block`` on, as ``readline(_PIECE_CHARS)`` blocks decoded as UTF-8.
 
-    After ``first``, each block is ``readline(_PIECE_CHARS)``, up to the
-    line's ``\\n`` or the end of the stream.  A block that is not ASCII
-    raises its decode's error, which declines the line too, so a streamed
-    line needs no UTF-8 check.  The caller reads a declined line again
-    from its start: its record or error is then the whole line's, and the
-    same line number names it.
+    Only the 0-3 bytes of a character that a block cuts are carried to the
+    next, so a block that follows no cut is decoded with no join.  A byte
+    that is not UTF-8 raises a :class:`UnicodeDecodeError`.
     """
-    def blocks() -> Iterator[str]:
-        block = first
-        while block:
-            yield block.decode("ascii")
-            if block.endswith(b"\n"):
-                return
-            block = stream.readline(_PIECE_CHARS)
-
-    try:
-        decoded = _piecewise(blocks(), lineno)
-        if decoded is not None:
-            return [check(decoded[0], lineno, decoded[1])]
-    except ValueError:
-        pass
-    return None
+    carry = b""
+    while block:
+        data = carry + block
+        text, used = codecs.utf_8_decode(data, "strict", block.endswith(b"\n"))
+        carry = data[used:]
+        yield text
+        block = b"" if block.endswith(b"\n") else stream.readline(_PIECE_CHARS)
+    # a character that the end of the stream cuts
+    codecs.utf_8_decode(carry, "strict", True)
 
 
 def _decoded(
-    line: str, lineno: int, check: Callable[[dict, int, bool], _T], topk: bool
+    line: str, lineno: int, check: Callable[[dict, int, bool], _T], orjson_may_stand: bool
 ) -> _T:
     """``check`` of one whole line's record, by the decoding rule of
-    :func:`_read_jsonl`: with ``topk``, a line of at least
-    ``_COUNT_FROM_LENGTH`` characters is tried piece by piece first, as
-    the one block of :func:`_piecewise`, and any failure there falls back
-    to the whole-line decode, so that path gives the record or the error,
-    with no orjson step where the failure rules it out.  A shorter line,
-    such as a K = 20 record of about 1 KB, is decoded whole: the piece
-    path's fixed cost (the frame's decode and the piece's checks) would
-    outweigh its saving."""
-    orjson_may_stand = True
-    if topk and len(line) >= _COUNT_FROM_LENGTH:
-        try:
-            decoded = _piecewise((line,), lineno)
-            if decoded is not None:
-                return check(decoded[0], lineno, decoded[1])
-        except ValueError:
-            orjson_may_stand = False
+    :func:`_read_jsonl`; with no orjson step unless ``orjson_may_stand``."""
     literals = _has_literal(line)
     if orjson_may_stand and _shallow(line):
         try:
@@ -468,7 +448,7 @@ def _piecewise(blocks: Iterable[str], lineno: int) -> tuple[dict, bool] | None:
     this path declines the line.
 
     The line is the join of ``blocks``: one block of the whole line, or a
-    stream's blocks that :func:`_streamed` reads as they are asked for.
+    stream's blocks that :func:`_utf8_blocks` reads as they are asked for.
     The line is cut into a head up to the ``[`` that follows the key
     ``"topk"``, the list's text, and a tail from the line's last ``]``.  The
     list's text is cut after a ``}`` that a ``,`` follows, the first one at
@@ -485,15 +465,16 @@ def _piecewise(blocks: Iterable[str], lineno: int) -> tuple[dict, bool] | None:
     on the head, the tail and each piece, never on the line: a literal
     cannot straddle a ``[``, ``]`` or ``},`` cut.
 
-    How blocks are held: the head is found in the first block, and the path
-    declines a line whose first block holds no ``"topk": [``.  The list's
-    text not yet cut is carried, and each further block joins it; so what
-    is held is a piece, the text after it and one block.  A carry longer
-    than two pieces, where no ``},`` lets it be cut, declines the line.
-    The frame is checked once the blocks end, before the last text is cut,
-    and for one block before any piece; a cut made in an earlier text lies
-    before the line's last ``]`` only if the last text holds a ``]``, so
-    the cuts are those of the whole line, or the path declines.
+    How blocks are held: blocks join the head until it holds
+    ``"topk": [``, each search starting at the last ``"topk"`` or the last
+    5 characters of the text before, so a long head costs linear time.  The
+    list's text not yet cut is carried, and each further block joins it; so
+    what is held is a piece, the text after it and one block.  A carry
+    longer than two pieces, where no ``},`` lets it be cut, declines the
+    line.  The frame is checked once the blocks end, before the last text
+    is cut, and for one block before any piece; a cut made in an earlier
+    text lies before the line's last ``]`` only if the last text holds a
+    ``]``, so the cuts are those of the whole line, or the path declines.
 
     Why an accepted record is the whole line's: the pieces rejoined with
     ``,`` are the list's text again.  When each piece decodes to a non-empty
@@ -515,26 +496,16 @@ def _piecewise(blocks: Iterable[str], lineno: int) -> tuple[dict, bool] | None:
     float64 holds: the whole-line decode then gives today's record or error.
 
     It raises where the decline rules out orjson's decode of the line, once
-    the frame checks have passed; a streamed line is read again whole for
-    any decline, so there the order of the checks does not matter.  Past
-    the frame checks each piece that decodes holds the next elements of
-    the line's topk list, as a JSON value's extent depends only on the text
-    from its start.  So a conversion error, like a failed assembled record,
-    fails ``check`` on any record orjson reads from the line; and a piece
-    that orjson refuses but ``json`` takes holds a value only ``json`` takes
-    (NaN, Infinity, a number beyond the float range, a lone surrogate), as
-    does the line.
+    the frame checks have passed; before then a cut may lie past the list's
+    end, so a :class:`ValueError` returns None.  Past the frame checks each
+    piece that decodes holds the next elements of the line's topk list, as
+    a JSON value's extent depends only on the text from its start.  So a
+    conversion error, like a failed assembled record, fails ``check`` on
+    any record orjson reads from the line; and a piece that orjson refuses
+    but ``json`` takes holds a value only ``json`` takes (NaN, Infinity, a
+    number beyond the float range, a lone surrogate), as does the line.
     """
     blocks = iter(blocks)
-    text = next(blocks)
-    found = _TOPK_LIST.search(text)
-    if found is None:
-        return None
-    lo = found.end()
-    head = text[: lo - 1]
-    if "\\" in head or head.count('"topk"') != 1:
-        return None
-    literals = _has_literal(head)
     ids, values = array.array("q"), array.array("d")
 
     def take(piece: str) -> bool:
@@ -549,28 +520,47 @@ def _piecewise(blocks: Iterable[str], lineno: int) -> tuple[dict, bool] | None:
         literals = literals or seen
         return True
 
-    for block in itertools.chain(blocks, [None]):
-        hi = len(text)
-        if block is None:
-            # the line ends in this text, its list at the last "]"
-            hi = text.rfind("]")
-            tail = text[hi + 1:]
-            record = _frame(head, tail) if hi >= lo else None
-            if record is None:
+    try:
+        text, start = next(blocks), 0
+        while (found := _TOPK_LIST.search(text, start)) is None:
+            block = next(blocks, None)
+            # a match begins at the last "topk", if only whitespace and a
+            # colon follow it (else the head holds two), or in the text's
+            # last 5 characters
+            at = text.rfind('"topk"', start)
+            if block is None or (at >= 0 and text[at + 6:].strip(" \t\n\r:")):
                 return None
-            literals = literals or _has_literal(tail)
-        while (cut := text.find("},", lo + _PIECE_CHARS, hi)) >= 0:
-            if not take(text[lo:cut + 1]):
-                return None
-            lo = cut + 2
-        if block is None:
-            if not take(text[lo:hi]):
-                return None
-        elif hi - lo > 2 * _PIECE_CHARS:
+            start = at if at >= 0 else max(start, len(text) - 5)
+            text += block
+        lo = found.end()
+        head = text[: lo - 1]
+        if "\\" in head or head.count('"topk"') != 1:
             return None
-        else:
-            text = text[lo:] + block
-            lo = 0
+        literals = _has_literal(head)
+        for block in blocks:
+            while (cut := text.find("},", lo + _PIECE_CHARS)) >= 0:
+                if not take(text[lo:cut + 1]):
+                    return None
+                lo = cut + 2
+            if len(text) - lo > 2 * _PIECE_CHARS:
+                return None
+            text, lo = text[lo:] + block, 0
+    except ValueError:
+        # a cut past the list's end, or a block that is not UTF-8
+        return None
+    # the line ends in this text, its list at the last "]"
+    hi = text.rfind("]")
+    tail = text[hi + 1:]
+    record = _frame(head, tail) if hi >= lo else None
+    if record is None:
+        return None
+    literals = literals or _has_literal(tail)
+    while (cut := text.find("},", lo + _PIECE_CHARS, hi)) >= 0:
+        if not take(text[lo:cut + 1]):
+            return None
+        lo = cut + 2
+    if not take(text[lo:hi]):
+        return None
     record["topk"] = _Pairs(ids, values)
     return record, literals
 
@@ -1022,13 +1012,13 @@ def parse_observations(source: str | bytes | IO) -> ObservationBatch:
     offending line.
 
     ``source`` is text, bytes or a stream of lines (see :func:`_read_jsonl`
-    for the line rules, and for the long lines of a seekable binary stream,
-    which are decoded as they are read).  Each line is decoded by
-    ``orjson``, and again by ``json`` when orjson refuses it or its record
-    fails a field check, so the records accepted and the errors raised are
-    those of ``json`` (see :func:`_read_jsonl`).  The checks that read one
-    record's fields run as each line is decoded; the pair checks of
-    :func:`from_pairs` then run over the whole batch at once (see
+    for the line rules, and for the long lines of bytes or a seekable
+    binary stream, which are decoded as they are read, once).  Each line is
+    decoded by ``orjson``, and again by ``json`` when orjson refuses it or
+    its record fails a field check, so the records accepted and the errors
+    raised are those of ``json`` (see :func:`_read_jsonl`).  The checks
+    that read one record's fields run as each line is decoded; the pair
+    checks of :func:`from_pairs` then run over the whole batch at once (see
     :func:`_sorted_rows`).  The first error in line order wins: a field
     error on a line is raised only once every earlier line has passed its
     pair checks.  The batch holds about 24 bytes per revealed pair; the
@@ -1039,10 +1029,11 @@ def parse_observations(source: str | bytes | IO) -> ObservationBatch:
     ``_COUNT_FROM_LENGTH``, and the line itself unless it streams.  A piece
     in the form ``json.dumps`` writes is read with no entry dict (see
     :func:`_flat_pairs`): a V = 151,936 full-dump record of 6.9 MiB parses
-    at a 9.4 MiB peak (``tracemalloc``) from a file opened in binary, where
-    the batch's sort sets the peak, and at 13.8 MiB from a text file, whose
-    read of the line takes twice its length; one decode of the whole line
-    took 47.1 MiB.  A V = 32,000 record of 1.4 MiB parses at 2.8 MiB.
+    at an 8.4 MiB peak (``tracemalloc``) from a file opened in binary or
+    from bytes, where the batch's sort sets the peak, and at 13.8 MiB from a
+    text file, whose read of the line takes twice its length; one decode of
+    the whole line took 47.1 MiB.  A V = 32,000 record of 1.4 MiB parses at
+    1.8 MiB from a file opened in binary.
     """
     ((records, ids, values, failure),) = _chunks(source, chunked=False)
     batch, error = _batch(records, ids, values)

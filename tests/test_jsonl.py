@@ -988,6 +988,7 @@ def _cut(char: str, into: int) -> str:
     return _shifted(line, "@", into).replace("@", char)
 
 
+PADDED = _stream_line(head='%s, "pad": "%s"' % (STREAM_HEAD, "x" * 300))
 # (long line, whether the piece path takes it as it streams)
 STREAMED = {
     # entries that orjson decodes, or that decline the line, in the first, a
@@ -999,10 +1000,13 @@ STREAMED = {
            ("escaped-key", '{"tok\\u0065n": %d, "score": -1}', True)]
        for where, at in [("first", 0), ("middle", 30), ("last", 59)]},
     # a character that is not ASCII in a later block, whole or cut by one
-    "non-ascii": (_stream_line(40, '{"token": %d, "score": -1, "n": "é"}'), False),
-    **{f"cut-{len(char.encode())}-{into}": (_cut(char, into), False)
+    "non-ascii": (_stream_line(40, '{"token": %d, "score": -1, "n": "é"}'), True),
+    **{f"cut-{len(char.encode())}-{into}": (_cut(char, into), True)
        for char in ("é", "€") for into in range(1, len(char.encode()))},
-    "late-topk": (_stream_line(head=STREAM_HEAD.replace("long", "p" * 300)), False),
+    "late-topk": (_stream_line(head=STREAM_HEAD.replace("long", "p" * 300)), True),
+    # "topk": [ past the first read, cut by a block after 1 to 8 bytes
+    **{f"topk-cut-{into}": (_shifted(PADDED, '"topk": [', into), True)
+       for into in range(1, 9)},
     # "}," in the tail: in the line's last block, and in blocks before it
     "tail-cut": (_shifted(_stream_line(tail=', "note": "a}, {b"'), "}, {b"), True),
     "long-tail-cut": (_stream_line(tail=', "note": "a}, {b%s}, {c%s"'
@@ -1014,6 +1018,9 @@ STREAMED = {
     "first-read": (_sized(STREAM_FIRST), True),
     "first-read-less-one": (_sized(STREAM_FIRST - 1), True),
 }
+# a line held whole has its frame checked before any cut, so the piece path
+# takes a "}," in its tail however far past the list
+TAKEN_WHOLE = {"long-tail-cut"}
 
 
 class _Unseekable(io.BytesIO):
@@ -1021,10 +1028,32 @@ class _Unseekable(io.BytesIO):
         return False
 
 
+@contextlib.contextmanager
+def _spied():
+    """The calls of _piecewise, as (line number, whether its blocks are a
+    stream's), and the line numbers _decoded gets, with whether orjson may
+    decode each, in order."""
+    calls = {"piecewise": [], "decoded": [], "orjson": []}
+
+    def piecewise(blocks, lineno, real=observation._piecewise):
+        calls["piecewise"].append((lineno, not isinstance(blocks, tuple)))
+        return real(blocks, lineno)
+
+    def decoded(line, lineno, check, orjson_may_stand, real=observation._decoded):
+        calls["decoded"].append(lineno)
+        calls["orjson"].append(orjson_may_stand)
+        return real(line, lineno, check, orjson_may_stand)
+
+    with mock.patch.object(observation, "_piecewise", piecewise), \
+            mock.patch.object(observation, "_decoded", decoded):
+        yield calls
+
+
 class TestStreamedLines:
     """A long line of a seekable binary stream is decoded as it is read, and
     gives the batch or the error of the str source; so does a non-seekable
-    binary stream, which reads each line whole."""
+    binary stream, which reads each line whole.  The piece path runs at most
+    once a line, whatever the source."""
 
     @pytest.mark.parametrize("name", sorted(STREAMED))
     @pytest.mark.parametrize("ending", ["\n", "\r\n", None], ids=["lf", "crlf", "last"])
@@ -1035,8 +1064,8 @@ class TestStreamedLines:
             text, lineno = f"{line}{ending}{NEXT}\n", 1
         else:
             text, lineno = f"{NEXT}\n{line}", 2
-        # the first read holds no "\n"
-        long = len(line.encode()) + (ending == "\r\n") >= STREAM_FIRST
+        # long enough for the piece path, whether streamed or held whole
+        long = len(line) + len(ending or "") >= STREAM_FIRST
         raw = text.encode()
         path = tmp_path / "lines.jsonl"
         path.write_bytes(raw)
@@ -1048,16 +1077,29 @@ class TestStreamedLines:
             for open_source, seekable in [(lambda: io.BytesIO(raw), True),
                                           (lambda: open(path, "rb"), True),
                                           (lambda: _Unseekable(raw), False)]:
-                decoded = []
-
-                def spy(line, number, *args, real=observation._decoded):
-                    decoded.append(number)
-                    return real(line, number, *args)
-
-                with open_source() as stream, \
-                        mock.patch.object(observation, "_decoded", spy):
+                with open_source() as stream, _spied() as calls:
                     assert _outcome(_whole, stream) == expected
-                assert (lineno not in decoded) is (taken and long and seekable)
+                pieces = [number for number, _ in calls["piecewise"]]
+                assert pieces == ([lineno] if long else [])
+                took = taken or (not seekable and name in TAKEN_WHOLE)
+                assert (lineno not in calls["decoded"]) is (long and took)
+
+    @pytest.mark.parametrize("name, orjson_may_stand", [
+        # cuts before the frame check prove nothing about orjson's decode
+        ("long-tail-cut", True), ("nan-middle", True),
+        # a piece cut after it, and the assembled record, do
+        ("nan-last", False), ("record-check", False)])
+    def test_a_streamed_decline_runs_the_piece_path_once(self, name, orjson_may_stand):
+        line = STREAMED[name][0]
+        text = f"{line}\n{NEXT}\n"
+        with _piecewise_at(STREAM_PIECE, longer_than=STREAM_FIRST - 1):
+            expected = _outcome(_whole, text)
+            with _spied() as calls:
+                assert _outcome(_whole, io.BytesIO(text.encode())) == expected
+        # streamed, declined, then read again and decoded whole
+        assert calls["piecewise"] == [(1, True)]
+        assert calls["decoded"].count(1) == 1
+        assert calls["orjson"][0] is orjson_may_stand
 
     def test_topk_past_the_first_64_kib(self):
         line = _stream_line(head=STREAM_HEAD.replace("long", "p" * (1 << 16)))
@@ -1065,7 +1107,10 @@ class TestStreamedLines:
         text = f"{line}\n{NEXT}\n"
         expected = _outcome(_whole, text)
         assert expected[0] == ["p" * (1 << 16), "next"]
-        assert _outcome(_whole, io.BytesIO(text.encode())) == expected
+        with _spied() as calls:
+            assert _outcome(_whole, io.BytesIO(text.encode())) == expected
+        # the head is read block by block until it holds the list's "["
+        assert calls["piecewise"] == [(1, True)] and calls["decoded"] == [2]
 
 
 class TestMemory:
@@ -1119,23 +1164,39 @@ class TestMemory:
     def test_a_full_dump_line_streams_from_a_binary_file(self, tmp_path):
         # ksweep opens its input in binary: the line is decoded as it is read
         # and never held whole, where reading it as text took twice the line
-        v = 151_936
-        scores = np.random.default_rng(4).normal(0.0, 3.0, v).tolist()
-        line = json.dumps({"vocab_size": v, "mode": "logits", "position_id": "pos0",
-                           "topk": [{"token": t, "score": s}
-                                    for t, s in enumerate(scores)]})
-        path = tmp_path / "full.jsonl"
-        path.write_text(line + "\n")
-        out = tmp_path / "sweep.csv"
-        # what main sets up once per process is not the read's
-        cli._parser()
-        cli._keep_freed_memory()
-        tracemalloc.start()
-        try:
-            assert cli.main(["ksweep", "--input", str(path), "--k", "1,20,1000",
-                             "--format", "csv", "--output", str(out)]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert out.read_text().count("\n") == 4
-        assert peak < len(line), (peak, len(line))
+        line = _full_dump_line(4)
+        assert _ksweep_peak(tmp_path, line) < len(line)
+
+    def test_a_non_ascii_position_id_after_the_list_streams(self, tmp_path):
+        # its block decodes as UTF-8 like any other, so the line is read once
+        line = _full_dump_line(4).replace('"position_id": "pos0", ', "")
+        line = line[:-1] + ', "position_id": "posé"}'
+        assert line.index('"topk"') < line.index('"position_id"')
+        assert _ksweep_peak(tmp_path, line) < len(line)
+
+
+def _full_dump_line(seed: int) -> str:
+    """A V = 151,936 full-dump observation line of about 7 MB."""
+    v = 151_936
+    scores = np.random.default_rng(seed).normal(0.0, 3.0, v).tolist()
+    return json.dumps({"vocab_size": v, "mode": "logits", "position_id": "pos0",
+                       "topk": [{"token": t, "score": s} for t, s in enumerate(scores)]})
+
+
+def _ksweep_peak(tmp_path, line: str) -> int:
+    """The traced peak of ``censet ksweep`` over a file of ``line``."""
+    path = tmp_path / "full.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "sweep.csv"
+    # what main sets up once per process is not the read's
+    cli._parser()
+    cli._keep_freed_memory()
+    tracemalloc.start()
+    try:
+        assert cli.main(["ksweep", "--input", str(path), "--k", "1,20,1000",
+                         "--format", "csv", "--output", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_text().count("\n") == 4
+    return peak
