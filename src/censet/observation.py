@@ -14,6 +14,7 @@ from __future__ import annotations
 import array
 import codecs
 import functools
+import gc
 import io
 import itertools
 import json
@@ -289,11 +290,12 @@ _T = TypeVar("_T")
 
 def _read_jsonl(
     source: str | bytes | IO, check: Callable[[dict, int, bool], _T],
-    topk: bool = False,
+    check_block: Callable[[list, list, bool], _T | None] | None = None,
 ) -> Iterator[_T]:
     """``check(record, line number, literals)`` of each non-blank line of
     text, bytes or a stream, where the record is the line's JSON object and
-    ``literals`` is :func:`_has_literal` of the line.
+    ``literals`` is :func:`_has_literal` of the line; with ``check_block``,
+    one item per block of short lines where the block's check takes it.
 
     Lines end at ``\\n`` only, less one trailing ``\\r``; line numbers count
     them.  A stream is read by ``readline``, never whole, and bytes are read
@@ -316,25 +318,32 @@ def _read_jsonl(
     the line as read, line end and all, which JSON takes as whitespace; the
     ``\\r`` is stripped for ``json`` alone, whose error messages depend on it.
 
-    With ``topk``, records are observations: a line of at least
-    ``_COUNT_FROM_LENGTH`` characters first has its ``topk`` list decoded
-    and converted one piece at a time, once (see :func:`_piecewise`).  A
-    line that path declines is decoded whole by the rule above; so is one
-    whose record ``check`` rejects, or where the path raises, but with no
-    orjson step.  A shorter line, such as a K = 20 record of about 1 KB,
-    is decoded whole alone: the piece path's fixed cost (the frame's decode
-    and the piece's checks) would outweigh its saving.  Nothing of a line
-    is held once its item is yielded.  While a long line is decoded, the
-    Python objects held beside it and its arrays are those of one piece.
+    With ``check_block``, records are observations.  Consecutive non-blank
+    lines shorter than ``_COUNT_FROM_LENGTH``, such as K = 20 records of
+    about 1 KB, are gathered into blocks of at most ``_PIECE_CHARS``
+    characters (or one line), a longer line closing the block before it.
+    A block gives one item, ``check_block(records, line numbers, literals)``
+    of its lines' orjson records, where :func:`_block_records` decodes the
+    block and ``check_block`` takes it.  Otherwise each of its lines is
+    decoded whole by the rule above, from the block's first line, so the
+    records, errors and line numbers are those of the lines alone.  A line
+    of at least ``_COUNT_FROM_LENGTH`` characters first has its ``topk``
+    list decoded and converted one piece at a time, once (see
+    :func:`_piecewise`).  A line that path declines is decoded whole by the
+    rule above; so is one whose record ``check`` rejects, or where the path
+    raises, but with no orjson step.  Nothing of a long line is held once
+    its item is yielded, and nothing of a block but its lines, until the
+    next block begins.  While a long line is decoded, the Python objects
+    held beside it and its arrays are those of one piece.
 
-    Which lines stream: a seekable binary stream, bytes included, is read
-    ``_COUNT_FROM_LENGTH`` bytes of a line at most, and a topk line that
-    fills that with no newline is decoded as it is read, never held whole
-    (see :func:`_utf8_blocks`).  If the piece path declines it, a byte that
-    is not UTF-8 included, it is read again whole from its start, under the
-    same line number.  Every other line is read whole.
+    Which lines stream: with ``check_block``, a seekable binary stream,
+    bytes included, is read ``_COUNT_FROM_LENGTH`` bytes of a line at most,
+    and a line that fills that with no newline is decoded as it is read,
+    never held whole (see :func:`_utf8_blocks`).  If the piece path declines
+    it, a byte that is not UTF-8 included, it is read again whole from its
+    start, under the same line number.  Every other line is read whole.
     """
-    checked = not isinstance(source, str)
+    checked, topk = not isinstance(source, str), check_block is not None
     if isinstance(source, bytes):
         source = io.BytesIO(source)
     if isinstance(source, str):
@@ -344,9 +353,21 @@ def _read_jsonl(
         streamable = topk and isinstance(end, bytes) and source.seekable()
         limit = _COUNT_FROM_LENGTH if streamable else -1
         lines = iter(functools.partial(source.readline, limit), end)
-    lineno = 0
+    lineno, block, numbers, size = 0, [], [], 0
     for line in lines:
         lineno += 1
+        if topk and len(line) < _COUNT_FROM_LENGTH:
+            if line and not line.isspace():
+                if block and size + len(line) > _PIECE_CHARS:
+                    yield from _block_items(block, numbers, checked, check, check_block)
+                    block, numbers, size = [], [], 0
+                block.append(line)
+                numbers.append(lineno)
+                size += len(line)
+            continue
+        if block:
+            yield from _block_items(block, numbers, checked, check, check_block)
+            block, numbers, size = [], [], 0
         # the start of a longer line, which is decoded as it is read
         streams = len(line) == limit and not line.endswith(b"\n")
         start = source.tell() - len(line) if streams else None
@@ -372,6 +393,68 @@ def _read_jsonl(
         del line
         # popped as it is yielded: no local holds the item while suspended
         yield item.pop()
+    if block:
+        yield from _block_items(block, numbers, checked, check, check_block)
+
+
+def _block_items(
+    lines: list, numbers: list, checked: bool, check: Callable[[dict, int, bool], _T],
+    check_block: Callable[[list, list, bool], _T | None],
+) -> Iterator[_T]:
+    """The items of one block of short lines (see :func:`_read_jsonl`):
+    ``check_block`` of the block's records, or ``check`` of each line's
+    record decoded alone where :func:`_block_records` or ``check_block``
+    declines the block."""
+    # the block's records hold no cycle and are dropped before its item is
+    # yielded, so a collection could free none of them; left on, the
+    # collector ran 28 young and 0.2 full collections, 1.8 ms, in each
+    # 11 ms parse of the topk-152k workload's 1,000 lines
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        decoded = _block_records(lines)
+        item = [decoded and check_block(decoded[0], numbers, decoded[1])]
+        del decoded
+    finally:
+        if collecting:
+            gc.enable()
+    if item[0] is not None:
+        yield item.pop()
+        return
+    for line, lineno in zip(lines, numbers):
+        line = _text(line, lineno, checked)
+        if not line.isspace():
+            yield _decoded(line, lineno, check, True)
+
+
+# every byte but the opening brackets and the line end
+_NOT_OPENER = bytes(sorted(set(range(256)) - set(b"[{\n")))
+
+
+def _block_records(lines: list) -> tuple[list, bool] | None:
+    """The orjson records of a block of short lines, bytes or text, and
+    :func:`_has_literal` of the block; None unless the block is UTF-8 with
+    no lone surrogate, every line holds at most ``2 * _ORJSON_MAX_DEPTH``
+    characters or every line at most ``_ORJSON_MAX_DEPTH`` opening brackets
+    (counted for all lines in one pass), and orjson decodes each line.
+
+    A line of depth d holds at least d opening brackets and 2d characters,
+    so each line orjson gets is within its depth bound.  A record that orjson
+    decodes and ``check`` accepts is the one ``json`` gives (see
+    :func:`_read_jsonl`), whether or not :func:`_shallow` clears its line,
+    so a block whose records all pass gives each line's item.
+    """
+    try:
+        raw = "\n".join(lines).encode() if isinstance(lines[0], str) else b"".join(lines)
+        text = raw.decode()
+        if max(map(len, lines)) <= 2 * _ORJSON_MAX_DEPTH or max(
+            map(len, raw.translate(None, _NOT_OPENER).split(b"\n"))
+        ) <= _ORJSON_MAX_DEPTH:
+            return list(map(orjson.loads, lines)), _has_literal(text)
+    except ValueError:
+        # a byte that is not UTF-8, a lone surrogate, a line orjson refuses
+        pass
+    return None
 
 
 def _text(line: str | bytes, lineno: int, checked: bool) -> str:
@@ -877,21 +960,51 @@ def _record_fields(
     return vocab_size, _MODE_NAMES[mode_name], ids, values
 
 
+_FIELDS = operator.itemgetter("vocab_size", "mode", "topk")
+
+
 def _records(source: str | bytes | IO) -> Iterator[tuple]:
-    """``(line, position_id, vocab_size, mode, tokens, scores)`` of each
-    record, once the checks that read its fields alone have passed."""
+    """``(rows, tokens, scores)`` of each record or block of records once
+    the checks that read its fields alone have passed: each record's row
+    ``(line, position_id, vocab_size, mode, K)`` and their pairs end to end
+    in source order, as ``array.array`` int64 and float64."""
     seen: set[str] = set()
 
     def fields(record: dict, lineno: int, literals: bool) -> tuple:
         pid = record.get("position_id", f"line{lineno}")
         _check_position_id(pid, lineno, seen)
-        checked = (lineno, pid, *_record_fields(record, lineno, literals))
+        vocab_size, mode, ids, values = _record_fields(record, lineno, literals)
         # taken only once every check has passed: a failed check runs
         # again on json's decode of the line
         seen.add(pid)
-        return checked
+        return [(lineno, pid, vocab_size, mode, len(ids))], ids, values
 
-    return _read_jsonl(source, fields, topk=True)
+    def block(records: list, numbers: list, literals: bool) -> tuple | None:
+        """:func:`fields` of a block's records at once, on its columns; None
+        where any record may fail a check, with ``seen`` unchanged."""
+        try:
+            pids = list(map(dict.get, records, itertools.repeat("position_id")))
+            if None in pids:
+                pids = [r.get("position_id", f"line{n}") for r, n in zip(records, numbers)]
+            vocab_sizes, modes, topks = zip(*map(_FIELDS, records))
+            modes = list(map(_MODE_NAMES.__getitem__, modes))
+            counts = list(map(len, topks))
+            entries = list(itertools.chain.from_iterable(topks))
+            tokens, scores = list(map(_TOKEN, entries)), list(map(_SCORE, entries))
+            ids, values = array.array("q", tokens), array.array("d", scores)
+        except (LookupError, TypeError, OverflowError):
+            return None
+        kinds = set(map(type, vocab_sizes)), set(map(type, topks)), set(map(type, pids))
+        # a bool passes the conversion, and needs a literal word
+        if kinds != ({int}, {list}, {str}) or not (
+            min(counts) and all(map(operator.le, counts, vocab_sizes))
+            and len(set(pids)) == len(pids) and seen.isdisjoint(pids)
+        ) or (literals and bool in set(map(type, tokens)) | set(map(type, scores))):
+            return None
+        seen.update(pids)
+        return list(zip(numbers, pids, vocab_sizes, modes, counts)), ids, values
+
+    return _read_jsonl(source, fields, block)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1017,16 +1130,21 @@ def parse_observations(source: str | bytes | IO) -> ObservationBatch:
     decoded by ``orjson``, and again by ``json`` when orjson refuses it or
     its record fails a field check, so the records accepted and the errors
     raised are those of ``json`` (see :func:`_read_jsonl`).  The checks
-    that read one record's fields run as each line is decoded; the pair
-    checks of :func:`from_pairs` then run over the whole batch at once (see
-    :func:`_sorted_rows`).  The first error in line order wins: a field
-    error on a line is raised only once every earlier line has passed its
-    pair checks.  The batch holds about 24 bytes per revealed pair; the
-    decoded lines' Python objects are dropped once their pairs are stored.
-    One record's decode holds its arrays and the Python objects of one piece
-    of entries (about ``_PIECE_CHARS`` characters; see :func:`_piecewise`
-    for where a piece may run longer), or of a whole line shorter than
-    ``_COUNT_FROM_LENGTH``, and the line itself unless it streams.  A piece
+    that read one record's fields run as each line is decoded, at once for
+    a block of short lines; the pair checks of :func:`from_pairs` then run
+    over the whole batch at once (see :func:`_sorted_rows`).  The first
+    error in line order wins: a field error on a line is raised only once
+    every earlier line has passed its pair checks.  The batch holds about
+    24 bytes per revealed pair; the decoded lines' Python objects are
+    dropped once their pairs are stored.  A long record's decode holds its
+    arrays and the Python objects of one piece of entries (about
+    ``_PIECE_CHARS`` characters; see :func:`_piecewise` for where a piece
+    may run longer), and the line itself unless it streams; lines shorter
+    than ``_COUNT_FROM_LENGTH`` are decoded a block of at most
+    ``_PIECE_CHARS`` characters at a time, which holds the block's lines,
+    their records and their arrays.  3,000 K = 20 lines of about 1 KB read
+    at a 2.6 MB traced peak, 1.6 MB of it their columns and rows, where
+    their decoded records together take 15 MB.  A piece
     in the form ``json.dumps`` writes is read with no entry dict (see
     :func:`_flat_pairs`): a V = 151,936 full-dump record of 6.9 MiB parses
     at an 8.4 MiB peak (``tracemalloc``) from a file opened in binary or
@@ -1050,7 +1168,8 @@ def _chunks(source: str | bytes | IO, chunked: bool) -> Iterator[tuple]:
     ``records`` holds each record's ``(line, position_id, vocab_size, mode,
     K)`` and ``ids`` (int64) and ``values`` (float64) their pairs end to
     end, in source order, as :func:`_batch` takes them.  Chunked, a chunk
-    closes at the first record that brings it to ``_CHUNK_PAIRS`` pairs;
+    closes at the first record that brings it to ``_CHUNK_PAIRS`` pairs,
+    and the later records of its block of short lines open the next chunk;
     otherwise one chunk holds every record.  ``failure`` is the error of
     the line that ended the stream, or None; it is due once the chunk's
     own records have passed their pair checks.  The last chunk may hold no
@@ -1066,18 +1185,28 @@ def _chunks(source: str | bytes | IO, chunked: bool) -> Iterator[tuple]:
         # the pairs of the chunk's records end to end
         tokens, scores = array.array("q"), array.array("d")
         try:
-            for lineno, pid, vocab_size, mode, row_tokens, row_scores in stream:
+            for rows, row_tokens, row_scores in stream:
                 if records:
                     tokens += row_tokens
                     scores += row_scores
                 else:
-                    # the first record's own arrays, which nothing else
-                    # holds: a long record's pairs are not copied
+                    # the first item's own arrays, which nothing else holds:
+                    # a long record's pairs are not copied
                     tokens, scores = row_tokens, row_scores
-                records.append((lineno, pid, vocab_size, mode, len(row_tokens)))
-                del row_tokens, row_scores
+                records += rows
+                del rows, row_tokens, row_scores
                 if len(scores) >= limit:
                     more = True
+                    # close at the first record that reaches the limit; the
+                    # rest of its block opens the next chunk
+                    cut, end = len(records), len(scores)
+                    while end - records[cut - 1][4] >= limit:
+                        cut -= 1
+                        end -= records[cut][4]
+                    if cut < len(records):
+                        rest = records[cut:], tokens[end:], scores[end:]
+                        stream = itertools.chain([rest], stream)
+                        del records[cut:], tokens[end:], scores[end:], rest
                     break
         except (ValueError, OSError) as exc:
             failure = exc

@@ -233,8 +233,8 @@ def _json_scores(values: list, what: str, lineno: int, literals: bool) -> np.nda
     return scores
 
 
-def parse_reference_dump(source: str | bytes | IO) -> dict[str, ReferenceLogits]:
-    """Parse a reference dump keyed by position id.
+def _reference_records(source: str | bytes | IO) -> Iterator[ReferenceLogits]:
+    """The records of a reference dump in line order.
 
     One JSON record per line, either
     ``{"position_id": ..., "dense": [V scores]}`` or
@@ -246,19 +246,11 @@ def parse_reference_dump(source: str | bytes | IO) -> dict[str, ReferenceLogits]
     an error, never a silent overwrite.  A key outside the record's form
     (``"default"`` in a dense record, a misspelled field) is an error too,
     and so is a NaN score: ``-inf`` forbids a token and ``+inf`` sets no
-    ceiling, but NaN means neither.
-    Lines are decoded as by :func:`censet.observation.parse_observations`.
-    The dict is built from :func:`_reference_records`, which the
-    ``reference`` command reads one record at a time.
+    ceiling, but NaN means neither.  Lines are decoded as by
+    :func:`censet.observation.parse_observations`.  Nothing of a line is
+    held once its record is yielded: a consumer that drops each record
+    holds one line's at a time, as the ``reference`` command does.
     """
-    return {ref.position_id: ref for ref in _reference_records(source)}
-
-
-def _reference_records(source: str | bytes | IO) -> Iterator[ReferenceLogits]:
-    """The records of a reference dump in line order, each checked as
-    :func:`parse_reference_dump` checks it, the repeated ``position_id``
-    included.  Nothing of a line is held once its record is yielded: a
-    consumer that drops each record holds one line's at a time."""
     seen: set[str] = set()
 
     def reference(record: dict, lineno: int, literals: bool) -> ReferenceLogits:

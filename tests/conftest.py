@@ -3,6 +3,7 @@ import pytest
 
 from censet.identified_set import geometry
 from censet.observation import AccessMode, _batch, _chunks, from_pairs
+from censet.reference import _reference_records
 
 
 def make_observation(vocab_size, scores, mode=AccessMode.LOGITS, tokens=None,
@@ -40,3 +41,9 @@ def chunked_batches(source):
             yield batch
         if error is not None or failure is not None:
             raise error or failure
+
+
+def parse_reference_dump(source):
+    """A reference dump as a dict keyed by position id, each record checked
+    as :func:`censet.reference._reference_records` checks it."""
+    return {ref.position_id: ref for ref in _reference_records(source)}

@@ -5,10 +5,12 @@ import array
 import contextlib
 import importlib.util
 import io
+import itertools
 import json
 import math
 import os
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -36,14 +38,14 @@ from censet.observation import (
     parse_observations,
     serialize_observations,
 )
-from censet.reference import parse_reference_dump
 from censet.simulate import censor
 
-from conftest import chunked_batches
+from conftest import chunked_batches, parse_reference_dump
 
 
 def _refuse(line):
-    raise orjson.JSONDecodeError("refused", line, 0)
+    # a line may be bytes, which orjson takes and JSONDecodeError does not
+    raise orjson.JSONDecodeError("refused", "", 0)
 
 
 def _json_only():
@@ -1031,8 +1033,8 @@ class _Unseekable(io.BytesIO):
 @contextlib.contextmanager
 def _spied():
     """The calls of _piecewise, as (line number, whether its blocks are a
-    stream's), and the line numbers _decoded gets, with whether orjson may
-    decode each, in order."""
+    stream's), and the numbers of the lines decoded whole, by _decoded or in
+    a block of short lines, with whether orjson may decode each, in order."""
     calls = {"piecewise": [], "decoded": [], "orjson": []}
 
     def piecewise(blocks, lineno, real=observation._piecewise):
@@ -1044,8 +1046,19 @@ def _spied():
         calls["orjson"].append(orjson_may_stand)
         return real(line, lineno, check, orjson_may_stand)
 
+    def block_items(lines, numbers, checked, check, check_block,
+                    real=observation._block_items):
+        def taken(records, numbers, literals):
+            item = check_block(records, numbers, literals)
+            if item is not None:
+                calls["decoded"].extend(numbers)
+                calls["orjson"].extend([True] * len(numbers))
+            return item
+        return real(lines, numbers, checked, check, taken)
+
     with mock.patch.object(observation, "_piecewise", piecewise), \
-            mock.patch.object(observation, "_decoded", decoded):
+            mock.patch.object(observation, "_decoded", decoded), \
+            mock.patch.object(observation, "_block_items", block_items):
         yield calls
 
 
@@ -1113,6 +1126,112 @@ class TestStreamedLines:
         assert calls["piecewise"] == [(1, True)] and calls["decoded"] == [2]
 
 
+# defects of one line, each the error of its line but "deep-300", which
+# json decodes; the record keeps its other fields
+LINE_DEFECTS = {
+    "nan": lambda line: line.replace('"score": ', '"score": NaN, "x": ', 1),
+    "bool-token": lambda line: re.sub(r'"token": \d+', '"token": true', line, count=1),
+    "float-token": lambda line: re.sub(r'"token": \d+', '"token": 3.0', line, count=1),
+    "wide-token": lambda line: re.sub(r'"token": \d+', '"token": %d' % 2**63, line,
+                                      count=1),
+    "missing-key": lambda line: line.replace('"mode": "logits", ', ""),
+    "k-over-v": lambda line: line.replace('"vocab_size": 64', '"vocab_size": 3'),
+    "dup-pid": lambda line: re.sub(r'"position_id": "[^"]*"', '"position_id": "p0"',
+                                   line),
+    "deep-300": lambda line: line.replace("{", '{"x": %s1%s, ' % ("[" * 300, "]" * 300), 1),
+    "deep-2000": lambda line: line.replace("{", '{"x": %s1%s, ' % ("[" * 2000, "]" * 2000),
+                                           1),
+    "non-utf8": lambda line: line.replace('"position_id": "p', '"position_id": "\udcff', 1),
+}
+# a part of each defect's error message
+DEFECT_ERRORS = {
+    "nan": "non-finite score nan", "bool-token": "token must be a JSON integer, got True",
+    "float-token": "token must be a JSON integer, got 3.0",
+    "wide-token": "token id %d outside [0, 64)" % 2**63,
+    "missing-key": "missing field 'mode'", "k-over-v": "exceeds vocab_size=3",
+    "dup-pid": "duplicate position_id 'p0'", "deep-2000": "nested too deeply",
+    "non-utf8": "can't decode byte 0xff",
+}
+
+
+def _block_text(seed: int, defect: str | None, where: float, pair_error: bool,
+                layout: bool) -> tuple[bytes, int | None]:
+    """About three blocks of K = 5-30 lines at the default budget, with
+    ``defect`` on a line of a later block, a duplicate token on a line of the
+    first when ``pair_error``, and blank lines, CRLF ends and non-ASCII
+    position ids at random when ``layout``.  Returns the bytes and the line
+    whose error the parse must raise (None for none)."""
+    rng = random.Random(seed)
+    lines, size = [], 0
+    while size < 3 * observation._PIECE_CHARS:
+        tokens = rng.sample(range(64), rng.randint(5, 30))
+        # line 0 keeps "p0", which "dup-pid" repeats
+        pid = ("pé%d" if layout and lines and rng.random() < 0.2 else "p%d") % len(lines)
+        line = '{"vocab_size": 64, "mode": "logits", "position_id": "%s", "topk": [%s]}' % (
+            pid, ", ".join('{"token": %d, "score": %r}' % (t, -10 * rng.random())
+                           for t in tokens))
+        lines.append(line)
+        size += len(line.encode()) + 1
+    # a block counts a line's bytes or characters, with its end or without:
+    # the first block ends past the line where the least count fills it,
+    # and before the one where the largest does
+    def filled(size) -> int:
+        ends = itertools.accumulate(map(size, lines))
+        return next(i for i, end in enumerate(ends) if end > observation._PIECE_CHARS)
+
+    first, later = filled(lambda x: len(x.encode()) + 2), filled(len)
+    bad = None
+    if defect is not None:
+        bad = later + 1 + int(where * (len(lines) - later - 2))
+        lines[bad] = LINE_DEFECTS[defect](lines[bad])
+        if defect == "deep-300":
+            bad = None
+    if pair_error:
+        bad = int(where * (first - 1))
+        lines[bad] = re.sub(r'("token": \d+, "score": [^}]*\}, \{"token": )\d+',
+                            lambda m: m.group(1) + re.search(r"\d+", m.group(1)).group(0),
+                            lines[bad], count=1)
+    text, numbers = [], []
+    for line in lines:
+        while layout and rng.random() < 0.1:
+            text.append(rng.choice(["", "  ", "\t"]) + "\n")
+        text.append(line + ("\r\n" if layout and rng.random() < 0.5 else "\n"))
+        numbers.append(len(text))
+    raw = "".join(text).encode("utf-8", "surrogateescape")
+    return raw, None if bad is None else numbers[bad]
+
+
+def _parsed(source):
+    """A parse's batch digest, or its error's text and line."""
+    try:
+        return _batch_digest(parse_observations(source))
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+class TestBlocks:
+    """Short lines checked a block at a time give the batch or the error of
+    blocks of one line, wherever a defect sits."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([None, *sorted(LINE_DEFECTS)]),
+           st.floats(0.0, 1.0), st.booleans(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_same_as_one_line_blocks(self, seed, defect, where, pair_error, layout):
+        raw, line = _block_text(seed, defect, where, pair_error, layout)
+        assert len(raw) > 2 * observation._PIECE_CHARS
+        sources = [raw] if defect == "non-utf8" else [raw, raw.decode()]
+        for source in sources:
+            got = _parsed(source)
+            with mock.patch.object(observation, "_PIECE_CHARS", 1):
+                assert _parsed(source) == got
+            if line is None:
+                assert len(got[0]) > 300
+            else:
+                assert got[1] == line, got
+                error = "duplicate token ids" if pair_error else DEFECT_ERRORS[defect]
+                assert error in got[0], got
+
+
 class TestMemory:
     def test_nothing_of_a_record_held_with_a_chunk(self, monkeypatch):
         k = 6000
@@ -1160,6 +1279,42 @@ class TestMemory:
             tracemalloc.stop()
         assert batch.k.tolist() == [v]
         assert peak < 3 * len(line), (peak, len(line))
+
+    def test_short_lines_decode_a_block_at_a_time(self, tmp_path):
+        # 3,000 K = 20 lines of about 1 KB, some 23 blocks; the read holds
+        # the columns and one block's decoded objects, never the file's
+        rng = random.Random(11)
+        lines = [json.dumps({"vocab_size": 1000, "mode": "logits", "position_id": f"p{i}",
+                             "topk": [{"token": t, "score": -10 * rng.random()}
+                                      for t in rng.sample(range(1000), 20)]}).encode()
+                 for i in range(3000)]
+        pairs, per_block = 20 * len(lines), observation._PIECE_CHARS // len(lines[0])
+        path = tmp_path / "short.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        tracemalloc.start()
+        try:
+            block = list(map(orjson.loads, lines[:per_block]))
+            one_block = tracemalloc.get_traced_memory()[0]
+            del block
+            with open(path, "rb") as handle:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                ((records, ids, values, failure),) = observation._chunks(handle, False)
+                held, peak = (m - before for m in tracemalloc.get_traced_memory())
+                del records, ids, values
+                handle.seek(0)
+                tracemalloc.reset_peak()
+                batch = parse_observations(handle)
+                parse_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert failure is None and batch.k.tolist() == [20] * len(lines)
+        whole_file = one_block * len(lines) / per_block
+        # the columns take 16 bytes a pair, each record's row about 200 bytes
+        assert held < 40 * pairs, (held, pairs)
+        assert peak - held < 2 * one_block, (peak, held, one_block)
+        # the batch's sort sets the parse's peak, a few columns of 8 bytes a pair
+        assert parse_peak < 100 * pairs < whole_file / 2, (parse_peak, whole_file)
 
     def test_a_full_dump_line_streams_from_a_binary_file(self, tmp_path):
         # ksweep opens its input in binary: the line is decoded as it is read

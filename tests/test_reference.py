@@ -27,7 +27,6 @@ from censet.reference import (
     ReferenceLogits,
     _uncovered,
     calibrate_rho,
-    parse_reference_dump,
     reference_geometry,
 )
 from censet.simulate import (
@@ -37,7 +36,7 @@ from censet.simulate import (
     generate_teacher,
 )
 
-from conftest import make_geometry, make_observation
+from conftest import make_geometry, make_observation, parse_reference_dump
 
 E = math.e
 

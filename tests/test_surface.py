@@ -43,7 +43,7 @@ MODULES = {
     ],
     "reference": [
         "CoverageError", "ReferenceBound", "ReferenceLogits", "calibrate_rho",
-        "parse_reference_dump", "reference_geometry",
+        "reference_geometry",
     ],
     "simulate": [
         "DirichletSoftmax", "GaussianIID", "PeakedHead", "SweepRow",
